@@ -17,7 +17,7 @@ from .components import (AutomatonSpec, Channel, ComponentSpec, SyntacticInterfa
                          Transition, WEAK, run)
 from .errors import (CapsExceededError, EvaluationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
-from .exprs import Binary, Expr, Name, evaluate, free_names
+from .exprs import Binary, Expr, Name, compile_expr, free_names
 from .streams import (BOOL, ChannelHistory, DataType, ENUM_KIND, TimedStream)
 
 RI = "RI"
@@ -72,10 +72,11 @@ def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tu
         ticks = list(out.streams[out_names[0]].values)
         return fold_stream(ticks), ticks
     labels = _labels_of((a, c))
+    holds = compile_expr(rel.expr)
     ticks = []
     for t in range(1, a.horizon + 1):
         env = {**labels, **a.tick(t), **c.tick(t)}
-        v = evaluate(rel.expr, env)
+        v = holds(env)
         if not isinstance(v, bool):
             raise EvaluationError(f"relation {rel.name!r} is not boolean at tick {t}")
         ticks.append(v)
@@ -174,10 +175,11 @@ def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
     labels = _labels_of((c_out,))
     labels.update(_enum_labels_from_types(gal.channel_types))
     columns: dict[str, list[Any]] = {chan: [] for chan, _ in entries}
+    maps = [(columns[chan], compile_expr(e)) for chan, e in entries]
     for t in range(1, c_out.horizon + 1):
         env = {**labels, **c_out.tick(t)}
-        for chan, e in entries:
-            columns[chan].append(evaluate(e, env))
+        for column, f in maps:
+            column.append(f(env))
     streams = {}
     for chan, col in columns.items():
         dtype = gal.channel_types.get(chan)
@@ -204,9 +206,10 @@ def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHis
     labels = _labels_of((abstract, concrete))
     labels.update(_enum_labels_from_types(gal.channel_types))
     if gal.member is not None:
+        member = compile_expr(gal.member)
         for t in range(1, abstract.horizon + 1):
             env = {**labels, **abstract.tick(t), **concrete.tick(t)}
-            if not evaluate(gal.member, env):
+            if not member(env):
                 return False
         return True
     # adjoint default: f(concrete) must equal the abstract values, tick-wise
@@ -214,10 +217,11 @@ def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHis
                if chan in abstract.streams]
     if not entries:
         raise EvaluationError(f"galois {gal.name!r}: no applicable membership entries")
+    maps = [(chan, compile_expr(e)) for chan, e in entries]
     for t in range(1, abstract.horizon + 1):
         env = {**labels, **concrete.tick(t)}
-        for chan, e in entries:
-            if evaluate(e, env) != abstract.at(chan, t):
+        for chan, f in maps:
+            if f(env) != abstract.at(chan, t):
                 return False
     return True
 

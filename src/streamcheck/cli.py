@@ -8,6 +8,7 @@ non-correspondence, Galois counterexample, causality counterexample),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -336,27 +337,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"streamcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, vectors=False):
+    def common(p, vectors=False, simulates=False):
         p.add_argument("--model", action="append", required=True,
                        help="model file (.scm.txt); repeatable")
         if vectors:
             p.add_argument("--vectors", action="append", default=[],
                            help="test-vector file (.tv.csv); repeatable")
-        p.add_argument("--eps", type=float, default=0.0,
-                       help="absolute tolerance for real64 comparisons")
         p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--check-determinism", action="store_true",
-                       help="error when two transitions are enabled at once")
+        if simulates:
+            p.add_argument("--check-determinism", action="store_true",
+                           help="error when two transitions are enabled at once")
 
     p = sub.add_parser("simulate", help="run a component on input vectors")
-    common(p, vectors=True)
+    common(p, vectors=True, simulates=True)
     p.add_argument("--component", required=True)
     p.add_argument("--ticks", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("test", help="execute test-cases and report verdicts")
-    common(p, vectors=True)
+    common(p, vectors=True, simulates=True)
     p.add_argument("--component", required=True)
+    p.add_argument("--eps", type=float, default=0.0,
+                   help="absolute tolerance for real64 comparisons")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("concretize", help="turn abstract test-cases into concrete ones")
@@ -390,8 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing leaves it unchanged, and each parser
+    built is a web of reference cycles left to the cycle collector."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -1,0 +1,213 @@
+"""Expressions compiled to Python source.
+
+An expression compiles to one Python expression, which runs in the
+namespace of a `CodeGen`. What is known of a value at compile time is its
+kind: "bool", "int", "real", "num" (int or real), "str" (an enumeration
+label) or None (unknown), and for an int the bounds it lies within.
+Operators on operands of known kinds become plain Python operators;
+everything else goes through the helpers of `exprs`, which check operands
+the way `exprs.evaluate` does. Kinds are sound only for names whose values
+are guaranteed to conform: the simulator vouches for its state slots, an
+environment vouches for nothing.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any, Callable, NamedTuple
+
+from .errors import EvaluationError
+from .exprs import (Binary, Expr, FUNCTIONS, Lit, Name, Unary, _CMP_OPS, _apply, _binop,
+                    _bool, _floor, _num)
+
+NUMERIC = ("int", "real", "num")
+UNBOUNDED = (-math.inf, math.inf)
+
+# precedence of generated code, as in Python: a child binds at least as
+# tightly as its parent needs, or gets parentheses
+ATOM, _UNARY, _MUL, _ADD, _CMP, _NOT, _AND, _OR = 9, 7, 6, 5, 4, 3, 2, 1
+_OP_PREC = {"*": _MUL, "/": _MUL, "+": _ADD, "-": _ADD, "and": _AND, "or": _OR}
+_NOT_WHAT, _NEG_WHAT = repr("'not'"), repr("unary '-'")
+
+
+class Code(NamedTuple):
+    src: str
+    kind: str | None
+    prec: int = ATOM
+    bounds: tuple = UNBOUNDED  # of a value of kind "int"
+
+
+NameResolver = Callable[[str, str], Code]
+
+
+def kind_of_value(value: Any) -> str | None:
+    return {bool: "bool", int: "int", float: "real", str: "str"}.get(type(value))
+
+
+def _paren(code: Code, prec: int) -> str:
+    return code.src if code.prec >= prec else f"({code.src})"
+
+
+def _arith(op: str, lhs: Code, rhs: Code) -> tuple[str, tuple]:
+    """Kind and int bounds of an arithmetic result."""
+    if lhs.kind != "int" or rhs.kind != "int":
+        return ("real" if "real" in (lhs.kind, rhs.kind) else "num"), UNBOUNDED
+    (a, b), (c, d) = lhs.bounds, rhs.bounds
+    if op == "+":
+        return "int", (a + c, b + d)
+    if op == "-":
+        return "int", (a - d, b - c)
+    if not all(map(math.isfinite, (a, b, c, d))) or (op == "/" and c <= 0 <= d):
+        return "int", UNBOUNDED
+    corners = [a * c, a * d, b * c, b * d] if op == "*" else [a // c, a // d, b // c, b // d]
+    return "int", (min(corners), max(corners))
+
+
+def _call_bounds(func: str, args: list[Code]) -> tuple:
+    if func == "min":
+        return min(a.bounds[0] for a in args), min(a.bounds[1] for a in args)
+    if func == "max":
+        return max(a.bounds[0] for a in args), max(a.bounds[1] for a in args)
+    lo, hi = args[0].bounds  # abs
+    return (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
+
+
+def _unknown(ident: str, ctx: str = "") -> Any:
+    raise EvaluationError(f"{ctx}unknown name {ident!r}")
+
+
+def _guard(value: Any, message: str) -> bool:
+    if value is True or value is False:
+        return value
+    raise EvaluationError(message)
+
+
+# The names of generated variables, kept for the life of the process. A
+# compile interns them; were they freed with the code, every recompile of a
+# model would intern them afresh, and that churn keeps enlarging the
+# interpreter's table of interned strings (by 0.4 MB over a dozen compiles
+# of a 48-atom network). The same few names recur in every compile.
+_NAMES: set[str] = set()
+
+
+class CodeGen:
+    """Python source for compiled expressions and the namespace it runs in."""
+
+    def __init__(self) -> None:
+        self.ns: dict[str, Any] = {
+            "EvaluationError": EvaluationError, "_num": _num, "_bool": _bool,
+            "_binop": _binop, "_apply": _apply, "_floor": _floor,
+            "_unknown": _unknown, "_guard": _guard}
+        self._temps = 0
+        self._consts: dict[tuple, str] = {}
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"_t{self._temps}"
+
+    def const(self, value: Any) -> str:
+        """Source text that evaluates to `value`."""
+        kind = kind_of_value(value)
+        if kind in ("bool", "int", "str") or (kind == "real" and math.isfinite(value)):
+            text = repr(value)
+            return f"({text})" if text.startswith("-") else text
+        try:
+            return self._consts[(type(value), value)]
+        except TypeError:  # unhashable: not shared
+            key = None
+        except KeyError:
+            key = (type(value), value)
+        name = f"_k{len(self._consts)}" if key else f"_k{len(self.ns)}_"
+        self.ns[name] = value
+        if key:
+            self._consts[key] = name
+        return name
+
+    def expr(self, e: Expr, name: NameResolver, ctx: str = "") -> Code:
+        """Compile `e`; `name` gives the code of a name, `ctx` prefixes error messages.
+
+        Temporaries are reused from one call to the next, so the code of an
+        earlier call must have been evaluated before this one's runs.
+        """
+        self._temps = 0
+        return self._expr(e, name, ctx)
+
+    def _expr(self, e: Expr, name: NameResolver, ctx: str) -> Code:
+        c = f", {ctx!r}" if ctx else ""
+        if isinstance(e, Lit):
+            kind = kind_of_value(e.value)
+            return Code(self.const(e.value), kind, ATOM,
+                        (e.value, e.value) if kind == "int" else UNBOUNDED)
+        if isinstance(e, Name):
+            return name(e.ident, ctx)
+        if isinstance(e, Unary):
+            x = self._expr(e.operand, name, ctx)
+            if e.op == "not":
+                return Code(f"not {self._bool_operand(x, _NOT_WHAT, c, _NOT)}", "bool", _NOT)
+            if x.kind in NUMERIC:
+                return Code(f"-{_paren(x, _UNARY)}", x.kind, _UNARY, (-x.bounds[1], -x.bounds[0]))
+            return Code(f"-_num({x.src}, {_NEG_WHAT}{c})", "num", _UNARY)
+        if isinstance(e, Binary):
+            return self._binary(e, name, ctx, c)
+        args = [self._expr(a, name, ctx) for a in e.args]
+        kinds = {a.kind for a in args}
+        codes = ", ".join(a.src for a in args)
+        arity_ok = len(args) >= 2 if e.func in ("min", "max") else len(args) == 1
+        if e.func in ("min", "max", "abs") and arity_ok and kinds <= set(NUMERIC):
+            kind = kinds.pop() if len(kinds) == 1 else "num"
+            return Code(f"{e.func}({codes})", kind, ATOM,
+                        _call_bounds(e.func, args) if kind == "int" else UNBOUNDED)
+        if e.func == "floor" and len(args) == 1:
+            return Code(f"_floor({codes}{c})", "int", ATOM,
+                        args[0].bounds if args[0].kind == "int" else UNBOUNDED)
+        kind = "num" if e.func in FUNCTIONS else None
+        return Code(f"_apply({e.func!r}, ({codes}{',' if codes else ''}){c})", kind)
+
+    def _bool_operand(self, x: Code, what: str, c: str, prec: int) -> str:
+        """`x` as an operand that must be boolean, bound at least as tightly as `prec`."""
+        if x.kind == "bool":
+            return _paren(x, prec)
+        t = self.temp()
+        return f"({t} if type({t} := {x.src}) is bool else _bool({t}, {what}{c}))"
+
+    def _binary(self, e: Binary, name: NameResolver, ctx: str, c: str) -> Code:
+        op = e.op
+        lhs, rhs = self._expr(e.left, name, ctx), self._expr(e.right, name, ctx)
+        if op in ("and", "or"):
+            what, prec = repr(f"'{op}'"), _OP_PREC[op]
+            return Code(f"{self._bool_operand(lhs, what, c, prec)} {op} "
+                        f"{self._bool_operand(rhs, what, c, prec + 1)}", "bool", prec)
+        numeric = lhs.kind in NUMERIC and rhs.kind in NUMERIC
+        fallback = f"_binop({op!r}, {lhs.src}, {rhs.src}{c})"
+        if op in _CMP_OPS:
+            if numeric or (op in ("==", "!=") and lhs.kind == rhs.kind in ("bool", "str")):
+                return Code(f"{_paren(lhs, _ADD)} {op} {_paren(rhs, _ADD)}", "bool", _CMP)
+            return Code(fallback, "bool")
+        if op in ("+", "-", "*") and numeric:
+            prec = _OP_PREC[op]
+            kind, bounds = _arith(op, lhs, rhs)
+            return Code(f"{_paren(lhs, prec)} {op} {_paren(rhs, prec + 1)}", kind, prec, bounds)
+        if op == "/" and numeric and (lhs.kind == rhs.kind == "int" or "real" in (lhs.kind, rhs.kind)):
+            pyop = "//" if lhs.kind == rhs.kind == "int" else "/"
+            kind, bounds = _arith(op, lhs, rhs)
+            if isinstance(e.right, Lit) and e.right.value != 0:
+                return Code(f"{_paren(lhs, _MUL)} {pyop} {_paren(rhs, _UNARY)}", kind, _MUL, bounds)
+            a, b = self.temp(), self.temp()
+            # both operands evaluate, left first, before the divisor is tested
+            return Code(f"({a} {pyop} {b} if (({a} := {lhs.src}), ({b} := {rhs.src})) and {b} "
+                        f"else _binop('/', {a}, {b}{c}))", kind, ATOM, bounds)
+        return Code(fallback, "num" if op in ("+", "-", "*", "/") else None)
+
+    def function(self, params: str, body: list[str]) -> Callable:
+        """Define a function from source lines in this namespace."""
+        src = f"def _generated({params}):\n" + "".join(f"    {line}\n" for line in body)
+        try:
+            code = compile(src, "<streamcheck>", "exec")
+        except (SyntaxError, RecursionError) as e:
+            # in practice: expressions nested deeper than Python's parser allows
+            raise EvaluationError(f"cannot compile the model's expressions: {e}") from None
+        exec(code, self.ns)
+        # drop the name so that function and namespace form no reference cycle
+        fn = self.ns.pop("_generated")
+        _NAMES.update(fn.__code__.co_varnames, fn.__code__.co_names)
+        return fn

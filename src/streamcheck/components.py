@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Union
 
-from .errors import (EvaluationError, NondeterminismError, SimulationError,
-                     StuckStateError, StreamcheckError, TypeMismatchError)
-from .exprs import TRUE, Expr, evaluate, free_names
+from .errors import SimulationError, StreamcheckError, TypeMismatchError
+from .exprs import TRUE, Expr, free_names
 from .streams import (Channel, ChannelHistory, DataType, ENUM_KIND, TimedStream,
                       validate_history)
 
@@ -191,100 +190,20 @@ class CompositeState:
 ComponentState = Union[AutomatonState, CompositeState]
 
 
-class _AutomatonRt:
-    def __init__(self, spec: AutomatonSpec, check_determinism: bool = False):
-        self.spec = spec
-        self.check_determinism = check_determinism
-        self.labels = enum_label_env(spec)
-        self.out_types = {c.name: c.ctype for c in spec.interface.outputs}
-        self.var_types = {v.name: v.dtype for v in spec.variables}
-
-    @property
-    def strict(self) -> bool:
-        return self.spec.causality == STRICT
-
-    def initial(self) -> AutomatonState:
-        spec = self.spec
-        pending = tuple((c.name, spec.output_init[c.name])
-                        for c in spec.interface.outputs if c.name in spec.output_init)
-        return AutomatonState(spec.initial,
-                              tuple((v.name, v.init) for v in spec.variables),
-                              pending)
-
-    def peek(self, st: AutomatonState) -> dict[str, Any]:
-        return dict(st.pending)
-
-    def step(self, st: AutomatonState, inputs: Mapping[str, Any]) -> tuple[AutomatonState, dict[str, Any]]:
-        spec = self.spec
-        for c in spec.interface.inputs:
-            if c.name not in inputs:
-                raise SimulationError(f"{spec.name}: input {c.name!r} not provided")
-            c.ctype.check(inputs[c.name])
-        latched = dict(st.pending)
-        env = {**self.labels, **latched, **dict(st.variables), **inputs}
-        fired = None
-        for t in spec.transitions:
-            if t.source != st.state:
-                continue
-            try:
-                enabled = evaluate(t.guard, env)
-            except EvaluationError as e:
-                raise EvaluationError(
-                    f"{spec.name}: guard of {t.label or t.source + '->' + t.target}: {e}") from e
-            if not isinstance(enabled, bool):
-                raise EvaluationError(
-                    f"{spec.name}: guard of {t.label or t.source + '->' + t.target} is not boolean")
-            if enabled:
-                if fired is None:
-                    fired = t
-                    if not self.check_determinism:
-                        break
-                else:
-                    raise NondeterminismError(
-                        f"{spec.name}: transitions {fired.label or fired.target!r} and "
-                        f"{t.label or t.target!r} both enabled in state {st.state!r}")
-        computed = dict(latched)
-        variables = dict(st.variables)
-        if fired is None:
-            if spec.total:
-                raise StuckStateError(spec.name, st.state)
-            new_state = st.state
-        else:
-            new_state = fired.target
-            for o, e in fired.outputs:
-                computed[o] = self.out_types[o].check(evaluate(e, env))
-            for v, e in fired.updates:
-                variables[v] = self.var_types[v].check(evaluate(e, env))
-        if self.strict:
-            emitted = latched
-        else:
-            emitted = computed
-        missing = [c.name for c in spec.interface.outputs if c.name not in emitted]
-        if missing:
-            raise SimulationError(f"{spec.name}: outputs never assigned: {missing}")
-        new_st = AutomatonState(new_state, tuple(sorted(variables.items())),
-                                tuple(sorted(computed.items())))
-        return new_st, dict(emitted)
-
-
 _BOUNDARY = None
 
 
 class _FlatModel:
     """A composite flattened to atomic instances plus resolved wiring."""
 
-    def __init__(self, spec: CompositeSpec, check_determinism: bool = False):
-        self.spec = spec
-        self.atoms: dict[str, _AutomatonRt] = {}
+    def __init__(self, spec: CompositeSpec):
+        self.atoms: dict[str, AutomatonSpec] = {}
         self._alias: dict[tuple[str | None, str], tuple[str | None, str]] = {}
         self._flatten(spec, None, {c.name: (_BOUNDARY, c.name) for c in spec.interface.inputs})
-        self.check_determinism = check_determinism
-        for rt in self.atoms.values():
-            rt.check_determinism = check_determinism
         # resolve every consumer to its terminal producer up front
         self.src: dict[tuple[str, str], tuple[str | None, str]] = {}
-        for path, rt in self.atoms.items():
-            for c in rt.spec.interface.inputs:
+        for path, atom in self.atoms.items():
+            for c in atom.interface.inputs:
                 self.src[(path, c.name)] = self._resolve((path, c.name))
         self.out_src = {c.name: self._resolve((_BOUNDARY, c.name))
                         for c in spec.interface.outputs}
@@ -299,7 +218,7 @@ class _FlatModel:
         """
         if isinstance(spec, AutomatonSpec):
             assert path is not None
-            self.atoms[path] = _AutomatonRt(spec)
+            self.atoms[path] = spec
             for chan, src in input_src.items():
                 self._alias[(path, chan)] = src
             return {c.name: (path, c.name) for c in spec.interface.outputs}
@@ -349,84 +268,44 @@ class _FlatModel:
             key = self._alias[key]
         return key
 
-    def initial(self) -> CompositeState:
-        return CompositeState(tuple((p, rt.initial()) for p, rt in sorted(self.atoms.items())))
 
-    def step(self, st: CompositeState, inputs: Mapping[str, Any]) -> tuple[CompositeState, dict[str, Any]]:
-        for c in self.spec.interface.inputs:
-            if c.name not in inputs:
-                raise SimulationError(f"{self.spec.name}: input {c.name!r} not provided")
-        states = dict(st.substates)
-        values: dict[tuple[str | None, str], Any] = {
-            (_BOUNDARY, c.name): c.ctype.check(inputs[c.name]) for c in self.spec.interface.inputs}
-        strict_atoms = [p for p, rt in self.atoms.items() if rt.strict]
-        weak_atoms = [p for p, rt in self.atoms.items() if not rt.strict]
-        for p in strict_atoms:
-            for chan, v in self.atoms[p].peek(states[p]).items():
-                values[(p, chan)] = v
-        pending = set(weak_atoms)
-        new_states: dict[str, AutomatonState] = {}
+def _simulator(spec: ComponentSpec, check_determinism: bool = False):
+    """The spec's `simulator.Simulator`, compiled on first use and kept on the spec.
 
-        def gather(path: str) -> dict[str, Any] | None:
-            ins = {}
-            for c in self.atoms[path].spec.interface.inputs:
-                src = self.src.get((path, c.name))
-                if src is None or src not in values:
-                    return None
-                ins[c.name] = values[src]
-            return ins
-
-        progress = True
-        while pending and progress:
-            progress = False
-            for p in sorted(pending):
-                ins = gather(p)
-                if ins is None:
-                    continue
-                new_states[p], outs = self.atoms[p].step(states[p], ins)
-                for chan, v in outs.items():
-                    values[(p, chan)] = v
-                pending.discard(p)
-                progress = True
-        if pending:
-            raise SimulationError(
-                f"{self.spec.name}: zero-delay dependency cycle or unconnected input "
-                f"involving {sorted(pending)}")
-        for p in strict_atoms:
-            ins = gather(p)
-            if ins is None:
-                missing = [c.name for c in self.atoms[p].spec.interface.inputs
-                           if self.src.get((p, c.name)) not in values]
-                raise SimulationError(f"{self.spec.name}: unconnected inputs {missing} of {p!r}")
-            new_states[p], _ = self.atoms[p].step(states[p], ins)
-        outputs = {}
-        for c in self.spec.interface.outputs:
-            src = self.out_src.get(c.name)
-            if src is None or src not in values:
-                raise SimulationError(f"{self.spec.name}: output {c.name!r} has no producer")
-            outputs[c.name] = c.ctype.check(values[src])
-        return CompositeState(tuple(sorted(new_states.items()))), outputs
-
-
-def _runtime(spec: ComponentSpec, check_determinism: bool = False):
-    if isinstance(spec, AutomatonSpec):
-        return _AutomatonRt(spec, check_determinism)
-    return _FlatModel(spec, check_determinism)
+    The simulator refers to no spec, so a spec and its simulator form no
+    reference cycle and go away together.
+    """
+    check_determinism = bool(check_determinism)
+    cache = spec.__dict__.setdefault("_simulators", {})
+    sim = cache.get(check_determinism)
+    if sim is None:
+        from .simulator import Simulator
+        sim = cache[check_determinism] = Simulator(spec, check_determinism)
+    return sim
 
 
 def initial_state(spec: ComponentSpec) -> ComponentState:
-    return _runtime(spec).initial()
+    """The configuration before the first tick.
+
+    Like every state `step` returns, it lists variables and latched outputs
+    in declaration order and a composite's atoms in flattening order.
+    """
+    return _simulator(spec).initial()
 
 
 def step(spec: ComponentSpec, st: ComponentState, inputs: Mapping[str, Any],
          check_determinism: bool = False) -> tuple[ComponentState, dict[str, Any]]:
     """Advance one tick: consume one message per input, emit one per output."""
-    return _runtime(spec, check_determinism).step(st, inputs)
+    return _simulator(spec, check_determinism).step(st, inputs)
 
 
 def run(spec: ComponentSpec, input_history: ChannelHistory, n: int | None = None,
         check_determinism: bool = False) -> ChannelHistory:
-    """Iterate `step` from the initial state; returns the output history."""
+    """Run `n` ticks (default: the input horizon) from the initial state.
+
+    Any error during a tick, a StreamcheckError or not, is raised as a
+    SimulationError that carries the tick.
+    """
     if n is None:
         n = input_history.horizon
     violations = validate_history(input_history, list(spec.interface.inputs))
@@ -434,18 +313,7 @@ def run(spec: ComponentSpec, input_history: ChannelHistory, n: int | None = None
         raise SimulationError("invalid input history: " + "; ".join(map(str, violations)))
     if input_history.horizon < n:
         raise SimulationError(f"input horizon {input_history.horizon} < requested ticks {n}")
-    rt = _runtime(spec, check_determinism)
-    st = rt.initial()
-    columns: dict[str, list[Any]] = {c.name: [] for c in spec.interface.outputs}
-    for t in range(1, n + 1):
-        try:
-            st, outs = rt.step(st, input_history.tick(t))
-        except StreamcheckError as e:
-            raise SimulationError(str(e), tick=t) from e
-        for name, col in columns.items():
-            col.append(outs[name])
-    return ChannelHistory({c.name: TimedStream.of(c.ctype, columns[c.name])
-                           for c in spec.interface.outputs}, n)
+    return _simulator(spec, check_determinism).run(input_history, n)
 
 
 # ---------------------------------------------------------------------------
@@ -504,34 +372,37 @@ def _zero_delay_cycles(spec: CompositeSpec) -> list[str]:
         flat = _FlatModel(spec)
     except StreamcheckError as e:
         return [f"cannot flatten composite: {e}"]
-    weak = {p for p, rt in flat.atoms.items() if not rt.strict}
+    weak = {p for p, atom in flat.atoms.items() if atom.causality != STRICT}
     edges: dict[str, dict[str, str]] = {p: {} for p in weak}
     for (consumer, chan), src in flat.src.items():
         if consumer in weak and src[0] in weak:
             edges[src[0]][consumer] = f"{src[0]}.{src[1]} -> {consumer}.{chan}"
-    problems = []
     color: dict[str, int] = {}
-    stack: list[tuple[str, str]] = []
-
-    def dfs(u: str) -> bool:
-        color[u] = 1
-        for v, label in edges[u].items():
-            if color.get(v) == 1:
-                path = [lbl for node, lbl in stack] + [label]
-                problems.append("zero-delay cycle: " + " ; ".join(path))
-                return True
-            if color.get(v, 0) == 0:
-                stack.append((v, label))
-                if dfs(v):
-                    return True
-                stack.pop()
-        color[u] = 2
-        return False
-
     for p in sorted(weak):
-        if color.get(p, 0) == 0 and dfs(p):
-            break
-    return problems
+        if color.get(p, 0) == 0:
+            cycle = _find_cycle(p, edges, color, [])
+            if cycle:
+                return ["zero-delay cycle: " + " ; ".join(cycle)]
+    return []
+
+
+def _find_cycle(u: str, edges: Mapping[str, Mapping[str, str]], color: dict[str, int],
+                path: list[str]) -> list[str] | None:
+    """Depth-first search from u; the edge labels of the first cycle found.
+
+    A module-level function rather than a closure over the search state,
+    which would be a reference cycle left for the garbage collector.
+    """
+    color[u] = 1
+    for v, label in edges[u].items():
+        if color.get(v) == 1:
+            return path + [label]
+        if color.get(v, 0) == 0:
+            cycle = _find_cycle(v, edges, color, path + [label])
+            if cycle:
+                return cycle
+    color[u] = 2
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +455,8 @@ def check_causality(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
     """
     if mode is None:
         mode = spec.causality if isinstance(spec, AutomatonSpec) else STRICT
+    if mode != STRICT and horizon < 2:
+        return None  # weak mode compares outputs up to tick t < horizon, t >= 1: none
     channels = list(spec.interface.inputs)
     grid = {c.name: representative_values(c.ctype, values_per_channel) for c in channels}
     per_tick = 1

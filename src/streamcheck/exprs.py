@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 from .errors import EvaluationError
 from .lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, tokenize
@@ -65,20 +65,24 @@ def free_names(expr: Expr) -> set[str]:
     return set().union(*(free_names(a) for a in expr.args)) if expr.args else set()
 
 
-def _num(value: Any, what: str) -> Any:
+def _num(value: Any, what: str, ctx: str = "") -> Any:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise EvaluationError(f"{what} needs a numeric operand, got {value!r}")
+        raise EvaluationError(f"{ctx}{what} needs a numeric operand, got {value!r}")
     return value
 
 
-def _bool(value: Any, what: str) -> bool:
+def _bool(value: Any, what: str, ctx: str = "") -> bool:
     if not isinstance(value, bool):
-        raise EvaluationError(f"{what} needs a boolean operand, got {value!r}")
+        raise EvaluationError(f"{ctx}{what} needs a boolean operand, got {value!r}")
     return value
 
 
 def evaluate(expr: Expr, env: Mapping[str, Any]) -> Any:
-    """Evaluate an expression in a name environment; raises EvaluationError."""
+    """Evaluate an expression in a name environment; raises EvaluationError.
+
+    This tree walk is the reference semantics; the simulator runs the code
+    that `codegen.CodeGen` generates, which calls the same helpers.
+    """
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, Name):
@@ -96,30 +100,38 @@ def evaluate(expr: Expr, env: Mapping[str, Any]) -> Any:
             return _bool(evaluate(expr.left, env), "'or'") or _bool(evaluate(expr.right, env), "'or'")
         if op == "and":
             return _bool(evaluate(expr.left, env), "'and'") and _bool(evaluate(expr.right, env), "'and'")
-        lhs = evaluate(expr.left, env)
-        rhs = evaluate(expr.right, env)
-        if op in ("==", "!="):
-            if _comparable(lhs, rhs):
-                return (lhs == rhs) if op == "==" else (lhs != rhs)
-            raise EvaluationError(f"cannot compare {lhs!r} with {rhs!r}")
-        if op in ("<", "<=", ">", ">="):
-            lhs, rhs = _num(lhs, op), _num(rhs, op)
-            return {"<": lhs < rhs, "<=": lhs <= rhs, ">": lhs > rhs, ">=": lhs >= rhs}[op]
-        lhs, rhs = _num(lhs, op), _num(rhs, op)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if rhs == 0:
-                raise EvaluationError("division by zero")
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                return lhs // rhs
-            return lhs / rhs
-        raise EvaluationError(f"unknown operator {op!r}")
-    return _call(expr, env)
+        return _binop(op, evaluate(expr.left, env), evaluate(expr.right, env))
+    return _apply(expr.func, [evaluate(a, env) for a in expr.args])
+
+
+def _binop(op: str, lhs: Any, rhs: Any, ctx: str = "") -> Any:
+    """A non-boolean binary operator applied to evaluated operands."""
+    if op in ("==", "!="):
+        if _comparable(lhs, rhs):
+            return (lhs == rhs) if op == "==" else (lhs != rhs)
+        raise EvaluationError(f"{ctx}cannot compare {lhs!r} with {rhs!r}")
+    lhs, rhs = _num(lhs, op, ctx), _num(rhs, op, ctx)
+    if op == "<":
+        return lhs < rhs
+    if op == "<=":
+        return lhs <= rhs
+    if op == ">":
+        return lhs > rhs
+    if op == ">=":
+        return lhs >= rhs
+    if op == "+":
+        return lhs + rhs
+    if op == "-":
+        return lhs - rhs
+    if op == "*":
+        return lhs * rhs
+    if op == "/":
+        if rhs == 0:
+            raise EvaluationError(f"{ctx}division by zero")
+        if isinstance(lhs, int) and isinstance(rhs, int):
+            return lhs // rhs
+        return lhs / rhs
+    raise EvaluationError(f"{ctx}unknown operator {op!r}")
 
 
 def _comparable(lhs: Any, rhs: Any) -> bool:
@@ -130,22 +142,49 @@ def _comparable(lhs: Any, rhs: Any) -> bool:
     return isinstance(lhs, (int, float)) and isinstance(rhs, (int, float))
 
 
-def _call(expr: Call, env: Mapping[str, Any]) -> Any:
-    args = [evaluate(a, env) for a in expr.args]
-    if expr.func in ("min", "max"):
+def _apply(func: str, args: Sequence[Any], ctx: str = "") -> Any:
+    """A builtin function applied to evaluated arguments."""
+    if func in ("min", "max"):
         if len(args) < 2:
-            raise EvaluationError(f"{expr.func}() needs at least two arguments")
-        vals = [_num(a, expr.func) for a in args]
-        return min(vals) if expr.func == "min" else max(vals)
-    if expr.func == "abs":
+            raise EvaluationError(f"{ctx}{func}() needs at least two arguments")
+        vals = [_num(a, func, ctx) for a in args]
+        return min(vals) if func == "min" else max(vals)
+    if func == "abs":
         if len(args) != 1:
-            raise EvaluationError("abs() takes one argument")
-        return abs(_num(args[0], "abs"))
-    if expr.func == "floor":
+            raise EvaluationError(f"{ctx}abs() takes one argument")
+        return abs(_num(args[0], "abs", ctx))
+    if func == "floor":
         if len(args) != 1:
-            raise EvaluationError("floor() takes one argument")
-        return math.floor(_num(args[0], "floor"))
-    raise EvaluationError(f"unknown function {expr.func!r}")
+            raise EvaluationError(f"{ctx}floor() takes one argument")
+        return _floor(args[0], ctx)
+    raise EvaluationError(f"{ctx}unknown function {func!r}")
+
+
+def _floor(value: Any, ctx: str = "") -> int:
+    value = _num(value, "floor", ctx)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise EvaluationError(f"{ctx}floor needs a finite operand, got {value!r}")
+    return math.floor(value)
+
+
+def compile_expr(expr: Expr) -> Callable[[Mapping[str, Any]], Any]:
+    """Compile an expression into a function of a name environment.
+
+    The function returns what `evaluate` returns and raises the same
+    EvaluationErrors. It is built once and cached on the expression node.
+    """
+    fn = expr.__dict__.get("_compiled")
+    if fn is None:
+        from .codegen import Code, CodeGen
+        gen = CodeGen()
+        code = gen.expr(expr, lambda ident, ctx: Code(f"_env[{ident!r}]", None))
+        fn = gen.function("_env", [
+            "try:",
+            f"    return {code.src}",
+            "except KeyError as e:",
+            "    raise EvaluationError(f'unknown name {e.args[0]!r}') from None"])
+        expr.__dict__["_compiled"] = fn
+    return fn
 
 
 class ExprSyntaxError(EvaluationError):

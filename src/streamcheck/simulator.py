@@ -1,0 +1,443 @@
+"""Components compiled into tick loops: the simulator.
+
+Imported on the first run of a component, not when models are loaded.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Any, Callable, Mapping, Sequence
+
+from .codegen import ATOM, NUMERIC, Code, CodeGen, NameResolver
+from .components import (AutomatonSpec, AutomatonState, Channel, ComponentSpec,
+                         ComponentState, CompositeSpec, CompositeState, STRICT,
+                         SyntacticInterface, Transition, _BOUNDARY, _FlatModel, enum_label_env)
+from .errors import NondeterminismError, SimulationError, StreamcheckError, StuckStateError
+from .exprs import Lit
+from .streams import (BOOL_KIND, ChannelHistory, DataType, ENUM_KIND, INT_KIND, REAL_KIND,
+                      TimedStream)
+
+
+# A component compiles, on its first run, into one Python function that
+# runs any number of ticks. Every atom's control state, variables and
+# latched outputs live in local variables ("slots"); expressions read them
+# directly. A composite's atoms are inlined in a schedule fixed at compile
+# time: weak atoms in the order in which each first has all its inputs,
+# scanning the pending ones by path as often as needed, then strict atoms in
+# declaration order. That is the order in which an interpreter that re-scans
+# every tick fires them, so the first error of a tick is the same. The
+# simulator is cached on the spec and holds no reference back to it.
+
+_UNSET = object()  # a latched output that was never assigned
+
+
+def _slot(local: str, dtype: DataType, conforms: bool) -> Code:
+    """The code of a local variable whose values conform to dtype, if `conforms`."""
+    if not conforms:
+        return Code(local, None)
+    if dtype.kind == INT_KIND:
+        return Code(local, "int", ATOM, (dtype.lo, dtype.hi))
+    return Code(local, {BOOL_KIND: "bool", REAL_KIND: "real"}.get(dtype.kind, "str"))
+
+
+def _stuck(component: str, state: str) -> None:
+    raise StuckStateError(component, state)
+
+
+def _missing(component: str, latched: tuple[tuple[str, Any], ...]) -> None:
+    missing = [name for name, value in latched if value is _UNSET]
+    if missing:
+        raise SimulationError(f"{component}: outputs never assigned: {missing}")
+
+
+def _nondet(component: str, first: str, second: str, state: str) -> None:
+    raise NondeterminismError(f"{component}: transitions {first!r} and {second!r} "
+                              f"both enabled in state {state!r}")
+
+
+def _conform_column(dtype: DataType, values: tuple) -> tuple[Any, int]:
+    """The values as DataType.check returns them, up to the first invalid one,
+    and that one's index (len(values) when all are valid)."""
+    types = set(map(type, values))
+    if dtype.kind == BOOL_KIND:
+        ok = types <= {bool}
+    elif dtype.kind == INT_KIND:
+        ok = types <= {int} and (not values or dtype.lo <= min(values) and max(values) <= dtype.hi)
+    elif dtype.kind == REAL_KIND:
+        ok = types <= {float}
+    else:
+        ok = types <= {str} and set(values).issubset(dtype.labels)
+    if ok:
+        return values, len(values)
+    checked = []
+    for v in values:
+        if not dtype.contains(v):
+            break
+        checked.append(dtype.check(v))
+    return checked, len(checked)
+
+
+class _AtomSlots:
+    """Local-variable names of one atom's state in the generated code."""
+
+    def __init__(self, i: int, path: str, spec: AutomatonSpec):
+        self.index = i
+        self.path = path
+        self.spec = spec
+        self.state = f"s{i}"
+        self.vars = {v.name: f"v{i}_{k}" for k, v in enumerate(spec.variables)}
+        self.outs = {c.name: f"p{i}_{k}" for k, c in enumerate(spec.interface.outputs)}
+
+    def names(self) -> list[str]:
+        return [self.state, *self.vars.values(), *self.outs.values()]
+
+    def initial(self) -> list[Any]:
+        spec = self.spec
+        return [spec.initial, *(v.init for v in spec.variables),
+                *(spec.output_init.get(c.name, _UNSET) for c in spec.interface.outputs)]
+
+    def trusted_out(self, chan: Channel) -> bool:
+        """Values this output ever carries conform to its type."""
+        init = self.spec.output_init.get(chan.name, _UNSET)
+        return init is _UNSET or chan.ctype.contains(init)
+
+
+class _Compiler:
+    """Generates the source of one flattened network's tick loop."""
+
+    def __init__(self, name: str, interface: SyntacticInterface,
+                 atoms: list[tuple[str, AutomatonSpec]],
+                 src: Mapping[tuple[str, str], tuple[str | None, str]],
+                 out_src: Mapping[str, tuple[str | None, str]],
+                 check_determinism: bool, check_outputs: bool):
+        self.gen = CodeGen()
+        self.gen.ns.update(SimulationError=SimulationError, _U=_UNSET, _stuck=_stuck,
+                           _missing=_missing, _nondet=_nondet)
+        self.check_determinism = check_determinism
+        self.src = src
+        self.atoms = [_AtomSlots(i, path, spec) for i, (path, spec) in enumerate(atoms)]
+        # producer endpoint -> (local, type, whether its values always conform)
+        self.values: dict[tuple[str | None, str], tuple[str, DataType, bool]] = {
+            (_BOUNDARY, c.name): (f"x{k}", c.ctype, True) for k, c in enumerate(interface.inputs)}
+        for a in self.atoms:
+            for c in a.spec.interface.outputs:
+                self.values[(a.path, c.name)] = (a.outs[c.name], c.ctype, a.trusted_out(c))
+        self.lines = self._tick(name, interface, out_src, check_outputs)
+
+    def _tick(self, name: str, interface: SyntacticInterface,
+              out_src: Mapping[str, tuple[str | None, str]], check_outputs: bool) -> list[str]:
+        src = self.src
+        lines: list[str] = []
+
+        def fail(message: str) -> list[str]:
+            return lines + [f"raise SimulationError({message!r})"]
+
+        strict = [a for a in self.atoms if a.spec.causality == STRICT]
+        avail = {(_BOUNDARY, c.name) for c in interface.inputs}
+        avail.update((a.path, c.name) for a in strict for c in a.spec.interface.outputs
+                     if c.name in a.spec.output_init)
+
+        def ready(a: _AtomSlots) -> bool:
+            return all(src.get((a.path, c.name)) in avail for c in a.spec.interface.inputs)
+
+        by_path = {a.path: a for a in self.atoms}
+        pending = {a.path for a in self.atoms if a.spec.causality != STRICT}
+        progress = True
+        while pending and progress:
+            progress = False
+            for path in sorted(pending):
+                a = by_path[path]
+                if ready(a):
+                    lines += self._atom(a, {})
+                    avail.update((path, c.name) for c in a.spec.interface.outputs)
+                    pending.discard(path)
+                    progress = True
+        if pending:
+            return fail(f"{name}: zero-delay dependency cycle or unconnected input "
+                        f"involving {sorted(pending)}")
+        # strict atoms emit what they latched, so outputs are read before they step
+        outputs = interface.outputs
+        for k, c in enumerate(outputs):
+            if out_src.get(c.name) in avail:
+                lines.append(f"o{k} = {self.values[out_src[c.name]][0]}")
+        stepping: list[_AtomSlots] = []
+        snapshots: dict[tuple[str, str], str] = {}
+        for a in strict:
+            if not ready(a):
+                break
+            for c in a.spec.interface.inputs:
+                producer = src[(a.path, c.name)]
+                if any(producer[0] == b.path for b in stepping):
+                    snapshots[producer] = "l_" + self.values[producer][0]
+            stepping.append(a)
+        lines += [f"{snap} = {self.values[producer][0]}" for producer, snap in snapshots.items()]
+        for a in stepping:
+            lines += self._atom(a, snapshots)
+        if len(stepping) < len(strict):
+            a = strict[len(stepping)]
+            missing = [c.name for c in a.spec.interface.inputs
+                       if src.get((a.path, c.name)) not in avail]
+            return fail(f"{name}: unconnected inputs {missing} of {a.path!r}")
+        for k, c in enumerate(outputs):
+            producer = out_src.get(c.name)
+            if producer not in avail:
+                return fail(f"{name}: output {c.name!r} has no producer")
+            _, ptype, trusted = self.values[producer]
+            if check_outputs and (ptype != c.ctype or not trusted):
+                lines.append(f"o{k} = {self.gen.const(c.ctype.check)}(o{k})")
+        return lines + [f"a{k}(o{k})" for k in range(len(outputs))]
+
+    def _atom(self, a: _AtomSlots, snapshots: Mapping[tuple[str, str], str]) -> list[str]:
+        """One atom's step: input checks, transition choice, actions, latch check."""
+        gen, spec = self.gen, a.spec
+        lines: list[str] = []
+        reads: set[str] = set()
+        names: dict[str, Code] = {}
+        labels = enum_label_env(spec)
+        unset = [c.name for c in spec.interface.outputs if c.name not in spec.output_init]
+        # later entries shadow earlier ones: latched outputs, variables, inputs
+        for c in spec.interface.outputs:
+            trusted = a.trusted_out(c) and not (c.name in unset and c.name in labels)
+            names[c.name] = _slot(a.outs[c.name], c.ctype, trusted)
+        for v in spec.variables:
+            names[v.name] = _slot(a.vars[v.name], v.dtype, v.dtype.contains(v.init))
+        for k, c in enumerate(spec.interface.inputs):
+            producer = self.src[(a.path, c.name)]
+            local, ptype, trusted = self.values[producer]
+            local = snapshots.get(producer, local)
+            if ptype != c.ctype or not trusted:
+                checked = f"c{a.index}_{k}"
+                lines.append(f"{checked} = {gen.const(c.ctype.check)}({local})")
+                local = checked
+            names[c.name] = _slot(local, c.ctype, True)
+
+        def name(ident: str, ctx: str) -> Code:
+            unknown = f"_unknown({ident!r}{', ' + repr(ctx) if ctx else ''})"
+            if ident in names:
+                code = names[ident]
+                reads.add(code.src)
+                if ident in unset and code.src == a.outs.get(ident):
+                    fallback = repr(ident) if ident in labels else unknown
+                    return code._replace(src=f"({code.src} if {code.src} is not _U else {fallback})")
+                return code
+            if ident in labels:
+                return Code(repr(ident), "str")
+            return Code(unknown, None)
+
+        latched = ", ".join(f"({o!r}, {a.outs[o]})" for o in unset)
+        if unset and spec.causality == STRICT:
+            # a strict atom emits what it latched before this step
+            lines.append(f"_latched = ({latched},)")
+        by_source: dict[str, list[Transition]] = {}
+        for t in spec.transitions:
+            by_source.setdefault(t.source, []).append(t)
+        idle = [f"_stuck({spec.name!r}, {a.state})"] if spec.total else ["pass"]
+        for j, (source, ts) in enumerate(by_source.items()):
+            lines.append(f"{'el' if j else ''}if {a.state} == {source!r}:")
+            lines += _indent(self._choose(a, ts, name, reads, idle))
+        if spec.total:
+            lines += ["else:", *_indent(idle)] if by_source else idle
+        if unset and spec.causality == STRICT:
+            lines.append(f"_missing({spec.name!r}, _latched)")
+        elif unset:
+            lines += [f"if {' or '.join(f'{a.outs[o]} is _U' for o in unset)}:",
+                      f"    _missing({spec.name!r}, ({latched},))"]
+        return lines
+
+    def _choose(self, a: _AtomSlots, ts: list[Transition], name: NameResolver,
+                reads: set[str], idle: list[str]) -> list[str]:
+        """Fire the first enabled transition of `ts`, or stay idle."""
+        spec = a.spec
+        guards = []
+        for t in ts:
+            label = t.label or t.source + "->" + t.target
+            code = self.gen.expr(t.guard, name, f"{spec.name}: guard of {label}: ")
+            if code.kind == "bool":
+                guards.append(code.src)
+            else:
+                guards.append(f"_guard({code.src}, {f'{spec.name}: guard of {label} is not boolean'!r})")
+        actions = [self._actions(a, t, name, reads) for t in ts]
+        lines: list[str] = []
+        if not self.check_determinism:
+            for j, (guard, act) in enumerate(zip(guards, actions)):
+                if guard == "True":  # always enabled: later transitions never fire
+                    act = act or ["pass"]
+                    return lines + (["else:", *_indent(act)] if j else act)
+                lines += [f"{'el' if j else ''}if {guard}:", *_indent(act or ["pass"])]
+            return lines + (["else:", *_indent(idle)] if idle != ["pass"] else [])
+        fired = self.gen.const(tuple(t.label or t.target for t in ts))
+        lines.append("_f = -1")
+        for j, (guard, t) in enumerate(zip(guards, ts)):
+            lines += [f"if {guard}:",
+                      f"    if _f >= 0: _nondet({spec.name!r}, {fired}[_f], "
+                      f"{t.label or t.target!r}, {a.state})",
+                      f"    _f = {j}"]
+        for j, act in enumerate(actions):
+            lines += [f"{'el' if j else ''}if _f == {j}:", *_indent(act or ["pass"])]
+        return lines + ["else:", *_indent(idle)]
+
+    def _actions(self, a: _AtomSlots, t: Transition, name: NameResolver,
+                 reads: set[str]) -> list[str]:
+        """Evaluate every assignment in the pre-step state, then commit them."""
+        spec = a.spec
+        out_types = {c.name: c.ctype for c in spec.interface.outputs}
+        var_types = {v.name: v.dtype for v in spec.variables}
+        assigns = []  # (slot, code, slots read)
+        for target, e, slots, types in ([(o, e, a.outs, out_types) for o, e in t.outputs]
+                                        + [(v, e, a.vars, var_types) for v, e in t.updates]):
+            if target not in types:
+                assigns.append((None, f"raise KeyError({target!r})", set()))
+                break
+            reads.clear()
+            dtype = types[target]
+            if isinstance(e, Lit) and dtype.contains(e.value):
+                code = self.gen.const(dtype.check(e.value))
+            else:
+                code = self._conform(self.gen.expr(e, name), dtype)
+            assigns.append((slots[target], code, set(reads)))
+        lines, commits = [], []
+        for j, (slot, code, _) in enumerate(assigns):
+            if slot is None:
+                lines.append(code)
+            elif any(slot in later_reads for _, _, later_reads in assigns[j + 1:]):
+                tmp = f"_n{j}"
+                lines.append(f"{tmp} = {code}")
+                commits.append(f"{slot} = {tmp}")
+            else:
+                lines.append(f"{slot} = {code}")
+        lines += commits
+        if t.target != t.source:
+            lines.append(f"{a.state} = {t.target!r}")
+        return lines
+
+    def _conform(self, code: Code, dtype: DataType) -> str:
+        """`code`'s value as dtype.check returns it; raises TypeMismatchError otherwise."""
+        src, kind = code.src, code.kind
+        if dtype.kind == BOOL_KIND and kind == "bool":
+            return src
+        if dtype.kind == REAL_KIND and kind in NUMERIC:
+            return src if kind == "real" else f"float({src})"
+        if dtype.kind == INT_KIND and kind == "int" and dtype.lo <= code.bounds[0] \
+                and code.bounds[1] <= dtype.hi:
+            return src
+        if dtype.kind == ENUM_KIND and kind == "str" and src in map(repr, dtype.labels):
+            return src  # a label of this type, resolved statically
+        t = self.gen.temp()
+        check = self.gen.const(dtype.check)
+        if dtype.kind == INT_KIND and kind == "int":
+            return f"{t} if {dtype.lo} <= ({t} := {src}) <= {dtype.hi} else {check}({t})"
+        if dtype.kind == ENUM_KIND and kind == "str":
+            labels = self.gen.const(frozenset(dtype.labels))
+            return f"{t} if ({t} := {src}) in {labels} else {check}({t})"
+        return f"{check}({src})"
+
+    def function(self, inputs: int, outputs: int) -> Callable:
+        """fn(slots, rows, columns, fail): run one tick per row of input values,
+        appending outputs to columns and leaving the final state in slots; on an
+        exception, fail(exception, tick) is called before it propagates."""
+        slots = [n for a in self.atoms for n in a.names()]
+        body = [f"{', '.join(slots)}, = S"] if slots else []
+        body += [f"a{k} = cols[{k}].append" for k in range(outputs)]
+        row = f"({', '.join(f'x{k}' for k in range(inputs))},)" if inputs else "_"
+        body += ["t = 0", "try:", f"    for t, {row} in enumerate(rows, 1):",
+                 *_indent(_indent(self.lines or ["pass"])),
+                 "except Exception as e:", "    fail(e, t)", "    raise"]
+        if slots:
+            body.append(f"S[:] = ({', '.join(slots)},)")
+        return self.gen.function("S, rows, cols, fail", body)
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+class Simulator:
+    """A component compiled into a tick loop, plus its initial state."""
+
+    def __init__(self, spec: ComponentSpec, check_determinism: bool):
+        self.name = spec.name
+        self.composite = isinstance(spec, CompositeSpec)
+        self.inputs = spec.interface.inputs
+        self.outputs = spec.interface.outputs
+        if self.composite:
+            flat = _FlatModel(spec)
+            compiler = _Compiler(spec.name, spec.interface, list(flat.atoms.items()), flat.src,
+                                 flat.out_src, check_determinism, check_outputs=True)
+        else:
+            compiler = _Compiler(spec.name, spec.interface, [(spec.name, spec)],
+                                 {(spec.name, c.name): (_BOUNDARY, c.name) for c in self.inputs},
+                                 {c.name: (spec.name, c.name) for c in self.outputs},
+                                 check_determinism, check_outputs=False)
+        # an atom's initial outputs are checked only when a run's result is built
+        self.outputs_conform = self.composite or all(
+            compiler.atoms[0].trusted_out(c) for c in self.outputs)
+        self.layout = [(a.path, tuple(a.vars), tuple(a.outs)) for a in compiler.atoms]
+        self.initial_slots = tuple(v for a in compiler.atoms for v in a.initial())
+        self.fn = compiler.function(len(self.inputs), len(self.outputs))
+
+    def run(self, history: ChannelHistory, n: int) -> ChannelHistory:
+        cols, ticks = [], max(n, 0)
+        for c in self.inputs:
+            col, valid = _conform_column(c.ctype, history.streams[c.name].values[:ticks])
+            cols.append(col)
+            ticks = min(ticks, valid)
+        out: list[list[Any]] = [[] for _ in self.outputs]
+        rows = zip(*cols) if cols else itertools.repeat((), ticks)
+        self.fn(list(self.initial_slots), rows, out, _fail_at_tick)
+        if ticks < max(n, 0):
+            # the first tick with an invalid input value fails at its input check
+            for c in self.inputs:
+                try:
+                    c.ctype.check(history.streams[c.name].values[ticks])
+                except StreamcheckError as e:
+                    raise SimulationError(str(e), tick=ticks + 1) from e
+        if self.outputs_conform:
+            streams = {c.name: TimedStream(c.ctype, tuple(col)) for c, col in zip(self.outputs, out)}
+        else:
+            streams = {c.name: TimedStream.of(c.ctype, col) for c, col in zip(self.outputs, out)}
+        return ChannelHistory(streams, n)
+
+    def initial(self) -> ComponentState:
+        return self._state(self.initial_slots)
+
+    def step(self, st: ComponentState, inputs: Mapping[str, Any]) -> tuple[ComponentState, dict[str, Any]]:
+        for c in self.inputs:
+            if c.name not in inputs:
+                raise SimulationError(f"{self.name}: input {c.name!r} not provided")
+        row = tuple(c.ctype.check(inputs[c.name]) for c in self.inputs)
+        atoms = dict(st.substates) if self.composite else {self.layout[0][0]: st}
+        slots: list[Any] = []
+        for path, var_names, out_names in self.layout:
+            atom = atoms[path]
+            variables, pending = dict(atom.variables), dict(atom.pending)
+            missing = [v for v in var_names if v not in variables]
+            if missing:
+                raise SimulationError(f"{self.name}: state of {path!r} lacks variables {missing}")
+            slots.append(atom.state)
+            slots += [variables[v] for v in var_names]
+            slots += [pending.get(o, _UNSET) for o in out_names]
+        out: list[list[Any]] = [[] for _ in self.outputs]
+        self.fn(slots, [row], out, _propagate)
+        return self._state(slots), {c.name: col[0] for c, col in zip(self.outputs, out)}
+
+    def _state(self, slots: Sequence[Any]) -> ComponentState:
+        """Slots as states; variables and outputs in declaration order."""
+        states, i = [], 0
+        for path, var_names, out_names in self.layout:
+            nv, no = len(var_names), len(out_names)
+            variables = tuple(zip(var_names, slots[i + 1:i + 1 + nv]))
+            pending = tuple((o, v) for o, v in zip(out_names, slots[i + 1 + nv:i + 1 + nv + no])
+                            if v is not _UNSET)
+            states.append((path, AutomatonState(slots[i], variables, pending)))
+            i += 1 + nv + no
+        return CompositeState(tuple(states)) if self.composite else states[0][1]
+
+
+def _fail_at_tick(e: Exception, tick: int) -> None:
+    if isinstance(e, StreamcheckError):
+        raise SimulationError(str(e), tick=tick) from e
+    raise SimulationError(f"{type(e).__name__}: {e}", tick=tick) from e
+
+
+def _propagate(e: Exception, tick: int) -> None:
+    pass

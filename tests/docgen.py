@@ -1,17 +1,20 @@
-"""Random well-formed model documents, for round-trip testing."""
+"""Random model documents, for round-trip testing, and random expressions,
+automata and composites, for differential testing of the simulator."""
 
 import random
 
 from streamcheck.abstraction import (ConcretizerSpec, GaloisSpec, ParamDecl,
                                      RelationSpec, Universe)
 from streamcheck.components import (AutomatonSpec, CompositeSpec, Connector, Endpoint,
-                                    SyntacticInterface, Transition)
+                                    SyntacticInterface, Transition, VariableDecl)
 from streamcheck.dsl import ModelDocument, RefinementSpec
-from streamcheck.exprs import Binary, Lit, Name, Unary
-from streamcheck.streams import (BOOL, Channel, REAL, TimedStream, bounded_int,
-                                 enumeration)
+from streamcheck.exprs import Binary, Call, Lit, Name, Unary
+from streamcheck.streams import (BOOL, Channel, ChannelHistory, REAL, TimedStream,
+                                 bounded_int, enumeration)
 
 _CMP = ["==", "!=", "<", "<=", ">", ">="]
+_BINARY = _CMP + ["and", "or", "+", "-", "*", "/"]
+_FUNCS = ["min", "max", "abs", "floor"]
 
 
 class DocGen:
@@ -203,3 +206,206 @@ class DocGen:
                 concretizer=conc.name if conc else None)
             doc.refinements[ref.name] = ref
         return doc
+
+    # -- expressions and environments, typed or not ---------------------------
+
+    def value(self):
+        """A value of any expression kind; reals are now and then not finite."""
+        r = self.rng
+        kind = r.choice(["bool", "int", "real", "label"])
+        if kind == "bool":
+            return r.random() < 0.5
+        if kind == "int":
+            return r.randint(-6, 6)
+        if kind == "real":
+            if r.random() < 0.15:
+                return r.choice([float("nan"), float("inf"), float("-inf"), -0.0])
+            return round(r.uniform(-6, 6), r.randint(0, 2))
+        return r.choice(["L1", "L2"])
+
+    def environment(self, size: int = 4) -> dict:
+        return {f"n{i}": self.value() for i in range(size)}
+
+    def expression(self, names, depth: int = 3):
+        """Any operator over any operands, so ill-typed more often than not."""
+        r = self.rng
+        if depth <= 0 or r.random() < 0.2:
+            return Name(r.choice(names)) if names and r.random() < 0.6 else Lit(self.value())
+        pick = r.random()
+        if pick < 0.15:
+            return Unary(r.choice(["not", "-"]), self.expression(names, depth - 1))
+        if pick < 0.8:
+            op = r.choice(_BINARY) if r.random() < 0.97 else "%"
+            return Binary(op, self.expression(names, depth - 1), self.expression(names, depth - 1))
+        func = r.choice(_FUNCS) if r.random() < 0.95 else "sqrt"
+        arity = (1 if func in ("abs", "floor") else 2) if r.random() < 0.85 else r.randint(0, 3)
+        return Call(func, tuple(self.expression(names, depth - 1) for _ in range(arity)))
+
+    def typed_expression(self, kind: str, names: dict, depth: int = 3):
+        """An expression of kind "bool", "int" or "num" (int or real) whose
+        operands have the kinds the operators want; `names` maps "bool",
+        "int", "real" and "str" to names of values of that kind. It may still
+        divide by zero, meet nan in floor, or leave a type's range."""
+        r = self.rng
+        if depth <= 0 or r.random() < 0.25:
+            pool = names.get(kind, []) if kind != "num" else names.get("int", []) + names.get("real", [])
+            if pool and r.random() < 0.7:
+                return Name(r.choice(pool))
+            if kind == "bool":
+                return Lit(r.random() < 0.5)
+            if kind == "int" or r.random() < 0.6:
+                return Lit(r.choice([0, r.randint(-9, 9), r.randint(1, 4)]))
+            return Lit(round(r.uniform(-9, 9), 1))
+        if kind == "bool":
+            pick = r.random()
+            if pick < 0.2:
+                return Unary("not", self.typed_expression("bool", names, depth - 1))
+            if pick < 0.5:
+                return Binary(r.choice(["and", "or"]), self.typed_expression("bool", names, depth - 1),
+                              self.typed_expression("bool", names, depth - 1))
+            if pick < 0.6 and names.get("str"):
+                return Binary(r.choice(["==", "!="]), Name(r.choice(names["str"])),
+                              Name(r.choice(names["str"])))
+            sub = r.choice(["int", "num"])
+            return Binary(r.choice(_CMP), self.typed_expression(sub, names, depth - 1),
+                          self.typed_expression(sub, names, depth - 1))
+        sub = kind if kind == "int" or r.random() < 0.7 else "int"
+        pick = r.random()
+        if pick < 0.1:
+            return Unary("-", self.typed_expression(sub, names, depth - 1))
+        if pick < 0.7:
+            return Binary(r.choice(["+", "-", "*", "/"]), self.typed_expression(sub, names, depth - 1),
+                          self.typed_expression(sub, names, depth - 1))
+        func = r.choice(_FUNCS)
+        arity = 1 if func in ("abs", "floor") else r.randint(2, 3)
+        arg = "num" if func == "floor" and r.random() < 0.5 else sub
+        return Call(func, tuple(self.typed_expression(arg, names, depth - 1) for _ in range(arity)))
+
+    # -- automata and composites to simulate -----------------------------------
+
+    def rich_automaton(self):
+        """An automaton with variables and arithmetic in guards and assignments.
+
+        Assignments are mostly of the right kind but may leave the target's
+        range, and now and then one is ill-typed, so runs fail at some tick.
+        """
+        r = self.rng
+        inputs = tuple(Channel(self.name("in"), t, "input")
+                       for t in (self.dtype() for _ in range(r.randint(1, 3))))
+        outputs = tuple(Channel(self.name("out"), self.dtype(), "output")
+                        for _ in range(r.randint(1, 2)))
+        variables = tuple(VariableDecl(self.name("v"), t, self.literal_of(t)
+                                       if r.random() < 0.9 else self.bad_value(t))
+                          for t in (self.dtype() for _ in range(r.randint(0, 2))))
+        names = {"bool": [], "int": [], "real": [], "str": []}
+        for name, t in ([(c.name, c.ctype) for c in inputs + outputs]
+                        + [(v.name, v.dtype) for v in variables]):
+            names["str" if t.kind == "enum" else t.kind].append(name)
+        causality = r.choice(["strict", "weak"])
+        output_init = {c.name: self.literal_of(c.ctype) if r.random() < 0.9 else self.bad_value(c.ctype)
+                       for c in outputs if causality == "strict" or r.random() < 0.6}
+
+        def rhs(dtype):
+            if r.random() < 0.05:
+                return self.expression(sorted(n for ns in names.values() for n in ns), 2)
+            if dtype.kind == "enum":
+                return Name(r.choice(dtype.labels))
+            if dtype.kind == "bool":
+                return self.typed_expression("bool", names, 2)
+            if dtype.kind == "real":
+                return self.typed_expression("num", names, 2)
+            e = self.typed_expression(r.choice(["int", "int", "num"]), names, 2)
+            if r.random() < 0.5:
+                e = Call("min", (Call("max", (Call("floor", (e,)), Lit(dtype.lo))), Lit(dtype.hi)))
+            return e
+
+        states = tuple(self.name("S") for _ in range(r.randint(1, 3)))
+        transitions = []
+        for _ in range(r.randint(1, 5)):
+            guard = self.typed_expression("bool", names, 2) if r.random() < 0.8 else Lit(True)
+            assigns = tuple((c.name, rhs(c.ctype)) for c in outputs if r.random() < 0.7)
+            updates = tuple((v.name, rhs(v.dtype)) for v in variables if r.random() < 0.6)
+            transitions.append(Transition(r.choice(states), r.choice(states), guard, assigns,
+                                          updates, self.name("T") if r.random() < 0.5 else None))
+        return AutomatonSpec(self.name("Rich"), SyntacticInterface(inputs, outputs), states,
+                             r.choice(states), tuple(transitions), variables, output_init,
+                             causality, r.random() < 0.15)
+
+    def bad_value(self, dtype):
+        """A value outside the type."""
+        return {"bool": 1, "int": (dtype.hi or 0) + 1, "real": "x", "enum": "Bogus"}[dtype.kind]
+
+    def history(self, channels, horizon: int, invalid: bool = False):
+        """Random input streams; with `invalid`, one value is outside its
+        channel's type, in a stream built without the usual check."""
+        columns = {c.name: [self.literal_of(c.ctype) for _ in range(horizon)] for c in channels}
+        if invalid and columns and horizon:
+            c = self.rng.choice(list(channels))
+            columns[c.name][self.rng.randrange(horizon)] = self.bad_value(c.ctype)
+        return ChannelHistory({c.name: TimedStream(c.ctype, tuple(columns[c.name]))
+                               for c in channels}, horizon)
+
+    def chain(self, length: int):
+        """A chain of weak and strict stages over int[0..9], some of them
+        grouped in a nested composite, with instance names in random order;
+        now and then a wire is left out, which makes every run fail."""
+        r = self.rng
+        sig = bounded_int(0, 9)
+        x, en = Channel("x", sig, "input"), Channel("en", BOOL, "input")
+        y = Channel("y", sig, "output")
+        stages = []
+        for _ in range(length):
+            kind = r.choice(["lin", "mode", "acc", "div", "gate"])
+            k = r.randint(-3, 3)
+            step = Binary("+", Name("x"), Lit(k))
+            if r.random() < 0.7:  # otherwise it may leave int[0..9]
+                step = Call("min", (Call("max", (step, Lit(0))), Lit(9)))
+            # now and then the stage's input is narrower than the wire into it
+            inputs = (x if r.random() < 0.9 else Channel("x", bounded_int(0, 5), "input"),)
+            variables, states = (), ("Run",)
+            if kind == "lin":
+                ts = (Transition("Run", "Run", outputs=(("y", step),)),)
+            elif kind == "gate":  # total: stuck once x reaches k + 6
+                ts = (Transition("Run", "Run", Binary("<", Name("x"), Lit(k + 6)), (("y", Name("x")),)),)
+            elif kind == "div":  # divides by zero when x == k + 4
+                quotient = Binary("/", Lit(18), Binary("-", Name("x"), Lit(k + 4)))
+                ts = (Transition("Run", "Run", outputs=(
+                    ("y", Call("abs", (Call("max", (quotient, Lit(-9))),))),)),)
+            elif kind == "mode":
+                inputs, states = inputs + (en,), ("Off", "On")
+                ts = (Transition("Off", "On", Binary("and", Name("en"), Binary(">", Name("x"), Lit(4))),
+                                 (("y", step),), (), "Arm"),
+                      Transition("Off", "Off", outputs=(("y", Binary("/", Name("x"), Lit(2))),)),
+                      Transition("On", "Off", Unary("not", Name("en")), (("y", Lit(0)),)),
+                      Transition("On", "On", outputs=(("y", step),)))
+            else:
+                acc = Call("min", (Binary("/", Binary("+", Name("acc"), Name("x")), Lit(2)), Lit(9)))
+                variables = (VariableDecl("acc", sig, r.randint(0, 9)),)
+                ts = (Transition("Run", "Run", outputs=(("y", Name("acc")),), updates=(("acc", acc),)),)
+            causality = r.choice(["strict", "weak"])
+            spec = AutomatonSpec(self.name("Stage"), SyntacticInterface(inputs, (y,)), states,
+                                 states[0], ts, variables,
+                                 {"y": r.randint(0, 9)} if causality == "strict" or r.random() < 0.5 else {},
+                                 causality, kind == "gate")
+            stages.append((self.name(r.choice("abcxyz")), spec))
+
+        def network(name, members, inputs):
+            wiring, prev = [], Endpoint(None, "x")
+            for inst, spec in members:
+                source = prev if r.random() < 0.7 else Endpoint(None, "x")
+                wiring.append(Connector(source, Endpoint(inst, "x")))
+                if "en" in spec.interface.input_names():
+                    wiring.append(Connector(Endpoint(None, "en"), Endpoint(inst, "en")))
+                prev = Endpoint(inst, "y")
+            wiring.append(Connector(prev, Endpoint(None, "y")))
+            if len(wiring) > 2 and r.random() < 0.1:
+                del wiring[r.randrange(len(wiring) - 1)]
+            out = y if r.random() < 0.9 else Channel("y", bounded_int(0, 5), "output")
+            return CompositeSpec(name, SyntacticInterface(inputs, (out,)), tuple(members), tuple(wiring))
+
+        if length >= 3 and r.random() < 0.5:
+            i = r.randrange(length - 1)
+            inner = network(self.name("Inner"), stages[i:i + 2], (x, en))
+            stages[i:i + 2] = [(self.name(r.choice("abcxyz")), inner)]
+        return network(self.name("Chain"), stages, (x, en))
+

@@ -127,3 +127,27 @@ def test_color_env_enables_ansi(monkeypatch, capsys):
     main(["test", "--model", BRAKE, "--component", "BrakeOverride",
           "--vectors", str(fixture_path("brake_override.tv.csv"))])
     assert "\x1b[32m" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_real_exits_3(tmp_path, capsys, value):
+    vectors = tmp_path / "nan.tv.csv"
+    vectors.write_text(f"#inputs\ni_c\n2.5\n{value}\n", encoding="utf-8")
+    code = main(["simulate", "--model", ENCODER, "--component", "ConcreteEncoder",
+                 "--vectors", str(vectors)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "tick 2" in err and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["causality", "--model", BRAKE, "--component", "BrakeOverride", "--eps", "0.1"],
+    ["simulate", "--model", BRAKE, "--component", "BrakeOverride", "--eps", "0.1",
+     "--vectors", str(fixture_path("brake_override.tv.csv"))],
+    ["check", "--model", ENCODER, "--refinement", "Encoder", "--check-determinism",
+     "--vectors", str(fixture_path("encoder_abstract.tv.csv")),
+     "--vectors", str(fixture_path("encoder_concrete.tv.csv"))],
+])
+def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
