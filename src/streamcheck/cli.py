@@ -292,15 +292,16 @@ def cmd_verify_galois(args) -> int:
         gal = parts["galois"]
         if gal is None:
             raise CliError(f"refinement {ref.name!r} names no galois connection")
+    stats: dict[str, int] = {}
     try:
-        cex = verify_galois(gal, element_cap=args.caps, orientation=args.orientation)
+        cex = verify_galois(gal, element_cap=args.caps, stats=stats)
     except CapsExceededError as e:
         raise CliError(f"refusing enumeration: {e}")
     if cex is None:
-        _emit(args, {"command": "verify-galois", "galois": gal.name, "ok": True},
+        _emit(args, {"command": "verify-galois", "galois": gal.name, "ok": True, **stats},
               [_green("OK") + f"  {gal.name}: connection law holds on the bounded universe"])
         return EXIT_OK
-    _emit(args, {"command": "verify-galois", "galois": gal.name, "ok": False,
+    _emit(args, {"command": "verify-galois", "galois": gal.name, "ok": False, **stats,
                  "counterexample": str(cex)},
           [_red("COUNTEREXAMPLE") + f"  {gal.name}: {cex}"])
     return EXIT_FAILURE
@@ -313,20 +314,39 @@ def cmd_causality(args) -> int:
         problems = compose_check(spec)
         if problems:
             raise CliError(f"composite {spec.name!r} is ill-formed: " + "; ".join(problems))
-    cex = check_causality(spec, budget=args.budget, horizon=args.ticks or 3,
-                          mode=args.mode, seed=args.seed)
+    if args.seed is not None:
+        print("warning: --seed is deprecated and ignored; the causality search is exhaustive",
+              file=sys.stderr)
+    stats: dict[str, int] = {}
+    try:
+        cex = check_causality(spec, budget=args.budget, horizon=args.ticks, mode=args.mode,
+                              stats=stats)
+    except CapsExceededError as e:
+        raise CliError(f"refusing search: {e}")
     if cex is None:
-        _emit(args, {"command": "causality", "component": spec.name, "ok": True,
-                     "seed": args.seed},
+        _emit(args, {"command": "causality", "component": spec.name, "ok": True, **stats},
               [_green("OK") + f"  {spec.name}: no causality violation found"])
         return EXIT_OK
-    _emit(args, {"command": "causality", "component": spec.name, "ok": False,
-                 "seed": args.seed, "tick": cex.tick},
+    _emit(args, {"command": "causality", "component": spec.name, "ok": False, **stats,
+                 "tick": cex.tick},
           [_red("COUNTEREXAMPLE") + f"  {spec.name}: {cex}"])
     return EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a component on input vectors")
     common(p, vectors=True, simulates=True)
     p.add_argument("--component", required=True)
-    p.add_argument("--ticks", type=int, default=None)
+    p.add_argument("--ticks", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("test", help="execute test-cases and report verdicts")
@@ -373,20 +393,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refinement", required=True)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("verify-galois", help="brute-force the Galois connection law")
+    p = sub.add_parser("verify-galois",
+                       help="decide the Galois connection law on the bounded universe")
     common(p)
     p.add_argument("--refinement")
     p.add_argument("--galois")
     p.add_argument("--caps", type=int, default=12, help="max universe elements per side")
-    p.add_argument("--orientation", choices=("standard", "literal"), default="standard")
     p.set_defaults(func=cmd_verify_galois)
 
-    p = sub.add_parser("causality", help="search for causality violations")
+    p = sub.add_parser("causality", help="search the reachable configurations for "
+                                         "causality violations")
     common(p)
     p.add_argument("--component", required=True)
-    p.add_argument("--ticks", type=int, default=3)
-    p.add_argument("--budget", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ticks", type=_int_at_least(1), default=3)
+    p.add_argument("--budget", type=_int_at_least(1), default=4096,
+                   help="max distinct configurations to explore")
+    p.add_argument("--seed", type=int, default=None,
+                   help="deprecated and ignored: the search is exhaustive")
     p.add_argument("--mode", choices=("strict", "weak"), default=None)
     p.set_defaults(func=cmd_causality)
     return parser

@@ -11,11 +11,10 @@ scheduling only ever deals with atomic instances.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
-from .errors import SimulationError, StreamcheckError, TypeMismatchError
+from .errors import CapsExceededError, SimulationError, StreamcheckError, TypeMismatchError
 from .exprs import TRUE, Expr, free_names
 from .streams import (Channel, ChannelHistory, DataType, ENUM_KIND, TimedStream,
                       validate_history)
@@ -137,6 +136,9 @@ def validate_automaton(spec: AutomatonSpec) -> list[str]:
     if clash:
         problems.append(f"enumeration labels shadow channels/variables: {sorted(clash)}")
     for v in spec.variables:
+        if v.name in in_names | out_names:
+            kind = "input" if v.name in in_names else "output"
+            problems.append(f"variable {v.name!r} has the same name as an {kind} channel")
         if not v.dtype.contains(v.init):
             problems.append(f"variable {v.name!r} initial value {v.init!r} outside its type")
     if spec.causality == STRICT:
@@ -434,86 +436,88 @@ def representative_values(dtype: DataType, limit: int = 2) -> list[Any]:
     return [0.0, 1.0][:limit]
 
 
-def _histories_from_grid(channels: Iterable[Channel], grid: dict[str, list[Any]],
-                         combo: tuple, horizon: int) -> ChannelHistory:
-    streams = {}
-    i = 0
-    for c in channels:
-        streams[c.name] = TimedStream.of(c.ctype, combo[i:i + horizon])
-        i += horizon
-    return ChannelHistory(streams, horizon)
-
-
 def check_causality(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
                     mode: str | None = None, seed: int = 0,
-                    values_per_channel: int = 2) -> Optional[CausalityCounterexample]:
-    """Search for a violation of the declared (or given) causality mode.
+                    values_per_channel: int = 2,
+                    stats: dict | None = None) -> Optional[CausalityCounterexample]:
+    """Decide the declared (or given) causality mode over the per-channel
+    value abstraction; returns None when it holds within `horizon` ticks.
 
-    Exhaustive over the per-channel value abstraction when the history count
-    fits within the budget, otherwise randomized trials. Returns None when no
-    counterexample is found.
+    A component is a deterministic Mealy machine: its output at tick t+1
+    depends only on its configuration after t ticks and on input t+1. Strict
+    causality fails within the horizon exactly when some configuration
+    reachable in t <= horizon-1 ticks of grid inputs emits different outputs
+    for two grid input rows; the counterexample's `tick` is the smallest such
+    t. The search is breadth-first over distinct configurations, so it costs
+    (reachable configurations x grid rows) steps, not every grid history.
+    Weak mode lets outputs depend on inputs of the same tick, which a
+    deterministic step function always satisfies, so it returns None at once.
+
+    `budget` caps the number of distinct configurations explored; exceeding
+    it raises CapsExceededError. An error in a step raises SimulationError
+    with the tick of that step. `seed` is deprecated and ignored: the search
+    is exhaustive and draws no random trials. When `stats` is given,
+    stats["configurations"] is set to the distinct configurations reached
+    (the start included) and stats["steps"] to the steps taken.
     """
     if mode is None:
         mode = spec.causality if isinstance(spec, AutomatonSpec) else STRICT
-    if mode != STRICT and horizon < 2:
-        return None  # weak mode compares outputs up to tick t < horizon, t >= 1: none
-    channels = list(spec.interface.inputs)
-    grid = {c.name: representative_values(c.ctype, values_per_channel) for c in channels}
-    per_tick = 1
-    for c in channels:
-        per_tick *= len(grid[c.name])
-    total = per_tick ** horizon
-    if total <= budget:
-        return _causality_exhaustive(spec, channels, grid, horizon, mode)
-    return _causality_random(spec, channels, grid, horizon, mode, budget, seed)
-
-
-def _prefix_equal(a: ChannelHistory, b: ChannelHistory, t: int) -> bool:
-    return all(a.streams[c].values[:t] == b.streams[c].values[:t] for c in a.streams)
-
-
-def _causality_exhaustive(spec, channels, grid, horizon, mode):
-    axes = []
-    for c in channels:
-        axes.extend([grid[c.name]] * horizon)
-    runs: list[tuple[ChannelHistory, ChannelHistory]] = []
-    for combo in itertools.product(*axes):
-        hist = _histories_from_grid(channels, grid, combo, horizon)
-        runs.append((hist, run(spec, hist, horizon)))
-    ts = range(0, horizon) if mode == STRICT else range(1, horizon)
-    for t in ts:
-        out_t = t + 1 if mode == STRICT else t
-        buckets: dict[tuple, tuple[ChannelHistory, ChannelHistory]] = {}
-        for hist, out in runs:
-            key = tuple(hist.streams[c.name].values[:t] for c in channels)
-            if key not in buckets:
-                buckets[key] = (hist, out)
-            else:
-                h0, o0 = buckets[key]
-                if not _prefix_equal(o0, out, out_t):
-                    return CausalityCounterexample(t, h0, hist, o0, out)
+    stats = {} if stats is None else stats
+    stats.update(configurations=0, steps=0)
+    if mode != STRICT:
+        return None
+    channels = spec.interface.inputs
+    rows = list(itertools.product(*(
+        [c.ctype.check(v) for v in representative_values(c.ctype, values_per_channel)]
+        for c in channels)))
+    sim = _simulator(spec)
+    start = sim.initial_slots
+    # configuration -> (parent configuration, input row); None for the start
+    parents: dict[tuple, Optional[tuple[tuple, tuple]]] = {start: None}
+    stats["configurations"] = 1
+    level = [start]
+    for t in range(horizon):
+        following = []
+        for config in level:
+            first = None
+            for row in rows:
+                nxt, out = sim.advance(config, row, t + 1)
+                stats["steps"] += 1
+                if first is None:
+                    first = (row, out)
+                elif out != first[1]:
+                    return _counterexample(spec, parents, config, first[0], row, rows[0],
+                                           t, horizon)
+                if t + 1 < horizon and nxt not in parents:
+                    if len(parents) >= budget:
+                        raise CapsExceededError(
+                            f"causality search of {spec.name!r} reaches more than "
+                            f"{budget} configurations", len(parents) + 1, budget)
+                    parents[nxt] = (config, row)
+                    stats["configurations"] = len(parents)
+                    following.append(nxt)
+        level = following
     return None
 
 
-def _causality_random(spec, channels, grid, horizon, mode, budget, seed):
-    rng = random.Random(seed)
+def _counterexample(spec: ComponentSpec, parents: Mapping[tuple, Optional[tuple[tuple, tuple]]],
+                    config: tuple, row_a: tuple, row_b: tuple, pad: tuple, tick: int,
+                    horizon: int) -> CausalityCounterexample:
+    """Two grid histories that reach `config` by the same prefix, then read
+    row_a and row_b, then `pad` until the horizon."""
+    prefix = []
+    while parents[config] is not None:
+        config, row = parents[config]
+        prefix.append(row)
+    prefix.reverse()
+    suffix = [pad] * (horizon - tick - 1)
+    channels = spec.interface.inputs
 
-    def rand_suffix(prefix_cols, t):
-        streams = {}
-        for c in channels:
-            tail = [rng.choice(grid[c.name]) for _ in range(horizon - t)]
-            streams[c.name] = TimedStream.of(c.ctype, list(prefix_cols[c.name]) + tail)
-        return ChannelHistory(streams, horizon)
+    def history(rows: list[tuple]) -> ChannelHistory:
+        return ChannelHistory({c.name: TimedStream.of(c.ctype, [row[k] for row in rows])
+                               for k, c in enumerate(channels)}, horizon)
 
-    lo_t = 0 if mode == STRICT else 1
-    for _ in range(budget):
-        t = rng.randint(lo_t, horizon - 1)
-        prefix_cols = {c.name: [rng.choice(grid[c.name]) for _ in range(t)] for c in channels}
-        h1 = rand_suffix(prefix_cols, t)
-        h2 = rand_suffix(prefix_cols, t)
-        o1 = run(spec, h1, horizon)
-        o2 = run(spec, h2, horizon)
-        out_t = t + 1 if mode == STRICT else t
-        if not _prefix_equal(o1, o2, out_t):
-            return CausalityCounterexample(t, h1, h2, o1, o2)
-    return None
+    input_a = history(prefix + [row_a] + suffix)
+    input_b = history(prefix + [row_b] + suffix)
+    return CausalityCounterexample(tick, input_a, input_b, run(spec, input_a, horizon),
+                                   run(spec, input_b, horizon))

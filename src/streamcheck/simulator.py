@@ -420,6 +420,18 @@ class Simulator:
         self.fn(slots, [row], out, _propagate)
         return self._state(slots), {c.name: col[0] for c, col in zip(self.outputs, out)}
 
+    def advance(self, slots: tuple, row: tuple, tick: int) -> tuple[tuple, tuple]:
+        """One tick from the configuration `slots` on a row of input values
+        that conform to their types: the next configuration and the outputs.
+        An error raises as SimulationError at `tick`."""
+        state = list(slots)
+        out: list[list[Any]] = [[] for _ in self.outputs]
+        try:
+            self.fn(state, (row,), out, _propagate)
+        except Exception as e:
+            _fail_at_tick(e, tick)
+        return tuple(state), tuple(col[0] for col in out)
+
     def _state(self, slots: Sequence[Any]) -> ComponentState:
         """Slots as states; variables and outputs in declaration order."""
         states, i = [], 0

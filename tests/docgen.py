@@ -8,7 +8,7 @@ from streamcheck.abstraction import (ConcretizerSpec, GaloisSpec, ParamDecl,
 from streamcheck.components import (AutomatonSpec, CompositeSpec, Connector, Endpoint,
                                     SyntacticInterface, Transition, VariableDecl)
 from streamcheck.dsl import ModelDocument, RefinementSpec
-from streamcheck.exprs import Binary, Call, Lit, Name, Unary
+from streamcheck.exprs import Binary, Call, Lit, Name, Unary, parse_expression
 from streamcheck.streams import (BOOL, Channel, ChannelHistory, REAL, TimedStream,
                                  bounded_int, enumeration)
 
@@ -344,6 +344,29 @@ class DocGen:
             columns[c.name][self.rng.randrange(horizon)] = self.bad_value(c.ctype)
         return ChannelHistory({c.name: TimedStream(c.ctype, tuple(columns[c.name]))
                                for c in channels}, horizon)
+
+    def leaky(self):
+        """A weak automaton over int[0..3] and bool whose transitions now and
+        then emit the input of the same tick, in states and with a counter
+        variable reached only after some ticks, so that strict causality
+        fails at varying depths or not at all."""
+        r = self.rng
+        sig = bounded_int(0, 3)
+        x, en, y = Channel("x", sig, "input"), Channel("en", BOOL, "input"), Channel("y", sig, "output")
+        states = tuple(self.name("S") for _ in range(r.randint(1, 4)))
+        guards = ["en", "not en", "x == 3", "x == 0 and en", "k == 2", "true"]
+        transitions = []
+        for i, source in enumerate(states):
+            for _ in range(r.randint(1, 2)):
+                out = "x" if r.random() < 0.2 else str(r.randint(0, 3))
+                target = states[min(i + 1, len(states) - 1)] if r.random() < 0.7 else r.choice(states)
+                update = r.choice(["min(k + 1, 2)", "0", "k"])
+                transitions.append(Transition(source, target, parse_expression(r.choice(guards)),
+                                              (("y", parse_expression(out)),),
+                                              (("k", parse_expression(update)),)))
+        return AutomatonSpec(self.name("Leaky"), SyntacticInterface((x, en), (y,)), states,
+                             states[0], tuple(transitions),
+                             (VariableDecl("k", bounded_int(0, 2), 0),), {"y": 0}, "weak")
 
     def chain(self, length: int):
         """A chain of weak and strict stages over int[0..9], some of them

@@ -1,0 +1,113 @@
+"""Differential tests of the exact checks against the enumerating ones.
+
+`check_oracles` keeps the subset loop that decided the Galois law and the
+search that ran every grid history for causality; the exact checks must
+give the same answers.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from check_oracles import causality_by_histories, prefix_equal, verify_galois_by_masks
+from docgen import DocGen
+from streamcheck.abstraction import GaloisSpec, Universe, verify_galois
+from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
+                                    check_causality, run)
+from streamcheck.errors import SimulationError, StreamcheckError
+from streamcheck.exprs import parse_expression
+from streamcheck.streams import bounded_int
+
+
+def _galois(rng, a_values, c_values, horizon):
+    k, m = rng.randint(-3, 3), rng.choice(c_values)
+    f = rng.choice([f"min(max(c + {k}, 0), 3)", f"abs(c) / {rng.randint(1, 2)}",
+                    "min(abs(c), 3)"])
+    member = rng.choice([None, f"a == {f}", f"a {rng.choice(['!=', '<=', '>='])} {f}",
+                         f"a == {f} or c == {m}", f"a == {f} and c != {m}",
+                         f"a == {rng.choice(a_values)}"])
+    return GaloisSpec(
+        "G", (("a", parse_expression(f)),),
+        None if member is None else parse_expression(member),
+        Universe((("a", tuple(a_values)),), (("c", tuple(c_values)),), horizon),
+        channel_types={"a": bounded_int(0, 3), "c": bounded_int(-3, 3)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True),
+       st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_pointwise_galois_matches_the_subset_loop(a_values, c_values, horizon, seed):
+    gal = _galois(random.Random(seed), a_values, c_values, horizon)
+    stats = {}
+    got = verify_galois(gal, element_cap=64, stats=stats)
+    expected = verify_galois_by_masks(gal)
+    assert stats["pairs"] == len(a_values) ** horizon * len(c_values) ** horizon
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.concrete_set, got.abstract_set, got.lhs, got.rhs) == \
+            (expected.concrete_set, expected.abstract_set, expected.lhs, expected.rhs)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), None
+    except StreamcheckError as e:
+        return None, e
+
+
+def _same_verdict(spec, horizon, mode):
+    expected, oracle_error = _outcome(causality_by_histories, spec, horizon, mode)
+    got, error = _outcome(check_causality, spec, budget=10 ** 6, horizon=horizon, mode=mode)
+    if error is not None:
+        assert isinstance(error, SimulationError) and oracle_error is not None, error
+    if oracle_error is not None:
+        return
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.tick == expected.tick
+        # a genuine witness: equal inputs through the tick, different outputs after it
+        assert prefix_equal(got.input_a, got.input_b, got.tick)
+        assert not prefix_equal(got.output_a, got.output_b, got.tick + 1)
+        assert got.output_a == run(spec, got.input_a, horizon)
+        assert got.output_b == run(spec, got.input_b, horizon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from([None, "strict"]))
+def test_causality_search_matches_history_enumeration_on_automata(seed, horizon, mode):
+    spec = DocGen(random.Random(seed)).rich_automaton()
+    _same_verdict(spec, horizon, mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from(["strict", "weak"]))
+def test_causality_search_matches_history_enumeration_on_chains(seed, horizon, mode):
+    gen = DocGen(random.Random(seed))
+    spec = gen.chain(gen.rng.randint(1, 5))
+    _same_verdict(spec, horizon, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_causality_search_matches_history_enumeration_at_depth(seed, horizon):
+    spec = DocGen(random.Random(seed)).leaky()
+    _same_verdict(spec, horizon, "strict")
+
+
+def test_causality_error_names_the_tick_of_the_failing_step():
+    x, y = Channel("x", bounded_int(0, 9), "input"), Channel("y", bounded_int(0, 9), "output")
+    spec = AutomatonSpec(
+        name="StuckLater", interface=SyntacticInterface((x,), (y,)),
+        states=("Go", "Halt"), initial="Go",
+        transitions=(Transition("Go", "Halt"),
+                     Transition("Halt", "Halt", parse_expression("false"))),
+        output_init={"y": 0}, total=True)
+    with pytest.raises(SimulationError, match="stuck") as info:
+        check_causality(spec, horizon=3)
+    assert info.value.tick == 2
+

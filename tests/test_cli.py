@@ -103,6 +103,68 @@ def test_causality_counterexample(capsys):
     assert "COUNTEREXAMPLE" in capsys.readouterr().out
 
 
+def test_causality_json_counts_configurations_and_steps(capsys):
+    code = main(["causality", "--model", ACC, "--component", "ACC", "--budget", "400",
+                 "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["ok"] is True
+    assert payload["configurations"] == 108 and payload["steps"] == 108 * 128
+    assert "seed" not in payload
+
+
+def test_causality_json_reports_the_violating_tick(capsys):
+    code = main(["causality", "--model", ENCODER, "--component", "ConcreteEncoder",
+                 "--mode", "strict", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    # the first row's successor is reached before the second row diverges
+    assert (payload["ok"], payload["tick"], payload["steps"]) == (False, 0, 2)
+
+
+def test_causality_seed_is_accepted_with_a_notice(capsys):
+    code = main(["causality", "--model", BRAKE, "--component", "BrakeOverride", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 0 and "no causality violation" in captured.out
+    assert "--seed is deprecated and ignored" in captured.err
+
+
+def test_causality_over_budget_exits_2(capsys):
+    assert main(["causality", "--model", ACC, "--component", "ACC", "--budget", "100"]) == 2
+    assert "more than 100 configurations" in capsys.readouterr().err
+
+
+def test_verify_galois_json_counts_pairs(capsys):
+    code = main(["verify-galois", "--model", ENCODER, "--galois", "EncGalois",
+                 "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["ok"] is True
+    assert payload["pairs"] == 3 * 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--model", BRAKE, "--component", "BrakeOverride", "--ticks", "-1",
+      "--vectors", str(fixture_path("brake_override.tv.csv"))], "at least 0"),
+    (["causality", "--model", BRAKE, "--component", "BrakeOverride", "--ticks", "0"],
+     "at least 1"),
+    (["causality", "--model", BRAKE, "--component", "BrakeOverride", "--ticks", "x"],
+     "invalid int value"),
+    (["causality", "--model", BRAKE, "--component", "BrakeOverride", "--budget", "0"],
+     "at least 1"),
+])
+def test_meaningless_counts_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_zero_ticks_prints_empty_tables(capsys):
+    code = main(["simulate", "--model", BRAKE, "--component", "BrakeOverride", "--ticks", "0",
+                 "--vectors", str(fixture_path("brake_override.tv.csv")), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert all(case["ticks"] == 0 and not any(case["outputs"].values())
+               for case in payload["cases"])
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["test", "--model", BRAKE, "--component", "Nope",
                  "--vectors", str(fixture_path("brake_override.tv.csv"))]) == 2
@@ -142,6 +204,7 @@ def test_simulate_non_finite_real_exits_3(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("argv", [
     ["causality", "--model", BRAKE, "--component", "BrakeOverride", "--eps", "0.1"],
+    ["verify-galois", "--model", ENCODER, "--galois", "EncGalois", "--orientation", "literal"],
     ["simulate", "--model", BRAKE, "--component", "BrakeOverride", "--eps", "0.1",
      "--vectors", str(fixture_path("brake_override.tv.csv"))],
     ["check", "--model", ENCODER, "--refinement", "Encoder", "--check-determinism",

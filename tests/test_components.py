@@ -1,12 +1,10 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from streamcheck.components import (AutomatonSpec, CausalityCounterexample, Channel,
                                     CompositeSpec, Connector, Endpoint,
                                     SyntacticInterface, Transition, check_causality,
                                     compose_check, run, validate_automaton)
-from streamcheck.errors import SimulationError
+from streamcheck.errors import CapsExceededError, SimulationError
 from streamcheck.exprs import parse_expression
 from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
 
@@ -219,8 +217,12 @@ def test_causality_detects_weak_component_in_strict_mode():
     assert isinstance(cex, CausalityCounterexample)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_randomized_causality_agrees_on_identity(seed):
-    # force the randomized path with a tiny budget
-    assert check_causality(identity(), horizon=3, budget=6, seed=seed) is None
+def test_causality_budget_caps_configurations():
+    # the strict identity over int8 reaches three configurations: the
+    # initial latch 0 and the latched grid values -128 and 127
+    stats = {}
+    assert check_causality(identity(), budget=3, horizon=3, stats=stats) is None
+    assert stats == {"configurations": 3, "steps": 6}
+    with pytest.raises(CapsExceededError) as info:
+        check_causality(identity(), budget=2, horizon=3)
+    assert (info.value.required, info.value.cap) == (3, 2)

@@ -126,3 +126,23 @@ def test_parser_total_on_keyword_soup():
         text = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 40)))
         result = parse_model(text)
         assert isinstance(result.document, ModelDocument)
+
+
+@pytest.mark.parametrize("kind, channel", [("input", "x : int[0..9]"),
+                                           ("output", "x : int[0..9] init 0")])
+def test_var_named_like_a_channel_is_diagnosed(kind, channel):
+    text = f"""
+component Clash {{
+  input i : int[0..9]
+  output o : int[0..9] init 0
+  {kind} {channel}
+  var x : int[0..9] = 3
+  states Run init
+  transition Run -> Run {{ o := x; x := 5 }}
+}}
+"""
+    result = parse_model(text)
+    assert not result.ok
+    [d] = result.diagnostics
+    assert (d.line, d.column) == (2, 1)
+    assert f"variable 'x' has the same name as an {kind} channel" in d.message
