@@ -71,11 +71,15 @@ def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tu
             raise TypeMismatchError(f"checker {rel.checker.name!r} must have one boolean output")
         ticks = list(out.streams[out_names[0]].values)
         return fold_stream(ticks), ticks
-    labels = _labels_of((a, c))
     holds = compile_expr(rel.expr)
+    # labels first, then abstract, then concrete channels: a channel shadows a label
+    env = _labels_of((a, c))
+    names = [*a.streams, *c.streams]
+    columns = [s.values for s in a.streams.values()] + [s.values for s in c.streams.values()]
+    rows = zip(*columns) if columns else itertools.repeat((), a.horizon)
     ticks = []
-    for t in range(1, a.horizon + 1):
-        env = {**labels, **a.tick(t), **c.tick(t)}
+    for t, row in enumerate(rows, start=1):
+        env.update(zip(names, row))
         v = holds(env)
         if not isinstance(v, bool):
             raise EvaluationError(f"relation {rel.name!r} is not boolean at tick {t}")

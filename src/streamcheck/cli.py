@@ -60,13 +60,21 @@ class CliError(Exception):
         self.code = code
 
 
+def _read_error(what: str, path: str, e: OSError | UnicodeDecodeError) -> CliError:
+    if isinstance(e, FileNotFoundError):
+        return CliError(f"{what} not found: {path}")
+    if isinstance(e, UnicodeDecodeError):
+        return CliError(f"cannot read {what} {path}: not UTF-8 ({e.reason} at byte {e.start})")
+    return CliError(f"cannot read {what} {path}: {e.strerror or e}")
+
+
 def _load_documents(paths: list[str]) -> ModelDocument:
     doc = ModelDocument()
     for path in paths:
         try:
             doc.merge(load_model(path, base=doc))
-        except FileNotFoundError:
-            raise CliError(f"model file not found: {path}")
+        except (OSError, UnicodeDecodeError) as e:
+            raise _read_error("model file", path, e)
         except ModelFormatError as e:
             msgs = "\n".join(f"{path}:{d}" for d in e.diagnostics)
             raise CliError(f"model errors:\n{msgs}")
@@ -86,8 +94,8 @@ def _read_vectors(path: str, iface, param_types=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_testcases(fh.read(), iface, param_types)
-    except FileNotFoundError:
-        raise CliError(f"vector file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise _read_error("vector file", path, e)
     except ModelFormatError as e:
         raise CliError(f"{path}: " + "; ".join(map(str, e.diagnostics)))
 
@@ -123,6 +131,10 @@ def cmd_simulate(args) -> int:
     cases = _read_vectors(args.vectors[0], spec.interface)
     if not cases:
         raise CliError("vector file holds no test-cases")
+    for tc in cases:
+        if args.ticks is not None and args.ticks > tc.horizon:
+            raise CliError(f"case {tc.name!r}: input horizon {tc.horizon} < "
+                           f"requested ticks {args.ticks}")
     exit_code = EXIT_OK
     lines: list[str] = []
     payload_cases = []
@@ -230,8 +242,11 @@ def cmd_concretize(args) -> int:
         out_cases.append(TestCase(tc.name, concrete_input, ExpectedResult(())))
     text = serialize_testcases(out_cases)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(f"cannot write {args.out}: {e.strerror or e}")
         lines = [f"wrote {len(out_cases)} concrete case(s) to {args.out}"]
     else:
         lines = [text]

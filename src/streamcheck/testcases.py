@@ -56,6 +56,9 @@ class Divergence:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A case's status. For a failure, `log` shows every channel at the ticks
+    around the first divergence; for an error, what went wrong."""
+
     status: str  # pass | fail | error
     first_divergence: Optional[Divergence] = None
     log: tuple[str, ...] = ()
@@ -65,33 +68,53 @@ class Verdict:
         return self.status == PASS
 
 
+LOG_CONTEXT = 2  # ticks shown on each side of the first divergence
+
+
 def _values_equal(expected: Any, actual: Any, kind: str, eps: float) -> bool:
     if kind == REAL_KIND:
         return abs(float(expected) - float(actual)) <= eps
     return expected == actual
 
 
-def _match_group(actual: ChannelHistory, group: ChannelHistory,
-                 eps: float) -> tuple[Optional[Divergence], list[str]]:
-    """First divergence of actual against one expected group, plus a trace."""
-    log = []
+def _first_divergence(actual: ChannelHistory, group: ChannelHistory,
+                      eps: float) -> Optional[Divergence]:
+    """The earliest tick at which actual leaves one expected group; of the
+    channels diverging at that tick, the first in sorted order."""
     first = None
-    for t in range(1, actual.horizon + 1):
+    for c in sorted(group.streams):
+        expected, got = group.streams[c].values, actual.streams[c].values
+        kind = actual.streams[c].elem_type.kind
+        if kind != REAL_KIND and expected == got:
+            continue
+        for t, (exp, act) in enumerate(zip(expected, got), start=1):
+            if not _values_equal(exp, act, kind, eps):
+                if first is None or t < first.tick:
+                    first = Divergence(t, c, exp, act)
+                break
+    return first
+
+
+def _log_window(actual: ChannelHistory, group: ChannelHistory, eps: float,
+                tick: int) -> tuple[str, ...]:
+    log = []
+    for t in range(max(1, tick - LOG_CONTEXT), min(actual.horizon, tick + LOG_CONTEXT) + 1):
         for c in sorted(group.streams):
             exp = group.at(c, t)
             act = actual.at(c, t)
             ok = _values_equal(exp, act, actual.streams[c].elem_type.kind, eps)
             log.append(f"t={t} {c}: expected {exp!r}, actual {act!r} "
                        f"{'ok' if ok else 'MISMATCH'}")
-            if not ok and first is None:
-                first = Divergence(t, c, exp, act)
-    return first, log
+    return tuple(log)
 
 
 def compare_histories(actual: ChannelHistory, expected: ExpectedResult,
                       eps: float = 0.0) -> Verdict:
-    """Pass iff the actual history equals some expected group (reals within eps)."""
-    best: tuple[Optional[Divergence], list[str]] | None = None
+    """Pass iff the actual history equals some expected group (reals within eps).
+
+    A failure reports the group whose first divergence comes latest, the
+    first such group on a tie."""
+    best: tuple[Divergence, ChannelHistory] | None = None
     for group in expected.groups:
         if set(group.streams) != set(actual.streams):
             return Verdict(ERROR, log=(
@@ -100,15 +123,16 @@ def compare_histories(actual: ChannelHistory, expected: ExpectedResult,
         if group.horizon != actual.horizon:
             return Verdict(ERROR, log=(
                 f"expected horizon {group.horizon} != actual horizon {actual.horizon}",))
-        first, log = _match_group(actual, group, eps)
+        first = _first_divergence(actual, group, eps)
         if first is None:
-            return Verdict(PASS, log=tuple(log))
-        # keep the closest-matching group for the report
+            return Verdict(PASS)
         if best is None or first.tick > best[0].tick:
-            best = (first, log)
+            best = (first, group)
     if best is None:
         return Verdict(PASS, log=("no expected groups",))
-    return Verdict(FAIL, first_divergence=best[0], log=tuple(best[1]))
+    first, group = best
+    return Verdict(FAIL, first_divergence=first,
+                   log=_log_window(actual, group, eps, first.tick))
 
 
 def execute_test(spec: ComponentSpec, tc: TestCase, eps: float = 0.0,

@@ -5,21 +5,33 @@ table, one `#inputs` table, and one or more `#expected` tables (alternative
 output groups). Each table is a CSV header of channel names followed by one
 row per tick. Booleans are `true`/`false`, enumeration cells are bare labels,
 reals use decimal-point notation.
+
+A table is read when its case is, by column: its lines are split into
+cells, and each column is converted at once by its channel's type. Only a
+table that fails is read again cell by cell, with `_parse_cell`, to report
+its first error in row-major order (see docs/grammar.md).
 """
 
 from __future__ import annotations
 
 import csv
 import difflib
-import io
 from dataclasses import dataclass
-from typing import Any
+from itertools import repeat
+from typing import Any, Sequence
 
 from .components import SyntacticInterface
 from .errors import Diagnostic, ModelFormatError
 from .streams import (BOOL_KIND, ChannelHistory, DataType, ENUM_KIND, INT_KIND,
                       REAL_KIND, TimedStream)
 from .testcases import ExpectedResult, TestCase
+
+
+# The longest cell, in characters, counted after quotes are removed: the csv
+# module's default field limit, applied to lines with and without quotes.
+MAX_CELL = 131072
+
+_BOOLS = {"true": True, "false": False}
 
 
 class VectorFormatError(ModelFormatError):
@@ -63,35 +75,111 @@ class _Section:
     kind: str  # case | params | inputs | expected
     arg: str
     line: int
-    rows: list[tuple[int, list[str]]]
+    rows: list[str]  # the data lines as written, blank ones left out
+    linenos: Sequence[int]  # the line number of each
 
 
 def _split_sections(text: str) -> list[_Section]:
+    """Find the section markers; each section keeps its data lines unsplit."""
+    lines = text.splitlines()
+    stripped = list(map(str.strip, lines))
+    marker = list(map(str.startswith, stripped, repeat("#")))
+    n = len(lines)
+    at = marker.index(True) if True in marker else n
+    for k in range(at):
+        if stripped[k]:
+            _fail(k + 1, 1, "data before any section marker")
     sections: list[_Section] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split(None, 1)
-            kind = parts[0] if parts else ""
-            if kind not in ("case", "params", "inputs", "expected"):
-                _fail(lineno, 1, f"unknown section marker {line!r}")
-            sections.append(_Section(kind, parts[1].strip() if len(parts) > 1 else "",
-                                     lineno, []))
-            continue
-        if not sections:
-            _fail(lineno, 1, "data before any section marker")
-        cells = next(csv.reader(io.StringIO(raw)))
-        sections[-1].rows.append((lineno, cells))
+    while at < n:
+        line = stripped[at]
+        parts = line[1:].split(None, 1)
+        kind = parts[0] if parts else ""
+        if kind not in ("case", "params", "inputs", "expected"):
+            _fail(at + 1, 1, f"unknown section marker {line!r}")
+        try:
+            end = marker.index(True, at + 1)
+        except ValueError:
+            end = n
+        if "" in stripped[at + 1:end]:
+            keep = [k for k in range(at + 1, end) if stripped[k]]
+            rows, linenos = [lines[k] for k in keep], [k + 1 for k in keep]
+        else:
+            rows, linenos = lines[at + 1:end], range(at + 2, end + 1)
+        sections.append(_Section(kind, parts[1].strip() if len(parts) > 1 else "",
+                                 at + 1, rows, linenos))
+        at = end
     return sections
 
 
+def _split(raw: str) -> list[str]:
+    """The cells of a data line as the default csv dialect reads them, which
+    for a line without quotes is `raw.split(",")`; [] when csv cannot read
+    the line or a cell is longer than MAX_CELL."""
+    if '"' in raw:
+        try:
+            cells = next(csv.reader((raw,)))
+        except csv.Error:  # a cell over csv's field limit, or a NUL before Python 3.11
+            return []
+    else:
+        cells = raw.split(",")
+    return cells if len(raw) <= MAX_CELL or max(map(len, cells)) <= MAX_CELL else []
+
+
+def _unreadable(line: int, raw: str):
+    if len(raw) > MAX_CELL:
+        _fail(line, 1, f"cell longer than {MAX_CELL} characters")
+    _fail(line, 1, "unreadable row")
+
+
+def _column(dtype: DataType, cells: Sequence[str]) -> tuple[Any, ...]:
+    """One column's values; raises ValueError or KeyError exactly where
+    `_parse_cell` fails on one of the cells."""
+    kind = dtype.kind
+    if kind == INT_KIND:
+        values = tuple(map(int, map(str.strip, cells)))
+        if values and (min(values) < dtype.lo or max(values) > dtype.hi):
+            raise ValueError("out of range")
+        return values
+    if kind == REAL_KIND:
+        return tuple(map(float, map(str.strip, cells)))
+    lookup = _BOOLS if kind == BOOL_KIND else dict(zip(dtype.labels, dtype.labels))
+    return tuple(map(lookup.__getitem__, map(str.strip, cells)))
+
+
+def _first_error(types: list[DataType], linenos: Sequence[int], body: list[str]) -> None:
+    """Raise the first error of a table in row-major order."""
+    for lineno, raw in zip(linenos, body):
+        cells = _split(raw)
+        if not cells:
+            _unreadable(lineno, raw)
+        if len(cells) != len(types):
+            _fail(lineno, 1, f"ragged row: {len(cells)} cells for {len(types)} columns")
+        for col, (dtype, cell) in enumerate(zip(types, cells), start=1):
+            _parse_cell(cell, dtype, lineno, col)
+
+
+def _columns(body: list[str], n: int) -> Sequence[Sequence[str]] | None:
+    """The cells of a table body by column; None when a row is ragged or
+    unreadable. Without quotes or long lines, the whole body is split at once."""
+    joined = ",".join(body)
+    if '"' in joined or (len(joined) > MAX_CELL and max(map(len, body)) > MAX_CELL):
+        rows = list(map(_split, body))
+        return list(zip(*rows)) if set(map(len, rows)) == {n} else None
+    if not set(map(str.count, body, repeat(","))) <= {n - 1}:
+        return None
+    flat = joined.split(",") if body else []
+    return [flat[j::n] for j in range(n)]
+
+
 def _read_table(section: _Section, known: dict[str, DataType],
-                what: str) -> tuple[list[str], list[tuple[int, list[Any]]]]:
+                what: str) -> tuple[list[str], ChannelHistory]:
+    """Check a table's header, then convert its body column by column."""
     if not section.rows:
         _fail(section.line, 1, f"empty #{section.kind} table")
-    header_line, header = section.rows[0]
+    header_line, header_raw = section.linenos[0], section.rows[0]
+    header = _split(header_raw)
+    if not header:
+        _unreadable(header_line, header_raw)
     names = [h.strip() for h in header]
     for col, name in enumerate(names, start=1):
         if name not in known:
@@ -100,23 +188,19 @@ def _read_table(section: _Section, known: dict[str, DataType],
             _fail(header_line, col, f"unknown {what} {name!r}{suggestion}")
     if len(set(names)) != len(names):
         _fail(header_line, 1, f"duplicate columns in #{section.kind} header")
-    rows: list[tuple[int, list[Any]]] = []
-    for lineno, cells in section.rows[1:]:
-        if len(cells) != len(names):
-            _fail(lineno, 1, f"ragged row: {len(cells)} cells for {len(names)} columns")
-        rows.append((lineno, [_parse_cell(cell, known[name], lineno, col)
-                              for col, (name, cell) in enumerate(zip(names, cells), start=1)]))
-    return names, rows
-
-
-def _table_history(names: list[str], rows: list[tuple[int, list[Any]]],
-                   types: dict[str, DataType]) -> ChannelHistory:
-    columns: dict[str, list[Any]] = {n: [] for n in names}
-    for _, cells in rows:
-        for n, v in zip(names, cells):
-            columns[n].append(v)
-    return ChannelHistory({n: TimedStream.of(types[n], columns[n]) for n in names},
-                          len(rows))
+    types = [known[name] for name in names]
+    body = section.rows[1:]
+    columns = _columns(body, len(names))
+    if columns is not None:
+        try:
+            values = [_column(t, col) for t, col in zip(types, columns)]
+        except (ValueError, KeyError):
+            pass
+        else:
+            return names, ChannelHistory(
+                {n: TimedStream(t, v) for n, t, v in zip(names, types, values)}, len(body))
+    _first_error(types, section.linenos[1:], body)
+    raise AssertionError("a column failed to convert, but no cell did")
 
 
 def parse_testcases(text: str, iface: SyntacticInterface,
@@ -134,35 +218,32 @@ def parse_testcases(text: str, iface: SyntacticInterface,
         if sections[i].kind == "case":
             name = sections[i].arg or None
             if sections[i].rows:
-                _fail(sections[i].rows[0][0], 1, "data rows directly under #case")
+                _fail(sections[i].linenos[0], 1, "data rows directly under #case")
             i += 1
         counter += 1
         name = name or f"case{counter}"
         params: dict[str, TimedStream] = {}
         if i < len(sections) and sections[i].kind == "params":
-            pnames, prows = _read_table(sections[i], param_types, "parameter")
-            phist = _table_history(pnames, prows, param_types)
-            params = dict(phist.streams)
+            params = dict(_read_table(sections[i], param_types, "parameter")[1].streams)
             i += 1
         if i >= len(sections) or sections[i].kind != "inputs":
             line = sections[i].line if i < len(sections) else sections[i - 1].line
             _fail(line, 1, f"expected #inputs for case {name!r}")
-        names, rows = _read_table(sections[i], in_types, "channel")
+        names, inputs = _read_table(sections[i], in_types, "channel")
         missing = sorted(set(in_types) - set(names))
         if missing:
             _fail(sections[i].line, 1, f"missing input channels: {missing}")
-        inputs = _table_history(names, rows, in_types)
         i += 1
         groups = []
         while i < len(sections) and sections[i].kind == "expected":
-            enames, erows = _read_table(sections[i], out_types, "channel")
+            enames, group = _read_table(sections[i], out_types, "channel")
             emissing = sorted(set(out_types) - set(enames))
             if emissing:
                 _fail(sections[i].line, 1, f"missing output channels: {emissing}")
-            if len(erows) != inputs.horizon:
+            if group.horizon != inputs.horizon:
                 _fail(sections[i].line, 1,
-                      f"expected table has {len(erows)} ticks, inputs have {inputs.horizon}")
-            groups.append(_table_history(enames, erows, out_types))
+                      f"expected table has {group.horizon} ticks, inputs have {inputs.horizon}")
+            groups.append(group)
             i += 1
         # params, when per-tick streams, must match the horizon
         for pname, stream in params.items():
@@ -170,8 +251,7 @@ def parse_testcases(text: str, iface: SyntacticInterface,
                 _fail(sections[0].line, 1,
                       f"parameter {pname!r} has {stream.horizon} ticks, inputs have {inputs.horizon}")
             if stream.horizon == 1 and inputs.horizon != 1:
-                params[pname] = TimedStream.of(stream.elem_type,
-                                               list(stream.values) * inputs.horizon)
+                params[pname] = TimedStream(stream.elem_type, stream.values * inputs.horizon)
         cases.append(TestCase(name, inputs, ExpectedResult(tuple(groups)), params))
     return cases
 

@@ -214,3 +214,41 @@ def test_simulate_non_finite_real_exits_3(tmp_path, capsys, value):
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_simulate_ticks_beyond_a_case_horizon_exit_2(capsys):
+    code = main(["simulate", "--model", BRAKE, "--component", "BrakeOverride", "--ticks", "99",
+                 "--vectors", str(fixture_path("brake_override.tv.csv"))])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "case 'brake_override_iso': input horizon 5 < requested ticks 99" in captured.err
+
+
+def test_vector_cell_over_the_limit_exit_2(tmp_path, capsys):
+    vectors = tmp_path / "long.tv.csv"
+    vectors.write_text("#inputs\nDriverBrake,AccBrake,AccSwitch\n" + "x" * 140000 + ",1,true\n",
+                       encoding="utf-8")
+    assert main(["test", "--model", BRAKE, "--component", "BrakeOverride",
+                 "--vectors", str(vectors)]) == 2
+    assert "3:1: cell longer than 131072 characters" in capsys.readouterr().err
+
+
+def test_non_utf8_vector_file_exit_2(tmp_path, capsys):
+    vectors = tmp_path / "latin1.tv.csv"
+    vectors.write_bytes(b"#inputs\nDriverBrake,AccBrake,AccSwitch\n\xff1,2,true\n")
+    assert main(["test", "--model", BRAKE, "--component", "BrakeOverride",
+                 "--vectors", str(vectors)]) == 2
+    assert f"cannot read vector file {vectors}: not UTF-8" in capsys.readouterr().err
+
+
+def test_directory_as_model_file_exit_2(tmp_path, capsys):
+    assert main(["test", "--model", str(tmp_path), "--component", "BrakeOverride",
+                 "--vectors", str(fixture_path("brake_override.tv.csv"))]) == 2
+    assert f"cannot read model file {tmp_path}" in capsys.readouterr().err
+
+
+def test_unwritable_concretize_out_exit_2(tmp_path, capsys):
+    assert main(["concretize", "--model", ENCODER, "--refinement", "Encoder",
+                 "--vectors", str(fixture_path("encoder_concretize.tv.csv")),
+                 "--out", str(tmp_path)]) == 2
+    assert f"cannot write {tmp_path}" in capsys.readouterr().err

@@ -1,9 +1,14 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vector_oracle
 from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface,
                                     Transition)
 from streamcheck.exprs import parse_expression
-from streamcheck.streams import BOOL, ChannelHistory, REAL, TimedStream, bounded_int
+from streamcheck.streams import (BOOL, ChannelHistory, REAL, TimedStream, bounded_int,
+                                 enumeration)
 from streamcheck.testcases import (ERROR, ExpectedResult, FAIL, PASS, TestCase,
                                    compare_histories, execute_test, suite_run)
 
@@ -88,3 +93,59 @@ def test_verdict_folding_is_conjunction():
         tc = TestCase("t", _ih(xs), ExpectedResult((_oh(expected),)))
         _, verdict = execute_test(_spec(), tc)
         assert verdict.status == (FAIL if flip else PASS)
+
+
+def test_failure_log_shows_the_ticks_around_the_first_divergence():
+    actual = ChannelHistory({"y": TimedStream.of(INT, [1, 2, 3, 4, 5, 6, 7])})
+    verdict = compare_histories(actual, ExpectedResult((_oh([1, 2, 3, 4, 0, 6, 0]),)))
+    assert verdict.first_divergence.tick == 5
+    assert verdict.log == ("t=3 y: expected 3, actual 3 ok", "t=4 y: expected 4, actual 4 ok",
+                           "t=5 y: expected 0, actual 5 MISMATCH",
+                           "t=6 y: expected 6, actual 6 ok",
+                           "t=7 y: expected 0, actual 7 MISMATCH")
+    assert compare_histories(actual, ExpectedResult((actual,))).log == ()
+
+
+# Differential test against the eager comparison kept in vector_oracle.py.
+
+_VERDICT_TYPES = {"a": bounded_int(0, 2), "b": BOOL, "e": enumeration("Lo", "Hi"), "r": REAL}
+_VALUES = {"a": st.integers(0, 2), "b": st.booleans(), "e": st.sampled_from(["Lo", "Hi"]),
+           "r": st.sampled_from([0.0, 1.0, 1.25, -0.5, 1e-9, float("inf"), float("-inf"),
+                                 float("nan")])}
+
+
+@st.composite
+def _histories(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_VERDICT_TYPES)), min_size=1, unique=True))
+    horizon = draw(st.integers(0, 6))
+
+    def history():
+        return ChannelHistory({n: TimedStream.of(_VERDICT_TYPES[n],
+                                                 draw(st.lists(_VALUES[n], min_size=horizon,
+                                                               max_size=horizon)))
+                               for n in names}, horizon)
+
+    actual = history()
+    groups = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            groups.append(history())
+            continue
+        # a copy of actual with a few cells changed, so groups often match late or fully
+        streams = {n: list(actual.streams[n].values) for n in names}
+        for _ in range(draw(st.integers(0, 2)) if horizon else 0):
+            n = draw(st.sampled_from(names))
+            streams[n][draw(st.integers(0, horizon - 1))] = draw(_VALUES[n])
+        groups.append(ChannelHistory({n: TimedStream.of(_VERDICT_TYPES[n], v)
+                                      for n, v in streams.items()}, horizon))
+    return actual, ExpectedResult(tuple(groups)), draw(st.sampled_from([0.0, 1e-9, 0.3, 2.0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_histories())
+def test_first_divergence_agrees_with_the_eager_comparison(case):
+    actual, expected, eps = case
+    verdict = compare_histories(actual, expected, eps)
+    oracle = vector_oracle.compare_histories(actual, expected, eps)
+    assert verdict.status == oracle.status
+    assert repr(verdict.first_divergence) == repr(oracle.first_divergence)
