@@ -17,8 +17,8 @@ from .components import (AutomatonSpec, Channel, ComponentSpec, SyntacticInterfa
                          Transition, WEAK, run)
 from .errors import (CapsExceededError, EvaluationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
-from .exprs import Binary, Expr, Name, compile_expr, free_names
-from .streams import (BOOL, ChannelHistory, DataType, ENUM_KIND, TimedStream)
+from .exprs import Binary, Expr, Name, free_names
+from .streams import BOOL, ChannelHistory, DataType, TimedStream, enum_labels
 
 RI = "RI"
 RO = "RO"
@@ -41,16 +41,6 @@ class RelationSpec:
             raise TypeMismatchError("relation needs exactly one of expr / checker")
 
 
-def _labels_of(histories: Iterable[ChannelHistory]) -> dict[str, str]:
-    env = {}
-    for h in histories:
-        for s in h.streams.values():
-            if s.elem_type.kind == ENUM_KIND:
-                for label in s.elem_type.labels:
-                    env[label] = label
-    return env
-
-
 def fold_stream(ticks: Iterable[bool]) -> bool:
     """Overall verdict of a bool stream: a single false fails the comparison."""
     return all(ticks)
@@ -71,19 +61,9 @@ def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tu
             raise TypeMismatchError(f"checker {rel.checker.name!r} must have one boolean output")
         ticks = list(out.streams[out_names[0]].values)
         return fold_stream(ticks), ticks
-    holds = compile_expr(rel.expr)
-    # labels first, then abstract, then concrete channels: a channel shadows a label
-    env = _labels_of((a, c))
-    names = [*a.streams, *c.streams]
-    columns = [s.values for s in a.streams.values()] + [s.values for s in c.streams.values()]
-    rows = zip(*columns) if columns else itertools.repeat((), a.horizon)
-    ticks = []
-    for t, row in enumerate(rows, start=1):
-        env.update(zip(names, row))
-        v = holds(env)
-        if not isinstance(v, bool):
-            raise EvaluationError(f"relation {rel.name!r} is not boolean at tick {t}")
-        ticks.append(v)
+    # a channel shadows an enumeration label of the same name
+    from .codegen import relation_ticks
+    ticks = relation_ticks(rel, a, c)
     return fold_stream(ticks), ticks
 
 
@@ -154,19 +134,9 @@ class GaloisSpec:
     channel_types: Mapping[str, DataType] = field(default_factory=dict)
 
     def f_entries_for(self, available: set[str]) -> list[tuple[str, Expr]]:
-        enums = {label for t in self.channel_types.values()
-                 if t.kind == ENUM_KIND for label in t.labels}
+        enums = enum_labels(self.channel_types.values()).keys()
         return [(chan, e) for chan, e in self.f_map
                 if free_names(e) <= (available | enums)]
-
-
-def _enum_labels_from_types(types: Mapping[str, DataType]) -> dict[str, str]:
-    env = {}
-    for t in types.values():
-        if t.kind == ENUM_KIND:
-            for label in t.labels:
-                env[label] = label
-    return env
 
 
 def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
@@ -176,14 +146,8 @@ def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
     if not entries:
         raise EvaluationError(f"galois {gal.name!r}: no abstraction map entry is "
                               f"applicable to channels {sorted(available)}")
-    labels = _labels_of((c_out,))
-    labels.update(_enum_labels_from_types(gal.channel_types))
-    columns: dict[str, list[Any]] = {chan: [] for chan, _ in entries}
-    maps = [(columns[chan], compile_expr(e)) for chan, e in entries]
-    for t in range(1, c_out.horizon + 1):
-        env = {**labels, **c_out.tick(t)}
-        for column, f in maps:
-            column.append(f(env))
+    from .codegen import map_columns
+    columns = map_columns(gal, entries, c_out)
     streams = {}
     for chan, col in columns.items():
         dtype = gal.channel_types.get(chan)
@@ -204,30 +168,16 @@ def _infer_type(values: list[Any]) -> DataType:
 
 
 def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHistory) -> bool:
-    """Does the concrete history belong to g({abstract})?"""
+    """Does the concrete history belong to g({abstract})?
+
+    With `member`, it does when `member` holds at every tick, read with the
+    concrete channels over the abstract ones over the enumeration labels.
+    By default, when f maps it to exactly the abstract values, tick-wise.
+    """
     if abstract.horizon != concrete.horizon:
         raise TypeMismatchError("horizon mismatch in membership check")
-    labels = _labels_of((abstract, concrete))
-    labels.update(_enum_labels_from_types(gal.channel_types))
-    if gal.member is not None:
-        member = compile_expr(gal.member)
-        for t in range(1, abstract.horizon + 1):
-            env = {**labels, **abstract.tick(t), **concrete.tick(t)}
-            if not member(env):
-                return False
-        return True
-    # adjoint default: f(concrete) must equal the abstract values, tick-wise
-    entries = [(chan, e) for chan, e in gal.f_entries_for(set(concrete.streams))
-               if chan in abstract.streams]
-    if not entries:
-        raise EvaluationError(f"galois {gal.name!r}: no applicable membership entries")
-    maps = [(chan, compile_expr(e)) for chan, e in entries]
-    for t in range(1, abstract.horizon + 1):
-        env = {**labels, **concrete.tick(t)}
-        for chan, f in maps:
-            if f(env) != abstract.at(chan, t):
-                return False
-    return True
+    from .codegen import membership_matrix
+    return membership_matrix(gal, (abstract,), (concrete,))[0][0]
 
 
 def build_output_checker(gal: GaloisSpec, abstract_outputs: Iterable[Channel],
@@ -241,8 +191,7 @@ def build_output_checker(gal: GaloisSpec, abstract_outputs: Iterable[Channel],
     for chan, e in gal.f_map:
         if chan not in abs_names:
             continue
-        if not free_names(e) <= conc_names | {lab for t in gal.channel_types.values()
-                                              if t.kind == ENUM_KIND for lab in t.labels}:
+        if not free_names(e) <= conc_names | enum_labels(gal.channel_types.values()).keys():
             raise EvaluationError(
                 f"galois {gal.name!r}: map for {chan!r} is not element-wise over the "
                 f"concrete outputs; supply a checker component instead")
@@ -341,7 +290,8 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP,
     abs_index = {key(h): i for i, h in enumerate(abs_elems)}
     # lifted f: image index (or None when the image escapes the universe)
     f_bit = [abs_index.get(key(abstract_output(gal, x))) for x in conc_elems]
-    member = [[g_membership(gal, a, x) for x in conc_elems] for a in abs_elems]
+    from .codegen import membership_matrix
+    member = membership_matrix(gal, abs_elems, conc_elems)
     if stats is not None:
         stats["pairs"] = len(abs_elems) * len(conc_elems)
     for i, a in enumerate(abs_elems):

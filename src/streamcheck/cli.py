@@ -220,8 +220,11 @@ def cmd_concretize(args) -> int:
         dtype = param_types.get(pname)
         if dtype is None:
             raise CliError(f"unknown parameter {pname!r} (declared: {sorted(param_types)})")
-        from .vectors import _parse_cell
-        cli_params[pname] = _parse_cell(raw, dtype, 0, 0)
+        from .vectors import VectorFormatError, _parse_cell
+        try:
+            cli_params[pname] = _parse_cell(raw, dtype, 0, 0)
+        except VectorFormatError as e:
+            raise CliError(f"--param {pname}: {e.diagnostics[0].message}")
     out_cases = []
     warned = []
     for tc in cases:
@@ -413,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--refinement")
     p.add_argument("--galois")
-    p.add_argument("--caps", type=int, default=12, help="max universe elements per side")
+    p.add_argument("--caps", type=_int_at_least(1), default=12,
+                   help="max universe elements per side")
     p.set_defaults(func=cmd_verify_galois)
 
     p = sub.add_parser("causality", help="search the reachable configurations for "

@@ -7,18 +7,27 @@ label) or None (unknown), and for an int the bounds it lies within.
 Operators on operands of known kinds become plain Python operators;
 everything else goes through the helpers of `exprs`, which check operands
 the way `exprs.evaluate` does. Kinds are sound only for names whose values
-are guaranteed to conform: the simulator vouches for its state slots, an
-environment vouches for nothing.
+are guaranteed to conform: the simulator vouches for its state slots, and
+a history's column is vouched for once a pass over it has found every value
+conforming (`conforms`).
+
+Relation, abstraction-map and membership expressions compile here, too,
+each into one loop over the value tuples of channel histories. Such a
+function is compiled once per expression owner and column signature (the
+names, types and conformance of the columns) and cached on the owner.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EvaluationError
 from .exprs import (Binary, Expr, FUNCTIONS, Lit, Name, Unary, _CMP_OPS, _apply, _binop,
                     _bool, _floor, _num)
+from .streams import (BOOL_KIND, ChannelHistory, DataType, INT_KIND, REAL_KIND,
+                      enum_labels)
 
 NUMERIC = ("int", "real", "num")
 UNBOUNDED = (-math.inf, math.inf)
@@ -211,3 +220,188 @@ class CodeGen:
         fn = self.ns.pop("_generated")
         _NAMES.update(fn.__code__.co_varnames, fn.__code__.co_names)
         return fn
+
+
+# ---------------------------------------------------------------------------
+# Expressions over the columns of channel histories
+
+
+def slot(local: str, dtype: DataType, conforms: bool) -> Code:
+    """The code of a local variable whose values conform to dtype, if `conforms`."""
+    if not conforms:
+        return Code(local, None)
+    if dtype.kind == INT_KIND:
+        return Code(local, "int", ATOM, (dtype.lo, dtype.hi))
+    return Code(local, {BOOL_KIND: "bool", REAL_KIND: "real"}.get(dtype.kind, "str"))
+
+
+def conforms(dtype: DataType, values: Sequence[Any]) -> bool:
+    """Whether every value is one that dtype.check accepts and returns unchanged."""
+    types = set(map(type, values))
+    if dtype.kind == BOOL_KIND:
+        return types <= {bool}
+    if dtype.kind == INT_KIND:
+        return types <= {int} and (not values or dtype.lo <= min(values) and max(values) <= dtype.hi)
+    if dtype.kind == REAL_KIND:
+        return types <= {float}
+    return types <= {str} and set(values).issubset(dtype.labels)
+
+
+Signature = tuple  # ((name, DataType, conforms), ...), one entry per column
+
+
+def signature(h: ChannelHistory) -> Signature:
+    return tuple((name, s.elem_type, conforms(s.elem_type, s.values))
+                 for name, s in h.streams.items())
+
+
+def _rows(h: ChannelHistory, names: Iterable[str] | None = None) -> list[tuple]:
+    """The history's values tick by tick, of the named channels (default: all)."""
+    columns = [h.streams[n].values for n in (h.streams if names is None else names)]
+    return list(zip(*columns)) if columns else [()] * h.horizon
+
+
+def unpack(prefix: str, n: int) -> str:
+    """An assignment target that unpacks a row of n values."""
+    return f"({', '.join(f'{prefix}{k}' for k in range(n))},)" if n else "_"
+
+
+def _scope(labels: Iterable[str], *sides: tuple[str, Signature]) -> NameResolver:
+    """Resolve a name to the local of its column, `prefix` + index on its
+    side (a column of a later side shadows one of an earlier side), else to
+    an enumeration label, else to an error when it is evaluated."""
+    names = {n: slot(f"{prefix}{k}", t, ok) for prefix, sig in sides
+             for k, (n, t, ok) in enumerate(sig)}
+    labels = set(labels)
+
+    def resolve(ident: str, ctx: str) -> Code:
+        code = names.get(ident)
+        if code is not None:
+            return code
+        if ident in labels:
+            return Code(repr(ident), "str")
+        return Code(f"_unknown({ident!r}{', ' + repr(ctx) if ctx else ''})", None)
+    return resolve
+
+
+def _types(sig: Signature) -> Iterable[DataType]:
+    return (t for _, t, _ in sig)
+
+
+def _cached(owner: Any, key: tuple, build: Callable[[], Callable]) -> Callable:
+    cache = owner.__dict__.setdefault("_column_functions", {})
+    fn = cache.get(key)
+    if fn is None:
+        fn = cache[key] = build()
+    return fn
+
+
+def relation_ticks(rel: Any, a: ChannelHistory, c: ChannelHistory) -> list[bool]:
+    """The value of `rel.expr` at every tick of a pair of histories with
+    disjoint channels; a value that is not boolean is an error at its tick."""
+    sig = signature(a) + signature(c)
+
+    def build() -> Callable:
+        gen = CodeGen()
+        code = gen.expr(rel.expr, _scope(enum_labels(_types(sig)), ("x", sig)))
+        body = ["ticks = []", "app = ticks.append"]
+        if code.kind == "bool":
+            body += [f"for {unpack('x', len(sig))} in rows:", f"    app({code.src})"]
+        else:
+            message = f"relation {rel.name!r} is not boolean at tick "
+            body += [f"for t, {unpack('x', len(sig))} in enumerate(rows, 1):",
+                     f"    v = {code.src}",
+                     "    if v is not True and v is not False:",
+                     f"        raise EvaluationError({message!r} + str(t))",
+                     "    app(v)"]
+        return gen.function("rows", body + ["return ticks"])
+
+    columns = [s.values for s in a.streams.values()] + [s.values for s in c.streams.values()]
+    rows = zip(*columns) if columns else itertools.repeat((), a.horizon)
+    return _cached(rel, ("relation", sig), build)(rows)
+
+
+def map_columns(gal: Any, entries: Sequence[tuple[str, Expr]],
+                c_out: ChannelHistory) -> dict[str, list[Any]]:
+    """Each abstraction-map entry's value at every tick of a concrete history,
+    in one list per abstract channel; entries for the same channel append to
+    one list."""
+    sig = signature(c_out)
+
+    def build() -> Callable:
+        gen = CodeGen()
+        labels = enum_labels(itertools.chain(_types(sig), gal.channel_types.values()))
+        scope = _scope(labels, ("x", sig))
+        chans = list(dict.fromkeys(chan for chan, _ in entries))
+        body = [f"a{j} = cols[{j}].append" for j in range(len(chans))]
+        body.append(f"for {unpack('x', len(sig))} in rows:")
+        body += [f"    a{chans.index(chan)}({gen.expr(e, scope).src})" for chan, e in entries]
+        return gen.function("rows, cols", body)
+
+    columns: dict[str, list[Any]] = {chan: [] for chan, _ in entries}
+    _cached(gal, ("map", sig), build)(_rows(c_out), list(columns.values()))
+    return columns
+
+
+def membership_matrix(gal: Any, abstract: Sequence[ChannelHistory],
+                      concrete: Sequence[ChannelHistory]) -> list[list[bool]]:
+    """[[g_membership(gal, a, x) for x in concrete] for a in abstract], for
+    histories of one horizon; the first error in that order is raised.
+
+    It runs as one call when all histories of a side share a signature, as
+    the elements of a bounded universe do, and pair by pair otherwise.
+    """
+    sig_a, sig_c = {signature(h) for h in abstract}, {signature(h) for h in concrete}
+    if len(sig_a) > 1 or len(sig_c) > 1:
+        return [[membership_matrix(gal, (a,), (x,))[0][0] for x in concrete] for a in abstract]
+    if not sig_a or not sig_c:
+        return [[] for _ in abstract]
+    sa, sc = sig_a.pop(), sig_c.pop()
+
+    def labels() -> dict[str, str]:
+        return enum_labels(itertools.chain(_types(sa), _types(sc), gal.channel_types.values()))
+
+    if gal.member is not None:
+        def build() -> Callable:
+            gen = CodeGen()
+            # a concrete channel shadows an abstract one
+            member = gen.expr(gal.member, _scope(labels(), ("x", sa), ("y", sc)))
+            return _matrix(gen, len(sa), len(sc), [f"not ({member.src})"])
+
+        fn = _cached(gal, ("member", sa, sc), build)
+        return fn([_rows(a) for a in abstract], [_rows(x) for x in concrete])
+    # the adjoint of f: each applicable map entry must give the abstract value
+    entries = [(chan, e) for chan, e in gal.f_entries_for({n for n, _, _ in sc})
+               if chan in {n for n, _, _ in sa}]
+    if not entries:
+        raise EvaluationError(f"galois {gal.name!r}: no applicable membership entries")
+
+    def build_adjoint() -> Callable:
+        gen = CodeGen()
+        scope = _scope(labels(), ("y", sc))
+        return _matrix(gen, len(entries), len(sc),
+                       [f"{_paren(gen.expr(e, scope), _ADD)} != x{k}"
+                        for k, (_, e) in enumerate(entries)])
+
+    fn = _cached(gal, ("adjoint", sa, sc), build_adjoint)
+    chans = [chan for chan, _ in entries]
+    return fn([_rows(a, chans) for a in abstract], [_rows(x) for x in concrete])
+
+
+def _matrix(gen: CodeGen, n_a: int, n_c: int, failures: list[str]) -> Callable:
+    """fn(A, C): for each abstract row list in A and concrete one in C, True
+    unless at some tick, in order, one of the `failures` holds."""
+    checks = [line for failure in failures
+              for line in (f"if {failure}:", "    app(False)", "    break")]
+    return gen.function("A, C", [
+        "M = []",
+        "for ra in A:",
+        "    R = []",
+        "    app = R.append",
+        "    for rc in C:",
+        f"        for {unpack('x', n_a)}, {unpack('y', n_c)} in zip(ra, rc):",
+        *("            " + line for line in checks),
+        "        else:",
+        "            app(True)",
+        "    M.append(R)",
+        "return M"])

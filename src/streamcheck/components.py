@@ -16,7 +16,7 @@ from typing import Any, Mapping, Optional, Union
 
 from .errors import CapsExceededError, SimulationError, StreamcheckError, TypeMismatchError
 from .exprs import TRUE, Expr, free_names
-from .streams import (Channel, ChannelHistory, DataType, ENUM_KIND, TimedStream,
+from .streams import (Channel, ChannelHistory, DataType, TimedStream, enum_labels,
                       validate_history)
 
 STRICT = "strict"
@@ -109,14 +109,8 @@ ComponentSpec = Union[AutomatonSpec, CompositeSpec]
 
 def enum_label_env(spec: AutomatonSpec) -> dict[str, str]:
     """Enumeration labels visible to this automaton's expressions."""
-    env: dict[str, str] = {}
-    types = [c.ctype for c in spec.interface.inputs + spec.interface.outputs]
-    types += [v.dtype for v in spec.variables]
-    for t in types:
-        if t.kind == ENUM_KIND:
-            for label in t.labels:
-                env[label] = label
-    return env
+    return enum_labels([c.ctype for c in spec.interface.inputs + spec.interface.outputs]
+                       + [v.dtype for v in spec.variables])
 
 
 def validate_automaton(spec: AutomatonSpec) -> list[str]:
@@ -449,7 +443,9 @@ def check_causality(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
     reachable in t <= horizon-1 ticks of grid inputs emits different outputs
     for two grid input rows; the counterexample's `tick` is the smallest such
     t. The search is breadth-first over distinct configurations, so it costs
-    (reachable configurations x grid rows) steps, not every grid history.
+    (reachable configurations x grid rows) steps, not every grid history;
+    one call of the compiled successor function steps a configuration on
+    every grid row.
     Weak mode lets outputs depend on inputs of the same tick, which a
     deterministic step function always satisfies, so it returns None at once.
 
@@ -478,24 +474,30 @@ def check_causality(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
     level = [start]
     for t in range(horizon):
         following = []
+        expand = t + 1 < horizon
         for config in level:
-            first = None
-            for row in rows:
-                nxt, out = sim.advance(config, row, t + 1)
-                stats["steps"] += 1
-                if first is None:
-                    first = (row, out)
-                elif out != first[1]:
-                    return _counterexample(spec, parents, config, first[0], row, rows[0],
+            # the rows are judged in order, so a failing step counts only
+            # when no earlier row gives a counterexample or overflows the budget
+            results, error = sim.successors(config, rows)
+            first = results[0][0] if results else None
+            for k, (out, nxt) in enumerate(results):
+                if out != first:
+                    stats["steps"] += k + 1
+                    return _counterexample(spec, parents, config, rows[0], rows[k], rows[0],
                                            t, horizon)
-                if t + 1 < horizon and nxt not in parents:
+                if expand and nxt not in parents:
                     if len(parents) >= budget:
+                        stats["steps"] += k + 1
                         raise CapsExceededError(
                             f"causality search of {spec.name!r} reaches more than "
                             f"{budget} configurations", len(parents) + 1, budget)
-                    parents[nxt] = (config, row)
+                    parents[nxt] = (config, rows[k])
                     stats["configurations"] = len(parents)
                     following.append(nxt)
+            stats["steps"] += len(results)
+            if error is not None:
+                from .simulator import at_tick
+                raise at_tick(error, t + 1)
         level = following
     return None
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 from .errors import EvaluationError
 from .lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, tokenize
@@ -165,26 +165,6 @@ def _floor(value: Any, ctx: str = "") -> int:
     if isinstance(value, float) and not math.isfinite(value):
         raise EvaluationError(f"{ctx}floor needs a finite operand, got {value!r}")
     return math.floor(value)
-
-
-def compile_expr(expr: Expr) -> Callable[[Mapping[str, Any]], Any]:
-    """Compile an expression into a function of a name environment.
-
-    The function returns what `evaluate` returns and raises the same
-    EvaluationErrors. It is built once and cached on the expression node.
-    """
-    fn = expr.__dict__.get("_compiled")
-    if fn is None:
-        from .codegen import Code, CodeGen
-        gen = CodeGen()
-        code = gen.expr(expr, lambda ident, ctx: Code(f"_env[{ident!r}]", None))
-        fn = gen.function("_env", [
-            "try:",
-            f"    return {code.src}",
-            "except KeyError as e:",
-            "    raise EvaluationError(f'unknown name {e.args[0]!r}') from None"])
-        expr.__dict__["_compiled"] = fn
-    return fn
 
 
 class ExprSyntaxError(EvaluationError):

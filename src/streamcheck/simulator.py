@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Mapping, Sequence
 
-from .codegen import ATOM, NUMERIC, Code, CodeGen, NameResolver
+from .codegen import NUMERIC, Code, CodeGen, NameResolver, conforms, slot, unpack
 from .components import (AutomatonSpec, AutomatonState, Channel, ComponentSpec,
                          ComponentState, CompositeSpec, CompositeState, STRICT,
                          SyntacticInterface, Transition, _BOUNDARY, _FlatModel, enum_label_env)
@@ -31,15 +31,6 @@ from .streams import (BOOL_KIND, ChannelHistory, DataType, ENUM_KIND, INT_KIND, 
 _UNSET = object()  # a latched output that was never assigned
 
 
-def _slot(local: str, dtype: DataType, conforms: bool) -> Code:
-    """The code of a local variable whose values conform to dtype, if `conforms`."""
-    if not conforms:
-        return Code(local, None)
-    if dtype.kind == INT_KIND:
-        return Code(local, "int", ATOM, (dtype.lo, dtype.hi))
-    return Code(local, {BOOL_KIND: "bool", REAL_KIND: "real"}.get(dtype.kind, "str"))
-
-
 def _stuck(component: str, state: str) -> None:
     raise StuckStateError(component, state)
 
@@ -58,16 +49,7 @@ def _nondet(component: str, first: str, second: str, state: str) -> None:
 def _conform_column(dtype: DataType, values: tuple) -> tuple[Any, int]:
     """The values as DataType.check returns them, up to the first invalid one,
     and that one's index (len(values) when all are valid)."""
-    types = set(map(type, values))
-    if dtype.kind == BOOL_KIND:
-        ok = types <= {bool}
-    elif dtype.kind == INT_KIND:
-        ok = types <= {int} and (not values or dtype.lo <= min(values) and max(values) <= dtype.hi)
-    elif dtype.kind == REAL_KIND:
-        ok = types <= {float}
-    else:
-        ok = types <= {str} and set(values).issubset(dtype.labels)
-    if ok:
+    if conforms(dtype, values):
         return values, len(values)
     checked = []
     for v in values:
@@ -112,7 +94,7 @@ class _Compiler:
                  check_determinism: bool, check_outputs: bool):
         self.gen = CodeGen()
         self.gen.ns.update(SimulationError=SimulationError, _U=_UNSET, _stuck=_stuck,
-                           _missing=_missing, _nondet=_nondet)
+                           _missing=_missing, _nondet=_nondet, at_tick=at_tick)
         self.check_determinism = check_determinism
         self.src = src
         self.atoms = [_AtomSlots(i, path, spec) for i, (path, spec) in enumerate(atoms)]
@@ -122,6 +104,8 @@ class _Compiler:
         for a in self.atoms:
             for c in a.spec.interface.outputs:
                 self.values[(a.path, c.name)] = (a.outs[c.name], c.ctype, a.trusted_out(c))
+        # checks of an atom's outputs, which its run makes when it builds its result
+        self.output_checks: list[str] = []
         self.lines = self._tick(name, interface, out_src, check_outputs)
 
     def _tick(self, name: str, interface: SyntacticInterface,
@@ -183,9 +167,10 @@ class _Compiler:
             if producer not in avail:
                 return fail(f"{name}: output {c.name!r} has no producer")
             _, ptype, trusted = self.values[producer]
-            if check_outputs and (ptype != c.ctype or not trusted):
-                lines.append(f"o{k} = {self.gen.const(c.ctype.check)}(o{k})")
-        return lines + [f"a{k}(o{k})" for k in range(len(outputs))]
+            if ptype != c.ctype or not trusted:
+                check = f"o{k} = {self.gen.const(c.ctype.check)}(o{k})"
+                (lines if check_outputs else self.output_checks).append(check)
+        return lines
 
     def _atom(self, a: _AtomSlots, snapshots: Mapping[tuple[str, str], str]) -> list[str]:
         """One atom's step: input checks, transition choice, actions, latch check."""
@@ -198,9 +183,9 @@ class _Compiler:
         # later entries shadow earlier ones: latched outputs, variables, inputs
         for c in spec.interface.outputs:
             trusted = a.trusted_out(c) and not (c.name in unset and c.name in labels)
-            names[c.name] = _slot(a.outs[c.name], c.ctype, trusted)
+            names[c.name] = slot(a.outs[c.name], c.ctype, trusted)
         for v in spec.variables:
-            names[v.name] = _slot(a.vars[v.name], v.dtype, v.dtype.contains(v.init))
+            names[v.name] = slot(a.vars[v.name], v.dtype, v.dtype.contains(v.init))
         for k, c in enumerate(spec.interface.inputs):
             producer = self.src[(a.path, c.name)]
             local, ptype, trusted = self.values[producer]
@@ -209,7 +194,7 @@ class _Compiler:
                 checked = f"c{a.index}_{k}"
                 lines.append(f"{checked} = {gen.const(c.ctype.check)}({local})")
                 local = checked
-            names[c.name] = _slot(local, c.ctype, True)
+            names[c.name] = slot(local, c.ctype, True)
 
         def name(ident: str, ctx: str) -> Code:
             unknown = f"_unknown({ident!r}{', ' + repr(ctx) if ctx else ''})"
@@ -331,20 +316,36 @@ class _Compiler:
             return f"{t} if ({t} := {src}) in {labels} else {check}({t})"
         return f"{check}({src})"
 
+    def _slots(self) -> list[str]:
+        return [n for a in self.atoms for n in a.names()]
+
     def function(self, inputs: int, outputs: int) -> Callable:
-        """fn(slots, rows, columns, fail): run one tick per row of input values,
-        appending outputs to columns and leaving the final state in slots; on an
-        exception, fail(exception, tick) is called before it propagates."""
-        slots = [n for a in self.atoms for n in a.names()]
+        """fn(slots, rows, columns): run one tick per row of input values,
+        appending outputs to columns and leaving the final state in slots; an
+        exception raises as a SimulationError at its tick."""
+        slots = self._slots()
         body = [f"{', '.join(slots)}, = S"] if slots else []
         body += [f"a{k} = cols[{k}].append" for k in range(outputs)]
-        row = f"({', '.join(f'x{k}' for k in range(inputs))},)" if inputs else "_"
-        body += ["t = 0", "try:", f"    for t, {row} in enumerate(rows, 1):",
-                 *_indent(_indent(self.lines or ["pass"])),
-                 "except Exception as e:", "    fail(e, t)", "    raise"]
+        body += ["t = 0", "try:", f"    for t, {unpack('x', inputs)} in enumerate(rows, 1):",
+                 *_indent(_indent(self.lines + [f"a{k}(o{k})" for k in range(outputs)]
+                                  or ["pass"])),
+                 "except Exception as e:", "    raise at_tick(e, t)"]
         if slots:
             body.append(f"S[:] = ({', '.join(slots)},)")
-        return self.gen.function("S, rows, cols, fail", body)
+        return self.gen.function("S, rows, cols", body)
+
+    def successors(self, inputs: int, outputs: int) -> list[str]:
+        """The body of succ(slots, rows, app): one tick from the configuration
+        `slots` on each row of input values, in order, calling app((outputs,
+        next slots)) for each; it returns the exception of the first row whose
+        tick fails, or None. Outputs are checked against their types in the
+        step, so a step that emits a value its run would reject fails."""
+        slots = self._slots()
+        restore = [f"{', '.join(slots)}, = S"] if slots else []
+        outs, nxt = "".join(f"o{k}, " for k in range(outputs)), "".join(f"{n}, " for n in slots)
+        tick = restore + self.lines + self.output_checks + [f"app((({outs}), ({nxt})))"]
+        return ["try:", f"    for {unpack('x', inputs)} in rows:", *_indent(_indent(tick)),
+                "except Exception as e:", "    return e", "return None"]
 
 
 def _indent(lines: list[str]) -> list[str]:
@@ -374,6 +375,10 @@ class Simulator:
         self.layout = [(a.path, tuple(a.vars), tuple(a.outs)) for a in compiler.atoms]
         self.initial_slots = tuple(v for a in compiler.atoms for v in a.initial())
         self.fn = compiler.function(len(self.inputs), len(self.outputs))
+        # the successor function is compiled on first use: only the checks need it
+        self._gen: CodeGen | None = compiler.gen
+        self._successor_body = compiler.successors(len(self.inputs), len(self.outputs))
+        self._successors: Callable | None = None
 
     def run(self, history: ChannelHistory, n: int) -> ChannelHistory:
         cols, ticks = [], max(n, 0)
@@ -383,7 +388,7 @@ class Simulator:
             ticks = min(ticks, valid)
         out: list[list[Any]] = [[] for _ in self.outputs]
         rows = zip(*cols) if cols else itertools.repeat((), ticks)
-        self.fn(list(self.initial_slots), rows, out, _fail_at_tick)
+        self.fn(list(self.initial_slots), rows, out)
         if ticks < max(n, 0):
             # the first tick with an invalid input value fails at its input check
             for c in self.inputs:
@@ -416,21 +421,24 @@ class Simulator:
             slots.append(atom.state)
             slots += [variables[v] for v in var_names]
             slots += [pending.get(o, _UNSET) for o in out_names]
-        out: list[list[Any]] = [[] for _ in self.outputs]
-        self.fn(slots, [row], out, _propagate)
-        return self._state(slots), {c.name: col[0] for c, col in zip(self.outputs, out)}
+        results, error = self.successors(slots, (row,))
+        if error is not None:
+            raise error
+        out, nxt = results[0]
+        return self._state(nxt), {c.name: v for c, v in zip(self.outputs, out)}
 
-    def advance(self, slots: tuple, row: tuple, tick: int) -> tuple[tuple, tuple]:
-        """One tick from the configuration `slots` on a row of input values
-        that conform to their types: the next configuration and the outputs.
-        An error raises as SimulationError at `tick`."""
-        state = list(slots)
-        out: list[list[Any]] = [[] for _ in self.outputs]
-        try:
-            self.fn(state, (row,), out, _propagate)
-        except Exception as e:
-            _fail_at_tick(e, tick)
-        return tuple(state), tuple(col[0] for col in out)
+    def successors(self, slots: Sequence[Any], rows: Sequence[tuple]
+                   ) -> tuple[list[tuple[tuple, tuple]], Exception | None]:
+        """One tick from the configuration `slots` on each row of input values
+        that conform to their types: (outputs, next configuration) per row, in
+        row order, up to the first row whose tick fails, and that failure's
+        exception (None when no row fails)."""
+        fn = self._successors
+        if fn is None:
+            fn = self._successors = self._gen.function("S, rows, app", self._successor_body)
+            self._gen = self._successor_body = None
+        results: list[tuple[tuple, tuple]] = []
+        return results, fn(slots, rows, results.append)
 
     def _state(self, slots: Sequence[Any]) -> ComponentState:
         """Slots as states; variables and outputs in declaration order."""
@@ -445,11 +453,9 @@ class Simulator:
         return CompositeState(tuple(states)) if self.composite else states[0][1]
 
 
-def _fail_at_tick(e: Exception, tick: int) -> None:
-    if isinstance(e, StreamcheckError):
-        raise SimulationError(str(e), tick=tick) from e
-    raise SimulationError(f"{type(e).__name__}: {e}", tick=tick) from e
-
-
-def _propagate(e: Exception, tick: int) -> None:
-    pass
+def at_tick(e: Exception, tick: int) -> SimulationError:
+    """An exception of a tick's step, as the SimulationError that reports it."""
+    message = str(e) if isinstance(e, StreamcheckError) else f"{type(e).__name__}: {e}"
+    error = SimulationError(message, tick=tick)
+    error.__cause__ = e
+    return error

@@ -91,6 +91,12 @@ def enumeration(*labels: str) -> DataType:
     return DataType(ENUM_KIND, labels=tuple(labels))
 
 
+def enum_labels(types: Iterable[DataType]) -> dict[str, str]:
+    """Every enumeration label of the types, bound to itself: how an
+    expression reads a name that is a label."""
+    return {label: label for t in types if t.kind == ENUM_KIND for label in t.labels}
+
+
 @dataclass(frozen=True)
 class TimedStream:
     """A finite prefix of a timed stream: one typed message per tick."""

@@ -1,28 +1,35 @@
-"""The enumerating checks that the exact ones replaced, kept as test oracles.
+"""The checks that the exact and compiled ones replaced, kept as test oracles.
 
 `verify_galois_by_masks` loops over every subset of the abstract universe;
 `causality_by_histories` runs every grid history of the horizon and compares
 outputs of histories that share an input prefix. Both are the former library
-implementations, minus their caps.
+implementations, minus their caps. `causality_by_search` is the former
+breadth-first search, which stepped each configuration one grid row at a
+time through the simulator's run loop (with one correction, see `_advance`). `eval_relation`, `abstract_output`,
+`g_membership` and `verify_galois` are the former versions that evaluated
+expressions in a dict environment built tick by tick.
 """
 
 import itertools
+from typing import Any, Callable, Iterable, Mapping, Optional
 
-from streamcheck.abstraction import (GaloisCounterexample, abstract_output, g_membership,
-                                     universe_elements)
-from streamcheck.components import (AutomatonSpec, CausalityCounterexample, STRICT,
+from streamcheck.abstraction import (GaloisCounterexample, GaloisSpec, RelationSpec,
+                                     _infer_type, fold_stream, universe_elements)
+from streamcheck.components import (AutomatonSpec, CausalityCounterexample, ComponentSpec,
+                                    STRICT, _counterexample, _simulator,
                                     representative_values, run)
-from streamcheck.streams import ChannelHistory, TimedStream
+from streamcheck.errors import (CapsExceededError, EvaluationError, SimulationError,
+                                TypeMismatchError)
+from streamcheck.codegen import Code, CodeGen
+from streamcheck.exprs import Expr
+from streamcheck.simulator import at_tick
+from streamcheck.streams import BOOL, ChannelHistory, DataType, ENUM_KIND, TimedStream
 
 
 def verify_galois_by_masks(gal):
     abs_elems, conc_elems = universe_elements(gal)
-
-    def key(h):
-        return tuple((c, h.streams[c].values) for c in sorted(h.streams))
-
-    abs_index = {key(h): i for i, h in enumerate(abs_elems)}
-    f_bit = [abs_index.get(key(abstract_output(gal, x))) for x in conc_elems]
+    abs_index = {_key(h): i for i, h in enumerate(abs_elems)}
+    f_bit = [abs_index.get(_key(abstract_output(gal, x))) for x in conc_elems]
     member = [[g_membership(gal, a, x) for x in conc_elems] for a in abs_elems]
     n_a, n_c = len(abs_elems), len(conc_elems)
     for ta_mask in range(2 ** n_a):
@@ -81,4 +88,207 @@ def causality_by_histories(spec, horizon=3, mode=None, values_per_channel=2):
                 h0, o0 = buckets[key]
                 if not prefix_equal(o0, out, out_t):
                     return CausalityCounterexample(t, h0, hist, o0, out)
+    return None
+
+
+def _advance(sim, slots: tuple, row: tuple, tick: int) -> tuple[tuple, tuple]:
+    """One tick from the configuration `slots` through the run loop: the next
+    configuration and the outputs. An error raises as SimulationError at `tick`.
+
+    Unlike the former `Simulator.advance`, it checks the outputs of an atom
+    whose initial outputs lie outside their types, as `run` does when it
+    builds its result: a step emitting such a value fails.
+    """
+    state = list(slots)
+    out: list[list[Any]] = [[] for _ in sim.outputs]
+    try:
+        sim.fn(state, (row,), out)
+        values = tuple(col[0] if sim.outputs_conform else c.ctype.check(col[0])
+                       for c, col in zip(sim.outputs, out))
+    except SimulationError as e:  # the run loop reports it at tick 1
+        raise at_tick(e.__cause__, tick) from None
+    except TypeMismatchError as e:
+        raise at_tick(e, tick) from None
+    return tuple(state), values
+
+
+def causality_by_search(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
+                        mode: str | None = None, values_per_channel: int = 2,
+                        stats: dict | None = None) -> Optional[CausalityCounterexample]:
+    if mode is None:
+        mode = spec.causality if isinstance(spec, AutomatonSpec) else STRICT
+    stats = {} if stats is None else stats
+    stats.update(configurations=0, steps=0)
+    if mode != STRICT:
+        return None
+    channels = spec.interface.inputs
+    rows = list(itertools.product(*(
+        [c.ctype.check(v) for v in representative_values(c.ctype, values_per_channel)]
+        for c in channels)))
+    sim = _simulator(spec)
+    start = sim.initial_slots
+    # configuration -> (parent configuration, input row); None for the start
+    parents: dict[tuple, Optional[tuple[tuple, tuple]]] = {start: None}
+    stats["configurations"] = 1
+    level = [start]
+    for t in range(horizon):
+        following = []
+        for config in level:
+            first = None
+            for row in rows:
+                nxt, out = _advance(sim, config, row, t + 1)
+                stats["steps"] += 1
+                if first is None:
+                    first = (row, out)
+                elif out != first[1]:
+                    return _counterexample(spec, parents, config, first[0], row, rows[0],
+                                           t, horizon)
+                if t + 1 < horizon and nxt not in parents:
+                    if len(parents) >= budget:
+                        raise CapsExceededError(
+                            f"causality search of {spec.name!r} reaches more than "
+                            f"{budget} configurations", len(parents) + 1, budget)
+                    parents[nxt] = (config, row)
+                    stats["configurations"] = len(parents)
+                    following.append(nxt)
+        level = following
+    return None
+
+
+def compile_expr(expr: Expr) -> Callable[[Mapping[str, Any]], Any]:
+    """Compile an expression into a function of a name environment.
+
+    The function returns what `evaluate` returns and raises the same
+    EvaluationErrors. It is built once and cached on the expression node.
+    """
+    fn = expr.__dict__.get("_compiled")
+    if fn is None:
+        gen = CodeGen()
+        code = gen.expr(expr, lambda ident, ctx: Code(f"_env[{ident!r}]", None))
+        fn = gen.function("_env", [
+            "try:",
+            f"    return {code.src}",
+            "except KeyError as e:",
+            "    raise EvaluationError(f'unknown name {e.args[0]!r}') from None"])
+        expr.__dict__["_compiled"] = fn
+    return fn
+
+
+def _labels_of(histories: Iterable[ChannelHistory]) -> dict[str, str]:
+    env = {}
+    for h in histories:
+        for s in h.streams.values():
+            if s.elem_type.kind == ENUM_KIND:
+                for label in s.elem_type.labels:
+                    env[label] = label
+    return env
+
+
+def _enum_labels_from_types(types: Mapping[str, DataType]) -> dict[str, str]:
+    env = {}
+    for t in types.values():
+        if t.kind == ENUM_KIND:
+            for label in t.labels:
+                env[label] = label
+    return env
+
+
+def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tuple[bool, list[bool]]:
+    """Evaluate a relation tick-wise over an abstract/concrete history pair."""
+    overlap = set(a.streams) & set(c.streams)
+    if overlap:
+        raise TypeMismatchError(f"paired histories share channel names {sorted(overlap)}")
+    if a.horizon != c.horizon:
+        raise TypeMismatchError(f"horizon mismatch: {a.horizon} vs {c.horizon}")
+    if rel.checker is not None:
+        combined = a.merged(c)
+        out = run(rel.checker, combined, combined.horizon)
+        out_names = rel.checker.interface.output_names()
+        if len(out_names) != 1 or rel.checker.interface.outputs[0].ctype != BOOL:
+            raise TypeMismatchError(f"checker {rel.checker.name!r} must have one boolean output")
+        ticks = list(out.streams[out_names[0]].values)
+        return fold_stream(ticks), ticks
+    holds = compile_expr(rel.expr)
+    # labels first, then abstract, then concrete channels: a channel shadows a label
+    env = _labels_of((a, c))
+    names = [*a.streams, *c.streams]
+    columns = [s.values for s in a.streams.values()] + [s.values for s in c.streams.values()]
+    rows = zip(*columns) if columns else itertools.repeat((), a.horizon)
+    ticks = []
+    for t, row in enumerate(rows, start=1):
+        env.update(zip(names, row))
+        v = holds(env)
+        if not isinstance(v, bool):
+            raise EvaluationError(f"relation {rel.name!r} is not boolean at tick {t}")
+        ticks.append(v)
+    return fold_stream(ticks), ticks
+
+
+def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
+    """Apply the abstraction map element-wise to a concrete history."""
+    available = set(c_out.streams)
+    entries = gal.f_entries_for(available)
+    if not entries:
+        raise EvaluationError(f"galois {gal.name!r}: no abstraction map entry is "
+                              f"applicable to channels {sorted(available)}")
+    labels = _labels_of((c_out,))
+    labels.update(_enum_labels_from_types(gal.channel_types))
+    columns: dict[str, list[Any]] = {chan: [] for chan, _ in entries}
+    maps = [(columns[chan], compile_expr(e)) for chan, e in entries]
+    for t in range(1, c_out.horizon + 1):
+        env = {**labels, **c_out.tick(t)}
+        for column, f in maps:
+            column.append(f(env))
+    streams = {}
+    for chan, col in columns.items():
+        dtype = gal.channel_types.get(chan)
+        if dtype is None:
+            dtype = _infer_type(col)
+        streams[chan] = TimedStream.of(dtype, col)
+    return ChannelHistory(streams, c_out.horizon)
+
+
+def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHistory) -> bool:
+    """Does the concrete history belong to g({abstract})?"""
+    if abstract.horizon != concrete.horizon:
+        raise TypeMismatchError("horizon mismatch in membership check")
+    labels = _labels_of((abstract, concrete))
+    labels.update(_enum_labels_from_types(gal.channel_types))
+    if gal.member is not None:
+        member = compile_expr(gal.member)
+        for t in range(1, abstract.horizon + 1):
+            env = {**labels, **abstract.tick(t), **concrete.tick(t)}
+            if not member(env):
+                return False
+        return True
+    # adjoint default: f(concrete) must equal the abstract values, tick-wise
+    entries = [(chan, e) for chan, e in gal.f_entries_for(set(concrete.streams))
+               if chan in abstract.streams]
+    if not entries:
+        raise EvaluationError(f"galois {gal.name!r}: no applicable membership entries")
+    maps = [(chan, compile_expr(e)) for chan, e in entries]
+    for t in range(1, abstract.horizon + 1):
+        env = {**labels, **concrete.tick(t)}
+        for chan, f in maps:
+            if f(env) != abstract.at(chan, t):
+                return False
+    return True
+
+
+def _key(h: ChannelHistory):
+    return tuple((c, h.streams[c].values) for c in sorted(h.streams))
+
+
+def verify_galois(gal: GaloisSpec) -> Optional[GaloisCounterexample]:
+    """The pointwise decision of the law, with one g_membership call per
+    element pair, minus the caps."""
+    abs_elems, conc_elems = universe_elements(gal)
+    abs_index = {_key(h): i for i, h in enumerate(abs_elems)}
+    f_bit = [abs_index.get(_key(abstract_output(gal, x))) for x in conc_elems]
+    member = [[g_membership(gal, a, x) for x in conc_elems] for a in abs_elems]
+    for i, a in enumerate(abs_elems):
+        for j, x in enumerate(conc_elems):
+            lhs = f_bit[j] == i
+            if member[i][j] != lhs:
+                return GaloisCounterexample((x,), (a,), lhs=lhs, rhs=member[i][j])
     return None

@@ -345,11 +345,13 @@ class DocGen:
         return ChannelHistory({c.name: TimedStream(c.ctype, tuple(columns[c.name]))
                                for c in channels}, horizon)
 
-    def leaky(self):
+    def leaky(self, failing: bool = False):
         """A weak automaton over int[0..3] and bool whose transitions now and
         then emit the input of the same tick, in states and with a counter
         variable reached only after some ticks, so that strict causality
-        fails at varying depths or not at all."""
+        fails at varying depths or not at all. With `failing`, some
+        transitions divide by zero on some inputs or counter values, so a
+        step fails before or after a divergence."""
         r = self.rng
         sig = bounded_int(0, 3)
         x, en, y = Channel("x", sig, "input"), Channel("en", BOOL, "input"), Channel("y", sig, "output")
@@ -359,6 +361,8 @@ class DocGen:
         for i, source in enumerate(states):
             for _ in range(r.randint(1, 2)):
                 out = "x" if r.random() < 0.2 else str(r.randint(0, 3))
+                if failing and r.random() < 0.4:
+                    out = r.choice(["3 / (3 - x)", "3 / (x - k)", "abs(2 / (k - 1))", "x / k"])
                 target = states[min(i + 1, len(states) - 1)] if r.random() < 0.7 else r.choice(states)
                 update = r.choice(["min(k + 1, 2)", "0", "k"])
                 transitions.append(Transition(source, target, parse_expression(r.choice(guards)),

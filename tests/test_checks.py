@@ -1,8 +1,9 @@
 """Differential tests of the exact checks against the enumerating ones.
 
-`check_oracles` keeps the subset loop that decided the Galois law and the
-search that ran every grid history for causality; the exact checks must
-give the same answers.
+`check_oracles` keeps the subset loop that decided the Galois law, the
+search that ran every grid history for causality and the search that
+stepped each configuration one grid row at a time; the checks must give the
+same answers, and the successor search the same counts and errors too.
 """
 
 import random
@@ -11,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from check_oracles import causality_by_histories, prefix_equal, verify_galois_by_masks
+from check_oracles import (causality_by_histories, causality_by_search, prefix_equal,
+                           verify_galois_by_masks)
 from docgen import DocGen
 from streamcheck.abstraction import GaloisSpec, Universe, verify_galois
 from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
                                     check_causality, run)
 from streamcheck.errors import SimulationError, StreamcheckError
 from streamcheck.exprs import parse_expression
-from streamcheck.streams import bounded_int
+from streamcheck.streams import BOOL, bounded_int
 
 
 def _galois(rng, a_values, c_values, horizon):
@@ -111,3 +113,82 @@ def test_causality_error_names_the_tick_of_the_failing_step():
         check_causality(spec, horizon=3)
     assert info.value.tick == 2
 
+
+
+def _search(fn, spec, **kwargs):
+    """What a causality search returns or raises, and the counts it leaves."""
+    stats = {}
+    try:
+        return ("returned", fn(spec, stats=stats, **kwargs), stats)
+    except StreamcheckError as e:
+        return ("raised", type(e), str(e), getattr(e, "tick", None), stats)
+
+
+def _same_search(spec, horizon, mode, budget):
+    kwargs = dict(budget=budget, horizon=horizon, mode=mode)
+    assert _search(check_causality, spec, **kwargs) == _search(causality_by_search, spec, **kwargs)
+
+
+_BUDGETS = st.sampled_from([1, 2, 3, 5, 10 ** 6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from([None, "strict"]), _BUDGETS)
+def test_successor_search_matches_row_by_row_search_on_automata(seed, horizon, mode, budget):
+    _same_search(DocGen(random.Random(seed)).rich_automaton(), horizon, mode, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), _BUDGETS)
+def test_successor_search_matches_row_by_row_search_on_chains(seed, horizon, budget):
+    gen = DocGen(random.Random(seed))
+    _same_search(gen.chain(gen.rng.randint(1, 5)), horizon, "strict", budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), _BUDGETS)
+def test_successor_search_matches_row_by_row_search_on_failing_rows(seed, horizon, budget):
+    _same_search(DocGen(random.Random(seed)).leaky(failing=True), horizon, "strict", budget)
+
+
+def _divergent_then_failing(en_output):
+    """Weak over (x, en): with en off it emits 3 / (3 - x), with en on it
+    emits `en_output`. The grid rows are (0, F), (0, T), (3, F), (3, T), so
+    row 2 divides by zero and row 1 may diverge from row 0 first."""
+    x, en = Channel("x", bounded_int(0, 3), "input"), Channel("en", BOOL, "input")
+    y = Channel("y", bounded_int(0, 3), "output")
+    return AutomatonSpec(
+        name="Divergent", interface=SyntacticInterface((x, en), (y,)), states=("Run",),
+        initial="Run", causality="weak",
+        transitions=(Transition("Run", "Run", parse_expression("en"),
+                                (("y", parse_expression(en_output)),)),
+                     Transition("Run", "Run", outputs=(("y", parse_expression("3 / (3 - x)")),))))
+
+
+def test_a_divergence_wins_over_a_later_failing_row():
+    stats = {}
+    cex = check_causality(_divergent_then_failing("0"), horizon=2, mode="strict", stats=stats)
+    assert cex is not None and cex.tick == 0
+    assert stats == {"configurations": 2, "steps": 2}
+
+
+def test_a_failing_row_without_an_earlier_divergence_raises_at_its_tick():
+    stats = {}
+    with pytest.raises(SimulationError, match="division by zero") as info:
+        check_causality(_divergent_then_failing("1"), horizon=2, mode="strict", stats=stats)
+    assert info.value.tick == 1
+    assert stats == {"configurations": 2, "steps": 2}
+
+
+def test_an_initial_output_outside_its_type_fails_at_the_tick_that_emits_it():
+    # `bad` starts outside its type and is never assigned; `y` leaks the
+    # input, so the rows diverge, but no run of this component succeeds
+    x, y = Channel("x", BOOL, "input"), Channel("y", BOOL, "output")
+    spec = AutomatonSpec(
+        name="BadInit", interface=SyntacticInterface((x,), (y, Channel("bad", BOOL, "output"))),
+        states=("Run",), initial="Run", causality="weak",
+        transitions=(Transition("Run", "Run", outputs=(("y", parse_expression("x")),)),),
+        output_init={"bad": 1})
+    with pytest.raises(SimulationError, match="value 1 is not a valid bool") as info:
+        check_causality(spec, horizon=2, mode="strict")
+    assert info.value.tick == 1

@@ -80,6 +80,14 @@ def test_concretize_with_params(tmp_path, capsys):
     assert "i_c" in text and "2.5" in text and "-3.6" in text
 
 
+def test_concretize_bad_param_value_names_the_flag(capsys):
+    code = main(["concretize", "--model", ENCODER, "--refinement", "Encoder",
+                 "--vectors", str(fixture_path("encoder_concretize.tv.csv")),
+                 "--param", "mag=abc"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --param mag: expected a real number, found 'abc'\n"
+
+
 def test_concretize_refinement_chain(capsys):
     code = main(["concretize", "--model", BRAKE, "--model", ACC, "--model", ACC_REF,
                  "--refinement", "AccRefinement",
@@ -139,6 +147,14 @@ def test_verify_galois_json_counts_pairs(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["ok"] is True
     assert payload["pairs"] == 3 * 2
+
+
+@pytest.mark.parametrize("caps", ["0", "-1"])
+def test_verify_galois_caps_below_1_exit_2(caps, capsys):
+    code = main(["verify-galois", "--model", ENCODER, "--galois", "EncGalois", "--caps", caps])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"must be at least 1, got {caps}" in err and "refusing" not in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from check_oracles import compile_expr
 from docgen import DocGen
 from interp_oracle import run_interpreted
 from streamcheck import load_models
@@ -21,7 +22,7 @@ from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, 
                                     VariableDecl, check_causality, initial_state, run, step)
 from streamcheck.codegen import UNBOUNDED, Code, CodeGen, kind_of_value
 from streamcheck.errors import EvaluationError, SimulationError, StreamcheckError
-from streamcheck.exprs import compile_expr, evaluate, parse_expression
+from streamcheck.exprs import evaluate, parse_expression
 from streamcheck.streams import (BOOL, REAL, ChannelHistory, TimedStream, bounded_int,
                                  enumeration)
 
