@@ -9,6 +9,7 @@ concretizers, and the derived bool-stream output checker.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
@@ -273,16 +274,19 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP,
     T_a bitmasks. When `stats` is given, stats["pairs"] is set to the number
     of element pairs decided.
     """
-    if gal.universe is not None and gal.universe.horizon > horizon_cap:
-        raise CapsExceededError(
-            f"universe horizon {gal.universe.horizon} exceeds cap {horizon_cap}",
-            gal.universe.horizon, horizon_cap)
+    u = gal.universe
+    if u is not None:
+        if u.horizon > horizon_cap:
+            raise CapsExceededError(f"universe horizon {u.horizon} exceeds cap {horizon_cap}",
+                                    u.horizon, horizon_cap)
+        # a side has prod |values|^horizon elements: refuse before building any
+        for name, side in (("abstract", u.abstract), ("concrete", u.concrete)):
+            size = math.prod(len(values) ** u.horizon for _, values in side)
+            if size > element_cap:
+                raise CapsExceededError(
+                    f"{name} universe has {size} elements, cap is {element_cap}",
+                    size, element_cap)
     abs_elems, conc_elems = universe_elements(gal)
-    for name, elems in (("abstract", abs_elems), ("concrete", conc_elems)):
-        if len(elems) > element_cap:
-            raise CapsExceededError(
-                f"{name} universe has {len(elems)} elements, cap is {element_cap}",
-                len(elems), element_cap)
 
     def key(h: ChannelHistory):
         return tuple((c, h.streams[c].values) for c in sorted(h.streams))

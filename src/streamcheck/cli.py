@@ -368,12 +368,17 @@ def _int_at_least(minimum: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix would turn an option that a
+    # subcommand lacks into one it has (`--mode` into `--model`)
     parser = argparse.ArgumentParser(
-        prog="streamcheck",
+        prog="streamcheck", allow_abbrev=False,
         description="Simulate timed-stream component models, run test-cases, "
                     "concretize abstract cases, and check refinements.")
     parser.add_argument("--version", action="version", version=f"streamcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def common(p, vectors=False, simulates=False):
         p.add_argument("--model", action="append", required=True,
@@ -386,33 +391,32 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--check-determinism", action="store_true",
                            help="error when two transitions are enabled at once")
 
-    p = sub.add_parser("simulate", help="run a component on input vectors")
+    p = command("simulate", help="run a component on input vectors")
     common(p, vectors=True, simulates=True)
     p.add_argument("--component", required=True)
     p.add_argument("--ticks", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("test", help="execute test-cases and report verdicts")
+    p = command("test", help="execute test-cases and report verdicts")
     common(p, vectors=True, simulates=True)
     p.add_argument("--component", required=True)
     p.add_argument("--eps", type=float, default=0.0,
                    help="absolute tolerance for real64 comparisons")
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("concretize", help="turn abstract test-cases into concrete ones")
+    p = command("concretize", help="turn abstract test-cases into concrete ones")
     common(p, vectors=True)
     p.add_argument("--refinement", required=True)
     p.add_argument("--param", action="append", help="parameter binding name=value; repeatable")
     p.add_argument("--out", help="output .tv.csv path (default: stdout)")
     p.set_defaults(func=cmd_concretize)
 
-    p = sub.add_parser("check", help="check abstract/concrete correspondence (RI implies RO)")
+    p = command("check", help="check abstract/concrete correspondence (RI implies RO)")
     common(p, vectors=True)
     p.add_argument("--refinement", required=True)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("verify-galois",
-                       help="decide the Galois connection law on the bounded universe")
+    p = command("verify-galois", help="decide the Galois connection law on the bounded universe")
     common(p)
     p.add_argument("--refinement")
     p.add_argument("--galois")
@@ -420,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max universe elements per side")
     p.set_defaults(func=cmd_verify_galois)
 
-    p = sub.add_parser("causality", help="search the reachable configurations for "
-                                         "causality violations")
+    p = command("causality", help="search the reachable configurations for "
+                                  "causality violations")
     common(p)
     p.add_argument("--component", required=True)
     p.add_argument("--ticks", type=_int_at_least(1), default=3)

@@ -8,7 +8,7 @@ exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable
 
 from . import exprs
 from .abstraction import (ConcretizerSpec, GaloisSpec, ParamDecl, RelationSpec,
@@ -120,12 +120,10 @@ class _Parser:
         return False
 
     def expect_ident(self, what: str) -> str | None:
-        tok = self.c.peek()
-        if tok.kind == IDENT:
-            self.c.advance()
-            return tok.value
-        self.error(f"expected {what}, found {tok.value!r}")
-        return None
+        value = self.c.take_ident()
+        if value is None:
+            self.error(f"expected {what}, found {self.c.peek().value!r}")
+        return value
 
     def sync_top(self) -> None:
         depth = 0
@@ -141,18 +139,43 @@ class _Parser:
                 return
             self.c.advance()
 
+    def block(self, what: str, tok: Token, body: dict[str, Any]) -> bool:
+        """Parse the items of a `{ ... }` block through its closing brace. Each
+        item dispatches on its keyword through `_ITEMS[what]` and stores what
+        it parses in `body`; False when the declaration is to be dropped."""
+        items, c = _ITEMS[what], self.c
+        while not c.take_punct("}"):
+            kw = c.peek()
+            if kw.kind == EOF:
+                self.error(f"unterminated {what} block", tok)
+                return False
+            item = items.get(kw.value) if kw.kind == IDENT else None
+            if item is None:
+                where = "body" if what == "component" else "block"
+                self.error(f"unexpected {kw.value!r} in {what} {where}")
+                c.advance()
+                continue
+            c.advance()
+            if item(self, body, kw.value) is False:
+                return False
+        return True
+
     def parse_expr(self) -> Expr:
         try:
             return exprs.parse_expr(self.c)
         except exprs.ExprSyntaxError as e:
-            self.error(str(e).split(": ", 1)[-1])
+            self.diagnostics.append(Diagnostic(e.line, e.column, e.message))
             return TRUE
 
     def parse_literal(self) -> Any:
         tok = self.c.peek()
         if tok.kind == INT:
             self.c.advance()
-            return int(tok.value)
+            try:
+                return exprs.int_literal(tok)
+            except exprs.ExprSyntaxError as e:
+                self.error(e.message, tok)
+                return 0
         if tok.kind == REAL:
             self.c.advance()
             return float(tok.value)
@@ -269,52 +292,15 @@ class _Parser:
                 break
         if not self.expect_punct("{"):
             return
-        inputs: list[Channel] = []
-        outputs: list[Channel] = []
-        variables: list[VariableDecl] = []
-        states: list[str] = []
-        initial: str | None = None
-        transitions: list[Transition] = []
-        output_init: dict[str, Any] = {}
-        subs: list[tuple[str, ComponentSpec]] = []
-        wiring: list[Connector] = []
-        while not self.c.take_punct("}"):
-            kw = self.c.peek()
-            if kw.kind == EOF:
-                self.error("unterminated component block", tok)
-                return
-            if self.c.take_word("input"):
-                ch = self.channel_decl("input")
-                if ch:
-                    inputs.append(ch)
-            elif self.c.take_word("output"):
-                item = self.output_decl()
-                if item:
-                    ch, init = item
-                    outputs.append(ch)
-                    if init is not None:
-                        output_init[ch.name] = init
-            elif self.c.take_word("var"):
-                v = self.var_decl()
-                if v:
-                    variables.append(v)
-            elif self.c.take_word("states"):
-                states, initial = self.states_decl()
-            elif self.c.take_word("transition"):
-                t = self.transition_decl()
-                if t:
-                    transitions.append(t)
-            elif self.c.take_word("sub"):
-                s = self.sub_decl()
-                if s:
-                    subs.append(s)
-            elif self.c.take_word("connect"):
-                w = self.connect_decl()
-                if w:
-                    wiring.append(w)
-            else:
-                self.error(f"unexpected {kw.value!r} in component body")
-                self.c.advance()
+        body: dict[str, Any] = {"input": [], "output": [], "var": [], "states": ([], None),
+                                "transition": [], "sub": [], "connect": []}
+        if not self.block("component", tok, body):
+            return
+        inputs, variables, transitions = body["input"], body["var"], body["transition"]
+        outputs = [ch for ch, _ in body["output"]]
+        output_init = {ch.name: init for ch, init in body["output"] if init is not None}
+        states, initial = body["states"]
+        subs, wiring = body["sub"], body["connect"]
         if subs or wiring:
             if states or transitions or variables:
                 self.error(f"component {name!r} mixes automaton and composite items", tok)
@@ -406,7 +392,6 @@ class _Parser:
         if self.c.take_word("when"):
             guard = self.parse_expr()
         outputs: list[tuple[str, Expr]] = []
-        updates: list[tuple[str, Expr]] = []
         if self.c.take_punct("{"):
             while not self.c.take_punct("}"):
                 if self.c.peek().kind == EOF:
@@ -420,7 +405,6 @@ class _Parser:
                     # split into outputs vs variable updates once declarations are known
                     outputs.append((name, expr))
                 self.c.take_punct(";")
-        del updates
         if first is None or target is None:
             return None
         return Transition(first, target, guard, tuple(outputs), (), label)
@@ -489,54 +473,11 @@ class _Parser:
         name = self.expect_ident("galois name") or "_"
         if not self.expect_punct("{"):
             return
-        abstract = concrete = None
-        f_map: list[tuple[str, Expr]] = []
-        member: Expr | None = None
-        uni_items: list[tuple[str, tuple[Any, ...]]] = []
-        horizon = 1
-        has_universe = False
-        while not self.c.take_punct("}"):
-            if self.c.peek().kind == EOF:
-                self.error("unterminated galois block", tok)
-                return
-            if self.c.take_word("abstract"):
-                abstract = self.component_ref()
-            elif self.c.take_word("concrete"):
-                concrete = self.component_ref()
-            elif self.c.take_word("map"):
-                chan = self.expect_ident("abstract channel")
-                if self.expect_punct(":=") and chan:
-                    f_map.append((chan, self.parse_expr()))
-            elif self.c.take_word("member"):
-                member = self.parse_expr()
-            elif self.c.take_word("universe"):
-                has_universe = True
-                if not self.expect_punct("{"):
-                    return
-                while not self.c.take_punct("}"):
-                    if self.c.peek().kind == EOF:
-                        self.error("unterminated universe block", tok)
-                        return
-                    if self.c.take_word("horizon"):
-                        h = self.parse_literal()
-                        if isinstance(h, int) and h >= 0:
-                            horizon = h
-                        else:
-                            self.error("horizon must be a non-negative integer")
-                    else:
-                        chan = self.expect_ident("channel name")
-                        if not self.c.take_word("in") or not self.expect_punct("{"):
-                            self.error("expected 'in { v, ... }'")
-                            return
-                        values = [self.parse_literal()]
-                        while self.c.take_punct(","):
-                            values.append(self.parse_literal())
-                        self.expect_punct("}")
-                        if chan:
-                            uni_items.append((chan, tuple(values)))
-            else:
-                self.error(f"unexpected {self.c.peek().value!r} in galois block")
-                self.c.advance()
+        body: dict[str, Any] = {"abstract": None, "concrete": None, "map": [], "member": None,
+                                "universe": None, "horizon": 1, "tok": tok}
+        if not self.block("galois", tok, body):
+            return
+        abstract, concrete = body["abstract"], body["concrete"]
         channel_types: dict[str, DataType] = {}
         abs_chans: set[str] = set()
         conc_chans: set[str] = set()
@@ -547,9 +488,9 @@ class _Parser:
                     channel_types[c.name] = c.ctype
                     chans.add(c.name)
         universe = None
-        if has_universe:
+        if body["universe"] is not None:
             abs_side, conc_side = [], []
-            for chan, values in uni_items:
+            for chan, values in body["universe"]:
                 dtype = channel_types.get(chan)
                 if dtype is not None:
                     try:
@@ -563,10 +504,46 @@ class _Parser:
                     conc_side.append((chan, values))
                 else:
                     self.error(f"universe channel {chan!r} not found in the bound components", tok)
-            universe = Universe(tuple(abs_side), tuple(conc_side), horizon)
-        gal = GaloisSpec(name, tuple(f_map), member, universe,
+            universe = Universe(tuple(abs_side), tuple(conc_side), body["horizon"])
+        gal = GaloisSpec(name, tuple(body["map"]), body["member"], universe,
                          abstract, concrete, channel_types)
         self.register(self.doc.galois, name, gal, "galois", tok)
+
+    def map_decl(self) -> tuple[str, Expr] | None:
+        chan = self.expect_ident("abstract channel")
+        if self.expect_punct(":=") and chan:
+            return chan, self.parse_expr()
+        return None
+
+    def universe_decl(self, body: dict[str, Any], kw: str) -> bool:
+        """A galois block's `universe { ... }`; its channels add to those of
+        earlier universe blocks. False drops the galois declaration."""
+        if body["universe"] is None:
+            body["universe"] = []
+        if not self.expect_punct("{"):
+            return False
+        while not self.c.take_punct("}"):
+            if self.c.peek().kind == EOF:
+                self.error("unterminated universe block", body["tok"])
+                return False
+            if self.c.take_word("horizon"):
+                h = self.parse_literal()
+                if isinstance(h, int) and h >= 0:
+                    body["horizon"] = h
+                else:
+                    self.error("horizon must be a non-negative integer")
+            else:
+                chan = self.expect_ident("channel name")
+                if not self.c.take_word("in") or not self.expect_punct("{"):
+                    self.error("expected 'in { v, ... }'")
+                    return False
+                values = [self.parse_literal()]
+                while self.c.take_punct(","):
+                    values.append(self.parse_literal())
+                self.expect_punct("}")
+                if chan:
+                    body["universe"].append((chan, tuple(values)))
+        return True
 
     def component_ref(self) -> str | None:
         tok = self.c.peek()
@@ -581,59 +558,92 @@ class _Parser:
         name = self.expect_ident("concretizer name") or "_"
         if not self.expect_punct("{"):
             return
-        component: ComponentSpec | None = None
-        params: list[ParamDecl] = []
-        while not self.c.take_punct("}"):
-            if self.c.peek().kind == EOF:
-                self.error("unterminated concretizer block", tok)
-                return
-            if self.c.take_word("component"):
-                ref = self.component_ref()
-                if ref:
-                    component = self.lookup("components", ref)
-            elif self.c.take_word("param"):
-                pname = self.expect_ident("parameter name")
-                self.expect_punct(":")
-                dtype = self.parse_type()
-                if pname and dtype:
-                    params.append(ParamDecl(pname, dtype))
-            else:
-                self.error(f"unexpected {self.c.peek().value!r} in concretizer block")
-                self.c.advance()
-        if component is None:
+        body: dict[str, list] = {"component": [], "param": []}
+        if not self.block("concretizer", tok, body):
+            return
+        if not body["component"]:
             self.error(f"concretizer {name!r} names no component", tok)
             return
+        component = self.lookup("components", body["component"][-1])
         self.register(self.doc.concretizers, name,
-                      ConcretizerSpec(name, component, tuple(params)), "concretizer", tok)
+                      ConcretizerSpec(name, component, tuple(body["param"])), "concretizer", tok)
+
+    def param_decl(self) -> ParamDecl | None:
+        pname = self.expect_ident("parameter name")
+        self.expect_punct(":")
+        dtype = self.parse_type()
+        if pname and dtype:
+            return ParamDecl(pname, dtype)
+        return None
 
     def item_refinement(self) -> None:
         tok = self.c.advance()
         name = self.expect_ident("refinement name") or "_"
         if not self.expect_punct("{"):
             return
-        fields: dict[str, str | None] = {"abstract": None, "concrete": None, "ri": None,
-                                         "ro": None, "galois": None, "concretizer": None}
-        registries = {"abstract": "components", "concrete": "components",
-                      "ri": "relations", "ro": "relations",
-                      "galois": "galois", "concretizer": "concretizers"}
-        while not self.c.take_punct("}"):
-            kw = self.c.peek()
-            if kw.kind == EOF:
-                self.error("unterminated refinement block", tok)
-                return
-            if kw.kind == IDENT and kw.value in fields:
-                self.c.advance()
-                ref_tok = self.c.peek()
-                ref = self.expect_ident("reference")
-                if ref is not None and self.lookup(registries[kw.value], ref) is None:
-                    self.error(f"unresolved {kw.value} reference {ref!r}", ref_tok)
-                else:
-                    fields[kw.value] = ref
-            else:
-                self.error(f"unexpected {kw.value!r} in refinement block")
-                self.c.advance()
-        self.register(self.doc.refinements, name, RefinementSpec(name, **fields),
+        body: dict[str, str | None] = dict.fromkeys(_REFERENCES)
+        if not self.block("refinement", tok, body):
+            return
+        self.register(self.doc.refinements, name, RefinementSpec(name, **body),
                       "refinement", tok)
+
+    def reference_decl(self, body: dict[str, Any], kw: str) -> None:
+        """A refinement's `<kw> IDENT`; an unresolved name keeps the earlier one."""
+        ref_tok = self.c.peek()
+        ref = self.expect_ident("reference")
+        if ref is not None and self.lookup(_REFERENCES[kw], ref) is None:
+            self.error(f"unresolved {kw} reference {ref!r}", ref_tok)
+        else:
+            body[kw] = ref
+
+
+# The registry a refinement's reference of each keyword names.
+_REFERENCES = {"abstract": "components", "concrete": "components",
+               "ri": "relations", "ro": "relations",
+               "galois": "galois", "concretizer": "concretizers"}
+
+
+def _collect(parse):
+    """A block item whose results, None excepted, are kept in order under its keyword."""
+    def item(parser: _Parser, body: dict[str, Any], kw: str) -> None:
+        value = parse(parser)
+        if value is not None:
+            body[kw].append(value)
+    return item
+
+
+def _last(parse):
+    """A block item whose last result is kept under its keyword."""
+    def item(parser: _Parser, body: dict[str, Any], kw: str) -> None:
+        body[kw] = parse(parser)
+    return item
+
+
+# Block kind -> item keyword -> item(parser, body, keyword), called after the
+# keyword is taken; an item returning False drops the declaration.
+_ITEMS: dict[str, dict[str, Callable]] = {
+    "component": {
+        "input": _collect(lambda p: p.channel_decl("input")),
+        "output": _collect(_Parser.output_decl),
+        "var": _collect(_Parser.var_decl),
+        "states": _last(_Parser.states_decl),
+        "transition": _collect(_Parser.transition_decl),
+        "sub": _collect(_Parser.sub_decl),
+        "connect": _collect(_Parser.connect_decl),
+    },
+    "galois": {
+        "abstract": _last(_Parser.component_ref),
+        "concrete": _last(_Parser.component_ref),
+        "map": _collect(_Parser.map_decl),
+        "member": _last(_Parser.parse_expr),
+        "universe": _Parser.universe_decl,
+    },
+    "concretizer": {
+        "component": _collect(_Parser.component_ref),
+        "param": _collect(_Parser.param_decl),
+    },
+    "refinement": dict.fromkeys(_REFERENCES, _Parser.reference_decl),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence, Union
 
 from .errors import EvaluationError
-from .lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, tokenize
+from .lexing import EOF, IDENT, INT, REAL, Cursor, Token, tokenize
 
 Expr = Union["Lit", "Name", "Unary", "Binary", "Call"]
 
@@ -170,13 +170,24 @@ def _floor(value: Any, ctx: str = "") -> int:
 class ExprSyntaxError(EvaluationError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
 
+def int_literal(tok: Token) -> int:
+    """The value of an INT token; one with more digits than Python converts
+    to an int is a syntax error at the token."""
+    try:
+        return int(tok.value)
+    except ValueError:
+        raise ExprSyntaxError(f"integer literal too long ({len(tok.value)} digits)",
+                              tok.line, tok.column) from None
+
+
 def parse_expr(cursor: Cursor) -> Expr:
     """Parse an expression off a token cursor (stops at the first non-operator)."""
-    return _parse_or(cursor)
+    return _parse_binary(cursor, 1)
 
 
 def parse_expression(text: str) -> Expr:
@@ -185,69 +196,42 @@ def parse_expression(text: str) -> Expr:
         d = diags[0]
         raise ExprSyntaxError(d.message, d.line, d.column)
     cursor = Cursor(tokens)
-    expr = _parse_or(cursor)
+    expr = _parse_binary(cursor, 1)
     tok = cursor.peek()
     if tok.kind != EOF:
         raise ExprSyntaxError(f"unexpected trailing {tok.value!r}", tok.line, tok.column)
     return expr
 
 
-def _parse_or(c: Cursor) -> Expr:
-    node = _parse_and(c)
-    while c.at_word("or"):
-        c.advance()
-        node = Binary("or", node, _parse_and(c))
-    return node
+# Binary operators by precedence; `not` sits at 3 and unary '-' above 6.
+# Keywords and punctuation never share a spelling, so a token's value alone
+# tells whether it is an operator.
+_PRECEDENCE = {"or": 1, "and": 2, "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+               "+": 5, "-": 5, "*": 6, "/": 6}
 
 
-def _parse_and(c: Cursor) -> Expr:
-    node = _parse_not(c)
-    while c.at_word("and"):
-        c.advance()
-        node = Binary("and", node, _parse_not(c))
-    return node
-
-
-def _parse_not(c: Cursor) -> Expr:
-    if c.take_word("not"):
-        return Unary("not", _parse_not(c))
-    return _parse_cmp(c)
-
-
-def _parse_cmp(c: Cursor) -> Expr:
-    node = _parse_add(c)
-    t = c.peek()
-    if t.kind == PUNCT and t.value in _CMP_OPS:
-        c.advance()
-        node = Binary(t.value, node, _parse_add(c))
-    return node
-
-
-def _parse_add(c: Cursor) -> Expr:
-    node = _parse_mul(c)
+def _parse_binary(c: Cursor, min_prec: int) -> Expr:
+    """Precedence climbing over the operators of at least `min_prec`.
+    Comparisons do not chain: once a comparison or a looser operator (or a
+    `not`) has been applied at this level, no comparison follows."""
+    last = 7  # precedence of the last operator applied here
+    if min_prec <= 3 and c.take_word("not"):
+        node: Expr = Unary("not", _parse_binary(c, 3))
+        last = 3
+    else:
+        node = _parse_unary(c)
     while True:
         t = c.peek()
-        if t.kind == PUNCT and t.value in ("+", "-"):
-            c.advance()
-            node = Binary(t.value, node, _parse_mul(c))
-        else:
+        prec = _PRECEDENCE.get(t.value)
+        if prec is None or prec < min_prec or (prec == 4 and last <= 4):
             return node
-
-
-def _parse_mul(c: Cursor) -> Expr:
-    node = _parse_unary(c)
-    while True:
-        t = c.peek()
-        if t.kind == PUNCT and t.value in ("*", "/"):
-            c.advance()
-            node = Binary(t.value, node, _parse_unary(c))
-        else:
-            return node
+        c.advance()
+        node = Binary(t.value, node, _parse_binary(c, prec + 1) if prec < 6 else _parse_unary(c))
+        last = prec
 
 
 def _parse_unary(c: Cursor) -> Expr:
-    if c.at_punct("-"):
-        tok = c.advance()
+    if c.take_punct("-"):
         operand = _parse_unary(c)
         if isinstance(operand, Lit) and not isinstance(operand.value, bool):
             return Lit(-operand.value)
@@ -258,8 +242,9 @@ def _parse_unary(c: Cursor) -> Expr:
 def _parse_primary(c: Cursor) -> Expr:
     tok = c.peek()
     if tok.kind == INT:
+        value = int_literal(tok)
         c.advance()
-        return Lit(int(tok.value))
+        return Lit(value)
     if tok.kind == REAL:
         c.advance()
         return Lit(float(tok.value))
@@ -269,30 +254,25 @@ def _parse_primary(c: Cursor) -> Expr:
             return Lit(True)
         if tok.value == "false":
             return Lit(False)
-        if c.at_punct("("):
-            c.advance()
+        if c.take_punct("("):
             args = []
             if not c.at_punct(")"):
-                args.append(_parse_or(c))
+                args.append(_parse_binary(c, 1))
                 while c.take_punct(","):
-                    args.append(_parse_or(c))
+                    args.append(_parse_binary(c, 1))
             if not c.take_punct(")"):
                 t = c.peek()
                 raise ExprSyntaxError("expected ')'", t.line, t.column)
             return Call(tok.value, tuple(args))
         return Name(tok.value)
     if c.take_punct("("):
-        node = _parse_or(c)
+        node = _parse_binary(c, 1)
         if not c.take_punct(")"):
             t = c.peek()
             raise ExprSyntaxError("expected ')'", t.line, t.column)
         return node
     raise ExprSyntaxError(f"expected expression, found {tok.value or 'end of input'!r}",
                           tok.line, tok.column)
-
-
-_PRECEDENCE = {"or": 1, "and": 2, "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-               "+": 5, "-": 5, "*": 6, "/": 6}
 
 
 def to_text(expr: Expr, parent_prec: int = 0) -> str:

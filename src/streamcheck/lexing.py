@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import Diagnostic
 
@@ -12,12 +13,21 @@ REAL = "REAL"
 PUNCT = "PUNCT"
 EOF = "EOF"
 
-_TWO_CHAR = ("->", ":=", "..", "==", "!=", "<=", ">=", "//")
-_ONE_CHAR = "{}()[],:;.<>+-*/=!"
+# One match per item of a line: the blanks before it, then a token named by
+# its kind, a comment, or a character that starts no token (never a blank:
+# trailing blanks match nothing). Only ASCII letters and digits make
+# identifiers and numbers, and a '..' range operator is never eaten as a
+# decimal point. The commonest kinds come first.
+_ITEM = re.compile(r"""[ \t\r]*(?:
+    (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<COMMENT>//.*)
+  | (?P<PUNCT>->|:=|\.\.|[=!<>]=|[{}()\[\],:;.<>+\-*/=!])
+  | (?P<REAL>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)
+  | (?P<INT>[0-9]+)
+  | (?P<BAD>[^ \t\r]))""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -28,85 +38,36 @@ class Token:
 
 
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
-    """Lex arbitrary text; unknown bytes become diagnostics, never exceptions."""
+    """Lex arbitrary text; unknown characters become diagnostics, never exceptions."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            # a '..' range operator must not be eaten as a decimal point
-            if j < n and text[j] == "." and not text.startswith("..", j) and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                tokens.append(Token(REAL, text[i:j], line, col))
+    append, new = tokens.append, tuple.__new__  # skips Token's Python-level __new__
+    lines = text.split("\n")
+    eof_col = len(lines[-1]) + 1
+    for line, src in enumerate(lines, 1):
+        for m in _ITEM.finditer(src):
+            kind = m.lastgroup
+            if kind == "COMMENT":
+                if line == len(lines):  # the end of input is where the comment starts
+                    eof_col = m.start(kind) + 1
+            elif kind == "BAD":
+                diagnostics.append(Diagnostic(line, m.start(kind) + 1,
+                                              f"unexpected character {m[kind]!r}"))
             else:
-                tokens.append(Token(INT, text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR and two != "//":
-            tokens.append(Token(PUNCT, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token(PUNCT, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        diagnostics.append(Diagnostic(line, col, f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-    tokens.append(Token(EOF, "", line, col))
+                append(new(Token, (kind, m[kind], line, m.start(kind) + 1)))
+    append(Token(EOF, "", len(lines), eof_col))
     return tokens, diagnostics
 
 
 class Cursor:
-    """A peek/advance view over a token list, for recursive-descent parsing."""
+    """A peek/advance view over a token list that ends in its EOF token."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -115,21 +76,27 @@ class Cursor:
         return tok
 
     def at_punct(self, value: str) -> bool:
-        t = self.peek()
-        return t.kind == PUNCT and t.value == value
-
-    def at_word(self, value: str) -> bool:
-        t = self.peek()
-        return t.kind == IDENT and t.value == value
+        t = self.tokens[self.pos]
+        return t.value == value and t.kind == PUNCT
 
     def take_punct(self, value: str) -> bool:
-        if self.at_punct(value):
-            self.advance()
+        t = self.tokens[self.pos]
+        if t.value == value and t.kind == PUNCT:
+            self.pos += 1
             return True
         return False
 
     def take_word(self, value: str) -> bool:
-        if self.at_word(value):
-            self.advance()
+        t = self.tokens[self.pos]
+        if t.value == value and t.kind == IDENT:
+            self.pos += 1
             return True
         return False
+
+    def take_ident(self) -> str | None:
+        """The value of the next token if it is an identifier, which is taken."""
+        t = self.tokens[self.pos]
+        if t.kind == IDENT:
+            self.pos += 1
+            return t.value
+        return None

@@ -268,3 +268,58 @@ def test_unwritable_concretize_out_exit_2(tmp_path, capsys):
                  "--vectors", str(fixture_path("encoder_concretize.tv.csv")),
                  "--out", str(tmp_path)]) == 2
     assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", BRAKE, "--component", "BrakeOverride", "--mode", "strict",
+     "--vectors", str(fixture_path("brake_override.tv.csv"))],
+    ["verify-galois", "--model", ENCODER, "--galois", "EncGalois", "--cap", "5"],
+])
+def test_option_prefixes_are_not_expanded(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+WIDE_GALOIS = """
+component Abs weak {
+  input a : bool
+  output o : bool
+  states Run init
+  transition Run -> Run { o := a }
+}
+
+component Conc weak {
+  input p : int[0..4]
+  input q : int[0..4]
+  input r : int[0..4]
+  output s : bool
+  states Run init
+  transition Run -> Run { s := p + q + r > 6 }
+}
+
+galois Wide {
+  abstract Abs
+  concrete Conc
+  map a := p + q + r > 6
+  universe {
+    a in { true, false }
+    p in { 0, 1, 2, 3, 4 }
+    q in { 0, 1, 2, 3, 4 }
+    r in { 0, 1, 2, 3, 4 }
+    horizon 2
+  }
+}
+"""
+
+
+def test_verify_galois_refuses_an_oversized_universe_before_enumerating(
+        tmp_path, monkeypatch, capsys):
+    def enumerate_universe(gal):
+        raise AssertionError("the universe was enumerated")
+
+    monkeypatch.setattr("streamcheck.abstraction.universe_elements", enumerate_universe)
+    model = tmp_path / "wide.scm.txt"
+    model.write_text(WIDE_GALOIS, encoding="utf-8")
+    code = main(["verify-galois", "--model", str(model), "--galois", "Wide", "--caps", "12"])
+    assert code == 2
+    assert "concrete universe has 15625 elements, cap is 12" in capsys.readouterr().err
