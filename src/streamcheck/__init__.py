@@ -4,9 +4,8 @@ __version__ = "0.1.0"
 
 from .abstraction import (ConcretizerSpec, CorrespondenceResult, GaloisSpec,
                           ParamDecl, RelationSpec, Universe, abstract_output,
-                          build_output_checker, check_correspondence,
-                          check_finv_in_g, concretize, eval_relation, fold_stream,
-                          g_membership, verify_galois)
+                          check_correspondence, check_finv_in_g, concretize,
+                          eval_relation, fold_stream, g_membership, verify_galois)
 from .components import (AutomatonSpec, CompositeSpec, Connector, Endpoint,
                          SyntacticInterface, Transition, VariableDecl,
                          check_causality, compose_check, initial_state, run, step,

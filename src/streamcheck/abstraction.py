@@ -2,8 +2,8 @@
 
 Covers the RI/RO relation evaluation, end-to-end correspondence of a test
 pair (RI on inputs implies RO on outputs), abstraction/concretization maps
-with bounded-universe verification of the connection law, parameterized
-concretizers, and the derived bool-stream output checker.
+with bounded-universe verification of the connection law, and parameterized
+concretizers.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
-from .components import (AutomatonSpec, Channel, ComponentSpec, SyntacticInterface,
-                         Transition, WEAK, run)
+from .components import ComponentSpec, run
 from .errors import (CapsExceededError, EvaluationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
-from .exprs import Binary, Expr, Name, free_names
+from .exprs import Expr, free_names
 from .streams import BOOL, ChannelHistory, DataType, TimedStream, enum_labels
 
 RI = "RI"
@@ -179,38 +178,6 @@ def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHis
         raise TypeMismatchError("horizon mismatch in membership check")
     from .codegen import membership_matrix
     return membership_matrix(gal, (abstract,), (concrete,))[0][0]
-
-
-def build_output_checker(gal: GaloisSpec, abstract_outputs: Iterable[Channel],
-                         concrete_outputs: Iterable[Channel]) -> AutomatonSpec:
-    """A weak component (O_a x O_c -> bool stream) comparing f(concrete) to abstract."""
-    abstract_outputs = tuple(abstract_outputs)
-    concrete_outputs = tuple(concrete_outputs)
-    abs_names = {c.name for c in abstract_outputs}
-    conc_names = {c.name for c in concrete_outputs}
-    expr: Expr | None = None
-    for chan, e in gal.f_map:
-        if chan not in abs_names:
-            continue
-        if not free_names(e) <= conc_names | enum_labels(gal.channel_types.values()).keys():
-            raise EvaluationError(
-                f"galois {gal.name!r}: map for {chan!r} is not element-wise over the "
-                f"concrete outputs; supply a checker component instead")
-        clause = Binary("==", Name(chan), e)
-        expr = clause if expr is None else Binary("and", expr, clause)
-    if expr is None:
-        raise EvaluationError(f"galois {gal.name!r}: no abstraction map entries for "
-                              f"outputs {sorted(abs_names)}")
-    interface = SyntacticInterface(abstract_outputs + concrete_outputs,
-                                   (Channel("check", BOOL, "output"),))
-    return AutomatonSpec(
-        name=f"{gal.name}_output_checker",
-        interface=interface,
-        states=("Run",),
-        initial="Run",
-        transitions=(Transition("Run", "Run", outputs=(("check", expr),)),),
-        causality=WEAK,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,11 @@ import warnings
 from typing import Any
 
 from . import __version__
-from .abstraction import (ConcretizationWarning, RelationSpec, check_correspondence,
-                          check_finv_in_g, concretize, verify_galois)
-from .components import (CausalityCounterexample, check_causality, compose_check,
-                         CompositeSpec, run)
-from .dsl import ModelDocument, ParseResult, load_model, parse_model
-from .errors import (CapsExceededError, ModelFormatError, SimulationError,
-                     StreamcheckError)
-from .streams import ChannelHistory
-from .testcases import FAIL, PASS, suite_run
+from .abstraction import ConcretizationWarning, check_correspondence, concretize, verify_galois
+from .components import check_causality, run
+from .dsl import ModelDocument, load_model
+from .errors import CapsExceededError, ModelFormatError, SimulationError, StreamcheckError
+from .testcases import PASS, suite_run
 from .vectors import parse_testcases, serialize_testcases
 
 EXIT_OK = 0
@@ -328,10 +324,6 @@ def cmd_verify_galois(args) -> int:
 def cmd_causality(args) -> int:
     doc = _load_documents(args.model)
     spec = _get(doc.components, args.component, "component")
-    if isinstance(spec, CompositeSpec):
-        problems = compose_check(spec)
-        if problems:
-            raise CliError(f"composite {spec.name!r} is ill-formed: " + "; ".join(problems))
     if args.seed is not None:
         print("warning: --seed is deprecated and ignored; the causality search is exhaustive",
               file=sys.stderr)

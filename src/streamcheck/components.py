@@ -4,15 +4,17 @@ Atomic components are finite automata evaluated element-wise: one transition
 fires per tick (the first enabled one in declaration order), unassigned
 outputs latch their last value, and strict components emit with a one-tick
 delay (tick 1 emits the declared initial outputs). Composite components are
-wiring networks over subcomponents; they are flattened before simulation so
-scheduling only ever deals with atomic instances.
+wiring networks over subcomponents. Each composite's network of atomic
+instances, with its wiring resolved and its weak atoms scheduled, is built
+once from its subcomponents' networks; the structural check and the
+simulator both read it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Container, Mapping, Optional, Union
 
 from .errors import CapsExceededError, SimulationError, StreamcheckError, TypeMismatchError
 from .exprs import TRUE, Expr, free_names
@@ -186,83 +188,130 @@ class CompositeState:
 ComponentState = Union[AutomatonState, CompositeState]
 
 
-_BOUNDARY = None
+# ---------------------------------------------------------------------------
+# Networks
 
 
-class _FlatModel:
-    """A composite flattened to atomic instances plus resolved wiring."""
+class Network:
+    """A component as a network of atomic instances with its wiring resolved.
 
-    def __init__(self, spec: CompositeSpec):
-        self.atoms: dict[str, AutomatonSpec] = {}
-        self._alias: dict[tuple[str | None, str], tuple[str | None, str]] = {}
-        self._flatten(spec, None, {c.name: (_BOUNDARY, c.name) for c in spec.interface.inputs})
-        # resolve every consumer to its terminal producer up front
-        self.src: dict[tuple[str, str], tuple[str | None, str]] = {}
-        for path, atom in self.atoms.items():
-            for c in atom.interface.inputs:
-                self.src[(path, c.name)] = self._resolve((path, c.name))
-        self.out_src = {c.name: self._resolve((_BOUNDARY, c.name))
-                        for c in spec.interface.outputs}
+    `atoms` lists them by path, depth first in declaration order (a lone
+    atom's path is ""). `src` maps each atom input (path, channel), and
+    `out_src` each output, to its producer: (None, channel) for a boundary
+    input, (path, channel) for an atom output, None when no wire feeds it.
+    `weak` lists the weak atoms in firing order, `stuck` those that never
+    fire, and `available` the producers with a value once `weak` has fired.
+    """
 
-    def _flatten(self, spec: ComponentSpec, path: str | None,
-                 input_src: dict[str, tuple[str | None, str]]) -> dict[str, tuple[str | None, str]]:
-        """Inline a component at `path`; returns producer endpoints for its outputs.
+    def __init__(self, atoms: list[tuple[str, AutomatonSpec]], src: dict, out_src: dict,
+                 inputs: tuple[Channel, ...]):
+        self.atoms, self.src, self.out_src = atoms, src, out_src
+        # strict atoms emit what they latched, so their initialised outputs
+        # have values before anything steps
+        self.available = {(None, c.name) for c in inputs}
+        self.available.update((p, c.name) for p, a in atoms if a.causality == STRICT
+                              for c in a.interface.outputs if c.name in a.output_init)
+        pending = {p for p, a in atoms if a.causality != STRICT}
+        self.weak = _fire(dict(atoms), pending, src, self.available)
+        self.stuck = sorted(pending)
 
-        Producers that are sibling-subcomponent outputs are not known until
-        that sibling has been flattened, so they are first recorded under a
-        provisional key and rewritten to their terminal endpoint afterwards.
-        """
-        if isinstance(spec, AutomatonSpec):
-            assert path is not None
-            self.atoms[path] = spec
-            for chan, src in input_src.items():
-                self._alias[(path, chan)] = src
-            return {c.name: (path, c.name) for c in spec.interface.outputs}
-        prefix = "" if path is None else path + "/"
 
-        def producer_key(ep: Endpoint) -> tuple[str | None, str]:
+def _fire(atoms: Mapping[str, AutomatonSpec], pending: set[str], src: Mapping, avail: set
+          ) -> list[str]:
+    """The readiness scan: scanning `pending` by path, as often as needed,
+    fire each atom whose inputs' producers are all in `avail` and add its
+    outputs there. Returns the atoms fired, in order, and leaves the others
+    in `pending`."""
+    fired = []
+    progress = True
+    while pending and progress:
+        progress = False
+        for path in sorted(pending):
+            if all(src.get((path, c.name)) in avail for c in atoms[path].interface.inputs):
+                fired.append(path)
+                avail.update((path, c.name) for c in atoms[path].interface.outputs)
+                pending.discard(path)
+                progress = True
+    return fired
+
+
+def _network(spec: ComponentSpec) -> Network:
+    """The spec's network. A composite's is spliced once from its
+    subcomponents' networks and kept on the spec; an atom's refers to the
+    atom, so it is built afresh rather than kept in a reference cycle."""
+    if isinstance(spec, AutomatonSpec):
+        return Network([("", spec)], {("", c.name): (None, c.name) for c in spec.interface.inputs},
+                       {c.name: ("", c.name) for c in spec.interface.outputs},
+                       spec.interface.inputs)
+    net = spec.__dict__.get("_network")
+    if net is None:
+        net = spec.__dict__["_network"] = _splice(spec)
+    return net
+
+
+def _splice(spec: CompositeSpec) -> Network:
+    """A composite's network: its subcomponents' networks under their
+    instance names, each wire followed through pass-through outputs (those
+    a subcomponent wires from one of its inputs) to the producer behind.
+
+    Raises SimulationError, in the order a top-down flattening meets them,
+    for a wire from a boundary channel that is not an input or, in a
+    subcomponent, that is not wired here, and for a loop of wires through
+    pass-through outputs.
+    """
+    _check_fed(spec, spec.interface.input_names())
+    wires = {(conn.consumer.component, conn.consumer.channel): conn.producer
+             for conn in spec.wiring}
+    nets = {}
+    for name, sub in spec.subcomponents:
+        if isinstance(sub, CompositeSpec):
+            _check_fed(sub, {chan for to, chan in wires if to == name})
+        nets[name] = _network(sub)
+
+    def source(sub: str | None, chan: str) -> Optional[tuple[str | None, str]]:
+        """The producer behind the wire into `sub`.`chan`."""
+        passed: list[Endpoint] = []  # pass-through outputs followed so far
+        chans: list[str] = []  # each one and the input it passes on
+        while (ep := wires.get((sub, chan))) is not None:
             if ep.component is None:
-                src = input_src.get(ep.channel)
-                if src is None:
-                    raise SimulationError(f"{spec.name}: {ep} is not a composite input")
-                return src
-            return (f"{prefix}{ep.component}?", ep.channel)  # provisional
+                return None, ep.channel
+            net = nets.get(ep.component)
+            producer = net.out_src.get(ep.channel) if net else None
+            if producer is None or producer[0] is not None:
+                return producer and (_join(ep.component, producer[0]), producer[1])
+            if ep in passed:
+                loop = chans[2 * passed.index(ep):][::-1]
+                raise SimulationError(f"wiring loop in {spec.name!r} through pass-through "
+                                      f"composites: {' -> '.join(loop + loop[:1])}")
+            passed.append(ep)
+            sub, chan = ep.component, producer[1]
+            chans += [str(ep), f"{sub}.{chan}"]
+        return None
 
-        sub_in: dict[str, dict[str, tuple[str | None, str]]] = {}
-        boundary_out: dict[str, tuple[str | None, str]] = {}
-        for conn in spec.wiring:
-            ep = conn.consumer
-            if ep.component is None:
-                boundary_out[ep.channel] = producer_key(conn.producer)
-            else:
-                sub_in.setdefault(ep.component, {})[ep.channel] = producer_key(conn.producer)
-        provisional: dict[tuple[str | None, str], tuple[str | None, str]] = {}
-        for name, sub in spec.subcomponents:
-            outs = self._flatten(sub, prefix + name, sub_in.get(name, {}))
-            for chan, terminal in outs.items():
-                provisional[(f"{prefix}{name}?", chan)] = terminal
+    for consumer in wires:  # so that a loop no atom reads is found too
+        source(*consumer)
+    atoms, src = [], {}
+    for name, net in nets.items():
+        atoms += [(_join(name, p), atom) for p, atom in net.atoms]
+        for (p, chan), producer in net.src.items():
+            if producer is not None:
+                producer = (source(name, producer[1]) if producer[0] is None
+                            else (_join(name, producer[0]), producer[1]))
+            src[(_join(name, p), chan)] = producer
+    out_src = {c.name: source(None, c.name) for c in spec.interface.outputs}
+    return Network(atoms, src, out_src, spec.interface.inputs)
 
-        def fix(src: tuple[str | None, str]) -> tuple[str | None, str]:
-            while src in provisional:
-                src = provisional[src]
-            return src
 
-        for key, src in list(self._alias.items()):
-            self._alias[key] = fix(src)
-        boundary_out = {chan: fix(src) for chan, src in boundary_out.items()}
-        if path is None:
-            for chan, src in boundary_out.items():
-                self._alias[(_BOUNDARY, chan)] = src
-        return boundary_out
+def _check_fed(spec: CompositeSpec, fed: Container[str]) -> None:
+    """Raise SimulationError at the first wire of `spec` from a boundary
+    channel outside `fed`."""
+    for conn in spec.wiring:
+        if conn.producer.component is None and conn.producer.channel not in fed:
+            raise SimulationError(f"{spec.name}: {conn.producer} is not a composite input")
 
-    def _resolve(self, key: tuple[str | None, str]) -> tuple[str | None, str]:
-        seen = set()
-        while key in self._alias:
-            if key in seen:
-                raise SimulationError(f"wiring alias cycle at {key}")
-            seen.add(key)
-            key = self._alias[key]
-        return key
+
+def _join(name: str, path: str) -> str:
+    return f"{name}/{path}" if path else name
 
 
 def _simulator(spec: ComponentSpec, check_determinism: bool = False):
@@ -359,46 +408,37 @@ def compose_check(spec: CompositeSpec) -> list[str]:
             problems.append(f"unconnected composite output {c.name}")
     if problems:
         return problems
-    problems.extend(_zero_delay_cycles(spec))
-    return problems
-
-
-def _zero_delay_cycles(spec: CompositeSpec) -> list[str]:
     try:
-        flat = _FlatModel(spec)
+        net = _network(spec)
     except StreamcheckError as e:
-        return [f"cannot flatten composite: {e}"]
-    weak = {p for p, atom in flat.atoms.items() if atom.causality != STRICT}
-    edges: dict[str, dict[str, str]] = {p: {} for p in weak}
-    for (consumer, chan), src in flat.src.items():
-        if consumer in weak and src[0] in weak:
-            edges[src[0]][consumer] = f"{src[0]}.{src[1]} -> {consumer}.{chan}"
-    color: dict[str, int] = {}
-    for p in sorted(weak):
-        if color.get(p, 0) == 0:
-            cycle = _find_cycle(p, edges, color, [])
-            if cycle:
-                return ["zero-delay cycle: " + " ; ".join(cycle)]
-    return []
+        return [str(e)]
+    cycle = _zero_delay_cycle(net)
+    return ["zero-delay cycle: " + " ; ".join(cycle)] if cycle else []
 
 
-def _find_cycle(u: str, edges: Mapping[str, Mapping[str, str]], color: dict[str, int],
-                path: list[str]) -> list[str] | None:
-    """Depth-first search from u; the edge labels of the first cycle found.
+def _zero_delay_cycle(net: Network) -> list[str]:
+    """The wires of a zero-delay cycle among the weak atoms, or [].
 
-    A module-level function rather than a closure over the search state,
-    which would be a reference cycle left for the garbage collector.
+    Every weak atom on such a cycle is stuck, and so is every one behind it
+    or behind an unconnected input. Scanning the stuck atoms again, with
+    every producer outside them taken as having a value, leaves those on or
+    behind a cycle; each of them reads another, so following such inputs
+    back from any of them closes a cycle.
     """
-    color[u] = 1
-    for v, label in edges[u].items():
-        if color.get(v) == 1:
-            return path + [label]
-        if color.get(v, 0) == 0:
-            cycle = _find_cycle(v, edges, color, path + [label])
-            if cycle:
-                return cycle
-    color[u] = 2
-    return None
+    atoms, src, pending = dict(net.atoms), net.src, set(net.stuck)
+    avail = {src.get((p, c.name)) for p in pending for c in atoms[p].interface.inputs}
+    _fire(atoms, pending, src, {s for s in avail if s is None or s[0] not in pending})
+    if not pending:
+        return []
+    wires: dict[str, str] = {}  # atom -> a wire into it from another left pending
+    at = min(pending)
+    while at not in wires:
+        chan, (producer, out) = next((c.name, s) for c in atoms[at].interface.inputs
+                                     if (s := src.get((at, c.name))) and s[0] in pending)
+        wires[at] = f"{producer}.{out} -> {at}.{chan}"
+        at = producer
+    back = list(wires.values())[list(wires).index(at):]
+    return back[::-1]
 
 
 # ---------------------------------------------------------------------------

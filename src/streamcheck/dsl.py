@@ -528,7 +528,7 @@ class _Parser:
                 return False
             if self.c.take_word("horizon"):
                 h = self.parse_literal()
-                if isinstance(h, int) and h >= 0:
+                if isinstance(h, int) and not isinstance(h, bool) and h >= 0:
                     body["horizon"] = h
                 else:
                     self.error("horizon must be a non-negative integer")

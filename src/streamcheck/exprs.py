@@ -187,7 +187,7 @@ def int_literal(tok: Token) -> int:
 
 def parse_expr(cursor: Cursor) -> Expr:
     """Parse an expression off a token cursor (stops at the first non-operator)."""
-    return _parse_binary(cursor, 1)
+    return _parse_binary(cursor, 1, 0)
 
 
 def parse_expression(text: str) -> Expr:
@@ -196,7 +196,7 @@ def parse_expression(text: str) -> Expr:
         d = diags[0]
         raise ExprSyntaxError(d.message, d.line, d.column)
     cursor = Cursor(tokens)
-    expr = _parse_binary(cursor, 1)
+    expr = _parse_binary(cursor, 1, 0)
     tok = cursor.peek()
     if tok.kind != EOF:
         raise ExprSyntaxError(f"unexpected trailing {tok.value!r}", tok.line, tok.column)
@@ -209,37 +209,54 @@ def parse_expression(text: str) -> Expr:
 _PRECEDENCE = {"or": 1, "and": 2, "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
                "+": 5, "-": 5, "*": 6, "/": 6}
 
+# The deepest nesting of parentheses, calls, `not` and unary '-' that an
+# expression may have. The parser and the functions over expression trees
+# recurse once or more per level; this keeps them well inside Python's
+# default recursion limit.
+MAX_NESTING = 100
 
-def _parse_binary(c: Cursor, min_prec: int) -> Expr:
-    """Precedence climbing over the operators of at least `min_prec`.
-    Comparisons do not chain: once a comparison or a looser operator (or a
-    `not`) has been applied at this level, no comparison follows."""
+
+def _deeper(c: Cursor, depth: int) -> int:
+    """The nesting depth inside the token just taken, which opens a level."""
+    if depth >= MAX_NESTING:
+        tok = c.tokens[c.pos - 1]
+        raise ExprSyntaxError(f"expression nested more than {MAX_NESTING} levels deep",
+                              tok.line, tok.column)
+    return depth + 1
+
+
+def _parse_binary(c: Cursor, min_prec: int, depth: int) -> Expr:
+    """Precedence climbing over the operators of at least `min_prec`, at
+    nesting `depth`. Comparisons do not chain: once a comparison or a looser
+    operator (or a `not`) has been applied at this level, no comparison
+    follows."""
     last = 7  # precedence of the last operator applied here
     if min_prec <= 3 and c.take_word("not"):
-        node: Expr = Unary("not", _parse_binary(c, 3))
+        node: Expr = Unary("not", _parse_binary(c, 3, _deeper(c, depth)))
         last = 3
     else:
-        node = _parse_unary(c)
+        node = _parse_unary(c, depth)
     while True:
         t = c.peek()
         prec = _PRECEDENCE.get(t.value)
         if prec is None or prec < min_prec or (prec == 4 and last <= 4):
             return node
         c.advance()
-        node = Binary(t.value, node, _parse_binary(c, prec + 1) if prec < 6 else _parse_unary(c))
+        node = Binary(t.value, node, _parse_binary(c, prec + 1, depth) if prec < 6
+                      else _parse_unary(c, depth))
         last = prec
 
 
-def _parse_unary(c: Cursor) -> Expr:
+def _parse_unary(c: Cursor, depth: int) -> Expr:
     if c.take_punct("-"):
-        operand = _parse_unary(c)
+        operand = _parse_unary(c, _deeper(c, depth))
         if isinstance(operand, Lit) and not isinstance(operand.value, bool):
             return Lit(-operand.value)
         return Unary("-", operand)
-    return _parse_primary(c)
+    return _parse_primary(c, depth)
 
 
-def _parse_primary(c: Cursor) -> Expr:
+def _parse_primary(c: Cursor, depth: int) -> Expr:
     tok = c.peek()
     if tok.kind == INT:
         value = int_literal(tok)
@@ -255,18 +272,19 @@ def _parse_primary(c: Cursor) -> Expr:
         if tok.value == "false":
             return Lit(False)
         if c.take_punct("("):
+            depth = _deeper(c, depth)
             args = []
             if not c.at_punct(")"):
-                args.append(_parse_binary(c, 1))
+                args.append(_parse_binary(c, 1, depth))
                 while c.take_punct(","):
-                    args.append(_parse_binary(c, 1))
+                    args.append(_parse_binary(c, 1, depth))
             if not c.take_punct(")"):
                 t = c.peek()
                 raise ExprSyntaxError("expected ')'", t.line, t.column)
             return Call(tok.value, tuple(args))
         return Name(tok.value)
     if c.take_punct("("):
-        node = _parse_binary(c, 1)
+        node = _parse_binary(c, 1, _deeper(c, depth))
         if not c.take_punct(")"):
             t = c.peek()
             raise ExprSyntaxError("expected ')'", t.line, t.column)

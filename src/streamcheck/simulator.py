@@ -10,8 +10,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .codegen import NUMERIC, Code, CodeGen, NameResolver, conforms, slot, unpack
 from .components import (AutomatonSpec, AutomatonState, Channel, ComponentSpec,
-                         ComponentState, CompositeSpec, CompositeState, STRICT,
-                         SyntacticInterface, Transition, _BOUNDARY, _FlatModel, enum_label_env)
+                         ComponentState, CompositeSpec, CompositeState, Network, STRICT,
+                         SyntacticInterface, Transition, _network, enum_label_env)
 from .errors import NondeterminismError, SimulationError, StreamcheckError, StuckStateError
 from .exprs import Lit
 from .streams import (BOOL_KIND, ChannelHistory, DataType, ENUM_KIND, INT_KIND, REAL_KIND,
@@ -21,12 +21,12 @@ from .streams import (BOOL_KIND, ChannelHistory, DataType, ENUM_KIND, INT_KIND, 
 # A component compiles, on its first run, into one Python function that
 # runs any number of ticks. Every atom's control state, variables and
 # latched outputs live in local variables ("slots"); expressions read them
-# directly. A composite's atoms are inlined in a schedule fixed at compile
-# time: weak atoms in the order in which each first has all its inputs,
-# scanning the pending ones by path as often as needed, then strict atoms in
-# declaration order. That is the order in which an interpreter that re-scans
-# every tick fires them, so the first error of a tick is the same. The
-# simulator is cached on the spec and holds no reference back to it.
+# directly. A composite's atoms are inlined in the schedule its network
+# (`components.Network`) fixed when it was loaded: weak atoms in the order
+# in which each first has all its inputs, then strict atoms in declaration
+# order. That is the order in which an interpreter that re-scans every tick
+# fires them, so the first error of a tick is the same. The simulator is
+# cached on the spec and holds no reference back to it.
 
 _UNSET = object()  # a latched output that was never assigned
 
@@ -85,60 +85,44 @@ class _AtomSlots:
 
 
 class _Compiler:
-    """Generates the source of one flattened network's tick loop."""
+    """Generates the source of one network's tick loop."""
 
-    def __init__(self, name: str, interface: SyntacticInterface,
-                 atoms: list[tuple[str, AutomatonSpec]],
-                 src: Mapping[tuple[str, str], tuple[str | None, str]],
-                 out_src: Mapping[str, tuple[str | None, str]],
+    def __init__(self, name: str, interface: SyntacticInterface, net: Network,
                  check_determinism: bool, check_outputs: bool):
         self.gen = CodeGen()
         self.gen.ns.update(SimulationError=SimulationError, _U=_UNSET, _stuck=_stuck,
                            _missing=_missing, _nondet=_nondet, at_tick=at_tick)
         self.check_determinism = check_determinism
-        self.src = src
-        self.atoms = [_AtomSlots(i, path, spec) for i, (path, spec) in enumerate(atoms)]
+        self.src = net.src
+        self.atoms = [_AtomSlots(i, path, spec) for i, (path, spec) in enumerate(net.atoms)]
         # producer endpoint -> (local, type, whether its values always conform)
         self.values: dict[tuple[str | None, str], tuple[str, DataType, bool]] = {
-            (_BOUNDARY, c.name): (f"x{k}", c.ctype, True) for k, c in enumerate(interface.inputs)}
+            (None, c.name): (f"x{k}", c.ctype, True) for k, c in enumerate(interface.inputs)}
         for a in self.atoms:
             for c in a.spec.interface.outputs:
                 self.values[(a.path, c.name)] = (a.outs[c.name], c.ctype, a.trusted_out(c))
         # checks of an atom's outputs, which its run makes when it builds its result
         self.output_checks: list[str] = []
-        self.lines = self._tick(name, interface, out_src, check_outputs)
+        self.lines = self._tick(name, interface, net, check_outputs)
 
-    def _tick(self, name: str, interface: SyntacticInterface,
-              out_src: Mapping[str, tuple[str | None, str]], check_outputs: bool) -> list[str]:
-        src = self.src
+    def _tick(self, name: str, interface: SyntacticInterface, net: Network,
+              check_outputs: bool) -> list[str]:
+        src, avail, out_src = self.src, net.available, net.out_src
         lines: list[str] = []
 
         def fail(message: str) -> list[str]:
             return lines + [f"raise SimulationError({message!r})"]
 
-        strict = [a for a in self.atoms if a.spec.causality == STRICT]
-        avail = {(_BOUNDARY, c.name) for c in interface.inputs}
-        avail.update((a.path, c.name) for a in strict for c in a.spec.interface.outputs
-                     if c.name in a.spec.output_init)
-
         def ready(a: _AtomSlots) -> bool:
             return all(src.get((a.path, c.name)) in avail for c in a.spec.interface.inputs)
 
         by_path = {a.path: a for a in self.atoms}
-        pending = {a.path for a in self.atoms if a.spec.causality != STRICT}
-        progress = True
-        while pending and progress:
-            progress = False
-            for path in sorted(pending):
-                a = by_path[path]
-                if ready(a):
-                    lines += self._atom(a, {})
-                    avail.update((path, c.name) for c in a.spec.interface.outputs)
-                    pending.discard(path)
-                    progress = True
-        if pending:
+        for path in net.weak:
+            lines += self._atom(by_path[path], {})
+        if net.stuck:
             return fail(f"{name}: zero-delay dependency cycle or unconnected input "
-                        f"involving {sorted(pending)}")
+                        f"involving {net.stuck}")
+        strict = [a for a in self.atoms if a.spec.causality == STRICT]
         # strict atoms emit what they latched, so outputs are read before they step
         outputs = interface.outputs
         for k, c in enumerate(outputs):
@@ -360,15 +344,8 @@ class Simulator:
         self.composite = isinstance(spec, CompositeSpec)
         self.inputs = spec.interface.inputs
         self.outputs = spec.interface.outputs
-        if self.composite:
-            flat = _FlatModel(spec)
-            compiler = _Compiler(spec.name, spec.interface, list(flat.atoms.items()), flat.src,
-                                 flat.out_src, check_determinism, check_outputs=True)
-        else:
-            compiler = _Compiler(spec.name, spec.interface, [(spec.name, spec)],
-                                 {(spec.name, c.name): (_BOUNDARY, c.name) for c in self.inputs},
-                                 {c.name: (spec.name, c.name) for c in self.outputs},
-                                 check_determinism, check_outputs=False)
+        compiler = _Compiler(spec.name, spec.interface, _network(spec), check_determinism,
+                             check_outputs=self.composite)
         # an atom's initial outputs are checked only when a run's result is built
         self.outputs_conform = self.composite or all(
             compiler.atoms[0].trusted_out(c) for c in self.outputs)

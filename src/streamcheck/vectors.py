@@ -22,8 +22,7 @@ from typing import Any, Sequence
 
 from .components import SyntacticInterface
 from .errors import Diagnostic, ModelFormatError
-from .streams import (BOOL_KIND, ChannelHistory, DataType, ENUM_KIND, INT_KIND,
-                      REAL_KIND, TimedStream)
+from .streams import BOOL_KIND, ChannelHistory, DataType, INT_KIND, REAL_KIND, TimedStream
 from .testcases import ExpectedResult, TestCase
 
 

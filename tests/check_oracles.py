@@ -7,7 +7,9 @@ implementations, minus their caps. `causality_by_search` is the former
 breadth-first search, which stepped each configuration one grid row at a
 time through the simulator's run loop (with one correction, see `_advance`). `eval_relation`, `abstract_output`,
 `g_membership` and `verify_galois` are the former versions that evaluated
-expressions in a dict environment built tick by tick.
+expressions in a dict environment built tick by tick. `zero_delay_cycles`
+is the former depth-first search of `compose_check` for a cycle among the
+weak atoms of a flattened composite.
 """
 
 import itertools
@@ -291,4 +293,36 @@ def verify_galois(gal: GaloisSpec) -> Optional[GaloisCounterexample]:
             lhs = f_bit[j] == i
             if member[i][j] != lhs:
                 return GaloisCounterexample((x,), (a,), lhs=lhs, rhs=member[i][j])
+    return None
+
+
+def zero_delay_cycles(atoms: Mapping[str, AutomatonSpec],
+                      sources: Mapping[tuple[str, str], tuple[Any, str]]) -> list[str]:
+    """The labels of the wires of the first zero-delay cycle found among the
+    atoms of a flattened composite, by path, whose inputs read `sources`,
+    or []. The labels lead from the search's start to the cycle."""
+    weak = {p for p, atom in atoms.items() if atom.causality != STRICT}
+    edges: dict[str, dict[str, str]] = {p: {} for p in weak}
+    for (consumer, chan), src in sources.items():
+        if consumer in weak and src[0] in weak:
+            edges[src[0]][consumer] = f"{src[0]}.{src[1]} -> {consumer}.{chan}"
+    color: dict[str, int] = {}
+    for p in sorted(weak):
+        if color.get(p, 0) == 0:
+            cycle = _find_cycle(p, edges, color, [])
+            if cycle:
+                return cycle
+    return []
+
+
+def _find_cycle(u, edges, color, path):
+    color[u] = 1
+    for v, label in edges[u].items():
+        if color.get(v) == 1:
+            return path + [label]
+        if color.get(v, 0) == 0:
+            cycle = _find_cycle(v, edges, color, path + [label])
+            if cycle:
+                return cycle
+    color[u] = 2
     return None

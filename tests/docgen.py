@@ -374,13 +374,45 @@ class DocGen:
 
     def chain(self, length: int):
         """A chain of weak and strict stages over int[0..9], some of them
-        grouped in a nested composite, with instance names in random order;
-        now and then a wire is left out, which makes every run fail."""
+        grouped in a nested composite, with instance names in random order.
+        Now and then a stage is wrapped together with a pass-through
+        composite, which passes its input on unchanged and may itself hold
+        one, before or after it; a bare pass-through joins the chain; a
+        stage reads a later stage's output, which closes a loop, a
+        zero-delay cycle when all the stages on it are weak; and a wire is
+        left out, which makes every run fail."""
         r = self.rng
         sig = bounded_int(0, 9)
         x, en = Channel("x", sig, "input"), Channel("en", BOOL, "input")
         y = Channel("y", sig, "output")
-        stages = []
+
+        def passthrough(depth):
+            """x passed to y through `depth` nested pass-through composites."""
+            if depth == 0:
+                return CompositeSpec(self.name("Pass"), SyntacticInterface((x,), (y,)), (),
+                                     (Connector(Endpoint(None, "x"), Endpoint(None, "y")),))
+            return CompositeSpec(self.name("Pass"), SyntacticInterface((x,), (y,)),
+                                 (("p", passthrough(depth - 1)),),
+                                 (Connector(Endpoint(None, "x"), Endpoint("p", "x")),
+                                  Connector(Endpoint("p", "y"), Endpoint(None, "y"))))
+
+        def wrapped(stage):
+            """The stage with a pass-through before or after it."""
+            wiring = ([Connector(Endpoint(None, "en"), Endpoint("s", "en"))]
+                      if "en" in stage.interface.input_names() else [])
+            if r.random() < 0.5:
+                wiring += [Connector(Endpoint(None, "x"), Endpoint("p", "x")),
+                           Connector(Endpoint("p", "y"), Endpoint("s", "x")),
+                           Connector(Endpoint("s", "y"), Endpoint(None, "y"))]
+            else:
+                wiring += [Connector(Endpoint(None, "x"), Endpoint("s", "x")),
+                           Connector(Endpoint("s", "y"), Endpoint("p", "x")),
+                           Connector(Endpoint("p", "y"), Endpoint(None, "y"))]
+            return CompositeSpec(self.name("Wrap"), SyntacticInterface(stage.interface.inputs, (y,)),
+                                 (("p", passthrough(r.randint(0, 2))), ("s", stage)),
+                                 tuple(wiring))
+
+        stages, bare = [], set()
         for _ in range(length):
             kind = r.choice(["lin", "mode", "acc", "div", "gate"])
             k = r.randint(-3, 3)
@@ -414,13 +446,25 @@ class DocGen:
                                  states[0], ts, variables,
                                  {"y": r.randint(0, 9)} if causality == "strict" or r.random() < 0.5 else {},
                                  causality, kind == "gate")
+            if r.random() < 0.25:
+                spec = wrapped(spec)
             stages.append((self.name(r.choice("abcxyz")), spec))
+            if r.random() < 0.15:
+                stages.append((self.name(r.choice("abcxyz")), passthrough(r.randint(0, 2))))
+                bare.add(stages[-1][0])
 
         def network(name, members, inputs):
+            # a loop closed here runs through a stage, never through pass-throughs alone
+            back = {}
+            if r.random() < 0.2:
+                i = r.randrange(len(members))
+                later = [inst for inst, _ in members[i:] if inst not in bare]
+                if later:
+                    back[members[i][0]] = Endpoint(r.choice(later), "y")
             wiring, prev = [], Endpoint(None, "x")
             for inst, spec in members:
                 source = prev if r.random() < 0.7 else Endpoint(None, "x")
-                wiring.append(Connector(source, Endpoint(inst, "x")))
+                wiring.append(Connector(back.get(inst, source), Endpoint(inst, "x")))
                 if "en" in spec.interface.input_names():
                     wiring.append(Connector(Endpoint(None, "en"), Endpoint(inst, "en")))
                 prev = Endpoint(inst, "y")
@@ -430,9 +474,11 @@ class DocGen:
             out = y if r.random() < 0.9 else Channel("y", bounded_int(0, 5), "output")
             return CompositeSpec(name, SyntacticInterface(inputs, (out,)), tuple(members), tuple(wiring))
 
-        if length >= 3 and r.random() < 0.5:
-            i = r.randrange(length - 1)
+        if len(stages) >= 3 and r.random() < 0.5:
+            i = r.randrange(len(stages) - 1)
             inner = network(self.name("Inner"), stages[i:i + 2], (x, en))
-            stages[i:i + 2] = [(self.name(r.choice("abcxyz")), inner)]
+            inst = self.name(r.choice("abcxyz"))
+            if any(member in bare for member, _ in stages[i:i + 2]):
+                bare.add(inst)  # its output may be its input, passed on
+            stages[i:i + 2] = [(inst, inner)]
         return network(self.name("Chain"), stages, (x, en))
-

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from docgen import DocGen
+from streamcheck.components import run
 from streamcheck.dsl import (ModelDocument, load_model, parse_model, serialize_model)
 from streamcheck.errors import ModelFormatError
+from streamcheck.exprs import MAX_NESTING
+from streamcheck.streams import ChannelHistory, TimedStream, bounded_int
 
 from conftest import MODEL_FILES, fixture_text
 
@@ -146,3 +149,42 @@ component Clash {{
     [d] = result.diagnostics
     assert (d.line, d.column) == (2, 1)
     assert f"variable 'x' has the same name as an {kind} channel" in d.message
+
+
+def test_a_boolean_horizon_is_diagnosed():
+    result = parse_model("galois G { universe { horizon true } }")
+    assert [d.message for d in result.diagnostics] == ["horizon must be a non-negative integer"]
+    assert parse_model("galois G { universe { horizon 2 } }").ok
+
+
+_NESTED = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "not": lambda n: "not " * n + "x",
+    "minus": lambda n: "- " * n + "x",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_expressions_nest_up_to_the_limit(kind):
+    prefix = "relation R RI when "
+    assert parse_model(prefix + _NESTED[kind](MAX_NESTING)).ok
+    result = parse_model(prefix + _NESTED[kind](MAX_NESTING + 1))
+    # the diagnostic sits at the token that opens level MAX_NESTING + 1
+    width = {"parentheses": 1, "not": 4, "minus": 2}[kind]
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+        (1, len(prefix) + 1 + width * MAX_NESTING,
+         f"expression nested more than {MAX_NESTING} levels deep")]
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_a_guard_at_the_nesting_limit_compiles_and_runs(kind):
+    # an even number of `not` or `-` cancels out
+    guard = _NESTED[kind](MAX_NESTING) + (" == 0" if kind == "minus" else " == 1")
+    text = ("component C weak { input x : int[0..1]  output y : bool  states S\n"
+            f"  transition S -> S when {guard} {{ y := true }}\n"
+            "  transition S -> S { y := false } }")
+    result = parse_model(text)
+    assert result.ok, result.diagnostics
+    history = ChannelHistory({"x": TimedStream.of(bounded_int(0, 1), [0, 1])}, 2)
+    expected = (True, False) if kind == "minus" else (False, True)
+    assert run(result.document.components["C"], history).streams["y"].values == expected
