@@ -24,7 +24,6 @@ RI = "RI"
 RO = "RO"
 
 DEFAULT_UNIVERSE_CAP = 12
-DEFAULT_HORIZON_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,7 @@ def universe_elements(gal: GaloisSpec) -> tuple[list[ChannelHistory], list[Chann
             _side_elements(u.concrete, u.horizon, gal.channel_types))
 
 
-def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP,
-                  horizon_cap: int = DEFAULT_HORIZON_CAP,
+def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
                   stats: dict | None = None) -> Optional[GaloisCounterexample]:
     """Decide the connection law f(T_c) subset of T_a  iff  T_c subset of g(T_a)
     for every subset pair of the bounded universe.
@@ -240,19 +238,26 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP,
     smallest concrete index, which is the first failing pair in the order of
     T_a bitmasks. When `stats` is given, stats["pairs"] is set to the number
     of element pairs decided.
+
+    A side has prod |values|^horizon elements. More than `element_cap` raise
+    CapsExceededError before any is built, and so does a horizon above it: a
+    side whose channels hold one value each has one element however long.
     """
     u = gal.universe
     if u is not None:
-        if u.horizon > horizon_cap:
-            raise CapsExceededError(f"universe horizon {u.horizon} exceeds cap {horizon_cap}",
-                                    u.horizon, horizon_cap)
-        # a side has prod |values|^horizon elements: refuse before building any
+        # from the cap's bit length on, a channel of two values or more
+        # exceeds the cap alone: a larger exponent only builds a larger number
+        h = min(u.horizon, element_cap.bit_length())
         for name, side in (("abstract", u.abstract), ("concrete", u.concrete)):
-            size = math.prod(len(values) ** u.horizon for _, values in side)
+            size = math.prod(len(values) ** h for _, values in side)
             if size > element_cap:
+                count = size if h == u.horizon else f"more than {element_cap}"
                 raise CapsExceededError(
-                    f"{name} universe has {size} elements, cap is {element_cap}",
+                    f"{name} universe has {count} elements, cap is {element_cap}",
                     size, element_cap)
+        if u.horizon > element_cap:
+            raise CapsExceededError(f"universe horizon {u.horizon} exceeds cap {element_cap}",
+                                    u.horizon, element_cap)
     abs_elems, conc_elems = universe_elements(gal)
 
     def key(h: ChannelHistory):

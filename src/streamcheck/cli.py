@@ -16,8 +16,10 @@ import warnings
 from typing import Any
 
 from . import __version__
-from .abstraction import ConcretizationWarning, check_correspondence, concretize, verify_galois
-from .components import check_causality, run
+from .abstraction import (DEFAULT_UNIVERSE_CAP, ConcretizationWarning, check_correspondence,
+                          concretize, verify_galois)
+from .components import (DEFAULT_CAUSALITY_BUDGET, DEFAULT_CAUSALITY_HORIZON, check_causality,
+                         run)
 from .dsl import ModelDocument, load_model
 from .errors import CapsExceededError, ModelFormatError, SimulationError, StreamcheckError
 from .testcases import PASS, suite_run
@@ -98,7 +100,7 @@ def _read_vectors(path: str, iface, param_types=None):
 
 def _emit(args, payload: dict[str, Any], human_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, default=str))
+        print(json.dumps(payload, default=str))
     else:
         for line in human_lines:
             print(line)
@@ -412,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--refinement")
     p.add_argument("--galois")
-    p.add_argument("--caps", type=_int_at_least(1), default=12,
+    p.add_argument("--caps", type=_int_at_least(1), default=DEFAULT_UNIVERSE_CAP,
                    help="max universe elements per side")
     p.set_defaults(func=cmd_verify_galois)
 
@@ -420,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "causality violations")
     common(p)
     p.add_argument("--component", required=True)
-    p.add_argument("--ticks", type=_int_at_least(1), default=3)
-    p.add_argument("--budget", type=_int_at_least(1), default=4096,
+    p.add_argument("--ticks", type=_int_at_least(1), default=DEFAULT_CAUSALITY_HORIZON)
+    p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_CAUSALITY_BUDGET,
                    help="max distinct configurations to explore")
     p.add_argument("--seed", type=int, default=None,
                    help="deprecated and ignored: the search is exhaustive")

@@ -38,9 +38,6 @@ class SyntacticInterface:
         if dupes:
             raise TypeMismatchError(f"duplicate channel names: {sorted(dupes)}")
 
-    def input(self, name: str) -> Channel:
-        return next(c for c in self.inputs if c.name == name)
-
     def output(self, name: str) -> Channel:
         return next(c for c in self.outputs if c.name == name)
 
@@ -458,21 +455,23 @@ class CausalityCounterexample:
                 f"within the checked prefix")
 
 
-def representative_values(dtype: DataType, limit: int = 2) -> list[Any]:
-    """A small value abstraction of a data type, for causality search."""
+def representative_values(dtype: DataType) -> list[Any]:
+    """Two values of a data type (one when it has one), for causality search."""
     if dtype.kind == "bool":
         return [False, True]
     if dtype.kind == "int":
-        vals = dtype.values()
-        return vals if len(vals) <= limit else [dtype.lo, dtype.hi][:limit]
+        return [dtype.lo] if dtype.lo == dtype.hi else [dtype.lo, dtype.hi]
     if dtype.kind == "enum":
-        return list(dtype.labels[:max(limit, 1)])
-    return [0.0, 1.0][:limit]
+        return list(dtype.labels[:2])
+    return [0.0, 1.0]
 
 
-def check_causality(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
-                    mode: str | None = None, seed: int = 0,
-                    values_per_channel: int = 2,
+DEFAULT_CAUSALITY_BUDGET = 4096
+DEFAULT_CAUSALITY_HORIZON = 3
+
+
+def check_causality(spec: ComponentSpec, budget: int = DEFAULT_CAUSALITY_BUDGET,
+                    horizon: int = DEFAULT_CAUSALITY_HORIZON, mode: str | None = None, *,
                     stats: dict | None = None) -> Optional[CausalityCounterexample]:
     """Decide the declared (or given) causality mode over the per-channel
     value abstraction; returns None when it holds within `horizon` ticks.
@@ -491,8 +490,7 @@ def check_causality(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
 
     `budget` caps the number of distinct configurations explored; exceeding
     it raises CapsExceededError. An error in a step raises SimulationError
-    with the tick of that step. `seed` is deprecated and ignored: the search
-    is exhaustive and draws no random trials. When `stats` is given,
+    with the tick of that step. When `stats` is given,
     stats["configurations"] is set to the distinct configurations reached
     (the start included) and stats["steps"] to the steps taken.
     """
@@ -504,7 +502,7 @@ def check_causality(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
         return None
     channels = spec.interface.inputs
     rows = list(itertools.product(*(
-        [c.ctype.check(v) for v in representative_values(c.ctype, values_per_channel)]
+        [c.ctype.check(v) for v in representative_values(c.ctype)]
         for c in channels)))
     sim = _simulator(spec)
     start = sim.initial_slots

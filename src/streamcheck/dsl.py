@@ -19,7 +19,8 @@ from .components import (AutomatonSpec, CompositeSpec, ComponentSpec, Connector,
 from .errors import Diagnostic, ModelFormatError, TypeMismatchError
 from .exprs import TRUE, Expr
 from .lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, Token, tokenize
-from .streams import BOOL, Channel, DataType, REAL as REAL_TYPE, bounded_int, enumeration
+from .streams import (BOOL, Channel, DataType, REAL as REAL_TYPE, bounded_int, enumeration,
+                      literal_text)
 
 _TOP_KEYWORDS = ("type", "component", "relation", "galois", "concretizer", "refinement")
 
@@ -527,11 +528,12 @@ class _Parser:
                 self.error("unterminated universe block", body["tok"])
                 return False
             if self.c.take_word("horizon"):
+                tok = self.c.peek()
                 h = self.parse_literal()
                 if isinstance(h, int) and not isinstance(h, bool) and h >= 0:
                     body["horizon"] = h
                 else:
-                    self.error("horizon must be a non-negative integer")
+                    self.error("horizon must be a non-negative integer", tok)
             else:
                 chan = self.expect_ident("channel name")
                 if not self.c.take_word("in") or not self.expect_punct("{"):
@@ -650,14 +652,6 @@ _ITEMS: dict[str, dict[str, Callable]] = {
 # Serialization
 
 
-def _literal_text(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _serialize_automaton(spec: AutomatonSpec, out: list[str]) -> None:
     mods = ""
     if spec.causality == "weak":
@@ -669,10 +663,10 @@ def _serialize_automaton(spec: AutomatonSpec, out: list[str]) -> None:
         out.append(f"  input {ch.name} : {ch.ctype.to_text()}")
     for ch in spec.interface.outputs:
         init = spec.output_init.get(ch.name)
-        suffix = f" init {_literal_text(init)}" if ch.name in spec.output_init else ""
+        suffix = f" init {literal_text(init)}" if ch.name in spec.output_init else ""
         out.append(f"  output {ch.name} : {ch.ctype.to_text()}{suffix}")
     for v in spec.variables:
-        out.append(f"  var {v.name} : {v.dtype.to_text()} = {_literal_text(v.init)}")
+        out.append(f"  var {v.name} : {v.dtype.to_text()} = {literal_text(v.init)}")
     out.append("  states " + ", ".join(
         s + (" init" if s == spec.initial else "") for s in spec.states))
     for t in spec.transitions:
@@ -742,7 +736,7 @@ def serialize_model(doc: ModelDocument) -> str:
         if gal.universe is not None:
             out.append("  universe {")
             for chan, values in gal.universe.abstract + gal.universe.concrete:
-                out.append(f"    {chan} in {{ " + ", ".join(_literal_text(v) for v in values) + " }")
+                out.append(f"    {chan} in {{ " + ", ".join(literal_text(v) for v in values) + " }")
             out.append(f"    horizon {gal.universe.horizon}")
             out.append("  }")
         out.append("}")

@@ -187,7 +187,7 @@ def int_literal(tok: Token) -> int:
 
 def parse_expr(cursor: Cursor) -> Expr:
     """Parse an expression off a token cursor (stops at the first non-operator)."""
-    return _parse_binary(cursor, 1, 0)
+    return _parse_binary(cursor, 1, 0)[0]
 
 
 def parse_expression(text: str) -> Expr:
@@ -196,7 +196,7 @@ def parse_expression(text: str) -> Expr:
         d = diags[0]
         raise ExprSyntaxError(d.message, d.line, d.column)
     cursor = Cursor(tokens)
-    expr = _parse_binary(cursor, 1, 0)
+    expr = _parse_binary(cursor, 1, 0)[0]
     tok = cursor.peek()
     if tok.kind != EOF:
         raise ExprSyntaxError(f"unexpected trailing {tok.value!r}", tok.line, tok.column)
@@ -210,10 +210,14 @@ _PRECEDENCE = {"or": 1, "and": 2, "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=
                "+": 5, "-": 5, "*": 6, "/": 6}
 
 # The deepest nesting of parentheses, calls, `not` and unary '-' that an
-# expression may have. The parser and the functions over expression trees
-# recurse once or more per level; this keeps them well inside Python's
-# default recursion limit.
+# expression may have. The parser recurses several times per level; this
+# keeps it well inside Python's default recursion limit.
 MAX_NESTING = 100
+
+# The most nodes on a path from an expression tree's root to a leaf (`x` is
+# one node tall, `x + x` two). A chain like `x + x + ... + x` parses in a
+# loop, but the functions over trees recurse once or twice per level.
+MAX_HEIGHT = 300
 
 
 def _deeper(c: Cursor, depth: int) -> int:
@@ -225,52 +229,65 @@ def _deeper(c: Cursor, depth: int) -> int:
     return depth + 1
 
 
-def _parse_binary(c: Cursor, min_prec: int, depth: int) -> Expr:
+def _height(height: int, tok: Token) -> int:
+    """The height of a node that token `tok` makes, unless it is too tall."""
+    if height > MAX_HEIGHT:
+        raise ExprSyntaxError(f"expression tree more than {MAX_HEIGHT} nodes tall",
+                              tok.line, tok.column)
+    return height
+
+
+def _parse_binary(c: Cursor, min_prec: int, depth: int) -> tuple[Expr, int]:
     """Precedence climbing over the operators of at least `min_prec`, at
-    nesting `depth`. Comparisons do not chain: once a comparison or a looser
-    operator (or a `not`) has been applied at this level, no comparison
-    follows."""
+    nesting `depth`; returns the tree and its height. Comparisons do not
+    chain: once a comparison or a looser operator (or a `not`) has been
+    applied at this level, no comparison follows."""
     last = 7  # precedence of the last operator applied here
     if min_prec <= 3 and c.take_word("not"):
-        node: Expr = Unary("not", _parse_binary(c, 3, _deeper(c, depth)))
+        tok = c.tokens[c.pos - 1]
+        operand, height = _parse_binary(c, 3, _deeper(c, depth))
+        node: Expr = Unary("not", operand)
+        height = _height(height + 1, tok)
         last = 3
     else:
-        node = _parse_unary(c, depth)
+        node, height = _parse_unary(c, depth)
     while True:
         t = c.peek()
         prec = _PRECEDENCE.get(t.value)
         if prec is None or prec < min_prec or (prec == 4 and last <= 4):
-            return node
+            return node, height
         c.advance()
-        node = Binary(t.value, node, _parse_binary(c, prec + 1, depth) if prec < 6
-                      else _parse_unary(c, depth))
+        rhs, h = _parse_binary(c, prec + 1, depth) if prec < 6 else _parse_unary(c, depth)
+        node = Binary(t.value, node, rhs)
+        height = _height(max(height, h) + 1, t)
         last = prec
 
 
-def _parse_unary(c: Cursor, depth: int) -> Expr:
+def _parse_unary(c: Cursor, depth: int) -> tuple[Expr, int]:
     if c.take_punct("-"):
-        operand = _parse_unary(c, _deeper(c, depth))
+        tok = c.tokens[c.pos - 1]
+        operand, height = _parse_unary(c, _deeper(c, depth))
         if isinstance(operand, Lit) and not isinstance(operand.value, bool):
-            return Lit(-operand.value)
-        return Unary("-", operand)
+            return Lit(-operand.value), 1
+        return Unary("-", operand), _height(height + 1, tok)
     return _parse_primary(c, depth)
 
 
-def _parse_primary(c: Cursor, depth: int) -> Expr:
+def _parse_primary(c: Cursor, depth: int) -> tuple[Expr, int]:
     tok = c.peek()
     if tok.kind == INT:
         value = int_literal(tok)
         c.advance()
-        return Lit(value)
+        return Lit(value), 1
     if tok.kind == REAL:
         c.advance()
-        return Lit(float(tok.value))
+        return Lit(float(tok.value)), 1
     if tok.kind == IDENT:
         c.advance()
         if tok.value == "true":
-            return Lit(True)
+            return Lit(True), 1
         if tok.value == "false":
-            return Lit(False)
+            return Lit(False), 1
         if c.take_punct("("):
             depth = _deeper(c, depth)
             args = []
@@ -281,14 +298,15 @@ def _parse_primary(c: Cursor, depth: int) -> Expr:
             if not c.take_punct(")"):
                 t = c.peek()
                 raise ExprSyntaxError("expected ')'", t.line, t.column)
-            return Call(tok.value, tuple(args))
-        return Name(tok.value)
+            return (Call(tok.value, tuple(a for a, _ in args)),
+                    _height(max((h for _, h in args), default=0) + 1, tok))
+        return Name(tok.value), 1
     if c.take_punct("("):
-        node = _parse_binary(c, 1, _deeper(c, depth))
+        result = _parse_binary(c, 1, _deeper(c, depth))
         if not c.take_punct(")"):
             t = c.peek()
             raise ExprSyntaxError("expected ')'", t.line, t.column)
-        return node
+        return result
     raise ExprSyntaxError(f"expected expression, found {tok.value or 'end of input'!r}",
                           tok.line, tok.column)
 

@@ -56,10 +56,6 @@ class DataType:
             return float(value)
         return value
 
-    @property
-    def is_enumerable(self) -> bool:
-        return self.kind != REAL_KIND
-
     def values(self) -> list[Any]:
         if self.kind == BOOL_KIND:
             return [False, True]
@@ -89,6 +85,15 @@ def bounded_int(lo: int, hi: int) -> DataType:
 
 def enumeration(*labels: str) -> DataType:
     return DataType(ENUM_KIND, labels=tuple(labels))
+
+
+def literal_text(value: Any) -> str:
+    """A message value as model and vector files write it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def enum_labels(types: Iterable[DataType]) -> dict[str, str]:
@@ -164,13 +169,6 @@ class ChannelHistory:
         elif self.streams and self.horizon != n:
             raise TypeMismatchError(f"declared horizon {self.horizon} != stream horizon {n}")
 
-    @classmethod
-    def of(cls, streams: Mapping[str, TimedStream], horizon: int | None = None) -> "ChannelHistory":
-        return cls(dict(streams), -1 if horizon is None else horizon)
-
-    def channels(self) -> list[str]:
-        return sorted(self.streams)
-
     def at(self, channel: str, t: int) -> Any:
         return self.streams[channel].at(t)
 
@@ -180,10 +178,6 @@ class ChannelHistory:
 
     def prefix(self, t: int) -> "ChannelHistory":
         return ChannelHistory({c: s.prefix(t) for c, s in self.streams.items()}, t)
-
-    def restrict(self, names: Iterable[str]) -> "ChannelHistory":
-        keep = set(names)
-        return ChannelHistory({c: s for c, s in self.streams.items() if c in keep})
 
     def merged(self, other: "ChannelHistory") -> "ChannelHistory":
         overlap = set(self.streams) & set(other.streams)

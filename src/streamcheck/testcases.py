@@ -23,10 +23,6 @@ class ExpectedResult:
 
     groups: tuple[ChannelHistory, ...]
 
-    @classmethod
-    def of(cls, *groups: ChannelHistory) -> "ExpectedResult":
-        return cls(tuple(groups))
-
 
 @dataclass(frozen=True)
 class TestCase:
@@ -62,10 +58,6 @@ class Verdict:
     status: str  # pass | fail | error
     first_divergence: Optional[Divergence] = None
     log: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
 
 
 LOG_CONTEXT = 2  # ticks shown on each side of the first divergence

@@ -22,7 +22,8 @@ from typing import Any, Sequence
 
 from .components import SyntacticInterface
 from .errors import Diagnostic, ModelFormatError
-from .streams import BOOL_KIND, ChannelHistory, DataType, INT_KIND, REAL_KIND, TimedStream
+from .streams import (BOOL_KIND, ChannelHistory, DataType, INT_KIND, REAL_KIND, TimedStream,
+                      literal_text)
 from .testcases import ExpectedResult, TestCase
 
 
@@ -255,20 +256,12 @@ def parse_testcases(text: str, iface: SyntacticInterface,
     return cases
 
 
-def _cell_text(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_table(out: list[str], marker: str, hist: ChannelHistory) -> None:
     names = sorted(hist.streams)
     out.append(marker)
     out.append(",".join(names))
     for t in range(1, hist.horizon + 1):
-        out.append(",".join(_cell_text(hist.at(n, t)) for n in names))
+        out.append(",".join(literal_text(hist.at(n, t)) for n in names))
 
 
 def serialize_testcases(cases: list[TestCase]) -> str:

@@ -65,7 +65,7 @@ def prefix_equal(a, b, t):
     return all(a.streams[c].values[:t] == b.streams[c].values[:t] for c in a.streams)
 
 
-def causality_by_histories(spec, horizon=3, mode=None, values_per_channel=2):
+def causality_by_histories(spec, horizon=3, mode=None):
     if mode is None:
         mode = spec.causality if isinstance(spec, AutomatonSpec) else STRICT
     if mode != STRICT and horizon < 2:
@@ -73,7 +73,7 @@ def causality_by_histories(spec, horizon=3, mode=None, values_per_channel=2):
     channels = list(spec.interface.inputs)
     axes = []
     for c in channels:
-        axes.extend([representative_values(c.ctype, values_per_channel)] * horizon)
+        axes.extend([representative_values(c.ctype)] * horizon)
     runs = []
     for combo in itertools.product(*axes):
         hist = _history_from_grid(channels, combo, horizon)
@@ -115,7 +115,7 @@ def _advance(sim, slots: tuple, row: tuple, tick: int) -> tuple[tuple, tuple]:
 
 
 def causality_by_search(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
-                        mode: str | None = None, values_per_channel: int = 2,
+                        mode: str | None = None,
                         stats: dict | None = None) -> Optional[CausalityCounterexample]:
     if mode is None:
         mode = spec.causality if isinstance(spec, AutomatonSpec) else STRICT
@@ -125,7 +125,7 @@ def causality_by_search(spec: ComponentSpec, budget: int = 4096, horizon: int = 
         return None
     channels = spec.interface.inputs
     rows = list(itertools.product(*(
-        [c.ctype.check(v) for v in representative_values(c.ctype, values_per_channel)]
+        [c.ctype.check(v) for v in representative_values(c.ctype)]
         for c in channels)))
     sim = _simulator(spec)
     start = sim.initial_slots

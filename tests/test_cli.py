@@ -1,10 +1,14 @@
 import json
+import re
+import shlex
+import shutil
 
 import pytest
 
 from streamcheck.cli import main
+from streamcheck.exprs import MAX_HEIGHT
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 ENCODER = str(fixture_path("encoder.scm.txt"))
 BRAKE = str(fixture_path("brake_override.scm.txt"))
@@ -323,3 +327,100 @@ def test_verify_galois_refuses_an_oversized_universe_before_enumerating(
     code = main(["verify-galois", "--model", str(model), "--galois", "Wide", "--caps", "12"])
     assert code == 2
     assert "concrete universe has 15625 elements, cap is 12" in capsys.readouterr().err
+
+
+
+def _universe(tmp_path, a: str, horizon: int) -> str:
+    """WIDE_GALOIS with the values `a` for `a`, 3 for `p`, `q` and `r`, and
+    the given horizon."""
+    text = (WIDE_GALOIS.replace("a in { true, false }", f"a in {a}")
+            .replace("{ 0, 1, 2, 3, 4 }", "{ 3 }").replace("horizon 2", f"horizon {horizon}"))
+    model = tmp_path / "universe.scm.txt"
+    model.write_text(text, encoding="utf-8")
+    return str(model)
+
+
+@pytest.mark.parametrize("a, horizon, caps, pairs", [
+    ("{ true, false }", 4, 16, 16),  # 2^4 abstract elements, 4 ticks long
+    ("{ true }", 12, 12, 1),  # one element a side, 12 ticks long
+])
+def test_verify_galois_runs_a_horizon_above_3_that_fits_the_caps(
+        tmp_path, capsys, a, horizon, caps, pairs):
+    code = main(["verify-galois", "--model", _universe(tmp_path, a, horizon), "--galois", "Wide",
+                 "--caps", str(caps), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload["ok"], payload["pairs"]) == (0, True, pairs)
+
+
+@pytest.mark.parametrize("a, caps, message", [
+    ("{ true, false }", 15, "abstract universe has 16 elements, cap is 15"),
+    ("{ true }", 3, "universe horizon 4 exceeds cap 3"),
+])
+def test_verify_galois_refuses_a_universe_over_the_caps(tmp_path, capsys, a, caps, message):
+    code = main(["verify-galois", "--model", _universe(tmp_path, a, 4), "--galois", "Wide",
+                 "--caps", str(caps)])
+    assert code == 2 and message in capsys.readouterr().err
+
+
+def test_verify_galois_refuses_a_long_horizon_without_computing_its_size(tmp_path, capsys):
+    # 2^(10^9) would take seconds to compute and 125 MB to hold
+    code = main(["verify-galois", "--model", _universe(tmp_path, "{ true, false }", 10 ** 9),
+                 "--galois", "Wide"])
+    assert code == 2
+    assert "abstract universe has more than 12 elements, cap is 12" in capsys.readouterr().err
+
+
+_CHAIN_LINE = "  transition S -> S { o := "
+
+
+def _chain_model(tmp_path, terms: int) -> str:
+    """A strict automaton whose output is the sum of `terms` copies of its input."""
+    model = tmp_path / "chain.scm.txt"
+    model.write_text("component C {\n  input x : real\n  output o : real init 0.0\n"
+                     f"  states S init\n{_CHAIN_LINE}{' + '.join(['x'] * terms)} }}\n}}\n",
+                     encoding="utf-8")
+    (tmp_path / "chain.tv.csv").write_text("#case c\n#inputs\nx\n1.0\n2.0\n", encoding="utf-8")
+    return str(model)
+
+
+@pytest.mark.parametrize("terms", [500, 1000])
+def test_an_over_tall_expression_exits_2_at_its_location(tmp_path, capsys, terms):
+    model = _chain_model(tmp_path, terms)
+    code = main(["simulate", "--model", model, "--component", "C",
+                 "--vectors", str(tmp_path / "chain.tv.csv")])
+    err = capsys.readouterr().err
+    # at the `+` that adds term MAX_HEIGHT + 1
+    column = len(_CHAIN_LINE) + len(" + ".join(["x"] * MAX_HEIGHT)) + 2
+    assert code == 2
+    assert f"{model}:5:{column}: expression tree more than {MAX_HEIGHT} nodes tall" in err
+    assert "Traceback" not in err and "internal parse failure" not in err
+
+
+def test_an_expression_at_the_height_bound_loads_compiles_and_runs(tmp_path, capsys):
+    # a tree of binary nodes is the most recursion-hungry shape: the code
+    # generator recurses twice per binary node, and calls, the only other
+    # node it recurses twice for, nest at most 100 levels deep
+    model = _chain_model(tmp_path, MAX_HEIGHT)
+    code = main(["simulate", "--model", model, "--component", "C",
+                 "--vectors", str(tmp_path / "chain.tv.csv"), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["cases"][0]["outputs"]["o"] == [0.0, MAX_HEIGHT * 1.0]
+    assert main(["causality", "--model", model, "--component", "C"]) == 0
+
+
+def _readme_commands() -> list[str]:
+    """Every `streamcheck` command line of README's sh blocks, continuations joined."""
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line.startswith("streamcheck ")]
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_examples_run(command, tmp_path, monkeypatch, capsys):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    code = main(shlex.split(command)[1:])
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    assert "Traceback" not in captured.out + captured.err

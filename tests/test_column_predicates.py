@@ -177,7 +177,7 @@ def test_verify_galois_matches_pairwise_decision(seed, horizon):
         member = _expression(gen, types)
     channel_types = {n: t for n, t in types.items() if r.random() < 0.8}
     gal = GaloisSpec("G", f_map, member, universe, channel_types=channel_types)
-    assert _outcome(verify_galois, gal, 10 ** 6, 10) == _outcome(oracle.verify_galois, gal)
+    assert _outcome(verify_galois, gal, 10 ** 6) == _outcome(oracle.verify_galois, gal)
 
 
 def test_a_channel_shadows_a_label_of_the_same_name():

@@ -6,7 +6,7 @@ from docgen import DocGen
 from streamcheck.components import run
 from streamcheck.dsl import (ModelDocument, load_model, parse_model, serialize_model)
 from streamcheck.errors import ModelFormatError
-from streamcheck.exprs import MAX_NESTING
+from streamcheck.exprs import MAX_HEIGHT, MAX_NESTING
 from streamcheck.streams import ChannelHistory, TimedStream, bounded_int
 
 from conftest import MODEL_FILES, fixture_text
@@ -153,7 +153,9 @@ component Clash {{
 
 def test_a_boolean_horizon_is_diagnosed():
     result = parse_model("galois G { universe { horizon true } }")
-    assert [d.message for d in result.diagnostics] == ["horizon must be a non-negative integer"]
+    # at the literal, not at the token after it
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+        (1, 31, "horizon must be a non-negative integer")]
     assert parse_model("galois G { universe { horizon 2 } }").ok
 
 
@@ -188,3 +190,27 @@ def test_a_guard_at_the_nesting_limit_compiles_and_runs(kind):
     history = ChannelHistory({"x": TimedStream.of(bounded_int(0, 1), [0, 1])}, 2)
     expected = (True, False) if kind == "minus" else (False, True)
     assert run(result.document.components["C"], history).streams["y"].values == expected
+
+
+def _chain(terms: int) -> str:
+    return " + ".join(["x"] * terms)
+
+
+# an expression MAX_HEIGHT nodes tall, one MAX_HEIGHT + 1 tall, and the
+# offset in the latter of the token that makes it too tall
+_TALL = {
+    "chain": (_chain(MAX_HEIGHT), _chain(MAX_HEIGHT + 1), len(_chain(MAX_HEIGHT)) + 1),
+    "call": (f"abs({_chain(MAX_HEIGHT - 1)})", f"abs({_chain(MAX_HEIGHT)})", 0),
+    "not": (f"not ({_chain(MAX_HEIGHT - 1)})", f"not ({_chain(MAX_HEIGHT)})", 0),
+    "minus": (f"-({_chain(MAX_HEIGHT - 1)})", f"-({_chain(MAX_HEIGHT)})", 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TALL))
+def test_expression_trees_are_at_most_max_height_tall(kind):
+    prefix = "relation R RI when "
+    at_bound, over, offset = _TALL[kind]
+    assert parse_model(prefix + at_bound).ok
+    result = parse_model(prefix + over)
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+        (1, len(prefix) + 1 + offset, f"expression tree more than {MAX_HEIGHT} nodes tall")]
