@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import warnings
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .abstraction import (DEFAULT_UNIVERSE_CAP, ConcretizationWarning, check_correspondence,
@@ -31,25 +31,24 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _color_enabled() -> bool:
-    value = os.environ.get("STREAMCHECK_COLOR")
-    if value is None:
-        return sys.stdout.isatty()
-    return value not in ("0", "false", "no", "")
+class _Paint:
+    """The colours of the human-readable report, decided once per command."""
+
+    def __init__(self) -> None:
+        value = os.environ.get("STREAMCHECK_COLOR")
+        self.on = sys.stdout.isatty() if value is None else value not in ("0", "false", "no", "")
+
+    def _paint(self, text: str, code: str) -> str:
+        return f"\x1b[{code}m{text}\x1b[0m" if self.on else text
+
+    def green(self, text: str) -> str:
+        return self._paint(text, "32")
+
+    def red(self, text: str) -> str:
+        return self._paint(text, "31")
 
 
-def _paint(text: str, code: str) -> str:
-    if _color_enabled():
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
-
-
-def _green(text: str) -> str:
-    return _paint(text, "32")
-
-
-def _red(text: str) -> str:
-    return _paint(text, "31")
+Report = Callable[[_Paint], list[str]]  # builds the human-readable lines
 
 
 class CliError(Exception):
@@ -98,11 +97,12 @@ def _read_vectors(path: str, iface, param_types=None):
         raise CliError(f"{path}: " + "; ".join(map(str, e.diagnostics)))
 
 
-def _emit(args, payload: dict[str, Any], human_lines: list[str]) -> None:
+def _emit(args, payload: dict[str, Any], report: Report) -> None:
+    """Print the payload as JSON, or the report, which is built only then."""
     if args.format == "json":
         print(json.dumps(payload, default=str))
     else:
-        for line in human_lines:
+        for line in report(_Paint()):
             print(line)
 
 
@@ -133,29 +133,32 @@ def cmd_simulate(args) -> int:
         if args.ticks is not None and args.ticks > tc.horizon:
             raise CliError(f"case {tc.name!r}: input horizon {tc.horizon} < "
                            f"requested ticks {args.ticks}")
-    exit_code = EXIT_OK
-    lines: list[str] = []
-    payload_cases = []
+    runs = []
     for tc in cases:
         n = args.ticks if args.ticks is not None else tc.horizon
         try:
-            out = run(spec, tc.input, n, check_determinism=args.check_determinism)
+            runs.append((tc, n, run(spec, tc.input, n, check_determinism=args.check_determinism)))
         except StreamcheckError as e:
             raise CliError(f"simulation failed in case {tc.name!r}: {e}", EXIT_RUNTIME)
-        in_names = sorted(tc.input.streams)
-        out_names = sorted(out.streams)
-        rows = [[t] + [tc.input.at(c, t) for c in in_names] + [out.at(c, t) for c in out_names]
-                for t in range(1, n + 1)]
-        lines.append(f"case {tc.name} ({spec.name}, {n} ticks)")
-        lines.extend(_render_table(["tick"] + in_names + out_names, rows))
-        lines.append("")
-        payload_cases.append({
-            "case": tc.name, "ticks": n,
-            "inputs": {c: list(tc.input.streams[c].values[:n]) for c in in_names},
-            "outputs": {c: list(out.streams[c].values) for c in out_names},
-        })
-    _emit(args, {"command": "simulate", "component": spec.name, "cases": payload_cases}, lines)
-    return exit_code
+
+    def report(paint: _Paint) -> list[str]:
+        lines = []
+        for tc, n, out in runs:
+            in_names, out_names = sorted(tc.input.streams), sorted(out.streams)
+            rows = [[t] + [tc.input.at(c, t) for c in in_names] + [out.at(c, t) for c in out_names]
+                    for t in range(1, n + 1)]
+            lines.append(f"case {tc.name} ({spec.name}, {n} ticks)")
+            lines.extend(_render_table(["tick"] + in_names + out_names, rows))
+            lines.append("")
+        return lines
+
+    payload_cases = [{"case": tc.name, "ticks": n,
+                      "inputs": {c: list(tc.input.streams[c].values[:n])
+                                 for c in sorted(tc.input.streams)},
+                      "outputs": {c: list(out.streams[c].values) for c in sorted(out.streams)}}
+                     for tc, n, out in runs]
+    _emit(args, {"command": "simulate", "component": spec.name, "cases": payload_cases}, report)
+    return EXIT_OK
 
 
 def cmd_test(args) -> int:
@@ -164,25 +167,30 @@ def cmd_test(args) -> int:
     cases = []
     for path in args.vectors:
         cases.extend(_read_vectors(path, spec.interface))
-    report = suite_run(spec, cases, eps=args.eps, check_determinism=args.check_determinism)
-    lines = []
-    payload = []
-    for entry in report.entries:
-        v = entry.verdict
-        mark = _green("PASS") if v.status == PASS else _red(v.status.upper())
-        detail = f" ({v.first_divergence})" if v.first_divergence else ""
-        if v.status == "error":
-            detail = f" ({'; '.join(v.log)})"
-        lines.append(f"{mark}  {entry.case}{detail}")
-        payload.append({"case": entry.case, "status": v.status,
-                        "first_divergence": str(v.first_divergence) if v.first_divergence else None})
-    lines.append(f"{report.passed} passed, {report.failed} failed, {report.errors} errors")
+    suite = suite_run(spec, cases, eps=args.eps, check_determinism=args.check_determinism)
+
+    def report(paint: _Paint) -> list[str]:
+        lines = []
+        for entry in suite.entries:
+            v = entry.verdict
+            mark = paint.green("PASS") if v.status == PASS else paint.red(v.status.upper())
+            detail = f" ({v.first_divergence})" if v.first_divergence else ""
+            if v.status == "error":
+                detail = f" ({'; '.join(v.log)})"
+            lines.append(f"{mark}  {entry.case}{detail}")
+        lines.append(f"{suite.passed} passed, {suite.failed} failed, {suite.errors} errors")
+        return lines
+
+    payload = [{"case": entry.case, "status": entry.verdict.status,
+                "first_divergence": (str(entry.verdict.first_divergence)
+                                     if entry.verdict.first_divergence else None)}
+               for entry in suite.entries]
     _emit(args, {"command": "test", "component": spec.name, "cases": payload,
-                 "passed": report.passed, "failed": report.failed, "errors": report.errors},
-          lines)
-    if report.errors:
+                 "passed": suite.passed, "failed": suite.failed, "errors": suite.errors},
+          report)
+    if suite.errors:
         return EXIT_RUNTIME
-    return EXIT_OK if report.ok else EXIT_FAILURE
+    return EXIT_OK if suite.ok else EXIT_FAILURE
 
 
 def _refinement_parts(doc: ModelDocument, name: str):
@@ -248,13 +256,14 @@ def cmd_concretize(args) -> int:
                 fh.write(text)
         except OSError as e:
             raise CliError(f"cannot write {args.out}: {e.strerror or e}")
-        lines = [f"wrote {len(out_cases)} concrete case(s) to {args.out}"]
-    else:
-        lines = [text]
-    lines.extend(_red("warning: " + w) for w in warned)
+
+    def report(paint: _Paint) -> list[str]:
+        head = f"wrote {len(out_cases)} concrete case(s) to {args.out}" if args.out else text
+        return [head] + [paint.red("warning: " + w) for w in warned]
+
     _emit(args, {"command": "concretize", "refinement": ref.name,
                  "cases": [tc.name for tc in out_cases], "warnings": warned,
-                 "output": args.out or text}, lines)
+                 "output": args.out or text}, report)
     return EXIT_OK
 
 
@@ -270,32 +279,37 @@ def cmd_check(args) -> int:
     conc_cases = _read_vectors(args.vectors[1], parts["concrete"].interface)
     if len(abs_cases) != len(conc_cases):
         raise CliError(f"case count mismatch: {len(abs_cases)} abstract vs {len(conc_cases)} concrete")
-    all_ok = True
-    lines = []
-    payload = []
+    results = []
     for ta, tc in zip(abs_cases, conc_cases):
         result = check_correspondence(parts["abstract"], parts["concrete"],
                                       parts["ri"], parts["ro"], ta.input, tc.input)
         if result.status == "error":
             raise CliError(f"pair ({ta.name}, {tc.name}): " + "; ".join(result.diagnostics),
                            EXIT_RUNTIME)
-        ok = result.corresponding
-        all_ok = all_ok and ok
-        mark = _green("CORRESPONDING") if ok else _red("NOT CORRESPONDING")
-        lines.append(f"{mark}  ({ta.name}, {tc.name})  RI={result.ri_holds} RO={result.ro_holds}")
-        if not result.ri_holds:
-            lines.append(f"  warning: vacuous pass, RI fails at ticks "
-                         f"{[i + 1 for i, b in enumerate(result.ri_stream) if not b]}")
-        if not ok:
-            lines.append(f"  RO false at ticks "
-                         f"{[i + 1 for i, b in enumerate(result.ro_stream) if not b]}")
-        payload.append({"abstract_case": ta.name, "concrete_case": tc.name,
-                        "ri_holds": result.ri_holds, "ro_holds": result.ro_holds,
-                        "corresponding": ok,
-                        "ri_stream": list(result.ri_stream),
-                        "ro_stream": list(result.ro_stream)})
+        results.append((ta.name, tc.name, result))
+    all_ok = all(result.corresponding for _, _, result in results)
+
+    def report(paint: _Paint) -> list[str]:
+        lines = []
+        for a_name, c_name, result in results:
+            ok = result.corresponding
+            mark = paint.green("CORRESPONDING") if ok else paint.red("NOT CORRESPONDING")
+            lines.append(f"{mark}  ({a_name}, {c_name})  RI={result.ri_holds} RO={result.ro_holds}")
+            if not result.ri_holds:
+                lines.append(f"  warning: vacuous pass, RI fails at ticks "
+                             f"{[i + 1 for i, b in enumerate(result.ri_stream) if not b]}")
+            if not ok:
+                lines.append(f"  RO false at ticks "
+                             f"{[i + 1 for i, b in enumerate(result.ro_stream) if not b]}")
+        return lines
+
+    payload = [{"abstract_case": a_name, "concrete_case": c_name,
+                "ri_holds": result.ri_holds, "ro_holds": result.ro_holds,
+                "corresponding": result.corresponding,
+                "ri_stream": list(result.ri_stream),
+                "ro_stream": list(result.ro_stream)} for a_name, c_name, result in results]
     _emit(args, {"command": "check", "refinement": ref.name, "pairs": payload,
-                 "all_corresponding": all_ok}, lines)
+                 "all_corresponding": all_ok}, report)
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
@@ -315,11 +329,12 @@ def cmd_verify_galois(args) -> int:
         raise CliError(f"refusing enumeration: {e}")
     if cex is None:
         _emit(args, {"command": "verify-galois", "galois": gal.name, "ok": True, **stats},
-              [_green("OK") + f"  {gal.name}: connection law holds on the bounded universe"])
+              lambda paint: [paint.green("OK") + f"  {gal.name}: connection law holds on "
+                                                 "the bounded universe"])
         return EXIT_OK
     _emit(args, {"command": "verify-galois", "galois": gal.name, "ok": False, **stats,
                  "counterexample": str(cex)},
-          [_red("COUNTEREXAMPLE") + f"  {gal.name}: {cex}"])
+          lambda paint: [paint.red("COUNTEREXAMPLE") + f"  {gal.name}: {cex}"])
     return EXIT_FAILURE
 
 
@@ -337,11 +352,11 @@ def cmd_causality(args) -> int:
         raise CliError(f"refusing search: {e}")
     if cex is None:
         _emit(args, {"command": "causality", "component": spec.name, "ok": True, **stats},
-              [_green("OK") + f"  {spec.name}: no causality violation found"])
+              lambda paint: [paint.green("OK") + f"  {spec.name}: no causality violation found"])
         return EXIT_OK
     _emit(args, {"command": "causality", "component": spec.name, "ok": False, **stats,
                  "tick": cex.tick},
-          [_red("COUNTEREXAMPLE") + f"  {spec.name}: {cex}"])
+          lambda paint: [paint.red("COUNTEREXAMPLE") + f"  {spec.name}: {cex}"])
     return EXIT_FAILURE
 
 

@@ -8,8 +8,7 @@ Operators on operands of known kinds become plain Python operators;
 everything else goes through the helpers of `exprs`, which check operands
 the way `exprs.evaluate` does. Kinds are sound only for names whose values
 are guaranteed to conform: the simulator vouches for its state slots, and
-a history's column is vouched for once a pass over it has found every value
-conforming (`conforms`).
+a history's column is vouched for by its stream (`TimedStream.conforms`).
 
 Relation, abstraction-map and membership expressions compile here, too,
 each into one loop over the value tuples of channel histories. Such a
@@ -85,6 +84,13 @@ def _unknown(ident: str, ctx: str = "") -> Any:
     raise EvaluationError(f"{ctx}unknown name {ident!r}")
 
 
+def _divisor(value: Any, ctx: str = "") -> Any:
+    """A numeric divisor, unless it is zero."""
+    if value:
+        return value
+    raise EvaluationError(f"{ctx}division by zero")
+
+
 def _guard(value: Any, message: str) -> bool:
     if value is True or value is False:
         return value
@@ -106,7 +112,7 @@ class CodeGen:
         self.ns: dict[str, Any] = {
             "EvaluationError": EvaluationError, "_num": _num, "_bool": _bool,
             "_binop": _binop, "_apply": _apply, "_floor": _floor,
-            "_unknown": _unknown, "_guard": _guard}
+            "_unknown": _unknown, "_guard": _guard, "_divisor": _divisor}
         self._temps = 0
         self._consts: dict[tuple, str] = {}
 
@@ -199,12 +205,12 @@ class CodeGen:
         if op == "/" and numeric and (lhs.kind == rhs.kind == "int" or "real" in (lhs.kind, rhs.kind)):
             pyop = "//" if lhs.kind == rhs.kind == "int" else "/"
             kind, bounds = _arith(op, lhs, rhs)
-            if isinstance(e.right, Lit) and e.right.value != 0:
-                return Code(f"{_paren(lhs, _MUL)} {pyop} {_paren(rhs, _UNARY)}", kind, _MUL, bounds)
-            a, b = self.temp(), self.temp()
-            # both operands evaluate, left first, before the divisor is tested
-            return Code(f"({a} {pyop} {b} if (({a} := {lhs.src}), ({b} := {rhs.src})) and {b} "
-                        f"else _binop('/', {a}, {b}{c}))", kind, ATOM, bounds)
+            divisor = _paren(rhs, _UNARY)
+            if not isinstance(e.right, Lit) or e.right.value == 0:
+                # both operands evaluate, left first, before the divisor is
+                # tested; the left one nests no deeper, so chains stay flat
+                divisor = f"_divisor({rhs.src}{c})"
+            return Code(f"{_paren(lhs, _MUL)} {pyop} {divisor}", kind, _MUL, bounds)
         return Code(fallback, "num" if op in ("+", "-", "*", "/") else None)
 
     def function(self, params: str, body: list[str]) -> Callable:
@@ -235,24 +241,11 @@ def slot(local: str, dtype: DataType, conforms: bool) -> Code:
     return Code(local, {BOOL_KIND: "bool", REAL_KIND: "real"}.get(dtype.kind, "str"))
 
 
-def conforms(dtype: DataType, values: Sequence[Any]) -> bool:
-    """Whether every value is one that dtype.check accepts and returns unchanged."""
-    types = set(map(type, values))
-    if dtype.kind == BOOL_KIND:
-        return types <= {bool}
-    if dtype.kind == INT_KIND:
-        return types <= {int} and (not values or dtype.lo <= min(values) and max(values) <= dtype.hi)
-    if dtype.kind == REAL_KIND:
-        return types <= {float}
-    return types <= {str} and set(values).issubset(dtype.labels)
-
-
 Signature = tuple  # ((name, DataType, conforms), ...), one entry per column
 
 
 def signature(h: ChannelHistory) -> Signature:
-    return tuple((name, s.elem_type, conforms(s.elem_type, s.values))
-                 for name, s in h.streams.items())
+    return tuple((name, s.elem_type, s.conforms()) for name, s in h.streams.items())
 
 
 def _rows(h: ChannelHistory, names: Iterable[str] | None = None) -> list[tuple]:

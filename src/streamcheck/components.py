@@ -511,6 +511,8 @@ def check_causality(spec: ComponentSpec, budget: int = DEFAULT_CAUSALITY_BUDGET,
     stats["configurations"] = 1
     level = [start]
     for t in range(horizon):
+        if not level:  # no configuration is left to step
+            break
         following = []
         expand = t + 1 < horizon
         for config in level:

@@ -166,7 +166,19 @@ class _Parser:
             return exprs.parse_expr(self.c)
         except exprs.ExprSyntaxError as e:
             self.diagnostics.append(Diagnostic(e.line, e.column, e.message))
+            self.skip_expr()
             return TRUE
+
+    def skip_expr(self) -> None:
+        """Skip the rest of a broken expression: up to the `;`, `{` or `}`
+        that ends its statement or block, or up to a top-level keyword."""
+        c = self.c
+        while True:
+            tok = c.peek()
+            if tok.kind == EOF or (tok.kind == PUNCT and tok.value in ";{}") \
+                    or (tok.kind == IDENT and tok.value in _TOP_KEYWORDS):
+                return
+            c.advance()
 
     def parse_literal(self) -> Any:
         tok = self.c.peek()

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Mapping, Sequence
 
-from .codegen import NUMERIC, Code, CodeGen, NameResolver, conforms, slot, unpack
+from .codegen import NUMERIC, Code, CodeGen, NameResolver, slot, unpack
 from .components import (AutomatonSpec, AutomatonState, Channel, ComponentSpec,
                          ComponentState, CompositeSpec, CompositeState, Network, STRICT,
                          SyntacticInterface, Transition, _network, enum_label_env)
@@ -49,8 +49,6 @@ def _nondet(component: str, first: str, second: str, state: str) -> None:
 def _conform_column(dtype: DataType, values: tuple) -> tuple[Any, int]:
     """The values as DataType.check returns them, up to the first invalid one,
     and that one's index (len(values) when all are valid)."""
-    if conforms(dtype, values):
-        return values, len(values)
     checked = []
     for v in values:
         if not dtype.contains(v):
@@ -360,9 +358,13 @@ class Simulator:
     def run(self, history: ChannelHistory, n: int) -> ChannelHistory:
         cols, ticks = [], max(n, 0)
         for c in self.inputs:
-            col, valid = _conform_column(c.ctype, history.streams[c.name].values[:ticks])
+            # the stream's type is the channel's, which the caller has checked
+            stream = history.streams[c.name]
+            col = stream.values[:ticks]
+            if not stream.conforms():
+                col, valid = _conform_column(c.ctype, col)
+                ticks = min(ticks, valid)
             cols.append(col)
-            ticks = min(ticks, valid)
         out: list[list[Any]] = [[] for _ in self.outputs]
         rows = zip(*cols) if cols else itertools.repeat((), ticks)
         self.fn(list(self.initial_slots), rows, out)
@@ -374,7 +376,8 @@ class Simulator:
                 except StreamcheckError as e:
                     raise SimulationError(str(e), tick=ticks + 1) from e
         if self.outputs_conform:
-            streams = {c.name: TimedStream(c.ctype, tuple(col)) for c, col in zip(self.outputs, out)}
+            streams = {c.name: TimedStream.conforming(c.ctype, tuple(col))
+                       for c, col in zip(self.outputs, out)}
         else:
             streams = {c.name: TimedStream.of(c.ctype, col) for c, col in zip(self.outputs, out)}
         return ChannelHistory(streams, n)

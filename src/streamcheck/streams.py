@@ -109,10 +109,30 @@ class TimedStream:
     elem_type: DataType
     values: tuple[Any, ...]
 
+    # Whether the values conform (see `conforms`), once known. Kept on the
+    # instance, not as a field, so it takes no part in equality.
+    _conforms = None
+
     @classmethod
     def of(cls, elem_type: DataType, values: Iterable[Any]) -> "TimedStream":
         checked = tuple(elem_type.check(v) for v in values)
         return cls(elem_type, checked)
+
+    @classmethod
+    def conforming(cls, elem_type: DataType, values: tuple[Any, ...]) -> "TimedStream":
+        """A stream of values that its maker knows to conform, recorded as such."""
+        stream = cls(elem_type, values)
+        object.__setattr__(stream, "_conforms", True)
+        return stream
+
+    def conforms(self) -> bool:
+        """Whether every value is one that elem_type.check accepts and returns
+        unchanged. The values never change, so it is decided once per stream."""
+        known = self._conforms
+        if known is None:
+            known = _all_conform(self.elem_type, self.values)
+            object.__setattr__(self, "_conforms", known)
+        return known
 
     @property
     def horizon(self) -> int:
@@ -132,6 +152,17 @@ class TimedStream:
         if not 0 <= t <= len(self.values):
             raise TickRangeError(t, len(self.values))
         return TimedStream(self.elem_type, self.values[:t])
+
+
+def _all_conform(dtype: DataType, values: Sequence[Any]) -> bool:
+    types = set(map(type, values))
+    if dtype.kind == BOOL_KIND:
+        return types <= {bool}
+    if dtype.kind == INT_KIND:
+        return types <= {int} and (not values or dtype.lo <= min(values) and max(values) <= dtype.hi)
+    if dtype.kind == REAL_KIND:
+        return types <= {float}
+    return types <= {str} and set(values).issubset(dtype.labels)
 
 
 @dataclass(frozen=True)
@@ -194,7 +225,7 @@ def validate_history(h: ChannelHistory, channels: Sequence[Channel]) -> list[Vio
         s = h.streams.get(c.name)
         if s is None:
             violations.append(Violation(c.name, "unbound channel"))
-        elif s.elem_type != c.ctype:
+        elif s.elem_type is not c.ctype and s.elem_type != c.ctype:
             violations.append(Violation(
                 c.name, f"type mismatch: stream of {s.elem_type.to_text()} bound to {c.ctype.to_text()} channel"))
     for name, s in h.streams.items():

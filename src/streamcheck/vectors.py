@@ -6,18 +6,31 @@ output groups). Each table is a CSV header of channel names followed by one
 row per tick. Booleans are `true`/`false`, enumeration cells are bare labels,
 reals use decimal-point notation.
 
-A table is read when its case is, by column: its lines are split into
-cells, and each column is converted at once by its channel's type. Only a
-table that fails is read again cell by cell, with `_parse_cell`, to report
-its first error in row-major order (see docs/grammar.md).
+A file is read in one walk over its lines. The walk checks each table's
+structure when it reaches it: the marker, the header (each distinct header
+line once per file and role), the channels it covers and its number of
+rows. It queues the table's body behind those of earlier tables with the
+same header, and converts such a batch column by column, each column at
+once by its channel's type, when the batch holds BATCH_ROWS rows or the file
+ends; each table then takes its slice of the converted columns. The streams
+built so are recorded as conforming to their types (`TimedStream.conforming`),
+so nothing checks their values again.
+
+Errors come out as if each table were converted as soon as its header was
+read: before the walk reports a structural error, it converts every table
+queued so far. Only a batch that fails is read again, table by table, and
+only the first table that fails, in file order, cell by cell with
+`_parse_cell`, to report its first error in row-major order (see
+docs/grammar.md).
 """
 
 from __future__ import annotations
 
 import csv
 import difflib
-from dataclasses import dataclass
-from itertools import repeat
+import re
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Any, Sequence
 
 from .components import SyntacticInterface
@@ -30,6 +43,11 @@ from .testcases import ExpectedResult, TestCase
 # The longest cell, in characters, counted after quotes are removed: the csv
 # module's default field limit, applied to lines with and without quotes.
 MAX_CELL = 131072
+
+# The rows of a batch: the bodies of tables that share a header are converted
+# together once they hold this many rows. Much larger batches are no faster
+# and hold more of a file's cells in memory at once.
+BATCH_ROWS = 2000
 
 _BOOLS = {"true": True, "false": False}
 
@@ -68,47 +86,6 @@ def _parse_cell(cell: str, dtype: DataType, line: int, column: int) -> Any:
     hint = difflib.get_close_matches(text, dtype.labels, n=1)
     suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
     _fail(line, column, f"unknown enumeration label {text!r}{suggestion}")
-
-
-@dataclass
-class _Section:
-    kind: str  # case | params | inputs | expected
-    arg: str
-    line: int
-    rows: list[str]  # the data lines as written, blank ones left out
-    linenos: Sequence[int]  # the line number of each
-
-
-def _split_sections(text: str) -> list[_Section]:
-    """Find the section markers; each section keeps its data lines unsplit."""
-    lines = text.splitlines()
-    stripped = list(map(str.strip, lines))
-    marker = list(map(str.startswith, stripped, repeat("#")))
-    n = len(lines)
-    at = marker.index(True) if True in marker else n
-    for k in range(at):
-        if stripped[k]:
-            _fail(k + 1, 1, "data before any section marker")
-    sections: list[_Section] = []
-    while at < n:
-        line = stripped[at]
-        parts = line[1:].split(None, 1)
-        kind = parts[0] if parts else ""
-        if kind not in ("case", "params", "inputs", "expected"):
-            _fail(at + 1, 1, f"unknown section marker {line!r}")
-        try:
-            end = marker.index(True, at + 1)
-        except ValueError:
-            end = n
-        if "" in stripped[at + 1:end]:
-            keep = [k for k in range(at + 1, end) if stripped[k]]
-            rows, linenos = [lines[k] for k in keep], [k + 1 for k in keep]
-        else:
-            rows, linenos = lines[at + 1:end], range(at + 2, end + 1)
-        sections.append(_Section(kind, parts[1].strip() if len(parts) > 1 else "",
-                                 at + 1, rows, linenos))
-        at = end
-    return sections
 
 
 def _split(raw: str) -> list[str]:
@@ -171,36 +148,137 @@ def _columns(body: list[str], n: int) -> Sequence[Sequence[str]] | None:
     return [flat[j::n] for j in range(n)]
 
 
-def _read_table(section: _Section, known: dict[str, DataType],
-                what: str) -> tuple[list[str], ChannelHistory]:
-    """Check a table's header, then convert its body column by column."""
-    if not section.rows:
-        _fail(section.line, 1, f"empty #{section.kind} table")
-    header_line, header_raw = section.linenos[0], section.rows[0]
-    header = _split(header_raw)
+def _scan(text: str) -> tuple[list[str], Sequence[int], list[tuple[str, str, int]]]:
+    """The file's non-blank lines, the line number of each, and its sections
+    as (kind, argument, index of the marker line); every marker is checked."""
+    lines = text.splitlines()
+    stripped = list(map(str.strip, lines))
+    linenos: Sequence[int] = range(1, len(lines) + 1)
+    if "" in stripped:
+        keep = list(compress(range(len(lines)), stripped))
+        lines, stripped = list(map(lines.__getitem__, keep)), list(filter(None, stripped))
+        linenos = [k + 1 for k in keep]
+    # the first character of every line, so that markers are found in one search
+    firsts = "".join(map(itemgetter(0), stripped))
+    marks = [m.start() for m in re.finditer("#", firsts)]
+    if lines and (not marks or marks[0]):
+        _fail(linenos[0], 1, "data before any section marker")
+    sections = []
+    for at in marks:
+        line = stripped[at]
+        parts = line[1:].split(None, 1)
+        kind = parts[0] if parts else ""
+        if kind not in ("case", "params", "inputs", "expected"):
+            _fail(linenos[at], 1, f"unknown section marker {line!r}")
+        sections.append((kind, parts[1].strip() if len(parts) > 1 else "", at))
+    return lines, linenos, sections
+
+
+def _header(raw: str, line: int, kind: str, known: dict[str, DataType], what: str) -> list[str]:
+    """The channel names of a table's header line, checked against `known`."""
+    header = _split(raw)
     if not header:
-        _unreadable(header_line, header_raw)
+        _unreadable(line, raw)
     names = [h.strip() for h in header]
     for col, name in enumerate(names, start=1):
         if name not in known:
             hint = difflib.get_close_matches(name, list(known), n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-            _fail(header_line, col, f"unknown {what} {name!r}{suggestion}")
+            _fail(line, col, f"unknown {what} {name!r}{suggestion}")
     if len(set(names)) != len(names):
-        _fail(header_line, 1, f"duplicate columns in #{section.kind} header")
-    types = [known[name] for name in names]
-    body = section.rows[1:]
-    columns = _columns(body, len(names))
-    if columns is not None:
-        try:
-            values = [_column(t, col) for t, col in zip(types, columns)]
-        except (ValueError, KeyError):
-            pass
-        else:
-            return names, ChannelHistory(
-                {n: TimedStream(t, v) for n, t, v in zip(names, types, values)}, len(body))
-    _first_error(types, section.linenos[1:], body)
-    raise AssertionError("a column failed to convert, but no cell did")
+        _fail(line, 1, f"duplicate columns in #{kind} header")
+    return names
+
+
+def _convert(types: list[DataType], body: list[str]) -> list[tuple[Any, ...]] | None:
+    """A table body's columns, each converted by its type; None when a row
+    is ragged or unreadable or a cell does not convert."""
+    columns = _columns(body, len(types))
+    if columns is None:
+        return None
+    try:
+        return [_column(t, col) for t, col in zip(types, columns)]
+    except (ValueError, KeyError):
+        return None
+
+
+class _Batch:
+    """The queued bodies of tables that share a header line."""
+
+    def __init__(self, names: list[str], types: list[DataType], missing: list[str]):
+        self.names, self.types = names, types
+        self.missing = missing  # the channels the header lacks
+        self.rows: list[str] = []
+        self.queue: list[tuple[int, int, int]] = []  # (serial, first line, end line)
+
+
+class _Reader:
+    """Tables queued by header and converted in batches of about BATCH_ROWS
+    rows. A table is known by its serial number, in file order; its history
+    is in `tables` once its batch is converted."""
+
+    def __init__(self, lines: list[str], linenos: Sequence[int]):
+        self.lines, self.linenos = lines, linenos
+        self.batches: dict[tuple[str, str], _Batch] = {}
+        self.tables: list[ChannelHistory | None] = []
+
+    def fail(self, line: int, column: int, message: str) -> None:
+        """Report a structural error, after any error of a table queued before it."""
+        self.flush()
+        _fail(line, column, message)
+
+    def table(self, kind: str, at: int, end: int, known: dict[str, DataType],
+              what: str) -> tuple[_Batch, int, int]:
+        """Queue the table whose marker is lines[at] and whose rows end before
+        lines[end]: its batch, its serial number and its number of rows."""
+        if end == at + 1:
+            self.fail(self.linenos[at], 1, f"empty #{kind} table")
+        key = (kind, self.lines[at + 1])
+        batch = self.batches.get(key)
+        if batch is None:
+            try:
+                names = _header(key[1], self.linenos[at + 1], kind, known, what)
+            except VectorFormatError:
+                self.flush()
+                raise
+            missing = [] if kind == "params" else sorted(set(known) - set(names))
+            batch = self.batches[key] = _Batch(names, [known[n] for n in names], missing)
+        serial = len(self.tables)
+        self.tables.append(None)
+        batch.queue.append((serial, at + 2, end))
+        batch.rows += self.lines[at + 2:end]
+        if len(batch.rows) >= BATCH_ROWS:
+            self._convert_batch(batch)
+        return batch, serial, end - at - 2
+
+    def flush(self) -> None:
+        """Convert every queued table."""
+        for batch in self.batches.values():
+            if batch.queue:
+                self._convert_batch(batch)
+
+    def _convert_batch(self, batch: _Batch) -> None:
+        values = _convert(batch.types, batch.rows)
+        if values is None:
+            self._first_error()
+        start = 0
+        for serial, first, end in batch.queue:
+            stop = start + end - first
+            self.tables[serial] = ChannelHistory(
+                {n: TimedStream.conforming(t, col[start:stop])
+                 for n, t, col in zip(batch.names, batch.types, values)}, stop - start)
+            start = stop
+        batch.rows, batch.queue = [], []
+
+    def _first_error(self) -> None:
+        """Raise the first error of the queued tables in file order."""
+        queued = sorted(((entry, batch.types) for batch in self.batches.values()
+                         for entry in batch.queue), key=lambda q: q[0][0])
+        for (_, first, end), types in queued:
+            body = self.lines[first:end]
+            if _convert(types, body) is None:
+                _first_error(types, self.linenos[first:end], body)
+        raise AssertionError("a batch failed to convert, but none of its tables did")
 
 
 def parse_testcases(text: str, iface: SyntacticInterface,
@@ -209,50 +287,63 @@ def parse_testcases(text: str, iface: SyntacticInterface,
     in_types = {c.name: c.ctype for c in iface.inputs}
     out_types = {c.name: c.ctype for c in iface.outputs}
     param_types = param_types or {}
-    sections = _split_sections(text)
-    cases: list[TestCase] = []
-    i = 0
-    counter = 0
-    while i < len(sections):
+    lines, linenos, sections = _scan(text)
+    reader = _Reader(lines, linenos)
+    ends = [at for _, _, at in sections[1:]] + [len(lines)]
+    # (name, (params table, its rows) or None, inputs table, horizon, expected tables)
+    plans = []
+    n = len(sections)
+    i = counter = 0
+    while i < n:
+        kind, arg, at = sections[i]
         name = None
-        if sections[i].kind == "case":
-            name = sections[i].arg or None
-            if sections[i].rows:
-                _fail(sections[i].linenos[0], 1, "data rows directly under #case")
+        if kind == "case":
+            if ends[i] > at + 1:
+                reader.fail(linenos[at + 1], 1, "data rows directly under #case")
+            name = arg
             i += 1
         counter += 1
         name = name or f"case{counter}"
-        params: dict[str, TimedStream] = {}
-        if i < len(sections) and sections[i].kind == "params":
-            params = dict(_read_table(sections[i], param_types, "parameter")[1].streams)
+        params = None
+        if i < n and sections[i][0] == "params":
+            params = reader.table("params", sections[i][2], ends[i], param_types, "parameter")
             i += 1
-        if i >= len(sections) or sections[i].kind != "inputs":
-            line = sections[i].line if i < len(sections) else sections[i - 1].line
-            _fail(line, 1, f"expected #inputs for case {name!r}")
-        names, inputs = _read_table(sections[i], in_types, "channel")
-        missing = sorted(set(in_types) - set(names))
-        if missing:
-            _fail(sections[i].line, 1, f"missing input channels: {missing}")
+        if i >= n or sections[i][0] != "inputs":
+            reader.fail(linenos[sections[min(i, n - 1)][2]], 1,
+                        f"expected #inputs for case {name!r}")
+        at = sections[i][2]
+        batch, inputs, horizon = reader.table("inputs", at, ends[i], in_types, "channel")
+        if batch.missing:
+            reader.fail(linenos[at], 1, f"missing input channels: {batch.missing}")
         i += 1
         groups = []
-        while i < len(sections) and sections[i].kind == "expected":
-            enames, group = _read_table(sections[i], out_types, "channel")
-            emissing = sorted(set(out_types) - set(enames))
-            if emissing:
-                _fail(sections[i].line, 1, f"missing output channels: {emissing}")
-            if group.horizon != inputs.horizon:
-                _fail(sections[i].line, 1,
-                      f"expected table has {group.horizon} ticks, inputs have {inputs.horizon}")
+        while i < n and sections[i][0] == "expected":
+            at = sections[i][2]
+            batch, group, ticks = reader.table("expected", at, ends[i], out_types, "channel")
+            if batch.missing:
+                reader.fail(linenos[at], 1, f"missing output channels: {batch.missing}")
+            if ticks != horizon:
+                reader.fail(linenos[at], 1,
+                            f"expected table has {ticks} ticks, inputs have {horizon}")
             groups.append(group)
             i += 1
         # params, when per-tick streams, must match the horizon
-        for pname, stream in params.items():
-            if stream.horizon not in (1, inputs.horizon):
-                _fail(sections[0].line, 1,
-                      f"parameter {pname!r} has {stream.horizon} ticks, inputs have {inputs.horizon}")
-            if stream.horizon == 1 and inputs.horizon != 1:
-                params[pname] = TimedStream(stream.elem_type, stream.values * inputs.horizon)
-        cases.append(TestCase(name, inputs, ExpectedResult(tuple(groups)), params))
+        if params is not None and params[2] not in (1, horizon):
+            reader.fail(linenos[sections[0][2]], 1, f"parameter {params[0].names[0]!r} has "
+                        f"{params[2]} ticks, inputs have {horizon}")
+        plans.append((name, params[1:] if params else None, inputs, horizon, groups))
+    reader.flush()
+    tables = reader.tables
+    cases: list[TestCase] = []
+    for name, params, inputs, horizon, groups in plans:
+        streams: dict[str, TimedStream] = {}
+        if params is not None:
+            streams = dict(tables[params[0]].streams)
+            if params[1] == 1 and horizon != 1:
+                streams = {p: TimedStream.conforming(s.elem_type, s.values * horizon)
+                           for p, s in streams.items()}
+        cases.append(TestCase(name, tables[inputs],
+                              ExpectedResult(tuple(map(tables.__getitem__, groups))), streams))
     return cases
 
 
@@ -260,8 +351,8 @@ def _write_table(out: list[str], marker: str, hist: ChannelHistory) -> None:
     names = sorted(hist.streams)
     out.append(marker)
     out.append(",".join(names))
-    for t in range(1, hist.horizon + 1):
-        out.append(",".join(literal_text(hist.at(n, t)) for n in names))
+    columns = [map(literal_text, hist.streams[n].values) for n in names]
+    out.extend(map(",".join, zip(*columns)) if columns else repeat("", hist.horizon))
 
 
 def serialize_testcases(cases: list[TestCase]) -> str:

@@ -2,6 +2,7 @@ import json
 import re
 import shlex
 import shutil
+import time
 
 import pytest
 
@@ -122,6 +123,17 @@ def test_causality_json_counts_configurations_and_steps(capsys):
     assert code == 0 and payload["ok"] is True
     assert payload["configurations"] == 108 and payload["steps"] == 108 * 128
     assert "seed" not in payload
+
+
+def test_causality_stops_when_no_configuration_is_left(capsys):
+    # both configurations of BrakeOverride are stepped within two ticks; a
+    # search that went on over the remaining ticks would take minutes
+    started = time.perf_counter()
+    code = main(["causality", "--model", BRAKE, "--component", "BrakeOverride",
+                 "--ticks", "10000000000", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert time.perf_counter() - started < 5
+    assert code == 0 and (payload["configurations"], payload["steps"]) == (2, 16)
 
 
 def test_causality_json_reports_the_violating_tick(capsys):
@@ -373,11 +385,11 @@ def test_verify_galois_refuses_a_long_horizon_without_computing_its_size(tmp_pat
 _CHAIN_LINE = "  transition S -> S { o := "
 
 
-def _chain_model(tmp_path, terms: int) -> str:
-    """A strict automaton whose output is the sum of `terms` copies of its input."""
+def _chain_model(tmp_path, terms: int, op: str = "+") -> str:
+    """A strict automaton whose output is `terms` copies of its input joined by `op`."""
     model = tmp_path / "chain.scm.txt"
     model.write_text("component C {\n  input x : real\n  output o : real init 0.0\n"
-                     f"  states S init\n{_CHAIN_LINE}{' + '.join(['x'] * terms)} }}\n}}\n",
+                     f"  states S init\n{_CHAIN_LINE}{f' {op} '.join(['x'] * terms)} }}\n}}\n",
                      encoding="utf-8")
     (tmp_path / "chain.tv.csv").write_text("#case c\n#inputs\nx\n1.0\n2.0\n", encoding="utf-8")
     return str(model)
@@ -406,6 +418,20 @@ def test_an_expression_at_the_height_bound_loads_compiles_and_runs(tmp_path, cap
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["cases"][0]["outputs"]["o"] == [0.0, MAX_HEIGHT * 1.0]
     assert main(["causality", "--model", model, "--component", "C"]) == 0
+
+
+def test_a_division_chain_at_the_height_bound_loads_compiles_and_runs(tmp_path, capsys):
+    # a division by a variable must not nest its left operand in parentheses,
+    # of which Python allows 200 levels
+    model = _chain_model(tmp_path, MAX_HEIGHT, "/")
+    code = main(["simulate", "--model", model, "--component", "C",
+                 "--vectors", str(tmp_path / "chain.tv.csv"), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["cases"][0]["outputs"]["o"] == [0.0, 1.0]
+    # the causality search steps x = 0.0 too, and the chain divides by it
+    assert main(["causality", "--model", model, "--component", "C"]) == 3
+    err = capsys.readouterr().err
+    assert "division by zero" in err and "Traceback" not in err
 
 
 def _readme_commands() -> list[str]:

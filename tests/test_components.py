@@ -124,6 +124,20 @@ def test_run_validates_inputs():
         run(identity(), ChannelHistory({}))  # unbound input channel
 
 
+def test_a_stream_built_without_checks_fails_at_its_bad_tick():
+    # TimedStream() checks nothing and records nothing, so the run checks
+    # the column and fails at the first value outside int[-128..127]
+    stream = TimedStream(INT8, (1, 2, 300, 4))
+    assert stream._conforms is None
+    with pytest.raises(SimulationError) as err:
+        run(identity(), ChannelHistory({"x": stream}))
+    assert err.value.tick == 3 and "300" in str(err.value)
+    assert stream.conforms() is False
+    good = TimedStream(INT8, (1, 2))
+    assert run(identity(), ChannelHistory({"x": good})).streams["y"].values == (0, 1)
+    assert good.conforms() is True
+
+
 def test_validate_automaton_catches_unresolved_names():
     spec = AutomatonSpec(
         name="Bad",

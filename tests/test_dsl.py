@@ -214,3 +214,21 @@ def test_expression_trees_are_at_most_max_height_tall(kind):
     result = parse_model(prefix + over)
     assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
         (1, len(prefix) + 1 + offset, f"expression tree more than {MAX_HEIGHT} nodes tall")]
+
+
+def _assigning(expr: str) -> str:
+    return ("component C {\n  input x : real\n  output o : real init 0.0\n  states S init\n"
+            f"  transition S -> S {{ o := {expr} }}\n}}\n")
+
+
+@pytest.mark.parametrize("expr, column, message", [
+    (_chain(450), len("  transition S -> S { o := ") + len(_chain(MAX_HEIGHT)) + 2,
+     f"expression tree more than {MAX_HEIGHT} nodes tall"),
+    ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+     len("  transition S -> S { o := ") + MAX_NESTING + 1,
+     f"expression nested more than {MAX_NESTING} levels deep"),
+], ids=["chain", "parentheses"])
+def test_a_broken_expression_gives_one_diagnostic(expr, column, message):
+    # the parser goes on after the end of the assignment, not inside it
+    result = parse_model(_assigning(expr))
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [(5, column, message)]

@@ -1,10 +1,15 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vector_oracle
 from streamcheck.components import Channel, SyntacticInterface
-from streamcheck.streams import BOOL, REAL, bounded_int, enumeration
+from streamcheck import vectors
+from streamcheck.streams import (BOOL, REAL, ChannelHistory, TimedStream, bounded_int,
+                                 enumeration, literal_text)
+from streamcheck.testcases import ExpectedResult, TestCase
 from streamcheck.vectors import (MAX_CELL, VectorFormatError, parse_testcases,
                                  serialize_testcases)
 
@@ -132,6 +137,15 @@ _JUNK = st.sampled_from(["", "x", "lo", "Hii", "1.5", "true", "Hi", "99", "-1", 
 _PAD = st.sampled_from(["", "", "", " ", "\t", "\x1f", "\u3000"])
 
 
+def _plain_texts(dtype):
+    """A few ways to write each of some values of the type, in one list."""
+    if dtype.kind == "int":
+        return [str(v) for v in range(dtype.lo, dtype.hi + 1)] + [f" {dtype.lo}", f'"{dtype.hi}"']
+    return {"bool": ["true", "false", " true", '"false"'],
+            "real": ["1.5", "-0.0", "nan", "2", " 3e2", '"1_0.5"'],
+            "enum": ["Lo", "Hi", " Hi ", '"Lo"']}[dtype.kind]
+
+
 @st.composite
 def _cell(draw, dtype):
     if draw(st.integers(0, 39)) == 0:
@@ -148,12 +162,19 @@ def _cell(draw, dtype):
 
 
 @st.composite
-def _table(draw, marker, channels, ticks):
-    names = draw(st.permutations(channels))
-    if draw(st.integers(0, 19)) == 0:
+def _table(draw, marker, channels, ticks, header=None, faults=True):
+    """A table of `ticks` rows under a header that orders `channels` (or
+    under `header`); with `faults`, now and then a wrong header, row count,
+    row width or cell."""
+    names = draw(st.permutations(channels)) if header is None else header
+    if faults and draw(st.integers(0, 19)) == 0:
         names = names[1:] if draw(st.booleans()) else names + [
             draw(st.sampled_from(channels + ["nn", "zz"]))]
     lines = [marker, ",".join(names)]
+    if not faults:  # one draw for the whole body: long documents generate quickly
+        rnd = draw(st.randoms(use_true_random=False))
+        return lines + [",".join(rnd.choice(_plain_texts(DIFF_TYPES[n])) for n in names)
+                        for _ in range(ticks)]
     if draw(st.integers(0, 9)) == 0:
         ticks = draw(st.integers(0, 4))
     for _ in range(ticks):
@@ -200,3 +221,124 @@ def _outcome(parse, text):
 @given(_document())
 def test_column_reader_agrees_with_the_row_reader(text):
     assert _outcome(parse_testcases, text) == _outcome(vector_oracle.parse_testcases, text)
+
+
+# The reader converts the bodies of tables that share a header together, in
+# batches of vectors.BATCH_ROWS rows. Documents of many cases over a few
+# header lines, read with small batches, put batch boundaries inside the
+# document and inside runs of faults.
+
+_CHANNELS = {"#params": ["p", "q"], "#inputs": ["n", "b", "m", "r"], "#expected": ["o", "x"]}
+
+
+@st.composite
+def _shared_document(draw):
+    """Up to 12 cases whose tables take one of two header lines per marker;
+    faults, in cells, tables and structure, only from a drawn case on, and
+    there in about one table in three."""
+    headers = {marker: draw(st.lists(st.permutations(chans), min_size=1, max_size=2))
+               for marker, chans in _CHANNELS.items()}
+    cases = draw(st.integers(1, 12))
+    first_fault = draw(st.integers(0, cases))
+    lines, fault_line = [], 0
+    for i in range(cases):
+        faults = i >= first_fault
+        if i == first_fault:
+            fault_line = len(lines)
+        if draw(st.booleans()):
+            lines.append(f"#case c{i}")
+        ticks = draw(st.integers(0, 4))
+
+        def table(marker, ticks):
+            header = draw(st.sampled_from(headers[marker]))
+            faulty = faults and draw(st.integers(0, 2)) == 0
+            return draw(_table(marker, _CHANNELS[marker], ticks, header, faulty))
+
+        if draw(st.integers(0, 3)) == 0:
+            lines += table("#params", draw(st.sampled_from([1, ticks])))
+        if not faults or draw(st.integers(0, 19)):
+            lines += table("#inputs", ticks)
+        for _ in range(draw(st.integers(0, 2))):
+            lines += table("#expected", ticks)
+    if first_fault < cases:
+        for _ in range(draw(st.integers(0, 2))):
+            extra = draw(st.sampled_from(["", "   ", "# note", "#inputs", "1,2", '"', "#case"]))
+            lines.insert(draw(st.integers(fault_line, len(lines))), extra)
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shared_document(), st.integers(1, 6) | st.just(vectors.BATCH_ROWS))
+def test_batched_reader_agrees_with_the_row_reader(text, batch_rows):
+    with mock.patch.object(vectors, "BATCH_ROWS", batch_rows):
+        outcome = _outcome(parse_testcases, text)
+    assert outcome == _outcome(vector_oracle.parse_testcases, text)
+
+
+def test_a_later_batch_error_is_reported_after_an_earlier_one(monkeypatch):
+    # the failing batch (inputs, flushed first) holds the later error; the
+    # expected table of the first case, still queued, holds the earlier one
+    monkeypatch.setattr(vectors, "BATCH_ROWS", 2)
+    text = ("#case a\n#inputs\nDriverBrake,AccBrake,AccSwitch\n1,2,true\n"
+            "#expected\nAccState\nActiv\n"
+            "#case b\n#inputs\nDriverBrake,AccBrake,AccSwitch\n1,200,true\n"
+            "#expected\nAccState\nActive\n")
+    with pytest.raises(VectorFormatError) as err:
+        parse_testcases(text, IFACE)
+    assert str(err.value).startswith("7:1: unknown enumeration label 'Activ'")
+
+
+def test_read_streams_are_known_to_conform_and_compare_as_before():
+    cases = parse_testcases(fixture_text("brake_override.tv.csv"), IFACE)
+    stream = cases[0].input.streams["DriverBrake"]
+    assert stream._conforms is True
+    plain = TimedStream(stream.elem_type, stream.values)
+    assert plain._conforms is None and plain == stream and hash(plain) == hash(stream)
+
+
+def _cellwise_serialize(cases):
+    """The writer as it was before it wrote a table a column at a time."""
+    out = []
+
+    def table(marker, hist):
+        names = sorted(hist.streams)
+        out.append(marker)
+        out.append(",".join(names))
+        for t in range(1, hist.horizon + 1):
+            out.append(",".join(literal_text(hist.at(n, t)) for n in names))
+
+    for tc in cases:
+        out.append(f"#case {tc.name}")
+        if tc.params:
+            table("#params", ChannelHistory(dict(tc.params)))
+        table("#inputs", tc.input)
+        for group in tc.expected.groups:
+            table("#expected", group)
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def test_the_writer_matches_the_cellwise_writer_on_the_fixtures(doc):
+    encoder = doc.refinements["Encoder"]
+    abstract, concrete = (doc.components[encoder.abstract].interface,
+                          doc.components[encoder.concrete].interface)
+    params = {p.name: p.dtype for p in doc.concretizers[encoder.concretizer].params}
+    for name, iface, param_types in [("brake_override.tv.csv", IFACE, None),
+                                     ("encoder_abstract.tv.csv", abstract, None),
+                                     ("encoder_concrete.tv.csv", concrete, None),
+                                     ("encoder_concretize.tv.csv", abstract, params)]:
+        cases = parse_testcases(fixture_text(name), iface, param_types)
+        assert serialize_testcases(cases) == _cellwise_serialize(cases)
+    # values a stream's type would convert, and a history without channels
+    odd = ChannelHistory({"r": TimedStream(REAL, (1, 2.5, True))})
+    cases = [TestCase("odd", odd, ExpectedResult((ChannelHistory({}, 3),)))]
+    assert serialize_testcases(cases) == _cellwise_serialize(cases)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_document() | _shared_document())
+def test_the_writer_matches_the_cellwise_writer(text):
+    try:
+        cases = parse_testcases(text, DIFF_IFACE, DIFF_PARAMS)
+    except VectorFormatError:
+        return
+    assert serialize_testcases(cases) == _cellwise_serialize(cases)
