@@ -124,6 +124,8 @@ def validate_automaton(spec: AutomatonSpec) -> list[str]:
     in_names = set(spec.interface.input_names())
     out_names = set(spec.interface.output_names())
     var_names = {v.name for v in spec.variables}
+    if len(var_names) != len(spec.variables):
+        problems.append("duplicate variable names")
     labels = set(enum_label_env(spec))
     clash = labels & (in_names | out_names | var_names)
     if clash:
@@ -196,8 +198,8 @@ class Network:
     atom's path is ""). `src` maps each atom input (path, channel), and
     `out_src` each output, to its producer: (None, channel) for a boundary
     input, (path, channel) for an atom output, None when no wire feeds it.
-    `weak` lists the weak atoms in firing order, `stuck` those that never
-    fire, and `available` the producers with a value once `weak` has fired.
+    `weak` lists the weak atoms in firing order and `stuck` those that never
+    fire.
     """
 
     def __init__(self, atoms: list[tuple[str, AutomatonSpec]], src: dict, out_src: dict,
@@ -205,11 +207,11 @@ class Network:
         self.atoms, self.src, self.out_src = atoms, src, out_src
         # strict atoms emit what they latched, so their initialised outputs
         # have values before anything steps
-        self.available = {(None, c.name) for c in inputs}
-        self.available.update((p, c.name) for p, a in atoms if a.causality == STRICT
-                              for c in a.interface.outputs if c.name in a.output_init)
+        available = {(None, c.name) for c in inputs}
+        available.update((p, c.name) for p, a in atoms if a.causality == STRICT
+                         for c in a.interface.outputs if c.name in a.output_init)
         pending = {p for p, a in atoms if a.causality != STRICT}
-        self.weak = _fire(dict(atoms), pending, src, self.available)
+        self.weak = _fire(dict(atoms), pending, src, available)
         self.stuck = sorted(pending)
 
 
@@ -314,13 +316,15 @@ def _join(name: str, path: str) -> str:
 def _simulator(spec: ComponentSpec, check_determinism: bool = False):
     """The spec's `simulator.Simulator`, compiled on first use and kept on the spec.
 
-    The simulator refers to no spec, so a spec and its simulator form no
+    Only a well-formed spec compiles (see `_require_well_formed`). The
+    simulator refers to no spec, so a spec and its simulator form no
     reference cycle and go away together.
     """
     check_determinism = bool(check_determinism)
     cache = spec.__dict__.setdefault("_simulators", {})
     sim = cache.get(check_determinism)
     if sim is None:
+        _require_well_formed(spec)
         from .simulator import Simulator
         sim = cache[check_determinism] = Simulator(spec, check_determinism)
     return sim
@@ -413,6 +417,30 @@ def compose_check(spec: CompositeSpec) -> list[str]:
     return ["zero-delay cycle: " + " ; ".join(cycle)] if cycle else []
 
 
+def spec_problems(spec: ComponentSpec) -> tuple[str, ...]:
+    """The spec's own problems: `validate_automaton` of an atom,
+    `compose_check` of a composite (its subcomponents are checked on their
+    own). Found once and kept on the spec, as the loader found them."""
+    found = spec.__dict__.get("_problems")
+    if found is None:
+        found = spec.__dict__["_problems"] = tuple(
+            validate_automaton(spec) if isinstance(spec, AutomatonSpec) else compose_check(spec))
+    return found
+
+
+def _require_well_formed(spec: ComponentSpec, sub: bool = False) -> None:
+    """Raise SimulationError, with no tick, unless the spec and every
+    subcomponent in its tree have no problems. The first ill-formed one,
+    subcomponents before the composite that holds them, is reported with
+    its problems, a subcomponent under its name."""
+    if isinstance(spec, CompositeSpec):
+        for _, child in spec.subcomponents:
+            _require_well_formed(child, True)
+    found = spec_problems(spec)
+    if found:
+        raise SimulationError((f"component {spec.name!r}: " if sub else "") + "; ".join(found))
+
+
 def _zero_delay_cycle(net: Network) -> list[str]:
     """The wires of a zero-delay cycle among the weak atoms, or [].
 
@@ -498,6 +526,7 @@ def check_causality(spec: ComponentSpec, budget: int = DEFAULT_CAUSALITY_BUDGET,
         mode = spec.causality if isinstance(spec, AutomatonSpec) else STRICT
     stats = {} if stats is None else stats
     stats.update(configurations=0, steps=0)
+    _require_well_formed(spec)
     if mode != STRICT:
         return None
     channels = spec.interface.inputs

@@ -15,7 +15,7 @@ from .abstraction import (ConcretizerSpec, GaloisSpec, ParamDecl, RelationSpec,
                           Universe)
 from .components import (AutomatonSpec, CompositeSpec, ComponentSpec, Connector,
                          Endpoint, SyntacticInterface, Transition, VariableDecl,
-                         validate_automaton)
+                         spec_problems)
 from .errors import Diagnostic, ModelFormatError, TypeMismatchError
 from .exprs import TRUE, Expr
 from .lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, Token, tokenize
@@ -324,9 +324,6 @@ class _Parser:
             except TypeMismatchError as e:
                 self.error(str(e), tok)
                 return
-            from .components import compose_check
-            for problem in compose_check(spec):
-                self.error(f"component {name!r}: {problem}", tok)
         else:
             if not states:
                 self.error(f"component {name!r} declares no states", tok)
@@ -345,8 +342,9 @@ class _Parser:
             except TypeMismatchError as e:
                 self.error(str(e), tok)
                 return
-            for problem in validate_automaton(spec):
-                self.error(f"component {name!r}: {problem}", tok)
+        # kept on the spec, so that compiling it checks nothing again
+        for problem in spec_problems(spec):
+            self.error(f"component {name!r}: {problem}", tok)
         self.register(self.doc.components, name, spec, "component", tok)
 
     def channel_decl(self, direction: str) -> Channel | None:

@@ -1,6 +1,11 @@
 """Components compiled into tick loops: the simulator.
 
 Imported on the first run of a component, not when models are loaded.
+Only well-formed specs compile (`components._require_well_formed`), so the
+code generated here assumes what the structural checks establish: every
+name resolves, every input is wired, no weak atoms form a zero-delay
+cycle, wires join channels of one type and initial values lie in their
+types.
 """
 
 from __future__ import annotations
@@ -9,9 +14,9 @@ import itertools
 from typing import Any, Callable, Mapping, Sequence
 
 from .codegen import NUMERIC, Code, CodeGen, NameResolver, slot, unpack
-from .components import (AutomatonSpec, AutomatonState, Channel, ComponentSpec,
-                         ComponentState, CompositeSpec, CompositeState, Network, STRICT,
-                         SyntacticInterface, Transition, _network, enum_label_env)
+from .components import (AutomatonSpec, AutomatonState, ComponentSpec, ComponentState,
+                         CompositeSpec, CompositeState, Network, STRICT, SyntacticInterface,
+                         Transition, _network, enum_label_env)
 from .errors import NondeterminismError, SimulationError, StreamcheckError, StuckStateError
 from .exprs import Lit
 from .streams import (BOOL_KIND, ChannelHistory, DataType, ENUM_KIND, INT_KIND, REAL_KIND,
@@ -61,7 +66,6 @@ class _AtomSlots:
     """Local-variable names of one atom's state in the generated code."""
 
     def __init__(self, i: int, path: str, spec: AutomatonSpec):
-        self.index = i
         self.path = path
         self.spec = spec
         self.state = f"s{i}"
@@ -72,129 +76,72 @@ class _AtomSlots:
         return [self.state, *self.vars.values(), *self.outs.values()]
 
     def initial(self) -> list[Any]:
-        spec = self.spec
-        return [spec.initial, *(v.init for v in spec.variables),
-                *(spec.output_init.get(c.name, _UNSET) for c in spec.interface.outputs)]
-
-    def trusted_out(self, chan: Channel) -> bool:
-        """Values this output ever carries conform to its type."""
-        init = self.spec.output_init.get(chan.name, _UNSET)
-        return init is _UNSET or chan.ctype.contains(init)
+        """Initial values as DataType.check returns them: a real is a float."""
+        spec, init = self.spec, self.spec.output_init
+        return [spec.initial, *(v.dtype.check(v.init) for v in spec.variables),
+                *(c.ctype.check(init[c.name]) if c.name in init else _UNSET
+                  for c in spec.interface.outputs)]
 
 
 class _Compiler:
     """Generates the source of one network's tick loop."""
 
-    def __init__(self, name: str, interface: SyntacticInterface, net: Network,
-                 check_determinism: bool, check_outputs: bool):
+    def __init__(self, interface: SyntacticInterface, net: Network, check_determinism: bool):
         self.gen = CodeGen()
-        self.gen.ns.update(SimulationError=SimulationError, _U=_UNSET, _stuck=_stuck,
-                           _missing=_missing, _nondet=_nondet, at_tick=at_tick)
+        self.gen.ns.update(_U=_UNSET, _stuck=_stuck, _missing=_missing, _nondet=_nondet,
+                           at_tick=at_tick)
         self.check_determinism = check_determinism
         self.src = net.src
         self.atoms = [_AtomSlots(i, path, spec) for i, (path, spec) in enumerate(net.atoms)]
-        # producer endpoint -> (local, type, whether its values always conform)
-        self.values: dict[tuple[str | None, str], tuple[str, DataType, bool]] = {
-            (None, c.name): (f"x{k}", c.ctype, True) for k, c in enumerate(interface.inputs)}
+        # producer endpoint -> the local that holds its value
+        self.values: dict[tuple[str | None, str], str] = {
+            (None, c.name): f"x{k}" for k, c in enumerate(interface.inputs)}
         for a in self.atoms:
             for c in a.spec.interface.outputs:
-                self.values[(a.path, c.name)] = (a.outs[c.name], c.ctype, a.trusted_out(c))
-        # checks of an atom's outputs, which its run makes when it builds its result
-        self.output_checks: list[str] = []
-        self.lines = self._tick(name, interface, net, check_outputs)
+                self.values[(a.path, c.name)] = a.outs[c.name]
+        self.lines = self._tick(interface, net)
 
-    def _tick(self, name: str, interface: SyntacticInterface, net: Network,
-              check_outputs: bool) -> list[str]:
-        src, avail, out_src = self.src, net.available, net.out_src
-        lines: list[str] = []
-
-        def fail(message: str) -> list[str]:
-            return lines + [f"raise SimulationError({message!r})"]
-
-        def ready(a: _AtomSlots) -> bool:
-            return all(src.get((a.path, c.name)) in avail for c in a.spec.interface.inputs)
-
+    def _tick(self, interface: SyntacticInterface, net: Network) -> list[str]:
         by_path = {a.path: a for a in self.atoms}
-        for path in net.weak:
-            lines += self._atom(by_path[path], {})
-        if net.stuck:
-            return fail(f"{name}: zero-delay dependency cycle or unconnected input "
-                        f"involving {net.stuck}")
-        strict = [a for a in self.atoms if a.spec.causality == STRICT]
+        lines = [line for path in net.weak for line in self._atom(by_path[path], {})]
         # strict atoms emit what they latched, so outputs are read before they step
-        outputs = interface.outputs
-        for k, c in enumerate(outputs):
-            if out_src.get(c.name) in avail:
-                lines.append(f"o{k} = {self.values[out_src[c.name]][0]}")
-        stepping: list[_AtomSlots] = []
+        lines += [f"o{k} = {self.values[net.out_src[c.name]]}"
+                  for k, c in enumerate(interface.outputs)]
+        strict = [a for a in self.atoms if a.spec.causality == STRICT]
         snapshots: dict[tuple[str, str], str] = {}
-        for a in strict:
-            if not ready(a):
-                break
+        for j, a in enumerate(strict):
             for c in a.spec.interface.inputs:
-                producer = src[(a.path, c.name)]
-                if any(producer[0] == b.path for b in stepping):
-                    snapshots[producer] = "l_" + self.values[producer][0]
-            stepping.append(a)
-        lines += [f"{snap} = {self.values[producer][0]}" for producer, snap in snapshots.items()]
-        for a in stepping:
+                producer = self.src[(a.path, c.name)]
+                if any(producer[0] == b.path for b in strict[:j]):
+                    snapshots[producer] = "l_" + self.values[producer]
+        lines += [f"{snap} = {self.values[producer]}" for producer, snap in snapshots.items()]
+        for a in strict:
             lines += self._atom(a, snapshots)
-        if len(stepping) < len(strict):
-            a = strict[len(stepping)]
-            missing = [c.name for c in a.spec.interface.inputs
-                       if src.get((a.path, c.name)) not in avail]
-            return fail(f"{name}: unconnected inputs {missing} of {a.path!r}")
-        for k, c in enumerate(outputs):
-            producer = out_src.get(c.name)
-            if producer not in avail:
-                return fail(f"{name}: output {c.name!r} has no producer")
-            _, ptype, trusted = self.values[producer]
-            if ptype != c.ctype or not trusted:
-                check = f"o{k} = {self.gen.const(c.ctype.check)}(o{k})"
-                (lines if check_outputs else self.output_checks).append(check)
         return lines
 
     def _atom(self, a: _AtomSlots, snapshots: Mapping[tuple[str, str], str]) -> list[str]:
-        """One atom's step: input checks, transition choice, actions, latch check."""
-        gen, spec = self.gen, a.spec
+        """One atom's step: transition choice, actions, check of unset outputs."""
+        spec = a.spec
         lines: list[str] = []
         reads: set[str] = set()
-        names: dict[str, Code] = {}
         labels = enum_label_env(spec)
         unset = [c.name for c in spec.interface.outputs if c.name not in spec.output_init]
-        # later entries shadow earlier ones: latched outputs, variables, inputs
-        for c in spec.interface.outputs:
-            trusted = a.trusted_out(c) and not (c.name in unset and c.name in labels)
-            names[c.name] = slot(a.outs[c.name], c.ctype, trusted)
-        for v in spec.variables:
-            names[v.name] = slot(a.vars[v.name], v.dtype, v.dtype.contains(v.init))
-        for k, c in enumerate(spec.interface.inputs):
+        names = {c.name: slot(a.outs[c.name], c.ctype, True) for c in spec.interface.outputs}
+        names.update((v.name, slot(a.vars[v.name], v.dtype, True)) for v in spec.variables)
+        for c in spec.interface.inputs:
             producer = self.src[(a.path, c.name)]
-            local, ptype, trusted = self.values[producer]
-            local = snapshots.get(producer, local)
-            if ptype != c.ctype or not trusted:
-                checked = f"c{a.index}_{k}"
-                lines.append(f"{checked} = {gen.const(c.ctype.check)}({local})")
-                local = checked
-            names[c.name] = slot(local, c.ctype, True)
+            names[c.name] = slot(snapshots.get(producer, self.values[producer]), c.ctype, True)
 
         def name(ident: str, ctx: str) -> Code:
-            unknown = f"_unknown({ident!r}{', ' + repr(ctx) if ctx else ''})"
-            if ident in names:
-                code = names[ident]
-                reads.add(code.src)
-                if ident in unset and code.src == a.outs.get(ident):
-                    fallback = repr(ident) if ident in labels else unknown
-                    return code._replace(src=f"({code.src} if {code.src} is not _U else {fallback})")
-                return code
             if ident in labels:
                 return Code(repr(ident), "str")
-            return Code(unknown, None)
+            code = names[ident]
+            reads.add(code.src)
+            if ident in unset:  # no init: an assignment reads it before any set it
+                return code._replace(src=f"({code.src} if {code.src} is not _U "
+                                         f"else _unknown({ident!r}))")
+            return code
 
-        latched = ", ".join(f"({o!r}, {a.outs[o]})" for o in unset)
-        if unset and spec.causality == STRICT:
-            # a strict atom emits what it latched before this step
-            lines.append(f"_latched = ({latched},)")
         by_source: dict[str, list[Transition]] = {}
         for t in spec.transitions:
             by_source.setdefault(t.source, []).append(t)
@@ -204,9 +151,8 @@ class _Compiler:
             lines += _indent(self._choose(a, ts, name, reads, idle))
         if spec.total:
             lines += ["else:", *_indent(idle)] if by_source else idle
-        if unset and spec.causality == STRICT:
-            lines.append(f"_missing({spec.name!r}, _latched)")
-        elif unset:
+        if unset:
+            latched = ", ".join(f"({o!r}, {a.outs[o]})" for o in unset)
             lines += [f"if {' or '.join(f'{a.outs[o]} is _U' for o in unset)}:",
                       f"    _missing({spec.name!r}, ({latched},))"]
         return lines
@@ -252,9 +198,6 @@ class _Compiler:
         assigns = []  # (slot, code, slots read)
         for target, e, slots, types in ([(o, e, a.outs, out_types) for o, e in t.outputs]
                                         + [(v, e, a.vars, var_types) for v, e in t.updates]):
-            if target not in types:
-                assigns.append((None, f"raise KeyError({target!r})", set()))
-                break
             reads.clear()
             dtype = types[target]
             if isinstance(e, Lit) and dtype.contains(e.value):
@@ -264,9 +207,7 @@ class _Compiler:
             assigns.append((slots[target], code, set(reads)))
         lines, commits = [], []
         for j, (slot, code, _) in enumerate(assigns):
-            if slot is None:
-                lines.append(code)
-            elif any(slot in later_reads for _, _, later_reads in assigns[j + 1:]):
+            if any(slot in later_reads for _, _, later_reads in assigns[j + 1:]):
                 tmp = f"_n{j}"
                 lines.append(f"{tmp} = {code}")
                 commits.append(f"{slot} = {tmp}")
@@ -320,12 +261,11 @@ class _Compiler:
         """The body of succ(slots, rows, app): one tick from the configuration
         `slots` on each row of input values, in order, calling app((outputs,
         next slots)) for each; it returns the exception of the first row whose
-        tick fails, or None. Outputs are checked against their types in the
-        step, so a step that emits a value its run would reject fails."""
+        tick fails, or None."""
         slots = self._slots()
         restore = [f"{', '.join(slots)}, = S"] if slots else []
         outs, nxt = "".join(f"o{k}, " for k in range(outputs)), "".join(f"{n}, " for n in slots)
-        tick = restore + self.lines + self.output_checks + [f"app((({outs}), ({nxt})))"]
+        tick = restore + self.lines + [f"app((({outs}), ({nxt})))"]
         return ["try:", f"    for {unpack('x', inputs)} in rows:", *_indent(_indent(tick)),
                 "except Exception as e:", "    return e", "return None"]
 
@@ -342,11 +282,7 @@ class Simulator:
         self.composite = isinstance(spec, CompositeSpec)
         self.inputs = spec.interface.inputs
         self.outputs = spec.interface.outputs
-        compiler = _Compiler(spec.name, spec.interface, _network(spec), check_determinism,
-                             check_outputs=self.composite)
-        # an atom's initial outputs are checked only when a run's result is built
-        self.outputs_conform = self.composite or all(
-            compiler.atoms[0].trusted_out(c) for c in self.outputs)
+        compiler = _Compiler(spec.interface, _network(spec), check_determinism)
         self.layout = [(a.path, tuple(a.vars), tuple(a.outs)) for a in compiler.atoms]
         self.initial_slots = tuple(v for a in compiler.atoms for v in a.initial())
         self.fn = compiler.function(len(self.inputs), len(self.outputs))
@@ -375,12 +311,8 @@ class Simulator:
                     c.ctype.check(history.streams[c.name].values[ticks])
                 except StreamcheckError as e:
                     raise SimulationError(str(e), tick=ticks + 1) from e
-        if self.outputs_conform:
-            streams = {c.name: TimedStream.conforming(c.ctype, tuple(col))
-                       for c, col in zip(self.outputs, out)}
-        else:
-            streams = {c.name: TimedStream.of(c.ctype, col) for c, col in zip(self.outputs, out)}
-        return ChannelHistory(streams, n)
+        return ChannelHistory({c.name: TimedStream.conforming(c.ctype, tuple(col))
+                               for c, col in zip(self.outputs, out)}, n)
 
     def initial(self) -> ComponentState:
         return self._state(self.initial_slots)

@@ -56,15 +56,6 @@ class DataType:
             return float(value)
         return value
 
-    def values(self) -> list[Any]:
-        if self.kind == BOOL_KIND:
-            return [False, True]
-        if self.kind == INT_KIND:
-            return list(range(self.lo, self.hi + 1))
-        if self.kind == ENUM_KIND:
-            return list(self.labels)
-        raise TypeMismatchError("real64 is not enumerable")
-
     def to_text(self) -> str:
         if self.kind == BOOL_KIND:
             return "bool"

@@ -52,15 +52,12 @@ class Divergence:
 
 @dataclass(frozen=True)
 class Verdict:
-    """A case's status. For a failure, `log` shows every channel at the ticks
-    around the first divergence; for an error, what went wrong."""
+    """A case's status. A failure carries its first divergence and an error,
+    in `log`, what went wrong; a pass for want of expected groups says so."""
 
     status: str  # pass | fail | error
     first_divergence: Optional[Divergence] = None
     log: tuple[str, ...] = ()
-
-
-LOG_CONTEXT = 2  # ticks shown on each side of the first divergence
 
 
 def _values_equal(expected: Any, actual: Any, kind: str, eps: float) -> bool:
@@ -87,26 +84,13 @@ def _first_divergence(actual: ChannelHistory, group: ChannelHistory,
     return first
 
 
-def _log_window(actual: ChannelHistory, group: ChannelHistory, eps: float,
-                tick: int) -> tuple[str, ...]:
-    log = []
-    for t in range(max(1, tick - LOG_CONTEXT), min(actual.horizon, tick + LOG_CONTEXT) + 1):
-        for c in sorted(group.streams):
-            exp = group.at(c, t)
-            act = actual.at(c, t)
-            ok = _values_equal(exp, act, actual.streams[c].elem_type.kind, eps)
-            log.append(f"t={t} {c}: expected {exp!r}, actual {act!r} "
-                       f"{'ok' if ok else 'MISMATCH'}")
-    return tuple(log)
-
-
 def compare_histories(actual: ChannelHistory, expected: ExpectedResult,
                       eps: float = 0.0) -> Verdict:
     """Pass iff the actual history equals some expected group (reals within eps).
 
     A failure reports the group whose first divergence comes latest, the
     first such group on a tie."""
-    best: tuple[Divergence, ChannelHistory] | None = None
+    best: Divergence | None = None
     for group in expected.groups:
         if set(group.streams) != set(actual.streams):
             return Verdict(ERROR, log=(
@@ -118,13 +102,11 @@ def compare_histories(actual: ChannelHistory, expected: ExpectedResult,
         first = _first_divergence(actual, group, eps)
         if first is None:
             return Verdict(PASS)
-        if best is None or first.tick > best[0].tick:
-            best = (first, group)
+        if best is None or first.tick > best.tick:
+            best = first
     if best is None:
         return Verdict(PASS, log=("no expected groups",))
-    first, group = best
-    return Verdict(FAIL, first_divergence=first,
-                   log=_log_window(actual, group, eps, first.tick))
+    return Verdict(FAIL, first_divergence=best)
 
 
 def execute_test(spec: ComponentSpec, tc: TestCase, eps: float = 0.0,

@@ -304,9 +304,10 @@ def parse_testcases(text: str, iface: SyntacticInterface,
             i += 1
         counter += 1
         name = name or f"case{counter}"
-        params = None
+        params = params_at = None
         if i < n and sections[i][0] == "params":
-            params = reader.table("params", sections[i][2], ends[i], param_types, "parameter")
+            params_at = sections[i][2]
+            params = reader.table("params", params_at, ends[i], param_types, "parameter")
             i += 1
         if i >= n or sections[i][0] != "inputs":
             reader.fail(linenos[sections[min(i, n - 1)][2]], 1,
@@ -329,7 +330,7 @@ def parse_testcases(text: str, iface: SyntacticInterface,
             i += 1
         # params, when per-tick streams, must match the horizon
         if params is not None and params[2] not in (1, horizon):
-            reader.fail(linenos[sections[0][2]], 1, f"parameter {params[0].names[0]!r} has "
+            reader.fail(linenos[params_at], 1, f"parameter {params[0].names[0]!r} has "
                         f"{params[2]} ticks, inputs have {horizon}")
         plans.append((name, params[1:] if params else None, inputs, horizon, groups))
     reader.flush()

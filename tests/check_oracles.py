@@ -5,11 +5,13 @@
 outputs of histories that share an input prefix. Both are the former library
 implementations, minus their caps. `causality_by_search` is the former
 breadth-first search, which stepped each configuration one grid row at a
-time through the simulator's run loop (with one correction, see `_advance`). `eval_relation`, `abstract_output`,
+time through the simulator's run loop. `eval_relation`, `abstract_output`,
 `g_membership` and `verify_galois` are the former versions that evaluated
 expressions in a dict environment built tick by tick. `zero_delay_cycles`
 is the former depth-first search of `compose_check` for a cycle among the
-weak atoms of a flattened composite.
+weak atoms of a flattened composite. `refusal` is the message with which
+the simulator refuses an ill-formed spec, from the structural checks
+themselves.
 """
 
 import itertools
@@ -18,8 +20,8 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 from streamcheck.abstraction import (GaloisCounterexample, GaloisSpec, RelationSpec,
                                      _infer_type, fold_stream, universe_elements)
 from streamcheck.components import (AutomatonSpec, CausalityCounterexample, ComponentSpec,
-                                    STRICT, _counterexample, _simulator,
-                                    representative_values, run)
+                                    STRICT, _counterexample, _simulator, compose_check,
+                                    representative_values, run, validate_automaton)
 from streamcheck.errors import (CapsExceededError, EvaluationError, SimulationError,
                                 TypeMismatchError)
 from streamcheck.codegen import Code, CodeGen
@@ -96,22 +98,14 @@ def causality_by_histories(spec, horizon=3, mode=None):
 def _advance(sim, slots: tuple, row: tuple, tick: int) -> tuple[tuple, tuple]:
     """One tick from the configuration `slots` through the run loop: the next
     configuration and the outputs. An error raises as SimulationError at `tick`.
-
-    Unlike the former `Simulator.advance`, it checks the outputs of an atom
-    whose initial outputs lie outside their types, as `run` does when it
-    builds its result: a step emitting such a value fails.
     """
     state = list(slots)
     out: list[list[Any]] = [[] for _ in sim.outputs]
     try:
         sim.fn(state, (row,), out)
-        values = tuple(col[0] if sim.outputs_conform else c.ctype.check(col[0])
-                       for c, col in zip(sim.outputs, out))
     except SimulationError as e:  # the run loop reports it at tick 1
         raise at_tick(e.__cause__, tick) from None
-    except TypeMismatchError as e:
-        raise at_tick(e, tick) from None
-    return tuple(state), values
+    return tuple(state), tuple(col[0] for col in out)
 
 
 def causality_by_search(spec: ComponentSpec, budget: int = 4096, horizon: int = 3,
@@ -326,3 +320,19 @@ def _find_cycle(u, edges, color, path):
                 return cycle
     color[u] = 2
     return None
+
+
+def refusal(spec: ComponentSpec, sub: bool = False) -> Optional[str]:
+    """The message of the SimulationError that refuses `spec`, or None when
+    neither it nor any subcomponent has a problem: the problems of the first
+    ill-formed component, subcomponents before the composite that holds
+    them, a subcomponent's under its name."""
+    if not isinstance(spec, AutomatonSpec):
+        for _, child in spec.subcomponents:
+            message = refusal(child, True)
+            if message is not None:
+                return message
+    found = validate_automaton(spec) if isinstance(spec, AutomatonSpec) else compose_check(spec)
+    if not found:
+        return None
+    return (f"component {spec.name!r}: " if sub else "") + "; ".join(found)

@@ -10,6 +10,17 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 MODEL_FILES = ["encoder.scm.txt", "brake_override.scm.txt",
                "acc.scm.txt", "acc_refinement.scm.txt"]
 
+# integer-literal initial values of real slots, which run as doubles
+HALVES = """component Halves {
+  input x : bool
+  output y : real init 0
+  output z : real init 0
+  var v : real = 1
+  states Run init
+  transition Run -> Run { y := v; z := v / 2 }
+}
+"""
+
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / name

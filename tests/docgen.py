@@ -380,7 +380,9 @@ class DocGen:
         one, before or after it; a bare pass-through joins the chain; a
         stage reads a later stage's output, which closes a loop, a
         zero-delay cycle when all the stages on it are weak; and a wire is
-        left out, which makes every run fail."""
+        left out. A zero-delay cycle, a missing wire and a stage input
+        narrower than the wire into it make the chain ill-formed, so that
+        the simulator refuses it."""
         r = self.rng
         sig = bounded_int(0, 9)
         x, en = Channel("x", sig, "input"), Channel("en", BOOL, "input")

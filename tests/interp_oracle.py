@@ -33,10 +33,11 @@ class _AutomatonRt:
 
     def initial(self) -> AutomatonState:
         spec = self.spec
-        pending = tuple((c.name, spec.output_init[c.name])
+        # initial values as DataType.check returns them: a real is a float
+        pending = tuple((c.name, c.ctype.check(spec.output_init[c.name]))
                         for c in spec.interface.outputs if c.name in spec.output_init)
         return AutomatonState(spec.initial,
-                              tuple((v.name, v.init) for v in spec.variables),
+                              tuple((v.name, v.dtype.check(v.init)) for v in spec.variables),
                               pending)
 
     def peek(self, st: AutomatonState) -> dict[str, Any]:

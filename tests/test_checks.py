@@ -3,7 +3,8 @@
 `check_oracles` keeps the subset loop that decided the Galois law, the
 search that ran every grid history for causality and the search that
 stepped each configuration one grid row at a time; the checks must give the
-same answers, and the successor search the same counts and errors too.
+same answers, and the successor search the same counts and errors too. An
+ill-formed spec is refused before the search starts, in every mode.
 """
 
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from check_oracles import (causality_by_histories, causality_by_search, prefix_equal,
-                           verify_galois_by_masks)
+                           refusal, verify_galois_by_masks)
 from docgen import DocGen
 from streamcheck.abstraction import GaloisSpec, Universe, verify_galois
 from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
@@ -62,7 +63,23 @@ def _outcome(fn, *args, **kwargs):
         return None, e
 
 
+def _refused(spec, horizon, mode, budget=10 ** 6):
+    """When the spec is ill-formed, the search refuses it before any step,
+    with no tick, and the result is True; otherwise the result is False."""
+    message = refusal(spec)
+    if message is None:
+        return False
+    stats = {}
+    with pytest.raises(SimulationError) as info:
+        check_causality(spec, budget=budget, horizon=horizon, mode=mode, stats=stats)
+    assert (info.value.tick, str(info.value)) == (None, message)
+    assert stats == {"configurations": 0, "steps": 0}
+    return True
+
+
 def _same_verdict(spec, horizon, mode):
+    if _refused(spec, horizon, mode):
+        return
     expected, oracle_error = _outcome(causality_by_histories, spec, horizon, mode)
     got, error = _outcome(check_causality, spec, budget=10 ** 6, horizon=horizon, mode=mode)
     if error is not None:
@@ -125,6 +142,8 @@ def _search(fn, spec, **kwargs):
 
 
 def _same_search(spec, horizon, mode, budget):
+    if _refused(spec, horizon, mode, budget):
+        return
     kwargs = dict(budget=budget, horizon=horizon, mode=mode)
     assert _search(check_causality, spec, **kwargs) == _search(causality_by_search, spec, **kwargs)
 
@@ -180,15 +199,19 @@ def test_a_failing_row_without_an_earlier_divergence_raises_at_its_tick():
     assert stats == {"configurations": 2, "steps": 2}
 
 
-def test_an_initial_output_outside_its_type_fails_at_the_tick_that_emits_it():
+def test_an_initial_output_outside_its_type_is_refused_before_the_first_tick():
     # `bad` starts outside its type and is never assigned; `y` leaks the
-    # input, so the rows diverge, but no run of this component succeeds
+    # input, so the rows would diverge, but the search never starts
     x, y = Channel("x", BOOL, "input"), Channel("y", BOOL, "output")
     spec = AutomatonSpec(
         name="BadInit", interface=SyntacticInterface((x,), (y, Channel("bad", BOOL, "output"))),
         states=("Run",), initial="Run", causality="weak",
         transitions=(Transition("Run", "Run", outputs=(("y", parse_expression("x")),)),),
         output_init={"bad": 1})
-    with pytest.raises(SimulationError, match="value 1 is not a valid bool") as info:
-        check_causality(spec, horizon=2, mode="strict")
-    assert info.value.tick == 1
+    for mode in ("strict", "weak"):
+        stats = {}
+        with pytest.raises(SimulationError) as info:
+            check_causality(spec, horizon=2, mode=mode, stats=stats)
+        assert str(info.value) == "init value 1 outside type of output 'bad'"
+        assert info.value.tick is None
+        assert stats == {"configurations": 0, "steps": 0}

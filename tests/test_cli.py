@@ -9,7 +9,7 @@ import pytest
 from streamcheck.cli import main
 from streamcheck.exprs import MAX_HEIGHT
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, HALVES, fixture_path
 
 ENCODER = str(fixture_path("encoder.scm.txt"))
 BRAKE = str(fixture_path("brake_override.scm.txt"))
@@ -221,6 +221,18 @@ def test_color_env_enables_ansi(monkeypatch, capsys):
     main(["test", "--model", BRAKE, "--component", "BrakeOverride",
           "--vectors", str(fixture_path("brake_override.tv.csv"))])
     assert "\x1b[32m" in capsys.readouterr().out
+
+
+
+def test_integer_literal_initial_values_of_real_slots_are_doubles(tmp_path, capsys):
+    model, vectors = tmp_path / "halves.scm.txt", tmp_path / "halves.tv.csv"
+    model.write_text(HALVES, encoding="utf-8")
+    vectors.write_text("#inputs\nx\ntrue\ntrue\nfalse\n", encoding="utf-8")
+    code = main(["simulate", "--model", str(model), "--component", "Halves",
+                 "--vectors", str(vectors), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert '"outputs": {"y": [0.0, 1.0, 1.0], "z": [0.0, 0.5, 0.5]}' in out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -1,8 +1,10 @@
 """Differential tests of the compiled simulator against the interpreter.
 
 `exprs.evaluate` is the reference for compiled expressions and
-`interp_oracle.run_interpreted` the reference for compiled runs: values,
-error kinds, error messages and failing ticks must all agree.
+`interp_oracle.run_interpreted` the reference for compiled runs of
+well-formed specs: values, error kinds, error messages and failing ticks
+must all agree. An ill-formed spec is refused before its first tick, with
+the message `check_oracles.refusal` gives.
 """
 
 import gc
@@ -11,22 +13,24 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from check_oracles import compile_expr
+from check_oracles import compile_expr, refusal
 from docgen import DocGen
 from interp_oracle import run_interpreted
 from streamcheck import load_models
-from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
-                                    VariableDecl, check_causality, initial_state, run, step)
+from streamcheck.components import (AutomatonSpec, AutomatonState, Channel, SyntacticInterface,
+                                    Transition, VariableDecl, check_causality, initial_state,
+                                    run, step)
 from streamcheck.codegen import UNBOUNDED, Code, CodeGen, kind_of_value
+from streamcheck.dsl import parse_model
 from streamcheck.errors import EvaluationError, SimulationError, StreamcheckError
 from streamcheck.exprs import evaluate, parse_expression
 from streamcheck.streams import (BOOL, REAL, ChannelHistory, TimedStream, bounded_int,
                                  enumeration)
 
-from conftest import fixture_path
+from conftest import HALVES, fixture_path
 
 
 def _outcome(fn, *args):
@@ -107,6 +111,29 @@ def _same_runs(spec, histories, check_determinism=False):
         assert _run_outcome(run, spec, history, check_determinism) == expected
 
 
+def _assert_refused(spec, history, message):
+    """run, step, initial_state and check_causality refuse the spec with
+    `message` and no tick."""
+    calls = [lambda: run(spec, history), lambda: run(spec, history, check_determinism=True),
+             lambda: initial_state(spec), lambda: step(spec, AutomatonState("S", (), ()), {}),
+             lambda: check_causality(spec), lambda: check_causality(spec, mode="weak")]
+    for call in calls:
+        with pytest.raises(SimulationError) as info:
+            call()
+        assert (info.value.tick, str(info.value)) == (None, message)
+
+
+def _refused_or_same_runs(spec, histories, check_determinism):
+    message = refusal(spec)
+    event("refused" if message else "compiled")
+    if message:
+        _assert_refused(spec, histories[0], message)
+        return
+    _same_runs(spec, histories)
+    if check_determinism:
+        _same_runs(spec, histories, check_determinism=True)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_compiled_automata_match_interpreter(seed):
@@ -114,8 +141,7 @@ def test_compiled_automata_match_interpreter(seed):
     spec = gen.rich_automaton() if gen.rng.random() < 0.6 else gen.automaton()
     histories = [gen.history(spec.interface.inputs, gen.rng.randint(0, 6), invalid=i == 3)
                  for i in range(4)]
-    _same_runs(spec, histories)
-    _same_runs(spec, histories, check_determinism=True)
+    _refused_or_same_runs(spec, histories, check_determinism=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,8 +149,9 @@ def test_compiled_automata_match_interpreter(seed):
 def test_compiled_chains_match_interpreter(seed):
     gen = DocGen(random.Random(seed))
     spec = gen.chain(gen.rng.randint(1, 7))
-    _same_runs(spec, [gen.history(spec.interface.inputs, gen.rng.randint(0, 8), invalid=i == 3)
-                      for i in range(4)])
+    histories = [gen.history(spec.interface.inputs, gen.rng.randint(0, 8), invalid=i == 3)
+                 for i in range(4)]
+    _refused_or_same_runs(spec, histories, check_determinism=False)
 
 
 def test_fixture_components_match_interpreter(doc):
@@ -135,7 +162,7 @@ def test_fixture_components_match_interpreter(doc):
         _same_runs(spec, histories, check_determinism=True)
 
 
-def test_unset_output_named_like_a_label_reads_as_the_label():
+def test_an_unset_output_named_like_a_label_is_refused():
     level = enumeration("Lo", "Hi")
     spec = AutomatonSpec(
         name="Shadow",
@@ -144,11 +171,18 @@ def test_unset_output_named_like_a_label_reads_as_the_label():
         states=("Run",), initial="Run",
         transitions=(Transition("Run", "Run", outputs=(("Hi", parse_expression("x == Hi")),)),),
         causality="weak")
-    # from tick 2 on, `Hi` is the boolean output, and comparing it with x fails
-    for value in ("Lo", "Hi"):
-        history = ChannelHistory({"x": TimedStream.of(level, [value, value])})
-        _same_runs(spec, [history])
-        assert run(spec, history, 1).streams["Hi"].values == (value == "Hi",)
+    history = ChannelHistory({"x": TimedStream.of(level, ["Hi", "Hi"])})
+    _assert_refused(spec, history, "enumeration labels shadow channels/variables: ['Hi']")
+
+
+def test_integer_literal_initial_values_of_real_slots_are_floats():
+    spec = parse_model(HALVES).document.components["Halves"]
+    history = ChannelHistory({"x": TimedStream.of(BOOL, [True, True, False])})
+    expected = {"y": "(0.0, 1.0, 1.0)", "z": "(0.0, 0.5, 0.5)"}
+    assert _run_outcome(run, spec, history, False) == ("value", expected)
+    assert _run_outcome(run_interpreted, spec, history, False) == ("value", expected)
+    assert initial_state(spec).variables == (("v", 1.0),)
+    assert [type(v) for _, v in initial_state(spec).pending] == [float, float]
 
 
 def test_step_and_run_agree(doc):

@@ -5,9 +5,9 @@ import pytest
 from docgen import DocGen
 from streamcheck.components import run
 from streamcheck.dsl import (ModelDocument, load_model, parse_model, serialize_model)
-from streamcheck.errors import ModelFormatError
+from streamcheck.errors import ModelFormatError, SimulationError
 from streamcheck.exprs import MAX_HEIGHT, MAX_NESTING
-from streamcheck.streams import ChannelHistory, TimedStream, bounded_int
+from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
 
 from conftest import MODEL_FILES, fixture_text
 
@@ -149,6 +149,26 @@ component Clash {{
     [d] = result.diagnostics
     assert (d.line, d.column) == (2, 1)
     assert f"variable 'x' has the same name as an {kind} channel" in d.message
+
+
+def test_a_duplicate_variable_is_diagnosed_and_refused():
+    # two variables of one name would misalign the compiled run's slots
+    text = """
+component Twice {
+  input x : bool
+  output y : bool init false
+  var v : bool = false
+  var v : bool = true
+  states Run init
+  transition Run -> Run { y := v }
+}
+"""
+    result = parse_model(text)
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+        (2, 1, "component 'Twice': duplicate variable names")]
+    spec = result.document.components["Twice"]
+    with pytest.raises(SimulationError, match="^duplicate variable names$"):
+        run(spec, ChannelHistory({"x": TimedStream.of(BOOL, [True])}))
 
 
 def test_a_boolean_horizon_is_diagnosed():

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from streamcheck import components
 from streamcheck.cli import main
 from streamcheck.components import (CompositeSpec, Connector, Endpoint, SyntacticInterface,
-                                    _network, _zero_delay_cycle, compose_check, run)
+                                    _network, _zero_delay_cycle, check_causality, compose_check,
+                                    initial_state, run, step)
 from streamcheck.dsl import parse_model
 from streamcheck.errors import SimulationError
 from streamcheck.streams import BOOL, Channel, ChannelHistory, TimedStream
@@ -125,6 +126,24 @@ def test_networks_of_fixtures_and_the_deep_net_match_the_oracle(doc):
         _same_network(spec)
         _same_cycle_verdict(spec)
         assert compose_check(spec) == []
+
+
+def test_loading_checks_each_component_once_and_its_first_run_checks_none(monkeypatch):
+    checked = []
+    for check in ("validate_automaton", "compose_check"):
+        def counted(spec, check=getattr(components, check)):
+            checked.append(spec.name)
+            return check(spec)
+        monkeypatch.setattr(components, check, counted)
+    _, deep = _deep_net_doc()
+    assert sorted(checked) == sorted(deep.components) and len(checked) == 48 + 12 + 4 + 1
+    checked.clear()
+    spec = deep.components["DeepNet"]
+    history = DocGen(random.Random(2)).history(spec.interface.inputs, 3)
+    run(spec, history)
+    step(spec, initial_state(spec), history.tick(1))
+    assert check_causality(spec, mode="weak") is None
+    assert checked == []
 
 
 def test_chains_close_zero_delay_cycles_now_and_then():

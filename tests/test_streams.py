@@ -12,14 +12,12 @@ def test_bounded_int_contains():
     assert t.contains(-3) and t.contains(5) and t.contains(0)
     assert not t.contains(-4) and not t.contains(6)
     assert not t.contains(True)  # bools are not ints here
-    assert t.values() == list(range(-3, 6))
 
 
 def test_enumeration_membership():
     t = enumeration("Standby", "Active")
     assert t.contains("Active")
     assert not t.contains("active")
-    assert t.values() == ["Standby", "Active"]
 
 
 def test_real_accepts_ints_and_floats():

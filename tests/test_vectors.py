@@ -78,6 +78,17 @@ def test_params_broadcast_to_horizon():
     assert cases[0].params["mag"].values == (2.5, 2.5, 2.5)
 
 
+def test_a_params_horizon_mismatch_is_reported_at_its_params_marker():
+    iface = SyntacticInterface((Channel("i_a", BOOL, "input"),), ())
+    text = ("#case a\n#params\nmag\n2.5\n#inputs\ni_a\ntrue\nfalse\n"
+            "#case b\n#params\nmag\n1.0\n2.0\n3.0\n#inputs\ni_a\ntrue\nfalse\n")
+    message = "parameter 'mag' has 3 ticks, inputs have 2"
+    for parse in (parse_testcases, vector_oracle.parse_testcases):
+        with pytest.raises(VectorFormatError) as info:
+            parse(text, iface, {"mag": REAL})
+        assert [(d.line, d.column, d.message) for d in info.value.diagnostics] == [(10, 1, message)]
+
+
 def test_unnamed_cases_get_sequential_names():
     iface = SyntacticInterface((Channel("x", BOOL, "input"),), ())
     text = "#inputs\nx\ntrue\n#inputs\nx\nfalse\n"

@@ -106,6 +106,7 @@ def parse_testcases(text: str, iface: SyntacticInterface,
         name = name or f"case{counter}"
         params: dict[str, TimedStream] = {}
         if i < len(sections) and sections[i].kind == "params":
+            params_line = sections[i].line
             pnames, prows = _read_table(sections[i], param_types, "parameter")
             phist = _table_history(pnames, prows, param_types)
             params = dict(phist.streams)
@@ -133,7 +134,7 @@ def parse_testcases(text: str, iface: SyntacticInterface,
         # params, when per-tick streams, must match the horizon
         for pname, stream in params.items():
             if stream.horizon not in (1, inputs.horizon):
-                _fail(sections[0].line, 1,
+                _fail(params_line, 1,
                       f"parameter {pname!r} has {stream.horizon} ticks, inputs have {inputs.horizon}")
             if stream.horizon == 1 and inputs.horizon != 1:
                 params[pname] = TimedStream.of(stream.elem_type,
