@@ -4,11 +4,18 @@ An expression compiles to one Python expression, which runs in the
 namespace of a `CodeGen`. What is known of a value at compile time is its
 kind: "bool", "int", "real", "num" (int or real), "str" (an enumeration
 label) or None (unknown), and for an int the bounds it lies within.
-Operators on operands of known kinds become plain Python operators;
-everything else goes through the helpers of `exprs`, which check operands
-the way `exprs.evaluate` does. Kinds are sound only for names whose values
-are guaranteed to conform: the simulator vouches for its state slots, and
-a history's column is vouched for by its stream (`TimedStream.conforms`).
+Operators on operands of known kinds become plain Python operators, and
+`min`, `max` and `floor` of numeric operands become conditional
+expressions, with no call per evaluation. Operands of unknown kind go
+through the helpers of `exprs`, which check them the way `exprs.evaluate`
+does. Kinds are sound only for names whose values are guaranteed to
+conform: the simulator vouches for its state slots, and a history's column
+is vouched for by its stream (`TimedStream.conforms`).
+
+Python's parser allows 200 nested brackets. Each code records how deeply
+its source nests them; an inline form that would nest deeper than
+`INLINE_DEPTH` gives way to the call it replaces, which nests less when
+its value is an operand of an operator.
 
 Relation, abstraction-map and membership expressions compile here, too,
 each into one loop over the value tuples of channel histories. Such a
@@ -30,10 +37,11 @@ from .streams import (BOOL_KIND, ChannelHistory, DataType, INT_KIND, REAL_KIND,
 
 NUMERIC = ("int", "real", "num")
 UNBOUNDED = (-math.inf, math.inf)
+INLINE_DEPTH = 100  # nested brackets
 
 # precedence of generated code, as in Python: a child binds at least as
 # tightly as its parent needs, or gets parentheses
-ATOM, _UNARY, _MUL, _ADD, _CMP, _NOT, _AND, _OR = 9, 7, 6, 5, 4, 3, 2, 1
+ATOM, _UNARY, _MUL, _ADD, _CMP, _NOT, _AND, _OR, _IF = 9, 7, 6, 5, 4, 3, 2, 1, 0
 _OP_PREC = {"*": _MUL, "/": _MUL, "+": _ADD, "-": _ADD, "and": _AND, "or": _OR}
 _NOT_WHAT, _NEG_WHAT = repr("'not'"), repr("unary '-'")
 
@@ -43,6 +51,7 @@ class Code(NamedTuple):
     kind: str | None
     prec: int = ATOM
     bounds: tuple = UNBOUNDED  # of a value of kind "int"
+    depth: int = 0  # of the brackets nested in src
 
 
 NameResolver = Callable[[str, str], Code]
@@ -54,6 +63,17 @@ def kind_of_value(value: Any) -> str | None:
 
 def _paren(code: Code, prec: int) -> str:
     return code.src if code.prec >= prec else f"({code.src})"
+
+
+def _depth(code: Code, prec: int = _IF) -> int:
+    """The bracket depth of `_paren(code, prec)`."""
+    return code.depth + (code.prec < prec)
+
+
+def _simple(code: Code, e: Expr) -> bool:
+    """Whether `code` reads a literal or a variable: evaluating it twice
+    costs next to nothing and cannot fail."""
+    return isinstance(e, Lit) or code.src.isidentifier()
 
 
 def _arith(op: str, lhs: Code, rhs: Code) -> tuple[str, tuple]:
@@ -112,7 +132,7 @@ class CodeGen:
         self.ns: dict[str, Any] = {
             "EvaluationError": EvaluationError, "_num": _num, "_bool": _bool,
             "_binop": _binop, "_apply": _apply, "_floor": _floor,
-            "_unknown": _unknown, "_guard": _guard, "_divisor": _divisor}
+            "_unknown": _unknown, "_guard": _guard, "_divisor": _divisor, "_fl": math.floor}
         self._temps = 0
         self._consts: dict[tuple, str] = {}
 
@@ -151,67 +171,124 @@ class CodeGen:
         c = f", {ctx!r}" if ctx else ""
         if isinstance(e, Lit):
             kind = kind_of_value(e.value)
-            return Code(self.const(e.value), kind, ATOM,
-                        (e.value, e.value) if kind == "int" else UNBOUNDED)
+            src = self.const(e.value)
+            return Code(src, kind, ATOM, (e.value, e.value) if kind == "int" else UNBOUNDED,
+                        int(src.startswith("(")))
         if isinstance(e, Name):
             return name(e.ident, ctx)
         if isinstance(e, Unary):
             x = self._expr(e.operand, name, ctx)
             if e.op == "not":
-                return Code(f"not {self._bool_operand(x, _NOT_WHAT, c, _NOT)}", "bool", _NOT)
+                operand = self._bool_operand(x, _NOT_WHAT, c, _NOT)
+                return Code(f"not {operand.src}", "bool", _NOT, depth=operand.depth)
             if x.kind in NUMERIC:
-                return Code(f"-{_paren(x, _UNARY)}", x.kind, _UNARY, (-x.bounds[1], -x.bounds[0]))
-            return Code(f"-_num({x.src}, {_NEG_WHAT}{c})", "num", _UNARY)
+                return Code(f"-{_paren(x, _UNARY)}", x.kind, _UNARY, (-x.bounds[1], -x.bounds[0]),
+                            _depth(x, _UNARY))
+            return Code(f"-_num({x.src}, {_NEG_WHAT}{c})", "num", _UNARY, depth=x.depth + 1)
         if isinstance(e, Binary):
             return self._binary(e, name, ctx, c)
         args = [self._expr(a, name, ctx) for a in e.args]
         kinds = {a.kind for a in args}
         codes = ", ".join(a.src for a in args)
+        depth = max((a.depth for a in args), default=0) + 1  # of a call
         arity_ok = len(args) >= 2 if e.func in ("min", "max") else len(args) == 1
         if e.func in ("min", "max", "abs") and arity_ok and kinds <= set(NUMERIC):
             kind = kinds.pop() if len(kinds) == 1 else "num"
-            return Code(f"{e.func}({codes})", kind, ATOM,
-                        _call_bounds(e.func, args) if kind == "int" else UNBOUNDED)
+            bounds = _call_bounds(e.func, args) if kind == "int" else UNBOUNDED
+            if e.func != "abs":
+                inline = self._min_max(e.func, args, e.args)
+                if inline.depth <= INLINE_DEPTH:
+                    return inline._replace(kind=kind, bounds=bounds)
+            return Code(f"{e.func}({codes})", kind, ATOM, bounds, depth)
         if e.func == "floor" and len(args) == 1:
-            return Code(f"_floor({codes}{c})", "int", ATOM,
-                        args[0].bounds if args[0].kind == "int" else UNBOUNDED)
+            if args[0].kind == "int":
+                return args[0]
+            if args[0].kind in NUMERIC:
+                inline = self._floor(args[0], e.args[0], c)
+                if inline.depth <= INLINE_DEPTH:
+                    return inline
+            return Code(f"_floor({codes}{c})", "int", ATOM, UNBOUNDED, depth)
         kind = "num" if e.func in FUNCTIONS else None
-        return Code(f"_apply({e.func!r}, ({codes}{',' if codes else ''}){c})", kind)
+        return Code(f"_apply({e.func!r}, ({codes}{',' if codes else ''}){c})", kind,
+                    depth=depth + 1)
 
-    def _bool_operand(self, x: Code, what: str, c: str, prec: int) -> str:
+    def _min_max(self, func: str, args: list[Code], exprs: Sequence[Expr]) -> Code:
+        """min or max of numeric operands as a left fold that evaluates them
+        in order. As with the builtins, an operand replaces the running result
+        only when it is strictly less (greater): of equal operands, and where
+        nan makes the comparison false, the earlier one stays."""
+        op = ">" if func == "min" else "<"
+        acc, simple = args[0], _simple(args[0], exprs[0])
+        r = b = ""  # temporaries of the running result and of the next operand
+        for x, e in zip(args[1:], exprs[1:]):
+            if simple:
+                lhs = ref = acc.src
+                depth = acc.depth
+            else:
+                r = r or self.temp()
+                lhs, ref, depth = f"({r} := {acc.src})", r, acc.depth + 1
+            if _simple(x, e):
+                rhs = nxt = x.src
+                depth = max(depth, x.depth)
+            else:
+                b = b or self.temp()
+                rhs, nxt, depth = f"({b} := {x.src})", b, max(depth, x.depth + 1)
+            acc = Code(f"{nxt} if {lhs} {op} {rhs} else {ref}", None, _IF, depth=depth)
+            simple = False
+        return acc
+
+    def _floor(self, x: Code, e: Expr, c: str) -> Code:
+        """floor of a numeric operand: `t - t == 0` fails exactly for nan and
+        the infinities, whose error `exprs._floor` reports."""
+        if _simple(x, e):
+            t = bound = x.src
+        else:
+            t = self.temp()
+            bound = f"({t} := {x.src})"
+        return Code(f"_fl({t}) if {bound} - {t} == 0 else _floor({t}{c})", "int", _IF,
+                    depth=x.depth + 1)
+
+    def _bool_operand(self, x: Code, what: str, c: str, prec: int) -> Code:
         """`x` as an operand that must be boolean, bound at least as tightly as `prec`."""
         if x.kind == "bool":
-            return _paren(x, prec)
+            return Code(_paren(x, prec), "bool", depth=_depth(x, prec))
         t = self.temp()
-        return f"({t} if type({t} := {x.src}) is bool else _bool({t}, {what}{c}))"
+        return Code(f"({t} if type({t} := {x.src}) is bool else _bool({t}, {what}{c}))", "bool",
+                    depth=x.depth + 2)
 
     def _binary(self, e: Binary, name: NameResolver, ctx: str, c: str) -> Code:
         op = e.op
         lhs, rhs = self._expr(e.left, name, ctx), self._expr(e.right, name, ctx)
         if op in ("and", "or"):
             what, prec = repr(f"'{op}'"), _OP_PREC[op]
-            return Code(f"{self._bool_operand(lhs, what, c, prec)} {op} "
-                        f"{self._bool_operand(rhs, what, c, prec + 1)}", "bool", prec)
+            left = self._bool_operand(lhs, what, c, prec)
+            right = self._bool_operand(rhs, what, c, prec + 1)
+            return Code(f"{left.src} {op} {right.src}", "bool", prec,
+                        depth=max(left.depth, right.depth))
         numeric = lhs.kind in NUMERIC and rhs.kind in NUMERIC
-        fallback = f"_binop({op!r}, {lhs.src}, {rhs.src}{c})"
+        fallback = Code(f"_binop({op!r}, {lhs.src}, {rhs.src}{c})", None,
+                        depth=max(lhs.depth, rhs.depth) + 1)
         if op in _CMP_OPS:
             if numeric or (op in ("==", "!=") and lhs.kind == rhs.kind in ("bool", "str")):
-                return Code(f"{_paren(lhs, _ADD)} {op} {_paren(rhs, _ADD)}", "bool", _CMP)
-            return Code(fallback, "bool")
+                return Code(f"{_paren(lhs, _ADD)} {op} {_paren(rhs, _ADD)}", "bool", _CMP,
+                            depth=max(_depth(lhs, _ADD), _depth(rhs, _ADD)))
+            return fallback._replace(kind="bool")
         if op in ("+", "-", "*") and numeric:
             prec = _OP_PREC[op]
             kind, bounds = _arith(op, lhs, rhs)
-            return Code(f"{_paren(lhs, prec)} {op} {_paren(rhs, prec + 1)}", kind, prec, bounds)
+            return Code(f"{_paren(lhs, prec)} {op} {_paren(rhs, prec + 1)}", kind, prec, bounds,
+                        max(_depth(lhs, prec), _depth(rhs, prec + 1)))
         if op == "/" and numeric and (lhs.kind == rhs.kind == "int" or "real" in (lhs.kind, rhs.kind)):
             pyop = "//" if lhs.kind == rhs.kind == "int" else "/"
             kind, bounds = _arith(op, lhs, rhs)
-            divisor = _paren(rhs, _UNARY)
+            divisor, depth = _paren(rhs, _UNARY), _depth(rhs, _UNARY)
             if not isinstance(e.right, Lit) or e.right.value == 0:
                 # both operands evaluate, left first, before the divisor is
                 # tested; the left one nests no deeper, so chains stay flat
-                divisor = f"_divisor({rhs.src}{c})"
-            return Code(f"{_paren(lhs, _MUL)} {pyop} {divisor}", kind, _MUL, bounds)
-        return Code(fallback, "num" if op in ("+", "-", "*", "/") else None)
+                divisor, depth = f"_divisor({rhs.src}{c})", rhs.depth + 1
+            return Code(f"{_paren(lhs, _MUL)} {pyop} {divisor}", kind, _MUL, bounds,
+                        max(_depth(lhs, _MUL), depth))
+        return fallback._replace(kind="num" if op in ("+", "-", "*", "/") else None)
 
     def function(self, params: str, body: list[str]) -> Callable:
         """Define a function from source lines in this namespace."""
@@ -273,7 +350,7 @@ def _scope(labels: Iterable[str], *sides: tuple[str, Signature]) -> NameResolver
             return code
         if ident in labels:
             return Code(repr(ident), "str")
-        return Code(f"_unknown({ident!r}{', ' + repr(ctx) if ctx else ''})", None)
+        return Code(f"_unknown({ident!r}{', ' + repr(ctx) if ctx else ''})", None, depth=1)
     return resolve
 
 

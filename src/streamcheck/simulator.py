@@ -139,7 +139,7 @@ class _Compiler:
             reads.add(code.src)
             if ident in unset:  # no init: an assignment reads it before any set it
                 return code._replace(src=f"({code.src} if {code.src} is not _U "
-                                         f"else _unknown({ident!r}))")
+                                         f"else _unknown({ident!r}))", depth=2)
             return code
 
         by_source: dict[str, list[Transition]] = {}
@@ -283,7 +283,12 @@ class Simulator:
         self.inputs = spec.interface.inputs
         self.outputs = spec.interface.outputs
         compiler = _Compiler(spec.interface, _network(spec), check_determinism)
-        self.layout = [(a.path, tuple(a.vars), tuple(a.outs)) for a in compiler.atoms]
+        # per atom: path, control states, variable and output types in
+        # declaration order, and the outputs latched from the start
+        self.layout = [(a.path, a.spec.states, {v.name: v.dtype for v in a.spec.variables},
+                        {c.name: c.ctype for c in a.spec.interface.outputs},
+                        [o for o in a.outs if o in a.spec.output_init])
+                       for a in compiler.atoms]
         self.initial_slots = tuple(v for a in compiler.atoms for v in a.initial())
         self.fn = compiler.function(len(self.inputs), len(self.outputs))
         # the successor function is compiled on first use: only the checks need it
@@ -318,22 +323,13 @@ class Simulator:
         return self._state(self.initial_slots)
 
     def step(self, st: ComponentState, inputs: Mapping[str, Any]) -> tuple[ComponentState, dict[str, Any]]:
+        if not isinstance(inputs, Mapping):
+            raise SimulationError(f"{self.name}: inputs must map channel names to values")
         for c in self.inputs:
             if c.name not in inputs:
                 raise SimulationError(f"{self.name}: input {c.name!r} not provided")
         row = tuple(c.ctype.check(inputs[c.name]) for c in self.inputs)
-        atoms = dict(st.substates) if self.composite else {self.layout[0][0]: st}
-        slots: list[Any] = []
-        for path, var_names, out_names in self.layout:
-            atom = atoms[path]
-            variables, pending = dict(atom.variables), dict(atom.pending)
-            missing = [v for v in var_names if v not in variables]
-            if missing:
-                raise SimulationError(f"{self.name}: state of {path!r} lacks variables {missing}")
-            slots.append(atom.state)
-            slots += [variables[v] for v in var_names]
-            slots += [pending.get(o, _UNSET) for o in out_names]
-        results, error = self.successors(slots, (row,))
+        results, error = self.successors(self._slots(st), (row,))
         if error is not None:
             raise error
         out, nxt = results[0]
@@ -352,10 +348,49 @@ class Simulator:
         results: list[tuple[tuple, tuple]] = []
         return results, fn(slots, rows, results.append)
 
+    def _slots(self, st: ComponentState) -> list[Any]:
+        """The slots of a configuration, which the compiled code can trust:
+        each atom is in one of its control states, and each variable and
+        latched output holds a value of its type, as DataType.check returns it."""
+        expected = CompositeState if self.composite else AutomatonState
+        if not isinstance(st, expected):
+            raise SimulationError(f"{self.name}: expected {expected.__name__}, "
+                                  f"got {type(st).__name__}")
+        if self.composite:
+            atoms = _pairs(st.substates, f"{self.name}: substates")
+        else:
+            atoms = {self.layout[0][0]: st}
+        paths = {entry[0] for entry in self.layout}
+        unknown = [path for path in atoms if path not in paths]
+        if unknown:
+            raise SimulationError(f"{self.name}: no atoms at paths {unknown}")
+        slots: list[Any] = []
+        for path, states, var_types, out_types, latched in self.layout:
+            where = f"{self.name}: atom {path!r}" if self.composite else self.name
+            atom = atoms.get(path)
+            if not isinstance(atom, AutomatonState):
+                raise SimulationError(f"{where}: expected AutomatonState, "
+                                      f"got {type(atom).__name__}")
+            if atom.state not in states:
+                raise SimulationError(f"{where}: {atom.state!r} is not a control state")
+            variables = _checked(_pairs(atom.variables, f"{where}: variables"), var_types,
+                                 f"{where}: variable")
+            pending = _checked(_pairs(atom.pending, f"{where}: pending outputs"), out_types,
+                               f"{where}: output")
+            for what, names, given in (("variables", var_types, variables),
+                                       ("latched outputs", latched, pending)):
+                missing = [n for n in names if n not in given]
+                if missing:
+                    raise SimulationError(f"{self.name}: state of {path!r} lacks {what} {missing}")
+            slots.append(atom.state)
+            slots += [variables[v] for v in var_types]
+            slots += [pending.get(o, _UNSET) for o in out_types]
+        return slots
+
     def _state(self, slots: Sequence[Any]) -> ComponentState:
         """Slots as states; variables and outputs in declaration order."""
         states, i = [], 0
-        for path, var_names, out_names in self.layout:
+        for path, _, var_names, out_names, _ in self.layout:
             nv, no = len(var_names), len(out_names)
             variables = tuple(zip(var_names, slots[i + 1:i + 1 + nv]))
             pending = tuple((o, v) for o, v in zip(out_names, slots[i + 1 + nv:i + 1 + nv + no])
@@ -363,6 +398,27 @@ class Simulator:
             states.append((path, AutomatonState(slots[i], variables, pending)))
             i += 1 + nv + no
         return CompositeState(tuple(states)) if self.composite else states[0][1]
+
+
+def _pairs(entries: Any, what: str) -> dict:
+    try:
+        return dict(entries)
+    except (TypeError, ValueError):
+        raise SimulationError(f"{what} are not (name, value) pairs") from None
+
+
+def _checked(values: dict, types: Mapping[str, DataType], what: str) -> dict[str, Any]:
+    """The values as DataType.check returns them, each of a declared name."""
+    checked = {}
+    for name, value in values.items():
+        dtype = types.get(name)
+        if dtype is None:
+            raise SimulationError(f"{what} {name!r} is not declared")
+        try:
+            checked[name] = dtype.check(value)
+        except StreamcheckError as e:
+            raise SimulationError(f"{what} {name!r}: {e}") from e
+    return checked
 
 
 def at_tick(e: Exception, tick: int) -> SimulationError:

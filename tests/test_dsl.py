@@ -6,7 +6,7 @@ from docgen import DocGen
 from streamcheck.components import run
 from streamcheck.dsl import (ModelDocument, load_model, parse_model, serialize_model)
 from streamcheck.errors import ModelFormatError, SimulationError
-from streamcheck.exprs import MAX_HEIGHT, MAX_NESTING
+from streamcheck.exprs import MAX_HEIGHT, MAX_NESTING, evaluate, parse_expression
 from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
 
 from conftest import MODEL_FILES, fixture_text
@@ -209,6 +209,39 @@ def test_a_guard_at_the_nesting_limit_compiles_and_runs(kind):
     assert result.ok, result.diagnostics
     history = ChannelHistory({"x": TimedStream.of(bounded_int(0, 1), [0, 1])}, 2)
     expected = (True, False) if kind == "minus" else (False, True)
+    assert run(result.document.components["C"], history).streams["y"].values == expected
+
+
+def _nested_calls(n: int, *templates: str) -> str:
+    """n calls nested around x, made from the templates in turn."""
+    expr = "x"
+    for k in range(n):
+        expr = templates[k % len(templates)].format(expr)
+    return expr
+
+
+_NESTED_CALLS = {
+    "min": ("min({}, 3)",),
+    "max": ("max({}, 3)",),
+    "floor": ("floor({})",),
+    "mixed": ("min({}, 3)", "floor({})", "max({}, 1)"),
+    # an operator around a call puts its inline code in parentheses
+    "scaled": ("min({} * 2, 3)",),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED_CALLS))
+@pytest.mark.parametrize("ctype, values", [
+    ("int[-9..9]", (0, 1, 2, 9)), ("real", (0.5, -2.25, 7.0, -0.0))])
+def test_calls_at_the_nesting_limit_compile_and_run(kind, ctype, values):
+    expr = _nested_calls(MAX_NESTING, *_NESTED_CALLS[kind]) + " * 1"
+    text = (f"component C weak {{ input x : {ctype}  output y : {ctype}  states S\n"
+            f"  transition S -> S {{ y := {expr} }} }}")
+    result = parse_model(text)
+    assert result.ok, result.diagnostics
+    dtype = result.document.components["C"].interface.inputs[0].ctype
+    history = ChannelHistory({"x": TimedStream.of(dtype, values)}, len(values))
+    expected = tuple(dtype.check(evaluate(parse_expression(expr), {"x": v})) for v in values)
     assert run(result.document.components["C"], history).streams["y"].values == expected
 
 
