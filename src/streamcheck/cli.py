@@ -344,15 +344,23 @@ def cmd_causality(args) -> int:
     if args.seed is not None:
         print("warning: --seed is deprecated and ignored; the causality search is exhaustive",
               file=sys.stderr)
-    stats: dict[str, int] = {}
+    stats: dict[str, Any] = {}
     try:
         cex = check_causality(spec, budget=args.budget, horizon=args.ticks, mode=args.mode,
                               stats=stats)
     except CapsExceededError as e:
         raise CliError(f"refusing search: {e}")
     if cex is None:
+        if stats.get("proved"):
+            why = "no causality violation: proved, no output reads an input of the same tick"
+        elif "proved" in stats:
+            pairs = ", ".join(f"{o} reads {i}" for i, o in stats["dependent"])
+            why = (f"no causality violation found in {args.ticks} ticks of the value grid "
+                   f"(not proved: {pairs} in the same tick)")
+        else:
+            why = "no causality violation: weak causality holds for every deterministic component"
         _emit(args, {"command": "causality", "component": spec.name, "ok": True, **stats},
-              lambda paint: [paint.green("OK") + f"  {spec.name}: no causality violation found"])
+              lambda paint: [paint.green("OK") + f"  {spec.name}: {why}"])
         return EXIT_OK
     _emit(args, {"command": "causality", "component": spec.name, "ok": False, **stats,
                  "tick": cex.tick},
@@ -433,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max universe elements per side")
     p.set_defaults(func=cmd_verify_galois)
 
-    p = command("causality", help="search the reachable configurations for "
-                                  "causality violations")
+    p = command("causality", help="prove causality from the wiring, or search the "
+                                  "reachable configurations for violations")
     common(p)
     p.add_argument("--component", required=True)
     p.add_argument("--ticks", type=_int_at_least(1), default=DEFAULT_CAUSALITY_HORIZON)

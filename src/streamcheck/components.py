@@ -6,8 +6,10 @@ outputs latch their last value, and strict components emit with a one-tick
 delay (tick 1 emits the declared initial outputs). Composite components are
 wiring networks over subcomponents. Each composite's network of atomic
 instances, with its wiring resolved and its weak atoms scheduled, is built
-once from its subcomponents' networks; the structural check and the
-simulator both read it.
+once from its subcomponents' networks; the structural check, the simulator
+and the causality check all read it. Strict causality is proved from the
+network's wiring when no output reads an input of the same tick, and
+searched for over the reachable configurations otherwise.
 """
 
 from __future__ import annotations
@@ -466,6 +468,39 @@ def _zero_delay_cycle(net: Network) -> list[str]:
     return back[::-1]
 
 
+def same_tick_dependence(spec: ComponentSpec) -> list[tuple[str, str]]:
+    """The (input, output) pairs of the spec's boundary channels, sorted,
+    where the output at a tick may read the input of that same tick.
+
+    A strict atom emits what it latched, so it cuts every path. An output
+    of a weak atom reads the inputs that any guard reads, since the guards
+    choose the transition and an unassigned output latches, and those that
+    its own assignments read. Every assignment is evaluated in the pre-step
+    state, so a variable or an output named in one holds last tick's value
+    and adds nothing. The weak atoms are composed in firing order along the
+    network's wires. An empty result proves strict causality for every
+    input and every horizon. The spec must be well-formed.
+    """
+    net = _network(spec)
+    atoms = dict(net.atoms)
+    # producer -> the boundary inputs it passes on in the same tick; a strict
+    # atom's output has none and is left out
+    behind: dict[tuple[str | None, str], set[str]] = {
+        (None, c.name): {c.name} for c in spec.interface.inputs}
+    for path in net.weak:
+        atom = atoms[path]
+        reads = {c.name: behind.get(net.src.get((path, c.name)), set())
+                 for c in atom.interface.inputs}
+        guarded = set().union(*(free_names(t.guard) for t in atom.transitions))
+        assigned: dict[str, set[str]] = {c.name: set(guarded) for c in atom.interface.outputs}
+        for t in atom.transitions:
+            for o, e in t.outputs:
+                assigned[o] |= free_names(e)
+        for o, names in assigned.items():
+            behind[(path, o)] = set().union(*(reads[n] for n in names if n in reads))
+    return sorted((i, o) for o, producer in net.out_src.items() for i in behind.get(producer, ()))
+
+
 # ---------------------------------------------------------------------------
 # Causality checking
 
@@ -501,26 +536,34 @@ DEFAULT_CAUSALITY_HORIZON = 3
 def check_causality(spec: ComponentSpec, budget: int = DEFAULT_CAUSALITY_BUDGET,
                     horizon: int = DEFAULT_CAUSALITY_HORIZON, mode: str | None = None, *,
                     stats: dict | None = None) -> Optional[CausalityCounterexample]:
-    """Decide the declared (or given) causality mode over the per-channel
-    value abstraction; returns None when it holds within `horizon` ticks.
+    """Decide the declared (or given) causality mode; returns None when it
+    holds, for every input when proved and otherwise within `horizon` ticks
+    of the per-channel value grid.
 
     A component is a deterministic Mealy machine: its output at tick t+1
-    depends only on its configuration after t ticks and on input t+1. Strict
-    causality fails within the horizon exactly when some configuration
-    reachable in t <= horizon-1 ticks of grid inputs emits different outputs
-    for two grid input rows; the counterexample's `tick` is the smallest such
-    t. The search is breadth-first over distinct configurations, so it costs
-    (reachable configurations x grid rows) steps, not every grid history;
-    one call of the compiled successor function steps a configuration on
-    every grid row.
+    depends only on its configuration after t ticks and on input t+1.
     Weak mode lets outputs depend on inputs of the same tick, which a
     deterministic step function always satisfies, so it returns None at once.
+    Strict mode is first decided from the wiring: when no output may read a
+    same-tick input (`same_tick_dependence` is empty), strict causality
+    holds for every input and every horizon, and nothing is compiled or
+    stepped. Otherwise strict causality fails within the horizon exactly
+    when some configuration reachable in t <= horizon-1 ticks of grid inputs
+    emits different outputs for two grid input rows; the counterexample's
+    `tick` is the smallest such t. The search is breadth-first over distinct
+    configurations, so it costs (reachable configurations x grid rows)
+    steps, not every grid history; one call of the compiled successor
+    function steps a configuration on every grid row.
 
-    `budget` caps the number of distinct configurations explored; exceeding
-    it raises CapsExceededError. An error in a step raises SimulationError
-    with the tick of that step. When `stats` is given,
+    Only the search has a `budget`, which caps the number of distinct
+    configurations explored (exceeding it raises CapsExceededError), and
+    only the search steps the component, so only it raises SimulationError,
+    with the tick of the failing step. When `stats` is given,
     stats["configurations"] is set to the distinct configurations reached
-    (the start included) and stats["steps"] to the steps taken.
+    (the start included) and stats["steps"] to the steps taken. A strict
+    verdict of None also sets stats["proved"]: True for a proof, False when
+    the search found no witness, and then stats["dependent"] lists the
+    dependent (input, output) pairs.
     """
     if mode is None:
         mode = spec.causality if isinstance(spec, AutomatonSpec) else STRICT
@@ -528,6 +571,10 @@ def check_causality(spec: ComponentSpec, budget: int = DEFAULT_CAUSALITY_BUDGET,
     stats.update(configurations=0, steps=0)
     _require_well_formed(spec)
     if mode != STRICT:
+        return None
+    dependent = same_tick_dependence(spec)
+    if not dependent:
+        stats["proved"] = True
         return None
     channels = spec.interface.inputs
     rows = list(itertools.product(*(
@@ -568,6 +615,7 @@ def check_causality(spec: ComponentSpec, budget: int = DEFAULT_CAUSALITY_BUDGET,
                 from .simulator import at_tick
                 raise at_tick(error, t + 1)
         level = following
+    stats.update(proved=False, dependent=dependent)
     return None
 
 

@@ -3,7 +3,8 @@
 `verify_galois_by_masks` loops over every subset of the abstract universe;
 `causality_by_histories` runs every grid history of the horizon and compares
 outputs of histories that share an input prefix. Both are the former library
-implementations, minus their caps. `causality_by_search` is the former
+implementations, minus their caps. `causality_by_brute_force` steps every
+history over every value of small input types, beyond the grid. `causality_by_search` is the former
 breadth-first search, which stepped each configuration one grid row at a
 time through the simulator's run loop. `eval_relation`, `abstract_output`,
 `g_membership` and `verify_galois` are the former versions that evaluated
@@ -147,6 +148,52 @@ def causality_by_search(spec: ComponentSpec, budget: int = 4096, horizon: int = 
                     parents[nxt] = (config, row)
                     stats["configurations"] = len(parents)
                     following.append(nxt)
+        level = following
+    return None
+
+
+def every_value(dtype: DataType, limit: int = 4) -> list[Any]:
+    """Every value of a bool, enum or integer type of at most `limit`
+    values; `limit` evenly spread values of a wider integer type, both
+    bounds among them; and a few reals around the grid's 0.0 and 1.0."""
+    if dtype.kind == "bool":
+        return [False, True]
+    if dtype.kind == "enum":
+        return list(dtype.labels)
+    if dtype.kind == "int":
+        if dtype.hi - dtype.lo < limit:
+            return list(range(dtype.lo, dtype.hi + 1))
+        return sorted({dtype.lo + (dtype.hi - dtype.lo) * k // (limit - 1) for k in range(limit)})
+    return [-1.0, 0.0, 0.5, 1.0]
+
+
+def causality_by_brute_force(spec: ComponentSpec, horizon: int = 2, limit: int = 4
+                             ) -> Optional[tuple[int, list[tuple], list[tuple]]]:
+    """Strict causality by brute force over every input history of up to
+    `horizon` rows of `every_value` per channel, with no configuration
+    merged: after every prefix of t rows, every next row must give the same
+    outputs at tick t+1. Returns the shallowest witness, as the tick t and
+    the two histories of t+1 rows, or None. A step that fails ends its
+    history and is no witness."""
+    channels = spec.interface.inputs
+    rows = list(itertools.product(*([c.ctype.check(v) for v in every_value(c.ctype, limit)]
+                                    for c in channels)))
+    sim = _simulator(spec)
+    level = [(sim.initial_slots, [])]  # (configuration, the prefix that reached it)
+    for t in range(horizon):
+        following = []
+        for config, prefix in level:
+            first = None
+            for row in rows:
+                try:
+                    nxt, out = _advance(sim, config, row, t + 1)
+                except SimulationError:
+                    continue
+                if first is None:
+                    first = (row, out)
+                elif out != first[1]:
+                    return t, prefix + [first[0]], prefix + [row]
+                following.append((nxt, prefix + [row]))
         level = following
     return None
 

@@ -18,9 +18,10 @@ _FUNCS = ["min", "max", "abs", "floor"]
 
 
 class DocGen:
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, max_width: int = 100):
         self.rng = rng
         self.counter = 0
+        self.max_width = max_width  # an int type spans at most max_width + 1 values
 
     def name(self, prefix: str) -> str:
         self.counter += 1
@@ -34,7 +35,7 @@ class DocGen:
             return BOOL
         if kind == "int":
             lo = r.randint(-50, 0)
-            return bounded_int(lo, lo + r.randint(1, 100))
+            return bounded_int(lo, lo + r.randint(1, self.max_width))
         if kind == "enum":
             labels = [self.name("L") for _ in range(r.randint(1, 3))]
             return enumeration(*labels)

@@ -4,21 +4,24 @@
 search that ran every grid history for causality and the search that
 stepped each configuration one grid row at a time; the checks must give the
 same answers, and the successor search the same counts and errors too. An
-ill-formed spec is refused before the search starts, in every mode.
+ill-formed spec is refused before the search starts, in every mode. A spec
+in which no output reads an input of the same tick is proved without a
+search, and then neither the grid histories nor brute force over every
+value of small input types may find a witness.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from check_oracles import (causality_by_histories, causality_by_search, prefix_equal,
-                           refusal, verify_galois_by_masks)
+from check_oracles import (causality_by_brute_force, causality_by_histories, causality_by_search,
+                           prefix_equal, refusal, verify_galois_by_masks)
 from docgen import DocGen
 from streamcheck.abstraction import GaloisSpec, Universe, verify_galois
 from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
-                                    check_causality, run)
+                                    check_causality, run, same_tick_dependence)
 from streamcheck.errors import SimulationError, StreamcheckError
 from streamcheck.exprs import parse_expression
 from streamcheck.streams import BOOL, bounded_int
@@ -119,15 +122,19 @@ def test_causality_search_matches_history_enumeration_at_depth(seed, horizon):
 
 
 def test_causality_error_names_the_tick_of_the_failing_step():
+    # the guard reads x, so only the search can decide strict causality;
+    # both rows emit 0 at tick 1, then the atom is stuck
     x, y = Channel("x", bounded_int(0, 9), "input"), Channel("y", bounded_int(0, 9), "output")
     spec = AutomatonSpec(
         name="StuckLater", interface=SyntacticInterface((x,), (y,)),
         states=("Go", "Halt"), initial="Go",
-        transitions=(Transition("Go", "Halt"),
+        transitions=(Transition("Go", "Halt", parse_expression("x >= 0"),
+                                (("y", parse_expression("0")),)),
                      Transition("Halt", "Halt", parse_expression("false"))),
-        output_init={"y": 0}, total=True)
+        output_init={"y": 0}, causality="weak", total=True)
+    assert same_tick_dependence(spec) == [("x", "y")]
     with pytest.raises(SimulationError, match="stuck") as info:
-        check_causality(spec, horizon=3)
+        check_causality(spec, horizon=3, mode="strict")
     assert info.value.tick == 2
 
 
@@ -142,10 +149,20 @@ def _search(fn, spec, **kwargs):
 
 
 def _same_search(spec, horizon, mode, budget):
+    """The search and the row-by-row search agree, counts included, on a
+    spec with a same-tick dependence; one without is proved before any
+    search (see test_an_empty_dependence_admits_no_witness)."""
     if _refused(spec, horizon, mode, budget):
         return
+    dependent = same_tick_dependence(spec)
+    strict = (mode or getattr(spec, "causality", "strict")) == "strict"
+    assume(dependent or not strict)
     kwargs = dict(budget=budget, horizon=horizon, mode=mode)
-    assert _search(check_causality, spec, **kwargs) == _search(causality_by_search, spec, **kwargs)
+    got = _search(check_causality, spec, **kwargs)
+    if strict and got[:2] == ("returned", None):
+        # what the verdict rests on; the former search did not report it
+        assert (got[2].pop("proved"), got[2].pop("dependent")) == (False, dependent)
+    assert got == _search(causality_by_search, spec, **kwargs)
 
 
 _BUDGETS = st.sampled_from([1, 2, 3, 5, 10 ** 6])
@@ -168,6 +185,57 @@ def test_successor_search_matches_row_by_row_search_on_chains(seed, horizon, bud
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), _BUDGETS)
 def test_successor_search_matches_row_by_row_search_on_failing_rows(seed, horizon, budget):
     _same_search(DocGen(random.Random(seed)).leaky(failing=True), horizon, "strict", budget)
+
+
+def _generated(kind, seed):
+    gen = DocGen(random.Random(seed), max_width=3)
+    if kind == "rich":
+        return gen.rich_automaton()
+    if kind == "chain":
+        return gen.chain(gen.rng.randint(1, 5))
+    return gen.leaky(failing=seed % 2 == 0)
+
+
+def _proved(kind, seed):
+    """The first well-formed spec without a same-tick dependence that the
+    seeds from `seed` on generate, or None."""
+    for s in range(seed, seed + 300):
+        spec = _generated(kind, s)
+        if refusal(spec) is None and not same_tick_dependence(spec):
+            return spec
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["rich", "chain", "leaky"]), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_an_empty_dependence_admits_no_witness(kind, seed, horizon):
+    spec = _proved(kind, seed)
+    assume(spec is not None)
+    stats = {}
+    assert check_causality(spec, horizon=horizon, mode="strict", stats=stats) is None
+    assert stats == {"configurations": 0, "steps": 0, "proved": True}
+    assert causality_by_brute_force(spec, horizon=2) is None
+    expected, _ = _outcome(causality_by_histories, spec, horizon, "strict")
+    assert expected is None
+
+
+def _equals_five():
+    x, y = Channel("x", bounded_int(0, 9), "input"), Channel("y", BOOL, "output")
+    return AutomatonSpec(
+        name="Five", interface=SyntacticInterface((x,), (y,)), states=("Run",), initial="Run",
+        transitions=(Transition("Run", "Run", outputs=(("y", parse_expression("x == 5")),)),),
+        causality="weak")
+
+
+def test_brute_force_finds_the_dependence_the_grid_misses():
+    # the grid holds 0 and 9 only, so the search finds no witness, and says
+    # that its verdict is no proof
+    spec, stats = _equals_five(), {}
+    assert check_causality(spec, mode="strict", stats=stats) is None
+    assert (stats["proved"], stats["dependent"]) == (False, [("x", "y")])
+    assert causality_by_histories(spec, 3, "strict") is None
+    tick, rows_a, rows_b = causality_by_brute_force(spec, horizon=2, limit=10)
+    assert tick == 0 and {rows_a[0], rows_b[0]} == {(0,), (5,)}
 
 
 def _divergent_then_failing(en_output):

@@ -7,6 +7,8 @@ import time
 import pytest
 
 from streamcheck.cli import main
+from streamcheck.components import check_causality
+from streamcheck.dsl import load_model
 from streamcheck.exprs import MAX_HEIGHT
 
 from conftest import FIXTURES, HALVES, fixture_path
@@ -116,24 +118,77 @@ def test_causality_counterexample(capsys):
     assert "COUNTEREXAMPLE" in capsys.readouterr().out
 
 
-def test_causality_json_counts_configurations_and_steps(capsys):
-    code = main(["causality", "--model", ACC, "--component", "ACC", "--budget", "400",
-                 "--format", "json"])
+# The guard reads x and b, so `c` depends on them in the same tick and only
+# the search decides strict causality; every transition emits 0, so it
+# finds no witness. Of the four grid rows only x = 9, b = true counts on,
+# so the configurations within H ticks are v = 0 .. min(H, 4) - 1.
+COUNTER = """component Counter weak {
+  input x : int[0..9]
+  input b : bool
+  output c : int[0..9] init 0
+  var v : int[0..3] = 0
+  states Run init
+  transition Run -> Run when x > 4 and b { c := 0; v := min(v + 1, 3) }
+  transition Run -> Run { c := 0 }
+}
+"""
+
+
+def _counter(tmp_path) -> list[str]:
+    model = tmp_path / "counter.scm.txt"
+    model.write_text(COUNTER, encoding="utf-8")
+    return ["causality", "--model", str(model), "--component", "Counter", "--mode", "strict"]
+
+
+def test_causality_json_counts_configurations_and_steps(tmp_path, capsys):
+    code = main(_counter(tmp_path) + ["--budget", "400", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["ok"] is True
-    assert payload["configurations"] == 108 and payload["steps"] == 108 * 128
+    assert payload["configurations"] == 3 and payload["steps"] == 3 * 4
+    assert (payload["proved"], payload["dependent"]) == (False, [["b", "c"], ["x", "c"]])
     assert "seed" not in payload
 
 
-def test_causality_stops_when_no_configuration_is_left(capsys):
-    # both configurations of BrakeOverride are stepped within two ticks; a
+def test_causality_stops_when_no_configuration_is_left(tmp_path, capsys):
+    # the four configurations of Counter are stepped within four ticks; a
     # search that went on over the remaining ticks would take minutes
     started = time.perf_counter()
-    code = main(["causality", "--model", BRAKE, "--component", "BrakeOverride",
-                 "--ticks", "10000000000", "--format", "json"])
+    code = main(_counter(tmp_path) + ["--ticks", "10000000000", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert time.perf_counter() - started < 5
-    assert code == 0 and (payload["configurations"], payload["steps"]) == (2, 16)
+    assert code == 0 and (payload["configurations"], payload["steps"]) == (4, 16)
+
+
+def test_a_proof_compiles_nothing_and_searches_nothing(capsys):
+    doc = load_model(ACC)
+    spec, stats = doc.components["ACC"], {}
+    assert check_causality(spec, stats=stats) is None
+    assert stats == {"configurations": 0, "steps": 0, "proved": True}
+    assert "_simulators" not in spec.__dict__
+    code = main(["causality", "--model", ACC, "--component", "ACC", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (payload["ok"], payload["configurations"], payload["steps"], payload["proved"]) == \
+        (True, 0, 0, True)
+
+
+def test_causality_says_what_ok_rests_on(tmp_path, capsys):
+    model = tmp_path / "five.scm.txt"
+    model.write_text("component Five weak {\n  input x : int[0..9]\n  output y : bool\n"
+                     "  states Run init\n  transition Run -> Run { y := x == 5 }\n}\n",
+                     encoding="utf-8")
+    argv = ["causality", "--model", str(model), "--component", "Five", "--mode", "strict"]
+    # the grid holds x = 0 and x = 9 only, so the search finds no witness
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["ok"], payload["proved"], payload["dependent"]) == (True, False, [["x", "y"]])
+    assert main(argv) == 0
+    assert "no causality violation found in 3 ticks of the value grid (not proved: y reads x " \
+        "in the same tick)" in capsys.readouterr().out
+    assert main(["causality", "--model", ACC, "--component", "ACC"]) == 0
+    assert "no causality violation: proved" in capsys.readouterr().out
+    assert main(argv[:-2] + ["--format", "json"]) == 0  # weak mode: nothing to prove or search
+    assert "proved" not in json.loads(capsys.readouterr().out)
 
 
 def test_causality_json_reports_the_violating_tick(capsys):
@@ -152,9 +207,9 @@ def test_causality_seed_is_accepted_with_a_notice(capsys):
     assert "--seed is deprecated and ignored" in captured.err
 
 
-def test_causality_over_budget_exits_2(capsys):
-    assert main(["causality", "--model", ACC, "--component", "ACC", "--budget", "100"]) == 2
-    assert "more than 100 configurations" in capsys.readouterr().err
+def test_causality_over_budget_exits_2(tmp_path, capsys):
+    assert main(_counter(tmp_path) + ["--budget", "2"]) == 2
+    assert "more than 2 configurations" in capsys.readouterr().err
 
 
 def test_verify_galois_json_counts_pairs(capsys):
@@ -397,10 +452,12 @@ def test_verify_galois_refuses_a_long_horizon_without_computing_its_size(tmp_pat
 _CHAIN_LINE = "  transition S -> S { o := "
 
 
-def _chain_model(tmp_path, terms: int, op: str = "+") -> str:
-    """A strict automaton whose output is `terms` copies of its input joined by `op`."""
-    model = tmp_path / "chain.scm.txt"
-    model.write_text("component C {\n  input x : real\n  output o : real init 0.0\n"
+def _chain_model(tmp_path, terms: int, op: str = "+", causality: str = "strict") -> str:
+    """An automaton whose output is `terms` copies of its input joined by
+    `op`, strict unless `causality` says weak."""
+    model = tmp_path / f"chain_{causality}.scm.txt"
+    model.write_text(f"component C{' weak' * (causality == 'weak')} {{\n"
+                     "  input x : real\n  output o : real init 0.0\n"
                      f"  states S init\n{_CHAIN_LINE}{f' {op} '.join(['x'] * terms)} }}\n}}\n",
                      encoding="utf-8")
     (tmp_path / "chain.tv.csv").write_text("#case c\n#inputs\nx\n1.0\n2.0\n", encoding="utf-8")
@@ -429,7 +486,10 @@ def test_an_expression_at_the_height_bound_loads_compiles_and_runs(tmp_path, cap
                  "--vectors", str(tmp_path / "chain.tv.csv"), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["cases"][0]["outputs"]["o"] == [0.0, MAX_HEIGHT * 1.0]
-    assert main(["causality", "--model", model, "--component", "C"]) == 0
+    # a strict chain is proved without compiling the successor function; a
+    # weak one is searched, and x = 0.0 and x = 1.0 give different sums
+    weak = _chain_model(tmp_path, MAX_HEIGHT, causality="weak")
+    assert main(["causality", "--model", weak, "--component", "C", "--mode", "strict"]) == 1
 
 
 def test_a_division_chain_at_the_height_bound_loads_compiles_and_runs(tmp_path, capsys):
@@ -440,8 +500,9 @@ def test_a_division_chain_at_the_height_bound_loads_compiles_and_runs(tmp_path, 
                  "--vectors", str(tmp_path / "chain.tv.csv"), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["cases"][0]["outputs"]["o"] == [0.0, 1.0]
-    # the causality search steps x = 0.0 too, and the chain divides by it
-    assert main(["causality", "--model", model, "--component", "C"]) == 3
+    # the causality search of a weak chain steps x = 0.0 too, and the chain divides by it
+    weak = _chain_model(tmp_path, MAX_HEIGHT, "/", "weak")
+    assert main(["causality", "--model", weak, "--component", "C", "--mode", "strict"]) == 3
     err = capsys.readouterr().err
     assert "division by zero" in err and "Traceback" not in err
 

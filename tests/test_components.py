@@ -2,8 +2,9 @@ import pytest
 
 from streamcheck.components import (AutomatonSpec, CausalityCounterexample, Channel,
                                     CompositeSpec, Connector, Endpoint,
-                                    SyntacticInterface, Transition, check_causality,
-                                    compose_check, run, validate_automaton)
+                                    SyntacticInterface, Transition, VariableDecl,
+                                    check_causality, compose_check, run, same_tick_dependence,
+                                    validate_automaton)
 from streamcheck.errors import CapsExceededError, SimulationError
 from streamcheck.exprs import parse_expression
 from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
@@ -178,6 +179,16 @@ def _pipeline(first_causality="strict"):
                 Connector(Endpoint("dbl", "c"), Endpoint(None, "c"))))
 
 
+def test_same_tick_dependence_follows_the_wires_and_stops_at_a_strict_atom():
+    assert same_tick_dependence(_pipeline()) == []
+    assert same_tick_dependence(_pipeline("weak")) == [("a", "c")]
+    passed = CompositeSpec(
+        name="Pass", interface=SyntacticInterface((Channel("a", INT8, "input"),),
+                                                  (Channel("c", INT8, "output"),)),
+        subcomponents=(), wiring=(Connector(Endpoint(None, "a"), Endpoint(None, "c")),))
+    assert same_tick_dependence(passed) == [("a", "c")]
+
+
 def test_composite_pipeline():
     out = run(_pipeline(), _hist(a=[1, 2, 3]))
     # inc is strict (one-tick delay), dbl is weak (zero delay)
@@ -231,12 +242,33 @@ def test_causality_detects_weak_component_in_strict_mode():
     assert isinstance(cex, CausalityCounterexample)
 
 
+def recorder():
+    """A weak atom that keeps its input in a variable and always emits 0.
+    Its guard reads the input, so no proof applies and the search runs."""
+    return AutomatonSpec(
+        name="Recorder",
+        interface=SyntacticInterface((Channel("x", INT8, "input"),),
+                                     (Channel("y", INT8, "output"),)),
+        states=("Run",), initial="Run", variables=(VariableDecl("v", INT8, 0),),
+        transitions=(Transition("Run", "Run", parse_expression("x >= 0"),
+                                (("y", parse_expression("0")),), (("v", parse_expression("x")),)),
+                     Transition("Run", "Run", outputs=(("y", parse_expression("0")),),
+                                updates=(("v", parse_expression("x")),))),
+        output_init={"y": 0}, causality="weak")
+
+
 def test_causality_budget_caps_configurations():
-    # the strict identity over int8 reaches three configurations: the
-    # initial latch 0 and the latched grid values -128 and 127
+    # the recorder over int8 reaches three configurations: the initial
+    # v = 0 and the recorded grid values -128 and 127
     stats = {}
-    assert check_causality(identity(), budget=3, horizon=3, stats=stats) is None
-    assert stats == {"configurations": 3, "steps": 6}
+    assert check_causality(recorder(), budget=3, horizon=3, mode="strict", stats=stats) is None
+    assert stats == {"configurations": 3, "steps": 6, "proved": False, "dependent": [("x", "y")]}
     with pytest.raises(CapsExceededError) as info:
-        check_causality(identity(), budget=2, horizon=3)
+        check_causality(recorder(), budget=2, horizon=3, mode="strict")
     assert (info.value.required, info.value.cap) == (3, 2)
+
+
+def test_a_strict_component_is_proved_without_a_search():
+    stats = {}
+    assert check_causality(identity(), budget=1, horizon=3, stats=stats) is None
+    assert stats == {"configurations": 0, "steps": 0, "proved": True}

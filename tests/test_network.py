@@ -17,7 +17,7 @@ from streamcheck import components
 from streamcheck.cli import main
 from streamcheck.components import (CompositeSpec, Connector, Endpoint, SyntacticInterface,
                                     _network, _zero_delay_cycle, check_causality, compose_check,
-                                    initial_state, run, step)
+                                    initial_state, run, same_tick_dependence, step)
 from streamcheck.dsl import parse_model
 from streamcheck.errors import SimulationError
 from streamcheck.streams import BOOL, Channel, ChannelHistory, TimedStream
@@ -144,6 +144,41 @@ def test_loading_checks_each_component_once_and_its_first_run_checks_none(monkey
     step(spec, initial_state(spec), history.tick(1))
     assert check_causality(spec, mode="weak") is None
     assert checked == []
+
+
+# the fixture components whose strict causality the wiring proves; the
+# others (the encoders and the concretizers) each emit an input of the same
+# tick, and the search finds that at tick 0
+PROVED = {"BrakeOverride", "MinAcceleration", "SpeedPlausibilisation",
+          "DistancePlausibilisation", "SpeedControl", "DistanceControl",
+          "AccelerationControl", "ACC"}
+
+
+def test_fixture_verdicts_and_what_they_rest_on(doc):
+    assert PROVED < set(doc.components)
+    for name, spec in doc.components.items():
+        stats = {}
+        cex = check_causality(spec, mode="strict", stats=stats)
+        assert (not same_tick_dependence(spec)) == (name in PROVED), name
+        if name in PROVED:
+            assert cex is None and stats == {"configurations": 0, "steps": 0, "proved": True}
+        else:
+            assert cex is not None and cex.tick == 0 and "proved" not in stats, name
+        stats = {}
+        assert check_causality(spec, mode="weak", stats=stats) is None
+        assert stats == {"configurations": 0, "steps": 0}
+
+
+def test_the_deep_net_is_proved_through_its_strict_atoms():
+    _, deep = _deep_net_doc()
+    proved = {name for name, spec in deep.components.items() if not same_tick_dependence(spec)}
+    strict = {name for name, spec in deep.components.items()
+              if getattr(spec, "causality", None) == "strict"}
+    assert len(strict) == 8
+    assert proved == strict | {"B0", "B1", "B2", "B3", "DeepNet", "U02", "U05", "U08", "U11"}
+    stats = {}
+    assert check_causality(deep.components["DeepNet"], stats=stats) is None
+    assert stats["proved"] is True and "_simulators" not in deep.components["DeepNet"].__dict__
 
 
 def test_chains_close_zero_delay_cycles_now_and_then():
