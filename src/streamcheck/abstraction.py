@@ -4,6 +4,14 @@ Covers the RI/RO relation evaluation, end-to-end correspondence of a test
 pair (RI on inputs implies RO on outputs), abstraction/concretization maps
 with bounded-universe verification of the connection law, and parameterized
 concretizers.
+
+Suites are checked and concretized from their tables (`correspond`,
+`concretize_cases`): RI and RO are evaluated once over the columns of all
+pairs or cases, one after another, and each case runs on its column slices.
+A suite in which some check raises is walked again one pair or case at a
+time, so the first to fail in order is reported with the message the
+per-pair functions (`check_correspondence`, `concretize`), which run the
+same code on one pair, give for it.
 """
 
 from __future__ import annotations
@@ -12,13 +20,15 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .components import ComponentSpec, run
-from .errors import (CapsExceededError, EvaluationError, StreamcheckError,
+from .components import ComponentSpec, run, run_table
+from .errors import (CapsExceededError, EvaluationError, SimulationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
 from .exprs import Expr, free_names
-from .streams import BOOL, ChannelHistory, DataType, TimedStream, enum_labels
+from .streams import (BOOL, Block, ChannelHistory, DataType, Table, TimedStream, enum_labels,
+                      validate_history)
+from .testcases import VectorCase
 
 RI = "RI"
 RO = "RO"
@@ -45,25 +55,64 @@ def fold_stream(ticks: Iterable[bool]) -> bool:
     return all(ticks)
 
 
-def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tuple[bool, list[bool]]:
-    """Evaluate a relation tick-wise over an abstract/concrete history pair."""
-    overlap = set(a.streams) & set(c.streams)
+def _relation(rel: RelationSpec, a: Block, c: Block,
+              horizons: Sequence[tuple[int, int]]) -> list[bool]:
+    """A relation's value at every tick of history pairs whose columns follow
+    one another in a and c; `horizons` holds each pair's two horizons."""
+    overlap = a.channels & c.channels
     if overlap:
         raise TypeMismatchError(f"paired histories share channel names {sorted(overlap)}")
-    if a.horizon != c.horizon:
-        raise TypeMismatchError(f"horizon mismatch: {a.horizon} vs {c.horizon}")
+    for ha, hc in horizons:
+        if ha != hc:
+            raise TypeMismatchError(f"horizon mismatch: {ha} vs {hc}")
     if rel.checker is not None:
-        combined = a.merged(c)
-        out = run(rel.checker, combined, combined.horizon)
-        out_names = rel.checker.interface.output_names()
-        if len(out_names) != 1 or rel.checker.interface.outputs[0].ctype != BOOL:
-            raise TypeMismatchError(f"checker {rel.checker.name!r} must have one boolean output")
-        ticks = list(out.streams[out_names[0]].values)
-        return fold_stream(ticks), ticks
+        # a checker starts afresh on every pair
+        ticks: list[bool] = []
+        start = 0
+        for h, _ in horizons:
+            pair = Table(a, start, start + h).history(), Table(c, start, start + h).history()
+            combined = pair[0].merged(pair[1])
+            out = run(rel.checker, combined, combined.horizon)
+            out_names = rel.checker.interface.output_names()
+            if len(out_names) != 1 or rel.checker.interface.outputs[0].ctype != BOOL:
+                raise TypeMismatchError(
+                    f"checker {rel.checker.name!r} must have one boolean output")
+            ticks += out.streams[out_names[0]].values
+            start += h
+        return ticks
     # a channel shadows an enumeration label of the same name
     from .codegen import relation_ticks
-    ticks = relation_ticks(rel, a, c)
+    return relation_ticks(rel, a.signature() + c.signature(), [*a.columns, *c.columns],
+                          sum(h for h, _ in horizons))
+
+
+def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tuple[bool, list[bool]]:
+    """Evaluate a relation tick-wise over an abstract/concrete history pair."""
+    ticks = _relation(rel, Block.of(a), Block.of(c), [(a.horizon, c.horizon)])
     return fold_stream(ticks), ticks
+
+
+def _joined(tables: Sequence[Table]) -> Block:
+    """The tables' columns as one block, one table after another; a history
+    built in Python stays its own block, to be validated when it runs."""
+    first = tables[0].block
+    if len(tables) == 1 and first.history is not None:
+        return first
+    columns: list[list] = [[] for _ in first.names]
+    for table in tables:
+        for col, part in zip(columns, table.columns(first.names)):
+            col += part
+    return Block(first.names, first.types, columns)
+
+
+def _outputs(spec: ComponentSpec, tables: Sequence[Table]) -> Block:
+    """The spec's outputs on each table, run from its initial state, one
+    table after another."""
+    outputs = spec.interface.outputs
+    out: list[list] = [[] for _ in outputs]
+    for table in tables:
+        run_table(spec, table, out)
+    return Block([c.name for c in outputs], [c.ctype for c in outputs], out)
 
 
 @dataclass(frozen=True)
@@ -79,26 +128,78 @@ class CorrespondenceResult:
     concrete_output: ChannelHistory | None = None
 
 
+def _correspondence(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
+                    ro: RelationSpec, pairs: Sequence[tuple[Table, Table]]
+                    ) -> tuple[list[bool], list[bool], Block, Block]:
+    """RI over all pairs' inputs, both runs of every pair, and RO over all
+    their outputs: the RI and RO ticks and the outputs, pair after pair."""
+    abstract, concrete = [a for a, _ in pairs], [c for _, c in pairs]
+    horizons = [(a.horizon, c.horizon) for a, c in pairs]
+    ri_ticks = _relation(ri, _joined(abstract), _joined(concrete), horizons)
+    out_a, out_c = _outputs(spec_a, abstract), _outputs(spec_c, concrete)
+    return ri_ticks, _relation(ro, out_a, out_c, horizons), out_a, out_c
+
+
+def _result(ri_stream: Sequence[bool], ro_stream: Sequence[bool],
+                 out_a: ChannelHistory | None = None,
+                 out_c: ChannelHistory | None = None) -> CorrespondenceResult:
+    ri_holds, ro_holds = fold_stream(ri_stream), fold_stream(ro_stream)
+    diagnostics = () if ri_holds else ("RI does not hold on the inputs; correspondence is vacuous",)
+    return CorrespondenceResult(ri_holds, ro_holds, not ri_holds or ro_holds,
+                                tuple(ri_stream), tuple(ro_stream), diagnostics=diagnostics,
+                                abstract_output=out_a, concrete_output=out_c)
+
+
 def check_correspondence(spec_a: ComponentSpec, spec_c: ComponentSpec,
                          ri: RelationSpec, ro: RelationSpec,
                          ta: ChannelHistory, tc: ChannelHistory) -> CorrespondenceResult:
     """RI(ta, tc) -> RO(run(spec_a, ta), run(spec_c, tc))."""
-    diagnostics: list[str] = []
     try:
-        ri_holds, ri_stream = eval_relation(ri, ta, tc)
-        out_a = run(spec_a, ta)
-        out_c = run(spec_c, tc)
-        ro_holds, ro_stream = eval_relation(ro, out_a, out_c)
+        ri_ticks, ro_ticks, out_a, out_c = _correspondence(
+            spec_a, spec_c, ri, ro, [(Table.of(ta), Table.of(tc))])
     except StreamcheckError as e:
-        return CorrespondenceResult(False, False, False, status="error",
-                                    diagnostics=(str(e),))
-    if not ri_holds:
-        diagnostics.append("RI does not hold on the inputs; correspondence is vacuous")
-    corresponding = (not ri_holds) or ro_holds
-    return CorrespondenceResult(ri_holds, ro_holds, corresponding,
-                                tuple(ri_stream), tuple(ro_stream),
-                                diagnostics=tuple(diagnostics),
-                                abstract_output=out_a, concrete_output=out_c)
+        return CorrespondenceResult(False, False, False, status="error", diagnostics=(str(e),))
+    return _result(ri_ticks, ro_ticks, Table(out_a, 0, ta.horizon).history(),
+                   Table(out_c, 0, tc.horizon).history())
+
+
+Failure = Optional[tuple[int, StreamcheckError]]  # the index of an item and its error
+
+
+def _in_order(batch: Callable[[Sequence[Any]], list], items: Sequence[Any]) -> tuple[list, Failure]:
+    """batch(items), a list with an entry per item; when it raises, batch of
+    one item at a time, in order, up to the first that raises. Returns the
+    entries of the items before it, and its index and error."""
+    if not items:
+        return [], None
+    try:
+        return batch(items), None
+    except StreamcheckError:
+        entries: list = []
+        for k, item in enumerate(items):
+            try:
+                entries += batch([item])
+            except StreamcheckError as e:
+                return entries, (k, e)
+        return entries, None
+
+
+def correspond(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
+               ro: RelationSpec, pairs: Sequence[tuple[Table, Table]]
+               ) -> tuple[list[CorrespondenceResult], Failure]:
+    """`check_correspondence` of each pair of input tables, in order, with no
+    outputs kept, up to the first pair whose check raises, and that pair's
+    index and error (None when no pair raises)."""
+    def batch(chunk: Sequence[tuple[Table, Table]]) -> list[CorrespondenceResult]:
+        ri_ticks, ro_ticks, _, _ = _correspondence(spec_a, spec_c, ri, ro, chunk)
+        results, start = [], 0
+        for a, _ in chunk:
+            stop = start + a.horizon
+            results.append(_result(ri_ticks[start:stop], ro_ticks[start:stop]))
+            start = stop
+        return results
+
+    return _in_order(batch, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +402,22 @@ class ConcretizationWarning(UserWarning):
     pass
 
 
+def ri_violated(conc: ConcretizerSpec) -> str:
+    """The warning that the concretizer produced an input on which RI fails."""
+    return f"concretizer {conc.name!r} produced an input violating RI"
+
+
+def _concretized(conc: ConcretizerSpec, inputs: Sequence[Table], abstract: Sequence[Table],
+                 ri: RelationSpec | None) -> tuple[Block, list[bool] | None]:
+    """The concretizer's outputs on each table of inputs, one after another,
+    and RI's ticks over each abstract table paired with its outputs."""
+    out = _outputs(conc.component, inputs)
+    if ri is None:
+        return out, None
+    horizons = [(a.horizon, t.horizon) for a, t in zip(abstract, inputs)]
+    return out, _relation(ri, _joined(abstract), out, horizons)
+
+
 def concretize(conc: ConcretizerSpec, p: Mapping[str, Any], ta: ChannelHistory,
                ri: RelationSpec | None = None) -> ChannelHistory:
     """Instantiate the parameter family member and run it on the abstract input.
@@ -323,13 +440,60 @@ def concretize(conc: ConcretizerSpec, p: Mapping[str, Any], ta: ChannelHistory,
     if extra:
         raise UnboundParameterError(f"unknown parameters {sorted(extra)}")
     inputs = ChannelHistory(streams, horizon)
-    result = run(conc.component, inputs, horizon)
-    if ri is not None:
-        holds, _ = eval_relation(ri, ta, result)
-        if not holds:
-            warnings.warn(f"concretizer {conc.name!r} produced an input violating RI",
-                          ConcretizationWarning)
-    return result
+    out, ri_ticks = _concretized(conc, [Table.of(inputs)], [Table.of(ta)], ri)
+    if ri_ticks is not None and not fold_stream(ri_ticks):
+        warnings.warn(ri_violated(conc), ConcretizationWarning)
+    return Table(out, 0, horizon).history()
+
+
+def concretize_cases(conc: ConcretizerSpec, cases: Sequence[VectorCase],
+                     fixed: Mapping[str, Any], ri: RelationSpec | None
+                     ) -> tuple[list[tuple[Table, bool]], Failure]:
+    """`concretize` of read cases whose parameters are all bound, by `fixed`
+    values, each a value of its parameter's type, or else by the case's
+    `#params` table. Returns each case's concrete inputs and whether RI
+    holds on them (True without RI), up to the first case whose
+    concretization raises, and that case's index and error (None when no
+    case raises)."""
+    decls = [(d.name, d.dtype) for d in conc.params]
+    channels = list(conc.component.interface.inputs)
+    problems: dict[tuple[str, ...], str] = {}  # by the header of the abstract table
+
+    def inputs(case: VectorCase) -> Table:
+        table, params = case.inputs, case.params
+        h = table.horizon
+        names = table.block.names
+        # the channels in the order `concretize` binds them: a parameter
+        # replaces an input of its name
+        types = dict(zip(names, table.block.types))
+        columns = dict(zip(names, table.columns()))
+        for name, dtype in decls:
+            types[name] = dtype
+            if name in fixed:
+                columns[name] = (fixed[name],) * h
+            else:
+                col = params.columns((name,))[0]
+                columns[name] = col * h if params.horizon == 1 else col
+        problem = problems.get(names)
+        if problem is None:
+            shape = ChannelHistory({n: TimedStream(t, ()) for n, t in types.items()}, 0)
+            problem = problems[names] = "; ".join(map(str, validate_history(shape, channels)))
+        if problem:
+            raise SimulationError("invalid input history: " + problem)
+        return Table(Block(types, types.values(), list(columns.values())), 0, h)
+
+    def batch(chunk: Sequence[VectorCase]) -> list[tuple[Table, bool]]:
+        out, ri_ticks = _concretized(conc, [inputs(case) for case in chunk],
+                                     [case.inputs for case in chunk], ri)
+        entries, start = [], 0
+        for case in chunk:
+            stop = start + case.horizon
+            entries.append((Table(out, start, stop),
+                            ri_ticks is None or fold_stream(ri_ticks[start:stop])))
+            start = stop
+        return entries
+
+    return _in_order(batch, cases)
 
 
 @dataclass(frozen=True)

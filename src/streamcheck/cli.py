@@ -10,20 +10,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-import warnings
 from typing import Any, Callable
 
 from . import __version__
-from .abstraction import (DEFAULT_UNIVERSE_CAP, ConcretizationWarning, check_correspondence,
-                          concretize, verify_galois)
+from .abstraction import (DEFAULT_UNIVERSE_CAP, concretize_cases, correspond, ri_violated,
+                          verify_galois)
 from .components import (DEFAULT_CAUSALITY_BUDGET, DEFAULT_CAUSALITY_HORIZON, check_causality,
                          run)
 from .dsl import ModelDocument, load_model
 from .errors import CapsExceededError, ModelFormatError, SimulationError, StreamcheckError
-from .testcases import PASS, suite_run
-from .vectors import parse_testcases, serialize_testcases
+from .testcases import PASS, VectorCase, judge_suite
+from .vectors import VectorFormatError, _parse_cell, read_vectors, write_vectors
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -87,10 +87,10 @@ def _get(doc_dict: dict, name: str | None, what: str):
     return value
 
 
-def _read_vectors(path: str, iface, param_types=None):
+def _read_vectors(path: str, iface, param_types=None) -> list[VectorCase]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_testcases(fh.read(), iface, param_types)
+            return read_vectors(fh.read(), iface, param_types)
     except (OSError, UnicodeDecodeError) as e:
         raise _read_error("vector file", path, e)
     except ModelFormatError as e:
@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
     spec = _get(doc.components, args.component, "component")
     if not args.vectors:
         raise CliError("simulate needs --vectors")
-    cases = _read_vectors(args.vectors[0], spec.interface)
+    cases = [case.test_case() for case in _read_vectors(args.vectors[0], spec.interface)]
     if not cases:
         raise CliError("vector file holds no test-cases")
     for tc in cases:
@@ -167,7 +167,7 @@ def cmd_test(args) -> int:
     cases = []
     for path in args.vectors:
         cases.extend(_read_vectors(path, spec.interface))
-    suite = suite_run(spec, cases, eps=args.eps, check_determinism=args.check_determinism)
+    suite = judge_suite(spec, cases, eps=args.eps, check_determinism=args.check_determinism)
 
     def report(paint: _Paint) -> list[str]:
         lines = []
@@ -226,30 +226,24 @@ def cmd_concretize(args) -> int:
         dtype = param_types.get(pname)
         if dtype is None:
             raise CliError(f"unknown parameter {pname!r} (declared: {sorted(param_types)})")
-        from .vectors import VectorFormatError, _parse_cell
         try:
             cli_params[pname] = _parse_cell(raw, dtype, 0, 0)
         except VectorFormatError as e:
             raise CliError(f"--param {pname}: {e.diagnostics[0].message}")
-    out_cases = []
-    warned = []
-    for tc in cases:
-        bindings: dict[str, Any] = dict(tc.params)
-        bindings.update(cli_params)
-        missing = sorted(set(param_types) - set(bindings))
-        if missing:
-            raise CliError(f"case {tc.name!r}: unbound parameters {missing}")
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ConcretizationWarning)
-                concrete_input = concretize(conc, bindings, tc.input, ri=parts["ri"])
-            for w in caught:
-                warned.append(f"case {tc.name!r}: {w.message}")
-        except StreamcheckError as e:
-            raise CliError(f"case {tc.name!r}: {e}", EXIT_RUNTIME)
-        from .testcases import ExpectedResult, TestCase
-        out_cases.append(TestCase(tc.name, concrete_input, ExpectedResult(())))
-    text = serialize_testcases(out_cases)
+    # the cases are concretized in file order up to the first with an unbound parameter
+    unbound = set(param_types) - set(cli_params)
+    missing = [sorted(unbound - (tc.params.block.channels if tc.params else set()))
+               for tc in cases]
+    bound = next((k for k, names in enumerate(missing) if names), len(cases))
+    concrete, failure = concretize_cases(conc, cases[:bound], cli_params, parts["ri"])
+    if failure is not None:
+        raise CliError(f"case {cases[failure[0]].name!r}: {failure[1]}", EXIT_RUNTIME)
+    if bound < len(cases):
+        raise CliError(f"case {cases[bound].name!r}: unbound parameters {missing[bound]}")
+    out_cases = [VectorCase(tc.name, None, table, ()) for tc, (table, _) in zip(cases, concrete)]
+    warned = [f"case {tc.name!r}: {ri_violated(conc)}"
+              for tc, (_, holds) in zip(cases, concrete) if not holds]
+    text = write_vectors(out_cases)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -279,14 +273,17 @@ def cmd_check(args) -> int:
     conc_cases = _read_vectors(args.vectors[1], parts["concrete"].interface)
     if len(abs_cases) != len(conc_cases):
         raise CliError(f"case count mismatch: {len(abs_cases)} abstract vs {len(conc_cases)} concrete")
-    results = []
     for ta, tc in zip(abs_cases, conc_cases):
-        result = check_correspondence(parts["abstract"], parts["concrete"],
-                                      parts["ri"], parts["ro"], ta.input, tc.input)
-        if result.status == "error":
-            raise CliError(f"pair ({ta.name}, {tc.name}): " + "; ".join(result.diagnostics),
-                           EXIT_RUNTIME)
-        results.append((ta.name, tc.name, result))
+        if ta.horizon != tc.horizon:
+            raise CliError(f"pair ({ta.name}, {tc.name}): horizon mismatch: "
+                           f"{ta.horizon} vs {tc.horizon}")
+    checked, failure = correspond(parts["abstract"], parts["concrete"], parts["ri"], parts["ro"],
+                                  [(ta.inputs, tc.inputs) for ta, tc in zip(abs_cases, conc_cases)])
+    if failure is not None:
+        k, e = failure
+        raise CliError(f"pair ({abs_cases[k].name}, {conc_cases[k].name}): {e}", EXIT_RUNTIME)
+    results = [(ta.name, tc.name, result)
+               for ta, tc, result in zip(abs_cases, conc_cases, checked)]
     all_ok = all(result.corresponding for _, _, result in results)
 
     def report(paint: _Paint) -> list[str]:
@@ -384,6 +381,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a real number that is at least 0 (inf included)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if math.isnan(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a number at least 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: a prefix would turn an option that a
     # subcommand lacks into one it has (`--mode` into `--model`)
@@ -417,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("test", help="execute test-cases and report verdicts")
     common(p, vectors=True, simulates=True)
     p.add_argument("--component", required=True)
-    p.add_argument("--eps", type=float, default=0.0,
-                   help="absolute tolerance for real64 comparisons")
+    p.add_argument("--eps", type=_tolerance, default=0.0,
+                   help="absolute tolerance for real64 comparisons, at least 0")
     p.set_defaults(func=cmd_test)
 
     p = command("concretize", help="turn abstract test-cases into concrete ones")

@@ -366,10 +366,11 @@ def _cached(owner: Any, key: tuple, build: Callable[[], Callable]) -> Callable:
     return fn
 
 
-def relation_ticks(rel: Any, a: ChannelHistory, c: ChannelHistory) -> list[bool]:
-    """The value of `rel.expr` at every tick of a pair of histories with
-    disjoint channels; a value that is not boolean is an error at its tick."""
-    sig = signature(a) + signature(c)
+def relation_ticks(rel: Any, sig: Signature, columns: Sequence[Sequence[Any]],
+                   n: int) -> list[bool]:
+    """The value of `rel.expr` at each of the n ticks of columns with distinct
+    names, described by `sig`; a value that is not boolean is an error at
+    its tick."""
 
     def build() -> Callable:
         gen = CodeGen()
@@ -386,8 +387,7 @@ def relation_ticks(rel: Any, a: ChannelHistory, c: ChannelHistory) -> list[bool]
                      "    app(v)"]
         return gen.function("rows", body + ["return ticks"])
 
-    columns = [s.values for s in a.streams.values()] + [s.values for s in c.streams.values()]
-    rows = zip(*columns) if columns else itertools.repeat((), a.horizon)
+    rows = zip(*columns) if columns else itertools.repeat((), n)
     return _cached(rel, ("relation", sig), build)(rows)
 
 

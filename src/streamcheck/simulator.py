@@ -281,6 +281,7 @@ class Simulator:
         self.name = spec.name
         self.composite = isinstance(spec, CompositeSpec)
         self.inputs = spec.interface.inputs
+        self.input_names = tuple(c.name for c in self.inputs)
         self.outputs = spec.interface.outputs
         compiler = _Compiler(spec.interface, _network(spec), check_determinism)
         # per atom: path, control states, variable and output types in

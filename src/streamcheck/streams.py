@@ -208,6 +208,76 @@ class ChannelHistory:
         return ChannelHistory({**self.streams, **other.streams})
 
 
+class Block:
+    """Equally long columns, one per channel, in the order of `names`.
+
+    A block that the vector reader converts holds values that conform to
+    their channels' types, read in from tables that share a header. A block
+    made from a history built in Python (`Block.of`) keeps that history, so
+    that a run validates it first, and its columns conform only where its
+    streams do.
+    """
+
+    __slots__ = ("names", "types", "columns", "history", "channels", "_orders")
+
+    def __init__(self, names: Iterable[str], types: Iterable[DataType],
+                 columns: Sequence[Sequence[Any]], history: ChannelHistory | None = None):
+        self.names, self.types, self.columns = tuple(names), tuple(types), columns
+        self.history = history
+        self.channels = frozenset(self.names)
+        self._orders: dict[tuple[str, ...], list[Sequence[Any]]] = {}
+
+    @classmethod
+    def of(cls, h: ChannelHistory) -> "Block":
+        streams = h.streams.values()
+        return cls(h.streams, [s.elem_type for s in streams], [s.values for s in streams], h)
+
+    def signature(self) -> tuple[tuple[str, DataType, bool], ...]:
+        """(name, type, whether the values conform) of each column."""
+        if self.history is None:
+            return tuple((n, t, True) for n, t in zip(self.names, self.types))
+        return tuple((n, s.elem_type, s.conforms()) for n, s in self.history.streams.items())
+
+    def order(self, names: tuple[str, ...]) -> list[Sequence[Any]]:
+        """The columns of the named channels, in that order."""
+        columns = self._orders.get(names)
+        if columns is None:
+            index = {n: k for k, n in enumerate(self.names)}
+            columns = self._orders[names] = [self.columns[index[n]] for n in names]
+        return columns
+
+
+class Table:
+    """Rows start..stop of a block: one table of a vector file, kept as a
+    reference into the columns its batch was converted into."""
+
+    __slots__ = ("block", "start", "stop")
+
+    def __init__(self, block: Block, start: int, stop: int):
+        self.block, self.start, self.stop = block, start, stop
+
+    @classmethod
+    def of(cls, h: ChannelHistory) -> "Table":
+        return cls(Block.of(h), 0, h.horizon)
+
+    @property
+    def horizon(self) -> int:
+        return self.stop - self.start
+
+    def columns(self, names: tuple[str, ...] | None = None) -> list[Sequence[Any]]:
+        """The table's columns, of the named channels (default: all)."""
+        start, stop = self.start, self.stop
+        block = self.block
+        return [col[start:stop] for col in (block.columns if names is None else block.order(names))]
+
+    def history(self) -> ChannelHistory:
+        block = self.block
+        if block.history is not None:  # a table made from a history spans it
+            return block.history
+        return ChannelHistory({n: TimedStream.conforming(t, tuple(col)) for n, t, col
+                               in zip(block.names, block.types, self.columns())}, self.horizon)
+
+
 def validate_history(h: ChannelHistory, channels: Sequence[Channel]) -> list[Violation]:
     """Check a history against a channel set; returns [] when well formed."""
     violations = []

@@ -1,13 +1,23 @@
-"""Test-cases, execution against components, and verdicts."""
+"""Test-cases, execution against components, and verdicts.
+
+A suite is judged from the columns its vector file was converted into: each
+case runs through the compiled simulator on its input table's column slices
+(`components.run_table`), and its outputs are compared with each expected
+table's columns as tuples. `VectorCase` is a case as the reader leaves it,
+one `streams.Table` per table. `TestCase` and the per-case functions
+(`execute_test`, `compare_histories`, `suite_run`) take histories built in
+Python and go through the same code, after the checks that `run` makes.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from operator import attrgetter, eq
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
-from .components import ComponentSpec, run
+from .components import ComponentSpec, run_table
 from .errors import StreamcheckError
-from .streams import ChannelHistory, REAL_KIND, TimedStream
+from .streams import ChannelHistory, REAL_KIND, Table, TimedStream
 
 PASS = "pass"
 FAIL = "fail"
@@ -38,6 +48,32 @@ class TestCase:
         return self.input.horizon
 
 
+class VectorCase(NamedTuple):
+    """A test-case as tables: its `#params` table (one row, or one per tick)
+    or None, its `#inputs` table and its `#expected` tables."""
+
+    name: str
+    params: Optional[Table]
+    inputs: Table
+    expected: tuple[Table, ...]
+
+    @property
+    def horizon(self) -> int:
+        return self.inputs.horizon
+
+    def test_case(self) -> TestCase:
+        """The case as histories; a one-row params table is repeated to the horizon."""
+        params: dict[str, TimedStream] = {}
+        horizon = self.horizon
+        if self.params is not None:
+            params = dict(self.params.history().streams)
+            if self.params.horizon == 1 and horizon != 1:
+                params = {p: TimedStream.conforming(s.elem_type, s.values * horizon)
+                          for p, s in params.items()}
+        return TestCase(self.name, self.inputs.history(),
+                        ExpectedResult(tuple(g.history() for g in self.expected)), params)
+
+
 @dataclass(frozen=True)
 class Divergence:
     tick: int
@@ -60,48 +96,51 @@ class Verdict:
     log: tuple[str, ...] = ()
 
 
-def _values_equal(expected: Any, actual: Any, kind: str, eps: float) -> bool:
-    if kind == REAL_KIND:
-        return abs(float(expected) - float(actual)) <= eps
-    return expected == actual
+_PASSED = Verdict(PASS)
 
 
-def _first_divergence(actual: ChannelHistory, group: ChannelHistory,
-                      eps: float) -> Optional[Divergence]:
-    """The earliest tick at which actual leaves one expected group; of the
-    channels diverging at that tick, the first in sorted order."""
-    first = None
-    for c in sorted(group.streams):
-        expected, got = group.streams[c].values, actual.streams[c].values
-        kind = actual.streams[c].elem_type.kind
-        if kind != REAL_KIND and expected == got:
-            continue
-        for t, (exp, act) in enumerate(zip(expected, got), start=1):
-            if not _values_equal(exp, act, kind, eps):
-                if first is None or t < first.tick:
-                    first = Divergence(t, c, exp, act)
-                break
-    return first
+def _mismatch(expected: Sequence, actual: Sequence, kind: str, eps: float) -> int:
+    """The tick of the first pair of values that differ, 0 when none does.
+    Reals are equal when `expected == actual` or they lie within eps, so
+    equal infinities are equal and nan equals nothing."""
+    if kind != REAL_KIND:
+        if expected == actual:
+            return 0
+        for t, (e, a) in enumerate(zip(expected, actual), start=1):
+            if not e == a:
+                return t
+        return 0
+    if all(map(eq, expected, actual)):  # unlike tuple equality, nan != nan
+        return 0
+    for t, (e, a) in enumerate(zip(expected, actual), start=1):
+        if not (e == a or abs(e - a) <= eps):
+            return t
+    return 0
 
 
-def compare_histories(actual: ChannelHistory, expected: ExpectedResult,
-                      eps: float = 0.0) -> Verdict:
-    """Pass iff the actual history equals some expected group (reals within eps).
-
-    A failure reports the group whose first divergence comes latest, the
-    first such group on a tie."""
+def _verdict(names: tuple[str, ...], kinds: Sequence[str], actual: Sequence[Sequence],
+             horizon: int, groups: Sequence[Table], eps: float) -> Verdict:
+    """Pass iff the actual columns of the channels `names`, in sorted order,
+    equal some expected group's. A failure reports the group whose first
+    divergence comes latest, the first such group on a tie; within a group,
+    the earliest tick, and of the channels diverging there the first."""
     best: Divergence | None = None
-    for group in expected.groups:
-        if set(group.streams) != set(actual.streams):
+    channels = frozenset(names)
+    for group in groups:
+        if group.block.channels != channels:
             return Verdict(ERROR, log=(
-                f"expected group channels {sorted(group.streams)} != "
-                f"actual channels {sorted(actual.streams)}",))
-        if group.horizon != actual.horizon:
+                f"expected group channels {sorted(group.block.names)} != "
+                f"actual channels {list(names)}",))
+        if group.horizon != horizon:
             return Verdict(ERROR, log=(
-                f"expected horizon {group.horizon} != actual horizon {actual.horizon}",))
-        first = _first_divergence(actual, group, eps)
+                f"expected horizon {group.horizon} != actual horizon {horizon}",))
+        first = None
+        for c, kind, exp, act in zip(names, kinds, group.columns(names), actual):
+            t = _mismatch(exp, act, kind, eps)
+            if t and (first is None or t < first.tick):
+                first = Divergence(t, c, exp[t - 1], act[t - 1])
         if first is None:
-            return Verdict(PASS)
+            return _PASSED
         if best is None or first.tick > best.tick:
             best = first
     if best is None:
@@ -109,14 +148,50 @@ def compare_histories(actual: ChannelHistory, expected: ExpectedResult,
     return Verdict(FAIL, first_divergence=best)
 
 
+def compare_histories(actual: ChannelHistory, expected: ExpectedResult,
+                      eps: float = 0.0) -> Verdict:
+    """Pass iff the actual history equals some expected group (see `_verdict`)."""
+    names = tuple(sorted(actual.streams))
+    streams = [actual.streams[n] for n in names]
+    return _verdict(names, [s.elem_type.kind for s in streams], [s.values for s in streams],
+                    actual.horizon, [Table.of(g) for g in expected.groups], eps)
+
+
+class _Judge:
+    """Runs cases of one component and judges their outputs."""
+
+    def __init__(self, spec: ComponentSpec, eps: float, check_determinism: bool):
+        self.spec, self.eps, self.check_determinism = spec, eps, check_determinism
+        outputs = spec.interface.outputs
+        self.order = sorted(range(len(outputs)), key=lambda k: outputs[k].name)
+        self.names = tuple(outputs[k].name for k in self.order)
+        self.kinds = [outputs[k].ctype.kind for k in self.order]
+
+    def __call__(self, case: VectorCase) -> tuple[Optional[list[list]], Verdict]:
+        """The case's output columns, in interface order, and its verdict;
+        no columns when the run fails."""
+        out: list[list] = [[] for _ in self.order]
+        try:
+            run_table(self.spec, case.inputs, out, self.check_determinism)
+        except StreamcheckError as e:
+            return None, Verdict(ERROR, log=(f"simulation error: {e}",))
+        actual = [tuple(out[k]) for k in self.order]
+        return out, _verdict(self.names, self.kinds, actual, case.horizon, case.expected, self.eps)
+
+
+def _tables(tc: TestCase) -> VectorCase:
+    """A test-case built in Python, to be judged: its parameters play no part."""
+    return VectorCase(tc.name, None, Table.of(tc.input), tuple(map(Table.of, tc.expected.groups)))
+
+
 def execute_test(spec: ComponentSpec, tc: TestCase, eps: float = 0.0,
                  check_determinism: bool = False) -> tuple[Optional[ChannelHistory], Verdict]:
     """Run the component on the test-input and compare against the expectation."""
-    try:
-        actual = run(spec, tc.input, tc.horizon, check_determinism=check_determinism)
-    except StreamcheckError as e:
-        return None, Verdict(ERROR, log=(f"simulation error: {e}",))
-    return actual, compare_histories(actual, tc.expected, eps)
+    out, verdict = _Judge(spec, eps, check_determinism)(_tables(tc))
+    if out is None:
+        return None, verdict
+    return ChannelHistory({c.name: TimedStream.conforming(c.ctype, tuple(col))
+                           for c, col in zip(spec.interface.outputs, out)}, tc.horizon), verdict
 
 
 @dataclass(frozen=True)
@@ -146,11 +221,17 @@ class SuiteReport:
         return self.failed == 0 and self.errors == 0
 
 
+def judge_suite(spec: ComponentSpec, cases: Sequence[VectorCase], eps: float = 0.0,
+                check_determinism: bool = False) -> SuiteReport:
+    """Run and judge every case; entries are ordered by case name (cases of
+    one name in the given order)."""
+    judge = _Judge(spec, eps, check_determinism)
+    entries = [SuiteEntry(case.name, judge(case)[1]) for case in cases]
+    entries.sort(key=attrgetter("case"))
+    return SuiteReport(tuple(entries))
+
+
 def suite_run(spec: ComponentSpec, suite: list[TestCase], eps: float = 0.0,
               check_determinism: bool = False) -> SuiteReport:
     """Execute every case; entries are ordered by case name for determinism."""
-    entries = []
-    for tc in sorted(suite, key=lambda c: c.name):
-        _, verdict = execute_test(spec, tc, eps, check_determinism)
-        entries.append(SuiteEntry(tc.name, verdict))
-    return SuiteReport(tuple(entries))
+    return judge_suite(spec, [_tables(tc) for tc in suite], eps, check_determinism)

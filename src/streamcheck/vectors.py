@@ -12,9 +12,11 @@ line once per file and role), the channels it covers and its number of
 rows. It queues the table's body behind those of earlier tables with the
 same header, and converts such a batch column by column, each column at
 once by its channel's type, when the batch holds BATCH_ROWS rows or the file
-ends; each table then takes its slice of the converted columns. The streams
-built so are recorded as conforming to their types (`TimedStream.conforming`),
-so nothing checks their values again.
+ends. The converted columns form a `streams.Block`, and each table becomes a
+`streams.Table`: a reference to its rows of the block, with nothing copied
+(`read_vectors`). Their values conform to their types, so nothing checks them
+again. `parse_testcases` builds histories from the tables, whose streams are
+recorded as conforming (`TimedStream.conforming`).
 
 Errors come out as if each table were converted as soon as its header was
 read: before the walk reports a structural error, it converts every table
@@ -31,13 +33,13 @@ import difflib
 import re
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .components import SyntacticInterface
 from .errors import Diagnostic, ModelFormatError
-from .streams import (BOOL_KIND, ChannelHistory, DataType, INT_KIND, REAL_KIND, TimedStream,
+from .streams import (BOOL_KIND, Block, ChannelHistory, DataType, INT_KIND, REAL_KIND, Table,
                       literal_text)
-from .testcases import ExpectedResult, TestCase
+from .testcases import TestCase, VectorCase
 
 
 # The longest cell, in characters, counted after quotes are removed: the csv
@@ -214,13 +216,13 @@ class _Batch:
 
 class _Reader:
     """Tables queued by header and converted in batches of about BATCH_ROWS
-    rows. A table is known by its serial number, in file order; its history
-    is in `tables` once its batch is converted."""
+    rows. A table is known by its serial number, in file order; it is in
+    `tables` once its batch is converted."""
 
     def __init__(self, lines: list[str], linenos: Sequence[int]):
         self.lines, self.linenos = lines, linenos
         self.batches: dict[tuple[str, str], _Batch] = {}
-        self.tables: list[ChannelHistory | None] = []
+        self.tables: list[Table | None] = []
 
     def fail(self, line: int, column: int, message: str) -> None:
         """Report a structural error, after any error of a table queued before it."""
@@ -261,12 +263,11 @@ class _Reader:
         values = _convert(batch.types, batch.rows)
         if values is None:
             self._first_error()
+        block = Block(batch.names, batch.types, values)
         start = 0
         for serial, first, end in batch.queue:
             stop = start + end - first
-            self.tables[serial] = ChannelHistory(
-                {n: TimedStream.conforming(t, col[start:stop])
-                 for n, t, col in zip(batch.names, batch.types, values)}, stop - start)
+            self.tables[serial] = Table(block, start, stop)
             start = stop
         batch.rows, batch.queue = [], []
 
@@ -281,16 +282,16 @@ class _Reader:
         raise AssertionError("a batch failed to convert, but none of its tables did")
 
 
-def parse_testcases(text: str, iface: SyntacticInterface,
-                    param_types: dict[str, DataType] | None = None) -> list[TestCase]:
-    """Parse all test-cases in a vector file, typed against an interface."""
+def read_vectors(text: str, iface: SyntacticInterface,
+                 param_types: dict[str, DataType] | None = None) -> list[VectorCase]:
+    """Read all test-cases in a vector file, typed against an interface, as tables."""
     in_types = {c.name: c.ctype for c in iface.inputs}
     out_types = {c.name: c.ctype for c in iface.outputs}
     param_types = param_types or {}
     lines, linenos, sections = _scan(text)
     reader = _Reader(lines, linenos)
     ends = [at for _, _, at in sections[1:]] + [len(lines)]
-    # (name, (params table, its rows) or None, inputs table, horizon, expected tables)
+    # (name, params table or None, inputs table, expected tables), tables by serial number
     plans = []
     n = len(sections)
     i = counter = 0
@@ -332,38 +333,44 @@ def parse_testcases(text: str, iface: SyntacticInterface,
         if params is not None and params[2] not in (1, horizon):
             reader.fail(linenos[params_at], 1, f"parameter {params[0].names[0]!r} has "
                         f"{params[2]} ticks, inputs have {horizon}")
-        plans.append((name, params[1:] if params else None, inputs, horizon, groups))
+        plans.append((name, params[1] if params else None, inputs, groups))
     reader.flush()
     tables = reader.tables
-    cases: list[TestCase] = []
-    for name, params, inputs, horizon, groups in plans:
-        streams: dict[str, TimedStream] = {}
-        if params is not None:
-            streams = dict(tables[params[0]].streams)
-            if params[1] == 1 and horizon != 1:
-                streams = {p: TimedStream.conforming(s.elem_type, s.values * horizon)
-                           for p, s in streams.items()}
-        cases.append(TestCase(name, tables[inputs],
-                              ExpectedResult(tuple(map(tables.__getitem__, groups))), streams))
-    return cases
+    return [VectorCase(name, None if params is None else tables[params], tables[inputs],
+                       tuple(map(tables.__getitem__, groups)))
+            for name, params, inputs, groups in plans]
 
 
-def _write_table(out: list[str], marker: str, hist: ChannelHistory) -> None:
-    names = sorted(hist.streams)
+def parse_testcases(text: str, iface: SyntacticInterface,
+                    param_types: dict[str, DataType] | None = None) -> list[TestCase]:
+    """Parse all test-cases in a vector file, typed against an interface."""
+    return [case.test_case() for case in read_vectors(text, iface, param_types)]
+
+
+def _write_table(out: list[str], marker: str, table: Table) -> None:
+    names = tuple(sorted(table.block.names))
     out.append(marker)
     out.append(",".join(names))
-    columns = [map(literal_text, hist.streams[n].values) for n in names]
-    out.extend(map(",".join, zip(*columns)) if columns else repeat("", hist.horizon))
+    columns = [map(literal_text, col) for col in table.columns(names)]
+    out.extend(map(",".join, zip(*columns)) if columns else repeat("", table.horizon))
+
+
+def write_vectors(cases: Iterable[VectorCase]) -> str:
+    """Render cases so that reading the output reproduces them."""
+    out: list[str] = []
+    for case in cases:
+        out.append(f"#case {case.name}")
+        if case.params is not None:
+            _write_table(out, "#params", case.params)
+        _write_table(out, "#inputs", case.inputs)
+        for group in case.expected:
+            _write_table(out, "#expected", group)
+    return "\n".join(out) + ("\n" if out else "")
 
 
 def serialize_testcases(cases: list[TestCase]) -> str:
     """Render cases so that parsing the output reproduces them."""
-    out: list[str] = []
-    for tc in cases:
-        out.append(f"#case {tc.name}")
-        if tc.params:
-            _write_table(out, "#params", ChannelHistory(dict(tc.params)))
-        _write_table(out, "#inputs", tc.input)
-        for group in tc.expected.groups:
-            _write_table(out, "#expected", group)
-    return "\n".join(out) + ("\n" if out else "")
+    return write_vectors(
+        VectorCase(tc.name, Table.of(ChannelHistory(dict(tc.params))) if tc.params else None,
+                   Table.of(tc.input), tuple(map(Table.of, tc.expected.groups)))
+        for tc in cases)

@@ -71,6 +71,62 @@ def test_check_correspondence(capsys):
     assert "CORRESPONDING" in out
 
 
+DOUBLER = """component Doubler weak {
+  input x : real
+  output y : real
+  states Run init
+  transition Run -> Run { y := x * 2.0 }
+}
+"""
+
+
+@pytest.mark.parametrize("eps", [[], ["--eps", "0.5"], ["--eps", "inf"]])
+def test_equal_infinities_are_equal_reals(tmp_path, capsys, eps):
+    model = tmp_path / "doubler.scm.txt"
+    model.write_text(DOUBLER, encoding="utf-8")
+    vectors = tmp_path / "inf.tv.csv"
+    vectors.write_text("#case huge\n#inputs\nx\n1e308\n-1e308\n#expected\ny\ninf\n-inf\n"
+                       "#case nan\n#inputs\nx\nnan\n#expected\ny\nnan\n", encoding="utf-8")
+    code = main(["test", "--model", str(model), "--component", "Doubler",
+                 "--vectors", str(vectors), *eps])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines() == ["PASS  huge",
+                                "FAIL  nan (tick 1, channel y: expected nan, got nan)",
+                                "1 passed, 1 failed, 0 errors"]
+
+
+@pytest.mark.parametrize("eps, message", [
+    ("-1", "must be a number at least 0, got -1"), ("nan", "must be a number at least 0, got nan"),
+    ("-inf", "must be a number at least 0, got -inf"), ("x", "invalid float value: 'x'")])
+def test_a_negative_or_nan_eps_exits_2(eps, message, capsys):
+    code = main(["test", "--model", BRAKE, "--component", "BrakeOverride",
+                 "--vectors", str(fixture_path("brake_override.tv.csv")), f"--eps={eps}"])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --eps: {message}\n")
+
+
+def test_check_pair_horizons_are_checked_before_any_pair_runs(tmp_path, capsys):
+    abstract = tmp_path / "a.tv.csv"
+    concrete = tmp_path / "c.tv.csv"
+    # the first pair's concrete run fails at tick 1 (floor of nan), the
+    # second pair's horizons differ: a usage error, found first
+    abstract.write_text("#case a1\n#inputs\ni_a\ntrue\n#case a2\n#inputs\ni_a\ntrue\n",
+                        encoding="utf-8")
+    concrete.write_text("#case c1\n#inputs\ni_c\nnan\n#case c2\n#inputs\ni_c\n1.0\n2.0\n",
+                        encoding="utf-8")
+    code = main(["check", "--model", ENCODER, "--refinement", "Encoder",
+                 "--vectors", str(abstract), "--vectors", str(concrete)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: pair (a2, c2): horizon mismatch: 1 vs 2\n"
+    concrete.write_text("#case c1\n#inputs\ni_c\nnan\n#case c2\n#inputs\ni_c\n1.0\n",
+                        encoding="utf-8")
+    code = main(["check", "--model", ENCODER, "--refinement", "Encoder",
+                 "--vectors", str(abstract), "--vectors", str(concrete)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: pair (a1, c1): tick 1: ")
+
+
 def test_verify_galois(capsys):
     code = main(["verify-galois", "--model", ENCODER, "--galois", "EncGalois"])
     assert code == 0

@@ -7,11 +7,14 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import shutil
 
 import pytest
 
+from streamcheck import load_models, run
 from streamcheck.cli import main
+from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
 
 from conftest import FIXTURES
 
@@ -38,6 +41,43 @@ Standby
 Standby
 """
 
+
+
+def many_cases() -> str:
+    """200 BrakeOverride cases of 14 ticks, most under one header line per
+    table kind, so that the reader converts each such run of tables in more
+    than one batch; with blank lines, unnamed cases, and 0 to 2 expected
+    groups, each the run's outputs or those with one tick changed."""
+    rng = random.Random(13)
+    spec = load_models([FIXTURES / "brake_override.scm.txt"]).components["BrakeOverride"]
+    level = bounded_int(0, 100)
+    lines = []
+    for i in range(200):
+        rows = [(rng.randint(0, 100), rng.randint(0, 100), rng.random() < 0.85)
+                for _ in range(14)]
+        states = list(run(spec, ChannelHistory({
+            "DriverBrake": TimedStream.of(level, [r[0] for r in rows]),
+            "AccBrake": TimedStream.of(level, [r[1] for r in rows]),
+            "AccSwitch": TimedStream.of(BOOL, [r[2] for r in rows])})).streams["AccState"].values)
+        if rng.random() < 0.9:
+            lines.append(f"#case many_{rng.randrange(1000):03d}")
+        if rng.random() < 0.85:
+            lines.append("#inputs\nDriverBrake,AccBrake,AccSwitch")
+            lines += [f"{d},{a},{str(s).lower()}" for d, a, s in rows]
+        else:
+            lines.append("#inputs\nAccSwitch,DriverBrake,AccBrake")
+            lines += [f"{str(s).lower()},{d},{a}" for d, a, s in rows]
+        for _ in range(rng.choice([0, 1, 1, 1, 1, 2])):
+            group = list(states)
+            if rng.random() < 0.3:
+                t = rng.randrange(14)
+                group[t] = "Standby" if group[t] == "Active" else "Active"
+            lines += ["#expected", "AccState", *group]
+        if rng.random() < 0.1:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
 BRAKE = ["--model", "fixtures/brake_override.scm.txt", "--component", "BrakeOverride"]
 ENCODER = ["--model", "fixtures/encoder.scm.txt"]
 COMMANDS = [
@@ -56,12 +96,14 @@ COMMANDS = [
     ["verify-galois", *ENCODER, "--refinement", "Encoder"],
     ["causality", *BRAKE],
     ["causality", *ENCODER, "--component", "ConcreteEncoder", "--mode", "strict"],
+    ["test", *BRAKE, "--vectors", "many.tv.csv"],
 ]
 
 
 def reports(monkeypatch) -> list[list]:
     """[argv, format, colour, exit code, stdout, stderr] of every command
-    run in the current directory, which holds fixtures/ and failing.tv.csv."""
+    run in the current directory, which holds fixtures/, failing.tv.csv and
+    many.tv.csv."""
     out = []
     for argv in COMMANDS:
         for fmt, color in (("human", "0"), ("human", "1"), ("json", "1")):
@@ -77,6 +119,7 @@ def reports(monkeypatch) -> list[list]:
 def workdir(tmp_path, monkeypatch):
     shutil.copytree(FIXTURES, tmp_path / "fixtures")
     (tmp_path / "failing.tv.csv").write_text(FAILING, encoding="utf-8")
+    (tmp_path / "many.tv.csv").write_text(many_cases(), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 

@@ -25,8 +25,8 @@ from streamcheck import load_models
 from streamcheck.components import (AutomatonSpec, AutomatonState, Channel, CompositeState,
                                     SyntacticInterface, Transition, VariableDecl, _network,
                                     _simulator, check_causality, initial_state, run, step)
-from streamcheck.abstraction import RelationSpec
-from streamcheck.codegen import UNBOUNDED, Code, CodeGen, kind_of_value, relation_ticks
+from streamcheck.abstraction import RelationSpec, eval_relation
+from streamcheck.codegen import UNBOUNDED, Code, CodeGen, kind_of_value
 from streamcheck.dsl import parse_model
 from streamcheck.errors import EvaluationError, SimulationError, StreamcheckError
 from streamcheck.exprs import evaluate, parse_expression
@@ -370,7 +370,7 @@ def test_inline_calls_in_relations_match_evaluate(text):
                 break
             expected.append(value[1] == "True")
         try:
-            actual = relation_ticks(rel, a, c)
+            actual = eval_relation(rel, a, c)[1]
         except StreamcheckError as e:
             actual = ("error", type(e).__name__, str(e))
         assert actual == expected, (text, tail)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from streamcheck.components import SyntacticInterface
-from streamcheck.streams import ChannelHistory, DataType, TimedStream
+from streamcheck.streams import ChannelHistory, DataType, REAL_KIND, TimedStream
 from streamcheck.testcases import (ERROR, FAIL, PASS, Divergence, ExpectedResult, TestCase,
-                                   Verdict, _values_equal)
+                                   Verdict)
 from streamcheck.vectors import _fail, _parse_cell
 
 
@@ -141,6 +141,14 @@ def parse_testcases(text: str, iface: SyntacticInterface,
                                                list(stream.values) * inputs.horizon)
         cases.append(TestCase(name, inputs, ExpectedResult(tuple(groups)), params))
     return cases
+
+
+def _values_equal(expected: Any, actual: Any, kind: str, eps: float) -> bool:
+    """Reals are equal when == says so (equal infinities) or within eps."""
+    if kind == REAL_KIND:
+        expected, actual = float(expected), float(actual)
+        return expected == actual or abs(expected - actual) <= eps
+    return expected == actual
 
 
 def _match_group(actual: ChannelHistory, group: ChannelHistory,
