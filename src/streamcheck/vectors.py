@@ -12,11 +12,13 @@ line once per file and role), the channels it covers and its number of
 rows. It queues the table's body behind those of earlier tables with the
 same header, and converts such a batch column by column, each column at
 once by its channel's type, when the batch holds BATCH_ROWS rows or the file
-ends. The converted columns form a `streams.Block`, and each table becomes a
-`streams.Table`: a reference to its rows of the block, with nothing copied
-(`read_vectors`). Their values conform to their types, so nothing checks them
-again. `parse_testcases` builds histories from the tables, whose streams are
-recorded as conforming (`TimedStream.conforming`).
+ends. The cells of int, bool and enum columns are converted once per
+distinct spelling and file (`_Cells`). The converted columns form a
+`streams.Block`, and each table becomes a `streams.Table`: a reference to
+its rows of the block, with nothing copied (`read_vectors`). Their values
+conform to their types, so nothing checks them again. `parse_testcases`
+builds histories from the tables, whose streams are recorded as conforming
+(`TimedStream.conforming`).
 
 Errors come out as if each table were converted as soon as its header was
 read: before the walk reports a structural error, it converts every table
@@ -47,9 +49,14 @@ from .testcases import TestCase, VectorCase
 MAX_CELL = 131072
 
 # The rows of a batch: the bodies of tables that share a header are converted
-# together once they hold this many rows. Much larger batches are no faster
-# and hold more of a file's cells in memory at once.
+# together once they hold this many rows. Much larger batches are slower and
+# hold more of a file's cells in memory at once.
 BATCH_ROWS = 2000
+
+# The columns of an int type convert through their distinct cells (`_Cells`)
+# until a file has shown this many spellings of the type, and cell by cell
+# from then on: its cells are then mostly distinct, as a real's are.
+DISTINCT_INTS = 4096
 
 _BOOLS = {"true": True, "false": False}
 
@@ -110,19 +117,42 @@ def _unreadable(line: int, raw: str):
     _fail(line, 1, "unreadable row")
 
 
-def _column(dtype: DataType, cells: Sequence[str]) -> tuple[Any, ...]:
-    """One column's values; raises ValueError or KeyError exactly where
-    `_parse_cell` fails on one of the cells."""
-    kind = dtype.kind
-    if kind == INT_KIND:
-        values = tuple(map(int, map(str.strip, cells)))
-        if values and (min(values) < dtype.lo or max(values) > dtype.hi):
-            raise ValueError("out of range")
-        return values
-    if kind == REAL_KIND:
-        return tuple(map(float, map(str.strip, cells)))
-    lookup = _BOOLS if kind == BOOL_KIND else dict(zip(dtype.labels, dtype.labels))
-    return tuple(map(lookup.__getitem__, map(str.strip, cells)))
+class _Cells(dict):
+    """How the cells of one type convert in a file. An int, bool or enum
+    cell is converted once per distinct spelling, at its first lookup, and
+    the dict keeps the value of each spelling: stripped, then read as an
+    integer and range-tested, or looked up as a label. A real cell goes
+    through `float` every time, and so does an int cell through `int` once
+    DISTINCT_INTS spellings of the type are kept. `column` raises ValueError
+    or KeyError exactly where `_parse_cell` fails on one of the cells."""
+
+    __slots__ = ("dtype", "labels")
+
+    def __init__(self, dtype: DataType):
+        self.dtype = dtype
+        self.labels = _BOOLS if dtype.kind == BOOL_KIND else dict(zip(dtype.labels, dtype.labels))
+
+    def __missing__(self, cell: str) -> Any:
+        dtype = self.dtype
+        if dtype.kind == INT_KIND:
+            value = int(cell.strip())
+            if not dtype.lo <= value <= dtype.hi:
+                raise ValueError("out of range")
+        else:
+            value = self.labels[cell.strip()]
+        self[cell] = value
+        return value
+
+    def column(self, cells: Sequence[str]) -> tuple[Any, ...]:
+        dtype = self.dtype
+        if dtype.kind == REAL_KIND:
+            return tuple(map(float, map(str.strip, cells)))
+        if dtype.kind == INT_KIND and len(self) >= DISTINCT_INTS:
+            values = tuple(map(int, map(str.strip, cells)))
+            if values and (min(values) < dtype.lo or max(values) > dtype.hi):
+                raise ValueError("out of range")
+            return values
+        return tuple(map(self.__getitem__, cells))
 
 
 def _first_error(types: list[DataType], linenos: Sequence[int], body: list[str]) -> None:
@@ -139,15 +169,21 @@ def _first_error(types: list[DataType], linenos: Sequence[int], body: list[str])
 
 def _columns(body: list[str], n: int) -> Sequence[Sequence[str]] | None:
     """The cells of a table body by column; None when a row is ragged or
-    unreadable. Without quotes or long lines, the whole body is split at once."""
-    joined = ",".join(body)
+    unreadable. Without quotes or long lines, the whole body is split at
+    once, with a cell of one newline (which no line holds) between rows: the
+    rows are all n cells wide when every (n+1)-th cell is such a separator."""
+    joined = ",\n,".join(body)
     if '"' in joined or (len(joined) > MAX_CELL and max(map(len, body)) > MAX_CELL):
         rows = list(map(_split, body))
         return list(zip(*rows)) if set(map(len, rows)) == {n} else None
-    if not set(map(str.count, body, repeat(","))) <= {n - 1}:
+    if not body:
+        return [()] * n
+    if n == 1 and joined.count(",") == 2 * len(body) - 2:  # no row holds a comma
+        return [body]
+    flat = joined.split(",")
+    if len(flat) != len(body) * (n + 1) - 1 or flat[n::n + 1].count("\n") != len(body) - 1:
         return None
-    flat = joined.split(",") if body else []
-    return [flat[j::n] for j in range(n)]
+    return [flat[j::n + 1] for j in range(n)]
 
 
 def _scan(text: str) -> tuple[list[str], Sequence[int], list[tuple[str, str, int]]]:
@@ -176,14 +212,16 @@ def _scan(text: str) -> tuple[list[str], Sequence[int], list[tuple[str, str, int
     return lines, linenos, sections
 
 
-def _header(raw: str, line: int, kind: str, known: dict[str, DataType], what: str) -> list[str]:
-    """The channel names of a table's header line, checked against `known`."""
+def _header(raw: str, line: int, kind: str, known: dict[str, DataType] | None,
+            what: str) -> list[str]:
+    """The channel names of a table's header line, checked against `known`
+    unless it is None."""
     header = _split(raw)
     if not header:
         _unreadable(line, raw)
     names = [h.strip() for h in header]
     for col, name in enumerate(names, start=1):
-        if name not in known:
+        if known is not None and name not in known:
             hint = difflib.get_close_matches(name, list(known), n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             _fail(line, col, f"unknown {what} {name!r}{suggestion}")
@@ -192,24 +230,27 @@ def _header(raw: str, line: int, kind: str, known: dict[str, DataType], what: st
     return names
 
 
-def _convert(types: list[DataType], body: list[str]) -> list[tuple[Any, ...]] | None:
-    """A table body's columns, each converted by its type; None when a row
-    is ragged or unreadable or a cell does not convert."""
-    columns = _columns(body, len(types))
+def _convert(cells: list[_Cells], body: list[str]) -> list[tuple[Any, ...]] | None:
+    """A table body's columns, each converted by the `_Cells` of its type;
+    None when a row is ragged or unreadable or a cell does not convert."""
+    columns = _columns(body, len(cells))
     if columns is None:
         return None
     try:
-        return [_column(t, col) for t, col in zip(types, columns)]
+        return [c.column(col) for c, col in zip(cells, columns)]
     except (ValueError, KeyError):
         return None
 
 
 class _Batch:
-    """The queued bodies of tables that share a header line."""
+    """The queued bodies of tables that share a header line; `types` is None
+    for a `#params` header read without parameter types."""
 
-    def __init__(self, names: list[str], types: list[DataType], missing: list[str]):
+    def __init__(self, names: list[str], types: list[DataType] | None, missing: list[str],
+                 cells: list[_Cells]):
         self.names, self.types = names, types
         self.missing = missing  # the channels the header lacks
+        self.cells = cells  # of each column's type
         self.rows: list[str] = []
         self.queue: list[tuple[int, int, int]] = []  # (serial, first line, end line)
 
@@ -223,16 +264,19 @@ class _Reader:
         self.lines, self.linenos = lines, linenos
         self.batches: dict[tuple[str, str], _Batch] = {}
         self.tables: list[Table | None] = []
+        self.cells: dict[DataType, _Cells] = {}
 
     def fail(self, line: int, column: int, message: str) -> None:
         """Report a structural error, after any error of a table queued before it."""
         self.flush()
         _fail(line, column, message)
 
-    def table(self, kind: str, at: int, end: int, known: dict[str, DataType],
-              what: str) -> tuple[_Batch, int, int]:
+    def table(self, kind: str, at: int, end: int, known: dict[str, DataType] | None,
+              what: str) -> tuple[_Batch, int | None, int]:
         """Queue the table whose marker is lines[at] and whose rows end before
-        lines[end]: its batch, its serial number and its number of rows."""
+        lines[end]: its batch, its serial number and its number of rows. With
+        `known` None, only the header is checked, and the table is skipped
+        (serial number None)."""
         if end == at + 1:
             self.fail(self.linenos[at], 1, f"empty #{kind} table")
         key = (kind, self.lines[at + 1])
@@ -243,8 +287,12 @@ class _Reader:
             except VectorFormatError:
                 self.flush()
                 raise
+            types = None if known is None else [known[n] for n in names]
             missing = [] if kind == "params" else sorted(set(known) - set(names))
-            batch = self.batches[key] = _Batch(names, [known[n] for n in names], missing)
+            cells = [self.cells.setdefault(t, _Cells(t)) for t in types or ()]
+            batch = self.batches[key] = _Batch(names, types, missing, cells)
+        if batch.types is None:
+            return batch, None, end - at - 2
         serial = len(self.tables)
         self.tables.append(None)
         batch.queue.append((serial, at + 2, end))
@@ -260,7 +308,7 @@ class _Reader:
                 self._convert_batch(batch)
 
     def _convert_batch(self, batch: _Batch) -> None:
-        values = _convert(batch.types, batch.rows)
+        values = _convert(batch.cells, batch.rows)
         if values is None:
             self._first_error()
         block = Block(batch.names, batch.types, values)
@@ -273,21 +321,22 @@ class _Reader:
 
     def _first_error(self) -> None:
         """Raise the first error of the queued tables in file order."""
-        queued = sorted(((entry, batch.types) for batch in self.batches.values()
+        queued = sorted(((entry, batch) for batch in self.batches.values()
                          for entry in batch.queue), key=lambda q: q[0][0])
-        for (_, first, end), types in queued:
+        for (_, first, end), batch in queued:
             body = self.lines[first:end]
-            if _convert(types, body) is None:
-                _first_error(types, self.linenos[first:end], body)
+            if _convert(batch.cells, body) is None:
+                _first_error(batch.types, self.linenos[first:end], body)
         raise AssertionError("a batch failed to convert, but none of its tables did")
 
 
 def read_vectors(text: str, iface: SyntacticInterface,
                  param_types: dict[str, DataType] | None = None) -> list[VectorCase]:
-    """Read all test-cases in a vector file, typed against an interface, as tables."""
+    """Read all test-cases in a vector file, typed against an interface, as
+    tables. Without `param_types`, each `#params` table is checked for its
+    header and its number of rows only, and left out of its case."""
     in_types = {c.name: c.ctype for c in iface.inputs}
     out_types = {c.name: c.ctype for c in iface.outputs}
-    param_types = param_types or {}
     lines, linenos, sections = _scan(text)
     reader = _Reader(lines, linenos)
     ends = [at for _, _, at in sections[1:]] + [len(lines)]
@@ -347,12 +396,24 @@ def parse_testcases(text: str, iface: SyntacticInterface,
     return [case.test_case() for case in read_vectors(text, iface, param_types)]
 
 
+# How a column of values that conform to their type is written (see
+# `literal_text`); an enumeration's labels are written as they are.
+_FORMATS = {BOOL_KIND: {True: "true", False: "false"}.__getitem__, INT_KIND: repr,
+            REAL_KIND: repr}
+
+
 def _write_table(out: list[str], marker: str, table: Table) -> None:
     names = tuple(sorted(table.block.names))
     out.append(marker)
     out.append(",".join(names))
-    columns = [map(literal_text, col) for col in table.columns(names)]
-    out.extend(map(",".join, zip(*columns)) if columns else repeat("", table.horizon))
+    formats = {n: _FORMATS.get(t.kind) if ok else literal_text
+               for n, t, ok in table.block.signature()}
+    columns = [col if formats[n] is None else map(formats[n], col)
+               for n, col in zip(names, table.columns(names))]
+    if len(columns) == 1:
+        out.extend(columns[0])
+    else:
+        out.extend(map(",".join, zip(*columns)) if columns else repeat("", table.horizon))
 
 
 def write_vectors(cases: Iterable[VectorCase]) -> str:

@@ -143,6 +143,37 @@ def test_concretize_with_params(tmp_path, capsys):
     assert "i_c" in text and "2.5" in text and "-3.6" in text
 
 
+def test_test_and_simulate_run_an_abstract_suite_with_params_tables(capsys):
+    # the suite that concretize reads also runs on the abstract component
+    vectors = str(fixture_path("encoder_concretize.tv.csv"))
+    code = main(["test", "--model", ENCODER, "--component", "AbstractEncoder",
+                 "--vectors", vectors])
+    assert code == 0
+    assert capsys.readouterr().out == "PASS  encoder_magnitudes\n1 passed, 0 failed, 0 errors\n"
+    code = main(["simulate", "--model", ENCODER, "--component", "AbstractEncoder",
+                 "--vectors", vectors, "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cases"][0]["inputs"] == {"i_a": [True, False, True]}
+
+
+@pytest.mark.parametrize("params, message", [
+    ("#params\nmag,mag\n1\n", "3:1: duplicate columns in #params header"),
+    ("#params\nmag\n1\n2\n", "2:1: parameter 'mag' has 2 ticks, inputs have 3"),
+    ("#params\n", "2:1: empty #params table"),
+])
+def test_test_still_checks_the_header_and_rows_of_a_params_table(tmp_path, capsys, params,
+                                                                  message):
+    # an untyped #params table's cells are not read, so 'x' is no error
+    path = tmp_path / "p.tv.csv"
+    path.write_text("#case c\n" + params.replace("\n1\n", "\nx\n")
+                    + "#inputs\ni_a\ntrue\nfalse\ntrue\n", encoding="utf-8")
+    code = main(["test", "--model", ENCODER, "--component", "AbstractEncoder",
+                 "--vectors", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_concretize_bad_param_value_names_the_flag(capsys):
     code = main(["concretize", "--model", ENCODER, "--refinement", "Encoder",
                  "--vectors", str(fixture_path("encoder_concretize.tv.csv")),

@@ -97,6 +97,9 @@ COMMANDS = [
     ["causality", *BRAKE],
     ["causality", *ENCODER, "--component", "ConcreteEncoder", "--mode", "strict"],
     ["test", *BRAKE, "--vectors", "many.tv.csv"],
+    # an abstract suite with #params tables, for the abstract model itself
+    ["test", *ENCODER, "--component", "AbstractEncoder",
+     "--vectors", "fixtures/encoder_concretize.tv.csv"],
 ]
 
 

@@ -143,8 +143,9 @@ _TEXT = {
              | st.sampled_from(["nan", "-inf", "Infinity", "1e3", "2", ".5", "1_0.5"])),
     "enum": st.sampled_from(["Lo", "Hi"]),
 }
+# "9" * 4301: an integer longer than Python 3.11 and later convert (ValueError)
 _JUNK = st.sampled_from(["", "x", "lo", "Hii", "1.5", "true", "Hi", "99", "-1", "-", '"',
-                         "a,b"])
+                         "a,b", "9" * 4301])
 _PAD = st.sampled_from(["", "", "", " ", "\t", "\x1f", "\u3000"])
 
 
@@ -161,6 +162,8 @@ def _plain_texts(dtype):
 def _cell(draw, dtype):
     if draw(st.integers(0, 39)) == 0:
         text = draw(_JUNK)
+    elif dtype.kind == "int" and draw(st.integers(0, 29)) == 0:  # just out of range
+        text = str(draw(st.sampled_from([dtype.lo - 1, dtype.hi + 1])))
     elif dtype.kind == "int":
         text = draw(st.integers(dtype.lo, dtype.hi).map(str)
                     | st.sampled_from(["+3", "03", "0_1", "\u0663"]))
@@ -214,9 +217,9 @@ def _document(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
-def _outcome(parse, text):
+def _outcome(parse, text, param_types=DIFF_PARAMS):
     try:
-        cases = parse(text, DIFF_IFACE, DIFF_PARAMS)
+        cases = parse(text, DIFF_IFACE, param_types)
     except VectorFormatError as e:
         return "error", [(d.line, d.column, d.message) for d in e.diagnostics]
 
@@ -231,7 +234,16 @@ def _outcome(parse, text):
 @settings(max_examples=250, deadline=None)
 @given(_document())
 def test_column_reader_agrees_with_the_row_reader(text):
-    assert _outcome(parse_testcases, text) == _outcome(vector_oracle.parse_testcases, text)
+    expected = _outcome(vector_oracle.parse_testcases, text)
+    assert _outcome(parse_testcases, text) == expected
+    # int columns converted cell by cell from the start, or after 3 spellings
+    for limit in (0, 3):
+        with mock.patch.object(vectors, "DISTINCT_INTS", limit):
+            assert _outcome(parse_testcases, text) == expected
+    # without parameter types, a #params table's header and row count are
+    # checked, and its cells are not read
+    assert _outcome(parse_testcases, text, None) == _outcome(vector_oracle.parse_testcases,
+                                                             text, None)
 
 
 # The reader converts the bodies of tables that share a header together, in

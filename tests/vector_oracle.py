@@ -53,19 +53,23 @@ def _split_sections(text: str) -> list[_Section]:
     return sections
 
 
-def _read_table(section: _Section, known: dict[str, DataType],
+def _read_table(section: _Section, known: dict[str, DataType] | None,
                 what: str) -> tuple[list[str], list[tuple[int, list[Any]]]]:
+    """The names of a table's header and its rows; with `known` None, the
+    header's names are not looked up and the rows' cells are left as text."""
     if not section.rows:
         _fail(section.line, 1, f"empty #{section.kind} table")
     header_line, header = section.rows[0]
     names = [h.strip() for h in header]
     for col, name in enumerate(names, start=1):
-        if name not in known:
+        if known is not None and name not in known:
             hint = difflib.get_close_matches(name, list(known), n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             _fail(header_line, col, f"unknown {what} {name!r}{suggestion}")
     if len(set(names)) != len(names):
         _fail(header_line, 1, f"duplicate columns in #{section.kind} header")
+    if known is None:
+        return names, section.rows[1:]
     rows: list[tuple[int, list[Any]]] = []
     for lineno, cells in section.rows[1:]:
         if len(cells) != len(names):
@@ -87,10 +91,11 @@ def _table_history(names: list[str], rows: list[tuple[int, list[Any]]],
 
 def parse_testcases(text: str, iface: SyntacticInterface,
                     param_types: dict[str, DataType] | None = None) -> list[TestCase]:
-    """Parse all test-cases in a vector file, typed against an interface."""
+    """Parse all test-cases in a vector file, typed against an interface.
+    Without `param_types`, a `#params` table's header and number of rows are
+    checked, and the table is left out of its case."""
     in_types = {c.name: c.ctype for c in iface.inputs}
     out_types = {c.name: c.ctype for c in iface.outputs}
-    param_types = param_types or {}
     sections = _split_sections(text)
     cases: list[TestCase] = []
     i = 0
@@ -105,11 +110,14 @@ def parse_testcases(text: str, iface: SyntacticInterface,
         counter += 1
         name = name or f"case{counter}"
         params: dict[str, TimedStream] = {}
+        skipped = None  # (first name, rows) of an untyped #params table
         if i < len(sections) and sections[i].kind == "params":
             params_line = sections[i].line
             pnames, prows = _read_table(sections[i], param_types, "parameter")
-            phist = _table_history(pnames, prows, param_types)
-            params = dict(phist.streams)
+            if param_types is None:
+                skipped = (pnames[0], len(prows))
+            else:
+                params = dict(_table_history(pnames, prows, param_types).streams)
             i += 1
         if i >= len(sections) or sections[i].kind != "inputs":
             line = sections[i].line if i < len(sections) else sections[i - 1].line
@@ -132,6 +140,9 @@ def parse_testcases(text: str, iface: SyntacticInterface,
             groups.append(_table_history(enames, erows, out_types))
             i += 1
         # params, when per-tick streams, must match the horizon
+        if skipped is not None and skipped[1] not in (1, inputs.horizon):
+            _fail(params_line, 1,
+                  f"parameter {skipped[0]!r} has {skipped[1]} ticks, inputs have {inputs.horizon}")
         for pname, stream in params.items():
             if stream.horizon not in (1, inputs.horizon):
                 _fail(params_line, 1,
