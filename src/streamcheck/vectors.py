@@ -13,12 +13,12 @@ rows. It queues the table's body behind those of earlier tables with the
 same header, and converts such a batch column by column, each column at
 once by its channel's type, when the batch holds BATCH_ROWS rows or the file
 ends. The cells of int, bool and enum columns are converted once per
-distinct spelling and file (`_Cells`). The converted columns form a
-`streams.Block`, and each table becomes a `streams.Table`: a reference to
-its rows of the block, with nothing copied (`read_vectors`). Their values
-conform to their types, so nothing checks them again. `parse_testcases`
-builds histories from the tables, whose streams are recorded as conforming
-(`TimedStream.conforming`).
+distinct spelling and file (`_Ints`, `_Labels`), those of real columns one
+by one. The converted columns form a `streams.Block`, and each table
+becomes a `streams.Table`: a reference to its rows of the block, with
+nothing copied (`read_vectors`). Their values conform to their types, so
+nothing checks them again. `parse_testcases` builds histories from the
+tables, whose streams are recorded as conforming (`TimedStream.conforming`).
 
 Errors come out as if each table were converted as soon as its header was
 read: before the walk reports a structural error, it converts every table
@@ -52,11 +52,6 @@ MAX_CELL = 131072
 # together once they hold this many rows. Much larger batches are slower and
 # hold more of a file's cells in memory at once.
 BATCH_ROWS = 2000
-
-# The columns of an int type convert through their distinct cells (`_Cells`)
-# until a file has shown this many spellings of the type, and cell by cell
-# from then on: its cells are then mostly distinct, as a real's are.
-DISTINCT_INTS = 4096
 
 _BOOLS = {"true": True, "false": False}
 
@@ -117,42 +112,34 @@ def _unreadable(line: int, raw: str):
     _fail(line, 1, "unreadable row")
 
 
-class _Cells(dict):
-    """How the cells of one type convert in a file. An int, bool or enum
-    cell is converted once per distinct spelling, at its first lookup, and
-    the dict keeps the value of each spelling: stripped, then read as an
-    integer and range-tested, or looked up as a label. A real cell goes
-    through `float` every time, and so does an int cell through `int` once
-    DISTINCT_INTS spellings of the type are kept. `column` raises ValueError
-    or KeyError exactly where `_parse_cell` fails on one of the cells."""
+# The value of each distinct cell of one type in a file, converted at its
+# first lookup: `_Ints` strips it, reads it as an integer and range-tests
+# it; `_Labels` strips it and looks it up among the type's labels. A lookup
+# raises ValueError or KeyError exactly where `_parse_cell` fails on the cell.
 
-    __slots__ = ("dtype", "labels")
+class _Ints(dict):
+    __slots__ = ("lo", "hi")
 
     def __init__(self, dtype: DataType):
-        self.dtype = dtype
-        self.labels = _BOOLS if dtype.kind == BOOL_KIND else dict(zip(dtype.labels, dtype.labels))
+        self.lo, self.hi = dtype.lo, dtype.hi
 
-    def __missing__(self, cell: str) -> Any:
-        dtype = self.dtype
-        if dtype.kind == INT_KIND:
-            value = int(cell.strip())
-            if not dtype.lo <= value <= dtype.hi:
-                raise ValueError("out of range")
-        else:
-            value = self.labels[cell.strip()]
+    def __missing__(self, cell: str) -> int:
+        value = int(cell.strip())
+        if not self.lo <= value <= self.hi:
+            raise ValueError("out of range")
         self[cell] = value
         return value
 
-    def column(self, cells: Sequence[str]) -> tuple[Any, ...]:
-        dtype = self.dtype
-        if dtype.kind == REAL_KIND:
-            return tuple(map(float, map(str.strip, cells)))
-        if dtype.kind == INT_KIND and len(self) >= DISTINCT_INTS:
-            values = tuple(map(int, map(str.strip, cells)))
-            if values and (min(values) < dtype.lo or max(values) > dtype.hi):
-                raise ValueError("out of range")
-            return values
-        return tuple(map(self.__getitem__, cells))
+
+class _Labels(dict):
+    __slots__ = ("labels",)
+
+    def __init__(self, dtype: DataType):
+        self.labels = _BOOLS if dtype.kind == BOOL_KIND else dict(zip(dtype.labels, dtype.labels))
+
+    def __missing__(self, cell: str) -> Any:
+        value = self[cell] = self.labels[cell.strip()]
+        return value
 
 
 def _first_error(types: list[DataType], linenos: Sequence[int], body: list[str]) -> None:
@@ -178,8 +165,6 @@ def _columns(body: list[str], n: int) -> Sequence[Sequence[str]] | None:
         return list(zip(*rows)) if set(map(len, rows)) == {n} else None
     if not body:
         return [()] * n
-    if n == 1 and joined.count(",") == 2 * len(body) - 2:  # no row holds a comma
-        return [body]
     flat = joined.split(",")
     if len(flat) != len(body) * (n + 1) - 1 or flat[n::n + 1].count("\n") != len(body) - 1:
         return None
@@ -230,14 +215,16 @@ def _header(raw: str, line: int, kind: str, known: dict[str, DataType] | None,
     return names
 
 
-def _convert(cells: list[_Cells], body: list[str]) -> list[tuple[Any, ...]] | None:
-    """A table body's columns, each converted by the `_Cells` of its type;
+def _convert(cells: list[dict[str, Any] | None], body: list[str]) -> list[tuple[Any, ...]] | None:
+    """A table body's columns, each converted through the distinct cells of
+    its type, or by `float` cell by cell for a real column (`cells` None);
     None when a row is ragged or unreadable or a cell does not convert."""
     columns = _columns(body, len(cells))
     if columns is None:
         return None
     try:
-        return [c.column(col) for c, col in zip(cells, columns)]
+        return [tuple(map(float, map(str.strip, col))) if c is None
+                else tuple(map(c.__getitem__, col)) for c, col in zip(cells, columns)]
     except (ValueError, KeyError):
         return None
 
@@ -247,10 +234,10 @@ class _Batch:
     for a `#params` header read without parameter types."""
 
     def __init__(self, names: list[str], types: list[DataType] | None, missing: list[str],
-                 cells: list[_Cells]):
+                 cells: list[dict[str, Any] | None]):
         self.names, self.types = names, types
         self.missing = missing  # the channels the header lacks
-        self.cells = cells  # of each column's type
+        self.cells = cells  # the distinct cells of each column's type; None for a real
         self.rows: list[str] = []
         self.queue: list[tuple[int, int, int]] = []  # (serial, first line, end line)
 
@@ -264,7 +251,7 @@ class _Reader:
         self.lines, self.linenos = lines, linenos
         self.batches: dict[tuple[str, str], _Batch] = {}
         self.tables: list[Table | None] = []
-        self.cells: dict[DataType, _Cells] = {}
+        self.cells: dict[DataType, dict[str, Any]] = {}
 
     def fail(self, line: int, column: int, message: str) -> None:
         """Report a structural error, after any error of a table queued before it."""
@@ -289,7 +276,7 @@ class _Reader:
                 raise
             types = None if known is None else [known[n] for n in names]
             missing = [] if kind == "params" else sorted(set(known) - set(names))
-            cells = [self.cells.setdefault(t, _Cells(t)) for t in types or ()]
+            cells = [self._cells(t) for t in types or ()]
             batch = self.batches[key] = _Batch(names, types, missing, cells)
         if batch.types is None:
             return batch, None, end - at - 2
@@ -300,6 +287,15 @@ class _Reader:
         if len(batch.rows) >= BATCH_ROWS:
             self._convert_batch(batch)
         return batch, serial, end - at - 2
+
+    def _cells(self, dtype: DataType) -> dict[str, Any] | None:
+        """The distinct cells of a type in this file; None for a real type."""
+        if dtype.kind == REAL_KIND:
+            return None
+        cells = self.cells.get(dtype)
+        if cells is None:
+            cells = self.cells[dtype] = (_Ints if dtype.kind == INT_KIND else _Labels)(dtype)
+        return cells
 
     def flush(self) -> None:
         """Convert every queued table."""
@@ -392,7 +388,11 @@ def read_vectors(text: str, iface: SyntacticInterface,
 
 def parse_testcases(text: str, iface: SyntacticInterface,
                     param_types: dict[str, DataType] | None = None) -> list[TestCase]:
-    """Parse all test-cases in a vector file, typed against an interface."""
+    """Parse all test-cases in a vector file, typed against an interface.
+    Without `param_types` (None), each `#params` table is checked for its
+    header and its number of rows only, and the cases come without
+    parameters; with `param_types`, even `{}`, the tables are typed by it,
+    and a parameter it does not name is an error."""
     return [case.test_case() for case in read_vectors(text, iface, param_types)]
 
 
@@ -410,10 +410,7 @@ def _write_table(out: list[str], marker: str, table: Table) -> None:
                for n, t, ok in table.block.signature()}
     columns = [col if formats[n] is None else map(formats[n], col)
                for n, col in zip(names, table.columns(names))]
-    if len(columns) == 1:
-        out.extend(columns[0])
-    else:
-        out.extend(map(",".join, zip(*columns)) if columns else repeat("", table.horizon))
+    out.extend(map(",".join, zip(*columns)) if columns else repeat("", table.horizon))
 
 
 def write_vectors(cases: Iterable[VectorCase]) -> str:

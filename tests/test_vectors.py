@@ -236,10 +236,6 @@ def _outcome(parse, text, param_types=DIFF_PARAMS):
 def test_column_reader_agrees_with_the_row_reader(text):
     expected = _outcome(vector_oracle.parse_testcases, text)
     assert _outcome(parse_testcases, text) == expected
-    # int columns converted cell by cell from the start, or after 3 spellings
-    for limit in (0, 3):
-        with mock.patch.object(vectors, "DISTINCT_INTS", limit):
-            assert _outcome(parse_testcases, text) == expected
     # without parameter types, a #params table's header and row count are
     # checked, and its cells are not read
     assert _outcome(parse_testcases, text, None) == _outcome(vector_oracle.parse_testcases,
