@@ -2,8 +2,8 @@
 
 Covers the RI/RO relation evaluation, end-to-end correspondence of a test
 pair (RI on inputs implies RO on outputs), abstraction/concretization maps
-with bounded-universe verification of the connection law, and parameterized
-concretizers.
+with verification of the connection law on one tick of a bounded universe,
+and parameterized concretizers.
 
 Suites are checked and concretized from their tables (`correspond`,
 `concretize_cases`): RI and RO are evaluated once over the columns of all
@@ -208,7 +208,7 @@ def correspond(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
 
 @dataclass(frozen=True)
 class Universe:
-    """Bounded enumeration domain for exhaustive Galois checks."""
+    """The values of each channel at a tick, and the horizon of histories."""
 
     abstract: tuple[tuple[str, tuple[Any, ...]], ...]
     concrete: tuple[tuple[str, tuple[Any, ...]], ...]
@@ -234,9 +234,15 @@ class GaloisSpec:
     channel_types: Mapping[str, DataType] = field(default_factory=dict)
 
     def f_entries_for(self, available: set[str]) -> list[tuple[str, Expr]]:
+        """The map entries that read only the available channels and labels."""
         enums = enum_labels(self.channel_types.values()).keys()
-        return [(chan, e) for chan, e in self.f_map
-                if free_names(e) <= (available | enums)]
+        entries = [(chan, e) for chan, e in self.f_map if free_names(e) <= (available | enums)]
+        chans = [chan for chan, _ in entries]
+        for chan in chans:
+            if chans.count(chan) > 1:
+                raise EvaluationError(f"galois {self.name!r}: two abstraction map entries "
+                                      f"apply to channel {chan!r}")
+        return entries
 
 
 def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
@@ -287,17 +293,13 @@ def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHis
 def _side_elements(side: tuple[tuple[str, tuple[Any, ...]], ...], horizon: int,
                    types: Mapping[str, DataType]) -> list[ChannelHistory]:
     """All channel histories over the declared per-channel value sets."""
-    axes = []
-    chans = [chan for chan, _ in side]
-    for chan, values in side:
-        axes.extend([list(values)] * horizon)
+    axes = [values for _, values in side for _ in range(horizon)]
     elements = []
     for combo in itertools.product(*axes):
         streams = {}
-        for i, chan in enumerate(chans):
+        for i, (chan, _) in enumerate(side):
             vals = combo[i * horizon:(i + 1) * horizon]
-            dtype = types.get(chan) or _infer_type(list(vals))
-            streams[chan] = TimedStream.of(dtype, vals)
+            streams[chan] = TimedStream.of(types.get(chan) or _infer_type(list(vals)), vals)
         elements.append(ChannelHistory(streams, horizon))
     return elements
 
@@ -308,20 +310,26 @@ class GaloisCounterexample:
     abstract_set: tuple[ChannelHistory, ...]
     lhs: bool  # f(T_c) subset of T_a
     rhs: bool  # T_c subset of g(T_a)
+    horizon: int = 1  # of the universe: each value of the one-tick sets held that long
 
     def __str__(self) -> str:
         def fmt(hs):
             return "{" + ", ".join(
                 "(" + ", ".join(f"{c}={list(h.streams[c].values)}" for c in sorted(h.streams)) + ")"
                 for h in hs) + "}"
-        return (f"f(T_c) subset-of T_a is {self.lhs} but T_c subset-of g(T_a) is "
-                f"{self.rhs} for T_c={fmt(self.concrete_set)}, T_a={fmt(self.abstract_set)}")
+        held = f", each value held for {self.horizon} ticks" if self.horizon > 1 else ""
+        return (f"f(T_c) subset-of T_a is {self.lhs} but T_c subset-of g(T_a) is {self.rhs} "
+                f"for T_c={fmt(self.concrete_set)}, T_a={fmt(self.abstract_set)}{held}")
+
+
+def _universe(gal: GaloisSpec) -> Universe:
+    if gal.universe is None:
+        raise EvaluationError(f"galois {gal.name!r} declares no bounded universe")
+    return gal.universe
 
 
 def universe_elements(gal: GaloisSpec) -> tuple[list[ChannelHistory], list[ChannelHistory]]:
-    if gal.universe is None:
-        raise EvaluationError(f"galois {gal.name!r} declares no bounded universe")
-    u = gal.universe
+    u = _universe(gal)
     return (_side_elements(u.abstract, u.horizon, gal.channel_types),
             _side_elements(u.concrete, u.horizon, gal.channel_types))
 
@@ -334,32 +342,24 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
     Both sides distribute over unions of T_c and of T_a, so the law holds
     exactly when it holds for every pair of singletons {x}, {a}: x is a
     member of g(a) iff f(x) = a (an image outside the universe equals no a).
-    That takes |A|*|C| comparisons, not 2^|A| subsets. The counterexample is
-    the pair of singletons with the smallest abstract index, then the
-    smallest concrete index, which is the first failing pair in the order of
-    T_a bitmasks. When `stats` is given, stats["pairs"] is set to the number
-    of element pairs decided.
-
-    A side has prod |values|^horizon elements. More than `element_cap` raise
-    CapsExceededError before any is built, and so does a horizon above it: a
-    side whose channels hold one value each has one element however long.
+    That takes |A|*|C| comparisons, not 2^|A| subsets. The maps and `member`
+    are per-tick, so at a horizon H >= 1 the law holds exactly when it holds
+    on the one-tick histories, and only those are built (at H = 0, the one
+    empty history a side); a side of more than `element_cap` raises
+    CapsExceededError first. The counterexample is the first failing pair in
+    the order of T_a bitmasks: smallest abstract index, then concrete index.
+    stats["pairs"], when `stats` is given, counts the pairs decided.
     """
-    u = gal.universe
-    if u is not None:
-        # from the cap's bit length on, a channel of two values or more
-        # exceeds the cap alone: a larger exponent only builds a larger number
-        h = min(u.horizon, element_cap.bit_length())
-        for name, side in (("abstract", u.abstract), ("concrete", u.concrete)):
-            size = math.prod(len(values) ** h for _, values in side)
-            if size > element_cap:
-                count = size if h == u.horizon else f"more than {element_cap}"
-                raise CapsExceededError(
-                    f"{name} universe has {count} elements, cap is {element_cap}",
-                    size, element_cap)
-        if u.horizon > element_cap:
-            raise CapsExceededError(f"universe horizon {u.horizon} exceeds cap {element_cap}",
-                                    u.horizon, element_cap)
-    abs_elems, conc_elems = universe_elements(gal)
+    u = _universe(gal)
+    ticks = min(u.horizon, 1)
+    for name, side in (("abstract", u.abstract), ("concrete", u.concrete)):
+        size = math.prod(len(values) ** ticks for _, values in side)
+        if size > element_cap:
+            raise CapsExceededError(
+                f"{name} universe has {size} value tuples a tick, cap is {element_cap}",
+                size, element_cap)
+    abs_elems = _side_elements(u.abstract, ticks, gal.channel_types)
+    conc_elems = _side_elements(u.concrete, ticks, gal.channel_types)
 
     def key(h: ChannelHistory):
         return tuple((c, h.streams[c].values) for c in sorted(h.streams))
@@ -375,7 +375,7 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
         for j, x in enumerate(conc_elems):
             lhs = f_bit[j] == i
             if member[i][j] != lhs:
-                return GaloisCounterexample((x,), (a,), lhs=lhs, rhs=member[i][j])
+                return GaloisCounterexample((x,), (a,), lhs, member[i][j], u.horizon)
     return None
 
 

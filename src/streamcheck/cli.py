@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refinement")
     p.add_argument("--galois")
     p.add_argument("--caps", type=_int_at_least(1), default=DEFAULT_UNIVERSE_CAP,
-                   help="max universe elements per side")
+                   help="max value tuples of a tick per universe side")
     p.set_defaults(func=cmd_verify_galois)
 
     p = command("causality", help="prove causality from the wiring, or search the "

@@ -321,10 +321,6 @@ def slot(local: str, dtype: DataType, conforms: bool) -> Code:
 Signature = tuple  # ((name, DataType, conforms), ...), one entry per column
 
 
-def signature(h: ChannelHistory) -> Signature:
-    return tuple((name, s.elem_type, s.conforms()) for name, s in h.streams.items())
-
-
 def _rows(h: ChannelHistory, names: Iterable[str] | None = None) -> list[tuple]:
     """The history's values tick by tick, of the named channels (default: all)."""
     columns = [h.streams[n].values for n in (h.streams if names is None else names)]
@@ -394,18 +390,16 @@ def relation_ticks(rel: Any, sig: Signature, columns: Sequence[Sequence[Any]],
 def map_columns(gal: Any, entries: Sequence[tuple[str, Expr]],
                 c_out: ChannelHistory) -> dict[str, list[Any]]:
     """Each abstraction-map entry's value at every tick of a concrete history,
-    in one list per abstract channel; entries for the same channel append to
-    one list."""
-    sig = signature(c_out)
+    in one list per abstract channel (one entry a channel)."""
+    sig = c_out.signature()
 
     def build() -> Callable:
         gen = CodeGen()
         labels = enum_labels(itertools.chain(_types(sig), gal.channel_types.values()))
         scope = _scope(labels, ("x", sig))
-        chans = list(dict.fromkeys(chan for chan, _ in entries))
-        body = [f"a{j} = cols[{j}].append" for j in range(len(chans))]
+        body = [f"a{j} = cols[{j}].append" for j in range(len(entries))]
         body.append(f"for {unpack('x', len(sig))} in rows:")
-        body += [f"    a{chans.index(chan)}({gen.expr(e, scope).src})" for chan, e in entries]
+        body += [f"    a{j}({gen.expr(e, scope).src})" for j, (_, e) in enumerate(entries)]
         return gen.function("rows, cols", body)
 
     columns: dict[str, list[Any]] = {chan: [] for chan, _ in entries}
@@ -421,7 +415,7 @@ def membership_matrix(gal: Any, abstract: Sequence[ChannelHistory],
     It runs as one call when all histories of a side share a signature, as
     the elements of a bounded universe do, and pair by pair otherwise.
     """
-    sig_a, sig_c = {signature(h) for h in abstract}, {signature(h) for h in concrete}
+    sig_a, sig_c = {h.signature() for h in abstract}, {h.signature() for h in concrete}
     if len(sig_a) > 1 or len(sig_c) > 1:
         return [[membership_matrix(gal, (a,), (x,))[0][0] for x in concrete] for a in abstract]
     if not sig_a or not sig_c:

@@ -201,6 +201,10 @@ class ChannelHistory:
     def prefix(self, t: int) -> "ChannelHistory":
         return ChannelHistory({c: s.prefix(t) for c, s in self.streams.items()}, t)
 
+    def signature(self) -> tuple[tuple[str, DataType, bool], ...]:
+        """(name, type, whether the values conform) of each stream."""
+        return tuple((n, s.elem_type, s.conforms()) for n, s in self.streams.items())
+
     def merged(self, other: "ChannelHistory") -> "ChannelHistory":
         overlap = set(self.streams) & set(other.streams)
         if overlap:
@@ -236,7 +240,7 @@ class Block:
         """(name, type, whether the values conform) of each column."""
         if self.history is None:
             return tuple((n, t, True) for n, t in zip(self.names, self.types))
-        return tuple((n, s.elem_type, s.conforms()) for n, s in self.history.streams.items())
+        return self.history.signature()
 
     def order(self, names: tuple[str, ...]) -> list[Sequence[Any]]:
         """The columns of the named channels, in that order."""

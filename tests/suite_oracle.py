@@ -21,7 +21,7 @@ from vector_oracle import _values_equal
 from streamcheck import cli
 from streamcheck.abstraction import (ConcretizationWarning, ConcretizerSpec,
                                      CorrespondenceResult, RelationSpec, fold_stream)
-from streamcheck.codegen import relation_ticks, signature
+from streamcheck.codegen import relation_ticks
 from streamcheck.components import ComponentSpec, run
 from streamcheck.errors import (SimulationError, StreamcheckError, TypeMismatchError,
                                 UnboundParameterError)
@@ -101,7 +101,7 @@ def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tu
         ticks = list(out.streams[out_names[0]].values)
         return fold_stream(ticks), ticks
     columns = [s.values for s in a.streams.values()] + [s.values for s in c.streams.values()]
-    ticks = relation_ticks(rel, signature(a) + signature(c), columns, a.horizon)
+    ticks = relation_ticks(rel, a.signature() + c.signature(), columns, a.horizon)
     return fold_stream(ticks), ticks
 
 

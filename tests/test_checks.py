@@ -11,6 +11,7 @@ value of small input types may find a witness.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,19 +45,21 @@ def _galois(rng, a_values, c_values, horizon):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
        st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True),
-       st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
 def test_pointwise_galois_matches_the_subset_loop(a_values, c_values, horizon, seed):
+    """The law is decided on one tick, with the verdict of the subset loop
+    over the histories of the declared horizon and the counterexample of
+    the subset loop over the one-tick histories."""
     gal = _galois(random.Random(seed), a_values, c_values, horizon)
     stats = {}
     got = verify_galois(gal, element_cap=64, stats=stats)
-    expected = verify_galois_by_masks(gal)
-    assert stats["pairs"] == len(a_values) ** horizon * len(c_values) ** horizon
-    if expected is None:
-        assert got is None
-    else:
-        assert got is not None
-        assert (got.concrete_set, got.abstract_set, got.lhs, got.rhs) == \
-            (expected.concrete_set, expected.abstract_set, expected.lhs, expected.rhs)
+    assert stats["pairs"] == (len(a_values) * len(c_values) if horizon else 1)
+    assert (got is None) == (verify_galois_by_masks(gal) is None)
+    if got is not None:
+        one_tick = replace(gal, universe=replace(gal.universe, horizon=min(horizon, 1)))
+        expected = verify_galois_by_masks(one_tick)
+        assert (got.concrete_set, got.abstract_set, got.lhs, got.rhs, got.horizon) == \
+            (expected.concrete_set, expected.abstract_set, expected.lhs, expected.rhs, horizon)
 
 
 def _outcome(fn, *args, **kwargs):

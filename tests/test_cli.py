@@ -484,15 +484,15 @@ galois Wide {
 
 def test_verify_galois_refuses_an_oversized_universe_before_enumerating(
         tmp_path, monkeypatch, capsys):
-    def enumerate_universe(gal):
+    def enumerate_side(side, horizon, types):
         raise AssertionError("the universe was enumerated")
 
-    monkeypatch.setattr("streamcheck.abstraction.universe_elements", enumerate_universe)
+    monkeypatch.setattr("streamcheck.abstraction._side_elements", enumerate_side)
     model = tmp_path / "wide.scm.txt"
     model.write_text(WIDE_GALOIS, encoding="utf-8")
     code = main(["verify-galois", "--model", str(model), "--galois", "Wide", "--caps", "12"])
     assert code == 2
-    assert "concrete universe has 15625 elements, cap is 12" in capsys.readouterr().err
+    assert "concrete universe has 125 value tuples a tick, cap is 12" in capsys.readouterr().err
 
 
 
@@ -507,8 +507,8 @@ def _universe(tmp_path, a: str, horizon: int) -> str:
 
 
 @pytest.mark.parametrize("a, horizon, caps, pairs", [
-    ("{ true, false }", 4, 16, 16),  # 2^4 abstract elements, 4 ticks long
-    ("{ true }", 12, 12, 1),  # one element a side, 12 ticks long
+    ("{ true, false }", 4, 16, 2),  # two abstract value tuples, one concrete
+    ("{ true }", 12, 12, 1),  # one value tuple a side
 ])
 def test_verify_galois_runs_a_horizon_above_3_that_fits_the_caps(
         tmp_path, capsys, a, horizon, caps, pairs):
@@ -518,22 +518,57 @@ def test_verify_galois_runs_a_horizon_above_3_that_fits_the_caps(
     assert (code, payload["ok"], payload["pairs"]) == (0, True, pairs)
 
 
-@pytest.mark.parametrize("a, caps, message", [
-    ("{ true, false }", 15, "abstract universe has 16 elements, cap is 15"),
-    ("{ true }", 3, "universe horizon 4 exceeds cap 3"),
+@pytest.mark.parametrize("a, horizon, caps, message", [
+    ("{ true, false }", 1, 1, "abstract universe has 2 value tuples a tick, cap is 1"),
+    ("{ true, false }", 4, 1, "abstract universe has 2 value tuples a tick, cap is 1"),
 ])
-def test_verify_galois_refuses_a_universe_over_the_caps(tmp_path, capsys, a, caps, message):
-    code = main(["verify-galois", "--model", _universe(tmp_path, a, 4), "--galois", "Wide",
+def test_verify_galois_refuses_a_universe_over_the_caps(tmp_path, capsys, a, horizon, caps,
+                                                        message):
+    """The caps bound the value tuples of a tick, whatever the horizon."""
+    code = main(["verify-galois", "--model", _universe(tmp_path, a, horizon), "--galois", "Wide",
                  "--caps", str(caps)])
     assert code == 2 and message in capsys.readouterr().err
 
 
 def test_verify_galois_refuses_a_long_horizon_without_computing_its_size(tmp_path, capsys):
-    # 2^(10^9) would take seconds to compute and 125 MB to hold
-    code = main(["verify-galois", "--model", _universe(tmp_path, "{ true, false }", 10 ** 9),
-                 "--galois", "Wide"])
-    assert code == 2
-    assert "abstract universe has more than 12 elements, cap is 12" in capsys.readouterr().err
+    """A universe of 10^9 ticks is decided on one tick: neither its 2^(10^9)
+    histories nor their count are computed. Within the caps it answers, and
+    over them it is refused by its size at a tick."""
+    model = _universe(tmp_path, "{ true, false }", 10 ** 9)
+    started = time.perf_counter()
+    code = main(["verify-galois", "--model", model, "--galois", "Wide", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload["ok"], payload["pairs"]) == (0, True, 2)
+    assert main(["verify-galois", "--model", model, "--galois", "Wide", "--caps", "1"]) == 2
+    assert "abstract universe has 2 value tuples a tick, cap is 1" in capsys.readouterr().err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_verify_galois_reports_a_failing_law_at_a_long_horizon(tmp_path, capsys):
+    text = fixture_path("encoder.scm.txt").read_text(encoding="utf-8")
+    text = text.replace("  map o_a := o_c >= 0\n", "  map o_a := o_c >= 0\n"
+                        "  member (i_a and i_c > 0) or (not i_a and i_c <= 0)\n")
+    model = tmp_path / "encoder.scm.txt"
+    model.write_text(text.replace("horizon 1\n", "horizon 1000000000\n"), encoding="utf-8")
+    started = time.perf_counter()
+    code = main(["verify-galois", "--model", str(model), "--galois", "EncGalois"])
+    out = capsys.readouterr().out
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out.startswith("COUNTEREXAMPLE  EncGalois: ")
+    assert "for T_c={(i_c=[0.0])}, T_a={(i_a=[True])}, each value held for 1000000000 ticks" in out
+
+
+def test_verify_galois_refuses_two_map_entries_for_one_channel(tmp_path, capsys):
+    text = fixture_path("encoder.scm.txt").read_text(encoding="utf-8")
+    model = tmp_path / "encoder.scm.txt"
+    model.write_text(text.replace("  map i_a := i_c >= 0\n",
+                                  "  map i_a := i_c >= 0\n  map i_a := i_c > 0\n"),
+                     encoding="utf-8")
+    code = main(["verify-galois", "--model", str(model), "--galois", "EncGalois"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "galois 'EncGalois': two abstraction map entries apply to channel 'i_a'" in captured.err
 
 
 _CHAIN_LINE = "  transition S -> S { o := "

@@ -10,6 +10,7 @@ that may never be evaluated. Results are compared by `repr`, which tells
 """
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,8 +136,12 @@ def test_membership_matrix_matches_pairwise_membership(seed, horizon):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 1, 1, 2, 2, 2, 2, 2, 3]))
 def test_verify_galois_matches_pairwise_decision(seed, horizon):
+    """The verdict and the error of the oracle over every history of the
+    horizon, and the counterexample of the oracle over the one-tick
+    histories; H = 3 is drawn rarely, since the oracle enumerates 9^3
+    histories a side there."""
     gen = DocGen(random.Random(seed))
     r = gen.rng
     a_names, c_names, types = _split(gen)
@@ -177,7 +182,13 @@ def test_verify_galois_matches_pairwise_decision(seed, horizon):
         member = _expression(gen, types)
     channel_types = {n: t for n, t in types.items() if r.random() < 0.8}
     gal = GaloisSpec("G", f_map, member, universe, channel_types=channel_types)
-    assert _outcome(verify_galois, gal, 10 ** 6) == _outcome(oracle.verify_galois, gal)
+    got, expected = _outcome(verify_galois, gal, 10 ** 6), _outcome(oracle.verify_galois, gal)
+    if not isinstance(got, str) or got == "None":
+        assert got == expected
+    else:
+        assert expected != "None"
+        one_tick = replace(gal, universe=replace(universe, horizon=min(horizon, 1)))
+        assert got == _outcome(lambda: replace(oracle.verify_galois(one_tick), horizon=horizon))
 
 
 def test_a_channel_shadows_a_label_of_the_same_name():

@@ -143,9 +143,10 @@ _TEXT = {
              | st.sampled_from(["nan", "-inf", "Infinity", "1e3", "2", ".5", "1_0.5"])),
     "enum": st.sampled_from(["Lo", "Hi"]),
 }
-# "9" * 4301: an integer longer than Python 3.11 and later convert (ValueError)
+# "9" * 4301: an integer longer than Python 3.11 and later convert (ValueError);
+# "y" * (MAX_CELL + 1): a cell longer than the reader reads
 _JUNK = st.sampled_from(["", "x", "lo", "Hii", "1.5", "true", "Hi", "99", "-1", "-", '"',
-                         "a,b", "9" * 4301])
+                         "a,b", "9" * 4301, "y" * (MAX_CELL + 1)])
 _PAD = st.sampled_from(["", "", "", " ", "\t", "\x1f", "\u3000"])
 
 

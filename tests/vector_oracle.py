@@ -5,7 +5,8 @@ for differential tests of `vectors.parse_testcases` and
 
 The reader runs `csv` over every data line of a file before it reads any
 table, converts and range-checks one cell at a time with `_parse_cell`, and
-checks every value again in `TimedStream.of`. The comparison formats a log
+checks every value again in `TimedStream.of`. A line with a cell over csv's
+field limit is an error where its table's header or row is read. The comparison formats a log
 line for every tick and channel of every expected group it tries.
 """
 
@@ -29,7 +30,7 @@ class _Section:
     kind: str  # case | params | inputs | expected
     arg: str
     line: int
-    rows: list[tuple[int, list[str]]]
+    rows: list[tuple[int, list[str] | None]]  # None: a cell over csv's field limit
 
 
 def _split_sections(text: str) -> list[_Section]:
@@ -48,9 +49,16 @@ def _split_sections(text: str) -> list[_Section]:
             continue
         if not sections:
             _fail(lineno, 1, "data before any section marker")
-        cells = next(csv.reader(io.StringIO(raw)))
+        try:
+            cells = next(csv.reader(io.StringIO(raw)))
+        except csv.Error:
+            cells = None
         sections[-1].rows.append((lineno, cells))
     return sections
+
+
+def _too_long(lineno: int) -> None:
+    _fail(lineno, 1, f"cell longer than {csv.field_size_limit()} characters")
 
 
 def _read_table(section: _Section, known: dict[str, DataType] | None,
@@ -60,6 +68,8 @@ def _read_table(section: _Section, known: dict[str, DataType] | None,
     if not section.rows:
         _fail(section.line, 1, f"empty #{section.kind} table")
     header_line, header = section.rows[0]
+    if header is None:
+        _too_long(header_line)
     names = [h.strip() for h in header]
     for col, name in enumerate(names, start=1):
         if known is not None and name not in known:
@@ -72,6 +82,8 @@ def _read_table(section: _Section, known: dict[str, DataType] | None,
         return names, section.rows[1:]
     rows: list[tuple[int, list[Any]]] = []
     for lineno, cells in section.rows[1:]:
+        if cells is None:
+            _too_long(lineno)
         if len(cells) != len(names):
             _fail(lineno, 1, f"ragged row: {len(cells)} cells for {len(names)} columns")
         rows.append((lineno, [_parse_cell(cell, known[name], lineno, col)
