@@ -183,10 +183,11 @@ def test_verify_galois_matches_pairwise_decision(seed, horizon):
     channel_types = {n: t for n, t in types.items() if r.random() < 0.8}
     gal = GaloisSpec("G", f_map, member, universe, channel_types=channel_types)
     got, expected = _outcome(verify_galois, gal, 10 ** 6), _outcome(oracle.verify_galois, gal)
-    if not isinstance(got, str) or got == "None":
-        assert got == expected
-    else:
-        assert expected != "None"
+
+    def verdict(outcome):  # whether the law holds, or the error (type and message)
+        return outcome if isinstance(outcome, tuple) else outcome == "None"
+    assert verdict(got) == verdict(expected)
+    if verdict(got) is False:
         one_tick = replace(gal, universe=replace(universe, horizon=min(horizon, 1)))
         assert got == _outcome(lambda: replace(oracle.verify_galois(one_tick), horizon=horizon))
 
