@@ -19,35 +19,23 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .components import ComponentSpec, run, run_table
+from .declarations import ConcretizerSpec, GaloisSpec, RelationSpec, Universe
 from .errors import (CapsExceededError, EvaluationError, SimulationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
-from .exprs import Expr, free_names
-from .streams import (BOOL, Block, ChannelHistory, DataType, Table, TimedStream, enum_labels,
-                      validate_history)
-from .testcases import VectorCase
+from .streams import (BOOL, REAL, Block, ChannelHistory, DataType, Table, TimedStream,
+                      bounded_int, validate_history)
+
+if TYPE_CHECKING:
+    from .testcases import VectorCase
 
 RI = "RI"
 RO = "RO"
 
 DEFAULT_UNIVERSE_CAP = 12
-
-
-@dataclass(frozen=True)
-class RelationSpec:
-    """A per-tick predicate (or checker component) over paired histories."""
-
-    name: str
-    side: str  # RI | RO
-    expr: Expr | None = None
-    checker: ComponentSpec | None = None
-
-    def __post_init__(self):
-        if (self.expr is None) == (self.checker is None):
-            raise TypeMismatchError("relation needs exactly one of expr / checker")
 
 
 def fold_stream(ticks: Iterable[bool]) -> bool:
@@ -115,8 +103,11 @@ def _outputs(spec: ComponentSpec, tables: Sequence[Table]) -> Block:
     return Block([c.name for c in outputs], [c.ctype for c in outputs], out)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class CorrespondenceResult:
+    """Whether RI held on a pair's inputs and RO on its outputs, tick by
+    tick, and whether the pair corresponds (RI implies RO)."""
+
     ri_holds: bool
     ro_holds: bool
     corresponding: bool
@@ -206,45 +197,6 @@ def correspond(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
 # Galois connections
 
 
-@dataclass(frozen=True)
-class Universe:
-    """The values of each channel at a tick, and the horizon of histories."""
-
-    abstract: tuple[tuple[str, tuple[Any, ...]], ...]
-    concrete: tuple[tuple[str, tuple[Any, ...]], ...]
-    horizon: int = 1
-
-
-@dataclass(frozen=True)
-class GaloisSpec:
-    """Element-wise abstraction map plus a concretization membership predicate.
-
-    `f_map` gives, per abstract channel, an expression over concrete channel
-    values. When `member` is omitted, membership defaults to the adjoint of
-    f: a concrete history belongs to g(abstract) iff f maps it to exactly the
-    abstract values, tick by tick.
-    """
-
-    name: str
-    f_map: tuple[tuple[str, Expr], ...]
-    member: Expr | None = None
-    universe: Universe | None = None
-    abstract_component: str | None = None
-    concrete_component: str | None = None
-    channel_types: Mapping[str, DataType] = field(default_factory=dict)
-
-    def f_entries_for(self, available: set[str]) -> list[tuple[str, Expr]]:
-        """The map entries that read only the available channels and labels."""
-        enums = enum_labels(self.channel_types.values()).keys()
-        entries = [(chan, e) for chan, e in self.f_map if free_names(e) <= (available | enums)]
-        chans = [chan for chan, _ in entries]
-        for chan in chans:
-            if chans.count(chan) > 1:
-                raise EvaluationError(f"galois {self.name!r}: two abstraction map entries "
-                                      f"apply to channel {chan!r}")
-        return entries
-
-
 def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
     """Apply the abstraction map element-wise to a concrete history."""
     available = set(c_out.streams)
@@ -264,7 +216,6 @@ def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
 
 
 def _infer_type(values: list[Any]) -> DataType:
-    from .streams import REAL, bounded_int
     if all(isinstance(v, bool) for v in values):
         return BOOL
     if all(isinstance(v, int) and not isinstance(v, bool) for v in values):
@@ -290,22 +241,40 @@ def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHis
 # Bounded-universe verification
 
 
+def _channel_type(values: Sequence[Any]) -> DataType | None:
+    """One type for all the values of a universe channel declared without
+    one, or None when no inferred type keeps every value's kind (ints or
+    bools among reals or labels)."""
+    dtype = _infer_type(list(values))
+    if dtype is REAL and any(isinstance(v, int) for v in values):
+        return None
+    return dtype
+
+
 def _side_elements(side: tuple[tuple[str, tuple[Any, ...]], ...], horizon: int,
                    types: Mapping[str, DataType]) -> list[ChannelHistory]:
-    """All channel histories over the declared per-channel value sets."""
+    """All channel histories over the declared per-channel value sets.
+
+    A channel without a declared type takes the type inferred from its whole
+    value set, so that the elements share one signature and each predicate
+    compiles once. Where that type would turn a value into another kind,
+    each element's stream gets the type inferred from its own values."""
+    side_types = [types.get(chan) or _channel_type(values) for chan, values in side]
     axes = [values for _, values in side for _ in range(horizon)]
     elements = []
     for combo in itertools.product(*axes):
         streams = {}
-        for i, (chan, _) in enumerate(side):
+        for i, ((chan, _), dtype) in enumerate(zip(side, side_types)):
             vals = combo[i * horizon:(i + 1) * horizon]
-            streams[chan] = TimedStream.of(types.get(chan) or _infer_type(list(vals)), vals)
+            streams[chan] = TimedStream.of(dtype or _infer_type(list(vals)), vals)
         elements.append(ChannelHistory(streams, horizon))
     return elements
 
 
-@dataclass(frozen=True)
+@dataclass
 class GaloisCounterexample:
+    """Concrete and abstract sets of histories on which the law fails."""
+
     concrete_set: tuple[ChannelHistory, ...]
     abstract_set: tuple[ChannelHistory, ...]
     lhs: bool  # f(T_c) subset of T_a
@@ -381,21 +350,6 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
 
 # ---------------------------------------------------------------------------
 # Parameterized concretizers
-
-
-@dataclass(frozen=True)
-class ParamDecl:
-    name: str
-    dtype: DataType
-
-
-@dataclass(frozen=True)
-class ConcretizerSpec:
-    """A component (I_a + params -> I_c) realizing one concretization family member."""
-
-    name: str
-    component: ComponentSpec
-    params: tuple[ParamDecl, ...] = ()
 
 
 class ConcretizationWarning(UserWarning):
@@ -496,8 +450,11 @@ def concretize_cases(conc: ConcretizerSpec, cases: Sequence[VectorCase],
     return _in_order(batch, cases)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class FinvViolation:
+    """A sampled parameter binding and abstract input whose concretized
+    input lies outside g of that abstract input."""
+
     params: Mapping[str, Any]
     abstract_input: ChannelHistory
     concrete_input: ChannelHistory

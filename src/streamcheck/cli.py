@@ -89,7 +89,7 @@ def _get(doc_dict: dict, name: str | None, what: str):
 
 def _read_vectors(path: str, iface, param_types=None) -> list[VectorCase]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return read_vectors(fh.read(), iface, param_types)
     except (OSError, UnicodeDecodeError) as e:
         raise _read_error("vector file", path, e)

@@ -52,6 +52,8 @@ class SyntacticInterface:
 
 @dataclass(frozen=True)
 class VariableDecl:
+    """A variable of an automaton, with its type and initial value."""
+
     name: str
     dtype: DataType
     init: Any
@@ -59,6 +61,9 @@ class VariableDecl:
 
 @dataclass(frozen=True)
 class Transition:
+    """A guarded step between control states, with its output
+    assignments and variable updates."""
+
     source: str
     target: str
     guard: Expr = TRUE
@@ -69,6 +74,8 @@ class Transition:
 
 @dataclass(frozen=True)
 class AutomatonSpec:
+    """An atomic component: a state machine over its interface."""
+
     name: str
     interface: SyntacticInterface
     states: tuple[str, ...]
@@ -93,12 +100,16 @@ class Endpoint:
 
 @dataclass(frozen=True)
 class Connector:
+    """A wire from a producer endpoint to a consumer endpoint."""
+
     producer: Endpoint
     consumer: Endpoint
 
 
 @dataclass(frozen=True)
 class CompositeSpec:
+    """A component made of named subcomponents and the wiring between them."""
+
     name: str
     interface: SyntacticInterface
     subcomponents: tuple[tuple[str, "ComponentSpec"], ...]
@@ -174,15 +185,20 @@ def validate_automaton(spec: AutomatonSpec) -> list[str]:
 # Runtime state
 
 
-@dataclass(frozen=True)
+@dataclass
 class AutomatonState:
+    """An atom's configuration: its control state, its variables and the
+    outputs it computed at the previous tick."""
+
     state: str
     variables: tuple[tuple[str, Any], ...]
-    pending: tuple[tuple[str, Any], ...]  # outputs computed at the previous tick
+    pending: tuple[tuple[str, Any], ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class CompositeState:
+    """A composite's configuration: the state of each atom, by path."""
+
     substates: tuple[tuple[str, AutomatonState], ...]
 
 
@@ -527,8 +543,11 @@ def same_tick_dependence(spec: ComponentSpec) -> list[tuple[str, str]]:
 # Causality checking
 
 
-@dataclass(frozen=True)
+@dataclass
 class CausalityCounterexample:
+    """Two input histories that agree through `tick` and lead to
+    different outputs within the checked prefix."""
+
     tick: int
     input_a: ChannelHistory
     input_b: ChannelHistory

@@ -11,11 +11,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import exprs
-from .abstraction import (ConcretizerSpec, GaloisSpec, ParamDecl, RelationSpec,
-                          Universe)
 from .components import (AutomatonSpec, CompositeSpec, ComponentSpec, Connector,
                          Endpoint, SyntacticInterface, Transition, VariableDecl,
                          spec_problems)
+from .declarations import ConcretizerSpec, GaloisSpec, ParamDecl, RelationSpec, Universe
 from .errors import Diagnostic, ModelFormatError, TypeMismatchError
 from .exprs import TRUE, Expr
 from .lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, Token, tokenize
@@ -25,7 +24,7 @@ from .streams import (BOOL, Channel, DataType, REAL as REAL_TYPE, bounded_int, e
 _TOP_KEYWORDS = ("type", "component", "relation", "galois", "concretizer", "refinement")
 
 
-@dataclass(frozen=True)
+@dataclass
 class RefinementSpec:
     """Named binding of an abstract/concrete pair with its relating artifacts."""
 
@@ -40,6 +39,9 @@ class RefinementSpec:
 
 @dataclass
 class ModelDocument:
+    """The named types, components, relations, Galois connections,
+    concretizers and refinements of one or more model files."""
+
     types: dict[str, DataType] = field(default_factory=dict)
     components: dict[str, ComponentSpec] = field(default_factory=dict)
     relations: dict[str, RelationSpec] = field(default_factory=dict)
@@ -57,8 +59,10 @@ class ModelDocument:
             mine.update(theirs)
 
 
-@dataclass
+@dataclass(repr=False)
 class ParseResult:
+    """A parsed document and its diagnostics; it loaded when there are none."""
+
     document: ModelDocument
     diagnostics: list[Diagnostic]
 
@@ -79,7 +83,7 @@ def parse_model(text: str, base: ModelDocument | None = None) -> ParseResult:
 
 
 def load_model(path, base: ModelDocument | None = None) -> ModelDocument:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         result = parse_model(fh.read(), base)
     if not result.ok:
         raise ModelFormatError(result.diagnostics)

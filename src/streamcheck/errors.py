@@ -64,7 +64,7 @@ class CapsExceededError(StreamcheckError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
+@dataclass
 class Diagnostic:
     """A located parse/validation message."""
 

@@ -19,22 +19,30 @@ Expr = Union["Lit", "Name", "Unary", "Binary", "Call"]
 
 @dataclass(frozen=True)
 class Lit:
+    """A literal value."""
+
     value: Any
 
 
 @dataclass(frozen=True)
 class Name:
+    """A channel, variable or enumeration label, read by name."""
+
     ident: str
 
 
 @dataclass(frozen=True)
 class Unary:
+    """`-operand` or `not operand`."""
+
     op: str  # "-" | "not"
     operand: Expr
 
 
 @dataclass(frozen=True)
 class Binary:
+    """`left op right`."""
+
     op: str
     left: Expr
     right: Expr
@@ -42,6 +50,8 @@ class Binary:
 
 @dataclass(frozen=True)
 class Call:
+    """A call of one of FUNCTIONS."""
+
     func: str
     args: tuple[Expr, ...]
 

@@ -165,8 +165,10 @@ class Channel:
     direction: str = "input"  # "input" | "output"
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Violation:
+    """A channel whose stream does not conform, and why."""
+
     channel: str
     cause: str
 
@@ -174,7 +176,7 @@ class Violation:
         return f"{self.channel}: {self.cause}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ChannelHistory:
     """An assignment of equally long timed streams to channel names."""
 

@@ -27,15 +27,18 @@ ERROR = "error"
 TestInput = ChannelHistory
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExpectedResult:
     """One or more complete output histories; matching any group passes."""
 
     groups: tuple[ChannelHistory, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class TestCase:
+    """A test case as histories: its input, its expected output groups
+    and its parameter streams."""
+
     __test__ = False  # keep pytest from collecting this as a test class
 
     name: str
@@ -74,8 +77,11 @@ class VectorCase(NamedTuple):
                         ExpectedResult(tuple(g.history() for g in self.expected)), params)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Divergence:
+    """The first tick and channel at which an output differs from the
+    expected one."""
+
     tick: int
     channel: str
     expected: Any
@@ -86,7 +92,7 @@ class Divergence:
                 f"expected {self.expected!r}, got {self.actual!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Verdict:
     """A case's status. A failure carries its first divergence and an error,
     in `log`, what went wrong; a pass for want of expected groups says so."""
@@ -194,14 +200,18 @@ def execute_test(spec: ComponentSpec, tc: TestCase, eps: float = 0.0,
                            for c, col in zip(spec.interface.outputs, out)}, tc.horizon), verdict
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class SuiteEntry:
+    """One case's verdict in a suite report."""
+
     case: str
     verdict: Verdict
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class SuiteReport:
+    """The verdicts of a suite's cases, in order."""
+
     entries: tuple[SuiteEntry, ...]
 
     @property

@@ -31,7 +31,6 @@ docs/grammar.md).
 from __future__ import annotations
 
 import csv
-import difflib
 import re
 from itertools import compress, repeat
 from operator import itemgetter
@@ -87,9 +86,14 @@ def _parse_cell(cell: str, dtype: DataType, line: int, column: int) -> Any:
             _fail(line, column, f"expected a real number, found {text!r}")
     if text in dtype.labels:
         return text
-    hint = difflib.get_close_matches(text, dtype.labels, n=1)
-    suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-    _fail(line, column, f"unknown enumeration label {text!r}{suggestion}")
+    _fail(line, column, f"unknown enumeration label {text!r}{_suggestion(text, dtype.labels)}")
+
+
+def _suggestion(word: str, choices: Sequence[str]) -> str:
+    """'; did you mean ...?' naming the closest of the choices, or ''."""
+    import difflib  # only these error messages need it
+    hint = difflib.get_close_matches(word, choices, n=1)
+    return f"; did you mean {hint[0]!r}?" if hint else ""
 
 
 def _split(raw: str) -> list[str]:
@@ -207,9 +211,7 @@ def _header(raw: str, line: int, kind: str, known: dict[str, DataType] | None,
     names = [h.strip() for h in header]
     for col, name in enumerate(names, start=1):
         if known is not None and name not in known:
-            hint = difflib.get_close_matches(name, list(known), n=1)
-            suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-            _fail(line, col, f"unknown {what} {name!r}{suggestion}")
+            _fail(line, col, f"unknown {what} {name!r}{_suggestion(name, list(known))}")
     if len(set(names)) != len(names):
         _fail(line, 1, f"duplicate columns in #{kind} header")
     return names

@@ -3,8 +3,8 @@ automata and composites, for differential testing of the simulator."""
 
 import random
 
-from streamcheck.abstraction import (ConcretizerSpec, GaloisSpec, ParamDecl,
-                                     RelationSpec, Universe)
+from streamcheck.declarations import (ConcretizerSpec, GaloisSpec, ParamDecl,
+                                      RelationSpec, Universe)
 from streamcheck.components import (AutomatonSpec, CompositeSpec, Connector, Endpoint,
                                     SyntacticInterface, Transition, VariableDecl)
 from streamcheck.dsl import ModelDocument, RefinementSpec

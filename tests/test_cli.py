@@ -11,7 +11,7 @@ from streamcheck.components import check_causality
 from streamcheck.dsl import load_model
 from streamcheck.exprs import MAX_HEIGHT
 
-from conftest import FIXTURES, HALVES, fixture_path
+from conftest import FIXTURES, HALVES, fixture_path, fixture_text
 
 ENCODER = str(fixture_path("encoder.scm.txt"))
 BRAKE = str(fixture_path("brake_override.scm.txt"))
@@ -351,6 +351,29 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert main(["test", "--model", str(bad), "--component", "X",
                  "--vectors", "nope"]) == 2
     assert "model errors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["model", "vectors"])
+def test_a_leading_byte_order_mark_changes_nothing(kind, tmp_path, capsys):
+    """Spreadsheet tools write UTF-8 with a byte-order mark. It changes
+    neither the answer nor the line and column of a diagnostic."""
+    model, vectors = tmp_path / "m.scm.txt", tmp_path / "v.tv.csv"
+    good = {"model": fixture_text("brake_override.scm.txt"),
+            "vectors": fixture_text("brake_override.tv.csv")}
+    bad = {"model": "type T = \u00e9\n", "vectors": "#inputs\nDriverBrake\n1\n"}
+    argv = ["test", "--model", str(model), "--component", "BrakeOverride",
+            "--vectors", str(vectors)]
+    seen = []
+    for text in (good[kind], bad[kind]):
+        for prefix in ("", "\ufeff"):
+            model.write_text(good["model"], encoding="utf-8")
+            vectors.write_text(good["vectors"], encoding="utf-8")
+            (model if kind == "model" else vectors).write_text(prefix + text, encoding="utf-8")
+            seen.append((main(argv), *capsys.readouterr()))
+    assert [code for code, _, _ in seen] == [0, 0, 2, 2]
+    assert seen[0] == seen[1] and seen[2] == seen[3]
+    if kind == "model":
+        assert "1:10: unexpected character" in seen[3][2]
 
 
 def test_missing_vector_file_exit_2(capsys):

@@ -1,11 +1,18 @@
 """Every name a module of the package imports is read somewhere in it, and
 every function, class and method it defines is read somewhere in the
-package, the benchmark or the tests."""
+package, the benchmark or the tests. The package exports a fixed set of
+names, and importing it, or loading a model through it, imports only what
+that needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import streamcheck
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "streamcheck"
@@ -60,3 +67,70 @@ def test_every_definition_is_read():
               for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
               if name.rsplit(".", 1)[-1] not in read]
     assert not unread, f"defined and never read: {unread}"
+
+
+# the names the package exported when it imported every submodule eagerly
+EXPORTED = [
+    "AutomatonSpec", "BOOL", "CapsExceededError", "Channel", "ChannelHistory",
+    "CompositeSpec", "ConcretizerSpec", "Connector", "CorrespondenceResult", "DataType",
+    "Diagnostic", "Endpoint", "EvaluationError", "ExpectedResult", "GaloisSpec",
+    "ModelDocument", "ModelFormatError", "ParamDecl", "ParseResult", "REAL",
+    "RefinementSpec", "RelationSpec", "SimulationError", "StreamcheckError",
+    "StuckStateError", "SuiteReport", "SyntacticInterface", "TestCase", "TickRangeError",
+    "TimedStream", "Transition", "TypeMismatchError", "UnboundParameterError", "Universe",
+    "VariableDecl", "Verdict", "Violation", "abstract_output", "abstraction", "bounded_int",
+    "check_causality", "check_correspondence", "check_finv_in_g", "compare_histories",
+    "components", "compose_check", "concretize", "dsl", "enumeration", "errors",
+    "eval_relation", "execute_test", "exprs", "fold_stream", "g_membership",
+    "initial_state", "lexing", "load_model", "load_models", "parse_expression",
+    "parse_model", "parse_testcases", "run", "serialize_model", "serialize_testcases",
+    "step", "streams", "suite_run", "testcases", "validate_automaton", "validate_history",
+    "vectors", "verify_galois",
+]
+
+
+def test_the_package_exports_the_same_names():
+    assert streamcheck.__all__ == EXPORTED
+    assert set(EXPORTED) <= set(dir(streamcheck))
+
+
+def test_every_exported_name_is_the_object_of_its_home_module():
+    for name in EXPORTED:
+        value = getattr(streamcheck, name)
+        if isinstance(value, type(sys)):
+            assert value is sys.modules[f"streamcheck.{name}"], name
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'read_vectors'"):
+        streamcheck.read_vectors
+    assert not hasattr(streamcheck, "no_such_name")
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from streamcheck import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTED
+
+
+def test_loading_a_model_imports_only_what_loading_needs():
+    """Neither importing the package nor loading a model imports the checks,
+    the vector reader, the test runner, the CLI, the code generator or the
+    simulator."""
+    code = ("import sys, streamcheck\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('streamcheck.')))\n"
+            "streamcheck.load_models(['fixtures/acc.scm.txt', 'fixtures/encoder.scm.txt'])\n"
+            "print(*sorted(sys.modules))\n")
+    package_dir = str(Path(streamcheck.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [package_dir, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    at_import, after_load = (set(line.split()) for line in proc.stdout.splitlines())
+    assert at_import == set()
+    assert {"streamcheck.dsl", "streamcheck.declarations"} <= after_load
+    assert not after_load & {"streamcheck.abstraction", "streamcheck.vectors",
+                             "streamcheck.testcases", "streamcheck.cli", "streamcheck.codegen",
+                             "streamcheck.simulator", "difflib"}

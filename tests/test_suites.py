@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import suite_oracle
 from docgen import DocGen
 from streamcheck import vectors
-from streamcheck.abstraction import ConcretizerSpec, ParamDecl, RelationSpec
+from streamcheck.declarations import ConcretizerSpec, ParamDecl, RelationSpec
 from streamcheck.cli import main
 from streamcheck.components import (AutomatonSpec, SyntacticInterface, Transition, run,
                                     spec_problems)
