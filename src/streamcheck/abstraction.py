@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .components import ComponentSpec, run, run_table
-from .declarations import ConcretizerSpec, GaloisSpec, RelationSpec, Universe
 from .errors import (CapsExceededError, EvaluationError, SimulationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
 from .streams import (BOOL, REAL, Block, ChannelHistory, DataType, Table, TimedStream,
                       bounded_int, validate_history)
 
 if TYPE_CHECKING:
+    from .declarations import ConcretizerSpec, GaloisSpec, RelationSpec, Universe
     from .testcases import VectorCase
 
 RI = "RI"
@@ -241,32 +241,16 @@ def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHis
 # Bounded-universe verification
 
 
-def _channel_type(values: Sequence[Any]) -> DataType | None:
-    """One type for all the values of a universe channel declared without
-    one, or None when no inferred type keeps every value's kind (ints or
-    bools among reals or labels)."""
-    dtype = _infer_type(list(values))
-    if dtype is REAL and any(isinstance(v, int) for v in values):
-        return None
-    return dtype
-
-
 def _side_elements(side: tuple[tuple[str, tuple[Any, ...]], ...], horizon: int,
                    types: Mapping[str, DataType]) -> list[ChannelHistory]:
-    """All channel histories over the declared per-channel value sets.
-
-    A channel without a declared type takes the type inferred from its whole
-    value set, so that the elements share one signature and each predicate
-    compiles once. Where that type would turn a value into another kind,
-    each element's stream gets the type inferred from its own values."""
-    side_types = [types.get(chan) or _channel_type(values) for chan, values in side]
+    """All channel histories over the declared per-channel value sets."""
     axes = [values for _, values in side for _ in range(horizon)]
     elements = []
     for combo in itertools.product(*axes):
         streams = {}
-        for i, ((chan, _), dtype) in enumerate(zip(side, side_types)):
+        for i, (chan, _) in enumerate(side):
             vals = combo[i * horizon:(i + 1) * horizon]
-            streams[chan] = TimedStream.of(dtype or _infer_type(list(vals)), vals)
+            streams[chan] = TimedStream.of(types.get(chan) or _infer_type(list(vals)), vals)
         elements.append(ChannelHistory(streams, horizon))
     return elements
 

@@ -8,9 +8,7 @@ history over every value of small input types, beyond the grid. `causality_by_se
 breadth-first search, which stepped each configuration one grid row at a
 time through the simulator's run loop. `eval_relation`, `abstract_output`,
 `g_membership` and `verify_galois` are the former versions that evaluated
-expressions in a dict environment built tick by tick. `verify_galois_per_element` is
-`verify_galois` over the former per-element types of untyped universe
-channels (`side_elements_per_element`). `zero_delay_cycles`
+expressions in a dict environment built tick by tick. `zero_delay_cycles`
 is the former depth-first search of `compose_check` for a cycle among the
 weak atoms of a flattened composite. `refusal` is the message with which
 the simulator refuses an ill-formed spec, from the structural checks
@@ -20,12 +18,12 @@ themselves.
 import itertools
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-from streamcheck import abstraction
-from streamcheck.abstraction import (GaloisCounterexample, GaloisSpec, RelationSpec,
-                                     _infer_type, fold_stream, universe_elements)
+from streamcheck.abstraction import (GaloisCounterexample, _infer_type, fold_stream,
+                                     universe_elements)
 from streamcheck.components import (AutomatonSpec, CausalityCounterexample, ComponentSpec,
                                     STRICT, _counterexample, _simulator, compose_check,
                                     representative_values, run, validate_automaton)
+from streamcheck.declarations import GaloisSpec, RelationSpec
 from streamcheck.errors import (CapsExceededError, EvaluationError, SimulationError,
                                 TypeMismatchError)
 from streamcheck.codegen import Code, CodeGen
@@ -337,39 +335,6 @@ def verify_galois(gal: GaloisSpec) -> Optional[GaloisCounterexample]:
             lhs = f_bit[j] == i
             if member[i][j] != lhs:
                 return GaloisCounterexample((x,), (a,), lhs=lhs, rhs=member[i][j])
-    return None
-
-
-def side_elements_per_element(side, horizon: int, types: Mapping[str, DataType]) -> list[ChannelHistory]:
-    """The former `_side_elements`: in each element, a channel without a
-    declared type gets the type inferred from that element's own values."""
-    axes = [values for _, values in side for _ in range(horizon)]
-    elements = []
-    for combo in itertools.product(*axes):
-        streams = {}
-        for i, (chan, _) in enumerate(side):
-            vals = combo[i * horizon:(i + 1) * horizon]
-            streams[chan] = TimedStream.of(types.get(chan) or _infer_type(list(vals)), vals)
-        elements.append(ChannelHistory(streams, horizon))
-    return elements
-
-
-def verify_galois_per_element(gal: GaloisSpec) -> Optional[GaloisCounterexample]:
-    """The library's one-tick decision of the law over the elements of
-    `side_elements_per_element`, with the compiled map and one compiled
-    membership call per pair, minus the caps."""
-    u = gal.universe
-    ticks = min(u.horizon, 1)
-    abs_elems = side_elements_per_element(u.abstract, ticks, gal.channel_types)
-    conc_elems = side_elements_per_element(u.concrete, ticks, gal.channel_types)
-    abs_index = {_key(h): i for i, h in enumerate(abs_elems)}
-    f_bit = [abs_index.get(_key(abstraction.abstract_output(gal, x))) for x in conc_elems]
-    member = [[abstraction.g_membership(gal, a, x) for x in conc_elems] for a in abs_elems]
-    for i, a in enumerate(abs_elems):
-        for j, x in enumerate(conc_elems):
-            lhs = f_bit[j] == i
-            if member[i][j] != lhs:
-                return GaloisCounterexample((x,), (a,), lhs, member[i][j], u.horizon)
     return None
 
 

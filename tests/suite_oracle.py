@@ -19,10 +19,10 @@ from typing import Any, Mapping, Optional
 import vector_oracle
 from vector_oracle import _values_equal
 from streamcheck import cli
-from streamcheck.abstraction import (ConcretizationWarning, ConcretizerSpec,
-                                     CorrespondenceResult, RelationSpec, fold_stream)
+from streamcheck.abstraction import ConcretizationWarning, CorrespondenceResult, fold_stream
 from streamcheck.codegen import relation_ticks
 from streamcheck.components import ComponentSpec, run
+from streamcheck.declarations import ConcretizerSpec, RelationSpec
 from streamcheck.errors import (SimulationError, StreamcheckError, TypeMismatchError,
                                 UnboundParameterError)
 from streamcheck.streams import BOOL, ChannelHistory, REAL_KIND, TimedStream

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from streamcheck.abstraction import (ConcretizationWarning, GaloisSpec, RelationSpec,
-                                     Universe, abstract_output, check_correspondence,
-                                     check_finv_in_g, concretize, eval_relation,
-                                     fold_stream, g_membership, universe_elements,
-                                     verify_galois)
+from streamcheck.abstraction import (ConcretizationWarning, abstract_output, check_correspondence,
+                                     check_finv_in_g, concretize, eval_relation, fold_stream,
+                                     g_membership, universe_elements, verify_galois)
+from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
 from streamcheck.errors import CapsExceededError, UnboundParameterError
 from streamcheck.exprs import parse_expression
 from streamcheck.streams import BOOL, ChannelHistory, REAL, TimedStream
@@ -170,13 +169,3 @@ def test_finv_violation_is_reported(doc):
     violation = check_finv_in_g(gal, conc, bad)
     assert violation is not None
     assert violation.concrete_input.streams["i_c"].values == (0.0,)
-
-
-def test_an_untyped_universe_compiles_each_predicate_once():
-    """A universe channel without a declared type has one type for all its
-    values, so the elements of a side share a signature: one map and one
-    membership function are compiled, not one per element or pair."""
-    gal = GaloisSpec("G", (("a", parse_expression("(c + 3) / 4")),), None,
-                     Universe((("a", tuple(range(15))),), (("c", tuple(range(-3, 57))),)))
-    verify_galois(gal, element_cap=100)
-    assert len(gal.__dict__["_column_functions"]) == 2

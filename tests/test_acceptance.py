@@ -8,13 +8,12 @@ import random
 import time
 
 from docgen import DocGen
-from streamcheck.abstraction import (GaloisSpec, abstract_output, check_correspondence,
-                                     check_finv_in_g, eval_relation, g_membership,
-                                     universe_elements, verify_galois)
-from streamcheck.abstraction import RelationSpec
+from streamcheck.abstraction import (abstract_output, check_correspondence, check_finv_in_g,
+                                     eval_relation, g_membership, universe_elements, verify_galois)
 from streamcheck.components import (AutomatonSpec, Channel, CompositeSpec,
                                     SyntacticInterface, Transition, check_causality,
                                     run)
+from streamcheck.declarations import GaloisSpec, RelationSpec
 from streamcheck.dsl import ModelDocument, parse_model, serialize_model
 from streamcheck.exprs import Name, parse_expression
 from streamcheck.streams import BOOL, ChannelHistory, REAL, TimedStream, bounded_int

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from check_oracles import (causality_by_brute_force, causality_by_histories, causality_by_search,
                            prefix_equal, refusal, verify_galois_by_masks)
 from docgen import DocGen
-from streamcheck.abstraction import GaloisSpec, Universe, verify_galois
+from streamcheck.abstraction import verify_galois
 from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
                                     check_causality, run, same_tick_dependence)
+from streamcheck.declarations import GaloisSpec, Universe
 from streamcheck.errors import SimulationError, StreamcheckError
 from streamcheck.exprs import parse_expression
 from streamcheck.streams import BOOL, bounded_int

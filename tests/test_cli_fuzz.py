@@ -15,8 +15,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcheck.abstraction import RelationSpec
 from streamcheck.cli import main
+from streamcheck.declarations import RelationSpec
 from streamcheck.dsl import RefinementSpec, serialize_model
 from streamcheck.exprs import Binary, Lit, Name
 from streamcheck.streams import Channel

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import check_oracles as oracle
 from docgen import DocGen
-from streamcheck.abstraction import (GaloisSpec, RelationSpec, Universe, abstract_output,
-                                     eval_relation, g_membership, verify_galois)
+from streamcheck.abstraction import abstract_output, eval_relation, g_membership, verify_galois
 from streamcheck.codegen import membership_matrix
+from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
 from streamcheck.errors import StreamcheckError
 from streamcheck.exprs import Binary, Lit, Name
 from streamcheck.streams import (BOOL, REAL, ChannelHistory, TimedStream, bounded_int,
@@ -190,72 +190,6 @@ def test_verify_galois_matches_pairwise_decision(seed, horizon):
     if verdict(got) is False:
         one_tick = replace(gal, universe=replace(universe, horizon=min(horizon, 1)))
         assert got == _outcome(lambda: replace(oracle.verify_galois(one_tick), horizon=horizon))
-
-
-def _decision(fn, *args):
-    """The error (type and message), None when the law holds, or the
-    counterexample's values, flags and horizon. Its stream types are left
-    out: typed over a channel's whole value set, an int is in int[lo..hi],
-    where per-element typing gives int[v..v]."""
-    try:
-        cex = fn(*args)
-    except StreamcheckError as e:
-        return type(e), str(e)
-    if cex is None:
-        return None
-
-    def values(hs):
-        return repr([{c: s.values for c, s in h.streams.items()} for h in hs])
-    return values(cex.concrete_set), values(cex.abstract_set), cex.lhs, cex.rhs, cex.horizon, str(cex)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 1, 2]))
-def test_untyped_universe_channels_decide_as_with_per_element_types(seed, horizon):
-    """A universe channel without a declared type is typed from its whole
-    value set, so that each predicate compiles once: the law is decided as
-    when every element had its own inferred type. Value sets now and then
-    mix kinds (ints with reals or labels, bools with ints), which keeps
-    per-element types."""
-    gen = DocGen(random.Random(seed))
-    r = gen.rng
-    a_names = r.sample(["a0", "a1"], r.randint(1, 2))
-    c_names = r.sample(["c0", "c1"], r.randint(1, 2))
-    pools = [lambda: r.randint(-6, 6), lambda: r.random() < 0.5,
-             lambda: r.choice([0.5, -0.0, 2.0, float("nan"), float("inf")]),
-             lambda: r.choice([r.randint(-6, 6), r.random() < 0.5, 1.0, "L1" if r.random() < 0.1 else 0.0])]
-    kind = {n: r.choice([0, 0, 1, 2]) for n in a_names + c_names}
-
-    def values(name):
-        pool = [pools[kind[name] if r.random() < 0.9 else -1]() for _ in range(r.randint(1, 4))]
-        return tuple(dict.fromkeys(pool))
-
-    universe = Universe(tuple((n, values(n)) for n in a_names),
-                        tuple((n, values(n)) for n in c_names), horizon)
-    c_kinds = {"bool": [], "int": [], "real": [], "str": []}
-    for n in c_names:
-        c_kinds[["int", "bool", "real"][kind[n]]].append(n)
-
-    def f():
-        if r.random() < 0.4:
-            return Name(r.choice(c_names))
-        if r.random() < 0.7:
-            return gen.typed_expression(r.choice(["bool", "int", "num"]), c_kinds, 2)
-        return gen.expression(c_names, 2)
-
-    f_map = tuple((n, f()) for n in a_names)
-    pick = r.random()
-    if pick < 0.4:
-        member = None
-    else:  # the adjoint of the first entry, now and then loosened
-        member = Binary("==", Name(f_map[0][0]), f_map[0][1])
-        if pick > 0.6:
-            c = r.choice(universe.concrete)
-            member = Binary("or", member, Binary("==", Name(c[0]), Lit(r.choice(c[1]))))
-    channel_types = {n: _TYPES[1] for n in a_names + c_names if kind[n] == 0 and r.random() < 0.2}
-    gal = GaloisSpec("G", f_map, member, universe, channel_types=channel_types)
-    assert _decision(verify_galois, gal, 10 ** 6) == \
-        _decision(oracle.verify_galois_per_element, gal)
 
 
 def test_a_channel_shadows_a_label_of_the_same_name():

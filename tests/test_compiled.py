@@ -25,8 +25,9 @@ from streamcheck import load_models
 from streamcheck.components import (AutomatonSpec, AutomatonState, Channel, CompositeState,
                                     SyntacticInterface, Transition, VariableDecl, _network,
                                     _simulator, check_causality, initial_state, run, step)
-from streamcheck.abstraction import RelationSpec, eval_relation
+from streamcheck.abstraction import eval_relation
 from streamcheck.codegen import UNBOUNDED, Code, CodeGen, kind_of_value
+from streamcheck.declarations import RelationSpec
 from streamcheck.dsl import parse_model
 from streamcheck.errors import EvaluationError, SimulationError, StreamcheckError
 from streamcheck.exprs import evaluate, parse_expression

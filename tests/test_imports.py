@@ -1,8 +1,8 @@
 """Every name a module of the package imports is read somewhere in it, and
 every function, class and method it defines is read somewhere in the
-package, the benchmark or the tests. The package exports a fixed set of
-names, and importing it, or loading a model through it, imports only what
-that needs."""
+package, the benchmark or the tests. Every record class has a docstring.
+The package exports a fixed set of names, and importing it, or loading a
+model through it, imports only what that needs."""
 
 import ast
 import os
@@ -67,6 +67,22 @@ def test_every_definition_is_read():
               for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
               if name.rsplit(".", 1)[-1] not in read]
     assert not unread, f"defined and never read: {unread}"
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_record_class_has_a_docstring(path):
+    """For a class without a docstring, `dataclasses` makes one from
+    `inspect.signature` of the class, which every import pays for."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bare = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(map(_is_dataclass_decorator, node.decorator_list))
+            and ast.get_docstring(node) is None]
+    assert not bare, f"{path.name}: record classes without a docstring: {bare}"
 
 
 # the names the package exported when it imported every submodule eagerly
