@@ -7,7 +7,8 @@ and parameterized concretizers.
 
 Suites are checked and concretized from their tables (`correspond`,
 `concretize_cases`): RI and RO are evaluated once over the columns of all
-pairs or cases, one after another, and each case runs on its column slices.
+pairs or cases, one after another, and all cases of a side run in one call
+of the compiled simulator (`simulator.run_tables`).
 A suite in which some check raises is walked again one pair or case at a
 time, so the first to fail in order is reported with the message the
 per-pair functions (`check_correspondence`, `concretize`), which run the
@@ -22,9 +23,10 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .components import ComponentSpec, run, run_table
+from .components import ComponentSpec, run
 from .errors import (CapsExceededError, EvaluationError, SimulationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
+from .simulator import run_tables, table_runs
 from .streams import (BOOL, REAL, Block, ChannelHistory, DataType, Table, TimedStream,
                       bounded_int, validate_history)
 
@@ -80,26 +82,31 @@ def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tu
     return fold_stream(ticks), ticks
 
 
+def _column(tables: Sequence[Table], name: str) -> Sequence[Any]:
+    """The named column of the tables, one table after another: one slice
+    per run of tables that follow one another in a block."""
+    parts = [block.order((name,))[0][start:stop] for block, start, stop, _ in table_runs(tables)]
+    return parts[0] if len(parts) == 1 else list(itertools.chain.from_iterable(parts))
+
+
 def _joined(tables: Sequence[Table]) -> Block:
     """The tables' columns as one block, one table after another; a history
     built in Python stays its own block, to be validated when it runs."""
     first = tables[0].block
     if len(tables) == 1 and first.history is not None:
         return first
-    columns: list[list] = [[] for _ in first.names]
-    for table in tables:
-        for col, part in zip(columns, table.columns(first.names)):
-            col += part
-    return Block(first.names, first.types, columns)
+    return Block(first.names, first.types, [_column(tables, n) for n in first.names])
 
 
 def _outputs(spec: ComponentSpec, tables: Sequence[Table]) -> Block:
     """The spec's outputs on each table, run from its initial state, one
-    table after another."""
+    table after another; the error of the first table whose run fails
+    raises."""
     outputs = spec.interface.outputs
     out: list[list] = [[] for _ in outputs]
-    for table in tables:
-        run_table(spec, table, out)
+    failed = run_tables(spec, tables, out)
+    if failed:
+        raise failed[0][1]
     return Block([c.name for c in outputs], [c.ctype for c in outputs], out)
 
 
@@ -393,36 +400,54 @@ def concretize_cases(conc: ConcretizerSpec, cases: Sequence[VectorCase],
     holds on them (True without RI), up to the first case whose
     concretization raises, and that case's index and error (None when no
     case raises)."""
-    decls = [(d.name, d.dtype) for d in conc.params]
-    channels = list(conc.component.interface.inputs)
+    channels = conc.component.interface.inputs
+    names = [c.name for c in channels]
+    params = [d.name for d in conc.params]
     problems: dict[tuple[str, ...], str] = {}  # by the header of the abstract table
 
-    def inputs(case: VectorCase) -> Table:
-        table, params = case.inputs, case.params
-        h = table.horizon
-        names = table.block.names
-        # the channels in the order `concretize` binds them: a parameter
-        # replaces an input of its name
-        types = dict(zip(names, table.block.types))
-        columns = dict(zip(names, table.columns()))
-        for name, dtype in decls:
-            types[name] = dtype
-            if name in fixed:
-                columns[name] = (fixed[name],) * h
-            else:
-                col = params.columns((name,))[0]
-                columns[name] = col * h if params.horizon == 1 else col
-        problem = problems.get(names)
-        if problem is None:
-            shape = ChannelHistory({n: TimedStream(t, ()) for n, t in types.items()}, 0)
-            problem = problems[names] = "; ".join(map(str, validate_history(shape, channels)))
-        if problem:
-            raise SimulationError("invalid input history: " + problem)
-        return Table(Block(types, types.values(), list(columns.values())), 0, h)
+    def problem(header: tuple[str, ...], types: Sequence[DataType]) -> str:
+        """What `validate_history` finds in the inputs `concretize` binds from
+        an abstract table of this header: a parameter replaces an input of
+        its name."""
+        found = problems.get(header)
+        if found is None:
+            shape = dict(zip(header, types))
+            shape.update((d.name, d.dtype) for d in conc.params)
+            history = ChannelHistory({n: TimedStream(t, ()) for n, t in shape.items()}, 0)
+            found = problems[header] = "; ".join(map(str, validate_history(history, channels)))
+        return found
+
+    def inputs(chunk: Sequence[VectorCase]) -> list[Table]:
+        """The concretizer's inputs of each case: tables of one block."""
+        for case in chunk:
+            block = case.inputs.block
+            found = problem(block.names, block.types)
+            if found:
+                raise SimulationError("invalid input history: " + found)
+        abstract = [case.inputs for case in chunk]
+        horizons = [case.horizon for case in chunk]
+        columns = []
+        for name in names:
+            if name not in params:
+                columns.append(_column(abstract, name))
+            elif name in fixed:
+                columns.append((fixed[name],) * sum(horizons))
+            elif all(case.params.horizon == h for case, h in zip(chunk, horizons)):
+                columns.append(_column([case.params for case in chunk], name))
+            else:  # a one-row table is repeated to its case's horizon
+                columns.append(list(itertools.chain.from_iterable(
+                    col if len(col) == h else col * h
+                    for col, h in zip((case.params.columns((name,))[0] for case in chunk),
+                                      horizons))))
+        block = Block(names, [c.ctype for c in channels], columns)
+        tables, start = [], 0
+        for h in horizons:
+            tables.append(Table(block, start, start + h))
+            start += h
+        return tables
 
     def batch(chunk: Sequence[VectorCase]) -> list[tuple[Table, bool]]:
-        out, ri_ticks = _concretized(conc, [inputs(case) for case in chunk],
-                                     [case.inputs for case in chunk], ri)
+        out, ri_ticks = _concretized(conc, inputs(chunk), [case.inputs for case in chunk], ri)
         entries, start = [], 0
         for case in chunk:
             stop = start + case.horizon

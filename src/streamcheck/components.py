@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Container, Mapping, Optional, Sequence, Union
+from typing import Any, Container, Mapping, Optional, Union
 
 from .errors import CapsExceededError, SimulationError, StreamcheckError, TypeMismatchError
 from .exprs import TRUE, Expr, free_names
-from .streams import (Channel, ChannelHistory, DataType, Table, TimedStream, enum_labels,
-                      validate_history)
+from .streams import Channel, ChannelHistory, DataType, TimedStream, enum_labels, validate_history
 
 STRICT = "strict"
 WEAK = "weak"
@@ -378,28 +377,6 @@ def run(spec: ComponentSpec, input_history: ChannelHistory, n: int | None = None
     if input_history.horizon < n:
         raise SimulationError(f"input horizon {input_history.horizon} < requested ticks {n}")
     return _simulator(spec, check_determinism).run(input_history, n)
-
-
-def run_table(spec: ComponentSpec, table: Table, out: Sequence[list],
-              check_determinism: bool = False) -> None:
-    """Run the table's rows from the initial state, appending each output to
-    its list in `out`, in interface order.
-
-    A table that the vector reader built is well formed by construction: it
-    holds one column per input, of the input's type, whose values conform.
-    It runs with no check. A table made from a history built in Python is
-    validated and run as `run` does it.
-    """
-    history = table.block.history
-    if history is not None:
-        result = run(spec, history, check_determinism=check_determinism)
-        for col, c in zip(out, spec.interface.outputs):
-            col.extend(result.streams[c.name].values)
-        return
-    sim = _simulator(spec, check_determinism)
-    columns = table.columns(sim.input_names)
-    rows = zip(*columns) if columns else itertools.repeat((), table.horizon)
-    sim.fn(list(sim.initial_slots), rows, out)
 
 
 # ---------------------------------------------------------------------------

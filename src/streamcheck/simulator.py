@@ -1,6 +1,7 @@
 """Components compiled into tick loops: the simulator.
 
-Imported on the first run of a component, not when models are loaded.
+Imported on the first run of a component or with the suite judges
+(`testcases`, `abstraction`), not when models are loaded.
 Only well-formed specs compile (`components._require_well_formed`), so the
 code generated here assumes what the structural checks establish: every
 name resolves, every input is wired, no weak atoms form a zero-delay
@@ -11,16 +12,16 @@ types.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .codegen import NUMERIC, Code, CodeGen, NameResolver, slot, unpack
 from .components import (AutomatonSpec, AutomatonState, ComponentSpec, ComponentState,
                          CompositeSpec, CompositeState, Network, STRICT, SyntacticInterface,
-                         Transition, _network, enum_label_env)
+                         Transition, _network, _simulator, enum_label_env, run)
 from .errors import NondeterminismError, SimulationError, StreamcheckError, StuckStateError
 from .exprs import Lit
-from .streams import (BOOL_KIND, ChannelHistory, DataType, ENUM_KIND, INT_KIND, REAL_KIND,
-                      TimedStream)
+from .streams import (BOOL_KIND, Block, ChannelHistory, DataType, ENUM_KIND, INT_KIND,
+                      REAL_KIND, Table, TimedStream)
 
 
 # A component compiles, on its first run, into one Python function that
@@ -243,19 +244,25 @@ class _Compiler:
         return [n for a in self.atoms for n in a.names()]
 
     def function(self, inputs: int, outputs: int) -> Callable:
-        """fn(slots, rows, columns): run one tick per row of input values,
-        appending outputs to columns and leaving the final state in slots; an
-        exception raises as a SimulationError at its tick."""
+        """fn(slots, cases, columns): run each case, an iterable of rows of
+        input values, from the configuration `slots`, one tick per row,
+        appending outputs to columns. It returns a list of (index of the
+        case, SimulationError at its tick) for each case whose run raises;
+        such a case appends no outputs, and its remaining rows are consumed,
+        so that cases cut from one iterator of rows keep their rows. The
+        final state of the last case is left in slots."""
         slots = self._slots()
-        body = [f"{', '.join(slots)}, = S"] if slots else []
-        body += [f"a{k} = cols[{k}].append" for k in range(outputs)]
-        body += ["t = 0", "try:", f"    for t, {unpack('x', inputs)} in enumerate(rows, 1):",
-                 *_indent(_indent(self.lines + [f"a{k}(o{k})" for k in range(outputs)]
-                                  or ["pass"])),
-                 "except Exception as e:", "    raise at_tick(e, t)"]
+        restore = [f"{', '.join(slots)}, = S"] if slots else []
+        body = restore + [f"a{k} = cols[{k}].append" for k in range(outputs)]
+        body += ["failed = []", "for c, rows in enumerate(cases):", *_indent(restore + [
+            "t = 0", "try:", f"    for t, {unpack('x', inputs)} in enumerate(rows, 1):",
+            *_indent(_indent(self.lines + [f"a{k}(o{k})" for k in range(outputs)] or ["pass"])),
+            "except Exception as e:", "    failed.append((c, at_tick(e, t)))",
+            "    for col in cols:", "        del col[len(col) - t + 1:]",
+            "    for _ in rows:", "        pass"])]
         if slots:
             body.append(f"S[:] = ({', '.join(slots)},)")
-        return self.gen.function("S, rows, cols", body)
+        return self.gen.function("S, cases, cols", body + ["return failed"])
 
     def successors(self, inputs: int, outputs: int) -> list[str]:
         """The body of succ(slots, rows, app): one tick from the configuration
@@ -309,7 +316,9 @@ class Simulator:
             cols.append(col)
         out: list[list[Any]] = [[] for _ in self.outputs]
         rows = zip(*cols) if cols else itertools.repeat((), ticks)
-        self.fn(list(self.initial_slots), rows, out)
+        failed = self.fn(list(self.initial_slots), (rows,), out)
+        if failed:
+            raise failed[0][1]
         if ticks < max(n, 0):
             # the first tick with an invalid input value fails at its input check
             for c in self.inputs:
@@ -420,6 +429,83 @@ def _checked(values: dict, types: Mapping[str, DataType], what: str) -> dict[str
         except StreamcheckError as e:
             raise SimulationError(f"{what} {name!r}: {e}") from e
     return checked
+
+
+def table_runs(tables: Sequence[Table]) -> list[tuple[Block, int, int, int]]:
+    """The tables in maximal runs of tables that follow one another in a
+    block: (block, first row, end row, number of tables) of each run."""
+    found: list[tuple[Block, int, int, int]] = []
+    block, start, stop, count = None, 0, 0, 0
+    for table in tables:
+        if table.block is block and table.start == stop:
+            stop = table.stop
+            count += 1
+        else:
+            if count:
+                found.append((block, start, stop, count))
+            block, start, stop, count = table.block, table.start, table.stop, 1
+    if count:
+        found.append((block, start, stop, count))
+    return found
+
+
+def run_tables(spec: ComponentSpec, tables: Sequence[Table], out: Sequence[list],
+               check_determinism: bool = False) -> list[tuple[int, StreamcheckError]]:
+    """Run each table's rows from the initial state, one table after
+    another, appending each output to its list in `out`, in interface
+    order. Returns (index, error) of each table whose run raises, in order;
+    such a table appends nothing.
+
+    A table that the vector reader built is well formed by construction: it
+    holds one column per input, of the input's type, whose values conform.
+    Such tables run with no check, in one call of the compiled loop: a run
+    of tables that follow one another in a block is one zip over its rows,
+    cut per table with islice. A table made from a history built in Python
+    is validated and run as `run` does it. A spec that does not compile
+    fails every table with its error.
+    """
+    failed: list[tuple[int, StreamcheckError]] = []
+    k = 0
+    while k < len(tables):
+        history = tables[k].block.history
+        if history is not None:
+            try:
+                result = run(spec, history, check_determinism=check_determinism)
+            except StreamcheckError as e:
+                failed.append((k, e))
+            else:
+                for col, c in zip(out, spec.interface.outputs):
+                    col.extend(result.streams[c.name].values)
+            k += 1
+            continue
+        j = k + 1
+        while j < len(tables) and tables[j].block.history is None:
+            j += 1
+        try:
+            sim = _simulator(spec, check_determinism)
+        except StreamcheckError as e:
+            failed += [(i, e) for i in range(k, j)]
+        else:
+            cases = _rows(tables[k:j], sim.input_names)
+            failed += [(k + c, e) for c, e in sim.fn(list(sim.initial_slots), cases, out)]
+        k = j
+    return failed
+
+
+def _rows(tables: Sequence[Table], names: tuple[str, ...]) -> list[Iterator[tuple]]:
+    """The rows of each table, as tuples of the named channels' values."""
+    cases: list[Iterator[tuple]] = []
+    for block, start, stop, count in table_runs(tables):
+        columns = block.order(names)
+        if not columns:
+            rows: Iterator[tuple] = itertools.repeat((), stop - start)
+        elif start or stop < len(columns[0]):
+            rows = zip(*[col[start:stop] for col in columns])
+        else:
+            rows = zip(*columns)
+        cases += [itertools.islice(rows, t.stop - t.start)
+                  for t in tables[len(cases):len(cases) + count]]
+    return cases
 
 
 def at_tick(e: Exception, tick: int) -> SimulationError:

@@ -1,12 +1,13 @@
 """Test-cases, execution against components, and verdicts.
 
-A suite is judged from the columns its vector file was converted into: each
-case runs through the compiled simulator on its input table's column slices
-(`components.run_table`), and its outputs are compared with each expected
-table's columns as tuples. `VectorCase` is a case as the reader leaves it,
-one `streams.Table` per table. `TestCase` and the per-case functions
-(`execute_test`, `compare_histories`, `suite_run`) take histories built in
-Python and go through the same code, after the checks that `run` makes.
+A suite is judged from the columns its vector file was converted into: all
+its cases run in one call of the compiled simulator, over the rows of their
+input tables (`simulator.run_tables`), and each case's outputs are compared
+with each expected table's columns as tuples. `VectorCase` is a case as the
+reader leaves it, one `streams.Table` per table. `TestCase` and the
+per-case functions (`execute_test`, `compare_histories`, `suite_run`) take
+histories built in Python and go through the same code, after the checks
+that `run` makes.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter, eq
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
-from .components import ComponentSpec, run_table
+from .components import ComponentSpec
 from .errors import StreamcheckError
+from .simulator import run_tables
 from .streams import ChannelHistory, REAL_KIND, Table, TimedStream
 
 PASS = "pass"
@@ -163,26 +165,31 @@ def compare_histories(actual: ChannelHistory, expected: ExpectedResult,
                     actual.horizon, [Table.of(g) for g in expected.groups], eps)
 
 
-class _Judge:
-    """Runs cases of one component and judges their outputs."""
-
-    def __init__(self, spec: ComponentSpec, eps: float, check_determinism: bool):
-        self.spec, self.eps, self.check_determinism = spec, eps, check_determinism
-        outputs = spec.interface.outputs
-        self.order = sorted(range(len(outputs)), key=lambda k: outputs[k].name)
-        self.names = tuple(outputs[k].name for k in self.order)
-        self.kinds = [outputs[k].ctype.kind for k in self.order]
-
-    def __call__(self, case: VectorCase) -> tuple[Optional[list[list]], Verdict]:
-        """The case's output columns, in interface order, and its verdict;
-        no columns when the run fails."""
-        out: list[list] = [[] for _ in self.order]
-        try:
-            run_table(self.spec, case.inputs, out, self.check_determinism)
-        except StreamcheckError as e:
-            return None, Verdict(ERROR, log=(f"simulation error: {e}",))
-        actual = [tuple(out[k]) for k in self.order]
-        return out, _verdict(self.names, self.kinds, actual, case.horizon, case.expected, self.eps)
+def _judged(spec: ComponentSpec, cases: Sequence[VectorCase], eps: float, check_determinism: bool
+            ) -> tuple[list[tuple], dict[int, StreamcheckError], list[Verdict]]:
+    """Run the cases and judge their outputs: the output columns of every
+    run that does not fail, one case after another, in interface order, the
+    error of each case whose run fails, by index, and each case's verdict."""
+    outputs = spec.interface.outputs
+    out: list[list] = [[] for _ in outputs]
+    failed = dict(run_tables(spec, [case.inputs for case in cases], out, check_determinism))
+    columns = list(map(tuple, out))
+    order = sorted(range(len(outputs)), key=lambda k: outputs[k].name)
+    names = tuple(outputs[k].name for k in order)
+    kinds = [outputs[k].ctype.kind for k in order]
+    ordered = [columns[k] for k in order]
+    verdicts = []
+    start = 0
+    for k, case in enumerate(cases):
+        error = failed.get(k)
+        if error is not None:
+            verdicts.append(Verdict(ERROR, log=(f"simulation error: {error}",)))
+            continue
+        stop = start + case.horizon
+        verdicts.append(_verdict(names, kinds, [col[start:stop] for col in ordered],
+                                 case.horizon, case.expected, eps))
+        start = stop
+    return columns, failed, verdicts
 
 
 def _tables(tc: TestCase) -> VectorCase:
@@ -193,11 +200,11 @@ def _tables(tc: TestCase) -> VectorCase:
 def execute_test(spec: ComponentSpec, tc: TestCase, eps: float = 0.0,
                  check_determinism: bool = False) -> tuple[Optional[ChannelHistory], Verdict]:
     """Run the component on the test-input and compare against the expectation."""
-    out, verdict = _Judge(spec, eps, check_determinism)(_tables(tc))
-    if out is None:
+    columns, failed, (verdict,) = _judged(spec, [_tables(tc)], eps, check_determinism)
+    if failed:
         return None, verdict
-    return ChannelHistory({c.name: TimedStream.conforming(c.ctype, tuple(col))
-                           for c, col in zip(spec.interface.outputs, out)}, tc.horizon), verdict
+    return ChannelHistory({c.name: TimedStream.conforming(c.ctype, col)
+                           for c, col in zip(spec.interface.outputs, columns)}, tc.horizon), verdict
 
 
 @dataclass(repr=False)
@@ -235,8 +242,8 @@ def judge_suite(spec: ComponentSpec, cases: Sequence[VectorCase], eps: float = 0
                 check_determinism: bool = False) -> SuiteReport:
     """Run and judge every case; entries are ordered by case name (cases of
     one name in the given order)."""
-    judge = _Judge(spec, eps, check_determinism)
-    entries = [SuiteEntry(case.name, judge(case)[1]) for case in cases]
+    *_, verdicts = _judged(spec, cases, eps, check_determinism)
+    entries = list(map(SuiteEntry, [case.name for case in cases], verdicts))
     entries.sort(key=attrgetter("case"))
     return SuiteReport(tuple(entries))
 

@@ -6,7 +6,16 @@ output groups). Each table is a CSV header of channel names followed by one
 row per tick. Booleans are `true`/`false`, enumeration cells are bare labels,
 reals use decimal-point notation.
 
-A file is read in one walk over its lines. The walk checks each table's
+A file's sections are found in one of two ways, which find the same
+tables. The whole-text pass (`_sections`, `_TextReader`) splits the text at
+every "\\n#" and each section into its marker line, header line and body
+text, and counts a body's rows with `str.count`. It takes a file only when
+cheap whole-text tests show that its sections are the ones the line walk
+finds, and it leaves the file to the line walk (`_walk`: `_scan`,
+`_LineReader`) on any error. The line walk splits the text into lines and
+reports every error at its line.
+
+Both feed one loop over the sections (`_cases`), which checks each table's
 structure when it reaches it: the marker, the header (each distinct header
 line once per file and role), the channels it covers and its number of
 rows. It queues the table's body behind those of earlier tables with the
@@ -20,10 +29,10 @@ nothing copied (`read_vectors`). Their values conform to their types, so
 nothing checks them again. `parse_testcases` builds histories from the
 tables, whose streams are recorded as conforming (`TimedStream.conforming`).
 
-Errors come out as if each table were converted as soon as its header was
-read: before the walk reports a structural error, it converts every table
-queued so far. Only a batch that fails is read again, table by table, and
-only the first table that fails, in file order, cell by cell with
+The line walk reports errors as if each table were converted as soon as its
+header was read: before it reports a structural error, it converts every
+table queued so far. Only a batch that fails is read again, table by table,
+and only the first table that fails, in file order, cell by cell with
 `_parse_cell`, to report its first error in row-major order (see
 docs/grammar.md).
 """
@@ -158,21 +167,30 @@ def _first_error(types: list[DataType], linenos: Sequence[int], body: list[str])
             _parse_cell(cell, dtype, lineno, col)
 
 
-def _columns(body: list[str], n: int) -> Sequence[Sequence[str]] | None:
-    """The cells of a table body by column; None when a row is ragged or
-    unreadable. Without quotes or long lines, the whole body is split at
-    once, with a cell of one newline (which no line holds) between rows: the
-    rows are all n cells wide when every (n+1)-th cell is such a separator."""
-    joined = ",\n,".join(body)
-    if '"' in joined or (len(joined) > MAX_CELL and max(map(len, body)) > MAX_CELL):
-        rows = list(map(_split, body))
-        return list(zip(*rows)) if set(map(len, rows)) == {n} else None
-    if not body:
+def _columns(body: str, rows: int, n: int) -> Sequence[Sequence[str]] | None:
+    """The cells of a table body, whose rows are joined by newlines, by
+    column; None when a row is ragged or unreadable. Without quotes or long
+    lines, the whole body is split at once, with a cell of one newline
+    (which no line holds) between rows: the rows are all n cells wide when
+    every (n+1)-th cell is such a separator."""
+    if '"' in body or (len(body) > MAX_CELL and max(map(len, body.split("\n"))) > MAX_CELL):
+        cells = list(map(_split, body.split("\n")))
+        return list(zip(*cells)) if set(map(len, cells)) == {n} else None
+    if not rows:
         return [()] * n
-    flat = joined.split(",")
-    if len(flat) != len(body) * (n + 1) - 1 or flat[n::n + 1].count("\n") != len(body) - 1:
+    flat = body.replace("\n", ",\n,").split(",")
+    if len(flat) != rows * (n + 1) - 1 or flat[n::n + 1].count("\n") != rows - 1:
         return None
     return [flat[j::n + 1] for j in range(n)]
+
+
+_KINDS = ("case", "params", "inputs", "expected")
+
+
+def _marker(line: str) -> tuple[str, str]:
+    """The kind and argument of a marker line, read after its '#'."""
+    parts = line.split(None, 1)
+    return parts[0] if parts else "", parts[1].strip() if len(parts) > 1 else ""
 
 
 def _scan(text: str) -> tuple[list[str], Sequence[int], list[tuple[str, str, int]]]:
@@ -192,13 +210,51 @@ def _scan(text: str) -> tuple[list[str], Sequence[int], list[tuple[str, str, int
         _fail(linenos[0], 1, "data before any section marker")
     sections = []
     for at in marks:
-        line = stripped[at]
-        parts = line[1:].split(None, 1)
-        kind = parts[0] if parts else ""
-        if kind not in ("case", "params", "inputs", "expected"):
-            _fail(linenos[at], 1, f"unknown section marker {line!r}")
-        sections.append((kind, parts[1].strip() if len(parts) > 1 else "", at))
+        kind, arg = _marker(stripped[at][1:])
+        if kind not in _KINDS:
+            _fail(linenos[at], 1, f"unknown section marker {stripped[at]!r}")
+        sections.append((kind, arg, at))
     return lines, linenos, sections
+
+
+# What makes a file one for the line walk: a quote, which the csv module
+# reads, and the line breaks other than "\n" at which `str.splitlines` splits.
+_WALKED = ('"', "\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
+# The markers without an argument.
+_MARKERS = {kind: (kind, "") for kind in _KINDS}
+
+
+def _sections(text: str) -> list[tuple[str, str, list[str]]] | None:
+    """The file's sections as (kind, argument, lines), found by splitting
+    the whole text at "\\n#", where `lines` holds the marker line, then the
+    header line and the body, if any; None unless cheap whole-text tests
+    show that the line walk (`_scan`) finds the same markers: the text is
+    ASCII with none of _WALKED, so lines end at "\\n" only, every '#' starts
+    a line, nothing but empty lines comes before the first marker, and
+    every marker is known. No section is longer than MAX_CELL, so no cell
+    is. Blank lines that end a section are dropped; `_TextReader` leaves
+    the file to the line walk when any other blank line would be read."""
+    if not text.isascii() or any(c in text for c in _WALKED):
+        return None
+    parts = text.split("\n#")
+    if parts[0].startswith("#"):
+        parts[0] = parts[0][1:]
+    elif parts[0].strip("\n"):
+        return None
+    else:
+        del parts[0]
+    if text.count("#") != len(parts):
+        return None
+    for k, part in enumerate(parts):  # replaced one by one: the file is held once more, not twice
+        part = part.rstrip("\n")
+        if len(part) > MAX_CELL:
+            return None
+        lines = part.split("\n", 2)
+        marker = _MARKERS.get(lines[0]) or _marker(lines[0])
+        if marker[0] not in _KINDS:
+            return None
+        parts[k] = (*marker, lines)
+    return parts
 
 
 def _header(raw: str, line: int, kind: str, known: dict[str, DataType] | None,
@@ -217,11 +273,12 @@ def _header(raw: str, line: int, kind: str, known: dict[str, DataType] | None,
     return names
 
 
-def _convert(cells: list[dict[str, Any] | None], body: list[str]) -> list[tuple[Any, ...]] | None:
+def _convert(cells: list[dict[str, Any] | None], body: str, rows: int
+             ) -> list[tuple[Any, ...]] | None:
     """A table body's columns, each converted through the distinct cells of
     its type, or by `float` cell by cell for a real column (`cells` None);
     None when a row is ragged or unreadable or a cell does not convert."""
-    columns = _columns(body, len(cells))
+    columns = _columns(body, rows, len(cells))
     if columns is None:
         return None
     try:
@@ -240,55 +297,60 @@ class _Batch:
         self.names, self.types = names, types
         self.missing = missing  # the channels the header lacks
         self.cells = cells  # the distinct cells of each column's type; None for a real
-        self.rows: list[str] = []
-        self.queue: list[tuple[int, int, int]] = []  # (serial, first line, end line)
+        self.parts: list[str] = []  # the queued rows, in pieces joined by newlines
+        self.rows = 0
+        self.queue: list[tuple[int, int, int]] = []  # (serial, rows, index of the first line)
 
 
-class _Reader:
+class _Unread(Exception):
+    """The whole-text pass leaves the file to the line walk."""
+
+
+class _Tables:
     """Tables queued by header and converted in batches of about BATCH_ROWS
     rows. A table is known by its serial number, in file order; it is in
-    `tables` once its batch is converted."""
+    `tables` once its batch is converted.
 
-    def __init__(self, lines: list[str], linenos: Sequence[int]):
-        self.lines, self.linenos = lines, linenos
+    A reader holds in `sections` (kind, argument, where its lines are) of
+    each section marker, in file order, and says whether lines follow
+    section i's marker line (`under(i)`). It queues section i's table
+    (`table`), and reports an error at the line `below` lines after section
+    i's marker (`fail(i, message, below)`), a header's error (`failed`) and
+    a batch that does not convert (`unconverted`)."""
+
+    sections: list[tuple[str, str, Any]]
+
+    def __init__(self):
         self.batches: dict[tuple[str, str], _Batch] = {}
         self.tables: list[Table | None] = []
         self.cells: dict[DataType, dict[str, Any]] = {}
 
-    def fail(self, line: int, column: int, message: str) -> None:
-        """Report a structural error, after any error of a table queued before it."""
-        self.flush()
-        _fail(line, column, message)
-
-    def table(self, kind: str, at: int, end: int, known: dict[str, DataType] | None,
-              what: str) -> tuple[_Batch, int | None, int]:
-        """Queue the table whose marker is lines[at] and whose rows end before
-        lines[end]: its batch, its serial number and its number of rows. With
-        `known` None, only the header is checked, and the table is skipped
-        (serial number None)."""
-        if end == at + 1:
-            self.fail(self.linenos[at], 1, f"empty #{kind} table")
-        key = (kind, self.lines[at + 1])
+    def batch(self, kind: str, header: str, line: int, known: dict[str, DataType] | None,
+              what: str) -> _Batch:
+        """The batch of a header line, whose names are checked against `known`."""
+        key = (kind, header)
         batch = self.batches.get(key)
         if batch is None:
             try:
-                names = _header(key[1], self.linenos[at + 1], kind, known, what)
-            except VectorFormatError:
-                self.flush()
-                raise
+                names = _header(header, line, kind, known, what)
+            except VectorFormatError as e:
+                self.failed(e)
             types = None if known is None else [known[n] for n in names]
             missing = [] if kind == "params" else sorted(set(known) - set(names))
             cells = [self._cells(t) for t in types or ()]
             batch = self.batches[key] = _Batch(names, types, missing, cells)
-        if batch.types is None:
-            return batch, None, end - at - 2
+        return batch
+
+    def queue(self, batch: _Batch, rows: int, first: int) -> int:
+        """Queue a table whose body the caller added to the batch's parts;
+        its serial number."""
         serial = len(self.tables)
         self.tables.append(None)
-        batch.queue.append((serial, at + 2, end))
-        batch.rows += self.lines[at + 2:end]
-        if len(batch.rows) >= BATCH_ROWS:
+        batch.queue.append((serial, rows, first))
+        batch.rows += rows
+        if batch.rows >= BATCH_ROWS:
             self._convert_batch(batch)
-        return batch, serial, end - at - 2
+        return serial
 
     def _cells(self, dtype: DataType) -> dict[str, Any] | None:
         """The distinct cells of a type in this file; None for a real type."""
@@ -306,26 +368,164 @@ class _Reader:
                 self._convert_batch(batch)
 
     def _convert_batch(self, batch: _Batch) -> None:
-        values = _convert(batch.cells, batch.rows)
+        values = _convert(batch.cells, "\n".join(batch.parts), batch.rows)
         if values is None:
-            self._first_error()
+            self.unconverted()
         block = Block(batch.names, batch.types, values)
         start = 0
-        for serial, first, end in batch.queue:
-            stop = start + end - first
-            self.tables[serial] = Table(block, start, stop)
-            start = stop
-        batch.rows, batch.queue = [], []
+        for serial, rows, _ in batch.queue:
+            self.tables[serial] = Table(block, start, start + rows)
+            start += rows
+        batch.parts, batch.rows, batch.queue = [], 0, []
 
-    def _first_error(self) -> None:
+
+class _TextReader(_Tables):
+    """The tables of sections that `_sections` found; on any error, the
+    file is left to the line walk (`_Unread`).
+
+    The line walk skips blank lines, which this reader reads as lines, so
+    it leaves the file to the line walk wherever it would read one: as a
+    header, as a row of a `#params` table whose cells it does not convert,
+    or as a row whose cells would convert. A cell of a blank row strips to
+    "", which converts only as a label "" of an enumeration; in a row of
+    more than one cell it is a ragged row."""
+
+    def __init__(self, sections: list[tuple[str, str, list[str]]]):
+        super().__init__()
+        self.sections = sections
+
+    def fail(self, *_) -> None:
+        raise _Unread
+
+    failed = unconverted = fail
+
+    def under(self, i: int) -> bool:
+        return len(self.sections[i][2]) > 1
+
+    def table(self, kind: str, i: int, known: dict[str, DataType] | None,
+              what: str) -> tuple[_Batch, int | None, int]:
+        """Queue the table of section i: its batch, its serial number and its
+        number of rows. With `known` None, only the header is checked, and
+        the table is skipped (serial number None)."""
+        lines = self.sections[i][2]
+        if len(lines) < 2:
+            raise _Unread
+        header, body = lines[1], lines[2] if len(lines) > 2 else ""
+        rows = body.count("\n") + 1 if body else 0
+        batch = self.batches.get((kind, header))
+        if batch is None:
+            batch = self.batch(kind, header, 0, known, what)
+            if not header.strip() or any("" in t.labels for t in batch.types or ()):
+                raise _Unread
+        if batch.types is None:
+            if body and not all(map(str.strip, body.split("\n"))):
+                raise _Unread
+            return batch, None, rows
+        if body:
+            batch.parts.append(body)
+        return batch, self.queue(batch, rows, 0), rows
+
+
+class _LineReader(_Tables):
+    """The tables of a file's non-blank lines (`_scan`), with every error
+    reported at its line as if each table were converted as soon as its
+    header was read."""
+
+    def __init__(self, text: str):
+        super().__init__()
+        self.lines, self.linenos, self.sections = _scan(text)
+        self.ends = [at for _, _, at in self.sections[1:]] + [len(self.lines)]
+
+    def fail(self, i: int, message: str, below: int = 0) -> None:
+        """Report a structural error, after any error of a table queued before it."""
+        self.failed(VectorFormatError(
+            [Diagnostic(self.linenos[self.sections[i][2] + below], 1, message)]))
+
+    def failed(self, error: VectorFormatError) -> None:
+        self.flush()
+        raise error
+
+    def under(self, i: int) -> bool:
+        return self.ends[i] > self.sections[i][2] + 1
+
+    def table(self, kind: str, i: int, known: dict[str, DataType] | None,
+              what: str) -> tuple[_Batch, int | None, int]:
+        """As `_TextReader.table`."""
+        at, end = self.sections[i][2], self.ends[i]
+        if end == at + 1:
+            self.fail(i, f"empty #{kind} table")
+        batch = self.batch(kind, self.lines[at + 1], self.linenos[at + 1], known, what)
+        if batch.types is None:
+            return batch, None, end - at - 2
+        batch.parts += self.lines[at + 2:end]
+        return batch, self.queue(batch, end - at - 2, at + 2), end - at - 2
+
+    def unconverted(self) -> None:
         """Raise the first error of the queued tables in file order."""
         queued = sorted(((entry, batch) for batch in self.batches.values()
                          for entry in batch.queue), key=lambda q: q[0][0])
-        for (_, first, end), batch in queued:
-            body = self.lines[first:end]
-            if _convert(batch.cells, body) is None:
-                _first_error(batch.types, self.linenos[first:end], body)
+        for (_, rows, first), batch in queued:
+            body = self.lines[first:first + rows]
+            if _convert(batch.cells, "\n".join(body), rows) is None:
+                _first_error(batch.types, self.linenos[first:first + rows], body)
         raise AssertionError("a batch failed to convert, but none of its tables did")
+
+
+def _cases(reader: _Tables, in_types: dict[str, DataType], out_types: dict[str, DataType],
+           param_types: dict[str, DataType] | None) -> list[VectorCase]:
+    """The cases of the reader's sections: the grammar of a case."""
+    sections = reader.sections
+    # (name, params table or None, inputs table, expected tables), tables by serial number
+    plans = []
+    n = len(sections)
+    i = counter = 0
+    while i < n:
+        kind, arg, _ = sections[i]
+        name = None
+        if kind == "case":
+            if reader.under(i):
+                reader.fail(i, "data rows directly under #case", 1)
+            name = arg
+            i += 1
+        counter += 1
+        name = name or f"case{counter}"
+        params = params_at = None
+        if i < n and sections[i][0] == "params":
+            params_at = i
+            params = reader.table("params", i, param_types, "parameter")
+            i += 1
+        if i >= n or sections[i][0] != "inputs":
+            reader.fail(min(i, n - 1), f"expected #inputs for case {name!r}")
+        batch, inputs, horizon = reader.table("inputs", i, in_types, "channel")
+        if batch.missing:
+            reader.fail(i, f"missing input channels: {batch.missing}")
+        i += 1
+        groups = []
+        while i < n and sections[i][0] == "expected":
+            batch, group, ticks = reader.table("expected", i, out_types, "channel")
+            if batch.missing:
+                reader.fail(i, f"missing output channels: {batch.missing}")
+            if ticks != horizon:
+                reader.fail(i, f"expected table has {ticks} ticks, inputs have {horizon}")
+            groups.append(group)
+            i += 1
+        # params, when per-tick streams, must match the horizon
+        if params is not None and params[2] not in (1, horizon):
+            reader.fail(params_at, f"parameter {params[0].names[0]!r} has "
+                        f"{params[2]} ticks, inputs have {horizon}")
+        plans.append((name, params[1] if params else None, inputs, groups))
+    reader.flush()
+    tables = reader.tables
+    return [VectorCase(name, None if params is None else tables[params], tables[inputs],
+                       tuple(map(tables.__getitem__, groups)))
+            for name, params, inputs, groups in plans]
+
+
+def _walk(text: str, in_types: dict[str, DataType], out_types: dict[str, DataType],
+          param_types: dict[str, DataType] | None) -> list[VectorCase]:
+    """The cases of a file read line by line: the reader of every file the
+    whole-text pass does not take, and the one that reports errors."""
+    return _cases(_LineReader(text), in_types, out_types, param_types)
 
 
 def read_vectors(text: str, iface: SyntacticInterface,
@@ -335,57 +535,13 @@ def read_vectors(text: str, iface: SyntacticInterface,
     header and its number of rows only, and left out of its case."""
     in_types = {c.name: c.ctype for c in iface.inputs}
     out_types = {c.name: c.ctype for c in iface.outputs}
-    lines, linenos, sections = _scan(text)
-    reader = _Reader(lines, linenos)
-    ends = [at for _, _, at in sections[1:]] + [len(lines)]
-    # (name, params table or None, inputs table, expected tables), tables by serial number
-    plans = []
-    n = len(sections)
-    i = counter = 0
-    while i < n:
-        kind, arg, at = sections[i]
-        name = None
-        if kind == "case":
-            if ends[i] > at + 1:
-                reader.fail(linenos[at + 1], 1, "data rows directly under #case")
-            name = arg
-            i += 1
-        counter += 1
-        name = name or f"case{counter}"
-        params = params_at = None
-        if i < n and sections[i][0] == "params":
-            params_at = sections[i][2]
-            params = reader.table("params", params_at, ends[i], param_types, "parameter")
-            i += 1
-        if i >= n or sections[i][0] != "inputs":
-            reader.fail(linenos[sections[min(i, n - 1)][2]], 1,
-                        f"expected #inputs for case {name!r}")
-        at = sections[i][2]
-        batch, inputs, horizon = reader.table("inputs", at, ends[i], in_types, "channel")
-        if batch.missing:
-            reader.fail(linenos[at], 1, f"missing input channels: {batch.missing}")
-        i += 1
-        groups = []
-        while i < n and sections[i][0] == "expected":
-            at = sections[i][2]
-            batch, group, ticks = reader.table("expected", at, ends[i], out_types, "channel")
-            if batch.missing:
-                reader.fail(linenos[at], 1, f"missing output channels: {batch.missing}")
-            if ticks != horizon:
-                reader.fail(linenos[at], 1,
-                            f"expected table has {ticks} ticks, inputs have {horizon}")
-            groups.append(group)
-            i += 1
-        # params, when per-tick streams, must match the horizon
-        if params is not None and params[2] not in (1, horizon):
-            reader.fail(linenos[params_at], 1, f"parameter {params[0].names[0]!r} has "
-                        f"{params[2]} ticks, inputs have {horizon}")
-        plans.append((name, params[1] if params else None, inputs, groups))
-    reader.flush()
-    tables = reader.tables
-    return [VectorCase(name, None if params is None else tables[params], tables[inputs],
-                       tuple(map(tables.__getitem__, groups)))
-            for name, params, inputs, groups in plans]
+    sections = _sections(text)
+    if sections is not None:
+        try:
+            return _cases(_TextReader(sections), in_types, out_types, param_types)
+        except _Unread:
+            sections = None  # the line walk holds the file as lines instead
+    return _walk(text, in_types, out_types, param_types)
 
 
 def parse_testcases(text: str, iface: SyntacticInterface,

@@ -103,10 +103,9 @@ def _advance(sim, slots: tuple, row: tuple, tick: int) -> tuple[tuple, tuple]:
     """
     state = list(slots)
     out: list[list[Any]] = [[] for _ in sim.outputs]
-    try:
-        sim.fn(state, (row,), out)
-    except SimulationError as e:  # the run loop reports it at tick 1
-        raise at_tick(e.__cause__, tick) from None
+    failed = sim.fn(state, ((row,),), out)
+    if failed:  # the run loop reports it at tick 1
+        raise at_tick(failed[0][1].__cause__, tick)
     return tuple(state), tuple(col[0] for col in out)
 
 

@@ -14,6 +14,7 @@ import os
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -22,12 +23,15 @@ from docgen import DocGen
 from streamcheck import vectors
 from streamcheck.declarations import ConcretizerSpec, ParamDecl, RelationSpec
 from streamcheck.cli import main
-from streamcheck.components import (AutomatonSpec, SyntacticInterface, Transition, run,
-                                    spec_problems)
+from streamcheck.components import (AutomatonSpec, SyntacticInterface, Transition, _simulator,
+                                    run, spec_problems)
 from streamcheck.dsl import ModelDocument, RefinementSpec, parse_model, serialize_model
 from streamcheck.errors import StreamcheckError
 from streamcheck.exprs import Call, Lit, Name
-from streamcheck.streams import BOOL, Channel, ChannelHistory, TimedStream, literal_text
+from streamcheck.streams import (BOOL, Block, Channel, ChannelHistory, Table, TimedStream,
+                                 literal_text)
+from streamcheck.testcases import VectorCase, execute_test, judge_suite
+from streamcheck.vectors import read_vectors
 
 # a run of Divider fails at a tick where x is 0; Doubler's outputs are reals
 FIXED = """component Divider weak {
@@ -348,3 +352,197 @@ def test_concretize_reports_equal_the_per_case_oracle(tmp_path_factory, seed, ba
         out = str(work / "c.tv.csv")
         argv += ["--out", out]
     _agree(argv, batch_rows, out)
+
+
+# All cases of a suite run in one call of the compiled loop
+# (simulator.run_tables), which goes on after a case whose run raises.
+
+RUNS = FIXED + """
+component Picky weak {
+  input x : int[0..9]
+  output y : int[0..9]
+  states Run init
+  transition Low: Run -> Run when x > 5 { y := x }
+  transition High: Run -> Run when x > 7 { y := 9 }
+  transition Rest: Run -> Run when x <= 5 { y := 0 }
+}
+
+component Ticker strict {
+  output n : int[-9..9] init 0
+  var k : int[0..9] = 0
+  states Run init
+  transition Run -> Run when k < 9 { n := 6 / (2 - k); k := k + 1 }
+}
+
+component Halver weak {
+  input a : int[-3..3]
+  output h : int[-12..12]
+  states Run init
+  transition Run -> Run { h := 12 / a }
+}
+
+component Copier weak {
+  input c : int[-3..3]
+  output d : int[-3..3]
+  states Run init
+  transition Run -> Run { d := c }
+}
+
+relation HalfRI RI when a == c
+relation HalfRO RO when h >= d or h < d
+
+component Scaler weak {
+  input a : int[-3..3]
+  input m : int[1..3]
+  output c : int[-12..12]
+  states Run init
+  transition Run -> Run { c := 12 / a }
+}
+
+concretizer Scaled {
+  component Scaler
+  param m : int[1..3]
+}
+
+refinement Halves {
+  abstract Halver
+  concrete Copier
+  ri HalfRI
+  ro HalfRO
+  concretizer Scaled
+}
+"""
+
+# Divider cases under two header orders, so that consecutive cases' tables
+# lie in different blocks; case b raises at tick 3, case c at tick 1 and
+# case d, whose table follows c's in their block, at tick 2
+DIVIDED = """#case a
+#inputs
+x,r
+1,0.5
+2,1.5
+#expected
+q,y
+12,1.5
+6,4.5
+#case b
+#inputs
+r,x
+1.0,3
+2.0,1
+3.0,0
+4.0,2
+#expected
+q,y
+4,3.0
+12,6.0
+0,9.0
+6,12.0
+#case c
+#inputs
+x,r
+0,0.0
+3,-1.0
+#expected
+y,q
+0.0,-12
+-3.0,4
+#case d
+#inputs
+x,r
+2,1.0
+0,1.0
+#expected
+y,q
+3.0,6
+3.0,0
+#case e
+#inputs
+r,x
+0.5,-3
+#expected
+q,y
+-4,1.5
+"""
+
+
+def _report(report) -> list:
+    return [(e.case, e.verdict.status, str(e.verdict.first_divergence), e.verdict.log)
+            for e in report.entries]
+
+
+def _counted(spec, check_determinism=False) -> list:
+    """The calls of the spec's compiled loop, counted from now on."""
+    sim = _simulator(spec, check_determinism)
+    calls, fn = [], sim.fn
+    sim.fn = lambda *args: calls.append(len(args[1])) or fn(*args)
+    return calls
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, 3, vectors.BATCH_ROWS])
+def test_one_call_judges_a_suite_as_the_oracle_does(batch_rows):
+    spec = parse_model(RUNS).document.components["Divider"]
+    with mock.patch.object(vectors, "BATCH_ROWS", batch_rows):
+        cases = read_vectors(DIVIDED, spec.interface)
+    calls = _counted(spec)
+    ours = _report(judge_suite(spec, cases))
+    assert calls == [len(cases)]
+    assert ours == _report(suite_oracle.suite_run(spec, [c.test_case() for c in cases]))
+    assert [status for _, status, _, _ in ours] == ["pass", "error", "error", "error", "pass"]
+    assert ours[1][3] == ("simulation error: tick 3: division by zero",)
+    for case in cases:
+        tc = case.test_case()
+        assert execute_test(spec, tc) == suite_oracle.execute_test(spec, tc)
+
+
+@pytest.mark.parametrize("check_determinism", [False, True])
+def test_one_call_checks_determinism_as_the_oracle_does(check_determinism):
+    spec = parse_model(RUNS).document.components["Picky"]
+    text = ("#case a\n#inputs\nx\n6\n7\n#expected\ny\n6\n7\n"
+            "#case b\n#inputs\nx\n1\n8\n9\n#expected\ny\n0\n8\n9\n"
+            "#case c\n#inputs\nx\n9\n#expected\ny\n9\n")
+    cases = read_vectors(text, spec.interface)
+    calls = _counted(spec, check_determinism)
+    ours = _report(judge_suite(spec, cases, check_determinism=check_determinism))
+    assert calls == [3]
+    assert ours == _report(suite_oracle.suite_run(spec, [c.test_case() for c in cases],
+                                                  check_determinism=check_determinism))
+    statuses = ["pass", "error", "error"] if check_determinism else ["pass", "pass", "pass"]
+    assert [status for _, status, _, _ in ours] == statuses
+
+
+def test_one_call_runs_a_component_without_inputs_as_the_oracle_does():
+    # tables of two blocks without columns; a run fails at tick 3
+    spec = parse_model(RUNS).document.components["Ticker"]
+    outputs = spec.interface.outputs
+    first, second = Block((), (), []), Block((), (), [])
+    tables = [Table(first, 0, 2), Table(first, 2, 6), Table(second, 0, 1), Table(first, 6, 9),
+              Table(second, 1, 3)]
+    expected = Block([c.name for c in outputs], [c.ctype for c in outputs], [(0, 3, 6, 5)])
+    cases = [VectorCase(f"t{k}", None, table, (Table(expected, 0, min(table.horizon, 4)),))
+             for k, table in enumerate(tables)]
+    calls = _counted(spec)
+    ours = _report(judge_suite(spec, cases))
+    assert calls == [5]
+    assert ours == _report(suite_oracle.suite_run(spec, [c.test_case() for c in cases]))
+    assert [status for _, status, _, _ in ours] == ["pass", "error", "pass", "error", "pass"]
+
+
+def test_check_and_concretize_stop_at_the_first_failing_pair_or_case(tmp_path):
+    # the second pair and case raise at tick 3, the fourth at tick 1
+    (tmp_path / "m.scm.txt").write_text(RUNS, encoding="utf-8")
+    rows = [[1, 2], [3, 1, 0, 2], [-1, 1], [0]]
+    abstract = "".join(f"#case p{k}\n#params\nm\n1\n#inputs\na\n" + "".join(f"{v}\n" for v in r)
+                       for k, r in enumerate(rows))
+    concrete = "".join(f"#case q{k}\n#inputs\nc\n" + "".join(f"{v}\n" for v in r)
+                       for k, r in enumerate(rows))
+    (tmp_path / "a.tv.csv").write_text(abstract, encoding="utf-8")
+    (tmp_path / "c.tv.csv").write_text(concrete, encoding="utf-8")
+    model = ["--model", str(tmp_path / "m.scm.txt"), "--refinement", "Halves"]
+    for argv in (["check", *model, "--vectors", str(tmp_path / "a.tv.csv"),
+                  "--vectors", str(tmp_path / "c.tv.csv")],
+                 ["concretize", *model, "--vectors", str(tmp_path / "a.tv.csv")]):
+        for batch_rows in (1, 3, vectors.BATCH_ROWS):
+            code, _, stderr, _ = _agree(argv, batch_rows)[0]
+            assert code == 3 and "tick 3: " in stderr and "division by zero" in stderr, stderr
+            assert ("(p1, q1)" if argv[0] == "check" else "case 'p1'") in stderr

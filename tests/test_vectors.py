@@ -362,3 +362,125 @@ def test_the_writer_matches_the_cellwise_writer(text):
     except VectorFormatError:
         return
     assert serialize_testcases(cases) == _cellwise_serialize(cases)
+
+
+# The whole-text pass (vectors._sections, vectors._TextReader) reads a file
+# only when it finds the sections and lines that the line walk (vectors._walk)
+# finds; the line walk reads every other file and reports every error.
+
+def _walked(text, iface, param_types):
+    """The cases of the line walk, as histories."""
+    cases = vectors._walk(text, {c.name: c.ctype for c in iface.inputs},
+                          {c.name: c.ctype for c in iface.outputs}, param_types)
+    return [case.test_case() for case in cases]
+
+
+def _bare_texts(dtype):
+    """Ways to write each of some values of the type, without quotes."""
+    return [t for t in _plain_texts(dtype) if '"' not in t]
+
+
+@st.composite
+def _fast_document(draw):
+    """Up to 12 cases without errors, whose tables take one of two header
+    lines per marker: LF line ends, no quotes, now and then a blank before
+    or after a cell, and empty lines between sections and at the end."""
+    headers = {marker: draw(st.lists(st.permutations(chans), min_size=1, max_size=2))
+               for marker, chans in _CHANNELS.items()}
+    rnd = draw(st.randoms(use_true_random=False))
+    lines = []
+
+    def table(marker, ticks):
+        names = rnd.choice(headers[marker])
+        lines.extend([marker, ",".join(names)])
+        pad = rnd.choice(["", "", " "])
+        lines.extend(",".join(pad + rnd.choice(_bare_texts(DIFF_TYPES[n])) for n in names)
+                     for _ in range(ticks))
+
+    for i in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            lines.append(f"#case c{i}")
+        ticks = draw(st.integers(0, 4))
+        if draw(st.integers(0, 3)) == 0:
+            table("#params", draw(st.sampled_from([1, ticks])))
+        table("#inputs", ticks)
+        for _ in range(draw(st.integers(0, 2))):
+            table("#expected", ticks)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from([k for k, line in enumerate(lines) if line[:1] == "#"]
+                                  + [len(lines)]))
+        lines.insert(at, "")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fast_document(), st.integers(1, 6) | st.just(vectors.BATCH_ROWS), st.booleans())
+def test_the_whole_text_pass_reads_what_the_line_walk_reads(text, batch_rows, typed):
+    param_types = DIFF_PARAMS if typed else None
+    with mock.patch.object(vectors, "BATCH_ROWS", batch_rows):
+        with mock.patch.object(vectors, "_walk", wraps=vectors._walk) as walk:
+            outcome = _outcome(parse_testcases, text, param_types)
+        assert not walk.called and outcome[0] == "cases"
+        assert outcome == _outcome(_walked, text, param_types)
+    assert outcome == _outcome(vector_oracle.parse_testcases, text, param_types)
+
+
+_BLANK = st.sampled_from(["", " ", "\t", "\x1f", "  \t"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fast_document(), st.lists(st.tuples(st.integers(0, 10 ** 6), _BLANK), max_size=3),
+       st.integers(1, 6) | st.just(vectors.BATCH_ROWS), st.booleans())
+def test_blank_lines_read_as_the_line_walk_reads_them(text, blanks, batch_rows, typed):
+    # a blank line anywhere: the whole-text pass drops an empty one that ends
+    # a section and leaves the file to the line walk where it would read one
+    lines = text.split("\n")
+    for at, blank in blanks:
+        lines.insert(at % (len(lines) + 1), blank)
+    text = "\n".join(lines)
+    param_types = DIFF_PARAMS if typed else None
+    with mock.patch.object(vectors, "BATCH_ROWS", batch_rows):
+        outcome = _outcome(parse_testcases, text, param_types)
+    assert outcome == _outcome(vector_oracle.parse_testcases, text, param_types)
+
+
+@pytest.mark.parametrize("iface, text, param_types", [
+    # a blank row would convert: "" is a label
+    (SyntacticInterface((Channel("e", enumeration("", "x"), "input"),), ()),
+     "#inputs\ne\nx\n\nx\n#inputs\ne\n\nx\n", None),
+    # the rows of a #params table read without types are counted, not converted
+    (SyntacticInterface((Channel("i_a", BOOL, "input"),), ()),
+     "#params\np\n1\n\n2\n3\n#inputs\ni_a\ntrue\nfalse\ntrue\nfalse\n", None),
+    (SyntacticInterface((Channel("i_a", BOOL, "input"),), ()),
+     "#params\n \np\n1\n2\n3\n#inputs\ni_a\ntrue\nfalse\ntrue\nfalse\n", None),
+])
+def test_a_blank_line_the_whole_text_pass_would_read_is_left_to_the_line_walk(
+        iface, text, param_types):
+    with mock.patch.object(vectors, "_walk", wraps=vectors._walk) as walk:
+        try:
+            got = ("cases", [c.input for c in parse_testcases(text, iface, param_types)])
+        except VectorFormatError as e:
+            got = ("error", str(e))
+    assert walk.called
+    try:
+        expected = ("cases", [c.input for c in vector_oracle.parse_testcases(text, iface,
+                                                                              param_types)])
+    except VectorFormatError as e:
+        expected = ("error", str(e))
+    assert got == expected
+
+
+def test_the_fixture_vectors_are_read_by_the_whole_text_pass(doc):
+    encoder = doc.refinements["Encoder"]
+    abstract, concrete = (doc.components[encoder.abstract].interface,
+                          doc.components[encoder.concrete].interface)
+    params = {p.name: p.dtype for p in doc.concretizers[encoder.concretizer].params}
+    for name, iface, param_types in [("brake_override.tv.csv", IFACE, None),
+                                     ("encoder_abstract.tv.csv", abstract, None),
+                                     ("encoder_concrete.tv.csv", concrete, None),
+                                     ("encoder_concretize.tv.csv", abstract, params)]:
+        text = fixture_text(name)
+        with mock.patch.object(vectors, "_walk", wraps=vectors._walk) as walk:
+            cases = parse_testcases(text, iface, param_types)
+        assert not walk.called, name
+        assert cases == _walked(text, iface, param_types)
