@@ -97,6 +97,11 @@ def _read_vectors(path: str, iface, param_types=None) -> list[VectorCase]:
         raise CliError(f"{path}: " + "; ".join(map(str, e.diagnostics)))
 
 
+def _read_all_vectors(paths: list[str], iface, param_types=None) -> list[VectorCase]:
+    """The cases of every vector file, in order."""
+    return [case for path in paths for case in _read_vectors(path, iface, param_types)]
+
+
 def _emit(args, payload: dict[str, Any], report: Report) -> None:
     """Print the payload as JSON, or the report, which is built only then."""
     if args.format == "json":
@@ -126,7 +131,7 @@ def cmd_simulate(args) -> int:
     spec = _get(doc.components, args.component, "component")
     if not args.vectors:
         raise CliError("simulate needs --vectors")
-    cases = [case.test_case() for case in _read_vectors(args.vectors[0], spec.interface)]
+    cases = [case.test_case() for case in _read_all_vectors(args.vectors, spec.interface)]
     if not cases:
         raise CliError("vector file holds no test-cases")
     for tc in cases:
@@ -164,9 +169,7 @@ def cmd_simulate(args) -> int:
 def cmd_test(args) -> int:
     doc = _load_documents(args.model)
     spec = _get(doc.components, args.component, "component")
-    cases = []
-    for path in args.vectors:
-        cases.extend(_read_vectors(path, spec.interface))
+    cases = _read_all_vectors(args.vectors, spec.interface)
     suite = judge_suite(spec, cases, eps=args.eps, check_determinism=args.check_determinism)
 
     def report(paint: _Paint) -> list[str]:
@@ -217,7 +220,7 @@ def cmd_concretize(args) -> int:
     if not args.vectors:
         raise CliError("concretize needs --vectors with abstract cases")
     param_types = {p.name: p.dtype for p in conc.params}
-    cases = _read_vectors(args.vectors[0], abstract.interface, param_types)
+    cases = _read_all_vectors(args.vectors, abstract.interface, param_types)
     cli_params = {}
     for item in args.param or []:
         if "=" not in item:
@@ -443,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify-galois", help="decide the Galois connection law on the bounded universe")
     common(p)
-    p.add_argument("--refinement")
-    p.add_argument("--galois")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--refinement")
+    which.add_argument("--galois")
     p.add_argument("--caps", type=_int_at_least(1), default=DEFAULT_UNIVERSE_CAP,
                    help="max value tuples of a tick per universe side")
     p.set_defaults(func=cmd_verify_galois)

@@ -6,19 +6,23 @@ output groups). Each table is a CSV header of channel names followed by one
 row per tick. Booleans are `true`/`false`, enumeration cells are bare labels,
 reals use decimal-point notation.
 
-A file's sections are found in one of two ways, which find the same
-tables. The whole-text pass (`_sections`, `_TextReader`) splits the text at
-every "\\n#" and each section into its marker line, header line and body
-text, and counts a body's rows with `str.count`. It takes a file only when
-cheap whole-text tests show that its sections are the ones the line walk
-finds, and it leaves the file to the line walk (`_walk`: `_scan`,
-`_LineReader`) on any error. The line walk splits the text into lines and
-reports every error at its line.
+One reader (`_Reader`) reads a file's sections, each as its kind, its
+argument and its lines: the marker line, then the header line and the body
+text, if any. Two finders give it the sections. The whole-text pass
+(`_sections`) splits the text at every "\\n#" and each section into its
+marker line, header line and body text; the reader counts a body's rows
+with `str.count`. The pass takes a file only when cheap whole-text tests
+show that its sections are the ones the line walk finds. The line walk
+(`_scan`) splits the text into lines, drops the blank ones, joins each
+table's lines into its body, and gives the index of each marker line and
+the line number of each line. With those numbers, the reader reports every
+error at its line; without them, any error leaves the file to the line
+walk, and the reader reads the sections that the line walk finds.
 
-Both feed one loop over the sections (`_cases`), which checks each table's
-structure when it reaches it: the marker, the header (each distinct header
-line once per file and role), the channels it covers and its number of
-rows. It queues the table's body behind those of earlier tables with the
+The reader follows the grammar of a case (`_cases`) and checks each
+table's structure when it reaches it: the marker, the header (each distinct
+header line once per file and role), the channels it covers and its number
+of rows. It queues the table's body behind those of earlier tables with the
 same header, and converts such a batch column by column, each column at
 once by its channel's type, when the batch holds BATCH_ROWS rows or the file
 ends. The cells of int, bool and enum columns are converted once per
@@ -29,8 +33,8 @@ nothing copied (`read_vectors`). Their values conform to their types, so
 nothing checks them again. `parse_testcases` builds histories from the
 tables, whose streams are recorded as conforming (`TimedStream.conforming`).
 
-The line walk reports errors as if each table were converted as soon as its
-header was read: before it reports a structural error, it converts every
+Errors are reported as if each table were converted as soon as its header
+was read: before the reader reports a structural error, it converts every
 table queued so far. Only a batch that fails is read again, table by table,
 and only the first table that fails, in file order, cell by cell with
 `_parse_cell`, to report its first error in row-major order (see
@@ -193,9 +197,17 @@ def _marker(line: str) -> tuple[str, str]:
     return parts[0] if parts else "", parts[1].strip() if len(parts) > 1 else ""
 
 
-def _scan(text: str) -> tuple[list[str], Sequence[int], list[tuple[str, str, int]]]:
-    """The file's non-blank lines, the line number of each, and its sections
-    as (kind, argument, index of the marker line); every marker is checked."""
+# A section: its kind, its argument, its lines (the marker line after its
+# '#', then the header line and the body text, if any) and the index of its
+# marker line among the file's non-blank lines, or None from the whole-text
+# pass, which counts no lines.
+_Section = tuple[str, str, list[str], int | None]
+
+
+def _scan(text: str) -> tuple[list[_Section], Sequence[int]]:
+    """The file's sections, found line by line, as `_sections` finds them,
+    where a table's body joins its non-blank lines; and the line number of
+    each non-blank line. Every marker is checked."""
     lines = text.splitlines()
     stripped = list(map(str.strip, lines))
     linenos: Sequence[int] = range(1, len(lines) + 1)
@@ -209,12 +221,17 @@ def _scan(text: str) -> tuple[list[str], Sequence[int], list[tuple[str, str, int
     if lines and (not marks or marks[0]):
         _fail(linenos[0], 1, "data before any section marker")
     sections = []
-    for at in marks:
-        kind, arg = _marker(stripped[at][1:])
+    for at, end in zip(marks, marks[1:] + [len(lines)]):
+        head = lines[at].lstrip()[1:]
+        kind, arg = _MARKERS.get(head) or _marker(head)
         if kind not in _KINDS:
             _fail(linenos[at], 1, f"unknown section marker {stripped[at]!r}")
-        sections.append((kind, arg, at))
-    return lines, linenos, sections
+        if end > at + 2:  # a header and rows
+            part = [head, lines[at + 1], "\n".join(lines[at + 2:end])]
+        else:
+            part = [head, *lines[at + 1:end]]
+        sections.append((kind, arg, part, at))
+    return sections, linenos
 
 
 # What makes a file one for the line walk: a quote, which the csv module
@@ -224,16 +241,14 @@ _WALKED = ('"', "\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
 _MARKERS = {kind: (kind, "") for kind in _KINDS}
 
 
-def _sections(text: str) -> list[tuple[str, str, list[str]]] | None:
-    """The file's sections as (kind, argument, lines), found by splitting
-    the whole text at "\\n#", where `lines` holds the marker line, then the
-    header line and the body, if any; None unless cheap whole-text tests
-    show that the line walk (`_scan`) finds the same markers: the text is
-    ASCII with none of _WALKED, so lines end at "\\n" only, every '#' starts
-    a line, nothing but empty lines comes before the first marker, and
-    every marker is known. No section is longer than MAX_CELL, so no cell
-    is. Blank lines that end a section are dropped; `_TextReader` leaves
-    the file to the line walk when any other blank line would be read."""
+def _sections(text: str) -> list[_Section] | None:
+    """The file's sections, found by splitting the whole text at "\\n#";
+    None unless cheap whole-text tests show that the line walk (`_scan`)
+    finds the same markers: the text is ASCII with none of _WALKED, so lines
+    end at "\\n" only, every '#' starts a line, nothing but empty lines
+    comes before the first marker, and every marker is known. Empty lines
+    that end a section are dropped; the reader leaves the file to the line
+    walk when any other blank line would be read."""
     if not text.isascii() or any(c in text for c in _WALKED):
         return None
     parts = text.split("\n#")
@@ -246,14 +261,15 @@ def _sections(text: str) -> list[tuple[str, str, list[str]]] | None:
     if text.count("#") != len(parts):
         return None
     for k, part in enumerate(parts):  # replaced one by one: the file is held once more, not twice
-        part = part.rstrip("\n")
-        if len(part) > MAX_CELL:
-            return None
-        lines = part.split("\n", 2)
-        marker = _MARKERS.get(lines[0]) or _marker(lines[0])
+        lines = part.rstrip("\n").split("\n", 2)
+        marker = _MARKERS.get(lines[0])
+        if marker is None:
+            marker = _marker(lines[0])
+        else:  # one string for every bare marker line of a kind, not a copy each
+            lines[0] = marker[0]
         if marker[0] not in _KINDS:
             return None
-        parts[k] = (*marker, lines)
+        parts[k] = (*marker, lines, None)
     return parts
 
 
@@ -297,56 +313,101 @@ class _Batch:
         self.names, self.types = names, types
         self.missing = missing  # the channels the header lacks
         self.cells = cells  # the distinct cells of each column's type; None for a real
-        self.parts: list[str] = []  # the queued rows, in pieces joined by newlines
+        self.parts: list[str] = []  # the queued bodies, joined by newlines when converted
         self.rows = 0
-        self.queue: list[tuple[int, int, int]] = []  # (serial, rows, index of the first line)
+        self.queue: list[tuple[int, int, int]] = []  # (serial, rows, section index)
 
 
 class _Unread(Exception):
     """The whole-text pass leaves the file to the line walk."""
 
 
-class _Tables:
-    """Tables queued by header and converted in batches of about BATCH_ROWS
-    rows. A table is known by its serial number, in file order; it is in
-    `tables` once its batch is converted.
+class _Reader:
+    """The tables of a file's sections, from `_sections` or `_scan`, queued
+    by header and converted in batches of about BATCH_ROWS rows. A table is
+    known by its serial number, in file order; it is in `tables` once its
+    batch is converted.
 
-    A reader holds in `sections` (kind, argument, where its lines are) of
-    each section marker, in file order, and says whether lines follow
-    section i's marker line (`under(i)`). It queues section i's table
-    (`table`), and reports an error at the line `below` lines after section
-    i's marker (`fail(i, message, below)`), a header's error (`failed`) and
-    a batch that does not convert (`unconverted`)."""
+    With line numbers (from `_scan`), every error is reported at its line
+    as if each table were converted as soon as its header was read. Without
+    them (from `_sections`), any error leaves the file to the line walk
+    (`_Unread`). The line walk skips blank lines, which the whole-text pass
+    reads as lines, so that pass also leaves the file to it wherever it
+    would read one: as a header, as a row of a `#params` table whose cells
+    it does not convert, or as a row whose cells would convert. A cell of a
+    blank row strips to "", which converts only as a label "" of an
+    enumeration; in a row of more than one cell it is a ragged row."""
 
-    sections: list[tuple[str, str, Any]]
-
-    def __init__(self):
+    def __init__(self, sections: list[_Section], linenos: Sequence[int] | None = None):
+        self.sections, self.linenos = sections, linenos
         self.batches: dict[tuple[str, str], _Batch] = {}
         self.tables: list[Table | None] = []
         self.cells: dict[DataType, dict[str, Any]] = {}
 
+    def line(self, i: int, below: int = 0) -> int:
+        """The number of the line `below` lines after section i's marker; 0
+        without line numbers."""
+        return 0 if self.linenos is None else self.linenos[self.sections[i][3] + below]
+
+    def fail(self, i: int, message: str, below: int = 0) -> None:
+        """Report a structural error at a line of section i."""
+        self.failed(VectorFormatError([Diagnostic(self.line(i, below), 1, message)]))
+
+    def failed(self, error: VectorFormatError) -> None:
+        """Report an error, after any error of a table queued before it."""
+        if self.linenos is None:
+            raise _Unread
+        self.flush()
+        raise error
+
+    def under(self, i: int) -> bool:
+        """Whether lines follow section i's marker line."""
+        return len(self.sections[i][2]) > 1
+
+    def table(self, kind: str, i: int, known: dict[str, DataType] | None,
+              what: str) -> tuple[_Batch, int | None, int]:
+        """Queue the table of section i: its batch, its serial number and its
+        number of rows. With `known` None, only the header is checked, and
+        the table is skipped (serial number None)."""
+        lines = self.sections[i][2]
+        if len(lines) < 2:
+            self.fail(i, f"empty #{kind} table")
+        header, body = lines[1], lines[2] if len(lines) > 2 else ""
+        rows = body.count("\n") + 1 if body else 0
+        walked = self.linenos is not None
+        batch = self.batches.get((kind, header))
+        if batch is None:
+            batch = self.batch(kind, header, self.line(i, 1), known, what)
+            if not walked and (not header.strip()
+                               or any("" in t.labels for t in batch.types or ())):
+                raise _Unread
+        if batch.types is None:
+            if not walked and body and not all(map(str.strip, body.split("\n"))):
+                raise _Unread
+            return batch, None, rows
+        if body:
+            batch.parts.append(body)
+        return batch, self.queue(batch, rows, i), rows
+
     def batch(self, kind: str, header: str, line: int, known: dict[str, DataType] | None,
               what: str) -> _Batch:
         """The batch of a header line, whose names are checked against `known`."""
-        key = (kind, header)
-        batch = self.batches.get(key)
-        if batch is None:
-            try:
-                names = _header(header, line, kind, known, what)
-            except VectorFormatError as e:
-                self.failed(e)
-            types = None if known is None else [known[n] for n in names]
-            missing = [] if kind == "params" else sorted(set(known) - set(names))
-            cells = [self._cells(t) for t in types or ()]
-            batch = self.batches[key] = _Batch(names, types, missing, cells)
+        try:
+            names = _header(header, line, kind, known, what)
+        except VectorFormatError as e:
+            self.failed(e)
+        types = None if known is None else [known[n] for n in names]
+        missing = [] if kind == "params" else sorted(set(known) - set(names))
+        cells = [self._cells(t) for t in types or ()]
+        batch = self.batches[kind, header] = _Batch(names, types, missing, cells)
         return batch
 
-    def queue(self, batch: _Batch, rows: int, first: int) -> int:
-        """Queue a table whose body the caller added to the batch's parts;
-        its serial number."""
+    def queue(self, batch: _Batch, rows: int, i: int) -> int:
+        """Queue section i's table, whose body is in the batch's parts; its
+        serial number."""
         serial = len(self.tables)
         self.tables.append(None)
-        batch.queue.append((serial, rows, first))
+        batch.queue.append((serial, rows, i))
         batch.rows += rows
         if batch.rows >= BATCH_ROWS:
             self._convert_batch(batch)
@@ -378,100 +439,21 @@ class _Tables:
             start += rows
         batch.parts, batch.rows, batch.queue = [], 0, []
 
-
-class _TextReader(_Tables):
-    """The tables of sections that `_sections` found; on any error, the
-    file is left to the line walk (`_Unread`).
-
-    The line walk skips blank lines, which this reader reads as lines, so
-    it leaves the file to the line walk wherever it would read one: as a
-    header, as a row of a `#params` table whose cells it does not convert,
-    or as a row whose cells would convert. A cell of a blank row strips to
-    "", which converts only as a label "" of an enumeration; in a row of
-    more than one cell it is a ragged row."""
-
-    def __init__(self, sections: list[tuple[str, str, list[str]]]):
-        super().__init__()
-        self.sections = sections
-
-    def fail(self, *_) -> None:
-        raise _Unread
-
-    failed = unconverted = fail
-
-    def under(self, i: int) -> bool:
-        return len(self.sections[i][2]) > 1
-
-    def table(self, kind: str, i: int, known: dict[str, DataType] | None,
-              what: str) -> tuple[_Batch, int | None, int]:
-        """Queue the table of section i: its batch, its serial number and its
-        number of rows. With `known` None, only the header is checked, and
-        the table is skipped (serial number None)."""
-        lines = self.sections[i][2]
-        if len(lines) < 2:
-            raise _Unread
-        header, body = lines[1], lines[2] if len(lines) > 2 else ""
-        rows = body.count("\n") + 1 if body else 0
-        batch = self.batches.get((kind, header))
-        if batch is None:
-            batch = self.batch(kind, header, 0, known, what)
-            if not header.strip() or any("" in t.labels for t in batch.types or ()):
-                raise _Unread
-        if batch.types is None:
-            if body and not all(map(str.strip, body.split("\n"))):
-                raise _Unread
-            return batch, None, rows
-        if body:
-            batch.parts.append(body)
-        return batch, self.queue(batch, rows, 0), rows
-
-
-class _LineReader(_Tables):
-    """The tables of a file's non-blank lines (`_scan`), with every error
-    reported at its line as if each table were converted as soon as its
-    header was read."""
-
-    def __init__(self, text: str):
-        super().__init__()
-        self.lines, self.linenos, self.sections = _scan(text)
-        self.ends = [at for _, _, at in self.sections[1:]] + [len(self.lines)]
-
-    def fail(self, i: int, message: str, below: int = 0) -> None:
-        """Report a structural error, after any error of a table queued before it."""
-        self.failed(VectorFormatError(
-            [Diagnostic(self.linenos[self.sections[i][2] + below], 1, message)]))
-
-    def failed(self, error: VectorFormatError) -> None:
-        self.flush()
-        raise error
-
-    def under(self, i: int) -> bool:
-        return self.ends[i] > self.sections[i][2] + 1
-
-    def table(self, kind: str, i: int, known: dict[str, DataType] | None,
-              what: str) -> tuple[_Batch, int | None, int]:
-        """As `_TextReader.table`."""
-        at, end = self.sections[i][2], self.ends[i]
-        if end == at + 1:
-            self.fail(i, f"empty #{kind} table")
-        batch = self.batch(kind, self.lines[at + 1], self.linenos[at + 1], known, what)
-        if batch.types is None:
-            return batch, None, end - at - 2
-        batch.parts += self.lines[at + 2:end]
-        return batch, self.queue(batch, end - at - 2, at + 2), end - at - 2
-
     def unconverted(self) -> None:
         """Raise the first error of the queued tables in file order."""
+        if self.linenos is None:
+            raise _Unread
         queued = sorted(((entry, batch) for batch in self.batches.values()
                          for entry in batch.queue), key=lambda q: q[0][0])
-        for (_, rows, first), batch in queued:
-            body = self.lines[first:first + rows]
-            if _convert(batch.cells, "\n".join(body), rows) is None:
-                _first_error(batch.types, self.linenos[first:first + rows], body)
+        for (_, rows, i), batch in queued:
+            if rows and _convert(batch.cells, self.sections[i][2][2], rows) is None:
+                first = self.sections[i][3] + 2
+                _first_error(batch.types, self.linenos[first:first + rows],
+                             self.sections[i][2][2].split("\n"))
         raise AssertionError("a batch failed to convert, but none of its tables did")
 
 
-def _cases(reader: _Tables, in_types: dict[str, DataType], out_types: dict[str, DataType],
+def _cases(reader: _Reader, in_types: dict[str, DataType], out_types: dict[str, DataType],
            param_types: dict[str, DataType] | None) -> list[VectorCase]:
     """The cases of the reader's sections: the grammar of a case."""
     sections = reader.sections
@@ -480,7 +462,7 @@ def _cases(reader: _Tables, in_types: dict[str, DataType], out_types: dict[str, 
     n = len(sections)
     i = counter = 0
     while i < n:
-        kind, arg, _ = sections[i]
+        kind, arg, _, _ = sections[i]
         name = None
         if kind == "case":
             if reader.under(i):
@@ -521,13 +503,6 @@ def _cases(reader: _Tables, in_types: dict[str, DataType], out_types: dict[str, 
             for name, params, inputs, groups in plans]
 
 
-def _walk(text: str, in_types: dict[str, DataType], out_types: dict[str, DataType],
-          param_types: dict[str, DataType] | None) -> list[VectorCase]:
-    """The cases of a file read line by line: the reader of every file the
-    whole-text pass does not take, and the one that reports errors."""
-    return _cases(_LineReader(text), in_types, out_types, param_types)
-
-
 def read_vectors(text: str, iface: SyntacticInterface,
                  param_types: dict[str, DataType] | None = None) -> list[VectorCase]:
     """Read all test-cases in a vector file, typed against an interface, as
@@ -538,10 +513,10 @@ def read_vectors(text: str, iface: SyntacticInterface,
     sections = _sections(text)
     if sections is not None:
         try:
-            return _cases(_TextReader(sections), in_types, out_types, param_types)
+            return _cases(_Reader(sections), in_types, out_types, param_types)
         except _Unread:
-            sections = None  # the line walk holds the file as lines instead
-    return _walk(text, in_types, out_types, param_types)
+            sections = None  # dropped before the line walk finds its own
+    return _cases(_Reader(*_scan(text)), in_types, out_types, param_types)
 
 
 def parse_testcases(text: str, iface: SyntacticInterface,

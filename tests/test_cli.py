@@ -143,6 +143,38 @@ def test_concretize_with_params(tmp_path, capsys):
     assert "i_c" in text and "2.5" in text and "-3.6" in text
 
 
+@pytest.mark.parametrize("argv, first, second, names", [
+    (["simulate", "--model", BRAKE, "--component", "BrakeOverride"], "brake_override.tv.csv",
+     "#case later\n#inputs\nDriverBrake,AccBrake,AccSwitch\n0,0,false\n",
+     ["brake_override_iso", "brake_override_switch_off", "later"]),
+    (["concretize", "--model", ENCODER, "--refinement", "Encoder"], "encoder_concretize.tv.csv",
+     "#case later\n#params\nmag\n1.5\n#inputs\ni_a\nfalse\n", ["encoder_magnitudes", "later"]),
+], ids=["simulate", "concretize"])
+def test_simulate_and_concretize_read_every_vector_file_in_order(argv, first, second, names,
+                                                                 tmp_path, capsys):
+    first = str(fixture_path(first))
+    later = tmp_path / "later.tv.csv"
+    later.write_text(second, encoding="utf-8")
+    code = main([*argv, "--vectors", first, "--vectors", str(later), "--format", "json"])
+    assert code == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert ([c["case"] for c in cases] if argv[0] == "simulate" else cases) == names
+    missing = tmp_path / "missing.tv.csv"
+    assert main([*argv, "--vectors", first, "--vectors", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: vector file not found: {missing}\n"
+
+
+def test_verify_galois_refuses_both_a_galois_and_a_refinement(capsys):
+    code = main(["verify-galois", "--model", ENCODER, "--galois", "EncGalois",
+                 "--refinement", "NoSuchThing"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--galois" in captured.err and "--refinement" in captured.err
+    assert main(["verify-galois", "--model", ENCODER]) == 2
+    assert capsys.readouterr().err == "error: missing --refinement name\n"
+
+
 def test_test_and_simulate_run_an_abstract_suite_with_params_tables(capsys):
     # the suite that concretize reads also runs on the abstract component
     vectors = str(fixture_path("encoder_concretize.tv.csv"))

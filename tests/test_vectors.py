@@ -364,14 +364,16 @@ def test_the_writer_matches_the_cellwise_writer(text):
     assert serialize_testcases(cases) == _cellwise_serialize(cases)
 
 
-# The whole-text pass (vectors._sections, vectors._TextReader) reads a file
-# only when it finds the sections and lines that the line walk (vectors._walk)
-# finds; the line walk reads every other file and reports every error.
+# The whole-text pass (vectors._sections) gives the reader a file only when
+# it finds the sections and lines that the line walk (vectors._scan) finds;
+# the line walk finds the sections of every other file, and with its line
+# numbers the reader reports every error.
 
 def _walked(text, iface, param_types):
-    """The cases of the line walk, as histories."""
-    cases = vectors._walk(text, {c.name: c.ctype for c in iface.inputs},
-                          {c.name: c.ctype for c in iface.outputs}, param_types)
+    """The cases of the sections the line walk finds, as histories."""
+    cases = vectors._cases(vectors._Reader(*vectors._scan(text)),
+                           {c.name: c.ctype for c in iface.inputs},
+                           {c.name: c.ctype for c in iface.outputs}, param_types)
     return [case.test_case() for case in cases]
 
 
@@ -418,11 +420,27 @@ def _fast_document(draw):
 def test_the_whole_text_pass_reads_what_the_line_walk_reads(text, batch_rows, typed):
     param_types = DIFF_PARAMS if typed else None
     with mock.patch.object(vectors, "BATCH_ROWS", batch_rows):
-        with mock.patch.object(vectors, "_walk", wraps=vectors._walk) as walk:
+        with mock.patch.object(vectors, "_scan", wraps=vectors._scan) as walk:
             outcome = _outcome(parse_testcases, text, param_types)
         assert not walk.called and outcome[0] == "cases"
         assert outcome == _outcome(_walked, text, param_types)
     assert outcome == _outcome(vector_oracle.parse_testcases, text, param_types)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fast_document(), st.booleans(), st.booleans())
+def test_the_two_finders_find_the_same_sections(text, spaced, padded):
+    if spaced:  # an empty line before every marker but the first
+        text = text.replace("\n#", "\n\n#")
+    if padded:  # a blank after every marker
+        text = "\n".join(line + " " if line[:1] == "#" else line for line in text.split("\n"))
+    whole = vectors._sections(text)
+    scanned, linenos = vectors._scan(text)
+    assert [s[:3] for s in scanned] == [s[:3] for s in whole]
+    # the whole-text pass counts no lines; its sections start at the lines
+    # that start with '#', one section each
+    marked = [n for n, line in enumerate(text.split("\n"), start=1) if line[:1] == "#"]
+    assert [linenos[s[3]] for s in scanned] == marked
 
 
 _BLANK = st.sampled_from(["", " ", "\t", "\x1f", "  \t"])
@@ -456,7 +474,7 @@ def test_blank_lines_read_as_the_line_walk_reads_them(text, blanks, batch_rows, 
 ])
 def test_a_blank_line_the_whole_text_pass_would_read_is_left_to_the_line_walk(
         iface, text, param_types):
-    with mock.patch.object(vectors, "_walk", wraps=vectors._walk) as walk:
+    with mock.patch.object(vectors, "_scan", wraps=vectors._scan) as walk:
         try:
             got = ("cases", [c.input for c in parse_testcases(text, iface, param_types)])
         except VectorFormatError as e:
@@ -480,7 +498,7 @@ def test_the_fixture_vectors_are_read_by_the_whole_text_pass(doc):
                                      ("encoder_concrete.tv.csv", concrete, None),
                                      ("encoder_concretize.tv.csv", abstract, params)]:
         text = fixture_text(name)
-        with mock.patch.object(vectors, "_walk", wraps=vectors._walk) as walk:
+        with mock.patch.object(vectors, "_scan", wraps=vectors._scan) as walk:
             cases = parse_testcases(text, iface, param_types)
         assert not walk.called, name
         assert cases == _walked(text, iface, param_types)
