@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .components import ComponentSpec, run
 from .errors import (CapsExceededError, EvaluationError, SimulationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
+from .records import Record
 from .simulator import run_tables, table_runs
 from .streams import (BOOL, REAL, Block, ChannelHistory, DataType, Table, TimedStream,
                       bounded_int, validate_history)
@@ -110,20 +110,23 @@ def _outputs(spec: ComponentSpec, tables: Sequence[Table]) -> Block:
     return Block([c.name for c in outputs], [c.ctype for c in outputs], out)
 
 
-@dataclass(repr=False)
-class CorrespondenceResult:
+class CorrespondenceResult(Record, repr=False):
     """Whether RI held on a pair's inputs and RO on its outputs, tick by
-    tick, and whether the pair corresponds (RI implies RO)."""
+    tick, and whether the pair corresponds (RI implies RO); `status` is ok
+    or error."""
 
-    ri_holds: bool
-    ro_holds: bool
-    corresponding: bool
-    ri_stream: tuple[bool, ...] = ()
-    ro_stream: tuple[bool, ...] = ()
-    status: str = "ok"  # ok | error
-    diagnostics: tuple[str, ...] = ()
-    abstract_output: ChannelHistory | None = None
-    concrete_output: ChannelHistory | None = None
+    _fields = ("ri_holds", "ro_holds", "corresponding", "ri_stream", "ro_stream", "status",
+               "diagnostics", "abstract_output", "concrete_output")
+
+    def __init__(self, ri_holds: bool, ro_holds: bool, corresponding: bool,
+                 ri_stream: tuple[bool, ...] = (), ro_stream: tuple[bool, ...] = (),
+                 status: str = "ok", diagnostics: tuple[str, ...] = (),
+                 abstract_output: ChannelHistory | None = None,
+                 concrete_output: ChannelHistory | None = None):
+        self.ri_holds, self.ro_holds, self.corresponding = ri_holds, ro_holds, corresponding
+        self.ri_stream, self.ro_stream, self.status = ri_stream, ro_stream, status
+        self.diagnostics, self.abstract_output = diagnostics, abstract_output
+        self.concrete_output = concrete_output
 
 
 def _correspondence(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
@@ -262,15 +265,19 @@ def _side_elements(side: tuple[tuple[str, tuple[Any, ...]], ...], horizon: int,
     return elements
 
 
-@dataclass
-class GaloisCounterexample:
-    """Concrete and abstract sets of histories on which the law fails."""
+class GaloisCounterexample(Record):
+    """Concrete and abstract sets of histories on which the law fails:
+    `lhs` tells whether f(T_c) is a subset of T_a, `rhs` whether T_c is a
+    subset of g(T_a), and each value of the one-tick sets is held for the
+    universe's `horizon`."""
 
-    concrete_set: tuple[ChannelHistory, ...]
-    abstract_set: tuple[ChannelHistory, ...]
-    lhs: bool  # f(T_c) subset of T_a
-    rhs: bool  # T_c subset of g(T_a)
-    horizon: int = 1  # of the universe: each value of the one-tick sets held that long
+    _fields = ("concrete_set", "abstract_set", "lhs", "rhs", "horizon")
+
+    def __init__(self, concrete_set: tuple[ChannelHistory, ...],
+                 abstract_set: tuple[ChannelHistory, ...], lhs: bool, rhs: bool,
+                 horizon: int = 1):
+        self.concrete_set, self.abstract_set = concrete_set, abstract_set
+        self.lhs, self.rhs, self.horizon = lhs, rhs, horizon
 
     def __str__(self) -> str:
         def fmt(hs):
@@ -459,14 +466,16 @@ def concretize_cases(conc: ConcretizerSpec, cases: Sequence[VectorCase],
     return _in_order(batch, cases)
 
 
-@dataclass(repr=False)
-class FinvViolation:
+class FinvViolation(Record, repr=False):
     """A sampled parameter binding and abstract input whose concretized
     input lies outside g of that abstract input."""
 
-    params: Mapping[str, Any]
-    abstract_input: ChannelHistory
-    concrete_input: ChannelHistory
+    _fields = ("params", "abstract_input", "concrete_input")
+
+    def __init__(self, params: Mapping[str, Any], abstract_input: ChannelHistory,
+                 concrete_input: ChannelHistory):
+        self.params = params
+        self.abstract_input, self.concrete_input = abstract_input, concrete_input
 
 
 def check_finv_in_g(gal: GaloisSpec, conc: ConcretizerSpec,

@@ -15,26 +15,26 @@ searched for over the reachable configurations otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Container, Mapping, Optional, Union
 
 from .errors import CapsExceededError, SimulationError, StreamcheckError, TypeMismatchError
 from .exprs import TRUE, Expr, free_names
+from .records import FRESH, Record, store
 from .streams import Channel, ChannelHistory, DataType, TimedStream, enum_labels, validate_history
 
 STRICT = "strict"
 WEAK = "weak"
 
 
-@dataclass(frozen=True)
-class SyntacticInterface:
+class SyntacticInterface(Record, frozen=True):
     """The typed input and output channel sets of a component."""
 
-    inputs: tuple[Channel, ...]
-    outputs: tuple[Channel, ...]
+    _fields = ("inputs", "outputs")
 
-    def __post_init__(self):
-        names = [c.name for c in self.inputs] + [c.name for c in self.outputs]
+    def __init__(self, inputs: tuple[Channel, ...], outputs: tuple[Channel, ...]):
+        store(self, "inputs", inputs)
+        store(self, "outputs", outputs)
+        names = [c.name for c in inputs] + [c.name for c in outputs]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise TypeMismatchError(f"duplicate channel names: {sorted(dupes)}")
@@ -49,70 +49,90 @@ class SyntacticInterface:
         return [c.name for c in self.outputs]
 
 
-@dataclass(frozen=True)
-class VariableDecl:
+class VariableDecl(Record, frozen=True):
     """A variable of an automaton, with its type and initial value."""
 
-    name: str
-    dtype: DataType
-    init: Any
+    _fields = ("name", "dtype", "init")
+
+    def __init__(self, name: str, dtype: DataType, init: Any):
+        store(self, "name", name)
+        store(self, "dtype", dtype)
+        store(self, "init", init)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record, frozen=True):
     """A guarded step between control states, with its output
     assignments and variable updates."""
 
-    source: str
-    target: str
-    guard: Expr = TRUE
-    outputs: tuple[tuple[str, Expr], ...] = ()
-    updates: tuple[tuple[str, Expr], ...] = ()
-    label: str | None = None
+    _fields = ("source", "target", "guard", "outputs", "updates", "label")
+
+    def __init__(self, source: str, target: str, guard: Expr = TRUE,
+                 outputs: tuple[tuple[str, Expr], ...] = (),
+                 updates: tuple[tuple[str, Expr], ...] = (), label: str | None = None):
+        store(self, "source", source)
+        store(self, "target", target)
+        store(self, "guard", guard)
+        store(self, "outputs", outputs)
+        store(self, "updates", updates)
+        store(self, "label", label)
 
 
-@dataclass(frozen=True)
-class AutomatonSpec:
+class AutomatonSpec(Record, frozen=True):
     """An atomic component: a state machine over its interface."""
 
-    name: str
-    interface: SyntacticInterface
-    states: tuple[str, ...]
-    initial: str
-    transitions: tuple[Transition, ...] = ()
-    variables: tuple[VariableDecl, ...] = ()
-    output_init: Mapping[str, Any] = field(default_factory=dict)
-    causality: str = STRICT
-    total: bool = False
+    _fields = ("name", "interface", "states", "initial", "transitions", "variables",
+               "output_init", "causality", "total")
+
+    def __init__(self, name: str, interface: SyntacticInterface, states: tuple[str, ...],
+                 initial: str, transitions: tuple[Transition, ...] = (),
+                 variables: tuple[VariableDecl, ...] = (), output_init: Mapping[str, Any] = FRESH,
+                 causality: str = STRICT, total: bool = False):
+        store(self, "name", name)
+        store(self, "interface", interface)
+        store(self, "states", states)
+        store(self, "initial", initial)
+        store(self, "transitions", transitions)
+        store(self, "variables", variables)
+        store(self, "output_init", {} if output_init is FRESH else output_init)
+        store(self, "causality", causality)
+        store(self, "total", total)
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(Record, frozen=True):
     """A wiring end: (component, channel); component None means the boundary."""
 
-    component: str | None
-    channel: str
+    _fields = ("component", "channel")
+
+    def __init__(self, component: str | None, channel: str):
+        store(self, "component", component)
+        store(self, "channel", channel)
 
     def __str__(self) -> str:
         return self.channel if self.component is None else f"{self.component}.{self.channel}"
 
 
-@dataclass(frozen=True)
-class Connector:
+class Connector(Record, frozen=True):
     """A wire from a producer endpoint to a consumer endpoint."""
 
-    producer: Endpoint
-    consumer: Endpoint
+    _fields = ("producer", "consumer")
+
+    def __init__(self, producer: Endpoint, consumer: Endpoint):
+        store(self, "producer", producer)
+        store(self, "consumer", consumer)
 
 
-@dataclass(frozen=True)
-class CompositeSpec:
+class CompositeSpec(Record, frozen=True):
     """A component made of named subcomponents and the wiring between them."""
 
-    name: str
-    interface: SyntacticInterface
-    subcomponents: tuple[tuple[str, "ComponentSpec"], ...]
-    wiring: tuple[Connector, ...]
+    _fields = ("name", "interface", "subcomponents", "wiring")
+
+    def __init__(self, name: str, interface: SyntacticInterface,
+                 subcomponents: tuple[tuple[str, ComponentSpec], ...],
+                 wiring: tuple[Connector, ...]):
+        store(self, "name", name)
+        store(self, "interface", interface)
+        store(self, "subcomponents", subcomponents)
+        store(self, "wiring", wiring)
 
 
 ComponentSpec = Union[AutomatonSpec, CompositeSpec]
@@ -184,21 +204,24 @@ def validate_automaton(spec: AutomatonSpec) -> list[str]:
 # Runtime state
 
 
-@dataclass
-class AutomatonState:
+class AutomatonState(Record):
     """An atom's configuration: its control state, its variables and the
     outputs it computed at the previous tick."""
 
-    state: str
-    variables: tuple[tuple[str, Any], ...]
-    pending: tuple[tuple[str, Any], ...]
+    _fields = ("state", "variables", "pending")
+
+    def __init__(self, state: str, variables: tuple[tuple[str, Any], ...],
+                 pending: tuple[tuple[str, Any], ...]):
+        self.state, self.variables, self.pending = state, variables, pending
 
 
-@dataclass
-class CompositeState:
+class CompositeState(Record):
     """A composite's configuration: the state of each atom, by path."""
 
-    substates: tuple[tuple[str, AutomatonState], ...]
+    _fields = ("substates",)
+
+    def __init__(self, substates: tuple[tuple[str, AutomatonState], ...]):
+        self.substates = substates
 
 
 ComponentState = Union[AutomatonState, CompositeState]
@@ -520,16 +543,16 @@ def same_tick_dependence(spec: ComponentSpec) -> list[tuple[str, str]]:
 # Causality checking
 
 
-@dataclass
-class CausalityCounterexample:
+class CausalityCounterexample(Record):
     """Two input histories that agree through `tick` and lead to
     different outputs within the checked prefix."""
 
-    tick: int
-    input_a: ChannelHistory
-    input_b: ChannelHistory
-    output_a: ChannelHistory
-    output_b: ChannelHistory
+    _fields = ("tick", "input_a", "input_b", "output_a", "output_b")
+
+    def __init__(self, tick: int, input_a: ChannelHistory, input_b: ChannelHistory,
+                 output_a: ChannelHistory, output_b: ChannelHistory):
+        self.tick, self.input_a, self.input_b = tick, input_a, input_b
+        self.output_a, self.output_b = output_a, output_b
 
     def __str__(self) -> str:
         return (f"inputs agree through tick {self.tick} but outputs diverge "

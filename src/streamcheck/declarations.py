@@ -6,40 +6,42 @@ parameterized concretizers. They are what loading a model builds;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .components import ComponentSpec
 from .errors import EvaluationError, TypeMismatchError
 from .exprs import Expr, free_names
+from .records import FRESH, Record, store
 from .streams import DataType, enum_labels
 
 
-@dataclass(frozen=True)
-class RelationSpec:
-    """A per-tick predicate (or checker component) over paired histories."""
+class RelationSpec(Record, frozen=True):
+    """A per-tick predicate (or checker component) over paired histories,
+    on the RI or the RO `side`."""
 
-    name: str
-    side: str  # RI | RO
-    expr: Expr | None = None
-    checker: ComponentSpec | None = None
+    _fields = ("name", "side", "expr", "checker")
 
-    def __post_init__(self):
-        if (self.expr is None) == (self.checker is None):
+    def __init__(self, name: str, side: str, expr: Expr | None = None,
+                 checker: ComponentSpec | None = None):
+        store(self, "name", name)
+        store(self, "side", side)
+        store(self, "expr", expr)
+        store(self, "checker", checker)
+        if (expr is None) == (checker is None):
             raise TypeMismatchError("relation needs exactly one of expr / checker")
 
 
-@dataclass
-class Universe:
+class Universe(Record):
     """The values of each channel at a tick, and the horizon of histories."""
 
-    abstract: tuple[tuple[str, tuple[Any, ...]], ...]
-    concrete: tuple[tuple[str, tuple[Any, ...]], ...]
-    horizon: int = 1
+    _fields = ("abstract", "concrete", "horizon")
+
+    def __init__(self, abstract: tuple[tuple[str, tuple[Any, ...]], ...],
+                 concrete: tuple[tuple[str, tuple[Any, ...]], ...], horizon: int = 1):
+        self.abstract, self.concrete, self.horizon = abstract, concrete, horizon
 
 
-@dataclass(frozen=True)
-class GaloisSpec:
+class GaloisSpec(Record, frozen=True):
     """Element-wise abstraction map plus a concretization membership predicate.
 
     `f_map` gives, per abstract channel, an expression over concrete channel
@@ -48,13 +50,20 @@ class GaloisSpec:
     abstract values, tick by tick.
     """
 
-    name: str
-    f_map: tuple[tuple[str, Expr], ...]
-    member: Expr | None = None
-    universe: Universe | None = None
-    abstract_component: str | None = None
-    concrete_component: str | None = None
-    channel_types: Mapping[str, DataType] = field(default_factory=dict)
+    _fields = ("name", "f_map", "member", "universe", "abstract_component",
+               "concrete_component", "channel_types")
+
+    def __init__(self, name: str, f_map: tuple[tuple[str, Expr], ...], member: Expr | None = None,
+                 universe: Universe | None = None, abstract_component: str | None = None,
+                 concrete_component: str | None = None,
+                 channel_types: Mapping[str, DataType] = FRESH):
+        store(self, "name", name)
+        store(self, "f_map", f_map)
+        store(self, "member", member)
+        store(self, "universe", universe)
+        store(self, "abstract_component", abstract_component)
+        store(self, "concrete_component", concrete_component)
+        store(self, "channel_types", {} if channel_types is FRESH else channel_types)
 
     def f_entries_for(self, available: set[str]) -> list[tuple[str, Expr]]:
         """The map entries that read only the available channels and labels."""
@@ -68,18 +77,19 @@ class GaloisSpec:
         return entries
 
 
-@dataclass
-class ParamDecl:
+class ParamDecl(Record):
     """A typed concretizer parameter."""
 
-    name: str
-    dtype: DataType
+    _fields = ("name", "dtype")
+
+    def __init__(self, name: str, dtype: DataType):
+        self.name, self.dtype = name, dtype
 
 
-@dataclass
-class ConcretizerSpec:
+class ConcretizerSpec(Record):
     """A component (I_a + params -> I_c) realizing one concretization family member."""
 
-    name: str
-    component: ComponentSpec
-    params: tuple[ParamDecl, ...] = ()
+    _fields = ("name", "component", "params")
+
+    def __init__(self, name: str, component: ComponentSpec, params: tuple[ParamDecl, ...] = ()):
+        self.name, self.component, self.params = name, component, params

@@ -7,7 +7,6 @@ exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import exprs
@@ -18,36 +17,42 @@ from .declarations import ConcretizerSpec, GaloisSpec, ParamDecl, RelationSpec, 
 from .errors import Diagnostic, ModelFormatError, TypeMismatchError
 from .exprs import TRUE, Expr
 from .lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, Token, tokenize
+from .records import FRESH, Record
 from .streams import (BOOL, Channel, DataType, REAL as REAL_TYPE, bounded_int, enumeration,
                       literal_text)
 
 _TOP_KEYWORDS = ("type", "component", "relation", "galois", "concretizer", "refinement")
 
 
-@dataclass
-class RefinementSpec:
+class RefinementSpec(Record):
     """Named binding of an abstract/concrete pair with its relating artifacts."""
 
-    name: str
-    abstract: str | None = None
-    concrete: str | None = None
-    ri: str | None = None
-    ro: str | None = None
-    galois: str | None = None
-    concretizer: str | None = None
+    _fields = ("name", "abstract", "concrete", "ri", "ro", "galois", "concretizer")
+
+    def __init__(self, name: str, abstract: str | None = None, concrete: str | None = None,
+                 ri: str | None = None, ro: str | None = None, galois: str | None = None,
+                 concretizer: str | None = None):
+        self.name, self.abstract, self.concrete = name, abstract, concrete
+        self.ri, self.ro, self.galois, self.concretizer = ri, ro, galois, concretizer
 
 
-@dataclass
-class ModelDocument:
+class ModelDocument(Record):
     """The named types, components, relations, Galois connections,
     concretizers and refinements of one or more model files."""
 
-    types: dict[str, DataType] = field(default_factory=dict)
-    components: dict[str, ComponentSpec] = field(default_factory=dict)
-    relations: dict[str, RelationSpec] = field(default_factory=dict)
-    galois: dict[str, GaloisSpec] = field(default_factory=dict)
-    concretizers: dict[str, ConcretizerSpec] = field(default_factory=dict)
-    refinements: dict[str, RefinementSpec] = field(default_factory=dict)
+    _fields = ("types", "components", "relations", "galois", "concretizers", "refinements")
+
+    def __init__(self, types: dict[str, DataType] = FRESH,
+                 components: dict[str, ComponentSpec] = FRESH,
+                 relations: dict[str, RelationSpec] = FRESH, galois: dict[str, GaloisSpec] = FRESH,
+                 concretizers: dict[str, ConcretizerSpec] = FRESH,
+                 refinements: dict[str, RefinementSpec] = FRESH):
+        self.types = {} if types is FRESH else types
+        self.components = {} if components is FRESH else components
+        self.relations = {} if relations is FRESH else relations
+        self.galois = {} if galois is FRESH else galois
+        self.concretizers = {} if concretizers is FRESH else concretizers
+        self.refinements = {} if refinements is FRESH else refinements
 
     def merge(self, other: "ModelDocument") -> None:
         for attr in ("types", "components", "relations", "galois",
@@ -59,12 +64,13 @@ class ModelDocument:
             mine.update(theirs)
 
 
-@dataclass(repr=False)
-class ParseResult:
+class ParseResult(Record, repr=False):
     """A parsed document and its diagnostics; it loaded when there are none."""
 
-    document: ModelDocument
-    diagnostics: list[Diagnostic]
+    _fields = ("document", "diagnostics")
+
+    def __init__(self, document: ModelDocument, diagnostics: list[Diagnostic]):
+        self.document, self.diagnostics = document, diagnostics
 
     @property
     def ok(self) -> bool:

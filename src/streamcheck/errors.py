@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record
 
 
 class StreamcheckError(Exception):
@@ -64,13 +64,13 @@ class CapsExceededError(StreamcheckError):
         self.cap = cap
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(Record):
     """A located parse/validation message."""
 
-    line: int
-    column: int
-    message: str
+    _fields = ("line", "column", "message")
+
+    def __init__(self, line: int, column: int, message: str):
+        self.line, self.column, self.message = line, column, message
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: {self.message}"

@@ -8,52 +8,62 @@ the fixtures need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence, Union
 
 from .errors import EvaluationError
 from .lexing import EOF, IDENT, INT, REAL, Cursor, Token, tokenize
+from .records import Record, store
 
 Expr = Union["Lit", "Name", "Unary", "Binary", "Call"]
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record, frozen=True):
     """A literal value."""
 
-    value: Any
+    _fields = ("value",)
+
+    def __init__(self, value: Any):
+        store(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record, frozen=True):
     """A channel, variable or enumeration label, read by name."""
 
-    ident: str
+    _fields = ("ident",)
+
+    def __init__(self, ident: str):
+        store(self, "ident", ident)
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(Record, frozen=True):
     """`-operand` or `not operand`."""
 
-    op: str  # "-" | "not"
-    operand: Expr
+    _fields = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):
+        store(self, "op", op)
+        store(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Record, frozen=True):
     """`left op right`."""
 
-    op: str
-    left: Expr
-    right: Expr
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        store(self, "op", op)
+        store(self, "left", left)
+        store(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record, frozen=True):
     """A call of one of FUNCTIONS."""
 
-    func: str
-    args: tuple[Expr, ...]
+    _fields = ("func", "args")
+
+    def __init__(self, func: str, args: tuple[Expr, ...]):
+        store(self, "func", func)
+        store(self, "args", args)
 
 
 TRUE = Lit(True)

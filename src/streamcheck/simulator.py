@@ -12,6 +12,7 @@ types.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .codegen import NUMERIC, Code, CodeGen, NameResolver, slot, unpack
@@ -243,14 +244,14 @@ class _Compiler:
     def _slots(self) -> list[str]:
         return [n for a in self.atoms for n in a.names()]
 
-    def function(self, inputs: int, outputs: int) -> Callable:
-        """fn(slots, cases, columns): run each case, an iterable of rows of
-        input values, from the configuration `slots`, one tick per row,
-        appending outputs to columns. It returns a list of (index of the
+    def run_loop(self, inputs: int, outputs: int) -> list[str]:
+        """The body of fn(S, cases, cols): run each case, an iterable of rows
+        of input values, from the configuration `S`, one tick per row,
+        appending outputs to cols. It returns a list of (index of the
         case, SimulationError at its tick) for each case whose run raises;
         such a case appends no outputs, and its remaining rows are consumed,
         so that cases cut from one iterator of rows keep their rows. The
-        final state of the last case is left in slots."""
+        final state of the last case is left in S."""
         slots = self._slots()
         restore = [f"{', '.join(slots)}, = S"] if slots else []
         body = restore + [f"a{k} = cols[{k}].append" for k in range(outputs)]
@@ -262,7 +263,7 @@ class _Compiler:
             "    for _ in rows:", "        pass"])]
         if slots:
             body.append(f"S[:] = ({', '.join(slots)},)")
-        return self.gen.function("S, cases, cols", body + ["return failed"])
+        return body + ["return failed"]
 
     def successors(self, inputs: int, outputs: int) -> list[str]:
         """The body of succ(slots, rows, app): one tick from the configuration
@@ -298,11 +299,20 @@ class Simulator:
                         [o for o in a.outs if o in a.spec.output_init])
                        for a in compiler.atoms]
         self.initial_slots = tuple(v for a in compiler.atoms for v in a.initial())
-        self.fn = compiler.function(len(self.inputs), len(self.outputs))
-        # the successor function is compiled on first use: only the checks need it
-        self._gen: CodeGen | None = compiler.gen
+        # each function is compiled on first use: runs need only the run
+        # loop, the causality search and `step` only the successor function
+        self._gen = compiler.gen
+        self._run_body = compiler.run_loop(len(self.inputs), len(self.outputs))
         self._successor_body = compiler.successors(len(self.inputs), len(self.outputs))
-        self._successors: Callable | None = None
+
+    @cached_property
+    def fn(self) -> Callable:
+        """fn(slots, cases, columns): the run loop (see `_Compiler.run_loop`)."""
+        return self._gen.function("S, cases, cols", self._run_body)
+
+    @cached_property
+    def _successors(self) -> Callable:
+        return self._gen.function("S, rows, app", self._successor_body)
 
     def run(self, history: ChannelHistory, n: int) -> ChannelHistory:
         cols, ticks = [], max(n, 0)
@@ -351,12 +361,8 @@ class Simulator:
         that conform to their types: (outputs, next configuration) per row, in
         row order, up to the first row whose tick fails, and that failure's
         exception (None when no row fails)."""
-        fn = self._successors
-        if fn is None:
-            fn = self._successors = self._gen.function("S, rows, app", self._successor_body)
-            self._gen = self._successor_body = None
         results: list[tuple[tuple, tuple]] = []
-        return results, fn(slots, rows, results.append)
+        return results, self._successors(slots, rows, results.append)
 
     def _slots(self, st: ComponentState) -> list[Any]:
         """The slots of a configuration, which the compiled code can trust:
@@ -483,11 +489,12 @@ def run_tables(spec: ComponentSpec, tables: Sequence[Table], out: Sequence[list]
             j += 1
         try:
             sim = _simulator(spec, check_determinism)
+            fn = sim.fn
         except StreamcheckError as e:
             failed += [(i, e) for i in range(k, j)]
         else:
             cases = _rows(tables[k:j], sim.input_names)
-            failed += [(k + c, e) for c, e in sim.fn(list(sim.initial_slots), cases, out)]
+            failed += [(k + c, e) for c, e in fn(list(sim.initial_slots), cases, out)]
         k = j
     return failed
 

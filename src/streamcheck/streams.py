@@ -7,10 +7,10 @@ is all the downstream semantics ever inspect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import TickRangeError, TypeMismatchError
+from .records import Record, store
 
 BOOL_KIND = "bool"
 INT_KIND = "int"
@@ -18,25 +18,26 @@ REAL_KIND = "real"
 ENUM_KIND = "enum"
 
 
-@dataclass(frozen=True)
-class DataType:
+class DataType(Record, frozen=True):
     """One of: boolean, bounded integer, 64-bit real, enumeration."""
 
-    kind: str
-    lo: int | None = None
-    hi: int | None = None
-    labels: tuple[str, ...] = ()
+    _fields = ("kind", "lo", "hi", "labels")
 
-    def __post_init__(self):
-        if self.kind not in (BOOL_KIND, INT_KIND, REAL_KIND, ENUM_KIND):
-            raise TypeMismatchError(f"unknown type kind {self.kind!r}")
-        if self.kind == INT_KIND:
-            if self.lo is None or self.hi is None or self.lo > self.hi:
-                raise TypeMismatchError(f"bad integer bounds [{self.lo}..{self.hi}]")
-        if self.kind == ENUM_KIND:
-            if not self.labels:
+    def __init__(self, kind: str, lo: int | None = None, hi: int | None = None,
+                 labels: tuple[str, ...] = ()):
+        store(self, "kind", kind)
+        store(self, "lo", lo)
+        store(self, "hi", hi)
+        store(self, "labels", labels)
+        if kind not in (BOOL_KIND, INT_KIND, REAL_KIND, ENUM_KIND):
+            raise TypeMismatchError(f"unknown type kind {kind!r}")
+        if kind == INT_KIND:
+            if lo is None or hi is None or lo > hi:
+                raise TypeMismatchError(f"bad integer bounds [{lo}..{hi}]")
+        if kind == ENUM_KIND:
+            if not labels:
                 raise TypeMismatchError("enumeration needs at least one label")
-            if len(set(self.labels)) != len(self.labels):
+            if len(set(labels)) != len(labels):
                 raise TypeMismatchError("enumeration labels must be distinct")
 
     def contains(self, value: Any) -> bool:
@@ -93,16 +94,18 @@ def enum_labels(types: Iterable[DataType]) -> dict[str, str]:
     return {label: label for t in types if t.kind == ENUM_KIND for label in t.labels}
 
 
-@dataclass(frozen=True)
-class TimedStream:
+class TimedStream(Record, frozen=True):
     """A finite prefix of a timed stream: one typed message per tick."""
 
-    elem_type: DataType
-    values: tuple[Any, ...]
+    _fields = ("elem_type", "values")
 
     # Whether the values conform (see `conforms`), once known. Kept on the
     # instance, not as a field, so it takes no part in equality.
     _conforms = None
+
+    def __init__(self, elem_type: DataType, values: tuple[Any, ...]):
+        store(self, "elem_type", elem_type)
+        store(self, "values", values)
 
     @classmethod
     def of(cls, elem_type: DataType, values: Iterable[Any]) -> "TimedStream":
@@ -113,7 +116,7 @@ class TimedStream:
     def conforming(cls, elem_type: DataType, values: tuple[Any, ...]) -> "TimedStream":
         """A stream of values that its maker knows to conform, recorded as such."""
         stream = cls(elem_type, values)
-        object.__setattr__(stream, "_conforms", True)
+        store(stream, "_conforms", True)
         return stream
 
     def conforms(self) -> bool:
@@ -122,7 +125,7 @@ class TimedStream:
         known = self._conforms
         if known is None:
             known = _all_conform(self.elem_type, self.values)
-            object.__setattr__(self, "_conforms", known)
+            store(self, "_conforms", known)
         return known
 
     @property
@@ -156,42 +159,44 @@ def _all_conform(dtype: DataType, values: Sequence[Any]) -> bool:
     return types <= {str} and set(values).issubset(dtype.labels)
 
 
-@dataclass(frozen=True)
-class Channel:
-    """A typed, directed channel."""
+class Channel(Record, frozen=True):
+    """A typed, directed channel; `direction` is "input" or "output"."""
 
-    name: str
-    ctype: DataType
-    direction: str = "input"  # "input" | "output"
+    _fields = ("name", "ctype", "direction")
+
+    def __init__(self, name: str, ctype: DataType, direction: str = "input"):
+        store(self, "name", name)
+        store(self, "ctype", ctype)
+        store(self, "direction", direction)
 
 
-@dataclass(repr=False)
-class Violation:
+class Violation(Record, repr=False):
     """A channel whose stream does not conform, and why."""
 
-    channel: str
-    cause: str
+    _fields = ("channel", "cause")
+
+    def __init__(self, channel: str, cause: str):
+        self.channel, self.cause = channel, cause
 
     def __str__(self) -> str:
         return f"{self.channel}: {self.cause}"
 
 
-@dataclass
-class ChannelHistory:
+class ChannelHistory(Record):
     """An assignment of equally long timed streams to channel names."""
 
-    streams: Mapping[str, TimedStream]
-    horizon: int = field(default=-1)
+    _fields = ("streams", "horizon")
 
-    def __post_init__(self):
-        horizons = {s.horizon for s in self.streams.values()}
+    def __init__(self, streams: Mapping[str, TimedStream], horizon: int = -1):
+        self.streams, self.horizon = streams, horizon
+        horizons = {s.horizon for s in streams.values()}
         if len(horizons) > 1:
             raise TypeMismatchError(f"streams disagree on horizon: {sorted(horizons)}")
         n = horizons.pop() if horizons else 0
-        if self.horizon == -1:
-            object.__setattr__(self, "horizon", n)
-        elif self.streams and self.horizon != n:
-            raise TypeMismatchError(f"declared horizon {self.horizon} != stream horizon {n}")
+        if horizon == -1:
+            self.horizon = n
+        elif streams and horizon != n:
+            raise TypeMismatchError(f"declared horizon {horizon} != stream horizon {n}")
 
     def at(self, channel: str, t: int) -> Any:
         return self.streams[channel].at(t)

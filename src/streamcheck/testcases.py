@@ -12,12 +12,12 @@ that `run` makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter, eq
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .components import ComponentSpec
 from .errors import StreamcheckError
+from .records import FRESH, Record, store
 from .simulator import run_tables
 from .streams import ChannelHistory, REAL_KIND, Table, TimedStream
 
@@ -29,24 +29,27 @@ ERROR = "error"
 TestInput = ChannelHistory
 
 
-@dataclass
-class ExpectedResult:
+class ExpectedResult(Record):
     """One or more complete output histories; matching any group passes."""
 
-    groups: tuple[ChannelHistory, ...]
+    _fields = ("groups",)
+
+    def __init__(self, groups: tuple[ChannelHistory, ...]):
+        self.groups = groups
 
 
-@dataclass
-class TestCase:
+class TestCase(Record):
     """A test case as histories: its input, its expected output groups
     and its parameter streams."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
-    name: str
-    input: TestInput
-    expected: ExpectedResult
-    params: Mapping[str, TimedStream] = field(default_factory=dict)
+    _fields = ("name", "input", "expected", "params")
+
+    def __init__(self, name: str, input: TestInput, expected: ExpectedResult,
+                 params: Mapping[str, TimedStream] = FRESH):
+        self.name, self.input, self.expected = name, input, expected
+        self.params = {} if params is FRESH else params
 
     @property
     def horizon(self) -> int:
@@ -79,29 +82,32 @@ class VectorCase(NamedTuple):
                         ExpectedResult(tuple(g.history() for g in self.expected)), params)
 
 
-@dataclass
-class Divergence:
+class Divergence(Record):
     """The first tick and channel at which an output differs from the
     expected one."""
 
-    tick: int
-    channel: str
-    expected: Any
-    actual: Any
+    _fields = ("tick", "channel", "expected", "actual")
+
+    def __init__(self, tick: int, channel: str, expected: Any, actual: Any):
+        self.tick, self.channel, self.expected, self.actual = tick, channel, expected, actual
 
     def __str__(self) -> str:
         return (f"tick {self.tick}, channel {self.channel}: "
                 f"expected {self.expected!r}, got {self.actual!r}")
 
 
-@dataclass(frozen=True, repr=False)
-class Verdict:
-    """A case's status. A failure carries its first divergence and an error,
-    in `log`, what went wrong; a pass for want of expected groups says so."""
+class Verdict(Record, frozen=True, repr=False):
+    """A case's status: pass, fail or error. A failure carries its first
+    divergence and an error, in `log`, what went wrong; a pass for want of
+    expected groups says so."""
 
-    status: str  # pass | fail | error
-    first_divergence: Optional[Divergence] = None
-    log: tuple[str, ...] = ()
+    _fields = ("status", "first_divergence", "log")
+
+    def __init__(self, status: str, first_divergence: Optional[Divergence] = None,
+                 log: tuple[str, ...] = ()):
+        store(self, "status", status)
+        store(self, "first_divergence", first_divergence)
+        store(self, "log", log)
 
 
 _PASSED = Verdict(PASS)
@@ -207,19 +213,22 @@ def execute_test(spec: ComponentSpec, tc: TestCase, eps: float = 0.0,
                            for c, col in zip(spec.interface.outputs, columns)}, tc.horizon), verdict
 
 
-@dataclass(repr=False)
-class SuiteEntry:
+class SuiteEntry(Record, repr=False):
     """One case's verdict in a suite report."""
 
-    case: str
-    verdict: Verdict
+    _fields = ("case", "verdict")
+
+    def __init__(self, case: str, verdict: Verdict):
+        self.case, self.verdict = case, verdict
 
 
-@dataclass(repr=False)
-class SuiteReport:
+class SuiteReport(Record, repr=False):
     """The verdicts of a suite's cases, in order."""
 
-    entries: tuple[SuiteEntry, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[SuiteEntry, ...]):
+        self.entries = entries
 
     @property
     def passed(self) -> int:

@@ -11,7 +11,6 @@ value of small input types may find a witness.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +25,7 @@ from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, 
 from streamcheck.declarations import GaloisSpec, Universe
 from streamcheck.errors import SimulationError, StreamcheckError
 from streamcheck.exprs import parse_expression
-from streamcheck.streams import BOOL, bounded_int
+from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
 
 
 def _galois(rng, a_values, c_values, horizon):
@@ -57,7 +56,10 @@ def test_pointwise_galois_matches_the_subset_loop(a_values, c_values, horizon, s
     assert stats["pairs"] == (len(a_values) * len(c_values) if horizon else 1)
     assert (got is None) == (verify_galois_by_masks(gal) is None)
     if got is not None:
-        one_tick = replace(gal, universe=replace(gal.universe, horizon=min(horizon, 1)))
+        u = gal.universe
+        one_tick = GaloisSpec(gal.name, gal.f_map, gal.member,
+                              Universe(u.abstract, u.concrete, min(horizon, 1)),
+                              gal.abstract_component, gal.concrete_component, gal.channel_types)
         expected = verify_galois_by_masks(one_tick)
         assert (got.concrete_set, got.abstract_set, got.lhs, got.rhs, got.horizon) == \
             (expected.concrete_set, expected.abstract_set, expected.lhs, expected.rhs, horizon)
@@ -240,6 +242,17 @@ def test_brute_force_finds_the_dependence_the_grid_misses():
     assert causality_by_histories(spec, 3, "strict") is None
     tick, rows_a, rows_b = causality_by_brute_force(spec, horizon=2, limit=10)
     assert tick == 0 and {rows_a[0], rows_b[0]} == {(0,), (5,)}
+
+
+def test_the_search_leaves_the_run_loop_uncompiled():
+    # the search steps configurations with the successor function only; the
+    # first run compiles the run loop
+    spec = _equals_five()
+    assert check_causality(spec, mode="strict") is None
+    sim = spec.__dict__["_simulators"][False]
+    assert "_successors" in sim.__dict__ and "fn" not in sim.__dict__
+    out = run(spec, ChannelHistory({"x": TimedStream.of(bounded_int(0, 9), [5, 4])}))
+    assert out.streams["y"].values == (True, False) and "fn" in sim.__dict__
 
 
 def _divergent_then_failing(en_output):

@@ -10,14 +10,14 @@ that may never be evaluated. Results are compared by `repr`, which tells
 """
 
 import random
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_oracles as oracle
 from docgen import DocGen
-from streamcheck.abstraction import abstract_output, eval_relation, g_membership, verify_galois
+from streamcheck.abstraction import (GaloisCounterexample, abstract_output, eval_relation,
+                                     g_membership, verify_galois)
 from streamcheck.codegen import membership_matrix
 from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
 from streamcheck.errors import StreamcheckError
@@ -188,8 +188,13 @@ def test_verify_galois_matches_pairwise_decision(seed, horizon):
         return outcome if isinstance(outcome, tuple) else outcome == "None"
     assert verdict(got) == verdict(expected)
     if verdict(got) is False:
-        one_tick = replace(gal, universe=replace(universe, horizon=min(horizon, 1)))
-        assert got == _outcome(lambda: replace(oracle.verify_galois(one_tick), horizon=horizon))
+        one_tick = GaloisSpec("G", f_map, member,
+                              Universe(universe.abstract, universe.concrete, min(horizon, 1)),
+                              channel_types=channel_types)
+
+        def held(ce):  # the one-tick counterexample, each value held for the horizon
+            return GaloisCounterexample(ce.concrete_set, ce.abstract_set, ce.lhs, ce.rhs, horizon)
+        assert got == _outcome(lambda: held(oracle.verify_galois(one_tick)))
 
 
 def test_a_channel_shadows_a_label_of_the_same_name():

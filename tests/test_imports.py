@@ -1,8 +1,9 @@
 """Every name a module of the package imports is read somewhere in it, and
 every function, class and method it defines is read somewhere in the
-package, the benchmark or the tests. Every record class has a docstring.
-The package exports a fixed set of names, and importing it, or loading a
-model through it, imports only what that needs."""
+package, the benchmark or the tests. Every record class has a docstring,
+and no module imports `dataclasses`. The package exports a fixed set of
+names, and importing it, or loading a model through it, imports only what
+that needs."""
 
 import ast
 import os
@@ -69,20 +70,25 @@ def test_every_definition_is_read():
     assert not unread, f"defined and never read: {unread}"
 
 
-def _is_dataclass_decorator(node: ast.expr) -> bool:
-    target = node.func if isinstance(node, ast.Call) else node
-    return isinstance(target, ast.Name) and target.id == "dataclass"
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_record_class_has_a_docstring(path):
-    """For a class without a docstring, `dataclasses` makes one from
-    `inspect.signature` of the class, which every import pays for."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bare = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-            and any(map(_is_dataclass_decorator, node.decorator_list))
+            and any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)
             and ast.get_docstring(node) is None]
     assert not bare, f"{path.name}: record classes without a docstring: {bare}"
+
+
+def test_no_module_imports_dataclasses():
+    """The records are plain classes over `records.Record`. A dataclass
+    costs an `exec` per method it generates, and importing `dataclasses`
+    imports `inspect`, at every start."""
+    importers = [path.name for path in PACKAGE.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                 or isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "dataclasses" for a in node.names)]
+    assert not importers, f"modules that import dataclasses: {importers}"
 
 
 # the names the package exported when it imported every submodule eagerly
@@ -133,12 +139,16 @@ def test_star_import_binds_every_exported_name():
 
 def test_loading_a_model_imports_only_what_loading_needs():
     """Neither importing the package nor loading a model imports the checks,
-    the vector reader, the test runner, the CLI, the code generator or the
-    simulator."""
-    code = ("import sys, streamcheck\n"
+    the vector reader, the test runner, the CLI, the code generator, the
+    simulator, `dataclasses` or `inspect`."""
+    # what the interpreter imported before streamcheck (a site hook may
+    # import `inspect`, say) is left out of what loading imports
+    code = ("import sys\n"
+            "started = set(sys.modules)\n"
+            "import streamcheck\n"
             "print(*sorted(m for m in sys.modules if m.startswith('streamcheck.')))\n"
             "streamcheck.load_models(['fixtures/acc.scm.txt', 'fixtures/encoder.scm.txt'])\n"
-            "print(*sorted(sys.modules))\n")
+            "print(*sorted(set(sys.modules) - started))\n")
     package_dir = str(Path(streamcheck.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [package_dir, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -149,4 +159,4 @@ def test_loading_a_model_imports_only_what_loading_needs():
     assert {"streamcheck.dsl", "streamcheck.declarations"} <= after_load
     assert not after_load & {"streamcheck.abstraction", "streamcheck.vectors",
                              "streamcheck.testcases", "streamcheck.cli", "streamcheck.codegen",
-                             "streamcheck.simulator", "difflib"}
+                             "streamcheck.simulator", "difflib", "dataclasses", "inspect"}
