@@ -16,17 +16,19 @@ _EXPORTS = {
                     "check_finv_in_g", "concretize", "eval_relation", "fold_stream",
                     "g_membership", "verify_galois"),
     "components": ("AutomatonSpec", "CompositeSpec", "Connector", "Endpoint",
-                   "SyntacticInterface", "Transition", "VariableDecl", "check_causality",
-                   "compose_check", "initial_state", "run", "step", "validate_automaton"),
+                   "SyntacticInterface", "Transition", "VariableDecl", "compose_check",
+                   "validate_automaton"),
     "declarations": ("ConcretizerSpec", "GaloisSpec", "ParamDecl", "RelationSpec", "Universe"),
     "dsl": ("ModelDocument", "ParseResult", "RefinementSpec", "load_model", "load_models",
-            "parse_model", "serialize_model"),
+            "parse_model"),
     "errors": ("CapsExceededError", "Diagnostic", "EvaluationError", "ModelFormatError",
                "SimulationError", "StreamcheckError", "StuckStateError", "TickRangeError",
                "TypeMismatchError", "UnboundParameterError"),
     "exprs": ("parse_expression",),
-    "streams": ("BOOL", "Channel", "ChannelHistory", "DataType", "REAL", "TimedStream",
-                "Violation", "bounded_int", "enumeration", "validate_history"),
+    "histories": ("ChannelHistory", "TimedStream", "Violation", "validate_history"),
+    "serialize": ("serialize_model",),
+    "simulator": ("check_causality", "initial_state", "run", "step"),
+    "streams": ("BOOL", "Channel", "DataType", "REAL", "bounded_int", "enumeration"),
     "testcases": ("ExpectedResult", "SuiteReport", "TestCase", "Verdict", "compare_histories",
                   "execute_test", "suite_run"),
     "vectors": ("parse_testcases", "serialize_testcases"),

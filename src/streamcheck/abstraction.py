@@ -22,13 +22,13 @@ import math
 import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .components import ComponentSpec, run
+from .components import ComponentSpec
 from .errors import (CapsExceededError, EvaluationError, SimulationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
+from .histories import Block, ChannelHistory, Table, TimedStream, validate_history
 from .records import Record
-from .simulator import run_tables, table_runs
-from .streams import (BOOL, REAL, Block, ChannelHistory, DataType, Table, TimedStream,
-                      bounded_int, validate_history)
+from .simulator import run, run_tables, table_runs
+from .streams import BOOL, REAL, DataType, bounded_int
 
 if TYPE_CHECKING:
     from .declarations import ConcretizerSpec, GaloisSpec, RelationSpec, Universe

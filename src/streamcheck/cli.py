@@ -18,10 +18,10 @@ from typing import Any, Callable
 from . import __version__
 from .abstraction import (DEFAULT_UNIVERSE_CAP, concretize_cases, correspond, ri_violated,
                           verify_galois)
-from .components import (DEFAULT_CAUSALITY_BUDGET, DEFAULT_CAUSALITY_HORIZON, check_causality,
-                         run)
 from .dsl import ModelDocument, load_model
 from .errors import CapsExceededError, ModelFormatError, SimulationError, StreamcheckError
+from .simulator import (DEFAULT_CAUSALITY_BUDGET, DEFAULT_CAUSALITY_HORIZON, check_causality,
+                        run)
 from .testcases import PASS, VectorCase, judge_suite
 from .vectors import VectorFormatError, _parse_cell, read_vectors, write_vectors
 

@@ -32,8 +32,8 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from .errors import EvaluationError
 from .exprs import (Binary, Expr, FUNCTIONS, Lit, Name, Unary, _CMP_OPS, _apply, _binop,
                     _bool, _floor, _num)
-from .streams import (BOOL_KIND, ChannelHistory, DataType, INT_KIND, REAL_KIND,
-                      enum_labels)
+from .histories import ChannelHistory
+from .streams import BOOL_KIND, DataType, INT_KIND, REAL_KIND, enum_labels
 
 NUMERIC = ("int", "real", "num")
 UNBOUNDED = (-math.inf, math.inf)

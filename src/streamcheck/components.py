@@ -1,4 +1,4 @@
-"""Deterministic stream-processing components and their simulator.
+"""Deterministic stream-processing components: their specs and structural checks.
 
 Atomic components are finite automata evaluated element-wise: one transition
 fires per tick (the first enabled one in declaration order), unassigned
@@ -7,20 +7,21 @@ delay (tick 1 emits the declared initial outputs). Composite components are
 wiring networks over subcomponents. Each composite's network of atomic
 instances, with its wiring resolved and its weak atoms scheduled, is built
 once from its subcomponents' networks; the structural check, the simulator
-and the causality check all read it. Strict causality is proved from the
-network's wiring when no output reads an input of the same tick, and
-searched for over the reachable configurations otherwise.
+and the causality check all read it.
+
+This module holds what a model load runs. Running a component and checking
+its causality (`run`, `step`, `check_causality` and the rest) are in
+`simulator`, which a load does not import.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Container, Mapping, Optional, Union
 
-from .errors import CapsExceededError, SimulationError, StreamcheckError, TypeMismatchError
+from .errors import SimulationError, StreamcheckError, TypeMismatchError
 from .exprs import TRUE, Expr, free_names
 from .records import FRESH, Record, store
-from .streams import Channel, ChannelHistory, DataType, TimedStream, enum_labels, validate_history
+from .streams import Channel, DataType, enum_labels
 
 STRICT = "strict"
 WEAK = "weak"
@@ -201,33 +202,6 @@ def validate_automaton(spec: AutomatonSpec) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Runtime state
-
-
-class AutomatonState(Record):
-    """An atom's configuration: its control state, its variables and the
-    outputs it computed at the previous tick."""
-
-    _fields = ("state", "variables", "pending")
-
-    def __init__(self, state: str, variables: tuple[tuple[str, Any], ...],
-                 pending: tuple[tuple[str, Any], ...]):
-        self.state, self.variables, self.pending = state, variables, pending
-
-
-class CompositeState(Record):
-    """A composite's configuration: the state of each atom, by path."""
-
-    _fields = ("substates",)
-
-    def __init__(self, substates: tuple[tuple[str, AutomatonState], ...]):
-        self.substates = substates
-
-
-ComponentState = Union[AutomatonState, CompositeState]
-
-
-# ---------------------------------------------------------------------------
 # Networks
 
 
@@ -353,55 +327,6 @@ def _join(name: str, path: str) -> str:
     return f"{name}/{path}" if path else name
 
 
-def _simulator(spec: ComponentSpec, check_determinism: bool = False):
-    """The spec's `simulator.Simulator`, compiled on first use and kept on the spec.
-
-    Only a well-formed spec compiles (see `_require_well_formed`). The
-    simulator refers to no spec, so a spec and its simulator form no
-    reference cycle and go away together.
-    """
-    check_determinism = bool(check_determinism)
-    cache = spec.__dict__.setdefault("_simulators", {})
-    sim = cache.get(check_determinism)
-    if sim is None:
-        _require_well_formed(spec)
-        from .simulator import Simulator
-        sim = cache[check_determinism] = Simulator(spec, check_determinism)
-    return sim
-
-
-def initial_state(spec: ComponentSpec) -> ComponentState:
-    """The configuration before the first tick.
-
-    Like every state `step` returns, it lists variables and latched outputs
-    in declaration order and a composite's atoms in flattening order.
-    """
-    return _simulator(spec).initial()
-
-
-def step(spec: ComponentSpec, st: ComponentState, inputs: Mapping[str, Any],
-         check_determinism: bool = False) -> tuple[ComponentState, dict[str, Any]]:
-    """Advance one tick: consume one message per input, emit one per output."""
-    return _simulator(spec, check_determinism).step(st, inputs)
-
-
-def run(spec: ComponentSpec, input_history: ChannelHistory, n: int | None = None,
-        check_determinism: bool = False) -> ChannelHistory:
-    """Run `n` ticks (default: the input horizon) from the initial state.
-
-    Any error during a tick, a StreamcheckError or not, is raised as a
-    SimulationError that carries the tick.
-    """
-    if n is None:
-        n = input_history.horizon
-    violations = validate_history(input_history, list(spec.interface.inputs))
-    if violations:
-        raise SimulationError("invalid input history: " + "; ".join(map(str, violations)))
-    if input_history.horizon < n:
-        raise SimulationError(f"input horizon {input_history.horizon} < requested ticks {n}")
-    return _simulator(spec, check_determinism).run(input_history, n)
-
-
 # ---------------------------------------------------------------------------
 # Structural checks
 
@@ -468,19 +393,6 @@ def spec_problems(spec: ComponentSpec) -> tuple[str, ...]:
     return found
 
 
-def _require_well_formed(spec: ComponentSpec, sub: bool = False) -> None:
-    """Raise SimulationError, with no tick, unless the spec and every
-    subcomponent in its tree have no problems. The first ill-formed one,
-    subcomponents before the composite that holds them, is reported with
-    its problems, a subcomponent under its name."""
-    if isinstance(spec, CompositeSpec):
-        for _, child in spec.subcomponents:
-            _require_well_formed(child, True)
-    found = spec_problems(spec)
-    if found:
-        raise SimulationError((f"component {spec.name!r}: " if sub else "") + "; ".join(found))
-
-
 def _zero_delay_cycle(net: Network) -> list[str]:
     """The wires of a zero-delay cycle among the weak atoms, or [].
 
@@ -506,178 +418,11 @@ def _zero_delay_cycle(net: Network) -> list[str]:
     return back[::-1]
 
 
-def same_tick_dependence(spec: ComponentSpec) -> list[tuple[str, str]]:
-    """The (input, output) pairs of the spec's boundary channels, sorted,
-    where the output at a tick may read the input of that same tick.
-
-    A strict atom emits what it latched, so it cuts every path. An output
-    of a weak atom reads the inputs that any guard reads, since the guards
-    choose the transition and an unassigned output latches, and those that
-    its own assignments read. Every assignment is evaluated in the pre-step
-    state, so a variable or an output named in one holds last tick's value
-    and adds nothing. The weak atoms are composed in firing order along the
-    network's wires. An empty result proves strict causality for every
-    input and every horizon. The spec must be well-formed.
-    """
-    net = _network(spec)
-    atoms = dict(net.atoms)
-    # producer -> the boundary inputs it passes on in the same tick; a strict
-    # atom's output has none and is left out
-    behind: dict[tuple[str | None, str], set[str]] = {
-        (None, c.name): {c.name} for c in spec.interface.inputs}
-    for path in net.weak:
-        atom = atoms[path]
-        reads = {c.name: behind.get(net.src.get((path, c.name)), set())
-                 for c in atom.interface.inputs}
-        guarded = set().union(*(free_names(t.guard) for t in atom.transitions))
-        assigned: dict[str, set[str]] = {c.name: set(guarded) for c in atom.interface.outputs}
-        for t in atom.transitions:
-            for o, e in t.outputs:
-                assigned[o] |= free_names(e)
-        for o, names in assigned.items():
-            behind[(path, o)] = set().union(*(reads[n] for n in names if n in reads))
-    return sorted((i, o) for o, producer in net.out_src.items() for i in behind.get(producer, ()))
-
-
-# ---------------------------------------------------------------------------
-# Causality checking
-
-
-class CausalityCounterexample(Record):
-    """Two input histories that agree through `tick` and lead to
-    different outputs within the checked prefix."""
-
-    _fields = ("tick", "input_a", "input_b", "output_a", "output_b")
-
-    def __init__(self, tick: int, input_a: ChannelHistory, input_b: ChannelHistory,
-                 output_a: ChannelHistory, output_b: ChannelHistory):
-        self.tick, self.input_a, self.input_b = tick, input_a, input_b
-        self.output_a, self.output_b = output_a, output_b
-
-    def __str__(self) -> str:
-        return (f"inputs agree through tick {self.tick} but outputs diverge "
-                f"within the checked prefix")
-
-
-def representative_values(dtype: DataType) -> list[Any]:
-    """Two values of a data type (one when it has one), for causality search."""
-    if dtype.kind == "bool":
-        return [False, True]
-    if dtype.kind == "int":
-        return [dtype.lo] if dtype.lo == dtype.hi else [dtype.lo, dtype.hi]
-    if dtype.kind == "enum":
-        return list(dtype.labels[:2])
-    return [0.0, 1.0]
-
-
-DEFAULT_CAUSALITY_BUDGET = 4096
-DEFAULT_CAUSALITY_HORIZON = 3
-
-
-def check_causality(spec: ComponentSpec, budget: int = DEFAULT_CAUSALITY_BUDGET,
-                    horizon: int = DEFAULT_CAUSALITY_HORIZON, mode: str | None = None, *,
-                    stats: dict | None = None) -> Optional[CausalityCounterexample]:
-    """Decide the declared (or given) causality mode; returns None when it
-    holds, for every input when proved and otherwise within `horizon` ticks
-    of the per-channel value grid.
-
-    A component is a deterministic Mealy machine: its output at tick t+1
-    depends only on its configuration after t ticks and on input t+1.
-    Weak mode lets outputs depend on inputs of the same tick, which a
-    deterministic step function always satisfies, so it returns None at once.
-    Strict mode is first decided from the wiring: when no output may read a
-    same-tick input (`same_tick_dependence` is empty), strict causality
-    holds for every input and every horizon, and nothing is compiled or
-    stepped. Otherwise strict causality fails within the horizon exactly
-    when some configuration reachable in t <= horizon-1 ticks of grid inputs
-    emits different outputs for two grid input rows; the counterexample's
-    `tick` is the smallest such t. The search is breadth-first over distinct
-    configurations, so it costs (reachable configurations x grid rows)
-    steps, not every grid history; one call of the compiled successor
-    function steps a configuration on every grid row.
-
-    Only the search has a `budget`, which caps the number of distinct
-    configurations explored (exceeding it raises CapsExceededError), and
-    only the search steps the component, so only it raises SimulationError,
-    with the tick of the failing step. When `stats` is given,
-    stats["configurations"] is set to the distinct configurations reached
-    (the start included) and stats["steps"] to the steps taken. A strict
-    verdict of None also sets stats["proved"]: True for a proof, False when
-    the search found no witness, and then stats["dependent"] lists the
-    dependent (input, output) pairs.
-    """
-    if mode is None:
-        mode = spec.causality if isinstance(spec, AutomatonSpec) else STRICT
-    stats = {} if stats is None else stats
-    stats.update(configurations=0, steps=0)
-    _require_well_formed(spec)
-    if mode != STRICT:
-        return None
-    dependent = same_tick_dependence(spec)
-    if not dependent:
-        stats["proved"] = True
-        return None
-    channels = spec.interface.inputs
-    rows = list(itertools.product(*(
-        [c.ctype.check(v) for v in representative_values(c.ctype)]
-        for c in channels)))
-    sim = _simulator(spec)
-    start = sim.initial_slots
-    # configuration -> (parent configuration, input row); None for the start
-    parents: dict[tuple, Optional[tuple[tuple, tuple]]] = {start: None}
-    stats["configurations"] = 1
-    level = [start]
-    for t in range(horizon):
-        if not level:  # no configuration is left to step
-            break
-        following = []
-        expand = t + 1 < horizon
-        for config in level:
-            # the rows are judged in order, so a failing step counts only
-            # when no earlier row gives a counterexample or overflows the budget
-            results, error = sim.successors(config, rows)
-            first = results[0][0] if results else None
-            for k, (out, nxt) in enumerate(results):
-                if out != first:
-                    stats["steps"] += k + 1
-                    return _counterexample(spec, parents, config, rows[0], rows[k], rows[0],
-                                           t, horizon)
-                if expand and nxt not in parents:
-                    if len(parents) >= budget:
-                        stats["steps"] += k + 1
-                        raise CapsExceededError(
-                            f"causality search of {spec.name!r} reaches more than "
-                            f"{budget} configurations", len(parents) + 1, budget)
-                    parents[nxt] = (config, rows[k])
-                    stats["configurations"] = len(parents)
-                    following.append(nxt)
-            stats["steps"] += len(results)
-            if error is not None:
-                from .simulator import at_tick
-                raise at_tick(error, t + 1)
-        level = following
-    stats.update(proved=False, dependent=dependent)
-    return None
-
-
-def _counterexample(spec: ComponentSpec, parents: Mapping[tuple, Optional[tuple[tuple, tuple]]],
-                    config: tuple, row_a: tuple, row_b: tuple, pad: tuple, tick: int,
-                    horizon: int) -> CausalityCounterexample:
-    """Two grid histories that reach `config` by the same prefix, then read
-    row_a and row_b, then `pad` until the horizon."""
-    prefix = []
-    while parents[config] is not None:
-        config, row = parents[config]
-        prefix.append(row)
-    prefix.reverse()
-    suffix = [pad] * (horizon - tick - 1)
-    channels = spec.interface.inputs
-
-    def history(rows: list[tuple]) -> ChannelHistory:
-        return ChannelHistory({c.name: TimedStream.of(c.ctype, [row[k] for row in rows])
-                               for k, c in enumerate(channels)}, horizon)
-
-    input_a = history(prefix + [row_a] + suffix)
-    input_b = history(prefix + [row_b] + suffix)
-    return CausalityCounterexample(tick, input_a, input_b, run(spec, input_a, horizon),
-                                   run(spec, input_b, horizon))
+def __getattr__(name: str):
+    """`run` and `check_causality` as the very objects of `simulator`,
+    imported on the first read of either name, not by a model load. The
+    benchmark's tracer (`bench/spans.py`) still looks both up here."""
+    if name in ("run", "check_causality"):
+        from . import simulator
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,8 @@
-"""Parser and serializer for the `.scm.txt` stream-component model DSL.
+"""Parser for the `.scm.txt` stream-component model DSL.
 
 The grammar is documented in docs/grammar.md. The parser is total: any byte
 input yields a (possibly partial) document plus located diagnostics, never an
-exception.
+exception. The writer is `serialize.serialize_model`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from .errors import Diagnostic, ModelFormatError, TypeMismatchError
 from .exprs import TRUE, Expr
 from .lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, Token, tokenize
 from .records import FRESH, Record
-from .streams import (BOOL, Channel, DataType, REAL as REAL_TYPE, bounded_int, enumeration,
-                      literal_text)
+from .streams import BOOL, Channel, DataType, REAL as REAL_TYPE, bounded_int, enumeration
 
 _TOP_KEYWORDS = ("type", "component", "relation", "galois", "concretizer", "refinement")
 
@@ -666,113 +665,3 @@ _ITEMS: dict[str, dict[str, Callable]] = {
     },
     "refinement": dict.fromkeys(_REFERENCES, _Parser.reference_decl),
 }
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _serialize_automaton(spec: AutomatonSpec, out: list[str]) -> None:
-    mods = ""
-    if spec.causality == "weak":
-        mods += " weak"
-    if spec.total:
-        mods += " total"
-    out.append(f"component {spec.name}{mods} {{")
-    for ch in spec.interface.inputs:
-        out.append(f"  input {ch.name} : {ch.ctype.to_text()}")
-    for ch in spec.interface.outputs:
-        init = spec.output_init.get(ch.name)
-        suffix = f" init {literal_text(init)}" if ch.name in spec.output_init else ""
-        out.append(f"  output {ch.name} : {ch.ctype.to_text()}{suffix}")
-    for v in spec.variables:
-        out.append(f"  var {v.name} : {v.dtype.to_text()} = {literal_text(v.init)}")
-    out.append("  states " + ", ".join(
-        s + (" init" if s == spec.initial else "") for s in spec.states))
-    for t in spec.transitions:
-        head = f"  transition {t.label + ': ' if t.label else ''}{t.source} -> {t.target}"
-        if t.guard != TRUE:
-            head += f" when {exprs.to_text(t.guard)}"
-        assigns = [f"{n} := {exprs.to_text(e)}" for n, e in tuple(t.outputs) + tuple(t.updates)]
-        if assigns:
-            head += " { " + "; ".join(assigns) + " }"
-        out.append(head)
-    out.append("}")
-
-
-def _serialize_composite(spec: CompositeSpec, out: list[str]) -> None:
-    out.append(f"component {spec.name} {{")
-    for ch in spec.interface.inputs:
-        out.append(f"  input {ch.name} : {ch.ctype.to_text()}")
-    for ch in spec.interface.outputs:
-        out.append(f"  output {ch.name} : {ch.ctype.to_text()}")
-    for name, sub in spec.subcomponents:
-        out.append(f"  sub {name} : {sub.name}")
-    for conn in spec.wiring:
-        out.append(f"  connect {conn.producer} -> {conn.consumer}")
-    out.append("}")
-
-
-def serialize_model(doc: ModelDocument) -> str:
-    """Render a document so that parse(serialize(doc)) is structurally doc."""
-    out: list[str] = []
-    for name, dtype in doc.types.items():
-        out.append(f"type {name} = {dtype.to_text()}")
-    emitted: set[int] = set()
-
-    def emit_component(spec: ComponentSpec) -> None:
-        if id(spec) in emitted:
-            return
-        if isinstance(spec, CompositeSpec):
-            for _, sub in spec.subcomponents:
-                emit_component(sub)
-        emitted.add(id(spec))
-        if out:
-            out.append("")
-        if isinstance(spec, AutomatonSpec):
-            _serialize_automaton(spec, out)
-        else:
-            _serialize_composite(spec, out)
-
-    for spec in doc.components.values():
-        emit_component(spec)
-    for rel in doc.relations.values():
-        out.append("")
-        if rel.expr is not None:
-            out.append(f"relation {rel.name} {rel.side} when {exprs.to_text(rel.expr)}")
-        else:
-            out.append(f"relation {rel.name} {rel.side} checker {rel.checker.name}")
-    for gal in doc.galois.values():
-        out.append("")
-        out.append(f"galois {gal.name} {{")
-        if gal.abstract_component:
-            out.append(f"  abstract {gal.abstract_component}")
-        if gal.concrete_component:
-            out.append(f"  concrete {gal.concrete_component}")
-        for chan, e in gal.f_map:
-            out.append(f"  map {chan} := {exprs.to_text(e)}")
-        if gal.member is not None:
-            out.append(f"  member {exprs.to_text(gal.member)}")
-        if gal.universe is not None:
-            out.append("  universe {")
-            for chan, values in gal.universe.abstract + gal.universe.concrete:
-                out.append(f"    {chan} in {{ " + ", ".join(literal_text(v) for v in values) + " }")
-            out.append(f"    horizon {gal.universe.horizon}")
-            out.append("  }")
-        out.append("}")
-    for conc in doc.concretizers.values():
-        out.append("")
-        out.append(f"concretizer {conc.name} {{")
-        out.append(f"  component {conc.component.name}")
-        for p in conc.params:
-            out.append(f"  param {p.name} : {p.dtype.to_text()}")
-        out.append("}")
-    for ref in doc.refinements.values():
-        out.append("")
-        out.append(f"refinement {ref.name} {{")
-        for attr in ("abstract", "concrete", "ri", "ro", "galois", "concretizer"):
-            value = getattr(ref, attr)
-            if value is not None:
-                out.append(f"  {attr} {value}")
-        out.append("}")
-    return "\n".join(out) + ("\n" if out else "")

@@ -329,31 +329,3 @@ def _parse_primary(c: Cursor, depth: int) -> tuple[Expr, int]:
         return result
     raise ExprSyntaxError(f"expected expression, found {tok.value or 'end of input'!r}",
                           tok.line, tok.column)
-
-
-def to_text(expr: Expr, parent_prec: int = 0) -> str:
-    """Render an expression; parse(to_text(e)) is structurally e."""
-    if isinstance(expr, Lit):
-        v = expr.value
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            text = repr(v)
-            return f"({text})" if v < 0 and parent_prec >= 5 else text
-        if isinstance(v, int):
-            return f"({v})" if v < 0 and parent_prec >= 5 else str(v)
-        return str(v)
-    if isinstance(expr, Name):
-        return expr.ident
-    if isinstance(expr, Unary):
-        inner = to_text(expr.operand, 7)
-        text = f"not {inner}" if expr.op == "not" else f"-{inner}"
-        return f"({text})" if parent_prec >= 4 else text
-    if isinstance(expr, Call):
-        return f"{expr.func}(" + ", ".join(to_text(a) for a in expr.args) + ")"
-    prec = _PRECEDENCE[expr.op]
-    # comparisons do not chain: parenthesize both sides at equal precedence
-    lhs = to_text(expr.left, prec if expr.op in _CMP_OPS else prec - 1)
-    rhs = to_text(expr.right, prec)
-    text = f"{lhs} {expr.op} {rhs}"
-    return f"({text})" if prec <= parent_prec else text

@@ -4,7 +4,7 @@ A suite is judged from the columns its vector file was converted into: all
 its cases run in one call of the compiled simulator, over the rows of their
 input tables (`simulator.run_tables`), and each case's outputs are compared
 with each expected table's columns as tuples. `VectorCase` is a case as the
-reader leaves it, one `streams.Table` per table. `TestCase` and the
+reader leaves it, one `histories.Table` per table. `TestCase` and the
 per-case functions (`execute_test`, `compare_histories`, `suite_run`) take
 histories built in Python and go through the same code, after the checks
 that `run` makes.
@@ -19,7 +19,8 @@ from .components import ComponentSpec
 from .errors import StreamcheckError
 from .records import FRESH, Record, store
 from .simulator import run_tables
-from .streams import ChannelHistory, REAL_KIND, Table, TimedStream
+from .histories import ChannelHistory, Table, TimedStream
+from .streams import REAL_KIND
 
 PASS = "pass"
 FAIL = "fail"

@@ -27,8 +27,8 @@ same header, and converts such a batch column by column, each column at
 once by its channel's type, when the batch holds BATCH_ROWS rows or the file
 ends. The cells of int, bool and enum columns are converted once per
 distinct spelling and file (`_Ints`, `_Labels`), those of real columns one
-by one. The converted columns form a `streams.Block`, and each table
-becomes a `streams.Table`: a reference to its rows of the block, with
+by one. The converted columns form a `histories.Block`, and each table
+becomes a `histories.Table`: a reference to its rows of the block, with
 nothing copied (`read_vectors`). Their values conform to their types, so
 nothing checks them again. `parse_testcases` builds histories from the
 tables, whose streams are recorded as conforming (`TimedStream.conforming`).
@@ -51,8 +51,9 @@ from typing import Any, Iterable, Sequence
 
 from .components import SyntacticInterface
 from .errors import Diagnostic, ModelFormatError
-from .streams import (BOOL_KIND, Block, ChannelHistory, DataType, INT_KIND, REAL_KIND, Table,
-                      literal_text)
+from .histories import Block, ChannelHistory, Table
+from .serialize import literal_text
+from .streams import BOOL_KIND, DataType, INT_KIND, REAL_KIND
 from .testcases import TestCase, VectorCase
 
 

@@ -20,16 +20,17 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from streamcheck.abstraction import (GaloisCounterexample, _infer_type, fold_stream,
                                      universe_elements)
-from streamcheck.components import (AutomatonSpec, CausalityCounterexample, ComponentSpec,
-                                    STRICT, _counterexample, _simulator, compose_check,
-                                    representative_values, run, validate_automaton)
+from streamcheck.components import (AutomatonSpec, ComponentSpec, STRICT, compose_check,
+                                    validate_automaton)
 from streamcheck.declarations import GaloisSpec, RelationSpec
 from streamcheck.errors import (CapsExceededError, EvaluationError, SimulationError,
                                 TypeMismatchError)
 from streamcheck.codegen import Code, CodeGen
 from streamcheck.exprs import Expr
-from streamcheck.simulator import at_tick
-from streamcheck.streams import BOOL, ChannelHistory, DataType, ENUM_KIND, TimedStream
+from streamcheck.simulator import (CausalityCounterexample, _counterexample, _simulator, at_tick,
+                                   representative_values, run)
+from streamcheck.streams import BOOL, DataType, ENUM_KIND
+from streamcheck.histories import ChannelHistory, TimedStream
 
 
 def verify_galois_by_masks(gal):

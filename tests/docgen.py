@@ -9,8 +9,8 @@ from streamcheck.components import (AutomatonSpec, CompositeSpec, Connector, End
                                     SyntacticInterface, Transition, VariableDecl)
 from streamcheck.dsl import ModelDocument, RefinementSpec
 from streamcheck.exprs import Binary, Call, Lit, Name, Unary, parse_expression
-from streamcheck.streams import (BOOL, Channel, ChannelHistory, REAL, TimedStream,
-                                 bounded_int, enumeration)
+from streamcheck.streams import BOOL, Channel, REAL, bounded_int, enumeration
+from streamcheck.histories import ChannelHistory, TimedStream
 
 _CMP = ["==", "!=", "<", "<=", ">", ">="]
 _BINARY = _CMP + ["and", "or", "+", "-", "*", "/"]

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from streamcheck.components import (AutomatonSpec, AutomatonState, ComponentSpec,
-                                    CompositeSpec, CompositeState, Endpoint, STRICT,
+from streamcheck.components import (AutomatonSpec, ComponentSpec, CompositeSpec, Endpoint, STRICT,
                                     enum_label_env)
+from streamcheck.simulator import AutomatonState, CompositeState
 from streamcheck.errors import (EvaluationError, NondeterminismError, SimulationError,
                                 StreamcheckError, StuckStateError)
 from streamcheck.exprs import evaluate
-from streamcheck.streams import ChannelHistory, TimedStream, validate_history
+from streamcheck.histories import ChannelHistory, TimedStream, validate_history
 
 
 class _AutomatonRt:

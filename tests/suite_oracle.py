@@ -21,11 +21,13 @@ from vector_oracle import _values_equal
 from streamcheck import cli
 from streamcheck.abstraction import ConcretizationWarning, CorrespondenceResult, fold_stream
 from streamcheck.codegen import relation_ticks
-from streamcheck.components import ComponentSpec, run
+from streamcheck.components import ComponentSpec
+from streamcheck.simulator import run
 from streamcheck.declarations import ConcretizerSpec, RelationSpec
 from streamcheck.errors import (SimulationError, StreamcheckError, TypeMismatchError,
                                 UnboundParameterError)
-from streamcheck.streams import BOOL, ChannelHistory, REAL_KIND, TimedStream
+from streamcheck.streams import BOOL, REAL_KIND
+from streamcheck.histories import ChannelHistory, TimedStream
 from streamcheck.testcases import (ERROR, FAIL, PASS, Divergence, ExpectedResult, SuiteEntry,
                                    SuiteReport, TestCase, Verdict)
 from streamcheck.vectors import VectorFormatError, _parse_cell, serialize_testcases

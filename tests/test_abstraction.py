@@ -10,7 +10,8 @@ from streamcheck.abstraction import (ConcretizationWarning, abstract_output, che
 from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
 from streamcheck.errors import CapsExceededError, UnboundParameterError
 from streamcheck.exprs import parse_expression
-from streamcheck.streams import BOOL, ChannelHistory, REAL, TimedStream
+from streamcheck.streams import BOOL, REAL
+from streamcheck.histories import ChannelHistory, TimedStream
 
 
 def _bh(name, vals):

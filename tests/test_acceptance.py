@@ -10,13 +10,15 @@ import time
 from docgen import DocGen
 from streamcheck.abstraction import (abstract_output, check_correspondence, check_finv_in_g,
                                      eval_relation, g_membership, universe_elements, verify_galois)
-from streamcheck.components import (AutomatonSpec, Channel, CompositeSpec,
-                                    SyntacticInterface, Transition, check_causality,
-                                    run)
+from streamcheck.components import (AutomatonSpec, Channel, CompositeSpec, SyntacticInterface,
+                                    Transition)
+from streamcheck.simulator import check_causality, run
 from streamcheck.declarations import GaloisSpec, RelationSpec
-from streamcheck.dsl import ModelDocument, parse_model, serialize_model
+from streamcheck.dsl import ModelDocument, parse_model
+from streamcheck.serialize import serialize_model
 from streamcheck.exprs import Name, parse_expression
-from streamcheck.streams import BOOL, ChannelHistory, REAL, TimedStream, bounded_int
+from streamcheck.streams import BOOL, REAL, bounded_int
+from streamcheck.histories import ChannelHistory, TimedStream
 
 from conftest import MODEL_FILES, fixture_text
 

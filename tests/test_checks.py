@@ -20,12 +20,13 @@ from check_oracles import (causality_by_brute_force, causality_by_histories, cau
                            prefix_equal, refusal, verify_galois_by_masks)
 from docgen import DocGen
 from streamcheck.abstraction import verify_galois
-from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
-                                    check_causality, run, same_tick_dependence)
+from streamcheck.components import AutomatonSpec, Channel, SyntacticInterface, Transition
+from streamcheck.simulator import check_causality, run, same_tick_dependence
 from streamcheck.declarations import GaloisSpec, Universe
 from streamcheck.errors import SimulationError, StreamcheckError
 from streamcheck.exprs import parse_expression
-from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
+from streamcheck.streams import BOOL, bounded_int
+from streamcheck.histories import ChannelHistory, TimedStream
 
 
 def _galois(rng, a_values, c_values, horizon):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from streamcheck.cli import main
-from streamcheck.components import check_causality
+from streamcheck.simulator import check_causality
 from streamcheck.dsl import load_model
 from streamcheck.exprs import MAX_HEIGHT
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from streamcheck.cli import main
 from streamcheck.declarations import RelationSpec
-from streamcheck.dsl import RefinementSpec, serialize_model
+from streamcheck.dsl import RefinementSpec
+from streamcheck.serialize import serialize_model
 from streamcheck.exprs import Binary, Lit, Name
 from streamcheck.streams import Channel
 from streamcheck.testcases import ExpectedResult, TestCase

@@ -14,7 +14,8 @@ import pytest
 
 from streamcheck import load_models, run
 from streamcheck.cli import main
-from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
+from streamcheck.streams import BOOL, bounded_int
+from streamcheck.histories import ChannelHistory, TimedStream
 
 from conftest import FIXTURES
 

@@ -22,8 +22,8 @@ from streamcheck.codegen import membership_matrix
 from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
 from streamcheck.errors import StreamcheckError
 from streamcheck.exprs import Binary, Lit, Name
-from streamcheck.streams import (BOOL, REAL, ChannelHistory, TimedStream, bounded_int,
-                                 enumeration)
+from streamcheck.streams import BOOL, REAL, bounded_int, enumeration
+from streamcheck.histories import ChannelHistory, TimedStream
 
 _TYPES = [BOOL, bounded_int(-6, 6), REAL, enumeration("L1", "L2"), enumeration("L2", "L3")]
 _LABELS = ["L1", "L2", "L3"]

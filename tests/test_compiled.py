@@ -22,17 +22,18 @@ from check_oracles import compile_expr, refusal
 from docgen import DocGen
 from interp_oracle import run_interpreted
 from streamcheck import load_models
-from streamcheck.components import (AutomatonSpec, AutomatonState, Channel, CompositeState,
-                                    SyntacticInterface, Transition, VariableDecl, _network,
-                                    _simulator, check_causality, initial_state, run, step)
+from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
+                                    VariableDecl, _network)
+from streamcheck.simulator import (AutomatonState, CompositeState, _simulator, check_causality,
+                                   initial_state, run, step)
 from streamcheck.abstraction import eval_relation
 from streamcheck.codegen import UNBOUNDED, Code, CodeGen, kind_of_value
 from streamcheck.declarations import RelationSpec
 from streamcheck.dsl import parse_model
 from streamcheck.errors import EvaluationError, SimulationError, StreamcheckError
 from streamcheck.exprs import evaluate, parse_expression
-from streamcheck.streams import (BOOL, REAL, ChannelHistory, TimedStream, bounded_int,
-                                 enumeration)
+from streamcheck.streams import BOOL, REAL, bounded_int, enumeration
+from streamcheck.histories import ChannelHistory, TimedStream
 
 from conftest import HALVES, fixture_path
 

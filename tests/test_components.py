@@ -1,13 +1,14 @@
 import pytest
 
-from streamcheck.components import (AutomatonSpec, CausalityCounterexample, Channel,
-                                    CompositeSpec, Connector, Endpoint,
-                                    SyntacticInterface, Transition, VariableDecl,
-                                    check_causality, compose_check, run, same_tick_dependence,
+from streamcheck.components import (AutomatonSpec, Channel, CompositeSpec, Connector, Endpoint,
+                                    SyntacticInterface, Transition, VariableDecl, compose_check,
                                     validate_automaton)
+from streamcheck.simulator import (CausalityCounterexample, check_causality, run,
+                                   same_tick_dependence)
 from streamcheck.errors import CapsExceededError, SimulationError
 from streamcheck.exprs import parse_expression
-from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
+from streamcheck.streams import BOOL, bounded_int
+from streamcheck.histories import ChannelHistory, TimedStream
 
 INT8 = bounded_int(-128, 127)
 

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from docgen import DocGen
-from streamcheck.components import run
-from streamcheck.dsl import (ModelDocument, load_model, parse_model, serialize_model)
+from streamcheck.simulator import run
+from streamcheck.dsl import ModelDocument, load_model, parse_model
+from streamcheck.serialize import serialize_model
 from streamcheck.errors import ModelFormatError, SimulationError
 from streamcheck.exprs import MAX_HEIGHT, MAX_NESTING, evaluate, parse_expression
-from streamcheck.streams import BOOL, ChannelHistory, TimedStream, bounded_int
+from streamcheck.streams import BOOL, bounded_int
+from streamcheck.histories import ChannelHistory, TimedStream
 
 from conftest import MODEL_FILES, fixture_text
 

@@ -3,8 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streamcheck.errors import EvaluationError
-from streamcheck.exprs import (Binary, Call, Lit, Name, Unary, evaluate,
-                               free_names, parse_expression, to_text)
+from streamcheck.exprs import (Binary, Call, Lit, Name, Unary, evaluate, free_names,
+                               parse_expression)
+from streamcheck.serialize import to_text
 
 
 def ev(text, **env):

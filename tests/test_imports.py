@@ -14,6 +14,9 @@ from pathlib import Path
 import pytest
 
 import streamcheck
+from streamcheck import components, simulator
+
+from conftest import MODEL_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "streamcheck"
@@ -137,26 +140,55 @@ def test_star_import_binds_every_exported_name():
     assert sorted(set(namespace) - {"__builtins__"}) == EXPORTED
 
 
+def _fresh_process(code: str) -> list[set[str]]:
+    """The words of each line that `code` prints, run in a new interpreter
+    that imports the package under test."""
+    package_dir = str(Path(streamcheck.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [package_dir, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    return [set(line.split()) for line in proc.stdout.splitlines()]
+
+
+# every fixture model, each after the files whose components it names
+LOAD = f"streamcheck.load_models({[f'fixtures/{name}' for name in MODEL_FILES]!r})\n"
+
+
 def test_loading_a_model_imports_only_what_loading_needs():
     """Neither importing the package nor loading a model imports the checks,
     the vector reader, the test runner, the CLI, the code generator, the
-    simulator, `dataclasses` or `inspect`."""
+    simulator, the stream histories, the writer, `dataclasses` or
+    `inspect`."""
     # what the interpreter imported before streamcheck (a site hook may
     # import `inspect`, say) is left out of what loading imports
     code = ("import sys\n"
             "started = set(sys.modules)\n"
             "import streamcheck\n"
             "print(*sorted(m for m in sys.modules if m.startswith('streamcheck.')))\n"
-            "streamcheck.load_models(['fixtures/acc.scm.txt', 'fixtures/encoder.scm.txt'])\n"
+            + LOAD +
             "print(*sorted(set(sys.modules) - started))\n")
-    package_dir = str(Path(streamcheck.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [package_dir, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, check=True)
-    at_import, after_load = (set(line.split()) for line in proc.stdout.splitlines())
+    at_import, after_load = _fresh_process(code)
     assert at_import == set()
     assert {"streamcheck.dsl", "streamcheck.declarations"} <= after_load
     assert not after_load & {"streamcheck.abstraction", "streamcheck.vectors",
                              "streamcheck.testcases", "streamcheck.cli", "streamcheck.codegen",
-                             "streamcheck.simulator", "difflib", "dataclasses", "inspect"}
+                             "streamcheck.simulator", "streamcheck.histories",
+                             "streamcheck.serialize", "difflib", "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("name", ["run", "check_causality"])
+def test_components_names_the_simulators_run_and_check_causality(name):
+    """`components.run` and `components.check_causality` are the objects of
+    `simulator`, and a load imports `simulator` only when one is read."""
+    assert getattr(components, name) is getattr(simulator, name)
+    assert components.__getattr__(name) is getattr(simulator, name)
+    assert not hasattr(components, "step")
+    code = ("import sys\n"
+            "import streamcheck\n"
+            + LOAD +
+            "print('streamcheck.simulator' in sys.modules)\n"
+            f"found = streamcheck.components.{name}\n"
+            "print('streamcheck.simulator' in sys.modules,"
+            f" found is sys.modules['streamcheck.simulator'].{name})\n")
+    assert _fresh_process(code) == [{"False"}, {"True"}]

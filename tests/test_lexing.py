@@ -15,7 +15,8 @@ import lex_oracle
 from conftest import MODEL_FILES, fixture_text
 from docgen import DocGen
 from streamcheck import dsl, exprs
-from streamcheck.dsl import ModelDocument, parse_model, serialize_model
+from streamcheck.dsl import ModelDocument, parse_model
+from streamcheck.serialize import serialize_model
 from streamcheck.errors import Diagnostic
 from streamcheck.exprs import ExprSyntaxError, parse_expression
 from streamcheck.lexing import Cursor, Token, tokenize

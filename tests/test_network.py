@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from streamcheck import components
 from streamcheck.cli import main
 from streamcheck.components import (CompositeSpec, Connector, Endpoint, SyntacticInterface,
-                                    _network, _zero_delay_cycle, check_causality, compose_check,
-                                    initial_state, run, same_tick_dependence, step)
+                                    _network, _zero_delay_cycle, compose_check)
+from streamcheck.simulator import check_causality, initial_state, run, same_tick_dependence, step
 from streamcheck.dsl import parse_model
 from streamcheck.errors import SimulationError
-from streamcheck.streams import BOOL, Channel, ChannelHistory, TimedStream
+from streamcheck.streams import BOOL, Channel
+from streamcheck.histories import ChannelHistory, TimedStream
 
 from check_oracles import zero_delay_cycles
 from docgen import DocGen

@@ -24,7 +24,8 @@ import record_oracle as oracle
 from streamcheck.errors import Diagnostic
 from streamcheck.exprs import Lit
 from streamcheck.records import Record
-from streamcheck.streams import BOOL, Channel, TimedStream
+from streamcheck.streams import BOOL, Channel
+from streamcheck.histories import TimedStream
 
 for module in ("abstraction", "dsl", "testcases"):  # the modules a model load leaves out
     importlib.import_module(f"streamcheck.{module}")

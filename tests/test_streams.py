@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streamcheck.errors import TickRangeError, TypeMismatchError
-from streamcheck.streams import (BOOL, REAL, Channel, ChannelHistory, TimedStream,
-                                 bounded_int, enumeration, validate_history)
+from streamcheck.streams import BOOL, REAL, Channel, bounded_int, enumeration
+from streamcheck.histories import ChannelHistory, TimedStream, validate_history
 
 
 def test_bounded_int_contains():

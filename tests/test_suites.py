@@ -23,13 +23,14 @@ from docgen import DocGen
 from streamcheck import vectors
 from streamcheck.declarations import ConcretizerSpec, ParamDecl, RelationSpec
 from streamcheck.cli import main
-from streamcheck.components import (AutomatonSpec, SyntacticInterface, Transition, _simulator,
-                                    run, spec_problems)
-from streamcheck.dsl import ModelDocument, RefinementSpec, parse_model, serialize_model
+from streamcheck.components import AutomatonSpec, SyntacticInterface, Transition, spec_problems
+from streamcheck.simulator import _simulator, run
+from streamcheck.dsl import ModelDocument, RefinementSpec, parse_model
+from streamcheck.serialize import literal_text, serialize_model
 from streamcheck.errors import StreamcheckError
 from streamcheck.exprs import Call, Lit, Name
-from streamcheck.streams import (BOOL, Block, Channel, ChannelHistory, Table, TimedStream,
-                                 literal_text)
+from streamcheck.streams import BOOL, Channel
+from streamcheck.histories import Block, ChannelHistory, Table, TimedStream
 from streamcheck.testcases import VectorCase, execute_test, judge_suite
 from streamcheck.vectors import read_vectors
 

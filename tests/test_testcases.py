@@ -7,8 +7,8 @@ import vector_oracle
 from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface,
                                     Transition)
 from streamcheck.exprs import parse_expression
-from streamcheck.streams import (BOOL, ChannelHistory, REAL, TimedStream, bounded_int,
-                                 enumeration)
+from streamcheck.streams import BOOL, REAL, bounded_int, enumeration
+from streamcheck.histories import ChannelHistory, TimedStream
 from streamcheck.testcases import (ERROR, Divergence, ExpectedResult, FAIL, PASS, TestCase,
                                    compare_histories, execute_test, suite_run)
 

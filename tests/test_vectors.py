@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 import vector_oracle
 from streamcheck.components import Channel, SyntacticInterface
 from streamcheck import vectors
-from streamcheck.streams import (BOOL, REAL, ChannelHistory, TimedStream, bounded_int,
-                                 enumeration, literal_text)
+from streamcheck.streams import BOOL, REAL, bounded_int, enumeration
+from streamcheck.histories import ChannelHistory, TimedStream
+from streamcheck.serialize import literal_text
 from streamcheck.testcases import ExpectedResult, TestCase
 from streamcheck.vectors import (MAX_CELL, VectorFormatError, parse_testcases,
                                  serialize_testcases)

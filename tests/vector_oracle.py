@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from streamcheck.components import SyntacticInterface
-from streamcheck.streams import ChannelHistory, DataType, REAL_KIND, TimedStream
+from streamcheck.streams import DataType, REAL_KIND
+from streamcheck.histories import ChannelHistory, TimedStream
 from streamcheck.testcases import (ERROR, FAIL, PASS, Divergence, ExpectedResult, TestCase,
                                    Verdict)
 from streamcheck.vectors import _fail, _parse_cell
