@@ -16,11 +16,15 @@ from .components import (AutomatonSpec, CompositeSpec, ComponentSpec, Connector,
 from .declarations import ConcretizerSpec, GaloisSpec, ParamDecl, RelationSpec, Universe
 from .errors import Diagnostic, ModelFormatError, TypeMismatchError
 from .exprs import TRUE, Expr
-from .lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, Token, tokenize
+from .lexing import Cursor, tokenize
 from .records import FRESH, Record
 from .streams import BOOL, Channel, DataType, REAL as REAL_TYPE, bounded_int, enumeration
 
 _TOP_KEYWORDS = ("type", "component", "relation", "galois", "concretizer", "refinement")
+
+# The tokens before which `skip_expr` stops: the end of input "", and those
+# that end a statement or block or start a declaration.
+_EXPR_STOPS = frozenset(("", ";", "{", "}") + _TOP_KEYWORDS)
 
 
 class RefinementSpec(Record):
@@ -80,7 +84,7 @@ def parse_model(text: str, base: ModelDocument | None = None) -> ParseResult:
     """Parse one document; `base` supplies resolvable names from earlier files."""
     try:
         tokens, diagnostics = tokenize(text)
-        parser = _Parser(tokens, diagnostics, base)
+        parser = _Parser(tokens, text, diagnostics, base)
         doc = parser.document()
         return ParseResult(doc, parser.diagnostics)
     except Exception as e:  # the parser must be total over arbitrary bytes
@@ -104,9 +108,9 @@ def load_models(paths) -> ModelDocument:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic],
+    def __init__(self, tokens: list[str], text: str, diagnostics: list[Diagnostic],
                  base: ModelDocument | None = None):
-        self.c = Cursor(tokens)
+        self.c = Cursor(tokens, text)
         self.diagnostics = diagnostics
         self.doc = ModelDocument()
         self.base = base or ModelDocument()
@@ -119,54 +123,55 @@ class _Parser:
 
     # -- helpers -----------------------------------------------------------
 
-    def error(self, message: str, tok: Token | None = None) -> None:
-        tok = tok or self.c.peek()
-        self.diagnostics.append(Diagnostic(tok.line, tok.column, message))
+    def error(self, message: str, at: int | None = None) -> None:
+        """A diagnostic at token `at`, or else at the next token."""
+        line, column = self.c.where(self.c.pos if at is None else at)
+        self.diagnostics.append(Diagnostic(line, column, message))
 
     def expect_punct(self, value: str) -> bool:
-        if self.c.take_punct(value):
+        if self.c.take(value):
             return True
-        self.error(f"expected {value!r}, found {self.c.peek().value!r}")
+        self.error(f"expected {value!r}, found {self.c.peek()!r}")
         return False
 
     def expect_ident(self, what: str) -> str | None:
         value = self.c.take_ident()
         if value is None:
-            self.error(f"expected {what}, found {self.c.peek().value!r}")
+            self.error(f"expected {what}, found {self.c.peek()!r}")
         return value
 
     def sync_top(self) -> None:
         depth = 0
         while True:
             tok = self.c.peek()
-            if tok.kind == EOF:
+            if not tok:
                 return
-            if tok.kind == PUNCT and tok.value == "{":
+            if tok == "{":
                 depth += 1
-            elif tok.kind == PUNCT and tok.value == "}":
+            elif tok == "}":
                 depth = max(0, depth - 1)
-            elif tok.kind == IDENT and depth == 0 and tok.value in _TOP_KEYWORDS:
+            elif depth == 0 and tok in _TOP_KEYWORDS:
                 return
             self.c.advance()
 
-    def block(self, what: str, tok: Token, body: dict[str, Any]) -> bool:
+    def block(self, what: str, at: int, body: dict[str, Any]) -> bool:
         """Parse the items of a `{ ... }` block through its closing brace. Each
         item dispatches on its keyword through `_ITEMS[what]` and stores what
         it parses in `body`; False when the declaration is to be dropped."""
         items, c = _ITEMS[what], self.c
-        while not c.take_punct("}"):
+        while not c.take("}"):
             kw = c.peek()
-            if kw.kind == EOF:
-                self.error(f"unterminated {what} block", tok)
+            if not kw:
+                self.error(f"unterminated {what} block", at)
                 return False
-            item = items.get(kw.value) if kw.kind == IDENT else None
+            item = items.get(kw)
             if item is None:
                 where = "body" if what == "component" else "block"
-                self.error(f"unexpected {kw.value!r} in {what} {where}")
+                self.error(f"unexpected {kw!r} in {what} {where}")
                 c.advance()
                 continue
             c.advance()
-            if item(self, body, kw.value) is False:
+            if item(self, body, kw) is False:
                 return False
         return True
 
@@ -182,54 +187,51 @@ class _Parser:
         """Skip the rest of a broken expression: up to the `;`, `{` or `}`
         that ends its statement or block, or up to a top-level keyword."""
         c = self.c
-        while True:
-            tok = c.peek()
-            if tok.kind == EOF or (tok.kind == PUNCT and tok.value in ";{}") \
-                    or (tok.kind == IDENT and tok.value in _TOP_KEYWORDS):
-                return
+        while c.peek() not in _EXPR_STOPS:
             c.advance()
 
     def parse_literal(self) -> Any:
         tok = self.c.peek()
-        if tok.kind == INT:
+        if tok.isdigit():
             self.c.advance()
             try:
-                return exprs.int_literal(tok)
+                return exprs.int_literal(self.c, self.c.pos - 1)
             except exprs.ExprSyntaxError as e:
-                self.error(e.message, tok)
+                self.diagnostics.append(Diagnostic(e.line, e.column, e.message))
                 return 0
-        if tok.kind == REAL:
+        if tok[:1].isdigit():
             self.c.advance()
-            return float(tok.value)
-        if tok.kind == PUNCT and tok.value == "-":
+            return float(tok)
+        if tok == "-":
             self.c.advance()
             inner = self.parse_literal()
             if isinstance(inner, (int, float)) and not isinstance(inner, bool):
                 return -inner
             self.error("expected a numeric literal after '-'")
             return 0
-        if tok.kind == IDENT:
+        if tok.isidentifier():
             self.c.advance()
-            if tok.value == "true":
+            if tok == "true":
                 return True
-            if tok.value == "false":
+            if tok == "false":
                 return False
-            return tok.value  # enumeration label
-        self.error(f"expected a literal, found {tok.value!r}")
+            return tok  # enumeration label
+        self.error(f"expected a literal, found {tok!r}")
         self.c.advance()
         return 0
 
     def parse_type(self) -> DataType | None:
+        at = self.c.pos
         tok = self.c.peek()
-        if tok.kind != IDENT:
-            self.error(f"expected a type, found {tok.value!r}")
+        if not tok.isidentifier():
+            self.error(f"expected a type, found {tok!r}")
             return None
         self.c.advance()
-        if tok.value == "bool":
+        if tok == "bool":
             return BOOL
-        if tok.value == "real":
+        if tok == "real":
             return REAL_TYPE
-        if tok.value == "int":
+        if tok == "int":
             if not self.expect_punct("["):
                 return None
             lo = self.parse_literal()
@@ -239,35 +241,35 @@ class _Parser:
             if not self.expect_punct("]"):
                 return None
             if not isinstance(lo, int) or not isinstance(hi, int) or lo > hi:
-                self.error(f"bad integer bounds [{lo}..{hi}]", tok)
+                self.error(f"bad integer bounds [{lo}..{hi}]", at)
                 return None
             return bounded_int(lo, hi)
-        if tok.value == "enum":
+        if tok == "enum":
             if not self.expect_punct("{"):
                 return None
             labels = []
             name = self.expect_ident("enumeration label")
             if name:
                 labels.append(name)
-            while self.c.take_punct(","):
+            while self.c.take(","):
                 name = self.expect_ident("enumeration label")
                 if name:
                     labels.append(name)
             self.expect_punct("}")
             if len(set(labels)) != len(labels) or not labels:
-                self.error("enumeration labels must be distinct and non-empty", tok)
+                self.error("enumeration labels must be distinct and non-empty", at)
                 return None
             return enumeration(*labels)
-        dtype = self.lookup("types", tok.value)
+        dtype = self.lookup("types", tok)
         if dtype is None:
-            self.error(f"unknown type {tok.value!r}", tok)
+            self.error(f"unknown type {tok!r}", at)
         return dtype
 
-    def register(self, registry: dict, name: str | None, value, what: str, tok: Token) -> None:
+    def register(self, registry: dict, name: str | None, value, what: str, at: int) -> None:
         if name is None:
             return
         if name in registry:
-            self.error(f"duplicate {what} name {name!r}", tok)
+            self.error(f"duplicate {what} name {name!r}", at)
         else:
             registry[name] = value
 
@@ -276,39 +278,38 @@ class _Parser:
     def document(self) -> ModelDocument:
         while True:
             tok = self.c.peek()
-            if tok.kind == EOF:
+            if not tok:
                 return self.doc
-            if tok.kind != IDENT or tok.value not in _TOP_KEYWORDS:
-                self.error(f"expected a declaration, found {tok.value!r}")
+            if tok not in _TOP_KEYWORDS:
+                self.error(f"expected a declaration, found {tok!r}")
                 self.c.advance()
                 self.sync_top()
                 continue
             before = len(self.diagnostics)
-            getattr(self, "item_" + tok.value)()
+            self.c.advance()
+            getattr(self, "item_" + tok)(self.c.pos - 1)
             if len(self.diagnostics) > before:
                 self.sync_top()
 
-    def item_type(self) -> None:
-        tok = self.c.advance()
+    def item_type(self, at: int) -> None:
         name = self.expect_ident("type name")
         self.expect_punct("=")
         dtype = self.parse_type()
         if dtype is not None:
-            self.register(self.doc.types, name, dtype, "type", tok)
+            self.register(self.doc.types, name, dtype, "type", at)
 
     # -- components ----------------------------------------------------------
 
-    def item_component(self) -> None:
-        tok = self.c.advance()
+    def item_component(self, at: int) -> None:
         name = self.expect_ident("component name") or "_anonymous"
         causality = "strict"
         total = False
         while True:
-            if self.c.take_word("weak"):
+            if self.c.take("weak"):
                 causality = "weak"
-            elif self.c.take_word("strict"):
+            elif self.c.take("strict"):
                 causality = "strict"
-            elif self.c.take_word("total"):
+            elif self.c.take("total"):
                 total = True
             else:
                 break
@@ -316,7 +317,7 @@ class _Parser:
             return
         body: dict[str, Any] = {"input": [], "output": [], "var": [], "states": ([], None),
                                 "transition": [], "sub": [], "connect": []}
-        if not self.block("component", tok, body):
+        if not self.block("component", at, body):
             return
         inputs, variables, transitions = body["input"], body["var"], body["transition"]
         outputs = [ch for ch, _ in body["output"]]
@@ -325,17 +326,17 @@ class _Parser:
         subs, wiring = body["sub"], body["connect"]
         if subs or wiring:
             if states or transitions or variables:
-                self.error(f"component {name!r} mixes automaton and composite items", tok)
+                self.error(f"component {name!r} mixes automaton and composite items", at)
                 return
             try:
                 iface = SyntacticInterface(tuple(inputs), tuple(outputs))
                 spec: ComponentSpec = CompositeSpec(name, iface, tuple(subs), tuple(wiring))
             except TypeMismatchError as e:
-                self.error(str(e), tok)
+                self.error(str(e), at)
                 return
         else:
             if not states:
-                self.error(f"component {name!r} declares no states", tok)
+                self.error(f"component {name!r} declares no states", at)
                 return
             var_names = {v.name for v in variables}
             split = []
@@ -349,12 +350,12 @@ class _Parser:
                                      tuple(split), tuple(variables), output_init,
                                      causality, total)
             except TypeMismatchError as e:
-                self.error(str(e), tok)
+                self.error(str(e), at)
                 return
         # kept on the spec, so that compiling it checks nothing again
         for problem in spec_problems(spec):
-            self.error(f"component {name!r}: {problem}", tok)
-        self.register(self.doc.components, name, spec, "component", tok)
+            self.error(f"component {name!r}: {problem}", at)
+        self.register(self.doc.components, name, spec, "component", at)
 
     def channel_decl(self, direction: str) -> Channel | None:
         name = self.expect_ident("channel name")
@@ -369,7 +370,7 @@ class _Parser:
         if ch is None:
             return None
         init = None
-        if self.c.take_word("init"):
+        if self.c.take("init"):
             init = self.parse_literal()
         return ch, init
 
@@ -391,30 +392,30 @@ class _Parser:
             if name is None:
                 break
             states.append(name)
-            if self.c.take_word("init"):
+            if self.c.take("init"):
                 if initial is not None:
                     self.error("more than one initial state")
                 initial = name
-            if not self.c.take_punct(","):
+            if not self.c.take(","):
                 break
         return states, initial
 
     def transition_decl(self) -> Transition | None:
         label = None
         first = self.expect_ident("state name")
-        if self.c.take_punct(":"):
+        if self.c.take(":"):
             label = first
             first = self.expect_ident("state name")
         if not self.expect_punct("->"):
             return None
         target = self.expect_ident("state name")
         guard: Expr = TRUE
-        if self.c.take_word("when"):
+        if self.c.take("when"):
             guard = self.parse_expr()
         outputs: list[tuple[str, Expr]] = []
-        if self.c.take_punct("{"):
-            while not self.c.take_punct("}"):
-                if self.c.peek().kind == EOF:
+        if self.c.take("{"):
+            while not self.c.take("}"):
+                if not self.c.peek():
                     self.error("unterminated assignment block")
                     return None
                 name = self.expect_ident("assignment target")
@@ -424,7 +425,7 @@ class _Parser:
                 if name is not None:
                     # split into outputs vs variable updates once declarations are known
                     outputs.append((name, expr))
-                self.c.take_punct(";")
+                self.c.take(";")
         if first is None or target is None:
             return None
         return Transition(first, target, guard, tuple(outputs), (), label)
@@ -432,13 +433,13 @@ class _Parser:
     def sub_decl(self) -> tuple[str, ComponentSpec] | None:
         name = self.expect_ident("subcomponent name")
         self.expect_punct(":")
-        ref_tok = self.c.peek()
+        ref_at = self.c.pos
         ref = self.expect_ident("component reference")
         if name is None or ref is None:
             return None
         spec = self.lookup("components", ref)
         if spec is None:
-            self.error(f"unresolved component {ref!r}", ref_tok)
+            self.error(f"unresolved component {ref!r}", ref_at)
             return None
         return name, spec
 
@@ -446,7 +447,7 @@ class _Parser:
         first = self.expect_ident("endpoint")
         if first is None:
             return None
-        if self.c.take_punct("."):
+        if self.c.take("."):
             chan = self.expect_ident("channel name")
             if chan is None:
                 return None
@@ -464,38 +465,36 @@ class _Parser:
 
     # -- relations, galois, concretizers, refinements -------------------------
 
-    def item_relation(self) -> None:
-        tok = self.c.advance()
+    def item_relation(self, at: int) -> None:
         name = self.expect_ident("relation name")
-        side_tok = self.c.peek()
+        side_at = self.c.pos
         side = self.expect_ident("relation side (RI or RO)")
         if side not in ("RI", "RO"):
-            self.error(f"relation side must be RI or RO, found {side!r}", side_tok)
+            self.error(f"relation side must be RI or RO, found {side!r}", side_at)
             return
-        if self.c.take_word("when"):
+        if self.c.take("when"):
             expr = self.parse_expr()
             rel = RelationSpec(name or "_", side, expr=expr)
-        elif self.c.take_word("checker"):
-            ref_tok = self.c.peek()
+        elif self.c.take("checker"):
+            ref_at = self.c.pos
             ref = self.expect_ident("checker component")
             spec = self.lookup("components", ref) if ref else None
             if spec is None:
-                self.error(f"unresolved component {ref!r}", ref_tok)
+                self.error(f"unresolved component {ref!r}", ref_at)
                 return
             rel = RelationSpec(name or "_", side, checker=spec)
         else:
             self.error("expected 'when <expr>' or 'checker <component>'")
             return
-        self.register(self.doc.relations, name, rel, "relation", tok)
+        self.register(self.doc.relations, name, rel, "relation", at)
 
-    def item_galois(self) -> None:
-        tok = self.c.advance()
+    def item_galois(self, at: int) -> None:
         name = self.expect_ident("galois name") or "_"
         if not self.expect_punct("{"):
             return
         body: dict[str, Any] = {"abstract": None, "concrete": None, "map": [], "member": None,
-                                "universe": None, "horizon": 1, "tok": tok}
-        if not self.block("galois", tok, body):
+                                "universe": None, "horizon": 1, "at": at}
+        if not self.block("galois", at, body):
             return
         abstract, concrete = body["abstract"], body["concrete"]
         channel_types: dict[str, DataType] = {}
@@ -516,18 +515,18 @@ class _Parser:
                     try:
                         values = tuple(dtype.check(v) for v in values)
                     except TypeMismatchError as e:
-                        self.error(f"universe values for {chan!r}: {e}", tok)
+                        self.error(f"universe values for {chan!r}: {e}", at)
                         continue
                 if chan in abs_chans:
                     abs_side.append((chan, values))
                 elif chan in conc_chans:
                     conc_side.append((chan, values))
                 else:
-                    self.error(f"universe channel {chan!r} not found in the bound components", tok)
+                    self.error(f"universe channel {chan!r} not found in the bound components", at)
             universe = Universe(tuple(abs_side), tuple(conc_side), body["horizon"])
         gal = GaloisSpec(name, tuple(body["map"]), body["member"], universe,
                          abstract, concrete, channel_types)
-        self.register(self.doc.galois, name, gal, "galois", tok)
+        self.register(self.doc.galois, name, gal, "galois", at)
 
     def map_decl(self) -> tuple[str, Expr] | None:
         chan = self.expect_ident("abstract channel")
@@ -542,24 +541,24 @@ class _Parser:
             body["universe"] = []
         if not self.expect_punct("{"):
             return False
-        while not self.c.take_punct("}"):
-            if self.c.peek().kind == EOF:
-                self.error("unterminated universe block", body["tok"])
+        while not self.c.take("}"):
+            if not self.c.peek():
+                self.error("unterminated universe block", body["at"])
                 return False
-            if self.c.take_word("horizon"):
-                tok = self.c.peek()
+            if self.c.take("horizon"):
+                h_at = self.c.pos
                 h = self.parse_literal()
                 if isinstance(h, int) and not isinstance(h, bool) and h >= 0:
                     body["horizon"] = h
                 else:
-                    self.error("horizon must be a non-negative integer", tok)
+                    self.error("horizon must be a non-negative integer", h_at)
             else:
                 chan = self.expect_ident("channel name")
-                if not self.c.take_word("in") or not self.expect_punct("{"):
+                if not self.c.take("in") or not self.expect_punct("{"):
                     self.error("expected 'in { v, ... }'")
                     return False
                 values = [self.parse_literal()]
-                while self.c.take_punct(","):
+                while self.c.take(","):
                     values.append(self.parse_literal())
                 self.expect_punct("}")
                 if chan:
@@ -567,27 +566,26 @@ class _Parser:
         return True
 
     def component_ref(self) -> str | None:
-        tok = self.c.peek()
+        ref_at = self.c.pos
         ref = self.expect_ident("component reference")
         if ref is not None and self.lookup("components", ref) is None:
-            self.error(f"unresolved component {ref!r}", tok)
+            self.error(f"unresolved component {ref!r}", ref_at)
             return None
         return ref
 
-    def item_concretizer(self) -> None:
-        tok = self.c.advance()
+    def item_concretizer(self, at: int) -> None:
         name = self.expect_ident("concretizer name") or "_"
         if not self.expect_punct("{"):
             return
         body: dict[str, list] = {"component": [], "param": []}
-        if not self.block("concretizer", tok, body):
+        if not self.block("concretizer", at, body):
             return
         if not body["component"]:
-            self.error(f"concretizer {name!r} names no component", tok)
+            self.error(f"concretizer {name!r} names no component", at)
             return
         component = self.lookup("components", body["component"][-1])
         self.register(self.doc.concretizers, name,
-                      ConcretizerSpec(name, component, tuple(body["param"])), "concretizer", tok)
+                      ConcretizerSpec(name, component, tuple(body["param"])), "concretizer", at)
 
     def param_decl(self) -> ParamDecl | None:
         pname = self.expect_ident("parameter name")
@@ -597,23 +595,22 @@ class _Parser:
             return ParamDecl(pname, dtype)
         return None
 
-    def item_refinement(self) -> None:
-        tok = self.c.advance()
+    def item_refinement(self, at: int) -> None:
         name = self.expect_ident("refinement name") or "_"
         if not self.expect_punct("{"):
             return
         body: dict[str, str | None] = dict.fromkeys(_REFERENCES)
-        if not self.block("refinement", tok, body):
+        if not self.block("refinement", at, body):
             return
         self.register(self.doc.refinements, name, RefinementSpec(name, **body),
-                      "refinement", tok)
+                      "refinement", at)
 
     def reference_decl(self, body: dict[str, Any], kw: str) -> None:
         """A refinement's `<kw> IDENT`; an unresolved name keeps the earlier one."""
-        ref_tok = self.c.peek()
+        ref_at = self.c.pos
         ref = self.expect_ident("reference")
         if ref is not None and self.lookup(_REFERENCES[kw], ref) is None:
-            self.error(f"unresolved {kw} reference {ref!r}", ref_tok)
+            self.error(f"unresolved {kw} reference {ref!r}", ref_at)
         else:
             body[kw] = ref
 

@@ -11,7 +11,7 @@ import math
 from typing import Any, Mapping, Sequence, Union
 
 from .errors import EvaluationError
-from .lexing import EOF, IDENT, INT, REAL, Cursor, Token, tokenize
+from .lexing import Cursor, tokenize
 from .records import Record, store
 
 Expr = Union["Lit", "Name", "Unary", "Binary", "Call"]
@@ -195,14 +195,19 @@ class ExprSyntaxError(EvaluationError):
         self.column = column
 
 
-def int_literal(tok: Token) -> int:
-    """The value of an INT token; one with more digits than Python converts
-    to an int is a syntax error at the token."""
+def _error(c: Cursor, message: str, index: int) -> ExprSyntaxError:
+    """A syntax error at token `index` of the cursor."""
+    return ExprSyntaxError(message, *c.where(index))
+
+
+def int_literal(c: Cursor, index: int) -> int:
+    """The value of token `index`, an integer literal; one with more digits
+    than Python converts to an int is a syntax error at the token."""
     try:
-        return int(tok.value)
+        return int(c.tokens[index])
     except ValueError:
-        raise ExprSyntaxError(f"integer literal too long ({len(tok.value)} digits)",
-                              tok.line, tok.column) from None
+        raise _error(c, f"integer literal too long ({len(c.tokens[index])} digits)",
+                     index) from None
 
 
 def parse_expr(cursor: Cursor) -> Expr:
@@ -215,17 +220,16 @@ def parse_expression(text: str) -> Expr:
     if diags:
         d = diags[0]
         raise ExprSyntaxError(d.message, d.line, d.column)
-    cursor = Cursor(tokens)
+    cursor = Cursor(tokens, text)
     expr = _parse_binary(cursor, 1, 0)[0]
-    tok = cursor.peek()
-    if tok.kind != EOF:
-        raise ExprSyntaxError(f"unexpected trailing {tok.value!r}", tok.line, tok.column)
+    if cursor.peek():
+        raise _error(cursor, f"unexpected trailing {cursor.peek()!r}", cursor.pos)
     return expr
 
 
 # Binary operators by precedence; `not` sits at 3 and unary '-' above 6.
-# Keywords and punctuation never share a spelling, so a token's value alone
-# tells whether it is an operator.
+# Keywords and punctuation never share a spelling, so a token alone tells
+# whether it is an operator.
 _PRECEDENCE = {"or": 1, "and": 2, "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
                "+": 5, "-": 5, "*": 6, "/": 6}
 
@@ -243,17 +247,14 @@ MAX_HEIGHT = 300
 def _deeper(c: Cursor, depth: int) -> int:
     """The nesting depth inside the token just taken, which opens a level."""
     if depth >= MAX_NESTING:
-        tok = c.tokens[c.pos - 1]
-        raise ExprSyntaxError(f"expression nested more than {MAX_NESTING} levels deep",
-                              tok.line, tok.column)
+        raise _error(c, f"expression nested more than {MAX_NESTING} levels deep", c.pos - 1)
     return depth + 1
 
 
-def _height(height: int, tok: Token) -> int:
-    """The height of a node that token `tok` makes, unless it is too tall."""
+def _height(height: int, c: Cursor, index: int) -> int:
+    """The height of a node that token `index` makes, unless it is too tall."""
     if height > MAX_HEIGHT:
-        raise ExprSyntaxError(f"expression tree more than {MAX_HEIGHT} nodes tall",
-                              tok.line, tok.column)
+        raise _error(c, f"expression tree more than {MAX_HEIGHT} nodes tall", index)
     return height
 
 
@@ -263,69 +264,68 @@ def _parse_binary(c: Cursor, min_prec: int, depth: int) -> tuple[Expr, int]:
     chain: once a comparison or a looser operator (or a `not`) has been
     applied at this level, no comparison follows."""
     last = 7  # precedence of the last operator applied here
-    if min_prec <= 3 and c.take_word("not"):
-        tok = c.tokens[c.pos - 1]
+    if min_prec <= 3 and c.take("not"):
+        at = c.pos - 1
         operand, height = _parse_binary(c, 3, _deeper(c, depth))
         node: Expr = Unary("not", operand)
-        height = _height(height + 1, tok)
+        height = _height(height + 1, c, at)
         last = 3
     else:
         node, height = _parse_unary(c, depth)
     while True:
-        t = c.peek()
-        prec = _PRECEDENCE.get(t.value)
+        t = c.tokens[c.pos]
+        prec = _PRECEDENCE.get(t)
         if prec is None or prec < min_prec or (prec == 4 and last <= 4):
             return node, height
-        c.advance()
+        at = c.pos
+        c.pos = at + 1
         rhs, h = _parse_binary(c, prec + 1, depth) if prec < 6 else _parse_unary(c, depth)
-        node = Binary(t.value, node, rhs)
-        height = _height(max(height, h) + 1, t)
+        node = Binary(t, node, rhs)
+        height = _height(max(height, h) + 1, c, at)
         last = prec
 
 
 def _parse_unary(c: Cursor, depth: int) -> tuple[Expr, int]:
-    if c.take_punct("-"):
-        tok = c.tokens[c.pos - 1]
+    if c.take("-"):
+        at = c.pos - 1
         operand, height = _parse_unary(c, _deeper(c, depth))
         if isinstance(operand, Lit) and not isinstance(operand.value, bool):
             return Lit(-operand.value), 1
-        return Unary("-", operand), _height(height + 1, tok)
+        return Unary("-", operand), _height(height + 1, c, at)
     return _parse_primary(c, depth)
 
 
 def _parse_primary(c: Cursor, depth: int) -> tuple[Expr, int]:
-    tok = c.peek()
-    if tok.kind == INT:
-        value = int_literal(tok)
-        c.advance()
-        return Lit(value), 1
-    if tok.kind == REAL:
-        c.advance()
-        return Lit(float(tok.value)), 1
-    if tok.kind == IDENT:
-        c.advance()
-        if tok.value == "true":
+    at = c.pos
+    tok = c.tokens[at]
+    if tok.isidentifier():
+        c.pos = at + 1
+        if tok == "true":
             return Lit(True), 1
-        if tok.value == "false":
+        if tok == "false":
             return Lit(False), 1
-        if c.take_punct("("):
+        if c.take("("):
             depth = _deeper(c, depth)
             args = []
-            if not c.at_punct(")"):
+            if c.tokens[c.pos] != ")":
                 args.append(_parse_binary(c, 1, depth))
-                while c.take_punct(","):
+                while c.take(","):
                     args.append(_parse_binary(c, 1, depth))
-            if not c.take_punct(")"):
-                t = c.peek()
-                raise ExprSyntaxError("expected ')'", t.line, t.column)
-            return (Call(tok.value, tuple(a for a, _ in args)),
-                    _height(max((h for _, h in args), default=0) + 1, tok))
-        return Name(tok.value), 1
-    if c.take_punct("("):
+            if not c.take(")"):
+                raise _error(c, "expected ')'", c.pos)
+            return (Call(tok, tuple(a for a, _ in args)),
+                    _height(max((h for _, h in args), default=0) + 1, c, at))
+        return Name(tok), 1
+    if tok.isdigit():
+        value = int_literal(c, at)
+        c.pos = at + 1
+        return Lit(value), 1
+    if tok[:1].isdigit():
+        c.pos = at + 1
+        return Lit(float(tok)), 1
+    if c.take("("):
         result = _parse_binary(c, 1, _deeper(c, depth))
-        if not c.take_punct(")"):
-            t = c.peek()
-            raise ExprSyntaxError("expected ')'", t.line, t.column)
+        if not c.take(")"):
+            raise _error(c, "expected ')'", c.pos)
         return result
-    raise ExprSyntaxError(f"expected expression, found {tok.value or 'end of input'!r}",
-                          tok.line, tok.column)
+    raise _error(c, f"expected expression, found {tok or 'end of input'!r}", at)

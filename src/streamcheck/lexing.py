@@ -1,102 +1,104 @@
-"""Tokenizer shared by the expression grammar and the model DSL."""
+"""Tokenizer shared by the expression grammar and the model DSL.
+
+A token is its text; the end of input is "". Punctuation, identifiers and
+numbers never share a spelling, so the parser compares strings. Only a
+diagnostic reads a position, which `positions` finds again from the text.
+"""
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_left
 
 from .errors import Diagnostic
 
-IDENT = "IDENT"
-INT = "INT"
-REAL = "REAL"
-PUNCT = "PUNCT"
-EOF = "EOF"
+# Blanks and comments, which separate tokens. A comment runs from '//' to
+# the end of its line.
+_GAP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
 
-# One match per item of a line: the blanks before it, then a token named by
-# its kind, a comment, or a character that starts no token (never a blank:
-# trailing blanks match nothing). Only ASCII letters and digits make
-# identifiers and numbers, and a '..' range operator is never eaten as a
-# decimal point. The commonest kinds come first.
-_ITEM = re.compile(r"""[ \t\r]*(?:
-    (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<COMMENT>//.*)
-  | (?P<PUNCT>->|:=|\.\.|[=!<>]=|[{}()\[\],:;.<>+\-*/=!])
-  | (?P<REAL>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)
-  | (?P<INT>[0-9]+)
-  | (?P<BAD>[^ \t\r]))""", re.VERBOSE)
+# A token and the gap after it, so that each match starts where the last
+# one ended: an identifier, a number, an operator, or any other character,
+# which is a one-character operator or else (`_BAD`) starts no token. Only
+# ASCII letters and digits make identifiers and numbers, and a '..' range
+# operator is never eaten as a decimal point.
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?)?"
+                    r"|->|:=|\.\.|[=!<>]=|[^ \t\r\n])" + _GAP)
+_LEADING_GAP = re.compile(_GAP)
+
+_BAD = re.compile(r"[^A-Za-z0-9_{}()\[\],:;.<>+\-*/=!]")
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    column: int
+def tokenize(text: str) -> tuple[list[str], list[Diagnostic]]:
+    """Lex arbitrary text into its token strings, ending in the end of input
+    "". A character that starts no token is left out, with a diagnostic."""
+    tokens = _TOKEN.findall(text, _LEADING_GAP.match(text).end())
+    tokens.append("")
+    if not _BAD.search("".join(tokens)):
+        return tokens, []
+    located = _located(text)
+    return ([tok for tok, _, _ in located if not _BAD.match(tok)],
+            [Diagnostic(line, column, f"unexpected character {tok!r}")
+             for tok, line, column in located if _BAD.match(tok)])
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
+
+def positions(text: str) -> list[tuple[int, int]]:
+    """The line and column of each token of `text`, by its index in the
+    tokens that `tokenize` returns. The end of input is where a comment on
+    the last line starts, or else the end of the text. A column counts
+    characters, so a tab is one column."""
+    return [(line, column) for tok, line, column in _located(text) if not _BAD.match(tok)]
 
 
-def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
-    """Lex arbitrary text; unknown characters become diagnostics, never exceptions."""
-    tokens: list[Token] = []
-    diagnostics: list[Diagnostic] = []
-    append, new = tokens.append, tuple.__new__  # skips Token's Python-level __new__
-    lines = text.split("\n")
-    eof_col = len(lines[-1]) + 1
-    for line, src in enumerate(lines, 1):
-        for m in _ITEM.finditer(src):
-            kind = m.lastgroup
-            if kind == "COMMENT":
-                if line == len(lines):  # the end of input is where the comment starts
-                    eof_col = m.start(kind) + 1
-            elif kind == "BAD":
-                diagnostics.append(Diagnostic(line, m.start(kind) + 1,
-                                              f"unexpected character {m[kind]!r}"))
-            else:
-                append(new(Token, (kind, m[kind], line, m.start(kind) + 1)))
-    append(Token(EOF, "", len(lines), eof_col))
-    return tokens, diagnostics
+def _located(text: str) -> list[tuple[str, int, int]]:
+    """Every token of `text`, with the characters that start no token, then
+    the end of input, each with its line and column."""
+    starts = [(m[1], m.start()) for m in _TOKEN.finditer(text, _LEADING_GAP.match(text).end())]
+    comment = text.find("//", text.rfind("\n") + 1)  # the first '//' of a line starts a comment
+    starts.append(("", comment if comment >= 0 else len(text)))
+    line_ends = [-1] + [m.start() for m in re.finditer("\n", text)]  # a line starts after each
+    located = []
+    for tok, at in starts:
+        line = bisect_left(line_ends, at)
+        located.append((tok, line, at - line_ends[line - 1]))
+    return located
 
 
 class Cursor:
-    """A peek/advance view over a token list that ends in its EOF token."""
+    """A peek/advance view over the token strings of `text`, which end in
+    the end of input ""."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[str], text: str):
         self.tokens = tokens
+        self.text = text
         self.pos = 0
+        self._positions: list[tuple[int, int]] | None = None
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != EOF:
+        if tok:
             self.pos += 1
         return tok
 
-    def at_punct(self, value: str) -> bool:
-        t = self.tokens[self.pos]
-        return t.value == value and t.kind == PUNCT
-
-    def take_punct(self, value: str) -> bool:
-        t = self.tokens[self.pos]
-        if t.value == value and t.kind == PUNCT:
-            self.pos += 1
-            return True
-        return False
-
-    def take_word(self, value: str) -> bool:
-        t = self.tokens[self.pos]
-        if t.value == value and t.kind == IDENT:
+    def take(self, value: str) -> bool:
+        """Whether the next token is `value`, which is taken."""
+        if self.tokens[self.pos] == value:
             self.pos += 1
             return True
         return False
 
     def take_ident(self) -> str | None:
-        """The value of the next token if it is an identifier, which is taken."""
+        """The next token if it is an identifier, which is taken."""
         t = self.tokens[self.pos]
-        if t.kind == IDENT:
+        if t.isidentifier():
             self.pos += 1
-            return t.value
+            return t
         return None
+
+    def where(self, index: int) -> tuple[int, int]:
+        """The line and column of token `index`; the first call locates them all."""
+        if self._positions is None:
+            self._positions = positions(self.text)
+        return self._positions[index]

@@ -1,15 +1,43 @@
-"""The front end that `streamcheck.lexing.tokenize` and the precedence-climbing
-expression parser of `streamcheck.exprs` replaced, kept as the oracle of the
-front end's differential tests: the character-loop tokenizer and the
-recursive-descent expression parser with one function per level. Both are
-unchanged, but for `Cursor.at_word` followed by `advance`, which the cursor
-now spells `take_word`."""
+"""The front ends that `streamcheck.lexing` and the precedence-climbing
+expression parser of `streamcheck.exprs` replaced, kept as the oracles of
+the front end's differential tests:
+
+- the character-loop tokenizer (`tokenize`);
+- the one-regex tokenizer (`regex_tokenize`) that followed it, with the
+  `Token` tuples that both build and the `Cursor` over them; the package's
+  tokenizer returns token strings alone, and finds a token's line and
+  column only for a diagnostic. Unlike the character loop, it reads only
+  ASCII letters and digits, as the package does;
+- the recursive-descent expression parser with one function per level.
+
+All are unchanged, but for `Cursor.at_word` followed by `advance`, which the
+cursor spells `take_word`, and the cursor's `take_ident`, which only the
+package's parser read."""
 
 from __future__ import annotations
 
+import re
+from typing import NamedTuple
+
 from streamcheck.errors import Diagnostic
 from streamcheck.exprs import _CMP_OPS, Binary, Call, Expr, ExprSyntaxError, Lit, Name, Unary
-from streamcheck.lexing import EOF, IDENT, INT, PUNCT, REAL, Cursor, Token
+
+IDENT = "IDENT"
+INT = "INT"
+REAL = "REAL"
+PUNCT = "PUNCT"
+EOF = "EOF"
+
+
+class Token(NamedTuple):
+    kind: str
+    value: str
+    line: int
+    column: int
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
+
 
 _TWO_CHAR = ("->", ":=", "..", "==", "!=", "<=", ">=", "//")
 _ONE_CHAR = "{}()[],:;.<>+-*/=!"
@@ -83,6 +111,77 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
         col += 1
     tokens.append(Token(EOF, "", line, col))
     return tokens, diagnostics
+
+
+# One match per item of a line: the blanks before it, then a token named by
+# its kind, a comment, or a character that starts no token (never a blank:
+# trailing blanks match nothing). Only ASCII letters and digits make
+# identifiers and numbers, and a '..' range operator is never eaten as a
+# decimal point. The commonest kinds come first.
+_ITEM = re.compile(r"""[ \t\r]*(?:
+    (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<COMMENT>//.*)
+  | (?P<PUNCT>->|:=|\.\.|[=!<>]=|[{}()\[\],:;.<>+\-*/=!])
+  | (?P<REAL>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)
+  | (?P<INT>[0-9]+)
+  | (?P<BAD>[^ \t\r]))""", re.VERBOSE)
+
+
+def regex_tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
+    """Lex arbitrary text; unknown characters become diagnostics, never exceptions."""
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    append, new = tokens.append, tuple.__new__  # skips Token's Python-level __new__
+    lines = text.split("\n")
+    eof_col = len(lines[-1]) + 1
+    for line, src in enumerate(lines, 1):
+        for m in _ITEM.finditer(src):
+            kind = m.lastgroup
+            if kind == "COMMENT":
+                if line == len(lines):  # the end of input is where the comment starts
+                    eof_col = m.start(kind) + 1
+            elif kind == "BAD":
+                diagnostics.append(Diagnostic(line, m.start(kind) + 1,
+                                              f"unexpected character {m[kind]!r}"))
+            else:
+                append(new(Token, (kind, m[kind], line, m.start(kind) + 1)))
+    append(Token(EOF, "", len(lines), eof_col))
+    return tokens, diagnostics
+
+
+class Cursor:
+    """A peek/advance view over a token list that ends in its EOF token."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != EOF:
+            self.pos += 1
+        return tok
+
+    def at_punct(self, value: str) -> bool:
+        t = self.tokens[self.pos]
+        return t.value == value and t.kind == PUNCT
+
+    def take_punct(self, value: str) -> bool:
+        t = self.tokens[self.pos]
+        if t.value == value and t.kind == PUNCT:
+            self.pos += 1
+            return True
+        return False
+
+    def take_word(self, value: str) -> bool:
+        t = self.tokens[self.pos]
+        if t.value == value and t.kind == IDENT:
+            self.pos += 1
+            return True
+        return False
 
 
 def parse_expr(cursor: Cursor) -> Expr:

@@ -52,10 +52,12 @@ def _read_names(path: Path) -> set[str]:
 def _definitions(tree: ast.Module) -> list[str]:
     """The module's functions and classes and their methods, as
     `name` or `Class.method`, without dunders and without the `item_*`
-    methods that `_Parser` calls by keyword through getattr."""
+    methods that `_Parser` calls by keyword through getattr. A module-level
+    dunder, such as a PEP 562 `__getattr__`, is read by the import system
+    as a dunder method is by the interpreter."""
     names = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             names.append(node.name)
         if isinstance(node, ast.ClassDef):
             names += [f"{node.name}.{m.name}" for m in node.body

@@ -1,6 +1,8 @@
-"""The model front end against its former implementation (tests/lex_oracle.py):
-the one-regex tokenizer and the precedence-climbing expression parser, and
-the located diagnostics for input that the former one did not read."""
+"""The model front end against its former implementations (tests/lex_oracle.py):
+the tokenizer of token strings, the positions it finds for diagnostics, and
+the precedence-climbing expression parser, whichever tokenizer made the
+tokens; and the located diagnostics for input that the former ones did not
+read."""
 
 import random
 import sys
@@ -19,7 +21,7 @@ from streamcheck.dsl import ModelDocument, parse_model
 from streamcheck.serialize import serialize_model
 from streamcheck.errors import Diagnostic
 from streamcheck.exprs import ExprSyntaxError, parse_expression
-from streamcheck.lexing import Cursor, Token, tokenize
+from streamcheck.lexing import Cursor, positions, tokenize
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import gen  # noqa: E402  (bench/gen.py: the benchmark's deep network)
@@ -31,30 +33,59 @@ _PIECES = (list("0123456789.eE/->:=\r\t\n\x0b ")
               "+", "*", "#", "@", '"', "\\", "//", "..", "1.5e-3", "2.5E+", "\x0c"])
 _ascii_text = st.one_of(st.lists(st.sampled_from(_PIECES), max_size=60).map("".join),
                         st.text(st.characters(max_codepoint=127), max_size=60))
+# the same, with letters, digits, blanks and symbols from beyond ASCII
+_NON_ASCII = ["é", "Café", "²", "٣", "\u00a0", "\u2028", "—", "€", "\ufeff", "𝔵"]
+_text = st.one_of(_ascii_text,
+                  st.lists(st.sampled_from(_PIECES + _NON_ASCII), max_size=60).map("".join),
+                  st.text(max_size=60))
+
+
+def _strings(old_tokens) -> list[str]:
+    """The former tokenizers' tokens as the token strings that the parser reads."""
+    return [t.value for t in old_tokens]
 
 
 @settings(max_examples=400, deadline=None)
-@given(_ascii_text)
+@given(_text)
+@example("")
+@example("a\n")
+@example("a 1.5\n  x..2 // note ²")  # a last-line comment holds the end of input
+@example("x := 1\r\ny := 2\r\n")
+@example("\t\tx\n\t y")
+@example("9" * 5000)
 def test_tokens_and_diagnostics_match_the_character_loop(text):
+    """The token strings, every token's position, the end of input and the
+    diagnostics are those of the one-regex tokenizer, and on ASCII text of
+    the character loop."""
     tokens, diagnostics = tokenize(text)
-    old_tokens, old_diagnostics = lex_oracle.tokenize(text)
-    assert [tuple(t) for t in tokens] == [tuple(t) for t in old_tokens]
-    assert diagnostics == old_diagnostics
+    oracles = [lex_oracle.regex_tokenize] + [lex_oracle.tokenize] * text.isascii()
+    for oracle in oracles:
+        old_tokens, old_diagnostics = oracle(text)
+        assert tokens == _strings(old_tokens)
+        assert positions(text) == [(t.line, t.column) for t in old_tokens]
+        assert diagnostics == old_diagnostics
 
 
-def test_token_repr_and_the_end_of_input():
-    tokens, diagnostics = tokenize("a 1.5\n  x..2 // note ²")
+def test_token_strings_and_positions_at_the_end_of_input():
+    text = "a 1.5\n  x..2 // note ²"
+    tokens, diagnostics = tokenize(text)
     assert not diagnostics
-    assert repr(tokens[0]) == "Token(IDENT, 'a', 1:1)"
-    assert [tuple(t) for t in tokens[1:]] == [
-        ("REAL", "1.5", 1, 3), ("IDENT", "x", 2, 3), ("PUNCT", "..", 2, 4),
-        ("INT", "2", 2, 6), ("EOF", "", 2, 8)]  # a last-line comment holds the end
-    assert tokenize("a \t")[0][-1] == Token("EOF", "", 1, 4)
+    assert tokens == ["a", "1.5", "x", "..", "2", ""]
+    # a last-line comment holds the end
+    assert positions(text) == [(1, 1), (1, 3), (2, 3), (2, 4), (2, 6), (2, 8)]
+    assert positions("a \t")[-1] == (1, 4)
+    assert Cursor(tokenize("a\n b")[0], "a\n b").where(1) == (2, 2)
+
+
+def _oracle_tokenize(text: str) -> tuple[list[str], list[Diagnostic]]:
+    """The character loop's tokens, as token strings."""
+    old_tokens, diagnostics = lex_oracle.tokenize(text)
+    return _strings(old_tokens), diagnostics
 
 
 def _parse_alike(text: str, base: ModelDocument | None = None):
     result = parse_model(text, base)
-    with mock.patch.object(dsl, "tokenize", lex_oracle.tokenize):
+    with mock.patch.object(dsl, "tokenize", _oracle_tokenize):
         old = parse_model(text, base)
     assert result.document == old.document
     assert result.diagnostics == old.diagnostics
@@ -100,8 +131,7 @@ _EXPR_PIECES = ["a", "b", "not", "and", "or", "==", "!=", "<", "<=", ">", ">=", 
                 "*", "/", "(", ")", ",", "min", "1", "2.5", "true", "false", ";", "{"]
 
 
-def _parse_expr(parse, tokens):
-    cursor = Cursor(tokens)
+def _parse_expr(parse, cursor):
     try:
         return parse(cursor), cursor.pos
     except ExprSyntaxError as e:
@@ -115,9 +145,13 @@ def _parse_expr(parse, tokens):
 @example("not a < b < a".split())
 @example("a == not b and a".split())  # `not` is a name after a comparison
 def test_expressions_parse_as_by_recursive_descent(words):
-    tokens, _ = tokenize(" ".join(words))
-    # the same tree or error, and the cursor left where the DSL parser goes on
-    assert _parse_expr(exprs.parse_expr, tokens) == _parse_expr(lex_oracle.parse_expr, tokens)
+    text = " ".join(words)
+    old_tokens, _ = lex_oracle.tokenize(text)
+    old = _parse_expr(lex_oracle.parse_expr, lex_oracle.Cursor(old_tokens))
+    # the same tree or error, and the cursor left where the DSL parser goes
+    # on, whichever tokenizer made the tokens
+    for tokens in (tokenize(text)[0], _strings(old_tokens)):
+        assert _parse_expr(exprs.parse_expr, Cursor(tokens, text)) == old
 
 
 def _code_positions(text: str) -> list[tuple[int, int, int]]:
@@ -168,3 +202,34 @@ def test_an_over_long_integer_literal_is_a_located_diagnostic():
     assert (d.line, d.column, d.message) == (5, 34, "integer literal too long (5000 digits)")
     with pytest.raises(ExprSyntaxError, match="^1:5: integer literal too long"):
         parse_expression("1 + " + digits)
+
+
+_ATOM = ("component A weak {\n  input x : bool\n  output y : bool\n  states S init\n"
+         "  transition S -> S { y := x }\n}\n")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("type T = bool\ntype T = bool\n", ["2:1: duplicate type name 'T'"]),
+    ("type T = int[3..1]\n", ["1:10: bad integer bounds [3..1]"]),
+    ("type T =\n  U\n", ["2:3: unknown type 'U'"]),
+    ("type T = enum { a, b, a }\n", ["1:10: enumeration labels must be distinct and non-empty"]),
+    ("component C weak {\n  input x : bool\n", ["1:1: unterminated component block"]),
+    (_ATOM + "component C {\n  sub s : Missing\n}\n",
+     ["8:11: unresolved component 'Missing'", "7:1: component 'C' declares no states"]),
+    (_ATOM + "relation R RX when true\n", ["7:12: relation side must be RI or RO, found 'RX'"]),
+    (_ATOM + "relation R RI checker Missing\n", ["7:23: unresolved component 'Missing'"]),
+    (_ATOM + "galois G {\n  abstract A\n  universe {\n    horizon x\n  }\n}\n",
+     ["10:13: horizon must be a non-negative integer"]),
+    (_ATOM + "galois G {\n  abstract Missing\n}\n", ["8:12: unresolved component 'Missing'"]),
+    (_ATOM + "refinement F {\n  abstract A\n  ri Missing\n}\n",
+     ["9:6: unresolved ri reference 'Missing'"]),
+    # a broken expression is skipped up to its ';', and the next one is read
+    ("component C weak {\n  input x : int[0..9]\n  output y : int[0..9]\n  output z : int[0..9]\n"
+     "  states S init\n  transition S -> S { y := ) ; z := ) }\n}\n",
+     ["6:28: expected expression, found ')'", "6:37: expected expression, found ')'"]),
+])
+def test_a_diagnostic_is_placed_at_the_token_it_names(text, expected):
+    """Each diagnostic that names a token taken before it, such as a
+    declaration's keyword or a reference, is placed at that token, as the
+    parser that read `Token` tuples placed it."""
+    assert [str(d) for d in parse_model(text).diagnostics] == expected
