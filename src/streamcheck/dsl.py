@@ -83,8 +83,8 @@ class ParseResult(Record, repr=False):
 def parse_model(text: str, base: ModelDocument | None = None) -> ParseResult:
     """Parse one document; `base` supplies resolvable names from earlier files."""
     try:
-        tokens, diagnostics = tokenize(text)
-        parser = _Parser(tokens, text, diagnostics, base)
+        tokens, diagnostics, positions = tokenize(text)
+        parser = _Parser(tokens, text, diagnostics, positions, base)
         doc = parser.document()
         return ParseResult(doc, parser.diagnostics)
     except Exception as e:  # the parser must be total over arbitrary bytes
@@ -109,8 +109,8 @@ def load_models(paths) -> ModelDocument:
 
 class _Parser:
     def __init__(self, tokens: list[str], text: str, diagnostics: list[Diagnostic],
-                 base: ModelDocument | None = None):
-        self.c = Cursor(tokens, text)
+                 positions: list[tuple[int, int]] | None, base: ModelDocument | None = None):
+        self.c = Cursor(tokens, text, positions)
         self.diagnostics = diagnostics
         self.doc = ModelDocument()
         self.base = base or ModelDocument()

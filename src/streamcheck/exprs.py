@@ -216,7 +216,7 @@ def parse_expr(cursor: Cursor) -> Expr:
 
 
 def parse_expression(text: str) -> Expr:
-    tokens, diags = tokenize(text)
+    tokens, diags, _ = tokenize(text)  # positions come only with diagnostics
     if diags:
         d = diags[0]
         raise ExprSyntaxError(d.message, d.line, d.column)

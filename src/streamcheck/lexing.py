@@ -28,17 +28,20 @@ _LEADING_GAP = re.compile(_GAP)
 _BAD = re.compile(r"[^A-Za-z0-9_{}()\[\],:;.<>+\-*/=!]")
 
 
-def tokenize(text: str) -> tuple[list[str], list[Diagnostic]]:
+def tokenize(text: str) -> tuple[list[str], list[Diagnostic], list[tuple[int, int]] | None]:
     """Lex arbitrary text into its token strings, ending in the end of input
-    "". A character that starts no token is left out, with a diagnostic."""
+    "". A character that starts no token is left out, with a diagnostic.
+    Only then are the tokens located, and their `positions` come third;
+    otherwise the third value is None."""
     tokens = _TOKEN.findall(text, _LEADING_GAP.match(text).end())
     tokens.append("")
     if not _BAD.search("".join(tokens)):
-        return tokens, []
+        return tokens, [], None
     located = _located(text)
     return ([tok for tok, _, _ in located if not _BAD.match(tok)],
             [Diagnostic(line, column, f"unexpected character {tok!r}")
-             for tok, line, column in located if _BAD.match(tok)])
+             for tok, line, column in located if _BAD.match(tok)],
+            _token_positions(located))
 
 
 def positions(text: str) -> list[tuple[int, int]]:
@@ -46,7 +49,11 @@ def positions(text: str) -> list[tuple[int, int]]:
     tokens that `tokenize` returns. The end of input is where a comment on
     the last line starts, or else the end of the text. A column counts
     characters, so a tab is one column."""
-    return [(line, column) for tok, line, column in _located(text) if not _BAD.match(tok)]
+    return _token_positions(_located(text))
+
+
+def _token_positions(located: list[tuple[str, int, int]]) -> list[tuple[int, int]]:
+    return [(line, column) for tok, line, column in located if not _BAD.match(tok)]
 
 
 def _located(text: str) -> list[tuple[str, int, int]]:
@@ -65,13 +72,14 @@ def _located(text: str) -> list[tuple[str, int, int]]:
 
 class Cursor:
     """A peek/advance view over the token strings of `text`, which end in
-    the end of input ""."""
+    the end of input "". `positions` are theirs, if `tokenize` found them."""
 
-    def __init__(self, tokens: list[str], text: str):
+    def __init__(self, tokens: list[str], text: str,
+                 positions: list[tuple[int, int]] | None = None):
         self.tokens = tokens
         self.text = text
         self.pos = 0
-        self._positions: list[tuple[int, int]] | None = None
+        self._positions = positions
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -98,7 +106,8 @@ class Cursor:
         return None
 
     def where(self, index: int) -> tuple[int, int]:
-        """The line and column of token `index`; the first call locates them all."""
+        """The line and column of token `index`; the first call locates them
+        all, unless `tokenize` has."""
         if self._positions is None:
             self._positions = positions(self.text)
         return self._positions[index]

@@ -182,10 +182,16 @@ class _Compiler:
         for t in spec.transitions:
             by_source.setdefault(t.source, []).append(t)
         idle = [f"_stuck({spec.name!r}, {a.state})"] if spec.total else ["pass"]
+        # the state slot holds one of the control states: when each is a
+        # source, the last needs no test and no state is left to be stuck in
+        covered = len(by_source) == len(spec.states)
         for j, (source, ts) in enumerate(by_source.items()):
-            lines.append(f"{'el' if j else ''}if {a.state} == {source!r}:")
-            lines += _indent(self._choose(a, ts, name, reads, idle))
-        if spec.total:
+            choose = self._choose(a, ts, name, reads, idle)
+            if covered and j == len(by_source) - 1:
+                lines += ["else:", *_indent(choose)] if j else choose
+            else:
+                lines += [f"{'el' if j else ''}if {a.state} == {source!r}:", *_indent(choose)]
+        if spec.total and not covered:
             lines += ["else:", *_indent(idle)] if by_source else idle
         if unset:
             latched = ", ".join(f"({o!r}, {a.outs[o]})" for o in unset)

@@ -443,6 +443,50 @@ def test_simulate_non_finite_real_exits_3(tmp_path, capsys, value):
     assert "tick 2" in err and "finite" in err
 
 
+TWICE = """component Twice weak {
+  input x : int[0..9]
+  output y : int[0..9]
+  states Run init
+  transition A: Run -> Run when x > 0 { y := 1 }
+  transition B: Run -> Run when x > 1 { y := 2 }
+}
+"""
+
+
+def _twice(tmp_path) -> list[str]:
+    """A one-state weak atom whose transitions are both enabled at tick 3."""
+    model, vectors = tmp_path / "twice.scm.txt", tmp_path / "twice.tv.csv"
+    model.write_text(TWICE, encoding="utf-8")
+    vectors.write_text("#case c1\n#inputs\nx\n1\n1\n2\n#expected\ny\n1\n1\n1\n", encoding="utf-8")
+    return ["--model", str(model), "--component", "Twice", "--vectors", str(vectors)]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_simulate_check_determinism_reports_both_enabled_transitions(tmp_path, capsys, fmt):
+    argv = _twice(tmp_path)
+    assert main(["simulate", *argv, "--check-determinism", *fmt]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: simulation failed in case 'c1': tick 3: Twice: transitions 'A' and 'B' "
+            "both enabled in state 'Run'\n")
+    # without the check the first enabled transition fires
+    assert main(["simulate", *argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"][0]["outputs"] == {"y": [1, 1, 1]}
+
+
+def test_test_check_determinism_reports_both_enabled_transitions(tmp_path, capsys):
+    argv = _twice(tmp_path)
+    assert main(["test", *argv, "--check-determinism"]) == 3
+    assert capsys.readouterr().out == (
+        "ERROR  c1 (simulation error: tick 3: Twice: transitions 'A' and 'B' both enabled "
+        "in state 'Run')\n0 passed, 0 failed, 1 errors\n")
+    assert main(["test", *argv, "--check-determinism", "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["cases"] == [
+        {"case": "c1", "status": "error", "first_divergence": None}]
+    assert main(["test", *argv]) == 0
+    assert "1 passed, 0 failed, 0 errors" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["causality", "--model", BRAKE, "--component", "BrakeOverride", "--eps", "0.1"],
     ["verify-galois", "--model", ENCODER, "--galois", "EncGalois", "--orientation", "literal"],

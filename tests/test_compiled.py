@@ -12,7 +12,10 @@ import gc
 import itertools
 import math
 import random
+import re
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from check_oracles import compile_expr, refusal
 from docgen import DocGen
+import interp_oracle
 from interp_oracle import run_interpreted
 from streamcheck import load_models
 from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
@@ -31,11 +35,14 @@ from streamcheck.codegen import UNBOUNDED, Code, CodeGen, kind_of_value
 from streamcheck.declarations import RelationSpec
 from streamcheck.dsl import parse_model
 from streamcheck.errors import EvaluationError, SimulationError, StreamcheckError
-from streamcheck.exprs import evaluate, parse_expression
+from streamcheck.exprs import Binary, Call, Lit, Name, evaluate, parse_expression
 from streamcheck.streams import BOOL, REAL, bounded_int, enumeration
 from streamcheck.histories import ChannelHistory, TimedStream
 
 from conftest import HALVES, fixture_path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from gen import deep_net_model  # noqa: E402  (bench/gen.py: the benchmark's deep network)
 
 
 def _outcome(fn, *args):
@@ -386,6 +393,149 @@ def test_min_and_max_of_typed_operands_call_no_builtin(file, component):
     for check_determinism in (False, True):
         sim = _simulator(spec, check_determinism)
         assert not {"min", "max"} & set(sim.fn.__code__.co_names)
+
+
+def test_state_tests_are_compiled_only_where_they_decide(doc):
+    """An atom whose every control state is a source tests all but its last
+    state, so a one-state atom tests none."""
+    deep = parse_model(deep_net_model(random.Random(1), 4, 3, 4)[0]).document
+    for spec, tests in ((deep.components["DeepNet"], 12), (doc.components["ACC"], 1)):
+        for check_determinism in (False, True):
+            src = "\n".join(_simulator(spec, check_determinism)._run_body)
+            assert len(re.findall(r"\bs\d+ == '", src)) == tests
+
+
+def _rebuilt(record, **changes):
+    return type(record)(**{f: changes.get(f, getattr(record, f)) for f in record._fields})
+
+
+def _one_state(rng, spec):
+    """The atom with its control states merged into its initial one."""
+    ts = tuple(_rebuilt(t, source=spec.initial, target=spec.initial) for t in spec.transitions)
+    return _rebuilt(spec, states=(spec.initial,), transitions=ts)
+
+
+def _every_state_a_source(rng, spec):
+    """The atom with a copy of some transition leaving each state that no
+    transition leaves, in a random place."""
+    ts = list(spec.transitions)
+    sources = {t.source for t in ts}
+    for state in spec.states:
+        if state not in sources:
+            ts.insert(rng.randint(0, len(ts)), _rebuilt(rng.choice(ts), source=state, label=None))
+    return _rebuilt(spec, transitions=tuple(ts))
+
+
+def _clamp(rng, names, depth=2):
+    """An int expression of nested min and max over int `names` (name ->
+    (lo, hi)) and literals at or next to their bounds, so that the bounds
+    of one operand often decide that another never becomes the result."""
+    if depth == 0 or rng.random() < 0.3:
+        if names and rng.random() < 0.6:
+            return Name(rng.choice(sorted(names)))
+        lo, hi = names[rng.choice(sorted(names))] if names else (0, 9)
+        return Lit(rng.choice([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, rng.randint(lo, hi)]))
+    operands = tuple(_clamp(rng, names, depth - 1) for _ in range(rng.choice([2, 2, 3])))
+    if rng.random() < 0.15:  # an operand that can fail
+        operands += (Binary("/", Lit(6), rng.choice(operands)),)
+    return Call(rng.choice(["min", "max"]), operands)
+
+
+def _clamped(rng, spec):
+    """The atom with clamps as its int assignments; a weak atom's int
+    outputs now and then lose their initial value, so that a clamp may
+    read an output that was never assigned."""
+    types = {c.name: c.ctype for c in spec.interface.inputs + spec.interface.outputs}
+    types.update((v.name, v.dtype) for v in spec.variables)
+    names = {n: (t.lo, t.hi) for n, t in types.items() if t.kind == "int"}
+    output_init = dict(spec.output_init)
+    if spec.causality == "weak":
+        for n in list(output_init):
+            if n in names and rng.random() < 0.5:
+                del output_init[n]
+
+    def assigned(pairs):
+        return tuple((n, Call("min", (Call("max", (_clamp(rng, names), Lit(types[n].lo))),
+                                      Lit(types[n].hi))) if n in names and rng.random() < 0.3
+                      else _clamp(rng, names) if n in names else e)
+                     for n, e in pairs)
+
+    ts = tuple(_rebuilt(t, outputs=assigned(t.outputs), updates=assigned(t.updates))
+               for t in spec.transitions)
+    return _rebuilt(spec, transitions=ts, output_init=output_init)
+
+
+_SHAPES = {"one state": [_one_state], "every state a source": [_every_state_a_source],
+           "clamps": [_clamped], "one state, clamps": [_one_state, _clamped],
+           "every state a source, clamps": [_every_state_a_source, _clamped]}
+
+
+def _shaped(rng, spec, shape):
+    """The spec with each of its atoms reshaped."""
+    if isinstance(spec, AutomatonSpec):
+        for reshape in _SHAPES[shape]:
+            spec = reshape(rng, spec)
+        return spec
+    return _rebuilt(spec, subcomponents=tuple((n, _shaped(rng, s, shape))
+                                              for n, s in spec.subcomponents))
+
+
+def _normal(state):
+    """A configuration with its variables, outputs and atoms in name order,
+    as the interpreter orders them."""
+    if isinstance(state, CompositeState):
+        return sorted((path, _normal(atom)) for path, atom in state.substates)
+    return state.state, sorted(state.variables), sorted(state.pending)
+
+
+def _step_outcomes(step_fn, initial, history):
+    """(outputs, configuration) of each tick, up to the first error."""
+    outcomes, state = [], initial
+    for t in range(1, history.horizon + 1):
+        try:
+            state, out = step_fn(state, history.tick(t))
+        except StreamcheckError as e:
+            return outcomes + [("error", type(e).__name__, str(e))]
+        outcomes.append((out, _normal(state)))
+    return outcomes
+
+
+def _same_steps(spec, histories, check_determinism):
+    rt = interp_oracle._runtime(spec, check_determinism)
+    for history in histories:
+        compiled = _step_outcomes(lambda s, i: step(spec, s, i, check_determinism),
+                                  initial_state(spec), history)
+        assert compiled == _step_outcomes(rt.step, rt.initial(), history)
+
+
+def _shaped_runs_and_steps(gen, spec, ticks):
+    shape = gen.rng.choice(sorted(_SHAPES))
+    event(shape)
+    spec = _shaped(gen.rng, spec, shape)
+    histories = [gen.history(spec.interface.inputs, gen.rng.randint(0, ticks), invalid=i == 3)
+                 for i in range(4)]
+    _refused_or_same_runs(spec, histories, check_determinism=True)
+    if refusal(spec) is None:
+        for check_determinism in (False, True):
+            _same_steps(spec, histories[:3], check_determinism)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_shaped_automata_match_interpreter(seed):
+    """Atoms with one control state, with every state a source, and with
+    clamps that the bounds decide: run and step, with and without the
+    determinism check, as the interpreter runs and steps them."""
+    gen = DocGen(random.Random(seed))
+    spec = gen.rich_automaton() if gen.rng.random() < 0.6 else gen.automaton()
+    _shaped_runs_and_steps(gen, spec, 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_shaped_chains_match_interpreter(seed):
+    gen = DocGen(random.Random(seed))
+    _shaped_runs_and_steps(gen, gen.chain(gen.rng.randint(1, 5)), 8)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import lex_oracle
 from conftest import MODEL_FILES, fixture_text
 from docgen import DocGen
-from streamcheck import dsl, exprs
+from streamcheck import dsl, exprs, lexing
 from streamcheck.dsl import ModelDocument, parse_model
 from streamcheck.serialize import serialize_model
 from streamcheck.errors import Diagnostic
@@ -57,19 +57,20 @@ def test_tokens_and_diagnostics_match_the_character_loop(text):
     """The token strings, every token's position, the end of input and the
     diagnostics are those of the one-regex tokenizer, and on ASCII text of
     the character loop."""
-    tokens, diagnostics = tokenize(text)
+    tokens, diagnostics, located = tokenize(text)
     oracles = [lex_oracle.regex_tokenize] + [lex_oracle.tokenize] * text.isascii()
     for oracle in oracles:
         old_tokens, old_diagnostics = oracle(text)
         assert tokens == _strings(old_tokens)
         assert positions(text) == [(t.line, t.column) for t in old_tokens]
         assert diagnostics == old_diagnostics
+    assert located == (positions(text) if diagnostics else None)
 
 
 def test_token_strings_and_positions_at_the_end_of_input():
     text = "a 1.5\n  x..2 // note ²"
-    tokens, diagnostics = tokenize(text)
-    assert not diagnostics
+    tokens, diagnostics, located = tokenize(text)
+    assert not diagnostics and located is None
     assert tokens == ["a", "1.5", "x", "..", "2", ""]
     # a last-line comment holds the end
     assert positions(text) == [(1, 1), (1, 3), (2, 3), (2, 4), (2, 6), (2, 8)]
@@ -77,10 +78,11 @@ def test_token_strings_and_positions_at_the_end_of_input():
     assert Cursor(tokenize("a\n b")[0], "a\n b").where(1) == (2, 2)
 
 
-def _oracle_tokenize(text: str) -> tuple[list[str], list[Diagnostic]]:
-    """The character loop's tokens, as token strings."""
+def _oracle_tokenize(text: str) -> tuple[list[str], list[Diagnostic], None]:
+    """The character loop's tokens, as token strings, with no positions, so
+    the parser finds them through `positions`."""
     old_tokens, diagnostics = lex_oracle.tokenize(text)
-    return _strings(old_tokens), diagnostics
+    return _strings(old_tokens), diagnostics, None
 
 
 def _parse_alike(text: str, base: ModelDocument | None = None):
@@ -233,3 +235,19 @@ def test_a_diagnostic_is_placed_at_the_token_it_names(text, expected):
     declaration's keyword or a reference, is placed at that token, as the
     parser that read `Token` tuples placed it."""
     assert [str(d) for d in parse_model(text).diagnostics] == expected
+
+
+@pytest.mark.parametrize("text", [
+    "type T = int[0..1]\n" * 3 + "#",
+    "type T = bool\n#\ntype T = bool\ncomponent C weak {\n  input x : bool\n",
+    "type T = int[0..@]\ntype U = V\n",
+])
+def test_a_failing_load_locates_its_tokens_once(text):
+    """A character that starts no token makes `tokenize` locate every token;
+    the parser's diagnostics then place their tokens with those positions."""
+    with mock.patch.object(lexing, "_located", wraps=lexing._located) as located:
+        result = parse_model(text)
+    assert located.call_count == 1
+    assert len(result.diagnostics) >= 2
+    with mock.patch.object(dsl, "tokenize", _oracle_tokenize):
+        assert parse_model(text).diagnostics == result.diagnostics
