@@ -8,16 +8,16 @@ reals use decimal-point notation.
 
 One reader (`_Reader`) reads a file's sections, each as its kind, its
 argument and its lines: the marker line, then the header line and the body
-text, if any. Two finders give it the sections. The whole-text pass
-(`_sections`) splits the text at every "\\n#" and each section into its
-marker line, header line and body text; the reader counts a body's rows
-with `str.count`. The pass takes a file only when cheap whole-text tests
-show that its sections are the ones the line walk finds. The line walk
-(`_scan`) splits the text into lines, drops the blank ones, joins each
-table's lines into its body, and gives the index of each marker line and
-the line number of each line. With those numbers, the reader reports every
-error at its line; without them, any error leaves the file to the line
-walk, and the reader reads the sections that the line walk finds.
+text, if any. One finder (`_sections`) gives it the sections of every file,
+once each line break of `str.splitlines` is written as "\\n" (`_lines`): it
+splits the text at every "\\n#" and each section into its marker line,
+header line and body text; the reader counts a body's rows with
+`str.count`. Blank lines are dropped: one whole-text search tells whether
+any line is empty or starts with whitespace, and only then is a copy of the
+text without blank lines, and without the blanks before indented markers,
+split instead. No line is numbered until an error is reported: then the
+offset of its section's '#' gives the number of its marker line, and its
+lines below give the rest.
 
 The reader follows the grammar of a case (`_cases`) and checks each
 table's structure when it reaches it: the marker, the header (each distinct
@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import csv
 import re
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import repeat
 from typing import Any, Iterable, Sequence
 
 from .components import SyntacticInterface
@@ -124,10 +123,9 @@ def _split(raw: str) -> list[str]:
     return cells if len(raw) <= MAX_CELL or max(map(len, cells)) <= MAX_CELL else []
 
 
-def _unreadable(line: int, raw: str):
-    if len(raw) > MAX_CELL:
-        _fail(line, 1, f"cell longer than {MAX_CELL} characters")
-    _fail(line, 1, "unreadable row")
+def _unreadable(raw: str) -> str:
+    """The message for a line that `_split` cannot read."""
+    return f"cell longer than {MAX_CELL} characters" if len(raw) > MAX_CELL else "unreadable row"
 
 
 # The value of each distinct cell of one type in a file, converted at its
@@ -165,7 +163,7 @@ def _first_error(types: list[DataType], linenos: Sequence[int], body: list[str])
     for lineno, raw in zip(linenos, body):
         cells = _split(raw)
         if not cells:
-            _unreadable(lineno, raw)
+            _fail(lineno, 1, _unreadable(raw))
         if len(cells) != len(types):
             _fail(lineno, 1, f"ragged row: {len(cells)} cells for {len(types)} columns")
         for col, (dtype, cell) in enumerate(zip(types, cells), start=1):
@@ -198,96 +196,69 @@ def _marker(line: str) -> tuple[str, str]:
     return parts[0] if parts else "", parts[1].strip() if len(parts) > 1 else ""
 
 
-# A section: its kind, its argument, its lines (the marker line after its
-# '#', then the header line and the body text, if any) and the index of its
-# marker line among the file's non-blank lines, or None from the whole-text
-# pass, which counts no lines.
-_Section = tuple[str, str, list[str], int | None]
+# A section: its kind, its argument and its lines: the marker line after its
+# '#', then the header line and the body text, if any, without blank lines.
+_Section = tuple[str, str, list[str]]
 
-
-def _scan(text: str) -> tuple[list[_Section], Sequence[int]]:
-    """The file's sections, found line by line, as `_sections` finds them,
-    where a table's body joins its non-blank lines; and the line number of
-    each non-blank line. Every marker is checked."""
-    lines = text.splitlines()
-    stripped = list(map(str.strip, lines))
-    linenos: Sequence[int] = range(1, len(lines) + 1)
-    if "" in stripped:
-        keep = list(compress(range(len(lines)), stripped))
-        lines, stripped = list(map(lines.__getitem__, keep)), list(filter(None, stripped))
-        linenos = [k + 1 for k in keep]
-    # the first character of every line, so that markers are found in one search
-    firsts = "".join(map(itemgetter(0), stripped))
-    marks = [m.start() for m in re.finditer("#", firsts)]
-    if lines and (not marks or marks[0]):
-        _fail(linenos[0], 1, "data before any section marker")
-    sections = []
-    for at, end in zip(marks, marks[1:] + [len(lines)]):
-        head = lines[at].lstrip()[1:]
-        kind, arg = _MARKERS.get(head) or _marker(head)
-        if kind not in _KINDS:
-            _fail(linenos[at], 1, f"unknown section marker {stripped[at]!r}")
-        if end > at + 2:  # a header and rows
-            part = [head, lines[at + 1], "\n".join(lines[at + 2:end])]
-        else:
-            part = [head, *lines[at + 1:end]]
-        sections.append((kind, arg, part, at))
-    return sections, linenos
-
-
-# What makes a file one for the line walk: a quote, which the csv module
-# reads, and the line breaks other than "\n" at which `str.splitlines` splits.
-_WALKED = ('"', "\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
+# The line breaks of `str.splitlines` other than "\n".
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK = re.compile(f"[{_BREAKS}]")
+# A line after the first that is empty or starts with whitespace.
+_SPACED = re.compile(r"\n\s")
+# Blank lines, each with the line break before it, and the blanks before a
+# marker's '#': a text without them has the same sections.
+_BLANKS = re.compile(r"\n\s+(?=#|\Z)|\n\s*\n")
+# A marker line, from the line break before it to its '#'.
+_MARK = re.compile(r"\n[^\S\n]*#")
 # The markers without an argument.
 _MARKERS = {kind: (kind, "") for kind in _KINDS}
 
 
-def _sections(text: str) -> list[_Section] | None:
-    """The file's sections, found by splitting the whole text at "\\n#";
-    None unless cheap whole-text tests show that the line walk (`_scan`)
-    finds the same markers: the text is ASCII with none of _WALKED, so lines
-    end at "\\n" only, every '#' starts a line, nothing but empty lines
-    comes before the first marker, and every marker is known. Empty lines
-    that end a section are dropped; the reader leaves the file to the line
-    walk when any other blank line would be read."""
-    if not text.isascii() or any(c in text for c in _WALKED):
-        return None
-    parts = text.split("\n#")
+def _lines(text: str) -> str:
+    """The text with every line break of `str.splitlines` written as "\\n",
+    so that its lines are numbered as `splitlines` numbers them."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(c in text for c in _BREAKS):
+        text = _BREAK.sub("\n", text)
+    return text
+
+
+def _sections(text: str) -> list[_Section]:
+    """The sections of a text from `_lines`, found by splitting it at every
+    "\\n#". Every marker is checked. When a line is empty or starts with
+    whitespace, a copy of the text without _BLANKS is split instead."""
+    found = text
+    if text[:1].isspace() or _SPACED.search(text):
+        found = _BLANKS.sub("\n", text).lstrip()
+    parts = found.split("\n#")
     if parts[0].startswith("#"):
         parts[0] = parts[0][1:]
-    elif parts[0].strip("\n"):
-        return None
+    elif parts[0]:
+        _fail(text.count("\n", 0, len(text) - len(text.lstrip())) + 1, 1,
+              "data before any section marker")
     else:
         del parts[0]
-    if text.count("#") != len(parts):
-        return None
+    if parts:  # the line break that ends the text
+        parts[-1] = parts[-1].rstrip("\n")
     for k, part in enumerate(parts):  # replaced one by one: the file is held once more, not twice
-        lines = part.rstrip("\n").split("\n", 2)
+        lines = part.split("\n", 2)
         marker = _MARKERS.get(lines[0])
         if marker is None:
             marker = _marker(lines[0])
+            if marker[0] not in _KINDS:
+                _fail(text.count("\n", 0, _markers(text)[k]) + 1, 1,
+                      f"unknown section marker {('#' + lines[0]).rstrip()!r}")
         else:  # one string for every bare marker line of a kind, not a copy each
             lines[0] = marker[0]
-        if marker[0] not in _KINDS:
-            return None
-        parts[k] = (*marker, lines, None)
+        parts[k] = marker + (lines,)
     return parts
 
 
-def _header(raw: str, line: int, kind: str, known: dict[str, DataType] | None,
-            what: str) -> list[str]:
-    """The channel names of a table's header line, checked against `known`
-    unless it is None."""
-    header = _split(raw)
-    if not header:
-        _unreadable(line, raw)
-    names = [h.strip() for h in header]
-    for col, name in enumerate(names, start=1):
-        if known is not None and name not in known:
-            _fail(line, col, f"unknown {what} {name!r}{_suggestion(name, list(known))}")
-    if len(set(names)) != len(names):
-        _fail(line, 1, f"duplicate columns in #{kind} header")
-    return names
+def _markers(text: str) -> list[int]:
+    """The offset of each marker's '#' in a text from `_lines`, found only
+    to locate an error."""
+    return [m.end() - 2 for m in _MARK.finditer("\n" + text)]
 
 
 def _convert(cells: list[dict[str, Any] | None], body: str, rows: int
@@ -319,51 +290,35 @@ class _Batch:
         self.queue: list[tuple[int, int, int]] = []  # (serial, rows, section index)
 
 
-class _Unread(Exception):
-    """The whole-text pass leaves the file to the line walk."""
-
-
 class _Reader:
-    """The tables of a file's sections, from `_sections` or `_scan`, queued
-    by header and converted in batches of about BATCH_ROWS rows. A table is
-    known by its serial number, in file order; it is in `tables` once its
-    batch is converted.
+    """The tables of a file's sections (from `_sections`), queued by header
+    and converted in batches of about BATCH_ROWS rows. A table is known by
+    its serial number, in file order; it is in `tables` once its batch is
+    converted. Every error is reported at its line as if each table were
+    converted as soon as its header was read. Lines are counted only for an
+    error, in the text from `_lines`: up to the '#' of the section's
+    marker, then below it, blank lines skipped."""
 
-    With line numbers (from `_scan`), every error is reported at its line
-    as if each table were converted as soon as its header was read. Without
-    them (from `_sections`), any error leaves the file to the line walk
-    (`_Unread`). The line walk skips blank lines, which the whole-text pass
-    reads as lines, so that pass also leaves the file to it wherever it
-    would read one: as a header, as a row of a `#params` table whose cells
-    it does not convert, or as a row whose cells would convert. A cell of a
-    blank row strips to "", which converts only as a label "" of an
-    enumeration; in a row of more than one cell it is a ragged row."""
-
-    def __init__(self, sections: list[_Section], linenos: Sequence[int] | None = None):
-        self.sections, self.linenos = sections, linenos
+    def __init__(self, text: str, sections: list[_Section]):
+        self.text, self.sections = text, sections
         self.batches: dict[tuple[str, str], _Batch] = {}
         self.tables: list[Table | None] = []
         self.cells: dict[DataType, dict[str, Any]] = {}
 
-    def line(self, i: int, below: int = 0) -> int:
-        """The number of the line `below` lines after section i's marker; 0
-        without line numbers."""
-        return 0 if self.linenos is None else self.linenos[self.sections[i][3] + below]
+    def linenos(self, i: int) -> list[int]:
+        """The numbers of the lines of section i: its marker line, then each
+        line below it that is not blank."""
+        text = self.text
+        marks = _markers(text) + [len(text)]
+        first = text.count("\n", 0, marks[i]) + 1
+        return [first + k for k, line in enumerate(text[marks[i]:marks[i + 1]].split("\n"))
+                if not k or line.strip()]
 
-    def fail(self, i: int, message: str, below: int = 0) -> None:
-        """Report a structural error at a line of section i."""
-        self.failed(VectorFormatError([Diagnostic(self.line(i, below), 1, message)]))
-
-    def failed(self, error: VectorFormatError) -> None:
-        """Report an error, after any error of a table queued before it."""
-        if self.linenos is None:
-            raise _Unread
+    def fail(self, i: int, message: str, below: int = 0, column: int = 1) -> None:
+        """Report an error at a line of section i, `below` lines after its
+        marker line, after any error of a table queued before it."""
         self.flush()
-        raise error
-
-    def under(self, i: int) -> bool:
-        """Whether lines follow section i's marker line."""
-        return len(self.sections[i][2]) > 1
+        raise VectorFormatError([Diagnostic(self.linenos(i)[below], column, message)])
 
     def table(self, kind: str, i: int, known: dict[str, DataType] | None,
               what: str) -> tuple[_Batch, int | None, int]:
@@ -375,44 +330,39 @@ class _Reader:
             self.fail(i, f"empty #{kind} table")
         header, body = lines[1], lines[2] if len(lines) > 2 else ""
         rows = body.count("\n") + 1 if body else 0
-        walked = self.linenos is not None
         batch = self.batches.get((kind, header))
         if batch is None:
-            batch = self.batch(kind, header, self.line(i, 1), known, what)
-            if not walked and (not header.strip()
-                               or any("" in t.labels for t in batch.types or ())):
-                raise _Unread
+            batch = self.batch(kind, i, known, what)
         if batch.types is None:
-            if not walked and body and not all(map(str.strip, body.split("\n"))):
-                raise _Unread
             return batch, None, rows
-        if body:
-            batch.parts.append(body)
-        return batch, self.queue(batch, rows, i), rows
-
-    def batch(self, kind: str, header: str, line: int, known: dict[str, DataType] | None,
-              what: str) -> _Batch:
-        """The batch of a header line, whose names are checked against `known`."""
-        try:
-            names = _header(header, line, kind, known, what)
-        except VectorFormatError as e:
-            self.failed(e)
-        types = None if known is None else [known[n] for n in names]
-        missing = [] if kind == "params" else sorted(set(known) - set(names))
-        cells = [self._cells(t) for t in types or ()]
-        batch = self.batches[kind, header] = _Batch(names, types, missing, cells)
-        return batch
-
-    def queue(self, batch: _Batch, rows: int, i: int) -> int:
-        """Queue section i's table, whose body is in the batch's parts; its
-        serial number."""
         serial = len(self.tables)
         self.tables.append(None)
+        if body:
+            batch.parts.append(body)
         batch.queue.append((serial, rows, i))
         batch.rows += rows
         if batch.rows >= BATCH_ROWS:
             self._convert_batch(batch)
-        return serial
+        return batch, serial, rows
+
+    def batch(self, kind: str, i: int, known: dict[str, DataType] | None, what: str) -> _Batch:
+        """The batch of section i's header line, whose names are checked
+        against `known` unless it is None."""
+        header = self.sections[i][2][1]
+        cells = _split(header)
+        if not cells:
+            self.fail(i, _unreadable(header), 1)
+        names = [h.strip() for h in cells]
+        for col, name in enumerate(names, start=1):
+            if known is not None and name not in known:
+                self.fail(i, f"unknown {what} {name!r}{_suggestion(name, list(known))}", 1, col)
+        if len(set(names)) != len(names):
+            self.fail(i, f"duplicate columns in #{kind} header", 1)
+        types = None if known is None else [known[n] for n in names]
+        missing = [] if kind == "params" else sorted(set(known) - set(names))
+        batch = self.batches[kind, header] = _Batch(names, types, missing,
+                                                    [self._cells(t) for t in types or ()])
+        return batch
 
     def _cells(self, dtype: DataType) -> dict[str, Any] | None:
         """The distinct cells of a type in this file; None for a real type."""
@@ -442,15 +392,11 @@ class _Reader:
 
     def unconverted(self) -> None:
         """Raise the first error of the queued tables in file order."""
-        if self.linenos is None:
-            raise _Unread
         queued = sorted(((entry, batch) for batch in self.batches.values()
                          for entry in batch.queue), key=lambda q: q[0][0])
         for (_, rows, i), batch in queued:
             if rows and _convert(batch.cells, self.sections[i][2][2], rows) is None:
-                first = self.sections[i][3] + 2
-                _first_error(batch.types, self.linenos[first:first + rows],
-                             self.sections[i][2][2].split("\n"))
+                _first_error(batch.types, self.linenos(i)[2:], self.sections[i][2][2].split("\n"))
         raise AssertionError("a batch failed to convert, but none of its tables did")
 
 
@@ -463,10 +409,10 @@ def _cases(reader: _Reader, in_types: dict[str, DataType], out_types: dict[str, 
     n = len(sections)
     i = counter = 0
     while i < n:
-        kind, arg, _, _ = sections[i]
+        kind, arg, _ = sections[i]
         name = None
         if kind == "case":
-            if reader.under(i):
+            if len(sections[i][2]) > 1:  # lines below the marker line
                 reader.fail(i, "data rows directly under #case", 1)
             name = arg
             i += 1
@@ -511,13 +457,8 @@ def read_vectors(text: str, iface: SyntacticInterface,
     header and its number of rows only, and left out of its case."""
     in_types = {c.name: c.ctype for c in iface.inputs}
     out_types = {c.name: c.ctype for c in iface.outputs}
-    sections = _sections(text)
-    if sections is not None:
-        try:
-            return _cases(_Reader(sections), in_types, out_types, param_types)
-        except _Unread:
-            sections = None  # dropped before the line walk finds its own
-    return _cases(_Reader(*_scan(text)), in_types, out_types, param_types)
+    text = _lines(text)
+    return _cases(_Reader(text, _sections(text)), in_types, out_types, param_types)
 
 
 def parse_testcases(text: str, iface: SyntacticInterface,

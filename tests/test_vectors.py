@@ -365,18 +365,11 @@ def test_the_writer_matches_the_cellwise_writer(text):
     assert serialize_testcases(cases) == _cellwise_serialize(cases)
 
 
-# The whole-text pass (vectors._sections) gives the reader a file only when
-# it finds the sections and lines that the line walk (vectors._scan) finds;
-# the line walk finds the sections of every other file, and with its line
-# numbers the reader reports every error.
-
-def _walked(text, iface, param_types):
-    """The cases of the sections the line walk finds, as histories."""
-    cases = vectors._cases(vectors._Reader(*vectors._scan(text)),
-                           {c.name: c.ctype for c in iface.inputs},
-                           {c.name: c.ctype for c in iface.outputs}, param_types)
-    return [case.test_case() for case in cases]
-
+# One finder (vectors._sections) gives the reader the sections of every
+# file. The documents below are read as the row-wise oracle reads them: the
+# bare ones of the benchmark's shape, with blank lines added, and ones with
+# every other line break, blank line, indented marker, quote and '#' that a
+# vector file may hold.
 
 def _bare_texts(dtype):
     """Ways to write each of some values of the type, without quotes."""
@@ -421,27 +414,9 @@ def _fast_document(draw):
 def test_the_whole_text_pass_reads_what_the_line_walk_reads(text, batch_rows, typed):
     param_types = DIFF_PARAMS if typed else None
     with mock.patch.object(vectors, "BATCH_ROWS", batch_rows):
-        with mock.patch.object(vectors, "_scan", wraps=vectors._scan) as walk:
-            outcome = _outcome(parse_testcases, text, param_types)
-        assert not walk.called and outcome[0] == "cases"
-        assert outcome == _outcome(_walked, text, param_types)
+        outcome = _outcome(parse_testcases, text, param_types)
+    assert outcome[0] == "cases"
     assert outcome == _outcome(vector_oracle.parse_testcases, text, param_types)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_fast_document(), st.booleans(), st.booleans())
-def test_the_two_finders_find_the_same_sections(text, spaced, padded):
-    if spaced:  # an empty line before every marker but the first
-        text = text.replace("\n#", "\n\n#")
-    if padded:  # a blank after every marker
-        text = "\n".join(line + " " if line[:1] == "#" else line for line in text.split("\n"))
-    whole = vectors._sections(text)
-    scanned, linenos = vectors._scan(text)
-    assert [s[:3] for s in scanned] == [s[:3] for s in whole]
-    # the whole-text pass counts no lines; its sections start at the lines
-    # that start with '#', one section each
-    marked = [n for n, line in enumerate(text.split("\n"), start=1) if line[:1] == "#"]
-    assert [linenos[s[3]] for s in scanned] == marked
 
 
 _BLANK = st.sampled_from(["", " ", "\t", "\x1f", "  \t"])
@@ -451,8 +426,7 @@ _BLANK = st.sampled_from(["", " ", "\t", "\x1f", "  \t"])
 @given(_fast_document(), st.lists(st.tuples(st.integers(0, 10 ** 6), _BLANK), max_size=3),
        st.integers(1, 6) | st.just(vectors.BATCH_ROWS), st.booleans())
 def test_blank_lines_read_as_the_line_walk_reads_them(text, blanks, batch_rows, typed):
-    # a blank line anywhere: the whole-text pass drops an empty one that ends
-    # a section and leaves the file to the line walk where it would read one
+    # a blank line anywhere: the reader drops it, as the oracle does
     lines = text.split("\n")
     for at, blank in blanks:
         lines.insert(at % (len(lines) + 1), blank)
@@ -475,12 +449,13 @@ def test_blank_lines_read_as_the_line_walk_reads_them(text, blanks, batch_rows, 
 ])
 def test_a_blank_line_the_whole_text_pass_would_read_is_left_to_the_line_walk(
         iface, text, param_types):
-    with mock.patch.object(vectors, "_scan", wraps=vectors._scan) as walk:
-        try:
-            got = ("cases", [c.input for c in parse_testcases(text, iface, param_types)])
-        except VectorFormatError as e:
-            got = ("error", str(e))
-    assert walk.called
+    # blank lines that, if they were kept, would be read as a header, as a
+    # row of a #params table that is counted but not converted, or as a row
+    # that converts in a column of an enumeration with the label ""
+    try:
+        got = ("cases", [c.input for c in parse_testcases(text, iface, param_types)])
+    except VectorFormatError as e:
+        got = ("error", str(e))
     try:
         expected = ("cases", [c.input for c in vector_oracle.parse_testcases(text, iface,
                                                                               param_types)])
@@ -499,7 +474,88 @@ def test_the_fixture_vectors_are_read_by_the_whole_text_pass(doc):
                                      ("encoder_concrete.tv.csv", concrete, None),
                                      ("encoder_concretize.tv.csv", abstract, params)]:
         text = fixture_text(name)
-        with mock.patch.object(vectors, "_scan", wraps=vectors._scan) as walk:
-            cases = parse_testcases(text, iface, param_types)
-        assert not walk.called, name
-        assert cases == _walked(text, iface, param_types)
+        cases = parse_testcases(text, iface, param_types)
+        assert cases == vector_oracle.parse_testcases(text, iface, param_types), name
+
+
+# Every line break of str.splitlines, whitespace-only lines, indented markers,
+# quoted cells and '#' inside a cell, with now and then one error in the last
+# table.
+
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_WHITE = st.sampled_from(["", " ", "\t", "\x1f", "\u3000", " \t"])
+
+
+@st.composite
+def _odd_document(draw):
+    """Cases without errors, written with any line breaks, quoted cells,
+    whitespace-only lines before headers, between rows and between
+    sections, indented markers and '#' inside a cell; and with one error
+    in the last table, now and then."""
+    lines = []
+    tables = []  # the index of each table's marker line
+
+    def table(marker, channels, ticks):
+        tables.append(len(lines))
+        lines.extend(draw(_table(marker, channels, ticks, faults=False)))
+
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            lines.append(f"#case c{i}")
+        ticks = draw(st.integers(0, 3))
+        if draw(st.integers(0, 2)) == 0:
+            table("#params", ["p", "q"], draw(st.sampled_from([1, ticks])))
+            if ticks and draw(st.booleans()):  # a cell read only with parameter types
+                lines[-1] = lines[-1] + draw(st.sampled_from(["#", " #2", '"#"']))
+        table("#inputs", ["n", "b", "m", "r"], ticks)
+        for _ in range(draw(st.integers(0, 2))):
+            table("#expected", ["o", "x"], ticks)
+    if draw(st.booleans()):  # one error in the last table
+        last = tables[-1]
+        at = draw(st.integers(last + 1, len(lines) - 1))
+        cells = lines[at].split(",")
+        k = draw(st.integers(0, len(cells) - 1))
+        cells[k] = draw(st.sampled_from(["x", "1#", '"Hii"', "9" * 4301, "", "nn"]))
+        if draw(st.integers(0, 3)) == 0:
+            cells.append("1")
+        lines[at] = ",".join(cells)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_WHITE))
+    if draw(st.booleans()):
+        lines = [draw(_WHITE) + line if line[:1] == "#" else line for line in lines]
+    breaks = draw(st.lists(st.sampled_from(_LINE_BREAKS), min_size=1, max_size=3))
+    text = lines[0]
+    for line in lines[1:]:
+        text += draw(st.sampled_from(breaks)) + line
+    return text + draw(st.sampled_from(["", breaks[0]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_odd_document(), st.integers(1, 6) | st.just(vectors.BATCH_ROWS))
+def test_any_line_break_blank_line_indent_or_quote_reads_as_the_row_reader_reads_it(
+        text, batch_rows):
+    with mock.patch.object(vectors, "BATCH_ROWS", batch_rows):
+        typed, untyped = (_outcome(parse_testcases, text, p) for p in (DIFF_PARAMS, None))
+    assert typed == _outcome(vector_oracle.parse_testcases, text, DIFF_PARAMS)
+    assert untyped == _outcome(vector_oracle.parse_testcases, text, None)
+    # each section starts at the line whose first non-blank character is '#'
+    lines = vectors._lines(text)
+    try:
+        sections = vectors._sections(lines)
+    except VectorFormatError:
+        return
+    marked = [n for n, line in enumerate(text.splitlines(), start=1)
+              if line.strip()[:1] == "#"]
+    assert [lines.count("\n", 0, at) + 1 for at in vectors._markers(lines)] == marked
+    assert len(sections) == len(marked)
+
+
+def test_an_error_in_the_last_table_of_a_crlf_file_with_blank_lines_is_at_its_line():
+    text = ("#case a\r\n\r\n#inputs\r\n  \r\nDriverBrake,AccBrake,AccSwitch\r\n1,2,true\r\n"
+            "\r\n3,4,false\r\n\r\n #case b\r\n#inputs\r\nDriverBrake,AccBrake,AccSwitch\r\n"
+            "\t\r\n1,2,true\r\n\r\n5,x,true\r\n")
+    with pytest.raises(VectorFormatError) as got:
+        parse_testcases(text, IFACE)
+    with pytest.raises(VectorFormatError) as expected:
+        vector_oracle.parse_testcases(text, IFACE)
+    assert str(got.value) == str(expected.value) == "16:2: expected an integer, found 'x'"
