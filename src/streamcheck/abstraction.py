@@ -31,6 +31,7 @@ from .simulator import run, run_tables, table_runs
 from .streams import BOOL, REAL, DataType, bounded_int
 
 if TYPE_CHECKING:
+    from .codegen import Signature
     from .declarations import ConcretizerSpec, GaloisSpec, RelationSpec, Universe
     from .testcases import VectorCase
 
@@ -251,20 +252,6 @@ def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHis
 # Bounded-universe verification
 
 
-def _side_elements(side: tuple[tuple[str, tuple[Any, ...]], ...], horizon: int,
-                   types: Mapping[str, DataType]) -> list[ChannelHistory]:
-    """All channel histories over the declared per-channel value sets."""
-    axes = [values for _, values in side for _ in range(horizon)]
-    elements = []
-    for combo in itertools.product(*axes):
-        streams = {}
-        for i, (chan, _) in enumerate(side):
-            vals = combo[i * horizon:(i + 1) * horizon]
-            streams[chan] = TimedStream.of(types.get(chan) or _infer_type(list(vals)), vals)
-        elements.append(ChannelHistory(streams, horizon))
-    return elements
-
-
 class GaloisCounterexample(Record):
     """Concrete and abstract sets of histories on which the law fails:
     `lhs` tells whether f(T_c) is a subset of T_a, `rhs` whether T_c is a
@@ -295,10 +282,95 @@ def _universe(gal: GaloisSpec) -> Universe:
     return gal.universe
 
 
-def universe_elements(gal: GaloisSpec) -> tuple[list[ChannelHistory], list[ChannelHistory]]:
-    u = _universe(gal)
-    return (_side_elements(u.abstract, u.horizon, gal.channel_types),
-            _side_elements(u.concrete, u.horizon, gal.channel_types))
+def _check(types: Mapping[str, DataType], chan: str) -> Callable[[Any], Any]:
+    """How a one-tick history checks a value of the channel: against the
+    channel's declared type, or else against the type of that value alone."""
+    dtype = types.get(chan)
+    if dtype is not None:
+        return dtype.check
+    return lambda value: _infer_type([value]).check(value)
+
+
+def _checked_axes(side: tuple[tuple[str, tuple[Any, ...]], ...],
+                  types: Mapping[str, DataType]) -> list[list[Any]]:
+    """Each channel's values, checked once each. The error raised is the one
+    that building the one-tick histories in product order meets first: that
+    of the first history holding a value that fails, at the first channel
+    holding one. With each channel's first failing value at index b_i, that
+    is the history of index 0 on every channel when some b_i is 0, and
+    otherwise the one of index b_i on the last channel that has one. An
+    empty value set leaves no history, and so no error."""
+    axes: list[list[Any]] = []
+    failed: list[tuple[int, StreamcheckError]] = []  # (index of the value, its error)
+    for chan, values in side:
+        check = _check(types, chan)
+        checked: list[Any] = []
+        try:
+            for v in values:
+                checked.append(check(v))
+        except StreamcheckError as e:
+            failed.append((len(checked), e))
+        axes.append(checked)
+    if failed and all(values for _, values in side):
+        first = [e for b, e in failed if b == 0]
+        raise first[0] if first else failed[-1][1]
+    return axes
+
+
+def _side_rows(side: tuple[tuple[str, tuple[Any, ...]], ...], ticks: int,
+               types: Mapping[str, DataType]) -> tuple[Signature, list[list[tuple]]]:
+    """A universe side's histories of `ticks` ticks (0 or 1) as rows: the
+    signature that they share, and each one's rows of values, one row a
+    tick, in the order of the product of the channels' value sets (at 0
+    ticks, one empty history). A channel without a declared type reads as
+    an untyped column. A channel named twice keeps its first place and
+    takes its last values."""
+    columns = {chan: k for k, (chan, _) in enumerate(side)}
+    axes = _checked_axes(side, types) if ticks else [[] for _ in side]
+    sig = tuple((chan, REAL, False) if types.get(chan) is None
+                else (chan, types[chan], TimedStream(types[chan], tuple(axes[k])).conforms())
+                for chan, k in columns.items())
+    if not ticks:
+        return sig, [[]]
+    keep = list(columns.values())
+    combos = itertools.product(*axes)
+    if keep != list(range(len(side))):
+        combos = (tuple(combo[k] for k in keep) for combo in combos)
+    return sig, [[row] for row in combos]
+
+
+def _element(sig: Signature, rows: list[tuple], types: Mapping[str, DataType]) -> ChannelHistory:
+    """The history of a universe element from its rows."""
+    columns = list(zip(*rows)) if rows else [()] * len(sig)
+    return ChannelHistory({chan: TimedStream.of(types.get(chan) or _infer_type(list(col)), col)
+                           for (chan, _, _), col in zip(sig, columns)}, len(rows))
+
+
+def _images(gal: GaloisSpec, sig: Signature,
+            rows: Sequence[tuple]) -> tuple[list[str], list[tuple]]:
+    """The abstract channels that f maps concrete rows of the signature to,
+    and the image of each row, one value a channel, checked as
+    `abstract_output` checks it. The first error of a row, in order, is
+    raised: the map's, then its image's."""
+    available = {chan for chan, _, _ in sig}
+    entries = gal.f_entries_for(available)
+    if not entries:
+        raise EvaluationError(f"galois {gal.name!r}: no abstraction map entry is "
+                              f"applicable to channels {sorted(available)}")
+    from .codegen import map_rows
+    checks = [_check(gal.channel_types, chan) for chan, _ in entries]
+    cols: list[list[Any]] = [[] for _ in entries]
+    error = None
+    try:
+        map_rows(gal, entries, sig, rows, cols)
+    except StreamcheckError as e:
+        error = e
+    # the images of the rows mapped before any that failed
+    images = [tuple(check(col[t]) for check, col in zip(checks, cols))
+              for t in range(len(cols[-1]))]
+    if error is not None:
+        raise error
+    return [chan for chan, _ in entries], images
 
 
 def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
@@ -311,11 +383,14 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
     member of g(a) iff f(x) = a (an image outside the universe equals no a).
     That takes |A|*|C| comparisons, not 2^|A| subsets. The maps and `member`
     are per-tick, so at a horizon H >= 1 the law holds exactly when it holds
-    on the one-tick histories, and only those are built (at H = 0, the one
-    empty history a side); a side of more than `element_cap` raises
-    CapsExceededError first. The counterexample is the first failing pair in
-    the order of T_a bitmasks: smallest abstract index, then concrete index.
-    stats["pairs"], when `stats` is given, counts the pairs decided.
+    on the one-tick histories (at H = 0, on the one empty history a side);
+    a side of more than `element_cap` raises CapsExceededError before any is
+    enumerated. The histories are decided as rows of values: f runs over
+    every concrete row in one call, and `member` or the adjoint over every
+    pair in another; only a counterexample's histories are built. It is the
+    first failing pair in the order of T_a bitmasks: smallest abstract
+    index, then concrete index. stats["pairs"], when `stats` is given,
+    counts the pairs decided.
     """
     u = _universe(gal)
     ticks = min(u.horizon, 1)
@@ -325,24 +400,31 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
             raise CapsExceededError(
                 f"{name} universe has {size} value tuples a tick, cap is {element_cap}",
                 size, element_cap)
-    abs_elems = _side_elements(u.abstract, ticks, gal.channel_types)
-    conc_elems = _side_elements(u.concrete, ticks, gal.channel_types)
-
-    def key(h: ChannelHistory):
-        return tuple((c, h.streams[c].values) for c in sorted(h.streams))
-
-    abs_index = {key(h): i for i, h in enumerate(abs_elems)}
+    types = gal.channel_types
+    sig_a, abstract = _side_rows(u.abstract, ticks, types)
+    sig_c, concrete = _side_rows(u.concrete, ticks, types)
     # lifted f: image index (or None when the image escapes the universe)
-    f_bit = [abs_index.get(key(abstract_output(gal, x))) for x in conc_elems]
-    from .codegen import membership_matrix
-    member = membership_matrix(gal, abs_elems, conc_elems)
+    f_bit: list[Optional[int]] = [None] * len(concrete)
+    if concrete:
+        chans, images = _images(gal, sig_c, [row for rows in concrete for row in rows])
+        names = [chan for chan, _, _ in sig_a]
+        if sorted(chans) == sorted(names):  # else no image is an abstract element
+            index = {tuple(rows): i for i, rows in enumerate(abstract)}
+            pos = [chans.index(n) for n in names]
+            keys = [tuple(image[p] for p in pos) for image in images]
+            f_bit = [index.get(tuple(keys[j * ticks:(j + 1) * ticks]))
+                     for j in range(len(concrete))]
+    from .codegen import membership_rows
+    member = membership_rows(gal, sig_a, sig_c, abstract, concrete)
     if stats is not None:
-        stats["pairs"] = len(abs_elems) * len(conc_elems)
-    for i, a in enumerate(abs_elems):
-        for j, x in enumerate(conc_elems):
+        stats["pairs"] = len(abstract) * len(concrete)
+    for i, row in enumerate(member):
+        for j, holds in enumerate(row):
             lhs = f_bit[j] == i
-            if member[i][j] != lhs:
-                return GaloisCounterexample((x,), (a,), lhs, member[i][j], u.horizon)
+            if holds != lhs:
+                return GaloisCounterexample((_element(sig_c, concrete[j], types),),
+                                            (_element(sig_a, abstract[i], types),),
+                                            lhs, holds, u.horizon)
     return None
 
 

@@ -282,7 +282,10 @@ class CodeGen:
             pyop = "//" if lhs.kind == rhs.kind == "int" else "/"
             kind, bounds = _arith(op, lhs, rhs)
             divisor, depth = _paren(rhs, _UNARY), _depth(rhs, _UNARY)
-            if not isinstance(e.right, Lit) or e.right.value == 0:
+            lo, hi = rhs.bounds
+            nonzero = (isinstance(e.right, Lit) and e.right.value != 0
+                       or rhs.kind == "int" and (lo > 0 or hi < 0))
+            if not nonzero:
                 # both operands evaluate, left first, before the divisor is
                 # tested; the left one nests no deeper, so chains stay flat
                 divisor, depth = f"_divisor({rhs.src}{c})", rhs.depth + 1
@@ -321,9 +324,9 @@ def slot(local: str, dtype: DataType, conforms: bool) -> Code:
 Signature = tuple  # ((name, DataType, conforms), ...), one entry per column
 
 
-def _rows(h: ChannelHistory, names: Iterable[str] | None = None) -> list[tuple]:
-    """The history's values tick by tick, of the named channels (default: all)."""
-    columns = [h.streams[n].values for n in (h.streams if names is None else names)]
+def _rows(h: ChannelHistory) -> list[tuple]:
+    """The history's values tick by tick."""
+    columns = [s.values for s in h.streams.values()]
     return list(zip(*columns)) if columns else [()] * h.horizon
 
 
@@ -387,11 +390,12 @@ def relation_ticks(rel: Any, sig: Signature, columns: Sequence[Sequence[Any]],
     return _cached(rel, ("relation", sig), build)(rows)
 
 
-def map_columns(gal: Any, entries: Sequence[tuple[str, Expr]],
-                c_out: ChannelHistory) -> dict[str, list[Any]]:
-    """Each abstraction-map entry's value at every tick of a concrete history,
-    in one list per abstract channel (one entry a channel)."""
-    sig = c_out.signature()
+def map_rows(gal: Any, entries: Sequence[tuple[str, Expr]], sig: Signature,
+             rows: Iterable[tuple], cols: Sequence[list]) -> None:
+    """Append each abstraction-map entry's value at each row of concrete
+    values, described by `sig`, to the entry's list in `cols`, row by row
+    and entry by entry: when an evaluation raises, the lists hold the
+    values computed before it."""
 
     def build() -> Callable:
         gen = CodeGen()
@@ -402,8 +406,15 @@ def map_columns(gal: Any, entries: Sequence[tuple[str, Expr]],
         body += [f"    a{j}({gen.expr(e, scope).src})" for j, (_, e) in enumerate(entries)]
         return gen.function("rows, cols", body)
 
+    _cached(gal, ("map", sig), build)(rows, cols)
+
+
+def map_columns(gal: Any, entries: Sequence[tuple[str, Expr]],
+                c_out: ChannelHistory) -> dict[str, list[Any]]:
+    """Each abstraction-map entry's value at every tick of a concrete history,
+    in one list per abstract channel (one entry a channel)."""
     columns: dict[str, list[Any]] = {chan: [] for chan, _ in entries}
-    _cached(gal, ("map", sig), build)(_rows(c_out), list(columns.values()))
+    map_rows(gal, entries, c_out.signature(), _rows(c_out), list(columns.values()))
     return columns
 
 
@@ -420,7 +431,17 @@ def membership_matrix(gal: Any, abstract: Sequence[ChannelHistory],
         return [[membership_matrix(gal, (a,), (x,))[0][0] for x in concrete] for a in abstract]
     if not sig_a or not sig_c:
         return [[] for _ in abstract]
-    sa, sc = sig_a.pop(), sig_c.pop()
+    return membership_rows(gal, sig_a.pop(), sig_c.pop(), [_rows(a) for a in abstract],
+                           [_rows(x) for x in concrete])
+
+
+def membership_rows(gal: Any, sa: Signature, sc: Signature, abstract: Sequence[list[tuple]],
+                    concrete: Sequence[list[tuple]]) -> list[list[bool]]:
+    """`membership_matrix` of histories given as row lists, one row of
+    values a tick, of the signatures sa and sc; one compiled call decides
+    every pair."""
+    if not abstract or not concrete:
+        return [[] for _ in abstract]
 
     def labels() -> dict[str, str]:
         return enum_labels(itertools.chain(_types(sa), _types(sc), gal.channel_types.values()))
@@ -432,24 +453,22 @@ def membership_matrix(gal: Any, abstract: Sequence[ChannelHistory],
             member = gen.expr(gal.member, _scope(labels(), ("x", sa), ("y", sc)))
             return _matrix(gen, len(sa), len(sc), [f"not ({member.src})"])
 
-        fn = _cached(gal, ("member", sa, sc), build)
-        return fn([_rows(a) for a in abstract], [_rows(x) for x in concrete])
+        return _cached(gal, ("member", sa, sc), build)(abstract, concrete)
     # the adjoint of f: each applicable map entry must give the abstract value
+    position = {n: k for k, (n, _, _) in enumerate(sa)}
     entries = [(chan, e) for chan, e in gal.f_entries_for({n for n, _, _ in sc})
-               if chan in {n for n, _, _ in sa}]
+               if chan in position]
     if not entries:
         raise EvaluationError(f"galois {gal.name!r}: no applicable membership entries")
 
     def build_adjoint() -> Callable:
         gen = CodeGen()
         scope = _scope(labels(), ("y", sc))
-        return _matrix(gen, len(entries), len(sc),
-                       [f"{_paren(gen.expr(e, scope), _ADD)} != x{k}"
-                        for k, (_, e) in enumerate(entries)])
+        return _matrix(gen, len(sa), len(sc),
+                       [f"{_paren(gen.expr(e, scope), _ADD)} != x{position[chan]}"
+                        for chan, e in entries])
 
-    fn = _cached(gal, ("adjoint", sa, sc), build_adjoint)
-    chans = [chan for chan, _ in entries]
-    return fn([_rows(a, chans) for a in abstract], [_rows(x) for x in concrete])
+    return _cached(gal, ("adjoint", sa, sc), build_adjoint)(abstract, concrete)
 
 
 def _matrix(gen: CodeGen, n_a: int, n_c: int, failures: list[str]) -> Callable:

@@ -213,7 +213,7 @@ class _Compiler:
                 guards.append(f"_guard({code.src}, {f'{spec.name}: guard of {label} is not boolean'!r})")
         actions = [self._actions(a, t, name, reads) for t in ts]
         lines: list[str] = []
-        if not self.check_determinism:
+        if not self.check_determinism or len(ts) == 1:  # one transition: none to clash with
             for j, (guard, act) in enumerate(zip(guards, actions)):
                 if guard == "True":  # always enabled: later transitions never fire
                     act = act or ["pass"]
@@ -762,7 +762,7 @@ def check_causality(spec: ComponentSpec, budget: int = DEFAULT_CAUSALITY_BUDGET,
             for k, (out, nxt) in enumerate(results):
                 if out != first:
                     stats["steps"] += k + 1
-                    return _counterexample(spec, parents, config, rows[0], rows[k], rows[0],
+                    return _counterexample(sim, parents, config, rows[0], rows[k], rows[0],
                                            t, horizon)
                 if expand and nxt not in parents:
                     if len(parents) >= budget:
@@ -781,24 +781,34 @@ def check_causality(spec: ComponentSpec, budget: int = DEFAULT_CAUSALITY_BUDGET,
     return None
 
 
-def _counterexample(spec: ComponentSpec, parents: Mapping[tuple, Optional[tuple[tuple, tuple]]],
+def _counterexample(sim: Simulator, parents: Mapping[tuple, Optional[tuple[tuple, tuple]]],
                     config: tuple, row_a: tuple, row_b: tuple, pad: tuple, tick: int,
                     horizon: int) -> CausalityCounterexample:
     """Two grid histories that reach `config` by the same prefix, then read
-    row_a and row_b, then `pad` until the horizon."""
+    row_a and row_b, then `pad` until the horizon, and their outputs: each
+    history is replayed from the start through the successor function, and
+    a failing tick raises as it does in a run of the history."""
     prefix = []
     while parents[config] is not None:
         config, row = parents[config]
         prefix.append(row)
     prefix.reverse()
     suffix = [pad] * (horizon - tick - 1)
-    channels = spec.interface.inputs
 
-    def history(rows: list[tuple]) -> ChannelHistory:
-        return ChannelHistory({c.name: TimedStream.of(c.ctype, [row[k] for row in rows])
-                               for k, c in enumerate(channels)}, horizon)
+    def replay(rows: list[tuple]) -> tuple[ChannelHistory, ChannelHistory]:
+        slots, out = sim.initial_slots, []
+        for t, row in enumerate(rows, 1):
+            results, error = sim.successors(slots, (row,))
+            if error is not None:
+                raise at_tick(error, t)
+            emitted, slots = results[0]
+            out.append(emitted)
+        inputs = {c.name: TimedStream.of(c.ctype, [row[k] for row in rows])
+                  for k, c in enumerate(sim.inputs)}
+        outputs = {c.name: TimedStream.conforming(c.ctype, tuple(row[k] for row in out))
+                   for k, c in enumerate(sim.outputs)}
+        return ChannelHistory(inputs, horizon), ChannelHistory(outputs, horizon)
 
-    input_a = history(prefix + [row_a] + suffix)
-    input_b = history(prefix + [row_b] + suffix)
-    return CausalityCounterexample(tick, input_a, input_b, run(spec, input_a, horizon),
-                                   run(spec, input_b, horizon))
+    input_a, output_a = replay(prefix + [row_a] + suffix)
+    input_b, output_b = replay(prefix + [row_b] + suffix)
+    return CausalityCounterexample(tick, input_a, input_b, output_a, output_b)

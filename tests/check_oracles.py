@@ -6,9 +6,11 @@ outputs of histories that share an input prefix. Both are the former library
 implementations, minus their caps. `causality_by_brute_force` steps every
 history over every value of small input types, beyond the grid. `causality_by_search` is the former
 breadth-first search, which stepped each configuration one grid row at a
-time through the simulator's run loop. `eval_relation`, `abstract_output`,
+time through the simulator's run loop; its `_counterexample` runs both
+witness histories through `run`. `eval_relation`, `abstract_output`,
 `g_membership` and `verify_galois` are the former versions that evaluated
-expressions in a dict environment built tick by tick. `zero_delay_cycles`
+expressions in a dict environment built tick by tick, over the histories
+of a universe that `universe_elements` builds one by one. `zero_delay_cycles`
 is the former depth-first search of `compose_check` for a cycle among the
 weak atoms of a flattened composite. `refusal` is the message with which
 the simulator refuses an ill-formed spec, from the structural checks
@@ -18,8 +20,7 @@ themselves.
 import itertools
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-from streamcheck.abstraction import (GaloisCounterexample, _infer_type, fold_stream,
-                                     universe_elements)
+from streamcheck.abstraction import GaloisCounterexample, _infer_type, _universe, fold_stream
 from streamcheck.components import (AutomatonSpec, ComponentSpec, STRICT, compose_check,
                                     validate_automaton)
 from streamcheck.declarations import GaloisSpec, RelationSpec
@@ -27,10 +28,30 @@ from streamcheck.errors import (CapsExceededError, EvaluationError, SimulationEr
                                 TypeMismatchError)
 from streamcheck.codegen import Code, CodeGen
 from streamcheck.exprs import Expr
-from streamcheck.simulator import (CausalityCounterexample, _counterexample, _simulator, at_tick,
+from streamcheck.simulator import (CausalityCounterexample, _simulator, at_tick,
                                    representative_values, run)
 from streamcheck.streams import BOOL, DataType, ENUM_KIND
 from streamcheck.histories import ChannelHistory, TimedStream
+
+
+def _side_elements(side: tuple[tuple[str, tuple[Any, ...]], ...], horizon: int,
+                   types: Mapping[str, DataType]) -> list[ChannelHistory]:
+    """All channel histories over the declared per-channel value sets."""
+    axes = [values for _, values in side for _ in range(horizon)]
+    elements = []
+    for combo in itertools.product(*axes):
+        streams = {}
+        for i, (chan, _) in enumerate(side):
+            vals = combo[i * horizon:(i + 1) * horizon]
+            streams[chan] = TimedStream.of(types.get(chan) or _infer_type(list(vals)), vals)
+        elements.append(ChannelHistory(streams, horizon))
+    return elements
+
+
+def universe_elements(gal: GaloisSpec) -> tuple[list[ChannelHistory], list[ChannelHistory]]:
+    u = _universe(gal)
+    return (_side_elements(u.abstract, u.horizon, gal.channel_types),
+            _side_elements(u.concrete, u.horizon, gal.channel_types))
 
 
 def verify_galois_by_masks(gal):
@@ -151,6 +172,29 @@ def causality_by_search(spec: ComponentSpec, budget: int = 4096, horizon: int = 
                     following.append(nxt)
         level = following
     return None
+
+
+def _counterexample(spec: ComponentSpec, parents: Mapping[tuple, Optional[tuple[tuple, tuple]]],
+                    config: tuple, row_a: tuple, row_b: tuple, pad: tuple, tick: int,
+                    horizon: int) -> CausalityCounterexample:
+    """Two grid histories that reach `config` by the same prefix, then read
+    row_a and row_b, then `pad` until the horizon."""
+    prefix = []
+    while parents[config] is not None:
+        config, row = parents[config]
+        prefix.append(row)
+    prefix.reverse()
+    suffix = [pad] * (horizon - tick - 1)
+    channels = spec.interface.inputs
+
+    def history(rows: list[tuple]) -> ChannelHistory:
+        return ChannelHistory({c.name: TimedStream.of(c.ctype, [row[k] for row in rows])
+                               for k, c in enumerate(channels)}, horizon)
+
+    input_a = history(prefix + [row_a] + suffix)
+    input_b = history(prefix + [row_b] + suffix)
+    return CausalityCounterexample(tick, input_a, input_b, run(spec, input_a, horizon),
+                                   run(spec, input_b, horizon))
 
 
 def every_value(dtype: DataType, limit: int = 4) -> list[Any]:

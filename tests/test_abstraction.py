@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from check_oracles import universe_elements
 from streamcheck.abstraction import (ConcretizationWarning, abstract_output, check_correspondence,
                                      check_finv_in_g, concretize, eval_relation, fold_stream,
-                                     g_membership, universe_elements, verify_galois)
+                                     g_membership, verify_galois)
 from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
 from streamcheck.errors import CapsExceededError, UnboundParameterError
 from streamcheck.exprs import parse_expression

@@ -7,9 +7,10 @@ without -s they appear in pytest's captured output.
 import random
 import time
 
+from check_oracles import universe_elements
 from docgen import DocGen
 from streamcheck.abstraction import (abstract_output, check_correspondence, check_finv_in_g,
-                                     eval_relation, g_membership, universe_elements, verify_galois)
+                                     eval_relation, g_membership, verify_galois)
 from streamcheck.components import (AutomatonSpec, Channel, CompositeSpec, SyntacticInterface,
                                     Transition)
 from streamcheck.simulator import check_causality, run

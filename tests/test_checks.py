@@ -19,8 +19,11 @@ from hypothesis import strategies as st
 from check_oracles import (causality_by_brute_force, causality_by_histories, causality_by_search,
                            prefix_equal, refusal, verify_galois_by_masks)
 from docgen import DocGen
+from streamcheck import abstraction
 from streamcheck.abstraction import verify_galois
-from streamcheck.components import AutomatonSpec, Channel, SyntacticInterface, Transition
+from streamcheck.codegen import CodeGen
+from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
+                                    VariableDecl)
 from streamcheck.simulator import check_causality, run, same_tick_dependence
 from streamcheck.declarations import GaloisSpec, Universe
 from streamcheck.errors import SimulationError, StreamcheckError
@@ -301,3 +304,88 @@ def test_an_initial_output_outside_its_type_is_refused_before_the_first_tick():
         assert str(info.value) == "init value 1 outside type of output 'bad'"
         assert info.value.tick is None
         assert stats == {"configurations": 0, "steps": 0}
+
+
+def _witness(fn, spec, horizon):
+    """What a strict causality search answers: the counterexample's tick,
+    inputs and outputs, or the error it raises, with its tick."""
+    try:
+        cex = fn(spec, budget=10 ** 6, horizon=horizon, mode="strict")
+    except StreamcheckError as e:
+        return ("raised", type(e), str(e), getattr(e, "tick", None))
+    if cex is None:
+        return None
+    return (cex.tick, cex.input_a, cex.input_b, cex.output_a, cex.output_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["rich", "chain", "leaky"]), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_a_replayed_counterexample_matches_runs_of_its_histories(kind, seed, horizon):
+    """The search replays its witnesses through the successor function; the
+    oracle runs them through the run loop. Failing leaky specs now and then
+    fail on the padded suffix, after the witness tick."""
+    spec = _generated(kind, seed)
+    assume(refusal(spec) is None and same_tick_dependence(spec))
+    assert _witness(check_causality, spec, horizon) == _witness(causality_by_search, spec, horizon)
+
+
+def _fails_after_the_witness():
+    """Weak over x in int[0..1]: emits x + 6 / (1 - k) and counts the ticks
+    in k, so the grid rows diverge at tick 1, and a history that goes on
+    divides by zero at tick 2."""
+    x, y = Channel("x", bounded_int(0, 1), "input"), Channel("y", bounded_int(0, 9), "output")
+    return AutomatonSpec(
+        name="Late", interface=SyntacticInterface((x,), (y,)), states=("Run",), initial="Run",
+        transitions=(Transition("Run", "Run", outputs=(("y", parse_expression("x + 6 / (1 - k)")),),
+                                updates=(("k", parse_expression("k + 1")),)),),
+        variables=(VariableDecl("k", bounded_int(0, 9), 0),), causality="weak")
+
+
+def test_a_witness_whose_padded_suffix_fails_raises_as_its_run_does():
+    spec = _fails_after_the_witness()
+    with pytest.raises(SimulationError, match="division by zero") as info:
+        check_causality(spec, horizon=3, mode="strict")
+    assert info.value.tick == 2
+    assert _witness(check_causality, spec, 3) == _witness(causality_by_search, spec, 3)
+    cex = check_causality(spec, horizon=1, mode="strict")  # no suffix
+    assert (cex.tick, cex.output_a.streams["y"].values, cex.output_b.streams["y"].values) == \
+        (0, (6,), (7,))
+    assert _witness(check_causality, spec, 1) == _witness(causality_by_search, spec, 1)
+
+
+def _compiles(monkeypatch):
+    """The parameter lists of the functions that CodeGen compiles from now on."""
+    compiled = []
+    function = CodeGen.function
+
+    def counted(self, params, body):
+        compiled.append(params)
+        return function(self, params, body)
+    monkeypatch.setattr(CodeGen, "function", counted)
+    return compiled
+
+
+def test_a_causality_search_compiles_the_successor_function_only(monkeypatch):
+    compiled = _compiles(monkeypatch)
+    cex = check_causality(_fails_after_the_witness(), horizon=1, mode="strict")
+    assert cex is not None and compiled == ["S, rows, app"]
+
+
+_SPREAD = Universe((("a", tuple(range(15))),), (("c", tuple(range(-3, 57))),), 1)
+
+
+@pytest.mark.parametrize("typed", [True, False])
+@pytest.mark.parametrize("member", [None, "a == (c + 3) / 4"])
+def test_verify_galois_compiles_one_function_a_side(monkeypatch, typed, member):
+    """One map function over every concrete row and one membership function
+    over every pair, typed or not; none on a second call."""
+    types = {"a": bounded_int(0, 14), "c": bounded_int(-3, 56)} if typed else {}
+    gal = GaloisSpec("Spread", (("a", parse_expression("(c + 3) / 4")),),
+                     None if member is None else parse_expression(member), _SPREAD,
+                     channel_types=types)
+    compiled, mapped = _compiles(monkeypatch), []
+    monkeypatch.setattr(abstraction, "abstract_output", lambda *args: mapped.append(args))
+    stats = {}
+    assert verify_galois(gal, 60, stats=stats) is None
+    assert (compiled, mapped, stats["pairs"]) == (["rows, cols", "A, C"], [], 900)
+    assert verify_galois(gal, 60) is None and len(compiled) == 2

@@ -583,10 +583,10 @@ galois Wide {
 
 def test_verify_galois_refuses_an_oversized_universe_before_enumerating(
         tmp_path, monkeypatch, capsys):
-    def enumerate_side(side, horizon, types):
+    def enumerate_side(side, ticks, types):
         raise AssertionError("the universe was enumerated")
 
-    monkeypatch.setattr("streamcheck.abstraction._side_elements", enumerate_side)
+    monkeypatch.setattr("streamcheck.abstraction._side_rows", enumerate_side)
     model = tmp_path / "wide.scm.txt"
     model.write_text(WIDE_GALOIS, encoding="utf-8")
     code = main(["verify-galois", "--model", str(model), "--galois", "Wide", "--caps", "12"])

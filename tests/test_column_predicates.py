@@ -20,8 +20,8 @@ from streamcheck.abstraction import (GaloisCounterexample, abstract_output, eval
                                      g_membership, verify_galois)
 from streamcheck.codegen import membership_matrix
 from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
-from streamcheck.errors import StreamcheckError
-from streamcheck.exprs import Binary, Lit, Name
+from streamcheck.errors import EvaluationError, StreamcheckError, TypeMismatchError
+from streamcheck.exprs import Binary, Lit, Name, parse_expression
 from streamcheck.streams import BOOL, REAL, bounded_int, enumeration
 from streamcheck.histories import ChannelHistory, TimedStream
 
@@ -212,3 +212,54 @@ def test_a_column_with_a_value_outside_its_type_is_read_untyped():
     assert eval_relation(rel, x, ChannelHistory({}, 2)) == (False, [True, False])
     assert eval_relation(rel, ChannelHistory({"x": TimedStream(REAL, (3.0, 2.0))}),
                          ChannelHistory({}, 2)) == (False, [False, True])
+
+
+_UNIVERSE_VALUES = st.lists(st.sampled_from([0, 1, 2.5, True, "L1"]), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_UNIVERSE_VALUES, min_size=1, max_size=3), st.lists(_UNIVERSE_VALUES, max_size=3),
+       st.integers(0, 1), st.booleans())
+def test_a_universe_value_outside_its_type_fails_as_the_enumeration_meets_it(
+        abstract, concrete, horizon, named_twice):
+    """`verify_galois` checks each universe value once; the error is the
+    one that building the histories one by one meets first. Channel a0 is
+    typed int[0..1], so 2.5, True and "L1" fail there; in the untyped
+    others a value has its own type, and only the label fails."""
+    def side(prefix, columns):
+        names = [f"{prefix}{i}" for i in range(len(columns))]
+        if named_twice and len(names) > 1:
+            names[-1] = names[0]
+        return tuple(zip(names, map(tuple, columns)))
+
+    universe = Universe(side("a", abstract), side("c", concrete), horizon)
+    gal = GaloisSpec("G", (("a0", Lit(0)),), None, universe,
+                     channel_types={"a0": bounded_int(0, 1)})
+    expected = [_outcome(oracle._side_elements, s, horizon, gal.channel_types)
+                for s in (universe.abstract, universe.concrete)]
+    errors = [e for e in expected if isinstance(e, tuple)]
+    got = _outcome(verify_galois, gal, 10 ** 6)
+    if errors:
+        assert got == errors[0]
+    else:
+        assert not isinstance(got, tuple) or "is not a valid" not in got[1]
+
+
+def test_a_label_in_an_untyped_universe_channel_is_not_a_real():
+    universe = Universe((("a", (0, 1)),), (("c", (0, "L1")),), 1)
+    gal = GaloisSpec("G", (("a", Name("c")),), None, universe)
+    assert _outcome(verify_galois, gal) == (TypeMismatchError, "value 'L1' is not a valid real")
+
+
+def test_an_image_outside_its_type_fails_before_a_later_row_of_the_map():
+    """f runs over every concrete row in one call; the error reported is
+    still that of the first row in order, be it f's or its image's."""
+    def gal(c_values):
+        universe = Universe((("a", (0, 1)),), (("c", c_values),), 1)
+        return GaloisSpec("G", (("a", parse_expression("6 / c")),), None, universe,
+                          channel_types={"a": bounded_int(0, 3), "c": bounded_int(0, 9)})
+
+    for c_values, expected in (((1, 0), (TypeMismatchError, "value 6 is not a valid int[0..3]")),
+                               ((0, 1), (EvaluationError, "division by zero"))):
+        assert _outcome(verify_galois, gal(c_values)) == expected
+        assert _outcome(oracle.verify_galois, gal(c_values)) == expected

@@ -15,6 +15,7 @@ import random
 import re
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,38 @@ def test_state_tests_are_compiled_only_where_they_decide(doc):
         for check_determinism in (False, True):
             src = "\n".join(_simulator(spec, check_determinism)._run_body)
             assert len(re.findall(r"\bs\d+ == '", src)) == tests
+
+
+def test_only_a_state_with_two_transitions_checks_determinism(doc):
+    """No second transition can be enabled in a state that has one, so the
+    determinism-checking loop keeps track of the fired transition only in
+    states with two or more; an atom with one transition a state compiles
+    as the plain loop does."""
+    deep = parse_model(deep_net_model(random.Random(1), 4, 3, 4)[0]).document
+    for spec in (deep.components["DeepNet"], doc.components["ACC"]):
+        leaving = Counter((path, t.source) for path, atom in _network(spec).atoms
+                          for t in atom.transitions)
+        src = "\n".join(_simulator(spec, True)._run_body)
+        assert src.count("_f = -1") == sum(n > 1 for n in leaving.values()) < len(leaving)
+    x, y = Channel("x", bounded_int(0, 9), "input"), Channel("y", bounded_int(0, 9), "output")
+    echo = AutomatonSpec(
+        name="Echo", interface=SyntacticInterface((x,), (y,)), states=("Run",), initial="Run",
+        transitions=(Transition("Run", "Run", parse_expression("x > 2"),
+                                (("y", parse_expression("x")),)),),
+        output_init={"y": 0}, causality="weak")
+    assert _simulator(echo, True)._run_body == _simulator(echo, False)._run_body
+
+
+@pytest.mark.parametrize("lo, hi, tested", [
+    (1, 9, False), (-9, -1, False), (0, 9, True), (-9, 0, True), (-9, 9, True), (0, 0, True)])
+def test_a_divisor_is_tested_only_where_its_bounds_hold_0(lo, hi, tested):
+    expr = parse_expression("x / y")
+    gen = CodeGen()
+    code = gen.expr(expr, lambda ident, ctx: Code(ident, "int", bounds=(lo, hi)))
+    assert ("_divisor" in code.src) == tested
+    fn = gen.function("x, y", [f"return {code.src}"])
+    for x, y in itertools.product(range(-7, 8), range(lo, hi + 1)):
+        assert _outcome(fn, x, y) == _outcome(evaluate, expr, {"x": x, "y": y})
 
 
 def _rebuilt(record, **changes):
