@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -481,6 +482,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors already; normalize other exits
         return int(e.code) if e.code else 0
+    # The cycle collector is held off while a command runs: commands build
+    # no reference cycles (tests/test_collector.py), so its passes would
+    # only traverse the vectors and columns that reference counting frees.
+    # A failing run's traceback cycles are freed by the first collection
+    # after the command. The CLI owns its process; library calls leave the
+    # collector alone.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except CliError as e:
@@ -492,6 +501,9 @@ def main(argv: list[str] | None = None) -> int:
     except StreamcheckError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -185,23 +185,33 @@ class _Compiler:
         # the state slot holds one of the control states: when each is a
         # source, the last needs no test and no state is left to be stuck in
         covered = len(by_source) == len(spec.states)
+        paths: list[Transition | None] = []  # None: the step ends idle
         for j, (source, ts) in enumerate(by_source.items()):
-            choose = self._choose(a, ts, name, reads, idle)
+            choose, ends = self._choose(a, ts, name, reads, idle)
+            paths += ends
             if covered and j == len(by_source) - 1:
                 lines += ["else:", *_indent(choose)] if j else choose
             else:
                 lines += [f"{'el' if j else ''}if {a.state} == {source!r}:", *_indent(choose)]
         if spec.total and not covered:
             lines += ["else:", *_indent(idle)] if by_source else idle
-        if unset:
-            latched = ", ".join(f"({o!r}, {a.outs[o]})" for o in unset)
-            lines += [f"if {' or '.join(f'{a.outs[o]} is _U' for o in unset)}:",
+        elif not covered:
+            paths.append(None)
+        # an output that every step that does not raise assigns is set
+        # after the first step, so only the others are checked
+        checked = [o for o in unset
+                   if any(t is None or all(o != n for n, _ in t.outputs) for t in paths)]
+        if checked:
+            latched = ", ".join(f"({o!r}, {a.outs[o]})" for o in checked)
+            lines += [f"if {' or '.join(f'{a.outs[o]} is _U' for o in checked)}:",
                       f"    _missing({spec.name!r}, ({latched},))"]
         return lines
 
     def _choose(self, a: _AtomSlots, ts: list[Transition], name: NameResolver,
-                reads: set[str], idle: list[str]) -> list[str]:
-        """Fire the first enabled transition of `ts`, or stay idle."""
+                reads: set[str], idle: list[str]) -> tuple[list[str], list[Transition | None]]:
+        """Fire the first enabled transition of `ts`, or stay idle. Also
+        returns the steps that can end without raising: the transitions that
+        can fire, and None when the atom can stay idle."""
         spec = a.spec
         guards = []
         for t in ts:
@@ -212,14 +222,20 @@ class _Compiler:
             else:
                 guards.append(f"_guard({code.src}, {f'{spec.name}: guard of {label} is not boolean'!r})")
         actions = [self._actions(a, t, name, reads) for t in ts]
+        # a transition that is always enabled fires, or one before it does;
+        # under check_determinism one after it raises when it is enabled too
+        always = next((j for j, guard in enumerate(guards) if guard == "True"), None)
+        paths: list[Transition | None] = list(ts[:always + 1] if always is not None else ts)
+        if always is None and idle == ["pass"]:
+            paths.append(None)
         lines: list[str] = []
         if not self.check_determinism or len(ts) == 1:  # one transition: none to clash with
             for j, (guard, act) in enumerate(zip(guards, actions)):
                 if guard == "True":  # always enabled: later transitions never fire
                     act = act or ["pass"]
-                    return lines + (["else:", *_indent(act)] if j else act)
+                    return lines + (["else:", *_indent(act)] if j else act), paths
                 lines += [f"{'el' if j else ''}if {guard}:", *_indent(act or ["pass"])]
-            return lines + (["else:", *_indent(idle)] if idle != ["pass"] else [])
+            return lines + (["else:", *_indent(idle)] if idle != ["pass"] else []), paths
         fired = self.gen.const(tuple(t.label or t.target for t in ts))
         lines.append("_f = -1")
         for j, (guard, t) in enumerate(zip(guards, ts)):
@@ -229,7 +245,7 @@ class _Compiler:
                       f"    _f = {j}"]
         for j, act in enumerate(actions):
             lines += [f"{'el' if j else ''}if _f == {j}:", *_indent(act or ["pass"])]
-        return lines + ["else:", *_indent(idle)]
+        return lines + ["else:", *_indent(idle)], paths
 
     def _actions(self, a: _AtomSlots, t: Transition, name: NameResolver,
                  reads: set[str]) -> list[str]:

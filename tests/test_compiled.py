@@ -426,6 +426,59 @@ def test_only_a_state_with_two_transitions_checks_determinism(doc):
     assert _simulator(echo, True)._run_body == _simulator(echo, False)._run_body
 
 
+def test_of_the_encoder_components_only_the_concretizer_checks_for_unset_outputs(doc):
+    """Each encoder's one transition is always enabled and assigns its
+    output, so no step leaves it unset; EncConcretizer's two guards are not
+    always true, so its check stays."""
+    for name, checked in (("AbstractEncoder", False), ("ConcreteEncoder", False),
+                          ("EncConcretizer", True)):
+        for check_determinism in (False, True):
+            sim = _simulator(doc.components[name], check_determinism)
+            assert ("_missing" in "\n".join(sim._run_body)) == checked, name
+
+
+GUARDED = """component Guarded weak {
+  input x : int[0..9]
+  output y : int[0..9]
+  states Run init
+  transition Run -> Run when x > 0 { y := x }
+}"""
+
+
+@pytest.mark.parametrize("states, transitions, checked", [
+    ("Run init", "Run -> Run when x > 0 { y := x }", True),
+    ("Run init", "Run -> Run { y := x }", False),
+    ("Run init", "Run -> Run when true { y := x } transition Run -> Run when x > 0 { }", False),
+    ("Run init", "Run -> Run when x > 0 { y := x } transition Run -> Run when true { }", True),
+    ("Run init", "Run -> Run when x > 0 { y := x } transition Run -> Run { y := 0 }", False),
+    ("Run init, Off", "Run -> Off { y := x }", True),  # Off is the source of none
+    ("Run init, Off", "Run -> Off { y := x } transition Off -> Run { y := 1 }", False)])
+def test_unset_outputs_are_checked_where_a_step_can_leave_one_unset(states, transitions, checked):
+    text = GUARDED.replace("Run init", states).replace("Run -> Run when x > 0 { y := x }",
+                                                       transitions)
+    spec = parse_model(text).document.components["Guarded"]
+    for check_determinism in (False, True):
+        sim = _simulator(spec, check_determinism)
+        assert ("_missing" in "\n".join(sim._run_body)) == checked
+    values = [[], [0], [3], [3, 0, 5], [0, 0, 4], [4, 0, 0]]
+    _same_runs(spec, [ChannelHistory({"x": TimedStream.of(bounded_int(0, 9), v)})
+                      for v in values])
+
+
+def test_a_guarded_output_never_assigned_fails_as_the_interpreter_does():
+    spec = parse_model(GUARDED).document.components["Guarded"]
+    for values, tick in (([0, 3], 1), ([0], 1), ([3, 0], None)):
+        history = ChannelHistory({"x": TimedStream.of(bounded_int(0, 9), values)})
+        for check_determinism in (False, True):
+            expected = _run_outcome(run_interpreted, spec, history, check_determinism)
+            assert _run_outcome(run, spec, history, check_determinism) == expected
+            if tick is None:
+                assert expected[0] == "value"
+            else:
+                assert expected == ("error", "SimulationError", tick,
+                                    f"tick {tick}: Guarded: outputs never assigned: ['y']")
+
+
 @pytest.mark.parametrize("lo, hi, tested", [
     (1, 9, False), (-9, -1, False), (0, 9, True), (-9, 0, True), (-9, 9, True), (0, 0, True)])
 def test_a_divisor_is_tested_only_where_its_bounds_hold_0(lo, hi, tested):

@@ -96,6 +96,17 @@ def test_no_module_imports_dataclasses():
     assert not importers, f"modules that import dataclasses: {importers}"
 
 
+def test_only_the_cli_imports_or_calls_gc():
+    """The CLI owns its process and holds the cycle collector off while a
+    command runs; the library leaves process-wide collector state alone."""
+    users = sorted(path.name for path in PACKAGE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.module == "gc"
+                   or isinstance(node, ast.Name) and node.id == "gc")
+    assert set(users) == {"cli.py"}, f"modules that import or call gc: {users}"
+
+
 # the names the package exported when it imported every submodule eagerly
 EXPORTED = [
     "AutomatonSpec", "BOOL", "CapsExceededError", "Channel", "ChannelHistory",
