@@ -8,11 +8,12 @@ and parameterized concretizers.
 Suites are checked and concretized from their tables (`correspond`,
 `concretize_cases`): RI and RO are evaluated once over the columns of all
 pairs or cases, one after another, and all cases of a side run in one call
-of the compiled simulator (`simulator.run_tables`).
-A suite in which some check raises is walked again one pair or case at a
-time, so the first to fail in order is reported with the message the
-per-pair functions (`check_correspondence`, `concretize`), which run the
-same code on one pair, give for it.
+of the compiled simulator (`simulator.run_tables`). Each step reports the
+first pair or case at which it fails and takes only the pairs or cases
+before the earliest failure found so far, in the order of the per-pair
+functions (`check_correspondence`, `concretize`), which run the same code
+on one pair; so a suite is checked once, and the failure reported is the
+first that a pair-by-pair check meets.
 """
 
 from __future__ import annotations
@@ -46,40 +47,57 @@ def fold_stream(ticks: Iterable[bool]) -> bool:
     return all(ticks)
 
 
-def _relation(rel: RelationSpec, a: Block, c: Block,
-              horizons: Sequence[tuple[int, int]]) -> list[bool]:
+Failure = Optional[tuple[int, StreamcheckError]]  # the index of an item and its error
+
+
+def _upto(items: Sequence[Any], failure: Failure) -> Sequence[Any]:
+    """The items before the one that failed."""
+    return items if failure is None else items[:failure[0]]
+
+
+def _relation(rel: RelationSpec, a: Block, c: Block, horizons: Sequence[tuple[int, int]],
+              failure: Failure = None) -> tuple[list[bool], Failure]:
     """A relation's value at every tick of history pairs whose columns follow
-    one another in a and c; `horizons` holds each pair's two horizons."""
-    overlap = a.channels & c.channels
-    if overlap:
-        raise TypeMismatchError(f"paired histories share channel names {sorted(overlap)}")
-    for ha, hc in horizons:
-        if ha != hc:
-            raise TypeMismatchError(f"horizon mismatch: {ha} vs {hc}")
+    one another in a and c, `horizons` holding each pair's two horizons, up
+    to the pair of `failure`: the ticks up to the first pair at which it
+    fails, and that pair's index and error, else `failure`."""
+    horizons = _upto(horizons, failure)
+    overlap = sorted(a.channels & c.channels)
+    if horizons and overlap:
+        return [], (0, TypeMismatchError(f"paired histories share channel names {overlap}"))
+    failure = next(((k, TypeMismatchError(f"horizon mismatch: {ha} vs {hc}"))
+                    for k, (ha, hc) in enumerate(horizons) if ha != hc), failure)
+    horizons = _upto(horizons, failure)
     if rel.checker is not None:
         # a checker starts afresh on every pair
         ticks: list[bool] = []
         start = 0
-        for h, _ in horizons:
+        for k, (h, _) in enumerate(horizons):
             pair = Table(a, start, start + h).history(), Table(c, start, start + h).history()
-            combined = pair[0].merged(pair[1])
-            out = run(rel.checker, combined, combined.horizon)
-            out_names = rel.checker.interface.output_names()
-            if len(out_names) != 1 or rel.checker.interface.outputs[0].ctype != BOOL:
-                raise TypeMismatchError(
-                    f"checker {rel.checker.name!r} must have one boolean output")
+            try:
+                combined = pair[0].merged(pair[1])
+                out = run(rel.checker, combined, combined.horizon)
+                out_names = rel.checker.interface.output_names()
+                if len(out_names) != 1 or rel.checker.interface.outputs[0].ctype != BOOL:
+                    raise TypeMismatchError(
+                        f"checker {rel.checker.name!r} must have one boolean output")
+            except StreamcheckError as e:
+                return ticks, (k, e)
             ticks += out.streams[out_names[0]].values
             start += h
-        return ticks
+        return ticks, failure
     # a channel shadows an enumeration label of the same name
     from .codegen import relation_ticks
-    return relation_ticks(rel, a.signature() + c.signature(), [*a.columns, *c.columns],
-                          sum(h for h, _ in horizons))
+    ticks, failed = relation_ticks(rel, a.signature() + c.signature(), [*a.columns, *c.columns],
+                                   [h for h, _ in horizons])
+    return ticks, failed or failure
 
 
 def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tuple[bool, list[bool]]:
     """Evaluate a relation tick-wise over an abstract/concrete history pair."""
-    ticks = _relation(rel, Block.of(a), Block.of(c), [(a.horizon, c.horizon)])
+    ticks, failure = _relation(rel, Block.of(a), Block.of(c), [(a.horizon, c.horizon)])
+    if failure is not None:
+        raise failure[1]
     return fold_stream(ticks), ticks
 
 
@@ -93,22 +111,23 @@ def _column(tables: Sequence[Table], name: str) -> Sequence[Any]:
 def _joined(tables: Sequence[Table]) -> Block:
     """The tables' columns as one block, one table after another; a history
     built in Python stays its own block, to be validated when it runs."""
-    first = tables[0].block
+    first = tables[0].block if tables else Block((), (), [])
     if len(tables) == 1 and first.history is not None:
         return first
     return Block(first.names, first.types, [_column(tables, n) for n in first.names])
 
 
-def _outputs(spec: ComponentSpec, tables: Sequence[Table]) -> Block:
-    """The spec's outputs on each table, run from its initial state, one
-    table after another; the error of the first table whose run fails
-    raises."""
+def _outputs(spec: ComponentSpec, tables: Sequence[Table],
+             failure: Failure = None) -> tuple[Block, Failure]:
+    """The spec's outputs on each table up to the table of `failure`, run
+    from its initial state, one table after another: those of the tables
+    before the first whose run fails come first. Returns them, and that
+    table's index and error, else `failure`."""
     outputs = spec.interface.outputs
     out: list[list] = [[] for _ in outputs]
-    failed = run_tables(spec, tables, out)
-    if failed:
-        raise failed[0][1]
-    return Block([c.name for c in outputs], [c.ctype for c in outputs], out)
+    failed = run_tables(spec, _upto(tables, failure), out)
+    return (Block([c.name for c in outputs], [c.ctype for c in outputs], out),
+            failed[0] if failed else failure)
 
 
 class CorrespondenceResult(Record, repr=False):
@@ -132,14 +151,18 @@ class CorrespondenceResult(Record, repr=False):
 
 def _correspondence(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
                     ro: RelationSpec, pairs: Sequence[tuple[Table, Table]]
-                    ) -> tuple[list[bool], list[bool], Block, Block]:
-    """RI over all pairs' inputs, both runs of every pair, and RO over all
-    their outputs: the RI and RO ticks and the outputs, pair after pair."""
+                    ) -> tuple[list[bool], list[bool], Block, Block, Failure]:
+    """RI over the pairs' inputs, both runs of each pair, and RO over their
+    outputs, pair after pair, up to the first pair at which one of them
+    fails, in that order: the RI and RO ticks and the outputs of the pairs
+    before it, and that pair's index and error (None when none fails)."""
     abstract, concrete = [a for a, _ in pairs], [c for _, c in pairs]
     horizons = [(a.horizon, c.horizon) for a, c in pairs]
-    ri_ticks = _relation(ri, _joined(abstract), _joined(concrete), horizons)
-    out_a, out_c = _outputs(spec_a, abstract), _outputs(spec_c, concrete)
-    return ri_ticks, _relation(ro, out_a, out_c, horizons), out_a, out_c
+    ri_ticks, failure = _relation(ri, _joined(abstract), _joined(concrete), horizons)
+    out_a, failure = _outputs(spec_a, abstract, failure)
+    out_c, failure = _outputs(spec_c, concrete, failure)
+    ro_ticks, failure = _relation(ro, out_a, out_c, horizons, failure)
+    return ri_ticks, ro_ticks, out_a, out_c, failure
 
 
 def _result(ri_stream: Sequence[bool], ro_stream: Sequence[bool],
@@ -156,52 +179,28 @@ def check_correspondence(spec_a: ComponentSpec, spec_c: ComponentSpec,
                          ri: RelationSpec, ro: RelationSpec,
                          ta: ChannelHistory, tc: ChannelHistory) -> CorrespondenceResult:
     """RI(ta, tc) -> RO(run(spec_a, ta), run(spec_c, tc))."""
-    try:
-        ri_ticks, ro_ticks, out_a, out_c = _correspondence(
-            spec_a, spec_c, ri, ro, [(Table.of(ta), Table.of(tc))])
-    except StreamcheckError as e:
-        return CorrespondenceResult(False, False, False, status="error", diagnostics=(str(e),))
+    ri_ticks, ro_ticks, out_a, out_c, failure = _correspondence(
+        spec_a, spec_c, ri, ro, [(Table.of(ta), Table.of(tc))])
+    if failure is not None:
+        return CorrespondenceResult(False, False, False, status="error",
+                                    diagnostics=(str(failure[1]),))
     return _result(ri_ticks, ro_ticks, Table(out_a, 0, ta.horizon).history(),
                    Table(out_c, 0, tc.horizon).history())
-
-
-Failure = Optional[tuple[int, StreamcheckError]]  # the index of an item and its error
-
-
-def _in_order(batch: Callable[[Sequence[Any]], list], items: Sequence[Any]) -> tuple[list, Failure]:
-    """batch(items), a list with an entry per item; when it raises, batch of
-    one item at a time, in order, up to the first that raises. Returns the
-    entries of the items before it, and its index and error."""
-    if not items:
-        return [], None
-    try:
-        return batch(items), None
-    except StreamcheckError:
-        entries: list = []
-        for k, item in enumerate(items):
-            try:
-                entries += batch([item])
-            except StreamcheckError as e:
-                return entries, (k, e)
-        return entries, None
 
 
 def correspond(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
                ro: RelationSpec, pairs: Sequence[tuple[Table, Table]]
                ) -> tuple[list[CorrespondenceResult], Failure]:
     """`check_correspondence` of each pair of input tables, in order, with no
-    outputs kept, up to the first pair whose check raises, and that pair's
-    index and error (None when no pair raises)."""
-    def batch(chunk: Sequence[tuple[Table, Table]]) -> list[CorrespondenceResult]:
-        ri_ticks, ro_ticks, _, _ = _correspondence(spec_a, spec_c, ri, ro, chunk)
-        results, start = [], 0
-        for a, _ in chunk:
-            stop = start + a.horizon
-            results.append(_result(ri_ticks[start:stop], ro_ticks[start:stop]))
-            start = stop
-        return results
-
-    return _in_order(batch, pairs)
+    outputs kept, up to the first pair whose check fails, and that pair's
+    index and error (None when no pair fails)."""
+    ri_ticks, ro_ticks, _, _, failure = _correspondence(spec_a, spec_c, ri, ro, pairs)
+    results, start = [], 0
+    for a, _ in _upto(pairs, failure):
+        stop = start + a.horizon
+        results.append(_result(ri_ticks[start:stop], ro_ticks[start:stop]))
+        start = stop
+    return results, failure
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +243,9 @@ def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHis
     """
     if abstract.horizon != concrete.horizon:
         raise TypeMismatchError("horizon mismatch in membership check")
-    from .codegen import membership_matrix
-    return membership_matrix(gal, (abstract,), (concrete,))[0][0]
+    from .codegen import _rows, membership_rows
+    return membership_rows(gal, abstract.signature(), concrete.signature(), [_rows(abstract)],
+                           [_rows(concrete)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +442,18 @@ def ri_violated(conc: ConcretizerSpec) -> str:
 
 
 def _concretized(conc: ConcretizerSpec, inputs: Sequence[Table], abstract: Sequence[Table],
-                 ri: RelationSpec | None) -> tuple[Block, list[bool] | None]:
+                 ri: RelationSpec | None, failure: Failure = None
+                 ) -> tuple[Block, list[bool] | None, Failure]:
     """The concretizer's outputs on each table of inputs, one after another,
-    and RI's ticks over each abstract table paired with its outputs."""
-    out = _outputs(conc.component, inputs)
+    and RI's ticks over each abstract table paired with its outputs, up to
+    the first table whose run or RI fails, in that order: the outputs and
+    ticks of the tables before it, and its index and error, else `failure`."""
+    out, failure = _outputs(conc.component, inputs, failure)
     if ri is None:
-        return out, None
+        return out, None, failure
     horizons = [(a.horizon, t.horizon) for a, t in zip(abstract, inputs)]
-    return out, _relation(ri, _joined(abstract), out, horizons)
+    ri_ticks, failure = _relation(ri, _joined(abstract), out, horizons, failure)
+    return out, ri_ticks, failure
 
 
 def concretize(conc: ConcretizerSpec, p: Mapping[str, Any], ta: ChannelHistory,
@@ -474,7 +478,9 @@ def concretize(conc: ConcretizerSpec, p: Mapping[str, Any], ta: ChannelHistory,
     if extra:
         raise UnboundParameterError(f"unknown parameters {sorted(extra)}")
     inputs = ChannelHistory(streams, horizon)
-    out, ri_ticks = _concretized(conc, [Table.of(inputs)], [Table.of(ta)], ri)
+    out, ri_ticks, failure = _concretized(conc, [Table.of(inputs)], [Table.of(ta)], ri)
+    if failure is not None:
+        raise failure[1]
     if ri_ticks is not None and not fold_stream(ri_ticks):
         warnings.warn(ri_violated(conc), ConcretizationWarning)
     return Table(out, 0, horizon).history()
@@ -487,65 +493,52 @@ def concretize_cases(conc: ConcretizerSpec, cases: Sequence[VectorCase],
     values, each a value of its parameter's type, or else by the case's
     `#params` table. Returns each case's concrete inputs and whether RI
     holds on them (True without RI), up to the first case whose
-    concretization raises, and that case's index and error (None when no
-    case raises)."""
+    concretization fails, and that case's index and error (None when no
+    case fails)."""
     channels = conc.component.interface.inputs
     names = [c.name for c in channels]
     params = [d.name for d in conc.params]
     problems: dict[tuple[str, ...], str] = {}  # by the header of the abstract table
 
-    def problem(header: tuple[str, ...], types: Sequence[DataType]) -> str:
+    def problem(block: Block) -> str:
         """What `validate_history` finds in the inputs `concretize` binds from
-        an abstract table of this header: a parameter replaces an input of
-        its name."""
-        found = problems.get(header)
+        an abstract table of the block's header: a parameter replaces an
+        input of its name."""
+        found = problems.get(block.names)
         if found is None:
-            shape = dict(zip(header, types))
+            shape = dict(zip(block.names, block.types))
             shape.update((d.name, d.dtype) for d in conc.params)
             history = ChannelHistory({n: TimedStream(t, ()) for n, t in shape.items()}, 0)
-            found = problems[header] = "; ".join(map(str, validate_history(history, channels)))
+            found = problems[block.names] = "; ".join(map(str, validate_history(history, channels)))
         return found
 
-    def inputs(chunk: Sequence[VectorCase]) -> list[Table]:
-        """The concretizer's inputs of each case: tables of one block."""
-        for case in chunk:
-            block = case.inputs.block
-            found = problem(block.names, block.types)
-            if found:
-                raise SimulationError("invalid input history: " + found)
-        abstract = [case.inputs for case in chunk]
-        horizons = [case.horizon for case in chunk]
-        columns = []
-        for name in names:
-            if name not in params:
-                columns.append(_column(abstract, name))
-            elif name in fixed:
-                columns.append((fixed[name],) * sum(horizons))
-            elif all(case.params.horizon == h for case, h in zip(chunk, horizons)):
-                columns.append(_column([case.params for case in chunk], name))
-            else:  # a one-row table is repeated to its case's horizon
-                columns.append(list(itertools.chain.from_iterable(
-                    col if len(col) == h else col * h
-                    for col, h in zip((case.params.columns((name,))[0] for case in chunk),
-                                      horizons))))
-        block = Block(names, [c.ctype for c in channels], columns)
-        tables, start = [], 0
-        for h in horizons:
-            tables.append(Table(block, start, start + h))
-            start += h
-        return tables
-
-    def batch(chunk: Sequence[VectorCase]) -> list[tuple[Table, bool]]:
-        out, ri_ticks = _concretized(conc, inputs(chunk), [case.inputs for case in chunk], ri)
-        entries, start = [], 0
-        for case in chunk:
-            stop = start + case.horizon
-            entries.append((Table(out, start, stop),
-                            ri_ticks is None or fold_stream(ri_ticks[start:stop])))
-            start = stop
-        return entries
-
-    return _in_order(batch, cases)
+    failure: Failure = next(((k, SimulationError("invalid input history: " + found))
+                             for k, case in enumerate(cases)
+                             if (found := problem(case.inputs.block))), None)
+    # the concretizer's inputs of each case before it: tables of one block
+    chunk = _upto(cases, failure)
+    abstract = [case.inputs for case in chunk]
+    horizons = [case.horizon for case in chunk]
+    columns = []
+    for name in names:
+        if name not in params:
+            columns.append(_column(abstract, name))
+        elif name in fixed:
+            columns.append((fixed[name],) * sum(horizons))
+        elif all(case.params.horizon == h for case, h in zip(chunk, horizons)):
+            columns.append(_column([case.params for case in chunk], name))
+        else:  # a one-row table is repeated to its case's horizon
+            columns.append(list(itertools.chain.from_iterable(
+                col if len(col) == h else col * h
+                for col, h in zip((case.params.columns((name,))[0] for case in chunk),
+                                  horizons))))
+    block = Block(names, [c.ctype for c in channels], columns)
+    ends = list(itertools.accumulate(horizons, initial=0))
+    tables = [Table(block, start, stop) for start, stop in zip(ends, ends[1:])]
+    # the outputs and RI's ticks lie in the rows of the inputs
+    out, ri_ticks, failure = _concretized(conc, tables, abstract, ri, failure)
+    return [(Table(out, t.start, t.stop), ri_ticks is None or fold_stream(ri_ticks[t.start:t.stop]))
+            for t in _upto(tables, failure)], failure
 
 
 class FinvViolation(Record, repr=False):

@@ -483,11 +483,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalize other exits
         return int(e.code) if e.code else 0
     # The cycle collector is held off while a command runs: commands build
-    # no reference cycles (tests/test_collector.py), so its passes would
-    # only traverse the vectors and columns that reference counting frees.
-    # A failing run's traceback cycles are freed by the first collection
-    # after the command. The CLI owns its process; library calls leave the
-    # collector alone.
+    # no reference cycles, not even those that fail (tests/test_collector.py),
+    # so its passes would only traverse the vectors and columns that
+    # reference counting frees. The CLI owns its process; library calls
+    # leave the collector alone.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -29,7 +29,7 @@ import itertools
 import math
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import EvaluationError
+from .errors import EvaluationError, StreamcheckError
 from .exprs import (Binary, Expr, FUNCTIONS, Lit, Name, Unary, _CMP_OPS, _apply, _binop,
                     _bool, _floor, _num)
 from .histories import ChannelHistory
@@ -130,7 +130,8 @@ class CodeGen:
 
     def __init__(self) -> None:
         self.ns: dict[str, Any] = {
-            "EvaluationError": EvaluationError, "_num": _num, "_bool": _bool,
+            "EvaluationError": EvaluationError, "StreamcheckError": StreamcheckError,
+            "islice": itertools.islice, "_num": _num, "_bool": _bool,
             "_binop": _binop, "_apply": _apply, "_floor": _floor,
             "_unknown": _unknown, "_guard": _guard, "_divisor": _divisor, "_fl": math.floor}
         self._temps = 0
@@ -366,28 +367,35 @@ def _cached(owner: Any, key: tuple, build: Callable[[], Callable]) -> Callable:
 
 
 def relation_ticks(rel: Any, sig: Signature, columns: Sequence[Sequence[Any]],
-                   n: int) -> list[bool]:
-    """The value of `rel.expr` at each of the n ticks of columns with distinct
-    names, described by `sig`; a value that is not boolean is an error at
-    its tick."""
-
+                   horizons: Sequence[int]
+                   ) -> tuple[list[bool], tuple[int, StreamcheckError] | None]:
+    """The value of `rel.expr` at each tick of pairs whose rows follow one
+    another in columns with distinct names, described by `sig`, pair by
+    pair, `horizons` holding each pair's number of ticks. A value that is
+    not boolean is an error at its tick of its pair, and a relation that
+    does not compile fails at the first pair. Returns the values up to the
+    first pair that fails, and its index and error, else None."""
     def build() -> Callable:
         gen = CodeGen()
         code = gen.expr(rel.expr, _scope(enum_labels(_types(sig)), ("x", sig)))
-        body = ["ticks = []", "app = ticks.append"]
-        if code.kind == "bool":
-            body += [f"for {unpack('x', len(sig))} in rows:", f"    app({code.src})"]
-        else:
+        row = unpack("x", len(sig))
+        loop = [f"for {row} in islice(rows, n):", f"    app({code.src})"]
+        if code.kind != "bool":
             message = f"relation {rel.name!r} is not boolean at tick "
-            body += [f"for t, {unpack('x', len(sig))} in enumerate(rows, 1):",
-                     f"    v = {code.src}",
-                     "    if v is not True and v is not False:",
-                     f"        raise EvaluationError({message!r} + str(t))",
-                     "    app(v)"]
-        return gen.function("rows", body + ["return ticks"])
+            loop = [f"for t, {row} in enumerate(islice(rows, n), 1):", f"    v = {code.src}",
+                    "    if v is not True and v is not False:",
+                    f"        raise EvaluationError({message!r} + str(t))", "    app(v)"]
+        return gen.function("rows, horizons", [
+            "ticks = []", "app = ticks.append", "for c, n in enumerate(horizons):",
+            "    try:", *("        " + line for line in loop),
+            "    except StreamcheckError as e:", "        return ticks, (c, e)",
+            "return ticks, None"])
 
-    rows = zip(*columns) if columns else itertools.repeat((), n)
-    return _cached(rel, ("relation", sig), build)(rows)
+    try:
+        fn = _cached(rel, ("relation", sig), build)
+    except EvaluationError as e:
+        return [], (0, e) if horizons else None
+    return fn(zip(*columns) if columns else itertools.repeat(()), horizons)
 
 
 def map_rows(gal: Any, entries: Sequence[tuple[str, Expr]], sig: Signature,
@@ -418,28 +426,12 @@ def map_columns(gal: Any, entries: Sequence[tuple[str, Expr]],
     return columns
 
 
-def membership_matrix(gal: Any, abstract: Sequence[ChannelHistory],
-                      concrete: Sequence[ChannelHistory]) -> list[list[bool]]:
-    """[[g_membership(gal, a, x) for x in concrete] for a in abstract], for
-    histories of one horizon; the first error in that order is raised.
-
-    It runs as one call when all histories of a side share a signature, as
-    the elements of a bounded universe do, and pair by pair otherwise.
-    """
-    sig_a, sig_c = {h.signature() for h in abstract}, {h.signature() for h in concrete}
-    if len(sig_a) > 1 or len(sig_c) > 1:
-        return [[membership_matrix(gal, (a,), (x,))[0][0] for x in concrete] for a in abstract]
-    if not sig_a or not sig_c:
-        return [[] for _ in abstract]
-    return membership_rows(gal, sig_a.pop(), sig_c.pop(), [_rows(a) for a in abstract],
-                           [_rows(x) for x in concrete])
-
-
 def membership_rows(gal: Any, sa: Signature, sc: Signature, abstract: Sequence[list[tuple]],
                     concrete: Sequence[list[tuple]]) -> list[list[bool]]:
-    """`membership_matrix` of histories given as row lists, one row of
-    values a tick, of the signatures sa and sc; one compiled call decides
-    every pair."""
+    """[[g_membership(gal, a, x) for x in concrete] for a in abstract], for
+    histories of one horizon given as row lists, one row of values a tick,
+    of the signatures sa and sc; the first error in that order is raised.
+    One compiled call decides every pair."""
     if not abstract or not concrete:
         return [[] for _ in abstract]
 

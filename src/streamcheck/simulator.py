@@ -575,7 +575,8 @@ def at_tick(e: Exception, tick: int) -> SimulationError:
     """An exception of a tick's step, as the SimulationError that reports it."""
     message = str(e) if isinstance(e, StreamcheckError) else f"{type(e).__name__}: {e}"
     error = SimulationError(message, tick=tick)
-    error.__cause__ = e
+    # without the traceback, which holds the frame of the loop that keeps the error
+    error.__cause__ = e.with_traceback(None)
     return error
 
 

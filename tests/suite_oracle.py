@@ -103,7 +103,9 @@ def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tu
         ticks = list(out.streams[out_names[0]].values)
         return fold_stream(ticks), ticks
     columns = [s.values for s in a.streams.values()] + [s.values for s in c.streams.values()]
-    ticks = relation_ticks(rel, a.signature() + c.signature(), columns, a.horizon)
+    ticks, failed = relation_ticks(rel, a.signature() + c.signature(), columns, [a.horizon])
+    if failed is not None:
+        raise failed[1]
     return fold_stream(ticks), ticks
 
 

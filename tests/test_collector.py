@@ -1,7 +1,7 @@
 """`cli.main` holds the cycle collector off while a command runs and puts it
-back as it found it, on every way out. The premise: no fixture command
-builds a reference cycle, and the cycles of a run that fails are freed once
-`main` has returned."""
+back as it found it, on every way out. The premise: no command builds a
+reference cycle, neither a fixture command nor a `test`, `check` or
+`concretize` whose runs fail."""
 
 import contextlib
 import gc
@@ -15,6 +15,7 @@ from streamcheck.cli import main
 
 from conftest import FIXTURES, fixture_path
 from test_cli_reports import COMMANDS, FAILING, many_cases
+from test_suites import RUNS
 
 BRAKE = ["--model", str(fixture_path("brake_override.scm.txt")), "--component", "BrakeOverride"]
 
@@ -60,6 +61,34 @@ def divide(tmp_path):
     suite.write_text("".join(f"#case c{i}\n#inputs\nx\n5\n{0 if i % 3 == 0 else 2}\n"
                              f"#expected\ny\n2\n5\n" for i in range(60)), encoding="utf-8")
     return ["--model", str(model), "--component", "Divide", "--vectors", str(suite)]
+
+
+@pytest.fixture
+def halves(tmp_path):
+    """The model file of the Halves refinement and a suite of 60 pairs, or
+    abstract cases, of which every third from the third fails at its second
+    tick: `check` and `concretize` stop at the third."""
+    model = tmp_path / "m.scm.txt"
+    model.write_text(RUNS, encoding="utf-8")
+    abstract, concrete = tmp_path / "a.tv.csv", tmp_path / "c.tv.csv"
+    abstract.write_text("".join(f"#case p{i}\n#params\nm\n1\n#inputs\na\n1\n"
+                                f"{0 if i % 3 == 2 else 2}\n" for i in range(60)), encoding="utf-8")
+    concrete.write_text("".join(f"#case q{i}\n#inputs\nc\n1\n2\n" for i in range(60)),
+                        encoding="utf-8")
+    return ["--model", str(model), "--refinement", "Halves", "--vectors", str(abstract)], concrete
+
+
+def _cycles(argv: list[str], code: int) -> int:
+    """What the collector finds after the command, run once more after a
+    warm-up with the collector off."""
+    assert _quiet(argv) == code, argv
+    gc.collect()
+    gc.disable()
+    try:
+        assert _quiet(argv) == code, argv
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def test_main_restores_the_collector_on_every_exit_code(enabled, tmp_path, divide):
@@ -110,13 +139,17 @@ def test_the_fixture_commands_build_no_reference_cycle(tmp_path, monkeypatch):
             command = [*argv, "--format", fmt]
             code = _quiet(command)  # the warm-up: compiles and caches what the command uses
             assert code in (0, 1), command
-            gc.collect()
-            gc.disable()
-            try:
-                assert _quiet(command) == code
-                assert gc.collect() == 0, command
-            finally:
-                gc.enable()
+            assert _cycles(command, code) == 0, command
+
+
+def test_failing_commands_build_no_reference_cycle(divide, halves):
+    """A failing run's error keeps no frame of the loop that collects the
+    errors, and `check` and `concretize` report their first failing pair or
+    case without raising it across the suite."""
+    model, concrete = halves
+    assert _cycles(["test", *divide], 3) == 0
+    assert _cycles(["check", *model, "--vectors", str(concrete)], 3) == 0
+    assert _cycles(["concretize", *model], 3) == 0
 
 
 def test_a_failing_runs_cycles_are_freed_after_main_returns(divide):

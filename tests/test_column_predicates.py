@@ -18,7 +18,7 @@ import check_oracles as oracle
 from docgen import DocGen
 from streamcheck.abstraction import (GaloisCounterexample, abstract_output, eval_relation,
                                      g_membership, verify_galois)
-from streamcheck.codegen import membership_matrix
+from streamcheck.codegen import _rows, membership_rows
 from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
 from streamcheck.errors import EvaluationError, StreamcheckError, TypeMismatchError
 from streamcheck.exprs import Binary, Lit, Name, parse_expression
@@ -123,6 +123,9 @@ def test_abstraction_map_and_membership_match_dict_environment(seed, horizon):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
 def test_membership_matrix_matches_pairwise_membership(seed, horizon):
+    """`membership_rows` decides all pairs of row lists in one call, with one
+    signature a side, in which a column conforms only when it conforms in
+    every history of that side."""
     gen = DocGen(random.Random(seed))
     a_names, c_names, types = _split(gen)
     gal = _galois(gen, a_names, c_names, types)
@@ -130,9 +133,17 @@ def test_membership_matrix_matches_pairwise_membership(seed, horizon):
     abstract = [_history(gen, a_names, horizon, types) for _ in range(r.randint(0, 3))]
     concrete = [_history(gen, c_names, horizon, types) for _ in range(r.randint(0, 4))]
 
+    def signature(names, histories):
+        return tuple((n, types[n], all(h.streams[n].conforms() for h in histories))
+                     for n in names)
+
+    def matrix():
+        return membership_rows(gal, signature(a_names, abstract), signature(c_names, concrete),
+                               [_rows(a) for a in abstract], [_rows(x) for x in concrete])
+
     def pairwise():
         return [[oracle.g_membership(gal, a, x) for x in concrete] for a in abstract]
-    assert _outcome(membership_matrix, gal, abstract, concrete) == _outcome(pairwise)
+    assert _outcome(matrix) == _outcome(pairwise)
 
 
 @settings(max_examples=200, deadline=None)

@@ -529,21 +529,81 @@ def test_one_call_runs_a_component_without_inputs_as_the_oracle_does():
     assert [status for _, status, _, _ in ours] == ["pass", "error", "pass", "error", "pass"]
 
 
+# RI and RO that fail at a chosen pair and tick of the suite below, and the
+# message of the failure: a divisor of 0, a value that is not boolean, and an
+# `or` with an int operand; in `concretize`, c is the concretizer's output
+_FAILING_RELATIONS = [
+    ("RI", "12 / (a + 1) > -20", "division by zero"),  # where a = -1
+    ("RI", "a", "relation 'HalfRI' is not boolean at tick 1"),
+    ("RI", "a == c or a", "'or' needs a boolean operand, got 1"),  # where a != c
+    ("RO", "12 / (d + 1) > -20", "division by zero"),  # where c = -1
+    ("RO", "h", "relation 'HalfRO' is not boolean at tick 1"),
+    ("RO", "h > d or d", "'or' needs a boolean operand, got 1"),  # where a = -3
+]
+
+
+def _stop_suite(side: str, expr: str, run_at: int | None) -> tuple[list, list]:
+    """The a and c values of four pairs of three ticks: the relation fails at
+    the second tick of the third pair (a != c and a = -1, a = -3 or c = -1),
+    and where `run_at` is a pair, its runs fail at the third tick (a = c = 0)."""
+    a, c = [[1, 1, 1] for _ in range(4)], [[1, 1, 1] for _ in range(4)]
+    if "/" in expr:
+        a[2][1] = c[2][1] = -1
+    elif side == "RI":
+        c[2][1] = 2
+    else:
+        a[2][1] = -3
+    if run_at is not None:
+        a[run_at][2] = c[run_at][2] = 0
+    return a, c
+
+
 def test_check_and_concretize_stop_at_the_first_failing_pair_or_case(tmp_path):
-    # the second pair and case raise at tick 3, the fourth at tick 1
-    (tmp_path / "m.scm.txt").write_text(RUNS, encoding="utf-8")
-    rows = [[1, 2], [3, 1, 0, 2], [-1, 1], [0]]
-    abstract = "".join(f"#case p{k}\n#params\nm\n1\n#inputs\na\n" + "".join(f"{v}\n" for v in r)
-                       for k, r in enumerate(rows))
-    concrete = "".join(f"#case q{k}\n#inputs\nc\n" + "".join(f"{v}\n" for v in r)
-                       for k, r in enumerate(rows))
-    (tmp_path / "a.tv.csv").write_text(abstract, encoding="utf-8")
-    (tmp_path / "c.tv.csv").write_text(concrete, encoding="utf-8")
+    """The pair or case reported is the first that fails, and of its steps
+    the first in the order RI, the abstract run, the concrete run, RO for a
+    pair, and the parameters, the run, RI for a case, as the oracle, which
+    checks one at a time, finds it, at every batch size."""
+    def write(ri: str, ro: str, a: list, c: list) -> None:
+        model = RUNS.replace("RI when a == c", f"RI when {ri}").replace(
+            "RO when h >= d or h < d", f"RO when {ro}")
+        (tmp_path / "m.scm.txt").write_text(model, encoding="utf-8")
+        (tmp_path / "a.tv.csv").write_text("".join(
+            f"#case p{k}\n#params\nm\n1\n#inputs\na\n" + "".join(f"{v}\n" for v in r)
+            for k, r in enumerate(a)), encoding="utf-8")
+        (tmp_path / "c.tv.csv").write_text("".join(
+            f"#case q{k}\n#inputs\nc\n" + "".join(f"{v}\n" for v in r)
+            for k, r in enumerate(c)), encoding="utf-8")
+
     model = ["--model", str(tmp_path / "m.scm.txt"), "--refinement", "Halves"]
-    for argv in (["check", *model, "--vectors", str(tmp_path / "a.tv.csv"),
-                  "--vectors", str(tmp_path / "c.tv.csv")],
-                 ["concretize", *model, "--vectors", str(tmp_path / "a.tv.csv")]):
+    check = ["check", *model, "--vectors", str(tmp_path / "a.tv.csv"),
+             "--vectors", str(tmp_path / "c.tv.csv")]
+    concretize = ["concretize", *model, "--vectors", str(tmp_path / "a.tv.csv")]
+
+    def agree(argv: list[str], failure: tuple[int, str]) -> None:
+        k, message = failure
+        where = f"pair (p{k}, q{k})" if argv[0] == "check" else f"case 'p{k}'"
         for batch_rows in (1, 3, vectors.BATCH_ROWS):
             code, _, stderr, _ = _agree(argv, batch_rows)[0]
-            assert code == 3 and "tick 3: " in stderr and "division by zero" in stderr, stderr
-            assert ("(p1, q1)" if argv[0] == "check" else "case 'p1'") in stderr
+            assert (code, stderr) == (3, f"error: {where}: {message}\n"), argv
+
+    # the second pair and case raise at tick 3, the fourth at tick 1
+    rows = [[1, 2], [3, 1, 0, 2], [-1, 1], [0]]
+    write("a == c", "h >= d or h < d", rows, rows)
+    agree(check, (1, "tick 3: division by zero"))
+    agree(concretize, (1, "tick 3: division by zero"))
+    for side, expr, message in _FAILING_RELATIONS:
+        at = 0 if expr in ("a", "h") else 2  # a value that is not boolean fails at once
+        for run_at in (None, 0, 1, 2, 3):
+            write(expr if side == "RI" else "a == c", expr if side == "RO" else "h >= d or h < d",
+                  *_stop_suite(side, expr, run_at))
+            run = (run_at, "tick 3: division by zero")
+            # of one pair, RI goes before the runs and RO after them
+            rank = 0 if side == "RI" else 2
+            agree(check, run if run_at is not None and (run_at, 1) < (at, rank)
+                  else (at, message))
+            if side == "RI":
+                # of one case, RI goes after the run; the concretizer's output
+                # 12 / a differs from a = 1, so the `or` fails at the first case
+                at_case = 0 if " or " in expr else at
+                agree(concretize, run if run_at is not None and run_at <= at_case
+                      else (at_case, message))
