@@ -4,10 +4,13 @@ Atomic components are finite automata evaluated element-wise: one transition
 fires per tick (the first enabled one in declaration order), unassigned
 outputs latch their last value, and strict components emit with a one-tick
 delay (tick 1 emits the declared initial outputs). Composite components are
-wiring networks over subcomponents. Each composite's network of atomic
-instances, with its wiring resolved and its weak atoms scheduled, is built
-once from its subcomponents' networks; the structural check, the simulator
-and the causality check all read it.
+wiring networks over subcomponents. The structural check of a composite
+reads its own wires and a summary of each subcomponent, found once: the
+producer behind each output, the inputs each output reads within a tick,
+and whether a zero-delay cycle lies inside. Its network of atomic
+instances, with the wiring resolved and the weak atoms scheduled, is built
+in one walk down the tree, on first use, for a component that runs or
+whose fault must be worded; the simulator and the causality check read it.
 
 This module holds what a model load runs. Running a component and checking
 its causality (`run`, `step`, `check_causality` and the rest) are in
@@ -16,9 +19,9 @@ its causality (`run`, `step`, `check_causality` and the rest) are in
 
 from __future__ import annotations
 
-from typing import Any, Container, Mapping, Optional, Union
+from typing import Any, Container, Mapping, Union
 
-from .errors import SimulationError, StreamcheckError, TypeMismatchError
+from .errors import SimulationError, TypeMismatchError
 from .exprs import TRUE, Expr, free_names
 from .records import FRESH, Record, store
 from .streams import Channel, DataType, enum_labels
@@ -35,8 +38,10 @@ class SyntacticInterface(Record, frozen=True):
     def __init__(self, inputs: tuple[Channel, ...], outputs: tuple[Channel, ...]):
         store(self, "inputs", inputs)
         store(self, "outputs", outputs)
-        names = [c.name for c in inputs] + [c.name for c in outputs]
-        dupes = {n for n in names if names.count(n) > 1}
+        seen: set[str] = set()
+        dupes: set[str] = set()
+        for c in inputs + outputs:
+            (dupes if c.name in seen else seen).add(c.name)
         if dupes:
             raise TypeMismatchError(f"duplicate channel names: {sorted(dupes)}")
 
@@ -202,129 +207,141 @@ def validate_automaton(spec: AutomatonSpec) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Networks
+# Summaries
 
 
-class Network:
-    """A component as a network of atomic instances with its wiring resolved.
+class _Summary:
+    """What a composite that holds a component reads of it, found once and
+    kept on the component (see `_summarize`).
 
-    `atoms` lists them by path, depth first in declaration order (a lone
-    atom's path is ""). `src` maps each atom input (path, channel), and
-    `out_src` each output, to its producer: (None, channel) for a boundary
-    input, (path, channel) for an atom output, None when no wire feeds it.
-    `weak` lists the weak atoms in firing order and `stuck` those that never
-    fire.
+    `error` is the message of a fault in its wiring, or in a subcomponent's,
+    that leaves it without a network; the other fields are then unset.
+    `sources` maps each wired consumer (subcomponent or None, channel) to
+    the producer behind it, as `networks.Network` gives one, so an output
+    (None, channel) to what the component emits there. `reads` maps each
+    wired consumer to the inputs it reads within a tick, through weak atoms
+    only; it is None when a zero-delay cycle lies inside.
     """
 
-    def __init__(self, atoms: list[tuple[str, AutomatonSpec]], src: dict, out_src: dict,
-                 inputs: tuple[Channel, ...]):
-        self.atoms, self.src, self.out_src = atoms, src, out_src
-        # strict atoms emit what they latched, so their initialised outputs
-        # have values before anything steps
-        available = {(None, c.name) for c in inputs}
-        available.update((p, c.name) for p, a in atoms if a.causality == STRICT
-                         for c in a.interface.outputs if c.name in a.output_init)
-        pending = {p for p, a in atoms if a.causality != STRICT}
-        self.weak = _fire(dict(atoms), pending, src, available)
-        self.stuck = sorted(pending)
+    __slots__ = ("error", "sources", "reads")
+
+    def __init__(self, error: str | None, sources: dict | None = None,
+                 reads: dict | None = None):
+        self.error, self.sources, self.reads = error, sources, reads
 
 
-def _fire(atoms: Mapping[str, AutomatonSpec], pending: set[str], src: Mapping, avail: set
-          ) -> list[str]:
-    """The readiness scan: scanning `pending` by path, as often as needed,
-    fire each atom whose inputs' producers are all in `avail` and add its
-    outputs there. Returns the atoms fired, in order, and leaves the others
-    in `pending`."""
-    fired = []
-    progress = True
-    while pending and progress:
-        progress = False
-        for path in sorted(pending):
-            if all(src.get((path, c.name)) in avail for c in atoms[path].interface.inputs):
-                fired.append(path)
-                avail.update((path, c.name) for c in atoms[path].interface.outputs)
-                pending.discard(path)
-                progress = True
-    return fired
+def _summary(spec: ComponentSpec) -> _Summary:
+    found = spec.__dict__.get("_summary")
+    if found is None:
+        if isinstance(spec, AutomatonSpec):
+            reads = {c.name for c in spec.interface.inputs} if spec.causality != STRICT else set()
+            found = _Summary(None, {(None, c.name): ("", c.name) for c in spec.interface.outputs},
+                             {(None, c.name): reads for c in spec.interface.outputs})
+        else:
+            try:
+                found = _summarize(spec)
+            except SimulationError as e:
+                found = _Summary(str(e))
+        spec.__dict__["_summary"] = found
+    return found
 
 
-def _network(spec: ComponentSpec) -> Network:
-    """The spec's network. A composite's is spliced once from its
-    subcomponents' networks and kept on the spec; an atom's refers to the
-    atom, so it is built afresh rather than kept in a reference cycle."""
-    if isinstance(spec, AutomatonSpec):
-        return Network([("", spec)], {("", c.name): (None, c.name) for c in spec.interface.inputs},
-                       {c.name: ("", c.name) for c in spec.interface.outputs},
-                       spec.interface.inputs)
-    net = spec.__dict__.get("_network")
-    if net is None:
-        net = spec.__dict__["_network"] = _splice(spec)
-    return net
-
-
-def _splice(spec: CompositeSpec) -> Network:
-    """A composite's network: its subcomponents' networks under their
-    instance names, each wire followed through pass-through outputs (those
-    a subcomponent wires from one of its inputs) to the producer behind.
+def _summarize(spec: CompositeSpec) -> _Summary:
+    """A composite's summary, from its wiring and its subcomponents'
+    summaries. Each wire is followed through pass-through outputs (those a
+    subcomponent wires from one of its inputs) to the producer behind.
 
     Raises SimulationError, in the order a top-down flattening meets them,
     for a wire from a boundary channel that is not an input or, in a
-    subcomponent, that is not wired here, and for a loop of wires through
-    pass-through outputs.
+    subcomponent, that is not wired here, for a subcomponent's fault, and
+    for a loop of wires through pass-through outputs.
     """
-    _check_fed(spec, spec.interface.input_names())
+    _check_fed(spec, {(None, c.name) for c in spec.interface.inputs})
     wires = {(conn.consumer.component, conn.consumer.channel): conn.producer
              for conn in spec.wiring}
-    nets = {}
+    subs: dict[str, _Summary] = {}
     for name, sub in spec.subcomponents:
         if isinstance(sub, CompositeSpec):
-            _check_fed(sub, {chan for to, chan in wires if to == name})
-        nets[name] = _network(sub)
-
-    def source(sub: str | None, chan: str) -> Optional[tuple[str | None, str]]:
-        """The producer behind the wire into `sub`.`chan`."""
-        passed: list[Endpoint] = []  # pass-through outputs followed so far
+            _check_fed(sub, wires, name)
+        subs[name] = found = _summary(sub)
+        if found.error is not None:
+            raise SimulationError(found.error)
+    sources: dict = {}
+    for consumer in wires:  # every wire, so that a loop no atom reads is found too
+        passed: dict[Endpoint, int] = {}  # pass-through outputs followed so far
         chans: list[str] = []  # each one and the input it passes on
-        while (ep := wires.get((sub, chan))) is not None:
-            if ep.component is None:
-                return None, ep.channel
-            net = nets.get(ep.component)
-            producer = net.out_src.get(ep.channel) if net else None
+        followed = []
+        while consumer not in sources:
+            followed.append(consumer)
+            ep = wires.get(consumer)
+            if ep is None or ep.component is None:
+                producer = ep and (None, ep.channel)
+                break
+            sub = subs.get(ep.component)
+            producer = sub and sub.sources.get((None, ep.channel))
             if producer is None or producer[0] is not None:
-                return producer and (_join(ep.component, producer[0]), producer[1])
+                producer = producer and (_join(ep.component, producer[0]), producer[1])
+                break
             if ep in passed:
-                loop = chans[2 * passed.index(ep):][::-1]
+                loop = chans[2 * passed[ep]:][::-1]
                 raise SimulationError(f"wiring loop in {spec.name!r} through pass-through "
                                       f"composites: {' -> '.join(loop + loop[:1])}")
-            passed.append(ep)
-            sub, chan = ep.component, producer[1]
-            chans += [str(ep), f"{sub}.{chan}"]
-        return None
-
-    for consumer in wires:  # so that a loop no atom reads is found too
-        source(*consumer)
-    atoms, src = [], {}
-    for name, net in nets.items():
-        atoms += [(_join(name, p), atom) for p, atom in net.atoms]
-        for (p, chan), producer in net.src.items():
-            if producer is not None:
-                producer = (source(name, producer[1]) if producer[0] is None
-                            else (_join(name, producer[0]), producer[1]))
-            src[(_join(name, p), chan)] = producer
-    out_src = {c.name: source(None, c.name) for c in spec.interface.outputs}
-    return Network(atoms, src, out_src, spec.interface.inputs)
+            passed[ep] = len(passed)
+            consumer = (ep.component, producer[1])
+            chans += [str(ep), f"{ep.component}.{producer[1]}"]
+        else:
+            producer = sources[consumer]
+        for key in followed:
+            sources[key] = producer
+    if any(sub.reads is None for sub in subs.values()):
+        return _Summary(None, sources)
+    return _Summary(None, sources, _reads(wires, subs))
 
 
-def _check_fed(spec: CompositeSpec, fed: Container[str]) -> None:
+def _reads(wires: Mapping, subs: Mapping[str, _Summary]) -> dict | None:
+    """The inputs that each consumer of `wires` reads within a tick, found
+    by following the wires back through the subcomponents' `reads`, or None
+    when they close a cycle. Each such cycle holds a weak atom, since
+    `_summarize` refuses a loop through pass-through outputs alone."""
+    def behind(consumer):
+        """The consumers whose reads the wire into `consumer` passes on."""
+        ep = wires.get(consumer)
+        sub = ep and subs.get(ep.component)
+        return [(ep.component, i) for i in sub.reads.get((None, ep.channel), ())] if sub else []
+
+    # None while the reads behind a consumer are being found
+    reads: dict = {consumer: {ep.channel} for consumer, ep in wires.items() if ep.component is None}
+    for start in wires:
+        if start in reads:
+            continue
+        reads[start] = None
+        stack = [(start, behind(start), 0)]
+        while stack:
+            consumer, before, k = stack.pop()
+            while k < len(before) and before[k] in reads:
+                if reads[before[k]] is None:
+                    return None
+                k += 1
+            if k < len(before):
+                reads[before[k]] = None
+                stack += [(consumer, before, k + 1), (before[k], behind(before[k]), 0)]
+            else:
+                reads[consumer] = set().union(*map(reads.__getitem__, before))
+    return reads
+
+
+def _check_fed(spec: CompositeSpec, fed: Container[tuple[str | None, str]],
+               name: str | None = None) -> None:
     """Raise SimulationError at the first wire of `spec` from a boundary
-    channel outside `fed`."""
+    channel that is not fed: (`name`, channel) is not in `fed`."""
     for conn in spec.wiring:
-        if conn.producer.component is None and conn.producer.channel not in fed:
+        if conn.producer.component is None and (name, conn.producer.channel) not in fed:
             raise SimulationError(f"{spec.name}: {conn.producer} is not a composite input")
 
 
-def _join(name: str, path: str) -> str:
-    return f"{name}/{path}" if path else name
+def _join(path: str, rest: str) -> str:
+    """The path `rest` under `path`; either may be "", the path of a top."""
+    return f"{path}/{rest}" if path and rest else path or rest
 
 
 # ---------------------------------------------------------------------------
@@ -332,54 +349,54 @@ def _join(name: str, path: str) -> str:
 
 
 def compose_check(spec: CompositeSpec) -> list[str]:
-    """Validate a composite network; returns [] when everything is wired sanely."""
+    """Validate a composite network; returns [] when everything is wired sanely.
+
+    Past its own wires, it reads only its subcomponents' summaries (see
+    `_summarize`); only a zero-delay cycle is worded from its network.
+    """
     problems: list[str] = []
     subs = dict(spec.subcomponents)
     if len(subs) != len(spec.subcomponents):
         problems.append("duplicate subcomponent names")
+    # the channels that may produce, and those that may consume, by endpoint
+    produce = {(None, c.name): c for c in spec.interface.inputs}
+    produce.update(((name, c.name), c) for name, sub in subs.items() for c in sub.interface.outputs)
+    consume = {(None, c.name): c for c in spec.interface.outputs}
+    consume.update(((name, c.name), c) for name, sub in subs.items() for c in sub.interface.inputs)
 
-    def chan_of(ep: Endpoint, producing: bool) -> Channel | None:
-        if ep.component is None:
-            pool = spec.interface.inputs if producing else spec.interface.outputs
-        else:
-            sub = subs.get(ep.component)
-            if sub is None:
-                problems.append(f"unknown subcomponent in endpoint {ep}")
-                return None
-            pool = sub.interface.outputs if producing else sub.interface.inputs
-        for c in pool:
-            if c.name == ep.channel:
-                return c
-        side = "producer" if producing else "consumer"
-        problems.append(f"endpoint {ep} is not a valid {side} channel")
-        return None
+    def bad(ep: Endpoint, side: str) -> str:
+        if ep.component is None or ep.component in subs:
+            return f"endpoint {ep} is not a valid {side} channel"
+        return f"unknown subcomponent in endpoint {ep}"
 
-    producers: dict[Endpoint, list[Endpoint]] = {}
+    wired: dict[tuple[str | None, str], int] = {}  # consumer -> its number of producers
     for conn in spec.wiring:
-        p = chan_of(conn.producer, producing=True)
-        c = chan_of(conn.consumer, producing=False)
-        if p is not None and c is not None and p.ctype != c.ctype:
-            problems.append(f"type mismatch on {conn.producer} -> {conn.consumer}: "
+        producer, consumer = conn.producer, conn.consumer
+        p = produce.get((producer.component, producer.channel))
+        if p is None:
+            problems.append(bad(producer, "producer"))
+        key = (consumer.component, consumer.channel)
+        c = consume.get(key)
+        if c is None:
+            problems.append(bad(consumer, "consumer"))
+        elif p is not None and p.ctype is not c.ctype and p.ctype != c.ctype:
+            problems.append(f"type mismatch on {producer} -> {consumer}: "
                             f"{p.ctype.to_text()} vs {c.ctype.to_text()}")
-        producers.setdefault(conn.consumer, []).append(conn.producer)
-    for consumer, plist in producers.items():
-        if len(plist) > 1:
-            problems.append(f"consumer {consumer} has {len(plist)} producers")
-    for name, sub in spec.subcomponents:
-        for c in sub.interface.inputs:
-            if Endpoint(name, c.name) not in producers:
-                problems.append(f"unconnected consumer {name}.{c.name}")
-    for c in spec.interface.outputs:
-        if Endpoint(None, c.name) not in producers:
-            problems.append(f"unconnected composite output {c.name}")
+        wired[key] = wired.get(key, 0) + 1
+    problems += [f"consumer {Endpoint(*key)} has {n} producers" for key, n in wired.items() if n > 1]
+    problems += [f"unconnected consumer {name}.{c.name}" for name, sub in spec.subcomponents
+                 for c in sub.interface.inputs if (name, c.name) not in wired]
+    problems += [f"unconnected composite output {c.name}" for c in spec.interface.outputs
+                 if (None, c.name) not in wired]
     if problems:
         return problems
-    try:
-        net = _network(spec)
-    except StreamcheckError as e:
-        return [str(e)]
-    cycle = _zero_delay_cycle(net)
-    return ["zero-delay cycle: " + " ; ".join(cycle)] if cycle else []
+    summary = _summary(spec)
+    if summary.error is not None:
+        return [summary.error]
+    if summary.reads is None:
+        from .networks import flatten, zero_delay_cycle
+        return ["zero-delay cycle: " + " ; ".join(zero_delay_cycle(flatten(spec)))]
+    return []
 
 
 def spec_problems(spec: ComponentSpec) -> tuple[str, ...]:
@@ -391,31 +408,6 @@ def spec_problems(spec: ComponentSpec) -> tuple[str, ...]:
         found = spec.__dict__["_problems"] = tuple(
             validate_automaton(spec) if isinstance(spec, AutomatonSpec) else compose_check(spec))
     return found
-
-
-def _zero_delay_cycle(net: Network) -> list[str]:
-    """The wires of a zero-delay cycle among the weak atoms, or [].
-
-    Every weak atom on such a cycle is stuck, and so is every one behind it
-    or behind an unconnected input. Scanning the stuck atoms again, with
-    every producer outside them taken as having a value, leaves those on or
-    behind a cycle; each of them reads another, so following such inputs
-    back from any of them closes a cycle.
-    """
-    atoms, src, pending = dict(net.atoms), net.src, set(net.stuck)
-    avail = {src.get((p, c.name)) for p in pending for c in atoms[p].interface.inputs}
-    _fire(atoms, pending, src, {s for s in avail if s is None or s[0] not in pending})
-    if not pending:
-        return []
-    wires: dict[str, str] = {}  # atom -> a wire into it from another left pending
-    at = min(pending)
-    while at not in wires:
-        chan, (producer, out) = next((c.name, s) for c in atoms[at].interface.inputs
-                                     if (s := src.get((at, c.name))) and s[0] in pending)
-        wires[at] = f"{producer}.{out} -> {at}.{chan}"
-        at = producer
-    back = list(wires.values())[list(wires).index(at):]
-    return back[::-1]
 
 
 def __getattr__(name: str):

@@ -19,12 +19,13 @@ from functools import cached_property
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .codegen import NUMERIC, Code, CodeGen, NameResolver, slot, unpack
-from .components import (AutomatonSpec, ComponentSpec, CompositeSpec, Network, STRICT,
-                         SyntacticInterface, Transition, _network, enum_label_env, spec_problems)
+from .components import (AutomatonSpec, ComponentSpec, CompositeSpec, STRICT,
+                         SyntacticInterface, Transition, enum_label_env, spec_problems)
 from .errors import (CapsExceededError, NondeterminismError, SimulationError, StreamcheckError,
                      StuckStateError)
 from .exprs import Lit, free_names
 from .histories import Block, ChannelHistory, Table, TimedStream, validate_history
+from .networks import Network, network
 from .records import Record
 from .streams import BOOL_KIND, DataType, ENUM_KIND, INT_KIND, REAL_KIND
 
@@ -62,8 +63,8 @@ ComponentState = Union[AutomatonState, CompositeState]
 # A component compiles, on its first run, into one Python function that
 # runs any number of ticks. Every atom's control state, variables and
 # latched outputs live in local variables ("slots"); expressions read them
-# directly. A composite's atoms are inlined in the schedule its network
-# (`components.Network`) fixed when it was loaded: weak atoms in the order
+# directly. A composite's atoms are inlined in the schedule of its network
+# (`networks.Network`), built on its first run: weak atoms in the order
 # in which each first has all its inputs, then strict atoms in declaration
 # order. That is the order in which an interpreter that re-scans every tick
 # fires them, so the first error of a tick is the same. The simulator is
@@ -347,7 +348,7 @@ class Simulator:
         self.inputs = spec.interface.inputs
         self.input_names = tuple(c.name for c in self.inputs)
         self.outputs = spec.interface.outputs
-        compiler = _Compiler(spec.interface, _network(spec), check_determinism)
+        compiler = _Compiler(spec.interface, network(spec), check_determinism)
         # per atom: path, control states, variable and output types in
         # declaration order, and the outputs latched from the start
         self.layout = [(a.path, a.spec.states, {v.name: v.dtype for v in a.spec.variables},
@@ -534,7 +535,8 @@ def run_tables(spec: ComponentSpec, tables: Sequence[Table], out: Sequence[list]
             try:
                 result = run(spec, history, check_determinism=check_determinism)
             except StreamcheckError as e:
-                failed.append((k, e))
+                # without the traceback, which holds this frame and so `failed`
+                failed.append((k, e.with_traceback(None)))
             else:
                 for col, c in zip(out, spec.interface.outputs):
                     col.extend(result.streams[c.name].values)
@@ -662,7 +664,7 @@ def same_tick_dependence(spec: ComponentSpec) -> list[tuple[str, str]]:
     network's wires. An empty result proves strict causality for every
     input and every horizon. The spec must be well-formed.
     """
-    net = _network(spec)
+    net = network(spec)
     atoms = dict(net.atoms)
     # producer -> the boundary inputs it passes on in the same tick; a strict
     # atom's output has none and is left out

@@ -485,3 +485,55 @@ class DocGen:
                 bare.add(inst)  # its output may be its input, passed on
             stages[i:i + 2] = [(inst, inner)]
         return network(self.name("Chain"), stages, (x, en))
+
+    def graph(self, depth: int = 2):
+        """A composite of weak and strict atoms over bool, and now and then
+        of nested such composites or a second instance of one spec, under
+        instance names in random order. Each consumer is wired from a
+        random producer: a boundary input, which may pass it on unchanged,
+        or any subcomponent's output, which closes cycles, zero-delay ones
+        when weak atoms alone lie on them, and loops of wires when
+        pass-throughs alone do. Now and then a consumer is left unwired,
+        wired a second time or wired from a channel that does not exist, and
+        two subcomponents share a name."""
+        r = self.rng
+
+        def chans(prefix, direction, count):
+            return tuple(Channel(f"{prefix}{k}", BOOL, direction) for k in range(count))
+
+        subs = []
+        for _ in range(r.randint(1, 5)):
+            if depth and r.random() < 0.3:
+                spec = self.graph(depth - 1)
+            elif subs and r.random() < 0.15:
+                spec = r.choice(subs)[1]
+            else:
+                inputs, outputs = chans("i", "input", r.randint(0, 2)), chans("o", "output", r.randint(1, 2))
+                causality = r.choice(["strict", "weak"])
+                init = {c.name: False for c in outputs if r.random() < 0.9} if causality == "strict" else {}
+                assigns = tuple((c.name, Name(r.choice(inputs).name) if inputs else Lit(True))
+                                for c in outputs)
+                spec = AutomatonSpec(self.name("Atom"), SyntacticInterface(inputs, outputs), ("Run",),
+                                     "Run", (Transition("Run", "Run", outputs=assigns),), (), init,
+                                     causality)
+            name = subs[-1][0] if subs and r.random() < 0.03 else self.name(r.choice("abcxyz"))
+            subs.append((name, spec))
+        inputs, outputs = chans("i", "input", r.randint(0, 2)), chans("o", "output", r.randint(1, 2))
+        producers = ([Endpoint(None, c.name) for c in inputs]
+                     + [Endpoint(inst, c.name) for inst, spec in subs for c in spec.interface.outputs])
+        consumers = ([Endpoint(inst, c.name) for inst, spec in subs for c in spec.interface.inputs]
+                     + [Endpoint(None, c.name) for c in outputs])
+        wiring = []
+        for consumer in consumers:
+            roll = r.random()
+            if roll < 0.04:
+                continue
+            producer = (Endpoint(r.choice([None, subs[0][0], "ghost"]), "nowhere") if roll < 0.07
+                        else r.choice(producers))
+            wiring.append(Connector(producer, consumer))
+            if r.random() < 0.03:
+                wiring.append(Connector(r.choice(producers), consumer))
+        if r.random() < 0.5:
+            r.shuffle(wiring)
+        return CompositeSpec(self.name("Graph"), SyntacticInterface(inputs, outputs), tuple(subs),
+                             tuple(wiring))

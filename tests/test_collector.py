@@ -11,7 +11,10 @@ import shutil
 import pytest
 
 from streamcheck import cli
+from streamcheck.abstraction import check_correspondence
 from streamcheck.cli import main
+from streamcheck.dsl import parse_model
+from streamcheck.histories import ChannelHistory, TimedStream
 
 from conftest import FIXTURES, fixture_path
 from test_cli_reports import COMMANDS, FAILING, many_cases
@@ -150,6 +153,29 @@ def test_failing_commands_build_no_reference_cycle(divide, halves):
     assert _cycles(["test", *divide], 3) == 0
     assert _cycles(["check", *model, "--vectors", str(concrete)], 3) == 0
     assert _cycles(["concretize", *model], 3) == 0
+
+
+def test_a_failing_library_check_builds_no_reference_cycle():
+    """A run of a history built in Python that fails keeps no frame of the
+    loop that collects the errors either."""
+    doc = parse_model(RUNS).document
+    halver, copier = doc.components["Halver"], doc.components["Copier"]
+    ri, ro = doc.relations["HalfRI"], doc.relations["HalfRO"]
+
+    def check():
+        ta, tc = (ChannelHistory({c.name: TimedStream.of(c.ctype, [1, 0])}, 2)
+                  for c in (halver.interface.inputs[0], copier.interface.inputs[0]))
+        result = check_correspondence(halver, copier, ri, ro, ta, tc)
+        assert result.diagnostics == ("tick 2: division by zero",)
+
+    check()
+    gc.collect()
+    gc.disable()
+    try:
+        check()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_failing_runs_cycles_are_freed_after_main_returns(divide):

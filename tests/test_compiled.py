@@ -28,7 +28,8 @@ import interp_oracle
 from interp_oracle import run_interpreted
 from streamcheck import load_models
 from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, Transition,
-                                    VariableDecl, _network)
+                                    VariableDecl)
+from streamcheck.networks import network
 from streamcheck.simulator import (AutomatonState, CompositeState, _simulator, check_causality,
                                    initial_state, run, step)
 from streamcheck.abstraction import eval_relation
@@ -413,7 +414,7 @@ def test_only_a_state_with_two_transitions_checks_determinism(doc):
     as the plain loop does."""
     deep = parse_model(deep_net_model(random.Random(1), 4, 3, 4)[0]).document
     for spec in (deep.components["DeepNet"], doc.components["ACC"]):
-        leaving = Counter((path, t.source) for path, atom in _network(spec).atoms
+        leaving = Counter((path, t.source) for path, atom in network(spec).atoms
                           for t in atom.transitions)
         src = "\n".join(_simulator(spec, True)._run_body)
         assert src.count("_f = -1") == sum(n > 1 for n in leaving.values()) < len(leaving)
@@ -677,7 +678,7 @@ def _malformed(rng, spec, state):
     """A configuration of `spec` that `state` becomes by one random change."""
     if not isinstance(state, CompositeState):
         return _malformed_atom(rng, spec, state)
-    atoms = dict(_network(spec).atoms)
+    atoms = dict(network(spec).atoms)
     substates = list(state.substates)
     way = rng.choice(["atom", "atom", "missing atom", "unknown atom", "substates", "class"])
     event("composite: " + way)

@@ -171,8 +171,8 @@ LOAD = f"streamcheck.load_models({[f'fixtures/{name}' for name in MODEL_FILES]!r
 def test_loading_a_model_imports_only_what_loading_needs():
     """Neither importing the package nor loading a model imports the checks,
     the vector reader, the test runner, the CLI, the code generator, the
-    simulator, the stream histories, the writer, `dataclasses` or
-    `inspect`."""
+    simulator, the flat networks, the stream histories, the writer,
+    `dataclasses` or `inspect`."""
     # what the interpreter imported before streamcheck (a site hook may
     # import `inspect`, say) is left out of what loading imports
     code = ("import sys\n"
@@ -186,7 +186,8 @@ def test_loading_a_model_imports_only_what_loading_needs():
     assert {"streamcheck.dsl", "streamcheck.declarations"} <= after_load
     assert not after_load & {"streamcheck.abstraction", "streamcheck.vectors",
                              "streamcheck.testcases", "streamcheck.cli", "streamcheck.codegen",
-                             "streamcheck.simulator", "streamcheck.histories",
+                             "streamcheck.simulator", "streamcheck.networks",
+                             "streamcheck.histories",
                              "streamcheck.serialize", "difflib", "dataclasses", "inspect"}
 
 

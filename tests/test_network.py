@@ -1,28 +1,33 @@
-"""Composite networks: each one built once from its subcomponents' networks,
-compared with the flattening of `interp_oracle` and the former depth-first
-search for zero-delay cycles, and loops of wires through pass-through
-composites, which once made loading hang."""
+"""Composite networks: each composite checked from its subcomponents'
+summaries and flattened, on first use, in one walk. Compared with the
+flattening of `interp_oracle`, the former depth-first search for zero-delay
+cycles and the former per-level splice and readiness scan of
+`network_oracle`; loops of wires through pass-through composites, which once
+made loading hang; and the work a long chain takes."""
 
 import contextlib
 import random
 import signal
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcheck import components
+from streamcheck import components, networks
 from streamcheck.cli import main
 from streamcheck.components import (CompositeSpec, Connector, Endpoint, SyntacticInterface,
-                                    _network, _zero_delay_cycle, compose_check)
+                                    compose_check)
+from streamcheck.networks import network, zero_delay_cycle
 from streamcheck.simulator import check_causality, initial_state, run, same_tick_dependence, step
 from streamcheck.dsl import parse_model
 from streamcheck.errors import SimulationError
 from streamcheck.streams import BOOL, Channel
 from streamcheck.histories import ChannelHistory, TimedStream
 
+import network_oracle
 from check_oracles import zero_delay_cycles
 from docgen import DocGen
 from interp_oracle import _FlatModel
@@ -75,10 +80,10 @@ def _same_network(spec: CompositeSpec):
             flat = _FlatModel(spec)
         except SimulationError as e:  # an unfed input of a nested composite
             with pytest.raises(SimulationError) as info:
-                _network(spec)
+                network(spec)
             assert str(info.value) == str(e)
             return
-        net = _network(spec)
+        net = network(spec)
     assert net.atoms == [(p, rt.spec) for p, rt in flat.atoms.items()]
     assert net.src == {key: _producer(flat, spec, src) for key, src in flat.src.items()}
     assert net.out_src == {c: _producer(flat, spec, src) for c, src in flat.out_src.items()}
@@ -94,8 +99,8 @@ def _same_cycle_verdict(spec: CompositeSpec):
         # which the search would take for a wire from its atom to itself.
         sources = {key: src for key, src in flat.src.items() if _producer(flat, spec, src)}
         expected = zero_delay_cycles({p: rt.spec for p, rt in flat.atoms.items()}, sources)
-        net = _network(spec)
-        cycle = _zero_delay_cycle(net)
+        net = network(spec)
+        cycle = zero_delay_cycle(net)
     assert bool(cycle) == bool(expected)
     # the wires named are wires of the network, and they close a cycle
     wires = []
@@ -117,6 +122,7 @@ def test_networks_of_chains_match_the_oracle(seed):
     spec = gen_.chain(gen_.rng.randint(1, 7))
     _same_network(spec)
     _same_cycle_verdict(spec)
+    _same_as_the_former_splice(spec)
 
 
 def test_networks_of_fixtures_and_the_deep_net_match_the_oracle(doc):
@@ -126,7 +132,62 @@ def test_networks_of_fixtures_and_the_deep_net_match_the_oracle(doc):
     for spec in specs:
         _same_network(spec)
         _same_cycle_verdict(spec)
+        _same_as_the_former_splice(spec)
         assert compose_check(spec) == []
+
+
+# ---------------------------------------------------------------------------
+# The summaries and the one-walk network against the former splice
+
+
+def _composites_under(spec):
+    """The spec and every composite under it, each spec once."""
+    found, todo = {}, [spec]
+    while todo:
+        at = todo.pop()
+        if isinstance(at, CompositeSpec) and id(at) not in found:
+            found[id(at)] = at
+            todo += [sub for _, sub in at.subcomponents]
+    return list(found.values())
+
+
+def _same_as_the_former_splice(spec: CompositeSpec):
+    """Each composite under the spec has the network that `network_oracle`
+    splices, or the same error, and the same `compose_check` problems."""
+    for composite in _composites_under(spec):
+        with deadline(10):
+            try:
+                old = network_oracle.network(composite)
+            except SimulationError as e:
+                with pytest.raises(SimulationError) as info:
+                    network(composite)
+                assert str(info.value) == str(e)
+            else:
+                net = network(composite)
+                assert net.atoms == old.atoms
+                assert list(net.src.items()) == list(old.src.items())
+                assert list(net.out_src.items()) == list(old.out_src.items())
+                assert (net.weak, net.stuck) == (old.weak, old.stuck)
+            problems = compose_check(composite)
+            assert problems == network_oracle.compose_check(composite), composite.name
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_random_graphs_are_checked_and_flattened_as_the_former_splice_did(seed):
+    _same_as_the_former_splice(DocGen(random.Random(seed)).graph())
+
+
+def test_random_graphs_meet_every_verdict_now_and_then():
+    # so the property above meets cycles and faults as well as sound wiring
+    verdicts = Counter()
+    for seed in range(300):
+        problems = compose_check(DocGen(random.Random(seed)).graph())
+        verdicts.update(kind for kind in ("zero-delay cycle", "wiring loop",
+                                          "is not a composite input", "unconnected")
+                        if any(kind in p for p in problems))
+        verdicts["sound"] += not problems
+    assert min(verdicts.values()) > 5 and len(verdicts) == 5, verdicts
 
 
 def test_loading_checks_each_component_once_and_its_first_run_checks_none(monkeypatch):
@@ -187,27 +248,77 @@ def test_chains_close_zero_delay_cycles_now_and_then():
     cycles = faults = 0
     for seed in range(200):
         try:
-            cycles += _zero_delay_cycle(_network(DocGen(random.Random(seed)).chain(5))) != []
+            cycles += zero_delay_cycle(network(DocGen(random.Random(seed)).chain(5))) != []
         except SimulationError:
             faults += 1
     assert 5 < cycles < 150 and 0 < faults < 50
 
 
-def test_each_composite_is_built_once_per_load(monkeypatch):
+def test_a_load_builds_no_network_and_the_first_run_builds_one(monkeypatch):
     builds = []
-    splice = components._splice
-    monkeypatch.setattr(components, "_splice", lambda spec: builds.append(spec) or splice(spec))
+    flatten = networks.flatten
+    monkeypatch.setattr(networks, "flatten", lambda spec: builds.append(spec.name) or flatten(spec))
     _, doc = _deep_net_doc()
-    assert len(builds) == 17
-    assert {s.name for s in builds} == {s.name for s in _composites(doc)}
+    assert builds == []
     net = doc.components["DeepNet"]
-    run(net, DocGen(random.Random(0)).history(net.interface.inputs, 3))
-    assert len(builds) == 17
+    history = DocGen(random.Random(0)).history(net.interface.inputs, 3)
+    run(net, history)
+    assert builds == ["DeepNet"]
+    run(net, history)
+    assert check_causality(net) is None
+    assert builds == ["DeepNet"]
+
+
+def _chain_against_the_dataflow(n: int) -> str:
+    """A model of a chain of n weak atoms whose instance names count down
+    along the dataflow, so that a scan by path fires one atom a pass."""
+    lines = ["component W weak { input x : int[0..9]  output y : int[0..9]",
+             "  states Run init  transition Run -> Run { y := x } }",
+             "component Chain { input x : int[0..9]  output y : int[0..9]"]
+    lines += [f"  sub a{k:05d} : W" for k in range(n)]
+    lines += [f"  connect a{k + 1:05d}.y -> a{k:05d}.x" for k in range(n - 1)]
+    lines += [f"  connect x -> a{n - 1:05d}.x  connect a00000.y -> y }}"]
+    return "\n".join(lines) + "\n"
+
+
+def _lines_to_load_and_run(n: int) -> int:
+    """The lines of streamcheck executed to load the chain of n atoms and
+    run it for three ticks."""
+    package = str(Path(components.__file__).parent)
+    count = 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return line
+
+    text, previous = _chain_against_the_dataflow(n), sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 line if frame.f_code.co_filename.startswith(package) else None)
+    try:
+        spec = parse_model(text).document.components["Chain"]
+        result = run(spec, ChannelHistory({"x": TimedStream.of(spec.interface.inputs[0].ctype,
+                                                                [1, 2, 3])}, 3))
+    finally:
+        sys.settrace(previous)
+    assert result.streams["y"].values == (1, 2, 3)
+    return count
+
+
+def test_a_chain_against_the_dataflow_loads_and_runs_in_linear_work():
+    with deadline(30):
+        _lines_to_load_and_run(100)  # what a first load or run sets up once
+        lines = {n: _lines_to_load_and_run(n) for n in (500, 1000, 2000)}
+    # each atom adds as many lines as the one before; with the former scan
+    # by path, the lines an atom added grew with the chain (0.61, 1.96 and
+    # 6.92 million lines in all, against 0.22, 0.44 and 0.89 million now)
+    first, second = (lines[1000] - lines[500]) / 500, (lines[2000] - lines[1000]) / 1000
+    assert second <= 1.02 * first, lines
 
 
 def test_a_lone_atom_network_is_not_kept(doc):
     atom = doc.components["BrakeOverride"]
-    assert _network(atom) is not _network(atom)
+    assert network(atom) is not network(atom)
     assert "_network" not in atom.__dict__
 
 
@@ -301,6 +412,6 @@ def test_pass_through_chains_resolve_to_the_input_behind_them():
     result = parse_model(text)
     assert result.ok, result.diagnostics
     spec = result.document.components["X"]
-    assert _network(spec).out_src == {"o": (None, "x")}
+    assert network(spec).out_src == {"o": (None, "x")}
     history = ChannelHistory({"x": TimedStream.of(BOOL, [True, False, True])}, 3)
     assert run(spec, history).streams["o"].values == (True, False, True)
