@@ -379,7 +379,7 @@ def compose_check(spec: CompositeSpec) -> list[str]:
         c = consume.get(key)
         if c is None:
             problems.append(bad(consumer, "consumer"))
-        elif p is not None and p.ctype is not c.ctype and p.ctype != c.ctype:
+        elif p is not None and p.ctype != c.ctype:
             problems.append(f"type mismatch on {producer} -> {consumer}: "
                             f"{p.ctype.to_text()} vs {c.ctype.to_text()}")
         wired[key] = wired.get(key, 0) + 1

@@ -10,8 +10,7 @@ A load does not import this module.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Container, Mapping
+from typing import Mapping
 
 from .components import STRICT, AutomatonSpec, ComponentSpec, CompositeSpec, _join, _summary
 from .errors import SimulationError
@@ -38,48 +37,26 @@ class Network:
         available.update((p, c.name) for p, a in atoms if a.causality == STRICT
                          for c in a.interface.outputs if c.name in a.output_init)
         pending = {p for p, a in atoms if a.causality != STRICT}
-        self.weak = _sweep(dict(atoms), pending, src, available)
+        self.weak = _fire(dict(atoms), pending, src, available)
         self.stuck = sorted(pending)
 
 
-def _sweep(atoms: Mapping[str, AutomatonSpec], pending: set[str], src: Mapping,
-           avail: Container) -> list[str]:
-    """Fire the atoms of `pending` as a scan would that goes through them
-    by path, as often as needed, and fires each one whose inputs' producers
-    are all in `avail` or fired. Returns the atoms fired, in order, and
-    leaves the others in `pending`.
-
-    Each atom counts its inputs whose producer has no value yet, and firing
-    an atom counts down those of the atoms that read it. A pass fires, by
-    path, each atom whose count is zero and whose path lies past the last
-    one fired; one that reaches zero behind it waits for the next pass.
-    """
-    missing = dict.fromkeys(pending, 0)
-    readers: dict[str, list[str]] = {}
-    for path in pending:
-        for c in atoms[path].interface.inputs:
-            producer = src.get((path, c.name))
-            if producer not in avail:
-                missing[path] += 1
-                if producer is not None and producer[0] in missing:
-                    readers.setdefault(producer[0], []).append(path)
-    fired: list[str] = []
-    ready = [path for path, count in missing.items() if not count]
-    while ready:
-        heapify(ready)
-        behind: list[str] = []
-        while ready:
-            path = heappop(ready)
-            fired.append(path)
-            for reader in readers.get(path, ()):
-                missing[reader] -= 1
-                if not missing[reader]:
-                    if reader > path:
-                        heappush(ready, reader)
-                    else:
-                        behind.append(reader)
-        ready = behind
-    pending.difference_update(fired)
+def _fire(atoms: Mapping[str, AutomatonSpec], pending: set[str], src: Mapping, avail: set
+          ) -> list[str]:
+    """The readiness scan: scanning `pending` by path, as often as needed,
+    fire each atom whose inputs' producers are all in `avail` and add its
+    outputs there. Returns the atoms fired, in order, and leaves the others
+    in `pending`."""
+    fired = []
+    progress = True
+    while pending and progress:
+        progress = False
+        for path in sorted(pending):
+            if all(src.get((path, c.name)) in avail for c in atoms[path].interface.inputs):
+                fired.append(path)
+                avail.update((path, c.name) for c in atoms[path].interface.outputs)
+                pending.discard(path)
+                progress = True
     return fired
 
 
@@ -138,14 +115,14 @@ def zero_delay_cycle(net: Network) -> list[str]:
     """The wires of a zero-delay cycle among the weak atoms, or [].
 
     Every weak atom on such a cycle is stuck, and so is every one behind it
-    or behind an unconnected input. Sweeping the stuck atoms again, with
+    or behind an unconnected input. Scanning the stuck atoms again, with
     every producer outside them taken as having a value, leaves those on or
     behind a cycle; each of them reads another, so following such inputs
     back from any of them closes a cycle.
     """
     atoms, src, pending = dict(net.atoms), net.src, set(net.stuck)
     avail = {src.get((p, c.name)) for p in pending for c in atoms[p].interface.inputs}
-    _sweep(atoms, pending, src, {s for s in avail if s is None or s[0] not in pending})
+    _fire(atoms, pending, src, {s for s in avail if s is None or s[0] not in pending})
     if not pending:
         return []
     wires: dict[str, str] = {}  # atom -> a wire into it from another left pending
