@@ -13,7 +13,9 @@ first pair or case at which it fails and takes only the pairs or cases
 before the earliest failure found so far, in the order of the per-pair
 functions (`check_correspondence`, `concretize`), which run the same code
 on one pair; so a suite is checked once, and the failure reported is the
-first that a pair-by-pair check meets.
+first that a pair-by-pair check meets. Pairs built in Python are tables
+too (`Table.of`): a column joined from several of them conforms only
+where it conforms in each, so it is read as each pair reads it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Se
 from .components import ComponentSpec
 from .errors import (CapsExceededError, EvaluationError, SimulationError, StreamcheckError,
                      TypeMismatchError, UnboundParameterError)
-from .histories import Block, ChannelHistory, Table, TimedStream, validate_history
+from .histories import Block, ChannelHistory, Table, TimedStream, invalid_input
 from .records import Record
-from .simulator import run, run_tables, table_runs
+from .simulator import run_tables, table_runs
 from .streams import BOOL, REAL, DataType, bounded_int
 
 if TYPE_CHECKING:
@@ -68,24 +70,20 @@ def _relation(rel: RelationSpec, a: Block, c: Block, horizons: Sequence[tuple[in
     failure = next(((k, TypeMismatchError(f"horizon mismatch: {ha} vs {hc}"))
                     for k, (ha, hc) in enumerate(horizons) if ha != hc), failure)
     horizons = _upto(horizons, failure)
-    if rel.checker is not None:
-        # a checker starts afresh on every pair
-        ticks: list[bool] = []
-        start = 0
-        for k, (h, _) in enumerate(horizons):
-            pair = Table(a, start, start + h).history(), Table(c, start, start + h).history()
-            try:
-                combined = pair[0].merged(pair[1])
-                out = run(rel.checker, combined, combined.horizon)
-                out_names = rel.checker.interface.output_names()
-                if len(out_names) != 1 or rel.checker.interface.outputs[0].ctype != BOOL:
-                    raise TypeMismatchError(
-                        f"checker {rel.checker.name!r} must have one boolean output")
-            except StreamcheckError as e:
-                return ticks, (k, e)
-            ticks += out.streams[out_names[0]].values
-            start += h
-        return ticks, failure
+    checker = rel.checker
+    if checker is not None:
+        # a checker starts afresh on every pair, a table of both sides' columns
+        both = Block(a.names + c.names, a.types + c.types, [*a.columns, *c.columns],
+                     a.conforms + c.conforms)
+        ends = list(itertools.accumulate((h for h, _ in horizons), initial=0))
+        outputs = checker.interface.outputs
+        out: list[list] = [[] for _ in outputs]
+        failed = run_tables(checker, [Table(both, s, e) for s, e in zip(ends, ends[1:])], out)
+        k = failed[0][0] if failed else len(horizons)  # the pairs before the first that fails
+        # the outputs are judged after the first pair's run
+        if k and (len(outputs) != 1 or outputs[0].ctype != BOOL):
+            return [], (0, TypeMismatchError(f"checker {checker.name!r} must have one boolean output"))
+        return (out[0][:ends[k]] if k else []), (failed[0] if failed else failure)
     # a channel shadows an enumeration label of the same name
     from .codegen import relation_ticks
     ticks, failed = relation_ticks(rel, a.signature() + c.signature(), [*a.columns, *c.columns],
@@ -109,12 +107,12 @@ def _column(tables: Sequence[Table], name: str) -> Sequence[Any]:
 
 
 def _joined(tables: Sequence[Table]) -> Block:
-    """The tables' columns as one block, one table after another; a history
-    built in Python stays its own block, to be validated when it runs."""
+    """The tables' columns as one block, one table after another; a column
+    conforms where it conforms in every block of the tables."""
     first = tables[0].block if tables else Block((), (), [])
-    if len(tables) == 1 and first.history is not None:
-        return first
-    return Block(first.names, first.types, [_column(tables, n) for n in first.names])
+    flags = [dict(zip(b.names, b.conforms)) for b in {t.block for t in tables}]
+    return Block(first.names, first.types, [_column(tables, n) for n in first.names],
+                 [all(f[n] for f in flags) for n in first.names])
 
 
 def _outputs(spec: ComponentSpec, tables: Sequence[Table],
@@ -501,19 +499,17 @@ def concretize_cases(conc: ConcretizerSpec, cases: Sequence[VectorCase],
     problems: dict[tuple[str, ...], str] = {}  # by the header of the abstract table
 
     def problem(block: Block) -> str:
-        """What `validate_history` finds in the inputs `concretize` binds from
-        an abstract table of the block's header: a parameter replaces an
-        input of its name."""
+        """What a run finds wrong with the inputs `concretize` binds from an
+        abstract table of the block's header: a parameter replaces an input
+        of its name."""
         found = problems.get(block.names)
         if found is None:
             shape = dict(zip(block.names, block.types))
             shape.update((d.name, d.dtype) for d in conc.params)
-            history = ChannelHistory({n: TimedStream(t, ()) for n, t in shape.items()}, 0)
-            found = problems[block.names] = "; ".join(map(str, validate_history(history, channels)))
+            found = problems[block.names] = invalid_input(shape, channels)
         return found
 
-    failure: Failure = next(((k, SimulationError("invalid input history: " + found))
-                             for k, case in enumerate(cases)
+    failure: Failure = next(((k, SimulationError(found)) for k, case in enumerate(cases)
                              if (found := problem(case.inputs.block))), None)
     # the concretizer's inputs of each case before it: tables of one block
     chunk = _upto(cases, failure)

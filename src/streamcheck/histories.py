@@ -2,8 +2,9 @@
 
 Streams carry exactly one message per tick; ticks are 1-based. Infinite
 streams are represented by finite prefixes up to an explicit horizon, which
-is all the downstream semantics ever inspect. A vector file's tables are
-kept as row ranges of typed columns (`Block`, `Table`).
+is all the downstream semantics ever inspect. A table, read from a vector
+file or made from a history built in Python, is a row range of typed
+columns that are flagged as conforming or not (`Block`, `Table`).
 """
 
 from __future__ import annotations
@@ -130,34 +131,33 @@ class ChannelHistory(Record):
 
 
 class Block:
-    """Equally long columns, one per channel, in the order of `names`.
+    """Equally long columns, one per channel, in the order of `names`, and
+    whether the values of each column conform to its type (`conforms`).
 
-    A block that the vector reader converts holds values that conform to
-    their channels' types, read in from tables that share a header. A block
-    made from a history built in Python (`Block.of`) keeps that history, so
-    that a run validates it first, and its columns conform only where its
-    streams do.
+    The vector reader converts tables that share a header into a block
+    whose columns all conform. A block made from a history built in Python
+    (`Block.of`) takes each stream's `TimedStream.conforms`, so that a run
+    checks only the columns that do not conform.
     """
 
-    __slots__ = ("names", "types", "columns", "history", "channels", "_orders")
+    __slots__ = ("names", "types", "columns", "conforms", "channels", "_orders")
 
     def __init__(self, names: Iterable[str], types: Iterable[DataType],
-                 columns: Sequence[Sequence[Any]], history: ChannelHistory | None = None):
+                 columns: Sequence[Sequence[Any]], conforms: Iterable[bool] | None = None):
         self.names, self.types, self.columns = tuple(names), tuple(types), columns
-        self.history = history
+        self.conforms = (True,) * len(self.names) if conforms is None else tuple(conforms)
         self.channels = frozenset(self.names)
         self._orders: dict[tuple[str, ...], list[Sequence[Any]]] = {}
 
     @classmethod
     def of(cls, h: ChannelHistory) -> "Block":
         streams = h.streams.values()
-        return cls(h.streams, [s.elem_type for s in streams], [s.values for s in streams], h)
+        return cls(h.streams, [s.elem_type for s in streams], [s.values for s in streams],
+                   [s.conforms() for s in streams])
 
     def signature(self) -> tuple[tuple[str, DataType, bool], ...]:
         """(name, type, whether the values conform) of each column."""
-        if self.history is None:
-            return tuple((n, t, True) for n, t in zip(self.names, self.types))
-        return self.history.signature()
+        return tuple(zip(self.names, self.types, self.conforms))
 
     def order(self, names: tuple[str, ...]) -> list[Sequence[Any]]:
         """The columns of the named channels, in that order."""
@@ -192,11 +192,9 @@ class Table:
         return [col[start:stop] for col in (block.columns if names is None else block.order(names))]
 
     def history(self) -> ChannelHistory:
-        block = self.block
-        if block.history is not None:  # a table made from a history spans it
-            return block.history
-        return ChannelHistory({n: TimedStream.conforming(t, tuple(col)) for n, t, col
-                               in zip(block.names, block.types, self.columns())}, self.horizon)
+        return ChannelHistory({n: (TimedStream.conforming if ok else TimedStream)(t, tuple(col))
+                               for (n, t, ok), col in zip(self.block.signature(), self.columns())},
+                              self.horizon)
 
 
 def validate_history(h: ChannelHistory, channels: Sequence[Channel]) -> list[Violation]:
@@ -216,3 +214,11 @@ def validate_history(h: ChannelHistory, channels: Sequence[Channel]) -> list[Vio
         elif s.horizon != h.horizon:
             violations.append(Violation(name, f"horizon {s.horizon} != {h.horizon}"))
     return violations
+
+
+def invalid_input(shape: Mapping[str, DataType], channels: Sequence[Channel]) -> str:
+    """What `validate_history` finds in inputs of the shape's channels and
+    types bound to `channels`, as the message of the run it fails, else ""."""
+    history = ChannelHistory({n: TimedStream(t, ()) for n, t in shape.items()}, 0)
+    violations = validate_history(history, channels)
+    return "invalid input history: " + "; ".join(map(str, violations)) if violations else ""

@@ -1,10 +1,11 @@
 """Components compiled into tick loops: the simulator, and what runs on it.
 
-`initial_state`, `step` and `run` run a component, `run_tables` a suite's
-tables, and `check_causality` decides strict causality from the wiring or
-by a search over the compiled successor function. Imported on the first
-run of a component or with the suite judges (`testcases`, `abstraction`),
-not when models are loaded.
+`initial_state` and `step` run a component tick by tick, `run_tables`
+runs tables, read from a vector file or made from histories built in
+Python, and `run` one history as one table; `check_causality` decides
+strict causality from the wiring or by a search over the compiled
+successor function. Imported on the first run of a component or with the
+suite judges (`testcases`, `abstraction`), not when models are loaded.
 Only well-formed specs compile (`_require_well_formed`), so the
 code generated here assumes what the structural checks establish: every
 name resolves, every input is wired, no weak atoms form a zero-delay
@@ -24,7 +25,7 @@ from .components import (AutomatonSpec, ComponentSpec, CompositeSpec, STRICT,
 from .errors import (CapsExceededError, NondeterminismError, SimulationError, StreamcheckError,
                      StuckStateError)
 from .exprs import Lit, free_names
-from .histories import Block, ChannelHistory, Table, TimedStream, validate_history
+from .histories import Block, ChannelHistory, Table, TimedStream, invalid_input
 from .networks import Network, network
 from .records import Record
 from .streams import BOOL_KIND, DataType, ENUM_KIND, INT_KIND, REAL_KIND
@@ -86,17 +87,6 @@ def _missing(component: str, latched: tuple[tuple[str, Any], ...]) -> None:
 def _nondet(component: str, first: str, second: str, state: str) -> None:
     raise NondeterminismError(f"{component}: transitions {first!r} and {second!r} "
                               f"both enabled in state {state!r}")
-
-
-def _conform_column(dtype: DataType, values: tuple) -> tuple[Any, int]:
-    """The values as DataType.check returns them, up to the first invalid one,
-    and that one's index (len(values) when all are valid)."""
-    checked = []
-    for v in values:
-        if not dtype.contains(v):
-            break
-        checked.append(dtype.check(v))
-    return checked, len(checked)
 
 
 class _AtomSlots:
@@ -371,31 +361,6 @@ class Simulator:
     def _successors(self) -> Callable:
         return self._gen.function("S, rows, app", self._successor_body)
 
-    def run(self, history: ChannelHistory, n: int) -> ChannelHistory:
-        cols, ticks = [], max(n, 0)
-        for c in self.inputs:
-            # the stream's type is the channel's, which the caller has checked
-            stream = history.streams[c.name]
-            col = stream.values[:ticks]
-            if not stream.conforms():
-                col, valid = _conform_column(c.ctype, col)
-                ticks = min(ticks, valid)
-            cols.append(col)
-        out: list[list[Any]] = [[] for _ in self.outputs]
-        rows = zip(*cols) if cols else itertools.repeat((), ticks)
-        failed = self.fn(list(self.initial_slots), (rows,), out)
-        if failed:
-            raise failed[0][1]
-        if ticks < max(n, 0):
-            # the first tick with an invalid input value fails at its input check
-            for c in self.inputs:
-                try:
-                    c.ctype.check(history.streams[c.name].values[ticks])
-                except StreamcheckError as e:
-                    raise SimulationError(str(e), tick=ticks + 1) from e
-        return ChannelHistory({c.name: TimedStream.conforming(c.ctype, tuple(col))
-                               for c, col in zip(self.outputs, out)}, n)
-
     def initial(self) -> ComponentState:
         return self._state(self.initial_slots)
 
@@ -519,41 +484,63 @@ def run_tables(spec: ComponentSpec, tables: Sequence[Table], out: Sequence[list]
     order. Returns (index, error) of each table whose run raises, in order;
     such a table appends nothing.
 
-    A table that the vector reader built is well formed by construction: it
-    holds one column per input, of the input's type, whose values conform.
-    Such tables run with no check, in one call of the compiled loop: a run
-    of tables that follow one another in a block is one zip over its rows,
-    cut per table with islice. A table made from a history built in Python
-    is validated and run as `run` does it. A spec that does not compile
-    fails every table with its error.
+    Each distinct block is checked once against the inputs, as
+    `validate_history` checks a history; a table of a block that fails it
+    fails with its message. The others run in one call of the compiled
+    loop, whatever built them: a run of tables that follow one another in
+    a block is one zip over its rows, cut per table with islice. A table
+    whose input columns do not all conform (made from a history built in
+    Python) runs on its values as DataType.check returns them; when one of
+    them is invalid, the table runs up to it in a call of its own and fails
+    at its tick, unless the run fails first. A spec that does not compile
+    fails every table that passes the check with its error.
     """
-    failed: list[tuple[int, StreamcheckError]] = []
-    k = 0
-    while k < len(tables):
-        history = tables[k].block.history
-        if history is not None:
-            try:
-                result = run(spec, history, check_determinism=check_determinism)
-            except StreamcheckError as e:
-                # without the traceback, which holds this frame and so `failed`
-                failed.append((k, e.with_traceback(None)))
-            else:
-                for col, c in zip(out, spec.interface.outputs):
-                    col.extend(result.streams[c.name].values)
-            k += 1
+    channels = spec.interface.inputs
+    names = tuple(c.name for c in channels)
+    types = [c.ctype for c in channels]
+    # each distinct block once: its problem, else whether its input columns conform
+    found: dict[Block, str | bool] = {}
+    for block in {t.block for t in tables}:
+        conforms = dict(zip(block.names, block.conforms))
+        found[block] = invalid_input(dict(zip(block.names, block.types)), channels) \
+            or all(conforms[n] for n in names)
+    # what each table runs on in the one call; no rows for a table that fails here
+    runs = list(tables)
+    failing: dict[int, StreamcheckError] = {}
+    cut: list[tuple[int, Table, SimulationError]] = []  # tables cut at an invalid value
+    for k, table in [(k, t) for k, t in enumerate(tables) if found[t.block] is not True]:
+        problem = found[table.block]
+        runs[k] = Table(Block(names, types, [()] * len(names)), 0, 0)
+        if problem:
+            failing[k] = SimulationError(problem)
             continue
-        j = k + 1
-        while j < len(tables) and tables[j].block.history is None:
-            j += 1
-        try:
-            sim = _simulator(spec, check_determinism)
-            fn = sim.fn
-        except StreamcheckError as e:
-            failed += [(i, e) for i in range(k, j)]
+        columns, ticks, error = [], table.horizon, None
+        for c, col in zip(channels, table.columns(names)):
+            values: list[Any] = []
+            try:
+                for v in col[:ticks]:
+                    values.append(c.ctype.check(v))
+            except StreamcheckError as e:
+                ticks, error = len(values), at_tick(e, len(values) + 1)
+            columns.append(values)
+        table = Table(Block(names, types, columns), 0, ticks)
+        if error is None:
+            runs[k] = table
         else:
-            cases = _rows(tables[k:j], sim.input_names)
-            failed += [(k + c, e) for c, e in fn(list(sim.initial_slots), cases, out)]
-        k = j
+            cut.append((k, table, error))
+    if len(failing) == len(tables):
+        return list(failing.items())
+    try:
+        sim = _simulator(spec, check_determinism)
+        fn = sim.fn
+    except StreamcheckError as e:
+        return [(k, failing.get(k, e)) for k in range(len(tables))]
+    failed = fn(list(sim.initial_slots), _rows(runs, names), out)
+    for k, table, error in cut:
+        lost = fn(list(sim.initial_slots), _rows([table], names), [[] for _ in out])
+        failing[k] = lost[0][1] if lost else error
+    failed += failing.items()
+    failed.sort(key=lambda f: f[0])
     return failed
 
 
@@ -619,19 +606,27 @@ def step(spec: ComponentSpec, st: ComponentState, inputs: Mapping[str, Any],
 
 def run(spec: ComponentSpec, input_history: ChannelHistory, n: int | None = None,
         check_determinism: bool = False) -> ChannelHistory:
-    """Run `n` ticks (default: the input horizon) from the initial state.
+    """Run `n` ticks (default: the input horizon) from the initial state:
+    `run_tables` of one table, the history's first n ticks.
 
     Any error during a tick, a StreamcheckError or not, is raised as a
     SimulationError that carries the tick.
     """
     if n is None:
         n = input_history.horizon
-    violations = validate_history(input_history, list(spec.interface.inputs))
-    if violations:
-        raise SimulationError("invalid input history: " + "; ".join(map(str, violations)))
-    if input_history.horizon < n:
-        raise SimulationError(f"input horizon {input_history.horizon} < requested ticks {n}")
-    return _simulator(spec, check_determinism).run(input_history, n)
+    if input_history.horizon < n:  # a history that does not fit is refused first
+        shape = {name: s.elem_type for name, s in input_history.streams.items()}
+        raise SimulationError(invalid_input(shape, spec.interface.inputs)
+                              or f"input horizon {input_history.horizon} < requested ticks {n}")
+    outputs = spec.interface.outputs
+    out: list[list] = [[] for _ in outputs]
+    failed = run_tables(spec, [Table(Block.of(input_history), 0, max(n, 0))], out,
+                        check_determinism)
+    if failed:
+        # popped, so that the frame its traceback keeps holds no reference to it
+        raise failed.pop()[1]
+    return ChannelHistory({c.name: TimedStream.conforming(c.ctype, tuple(col))
+                           for c, col in zip(outputs, out)}, n)
 
 
 def _require_well_formed(spec: ComponentSpec, sub: bool = False) -> None:

@@ -6,8 +6,9 @@ input tables (`simulator.run_tables`), and each case's outputs are compared
 with each expected table's columns as tuples. `VectorCase` is a case as the
 reader leaves it, one `histories.Table` per table. `TestCase` and the
 per-case functions (`execute_test`, `compare_histories`, `suite_run`) take
-histories built in Python and go through the same code, after the checks
-that `run` makes.
+histories built in Python, make a table of each (`Table.of`), whose columns
+record whether they conform, and go through the same code: `run_tables`
+checks them as it checks a vector file's tables.
 """
 
 from __future__ import annotations

@@ -26,10 +26,10 @@ of rows. It queues the table's body behind those of earlier tables with the
 same header, and converts such a batch column by column, each column at
 once by its channel's type, when the batch holds BATCH_ROWS rows or the file
 ends. The cells of int, bool and enum columns are converted once per
-distinct spelling and file (`_Ints`, `_Labels`), those of real columns one
-by one. The converted columns form a `histories.Block`, and each table
-becomes a `histories.Table`: a reference to its rows of the block, with
-nothing copied (`read_vectors`). Their values conform to their types, so
+distinct spelling and file by `_parse_cell` (`_Cells`), those of real
+columns one by one. The converted columns form a `histories.Block`, and
+each table becomes a `histories.Table`: a reference to its rows of the
+block, with nothing copied (`read_vectors`). Their values conform to their types, so
 nothing checks them again. `parse_testcases` builds histories from the
 tables, whose streams are recorded as conforming (`TimedStream.conforming`).
 
@@ -64,9 +64,6 @@ MAX_CELL = 131072
 # together once they hold this many rows. Much larger batches are slower and
 # hold more of a file's cells in memory at once.
 BATCH_ROWS = 2000
-
-_BOOLS = {"true": True, "false": False}
-
 
 class VectorFormatError(ModelFormatError):
     pass
@@ -128,33 +125,17 @@ def _unreadable(raw: str) -> str:
     return f"cell longer than {MAX_CELL} characters" if len(raw) > MAX_CELL else "unreadable row"
 
 
-# The value of each distinct cell of one type in a file, converted at its
-# first lookup: `_Ints` strips it, reads it as an integer and range-tests
-# it; `_Labels` strips it and looks it up among the type's labels. A lookup
-# raises ValueError or KeyError exactly where `_parse_cell` fails on the cell.
+class _Cells(dict):
+    """The value of each distinct cell of one type in a file, converted by
+    `_parse_cell` at its first lookup, which raises where it fails."""
 
-class _Ints(dict):
-    __slots__ = ("lo", "hi")
+    __slots__ = ("dtype",)
 
     def __init__(self, dtype: DataType):
-        self.lo, self.hi = dtype.lo, dtype.hi
-
-    def __missing__(self, cell: str) -> int:
-        value = int(cell.strip())
-        if not self.lo <= value <= self.hi:
-            raise ValueError("out of range")
-        self[cell] = value
-        return value
-
-
-class _Labels(dict):
-    __slots__ = ("labels",)
-
-    def __init__(self, dtype: DataType):
-        self.labels = _BOOLS if dtype.kind == BOOL_KIND else dict(zip(dtype.labels, dtype.labels))
+        self.dtype = dtype
 
     def __missing__(self, cell: str) -> Any:
-        value = self[cell] = self.labels[cell.strip()]
+        value = self[cell] = _parse_cell(cell, self.dtype, 0, 0)
         return value
 
 
@@ -272,7 +253,7 @@ def _convert(cells: list[dict[str, Any] | None], body: str, rows: int
     try:
         return [tuple(map(float, map(str.strip, col))) if c is None
                 else tuple(map(c.__getitem__, col)) for c, col in zip(cells, columns)]
-    except (ValueError, KeyError):
+    except (ValueError, VectorFormatError):
         return None
 
 
@@ -370,7 +351,7 @@ class _Reader:
             return None
         cells = self.cells.get(dtype)
         if cells is None:
-            cells = self.cells[dtype] = (_Ints if dtype.kind == INT_KIND else _Labels)(dtype)
+            cells = self.cells[dtype] = _Cells(dtype)
         return cells
 
     def flush(self) -> None:

@@ -6,13 +6,14 @@ import pytest
 
 from check_oracles import universe_elements
 from streamcheck.abstraction import (ConcretizationWarning, abstract_output, check_correspondence,
-                                     check_finv_in_g, concretize, eval_relation, fold_stream,
-                                     g_membership, verify_galois)
+                                     check_finv_in_g, concretize, correspond, eval_relation,
+                                     fold_stream, g_membership, verify_galois)
 from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
+from streamcheck.dsl import parse_model
 from streamcheck.errors import CapsExceededError, UnboundParameterError
 from streamcheck.exprs import parse_expression
-from streamcheck.streams import BOOL, REAL
-from streamcheck.histories import ChannelHistory, TimedStream
+from streamcheck.streams import BOOL, REAL, bounded_int
+from streamcheck.histories import ChannelHistory, Table, TimedStream
 
 
 def _bh(name, vals):
@@ -171,3 +172,81 @@ def test_finv_violation_is_reported(doc):
     violation = check_finv_in_g(gal, conc, bad)
     assert violation is not None
     assert violation.concrete_input.streams["i_c"].values == (0.0,)
+
+
+
+# Checkers of Halver's and Copier's inputs: Judge divides by a, so its run
+# fails where a is 0; Twice (which divides by a too) and Count break the
+# rule that a checker has one boolean output.
+CHECKERS = """component Halver weak {
+  input a : int[-3..3]
+  output h : int[-12..12]
+  states Run init
+  transition Run -> Run { h := 12 / a }
+}
+
+component Copier weak {
+  input c : int[-3..3]
+  output d : int[-3..3]
+  states Run init
+  transition Run -> Run { d := c }
+}
+
+component Judge weak {
+  input a : int[-3..3]
+  input c : int[-3..3]
+  output ok : bool
+  states Run init
+  transition Run -> Run { ok := 12 / a > c }
+}
+
+component Twice weak {
+  input a : int[-3..3]
+  input c : int[-3..3]
+  output ok : bool
+  output ok2 : bool
+  states Run init
+  transition Run -> Run { ok := 12 / a > c; ok2 := true }
+}
+
+component Count weak {
+  input a : int[-3..3]
+  input c : int[-3..3]
+  output n : int[-3..3]
+  states Run init
+  transition Run -> Run { n := c }
+}
+
+relation Judged RI checker Judge
+relation Doubled RI checker Twice
+relation Counted RI checker Count
+relation Any RO when h >= d or h < d
+"""
+
+
+@pytest.mark.parametrize("rel, pairs, ri_streams, failure", [
+    ("Judged", [([1, 2], [0, 0]), ([1, 0], [0, 0]), ([3], [1])], [(True, True)],
+     (1, "tick 2: division by zero")),
+    ("Doubled", [([1], [0]), ([2], [0])], [], (0, "checker 'Twice' must have one boolean output")),
+    # a run that fails after the first pair does not hide the rule
+    ("Doubled", [([1], [0]), ([0], [0])], [], (0, "checker 'Twice' must have one boolean output")),
+    # a run that fails at the first pair comes before it
+    ("Doubled", [([1, 0], [0, 0]), ([2], [0])], [], (0, "tick 2: division by zero")),
+    ("Counted", [([1], [0])], [], (0, "checker 'Count' must have one boolean output")),
+])
+def test_a_checker_fails_at_the_first_pair_that_a_pair_by_pair_check_fails(
+        rel, pairs, ri_streams, failure):
+    doc = parse_model(CHECKERS).document
+    halver, copier = doc.components["Halver"], doc.components["Copier"]
+    ri, ro = doc.relations[rel], doc.relations["Any"]
+    small = bounded_int(-3, 3)
+    histories = [(ChannelHistory({"a": TimedStream.of(small, a)}),
+                  ChannelHistory({"c": TimedStream.of(small, c)})) for a, c in pairs]
+    results, failed = correspond(halver, copier, ri, ro,
+                                 [(Table.of(ta), Table.of(tc)) for ta, tc in histories])
+    assert [r.ri_stream for r in results] == ri_streams
+    assert (failed[0], str(failed[1])) == failure
+    k, message = failure
+    checked = [check_correspondence(halver, copier, ri, ro, ta, tc) for ta, tc in histories]
+    assert [r.ri_stream for r in checked[:k]] == ri_streams
+    assert (checked[k].status, checked[k].diagnostics) == ("error", (message,))

@@ -744,3 +744,50 @@ def test_readme_examples_run(command, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code in (0, 1), captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+# A concretizer bound by a refinement that names no abstract component
+LONE = """component Scaler weak {
+  input a : int[-3..3]
+  input m : int[1..3]
+  output c : int[-12..12]
+  states Run init
+  transition Run -> Run { c := 12 / a }
+}
+
+concretizer Scaled {
+  component Scaler
+  param m : int[1..3]
+}
+
+refinement Lone {
+  concrete Scaler
+  concretizer Scaled
+}
+"""
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    # Halves has outputs y and z
+    (["test", "--model", "halves.scm.txt", "--component", "Halves", "--vectors", "v.tv.csv"],
+     {"halves.scm.txt": HALVES, "v.tv.csv": "#inputs\nx\ntrue\n#expected\ny\n0.0\n"},
+     "error: v.tv.csv: 4:1: missing output channels: ['z']"),
+    (["test", "--model", BRAKE, "--component", "BrakeOverride", "--vectors", "v.tv.csv"],
+     {"v.tv.csv": "#inputs\n" + "D" * 140000 + ",AccBrake,AccSwitch\n1,2,true\n"},
+     "error: v.tv.csv: 2:1: cell longer than 131072 characters"),
+    (["simulate", "--model", BRAKE, "--component", "BrakeOverride"], {},
+     "error: simulate needs --vectors"),
+    (["concretize", "--model", "lone.scm.txt", "--refinement", "Lone", "--vectors", "v.tv.csv"],
+     {"lone.scm.txt": LONE, "v.tv.csv": "#inputs\na\n1\n"},
+     "error: refinement 'Lone' names no abstract component"),
+    (["concretize", "--model", ENCODER, "--refinement", "Encoder",
+      "--vectors", str(fixture_path("encoder_concretize.tv.csv")), "--param", "mag"], {},
+     "error: --param must be name=value, got 'mag'"),
+])
+def test_a_usage_error_exits_2_with_its_line(argv, files, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")

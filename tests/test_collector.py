@@ -14,7 +14,9 @@ from streamcheck import cli
 from streamcheck.abstraction import check_correspondence
 from streamcheck.cli import main
 from streamcheck.dsl import parse_model
+from streamcheck.errors import SimulationError
 from streamcheck.histories import ChannelHistory, TimedStream
+from streamcheck.simulator import run
 
 from conftest import FIXTURES, fixture_path
 from test_cli_reports import COMMANDS, FAILING, many_cases
@@ -157,7 +159,8 @@ def test_failing_commands_build_no_reference_cycle(divide, halves):
 
 def test_a_failing_library_check_builds_no_reference_cycle():
     """A run of a history built in Python that fails keeps no frame of the
-    loop that collects the errors either."""
+    loop that collects the errors either, nor does the error that `run`
+    raises keep a frame that refers to it."""
     doc = parse_model(RUNS).document
     halver, copier = doc.components["Halver"], doc.components["Copier"]
     ri, ro = doc.relations["HalfRI"], doc.relations["HalfRO"]
@@ -167,6 +170,12 @@ def test_a_failing_library_check_builds_no_reference_cycle():
                   for c in (halver.interface.inputs[0], copier.interface.inputs[0]))
         result = check_correspondence(halver, copier, ri, ro, ta, tc)
         assert result.diagnostics == ("tick 2: division by zero",)
+        try:
+            run(halver, ta)
+        except SimulationError as e:
+            assert str(e) == "tick 2: division by zero"
+        else:
+            raise AssertionError("the run did not fail")
 
     check()
     gc.collect()

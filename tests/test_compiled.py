@@ -31,7 +31,7 @@ from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface, 
                                     VariableDecl)
 from streamcheck.networks import network
 from streamcheck.simulator import (AutomatonState, CompositeState, _simulator, check_causality,
-                                   initial_state, run, step)
+                                   initial_state, run, run_tables, step)
 from streamcheck.abstraction import eval_relation
 from streamcheck.codegen import UNBOUNDED, Code, CodeGen, kind_of_value
 from streamcheck.declarations import RelationSpec
@@ -39,7 +39,7 @@ from streamcheck.dsl import parse_model
 from streamcheck.errors import EvaluationError, SimulationError, StreamcheckError
 from streamcheck.exprs import Binary, Call, Lit, Name, evaluate, parse_expression
 from streamcheck.streams import BOOL, REAL, bounded_int, enumeration
-from streamcheck.histories import ChannelHistory, TimedStream
+from streamcheck.histories import ChannelHistory, Table, TimedStream
 
 from conftest import HALVES, fixture_path
 
@@ -259,6 +259,57 @@ def test_foreign_exceptions_become_simulation_errors():
     with pytest.raises(SimulationError, match="OverflowError") as info:
         run(spec, ChannelHistory({"x": TimedStream.of(ctype, [0, 10 ** 399])}))
     assert info.value.tick == 2
+
+
+def _gate(guard: str, target: str = "Run") -> AutomatonSpec:
+    """A weak atom that copies n to o when `guard` holds and goes to `target`."""
+    small = bounded_int(0, 3)
+    return AutomatonSpec(
+        name="Gate",
+        interface=SyntacticInterface((Channel("n", small, "input"),),
+                                     (Channel("o", small, "output"),)),
+        states=("Run",), initial="Run",
+        transitions=(Transition("Run", target, guard=parse_expression(guard),
+                                outputs=(("o", Name("n")),)),),
+        output_init={"o": 0}, causality="weak")
+
+
+_SMALL = bounded_int(0, 3)
+_TYPE_MISMATCH = ("invalid input history: n: type mismatch: "
+                  "stream of bool bound to int[0..3] channel")
+
+
+@pytest.mark.parametrize("guard, target, history, n, tick, message", [
+    ("n > 0", "Run", {"n": TimedStream.of(_SMALL, [1])}, 2, None,
+     "input horizon 1 < requested ticks 2"),
+    ("n > 0", "Run", {"n": TimedStream.of(BOOL, [True])}, None, None, _TYPE_MISMATCH),
+    # the history is checked before the ticks are counted
+    ("n > 0", "Run", {"n": TimedStream.of(BOOL, [True])}, 2, None, _TYPE_MISMATCH),
+    ("n > 0", "Run", {"n": TimedStream.of(_SMALL, [1]), "m": TimedStream.of(BOOL, [True])},
+     None, None, "invalid input history: m: not a declared channel"),
+    ("n", "Run", {"n": TimedStream.of(_SMALL, [1, 2])}, None, 1,
+     "tick 1: Gate: guard of Run->Run is not boolean"),
+    # and the ticks before the spec is compiled
+    ("n > 0", "Gone", {"n": TimedStream.of(_SMALL, [1, 2])}, 5, None,
+     "input horizon 2 < requested ticks 5"),
+])
+def test_a_run_fails_as_the_interpreter_fails(guard, target, history, n, tick, message):
+    spec = _gate(guard, target)
+    for run_fn in (run, run_interpreted):
+        with pytest.raises(SimulationError) as info:
+            run_fn(spec, ChannelHistory(history), n)
+        assert (info.value.tick, str(info.value)) == (tick, message)
+
+
+def test_a_spec_that_does_not_compile_fails_every_valid_table():
+    spec = _gate("n > 0", "Gone")
+    histories = [{"n": TimedStream.of(_SMALL, [1, 2])}, {"n": TimedStream.of(BOOL, [True])},
+                 {"n": TimedStream.of(_SMALL, [3])}]
+    out: list[list] = [[]]
+    failed = run_tables(spec, [Table.of(ChannelHistory(h)) for h in histories], out)
+    refused = "transition Run->Gone: unknown target state 'Gone'"
+    assert [(k, str(e)) for k, e in failed] == [(0, refused), (1, _TYPE_MISMATCH), (2, refused)]
+    assert out == [[]]
 
 
 def test_weak_causality_search_below_two_ticks_finds_nothing():

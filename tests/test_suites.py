@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 import suite_oracle
 from docgen import DocGen
+from interp_oracle import run_interpreted
 from streamcheck import vectors
+from streamcheck.abstraction import check_correspondence, correspond
 from streamcheck.declarations import ConcretizerSpec, ParamDecl, RelationSpec
 from streamcheck.cli import main
 from streamcheck.components import AutomatonSpec, SyntacticInterface, Transition, spec_problems
@@ -29,9 +31,10 @@ from streamcheck.dsl import ModelDocument, RefinementSpec, parse_model
 from streamcheck.serialize import literal_text, serialize_model
 from streamcheck.errors import StreamcheckError
 from streamcheck.exprs import Call, Lit, Name
-from streamcheck.streams import BOOL, Channel
+from streamcheck.streams import BOOL, REAL, Channel
 from streamcheck.histories import Block, ChannelHistory, Table, TimedStream
-from streamcheck.testcases import VectorCase, execute_test, judge_suite
+from streamcheck.testcases import (ExpectedResult, TestCase, VectorCase, execute_test,
+                                   judge_suite, suite_run)
 from streamcheck.vectors import read_vectors
 
 # a run of Divider fails at a tick where x is 0; Doubler's outputs are reals
@@ -607,3 +610,123 @@ def test_check_and_concretize_stop_at_the_first_failing_pair_or_case(tmp_path):
                 at_case = 0 if " or " in expr else at
                 agree(concretize, run if run_at is not None and run_at <= at_case
                       else (at_case, message))
+
+
+def _built(gen: DocGen, rng: random.Random, channels, horizon: int) -> ChannelHistory:
+    """Inputs built in Python: now and then with a value outside its type,
+    and now and then with ints in place of some floats of a real stream."""
+    history = gen.history(channels, horizon, invalid=rng.random() < 0.08)
+    if rng.random() < 0.5:
+        return history
+    return ChannelHistory({n: TimedStream(s.elem_type, tuple(
+        int(v) if s.elem_type == REAL and type(v) is float and rng.random() < 0.5 else v
+        for v in s.values)) for n, s in history.streams.items()}, horizon)
+
+
+def _judged(result) -> tuple:
+    return (result.ri_holds, result.ro_holds, result.corresponding, result.ri_stream,
+            result.ro_stream, result.status, result.diagnostics)
+
+
+def _same_as_pair_by_pair(abstract, concrete, ri, ro, pairs) -> None:
+    """`correspond` of the pairs gives what `check_correspondence` of each
+    pair gives, up to the first pair whose check fails, and that pair's
+    index and message."""
+    results, failure = correspond(abstract, concrete, ri, ro,
+                                  [(Table.of(a), Table.of(c)) for a, c in pairs])
+    checked = [check_correspondence(abstract, concrete, ri, ro, a, c) for a, c in pairs]
+    first = next((k for k, r in enumerate(checked) if r.status == "error"), None)
+    assert list(map(_judged, results)) == list(map(_judged, checked[:first]))
+    assert (None if failure is None else (failure[0], str(failure[1]))) == (
+        None if first is None else (first, checked[first].diagnostics[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_correspond_judges_pairs_built_in_python_pair_by_pair(seed):
+    rng = random.Random(seed)
+    gen = DocGen(rng, max_width=6)
+    abstract, concrete = _rich(gen), _rich(gen)
+    relations = []
+    for side, channels in (
+            ("RI", abstract.interface.inputs + concrete.interface.inputs),
+            ("RO", abstract.interface.outputs + concrete.interface.outputs)):
+        if rng.random() < 0.3:
+            relations.append(RelationSpec(gen.name("Rel"), side, checker=_checker(gen, channels)))
+        else:
+            relations.append(_relation(gen, side, channels))
+    pairs = []
+    for _ in range(rng.randint(1, 5)):
+        horizon = rng.randint(0, 4)
+        other = horizon if rng.random() < 0.95 else rng.randint(0, 4)
+        pairs.append((_built(gen, rng, abstract.interface.inputs, horizon),
+                      _built(gen, rng, concrete.interface.inputs, other)))
+    _same_as_pair_by_pair(abstract, concrete, *relations, pairs)
+
+
+# Weak copies of real inputs; RI Half halves x, which reads an int as an
+# int, and RI Concrete reads u only
+COPIES = """component Copy weak {
+  input x : real
+  output y : real
+  output z : real
+  states Run init
+  transition Run -> Run { y := x; z := x / 2 }
+}
+
+component Same weak {
+  input u : real
+  output v : real
+  states Run init
+  transition Run -> Run { v := u }
+}
+
+relation Half RI when x / 2 == 1
+relation Equal RO when y == v
+relation Concrete RI when u == u
+"""
+
+
+def test_correspond_reads_a_column_as_each_pair_reads_it():
+    doc = parse_model(COPIES).document
+    copy, same = doc.components["Copy"], doc.components["Same"]
+    ri, ro = doc.relations["Half"], doc.relations["Equal"]
+    pair = (ChannelHistory({"x": TimedStream(REAL, (3,))}),
+            ChannelHistory({"u": TimedStream(REAL, (3.0,))}))
+    assert check_correspondence(copy, same, ri, ro, *pair).ri_stream == (True,)
+    results, failure = correspond(copy, same, ri, ro, [(Table.of(pair[0]), Table.of(pair[1]))] * 2)
+    assert ([r.ri_stream for r in results], failure) == ([(True,), (True,)], None)
+    _same_as_pair_by_pair(copy, same, ri, ro, [pair, pair])
+
+
+def test_ints_in_a_real_stream_run_as_the_floats_they_stand_for():
+    doc = parse_model(COPIES).document
+    copy, same = doc.components["Copy"], doc.components["Same"]
+    ints = ChannelHistory({"x": TimedStream(REAL, (3, 2))})
+    expected = run(copy, ints)
+    assert repr(expected.streams["y"].values) == "(3.0, 2.0)"
+    assert repr(expected.streams["y"]) == repr(run_interpreted(copy, ints).streams["y"])
+    # the interpreter steps on the ints as they are and halves 3 to 1; a run
+    # halves the real 3.0
+    assert repr(expected.streams["z"].values) == "(1.5, 1.0)"
+    # a value outside the type after such values fails at its tick
+    bad = ChannelHistory({"x": TimedStream(REAL, (3, 2.5, "x", 1))})
+    message = "tick 3: value 'x' is not a valid real"
+    for run_fn in (run, run_interpreted):
+        with pytest.raises(StreamcheckError, match=message):
+            run_fn(copy, bad)
+    out, verdict = execute_test(copy, TestCase("ints", ints, ExpectedResult((expected,))))
+    assert (repr(out), verdict.status) == (repr(expected), "pass")
+    report = suite_run(copy, [TestCase("bad", bad, ExpectedResult(())),
+                              TestCase("ints", ints, ExpectedResult((expected,)))])
+    assert [(e.case, e.verdict.status, e.verdict.log) for e in report.entries] == [
+        ("bad", "error", (f"simulation error: {message}",)), ("ints", "pass", ())]
+    same_ints = ChannelHistory({"u": TimedStream(REAL, (3, 2))})
+    result = check_correspondence(copy, same, doc.relations["Half"], doc.relations["Equal"],
+                                  ints, same_ints)
+    assert (result.ri_stream, result.ro_stream, result.status) == ((True, True), (True, True), "ok")
+    assert repr(result.abstract_output) == repr(expected)
+    assert repr(result.concrete_output.streams["v"].values) == "(3.0, 2.0)"
+    result = check_correspondence(copy, same, doc.relations["Concrete"], doc.relations["Equal"],
+                                  bad, ChannelHistory({"u": TimedStream(REAL, (3, 2, 1, 0))}))
+    assert (result.status, result.diagnostics) == ("error", (message,))
