@@ -8,18 +8,23 @@ and parameterized concretizers.
 Suites are checked and concretized from their tables (`correspond`,
 `concretize_cases`): RI and RO are evaluated once over the columns of all
 pairs or cases, one after another, and all cases of a side run in one call
-of the compiled simulator (`simulator.run_tables`). Each step reports the
+of the compiled simulator (`simulator.run_tables`). An expression relation
+is a map of one entry (`codegen.map_rows`, which also runs the abstraction
+map f): it runs over the rows of every pair in one loop, and its first
+failing row is mapped back to its pair and tick. Each step reports the
 first pair or case at which it fails and takes only the pairs or cases
 before the earliest failure found so far, in the order of the per-pair
 functions (`check_correspondence`, `concretize`), which run the same code
 on one pair; so a suite is checked once, and the failure reported is the
 first that a pair-by-pair check meets. Pairs built in Python are tables
-too (`Table.of`): a column joined from several of them conforms only
+too (`Table.of`). The pairs whose tables keep one shape a side are joined
+into one block a side; a column joined from several tables conforms only
 where it conforms in each, so it is read as each pair reads it.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import warnings
@@ -57,25 +62,43 @@ def _upto(items: Sequence[Any], failure: Failure) -> Sequence[Any]:
     return items if failure is None else items[:failure[0]]
 
 
-def _relation(rel: RelationSpec, a: Block, c: Block, horizons: Sequence[tuple[int, int]],
+def _relation(rel: RelationSpec, a: Sequence[Table], c: Sequence[Table],
               failure: Failure = None) -> tuple[list[bool], Failure]:
-    """A relation's value at every tick of history pairs whose columns follow
-    one another in a and c, `horizons` holding each pair's two horizons, up
-    to the pair of `failure`: the ticks up to the first pair at which it
-    fails, and that pair's index and error, else `failure`."""
-    horizons = _upto(horizons, failure)
+    """A relation's value at every tick of the history pairs (a[k], c[k]),
+    pair after pair, up to the pair of `failure`: the ticks up to the first
+    pair at which it fails, and that pair's index and error, else `failure`.
+    Each maximal run of pairs whose tables have one shape a side (the same
+    channels of the same types, in any order) is judged in one go."""
+    pairs = _upto(list(zip(a, c)), failure)
+    shape = {b: frozenset(zip(b.names, b.types)) for b in {t.block for pair in pairs for t in pair}}
+    ticks: list[bool] = []
+    start = 0
+    for _, run in itertools.groupby(pairs, lambda p: (shape[p[0].block], shape[p[1].block])):
+        run = list(run)
+        got, failed = _judged(rel, run)
+        ticks += got
+        if failed is not None:
+            return ticks, (start + failed[0], failed[1])
+        start += len(run)
+    return ticks, failure
+
+
+def _judged(rel: RelationSpec, pairs: Sequence[tuple[Table, Table]]) -> tuple[list[bool], Failure]:
+    """`_relation` of pairs whose tables have one shape a side."""
+    a, c = _joined([x for x, _ in pairs]), _joined([y for _, y in pairs])
     overlap = sorted(a.channels & c.channels)
-    if horizons and overlap:
+    if overlap:
         return [], (0, TypeMismatchError(f"paired histories share channel names {overlap}"))
+    horizons = [(x.horizon, y.horizon) for x, y in pairs]
     failure = next(((k, TypeMismatchError(f"horizon mismatch: {ha} vs {hc}"))
-                    for k, (ha, hc) in enumerate(horizons) if ha != hc), failure)
-    horizons = _upto(horizons, failure)
+                    for k, (ha, hc) in enumerate(horizons) if ha != hc), None)
+    horizons = [h for h, _ in _upto(horizons, failure)]
     checker = rel.checker
     if checker is not None:
         # a checker starts afresh on every pair, a table of both sides' columns
         both = Block(a.names + c.names, a.types + c.types, [*a.columns, *c.columns],
                      a.conforms + c.conforms)
-        ends = list(itertools.accumulate((h for h, _ in horizons), initial=0))
+        ends = list(itertools.accumulate(horizons, initial=0))
         outputs = checker.interface.outputs
         out: list[list] = [[] for _ in outputs]
         failed = run_tables(checker, [Table(both, s, e) for s, e in zip(ends, ends[1:])], out)
@@ -85,15 +108,43 @@ def _relation(rel: RelationSpec, a: Block, c: Block, horizons: Sequence[tuple[in
             return [], (0, TypeMismatchError(f"checker {checker.name!r} must have one boolean output"))
         return (out[0][:ends[k]] if k else []), (failed[0] if failed else failure)
     # a channel shadows an enumeration label of the same name
-    from .codegen import relation_ticks
-    ticks, failed = relation_ticks(rel, a.signature() + c.signature(), [*a.columns, *c.columns],
-                                   [h for h, _ in horizons])
+    ticks, failed = _ticks(rel, a.signature() + c.signature(), [*a.columns, *c.columns], horizons)
     return ticks, failed or failure
+
+
+def _ticks(rel: RelationSpec, sig: Signature, columns: Sequence[Sequence[Any]],
+           horizons: Sequence[int]) -> tuple[list[bool], Failure]:
+    """The value of `rel.expr`, a map of one entry, at each tick of pairs
+    whose rows follow one another in columns described by `sig`, of
+    `horizons` ticks each, in one loop over all rows, up to the first row
+    that raises or gives a value that is not boolean: the index of its pair,
+    found through the pairs' ends, and its error, else None. A relation
+    that does not compile fails at the first pair."""
+    from .codegen import map_rows
+    try:
+        fn, (kind,) = map_rows(rel, [(rel.name, rel.expr)], sig)
+    except EvaluationError as e:
+        return [], ((0, e) if horizons else None)
+    ends = list(itertools.accumulate(horizons, initial=0))
+    ticks: list[Any] = []
+    error = None
+    try:
+        fn(itertools.islice(zip(*columns) if columns else itertools.repeat(()), ends[-1]), [ticks])
+    except StreamcheckError as e:
+        error = e
+    row = len(ticks) if kind == "bool" else next(
+        (t for t, v in enumerate(ticks) if v is not True and v is not False), len(ticks))
+    if row == len(ticks) and error is None:
+        return ticks, None
+    k = bisect.bisect_right(ends, row) - 1
+    if row < len(ticks):
+        error = EvaluationError(f"relation {rel.name!r} is not boolean at tick {row - ends[k] + 1}")
+    return ticks[:row], (k, error)
 
 
 def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tuple[bool, list[bool]]:
     """Evaluate a relation tick-wise over an abstract/concrete history pair."""
-    ticks, failure = _relation(rel, Block.of(a), Block.of(c), [(a.horizon, c.horizon)])
+    ticks, failure = _relation(rel, [Table.of(a)], [Table.of(c)])
     if failure is not None:
         raise failure[1]
     return fold_stream(ticks), ticks
@@ -107,25 +158,28 @@ def _column(tables: Sequence[Table], name: str) -> Sequence[Any]:
 
 
 def _joined(tables: Sequence[Table]) -> Block:
-    """The tables' columns as one block, one table after another; a column
-    conforms where it conforms in every block of the tables."""
-    first = tables[0].block if tables else Block((), (), [])
+    """The columns of tables of one shape as one block, one table after
+    another, in the order of the first table's; a column conforms where it
+    conforms in every block of the tables."""
+    first = tables[0].block
     flags = [dict(zip(b.names, b.conforms)) for b in {t.block for t in tables}]
     return Block(first.names, first.types, [_column(tables, n) for n in first.names],
                  [all(f[n] for f in flags) for n in first.names])
 
 
 def _outputs(spec: ComponentSpec, tables: Sequence[Table],
-             failure: Failure = None) -> tuple[Block, Failure]:
+             failure: Failure = None) -> tuple[list[Table], Failure]:
     """The spec's outputs on each table up to the table of `failure`, run
-    from its initial state, one table after another: those of the tables
-    before the first whose run fails come first. Returns them, and that
-    table's index and error, else `failure`."""
+    from its initial state, one table after another: a table of one block
+    for each table before the first whose run fails, and that table's index
+    and error, else `failure`."""
     outputs = spec.interface.outputs
     out: list[list] = [[] for _ in outputs]
     failed = run_tables(spec, _upto(tables, failure), out)
-    return (Block([c.name for c in outputs], [c.ctype for c in outputs], out),
-            failed[0] if failed else failure)
+    failure = failed[0] if failed else failure
+    block = Block([c.name for c in outputs], [c.ctype for c in outputs], out)
+    ends = list(itertools.accumulate((t.horizon for t in _upto(tables, failure)), initial=0))
+    return [Table(block, s, e) for s, e in zip(ends, ends[1:])], failure
 
 
 class CorrespondenceResult(Record, repr=False):
@@ -149,17 +203,16 @@ class CorrespondenceResult(Record, repr=False):
 
 def _correspondence(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
                     ro: RelationSpec, pairs: Sequence[tuple[Table, Table]]
-                    ) -> tuple[list[bool], list[bool], Block, Block, Failure]:
+                    ) -> tuple[list[bool], list[bool], list[Table], list[Table], Failure]:
     """RI over the pairs' inputs, both runs of each pair, and RO over their
     outputs, pair after pair, up to the first pair at which one of them
     fails, in that order: the RI and RO ticks and the outputs of the pairs
     before it, and that pair's index and error (None when none fails)."""
     abstract, concrete = [a for a, _ in pairs], [c for _, c in pairs]
-    horizons = [(a.horizon, c.horizon) for a, c in pairs]
-    ri_ticks, failure = _relation(ri, _joined(abstract), _joined(concrete), horizons)
+    ri_ticks, failure = _relation(ri, abstract, concrete)
     out_a, failure = _outputs(spec_a, abstract, failure)
     out_c, failure = _outputs(spec_c, concrete, failure)
-    ro_ticks, failure = _relation(ro, out_a, out_c, horizons, failure)
+    ro_ticks, failure = _relation(ro, out_a, out_c, failure)
     return ri_ticks, ro_ticks, out_a, out_c, failure
 
 
@@ -182,8 +235,7 @@ def check_correspondence(spec_a: ComponentSpec, spec_c: ComponentSpec,
     if failure is not None:
         return CorrespondenceResult(False, False, False, status="error",
                                     diagnostics=(str(failure[1]),))
-    return _result(ri_ticks, ro_ticks, Table(out_a, 0, ta.horizon).history(),
-                   Table(out_c, 0, tc.horizon).history())
+    return _result(ri_ticks, ro_ticks, out_a[0].history(), out_c[0].history())
 
 
 def correspond(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
@@ -192,35 +244,44 @@ def correspond(spec_a: ComponentSpec, spec_c: ComponentSpec, ri: RelationSpec,
     """`check_correspondence` of each pair of input tables, in order, with no
     outputs kept, up to the first pair whose check fails, and that pair's
     index and error (None when no pair fails)."""
-    ri_ticks, ro_ticks, _, _, failure = _correspondence(spec_a, spec_c, ri, ro, pairs)
-    results, start = [], 0
-    for a, _ in _upto(pairs, failure):
-        stop = start + a.horizon
-        results.append(_result(ri_ticks[start:stop], ro_ticks[start:stop]))
-        start = stop
-    return results, failure
+    ri_ticks, ro_ticks, out_a, _, failure = _correspondence(spec_a, spec_c, ri, ro, pairs)
+    # the ticks of a pair lie in the rows of its abstract outputs
+    return [_result(ri_ticks[t.start:t.stop], ro_ticks[t.start:t.stop])
+            for t in _upto(out_a, failure)], failure
 
 
 # ---------------------------------------------------------------------------
 # Galois connections
 
 
-def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
-    """Apply the abstraction map element-wise to a concrete history."""
-    available = set(c_out.streams)
+def _f(gal: GaloisSpec, sig: Signature, rows: Iterable[tuple]
+       ) -> tuple[list[str], list[list[Any]], StreamcheckError | None]:
+    """The abstract channels that f maps rows of the signature to, each
+    one's values at the rows mapped before any that raises, and its error,
+    else None."""
+    available = {chan for chan, _, _ in sig}
     entries = gal.f_entries_for(available)
     if not entries:
         raise EvaluationError(f"galois {gal.name!r}: no abstraction map entry is "
                               f"applicable to channels {sorted(available)}")
-    from .codegen import map_columns
-    columns = map_columns(gal, entries, c_out)
-    streams = {}
-    for chan, col in columns.items():
-        dtype = gal.channel_types.get(chan)
-        if dtype is None:
-            dtype = _infer_type(col)
-        streams[chan] = TimedStream.of(dtype, col)
-    return ChannelHistory(streams, c_out.horizon)
+    from .codegen import map_rows
+    fn, _ = map_rows(gal, entries, sig, gal.channel_types.values())
+    cols: list[list[Any]] = [[] for _ in entries]
+    try:
+        fn(rows, cols)
+    except StreamcheckError as e:
+        return [chan for chan, _ in entries], cols, e
+    return [chan for chan, _ in entries], cols, None
+
+
+def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
+    """Apply the abstraction map element-wise to a concrete history."""
+    from .codegen import _rows
+    chans, cols, error = _f(gal, c_out.signature(), _rows(c_out))
+    if error is not None:
+        raise error
+    return ChannelHistory({chan: TimedStream.of(gal.channel_types.get(chan) or _infer_type(col), col)
+                           for chan, col in zip(chans, cols)}, c_out.horizon)
 
 
 def _infer_type(values: list[Any]) -> DataType:
@@ -350,25 +411,14 @@ def _images(gal: GaloisSpec, sig: Signature,
     and the image of each row, one value a channel, checked as
     `abstract_output` checks it. The first error of a row, in order, is
     raised: the map's, then its image's."""
-    available = {chan for chan, _, _ in sig}
-    entries = gal.f_entries_for(available)
-    if not entries:
-        raise EvaluationError(f"galois {gal.name!r}: no abstraction map entry is "
-                              f"applicable to channels {sorted(available)}")
-    from .codegen import map_rows
-    checks = [_check(gal.channel_types, chan) for chan, _ in entries]
-    cols: list[list[Any]] = [[] for _ in entries]
-    error = None
-    try:
-        map_rows(gal, entries, sig, rows, cols)
-    except StreamcheckError as e:
-        error = e
+    chans, cols, error = _f(gal, sig, rows)
+    checks = [_check(gal.channel_types, chan) for chan in chans]
     # the images of the rows mapped before any that failed
     images = [tuple(check(col[t]) for check, col in zip(checks, cols))
               for t in range(len(cols[-1]))]
     if error is not None:
         raise error
-    return [chan for chan, _ in entries], images
+    return chans, images
 
 
 def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
@@ -439,21 +489,6 @@ def ri_violated(conc: ConcretizerSpec) -> str:
     return f"concretizer {conc.name!r} produced an input violating RI"
 
 
-def _concretized(conc: ConcretizerSpec, inputs: Sequence[Table], abstract: Sequence[Table],
-                 ri: RelationSpec | None, failure: Failure = None
-                 ) -> tuple[Block, list[bool] | None, Failure]:
-    """The concretizer's outputs on each table of inputs, one after another,
-    and RI's ticks over each abstract table paired with its outputs, up to
-    the first table whose run or RI fails, in that order: the outputs and
-    ticks of the tables before it, and its index and error, else `failure`."""
-    out, failure = _outputs(conc.component, inputs, failure)
-    if ri is None:
-        return out, None, failure
-    horizons = [(a.horizon, t.horizon) for a, t in zip(abstract, inputs)]
-    ri_ticks, failure = _relation(ri, _joined(abstract), out, horizons, failure)
-    return out, ri_ticks, failure
-
-
 def concretize(conc: ConcretizerSpec, p: Mapping[str, Any], ta: ChannelHistory,
                ri: RelationSpec | None = None) -> ChannelHistory:
     """Instantiate the parameter family member and run it on the abstract input.
@@ -476,12 +511,14 @@ def concretize(conc: ConcretizerSpec, p: Mapping[str, Any], ta: ChannelHistory,
     if extra:
         raise UnboundParameterError(f"unknown parameters {sorted(extra)}")
     inputs = ChannelHistory(streams, horizon)
-    out, ri_ticks, failure = _concretized(conc, [Table.of(inputs)], [Table.of(ta)], ri)
+    # the run goes before RI
+    out, failure = _outputs(conc.component, [Table.of(inputs)])
+    ri_ticks, failure = (None, failure) if ri is None else _relation(ri, [Table.of(ta)], out, failure)
     if failure is not None:
         raise failure[1]
     if ri_ticks is not None and not fold_stream(ri_ticks):
         warnings.warn(ri_violated(conc), ConcretizationWarning)
-    return Table(out, 0, horizon).history()
+    return out[0].history()
 
 
 def concretize_cases(conc: ConcretizerSpec, cases: Sequence[VectorCase],
@@ -531,10 +568,11 @@ def concretize_cases(conc: ConcretizerSpec, cases: Sequence[VectorCase],
     block = Block(names, [c.ctype for c in channels], columns)
     ends = list(itertools.accumulate(horizons, initial=0))
     tables = [Table(block, start, stop) for start, stop in zip(ends, ends[1:])]
-    # the outputs and RI's ticks lie in the rows of the inputs
-    out, ri_ticks, failure = _concretized(conc, tables, abstract, ri, failure)
-    return [(Table(out, t.start, t.stop), ri_ticks is None or fold_stream(ri_ticks[t.start:t.stop]))
-            for t in _upto(tables, failure)], failure
+    # the runs go before RI, whose ticks lie in the rows of the outputs
+    out, failure = _outputs(conc.component, tables, failure)
+    ri_ticks, failure = (None, failure) if ri is None else _relation(ri, abstract, out, failure)
+    return [(t, ri_ticks is None or fold_stream(ri_ticks[t.start:t.stop]))
+            for t in _upto(out, failure)], failure
 
 
 class FinvViolation(Record, repr=False):

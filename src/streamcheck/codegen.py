@@ -17,10 +17,13 @@ its source nests them; an inline form that would nest deeper than
 `INLINE_DEPTH` gives way to the call it replaces, which nests less when
 its value is an operand of an operator.
 
-Relation, abstraction-map and membership expressions compile here, too,
-each into one loop over the value tuples of channel histories. Such a
-function is compiled once per expression owner and column signature (the
-names, types and conformance of the columns) and cached on the owner.
+Relation, abstraction-map and membership expressions compile here, too.
+A relation is a map of one entry: relations and maps compile into one
+loop over the value tuples of channel histories (`map_rows`), and
+membership into one over every pair of an abstract and a concrete row
+list (`membership_rows`). Such a function is compiled once per expression
+owner and column signature (the names, types and conformance of the
+columns) and cached on the owner.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import itertools
 import math
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import EvaluationError, StreamcheckError
+from .errors import EvaluationError
 from .exprs import (Binary, Expr, FUNCTIONS, Lit, Name, Unary, _CMP_OPS, _apply, _binop,
                     _bool, _floor, _num)
 from .histories import ChannelHistory
@@ -130,8 +133,7 @@ class CodeGen:
 
     def __init__(self) -> None:
         self.ns: dict[str, Any] = {
-            "EvaluationError": EvaluationError, "StreamcheckError": StreamcheckError,
-            "islice": itertools.islice, "_num": _num, "_bool": _bool,
+            "EvaluationError": EvaluationError, "_num": _num, "_bool": _bool,
             "_binop": _binop, "_apply": _apply, "_floor": _floor,
             "_unknown": _unknown, "_guard": _guard, "_divisor": _divisor, "_fl": math.floor}
         self._temps = 0
@@ -358,7 +360,7 @@ def _types(sig: Signature) -> Iterable[DataType]:
     return (t for _, t, _ in sig)
 
 
-def _cached(owner: Any, key: tuple, build: Callable[[], Callable]) -> Callable:
+def _cached(owner: Any, key: tuple, build: Callable[[], Any]) -> Any:
     cache = owner.__dict__.setdefault("_column_functions", {})
     fn = cache.get(key)
     if fn is None:
@@ -366,64 +368,25 @@ def _cached(owner: Any, key: tuple, build: Callable[[], Callable]) -> Callable:
     return fn
 
 
-def relation_ticks(rel: Any, sig: Signature, columns: Sequence[Sequence[Any]],
-                   horizons: Sequence[int]
-                   ) -> tuple[list[bool], tuple[int, StreamcheckError] | None]:
-    """The value of `rel.expr` at each tick of pairs whose rows follow one
-    another in columns with distinct names, described by `sig`, pair by
-    pair, `horizons` holding each pair's number of ticks. A value that is
-    not boolean is an error at its tick of its pair, and a relation that
-    does not compile fails at the first pair. Returns the values up to the
-    first pair that fails, and its index and error, else None."""
-    def build() -> Callable:
-        gen = CodeGen()
-        code = gen.expr(rel.expr, _scope(enum_labels(_types(sig)), ("x", sig)))
-        row = unpack("x", len(sig))
-        loop = [f"for {row} in islice(rows, n):", f"    app({code.src})"]
-        if code.kind != "bool":
-            message = f"relation {rel.name!r} is not boolean at tick "
-            loop = [f"for t, {row} in enumerate(islice(rows, n), 1):", f"    v = {code.src}",
-                    "    if v is not True and v is not False:",
-                    f"        raise EvaluationError({message!r} + str(t))", "    app(v)"]
-        return gen.function("rows, horizons", [
-            "ticks = []", "app = ticks.append", "for c, n in enumerate(horizons):",
-            "    try:", *("        " + line for line in loop),
-            "    except StreamcheckError as e:", "        return ticks, (c, e)",
-            "return ticks, None"])
-
-    try:
-        fn = _cached(rel, ("relation", sig), build)
-    except EvaluationError as e:
-        return [], (0, e) if horizons else None
-    return fn(zip(*columns) if columns else itertools.repeat(()), horizons)
-
-
-def map_rows(gal: Any, entries: Sequence[tuple[str, Expr]], sig: Signature,
-             rows: Iterable[tuple], cols: Sequence[list]) -> None:
-    """Append each abstraction-map entry's value at each row of concrete
+def map_rows(owner: Any, entries: Sequence[tuple[str, Expr]], sig: Signature,
+             types: Iterable[DataType] = ()) -> tuple[Callable, list[str | None]]:
+    """fn(rows, cols), which appends each entry's value at each row of
     values, described by `sig`, to the entry's list in `cols`, row by row
     and entry by entry: when an evaluation raises, the lists hold the
-    values computed before it."""
+    values computed before it. Names resolve to the columns, then to the
+    labels of their enumerations and of `types`. Returns fn and the kind of
+    each entry's values; an entry that does not compile raises here."""
 
-    def build() -> Callable:
+    def build() -> tuple[Callable, list[str | None]]:
         gen = CodeGen()
-        labels = enum_labels(itertools.chain(_types(sig), gal.channel_types.values()))
-        scope = _scope(labels, ("x", sig))
+        scope = _scope(enum_labels(itertools.chain(_types(sig), types)), ("x", sig))
+        codes = [gen.expr(e, scope) for _, e in entries]
         body = [f"a{j} = cols[{j}].append" for j in range(len(entries))]
         body.append(f"for {unpack('x', len(sig))} in rows:")
-        body += [f"    a{j}({gen.expr(e, scope).src})" for j, (_, e) in enumerate(entries)]
-        return gen.function("rows, cols", body)
+        body += [f"    a{j}({code.src})" for j, code in enumerate(codes)]
+        return gen.function("rows, cols", body), [code.kind for code in codes]
 
-    _cached(gal, ("map", sig), build)(rows, cols)
-
-
-def map_columns(gal: Any, entries: Sequence[tuple[str, Expr]],
-                c_out: ChannelHistory) -> dict[str, list[Any]]:
-    """Each abstraction-map entry's value at every tick of a concrete history,
-    in one list per abstract channel (one entry a channel)."""
-    columns: dict[str, list[Any]] = {chan: [] for chan, _ in entries}
-    map_rows(gal, entries, c_out.signature(), _rows(c_out), list(columns.values()))
-    return columns
+    return _cached(owner, ("map", sig), build)
 
 
 def membership_rows(gal: Any, sa: Signature, sc: Signature, abstract: Sequence[list[tuple]],

@@ -29,12 +29,10 @@ class EvaluationError(StreamcheckError):
 class StuckStateError(StreamcheckError):
     """A total automaton reached a state with no enabled transition."""
 
-    def __init__(self, component: str, state: str, tick: int | None = None):
-        loc = f" at tick {tick}" if tick is not None else ""
-        super().__init__(f"component {component!r} stuck in state {state!r}{loc}")
+    def __init__(self, component: str, state: str):
+        super().__init__(f"component {component!r} stuck in state {state!r}")
         self.component = component
         self.state = state
-        self.tick = tick
 
 
 class SimulationError(StreamcheckError):

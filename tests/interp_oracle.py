@@ -45,12 +45,13 @@ class _AutomatonRt:
 
     def step(self, st: AutomatonState, inputs: Mapping[str, Any]) -> tuple[AutomatonState, dict[str, Any]]:
         spec = self.spec
+        checked = dict(inputs)  # each input as its type's check returns it
         for c in spec.interface.inputs:
             if c.name not in inputs:
                 raise SimulationError(f"{spec.name}: input {c.name!r} not provided")
-            c.ctype.check(inputs[c.name])
+            checked[c.name] = c.ctype.check(inputs[c.name])
         latched = dict(st.pending)
-        env = {**self.labels, **latched, **dict(st.variables), **inputs}
+        env = {**self.labels, **latched, **dict(st.variables), **checked}
         fired = None
         for t in spec.transitions:
             if t.source != st.state:

@@ -3,30 +3,33 @@ from their column batches, kept as the reference for differential tests.
 
 `compare_histories`, `execute_test`, `suite_run`, `eval_relation`,
 `check_correspondence` and `concretize` build and check one history per
-table and judge one case or pair at a time; `main` runs `test`, `check` and
-`concretize` as the command line did with them, over the row-wise reader of
-`vector_oracle`, and every other command through `streamcheck.cli.main`.
+table and judge one case or pair at a time; `relation_ticks` evaluates an
+expression relation pair by pair, in a loop compiled with a `try` a pair.
+`main` runs `test`, `check` and `concretize` as the command line did with
+them, over the row-wise reader of `vector_oracle`, and every other command
+through `streamcheck.cli.main`.
 Two fixes apply here too: equal infinities are equal reals, and a `check`
 pair whose horizons differ is a usage error found before any pair runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import warnings
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import vector_oracle
 from vector_oracle import _values_equal
 from streamcheck import cli
 from streamcheck.abstraction import ConcretizationWarning, CorrespondenceResult, fold_stream
-from streamcheck.codegen import relation_ticks
+from streamcheck.codegen import CodeGen, Signature, _cached, _scope, _types, unpack
 from streamcheck.components import ComponentSpec
 from streamcheck.simulator import run
 from streamcheck.declarations import ConcretizerSpec, RelationSpec
-from streamcheck.errors import (SimulationError, StreamcheckError, TypeMismatchError,
-                                UnboundParameterError)
-from streamcheck.streams import BOOL, REAL_KIND
+from streamcheck.errors import (EvaluationError, SimulationError, StreamcheckError,
+                                TypeMismatchError, UnboundParameterError)
+from streamcheck.streams import BOOL, REAL_KIND, enum_labels
 from streamcheck.histories import ChannelHistory, TimedStream
 from streamcheck.testcases import (ERROR, FAIL, PASS, Divergence, ExpectedResult, SuiteEntry,
                                    SuiteReport, TestCase, Verdict)
@@ -86,6 +89,39 @@ def suite_run(spec: ComponentSpec, suite: list[TestCase], eps: float = 0.0,
         _, verdict = execute_test(spec, tc, eps, check_determinism)
         entries.append(SuiteEntry(tc.name, verdict))
     return SuiteReport(tuple(entries))
+
+
+def relation_ticks(rel: Any, sig: Signature, columns: Sequence[Sequence[Any]],
+                   horizons: Sequence[int]
+                   ) -> tuple[list[bool], tuple[int, StreamcheckError] | None]:
+    """The value of `rel.expr` at each tick of pairs whose rows follow one
+    another in columns with distinct names, described by `sig`, pair by
+    pair, `horizons` holding each pair's number of ticks. A value that is
+    not boolean is an error at its tick of its pair, and a relation that
+    does not compile fails at the first pair. Returns the values up to the
+    first pair that fails, and its index and error, else None."""
+    def build() -> Callable:
+        gen = CodeGen()
+        gen.ns.update(islice=itertools.islice, StreamcheckError=StreamcheckError)
+        code = gen.expr(rel.expr, _scope(enum_labels(_types(sig)), ("x", sig)))
+        row = unpack("x", len(sig))
+        loop = [f"for {row} in islice(rows, n):", f"    app({code.src})"]
+        if code.kind != "bool":
+            message = f"relation {rel.name!r} is not boolean at tick "
+            loop = [f"for t, {row} in enumerate(islice(rows, n), 1):", f"    v = {code.src}",
+                    "    if v is not True and v is not False:",
+                    f"        raise EvaluationError({message!r} + str(t))", "    app(v)"]
+        return gen.function("rows, horizons", [
+            "ticks = []", "app = ticks.append", "for c, n in enumerate(horizons):",
+            "    try:", *("        " + line for line in loop),
+            "    except StreamcheckError as e:", "        return ticks, (c, e)",
+            "return ticks, None"])
+
+    try:
+        fn = _cached(rel, ("relation", sig), build)
+    except EvaluationError as e:
+        return [], (0, e) if horizons else None
+    return fn(zip(*columns) if columns else itertools.repeat(()), horizons)
 
 
 def eval_relation(rel: RelationSpec, a: ChannelHistory, c: ChannelHistory) -> tuple[bool, list[bool]]:

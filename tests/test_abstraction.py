@@ -10,7 +10,8 @@ from streamcheck.abstraction import (ConcretizationWarning, abstract_output, che
                                      fold_stream, g_membership, verify_galois)
 from streamcheck.declarations import GaloisSpec, RelationSpec, Universe
 from streamcheck.dsl import parse_model
-from streamcheck.errors import CapsExceededError, UnboundParameterError
+from streamcheck.errors import (CapsExceededError, EvaluationError, TypeMismatchError,
+                               UnboundParameterError)
 from streamcheck.exprs import parse_expression
 from streamcheck.streams import BOOL, REAL, bounded_int
 from streamcheck.histories import ChannelHistory, Table, TimedStream
@@ -68,6 +69,15 @@ def test_g_membership_default_is_adjoint_of_f(doc):
     assert g_membership(gal, _bh("i_a", [True]), _rh("i_c", [0.0]))
     assert g_membership(gal, _bh("i_a", [False]), _rh("i_c", [-1.0]))
     assert not g_membership(gal, _bh("i_a", [False]), _rh("i_c", [0.0]))
+
+
+def test_membership_across_horizons_and_a_law_without_a_universe_are_errors(doc):
+    gal = doc.galois["EncGalois"]
+    with pytest.raises(TypeMismatchError, match="^horizon mismatch in membership check$"):
+        g_membership(gal, _bh("i_a", [True]), _rh("i_c", [0.0, 1.0]))
+    bare = GaloisSpec(gal.name, gal.f_map, channel_types=gal.channel_types)
+    with pytest.raises(EvaluationError, match="^galois 'EncGalois' declares no bounded universe$"):
+        verify_galois(bare)
 
 
 def _naive_verify(gal):

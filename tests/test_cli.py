@@ -783,6 +783,13 @@ refinement Lone {
     (["concretize", "--model", ENCODER, "--refinement", "Encoder",
       "--vectors", str(fixture_path("encoder_concretize.tv.csv")), "--param", "mag"], {},
      "error: --param must be name=value, got 'mag'"),
+    (["concretize", "--model", ENCODER, "--refinement", "Encoder"], {},
+     "error: concretize needs --vectors with abstract cases"),
+    (["check", "--model", ENCODER, "--refinement", "Encoder",
+      "--vectors", str(fixture_path("encoder_abstract.tv.csv"))], {},
+     "error: check needs --vectors <abstract.tv.csv> --vectors <concrete.tv.csv>"),
+    (["verify-galois", "--model", "lone.scm.txt", "--refinement", "Lone"], {"lone.scm.txt": LONE},
+     "error: refinement 'Lone' names no galois connection"),
 ])
 def test_a_usage_error_exits_2_with_its_line(argv, files, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -3,8 +3,8 @@ import pytest
 from streamcheck.components import (AutomatonSpec, Channel, CompositeSpec, Connector, Endpoint,
                                     SyntacticInterface, Transition, VariableDecl, compose_check,
                                     validate_automaton)
-from streamcheck.simulator import (CausalityCounterexample, check_causality, run,
-                                   same_tick_dependence)
+from streamcheck.simulator import (CausalityCounterexample, check_causality, initial_state, run,
+                                   same_tick_dependence, step)
 from streamcheck.errors import CapsExceededError, SimulationError
 from streamcheck.exprs import parse_expression
 from streamcheck.streams import BOOL, bounded_int
@@ -151,6 +151,28 @@ def test_validate_automaton_catches_unresolved_names():
     problems = validate_automaton(spec)
     assert any("initial state" in p for p in problems)
     assert any("unresolved channel 'z'" in p for p in problems)
+
+
+def test_validate_automaton_reports_each_problem_it_finds():
+    spec = AutomatonSpec(
+        name="Bad",
+        interface=SyntacticInterface((Channel("x", INT8, "input"),),
+                                     (Channel("y", INT8, "output"),)),
+        states=("Run", "Run"), initial="Run",
+        transitions=(Transition("Run", "Run", updates=(("k", parse_expression("x")),)),),
+        output_init={"z": 0}, causality="strict")
+    assert validate_automaton(spec) == [
+        "duplicate state names", "strict component lacks init value for output 'y'",
+        "output_init names unknown output 'z'", "transition Run->Run: update of unknown variable 'k'"]
+    eager = AutomatonSpec(name="Eager", interface=spec.interface, states=("Run",), initial="Run",
+                          transitions=(), output_init={"y": 0}, causality="eager")
+    assert validate_automaton(eager) == ["unknown causality mode 'eager'"]
+
+
+def test_a_step_without_an_input_names_it():
+    spec = identity()
+    with pytest.raises(SimulationError, match=r"^Id: input 'x' not provided$"):
+        step(spec, initial_state(spec), {})
 
 
 def _pipeline(first_causality="strict"):

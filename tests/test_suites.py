@@ -12,6 +12,7 @@ import contextlib
 import io
 import os
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import suite_oracle
 from docgen import DocGen
 from interp_oracle import run_interpreted
-from streamcheck import vectors
+from streamcheck import abstraction, vectors
 from streamcheck.abstraction import check_correspondence, correspond
 from streamcheck.declarations import ConcretizerSpec, ParamDecl, RelationSpec
 from streamcheck.cli import main
@@ -30,8 +31,8 @@ from streamcheck.simulator import _simulator, run
 from streamcheck.dsl import ModelDocument, RefinementSpec, parse_model
 from streamcheck.serialize import literal_text, serialize_model
 from streamcheck.errors import StreamcheckError
-from streamcheck.exprs import Call, Lit, Name
-from streamcheck.streams import BOOL, REAL, Channel
+from streamcheck.exprs import Call, Lit, Name, Unary, parse_expression
+from streamcheck.streams import BOOL, REAL, Channel, bounded_int
 from streamcheck.histories import Block, ChannelHistory, Table, TimedStream
 from streamcheck.testcases import (ExpectedResult, TestCase, VectorCase, execute_test,
                                    judge_suite, suite_run)
@@ -699,16 +700,36 @@ def test_correspond_reads_a_column_as_each_pair_reads_it():
     _same_as_pair_by_pair(copy, same, ri, ro, [pair, pair])
 
 
+@pytest.mark.parametrize("second, message", [
+    ({"b": [1]}, "unknown name 'a'"),  # Halver has no input b
+    ({"a": [True]}, "cannot compare True with 1"),
+])
+def test_correspond_judges_pairs_of_another_shape_on_their_own(second, message):
+    """A pair whose abstract inputs are other channels, or of other types,
+    than those of the pair before it is judged on its own columns."""
+    doc = parse_model(RUNS).document
+    halver, copier = doc.components["Halver"], doc.components["Copier"]
+    ri, ro = doc.relations["HalfRI"], doc.relations["HalfRO"]
+
+    def history(columns):
+        return ChannelHistory({n: TimedStream.of(BOOL if type(v[0]) is bool else bounded_int(-3, 3), v)
+                               for n, v in columns.items()})
+
+    pairs = [(history({"a": [1]}), history({"c": [1]})), (history(second), history({"c": [1]}))]
+    assert check_correspondence(halver, copier, ri, ro, *pairs[1]).diagnostics == (message,)
+    _same_as_pair_by_pair(halver, copier, ri, ro, pairs)
+
+
 def test_ints_in_a_real_stream_run_as_the_floats_they_stand_for():
     doc = parse_model(COPIES).document
     copy, same = doc.components["Copy"], doc.components["Same"]
     ints = ChannelHistory({"x": TimedStream(REAL, (3, 2))})
     expected = run(copy, ints)
     assert repr(expected.streams["y"].values) == "(3.0, 2.0)"
-    assert repr(expected.streams["y"]) == repr(run_interpreted(copy, ints).streams["y"])
-    # the interpreter steps on the ints as they are and halves 3 to 1; a run
-    # halves the real 3.0
     assert repr(expected.streams["z"].values) == "(1.5, 1.0)"
+    interpreted = run_interpreted(copy, ints)
+    for name in ("y", "z"):
+        assert repr(expected.streams[name]) == repr(interpreted.streams[name])
     # a value outside the type after such values fails at its tick
     bad = ChannelHistory({"x": TimedStream(REAL, (3, 2.5, "x", 1))})
     message = "tick 3: value 'x' is not a valid real"
@@ -730,3 +751,75 @@ def test_ints_in_a_real_stream_run_as_the_floats_they_stand_for():
     result = check_correspondence(copy, same, doc.relations["Concrete"], doc.relations["Equal"],
                                   bad, ChannelHistory({"u": TimedStream(REAL, (3, 2, 1, 0))}))
     assert (result.status, result.diagnostics) == ("error", (message,))
+
+
+# -- one pass over the rows of every pair against the pair-by-pair loop -----
+
+# Columns q (int), b (bool) and p (a real stream that holds values of any
+# kind, so untyped): relations that divide by q, read p as a boolean or as a
+# number, or give values that are not boolean
+_ROW_RELATIONS = ["12 / q > 0", "b and 12 / q > 0", "b or p > 0", "p == b", "p", "q",
+                  "min(p, 12 / q)", "unknown == 1", "not b"]
+_INT = bounded_int(-3, 3)
+
+
+def _deep(depth: int):
+    """`not -not -... p`: from some depth on, its code nests more brackets
+    than Python's parser allows, and it does not compile."""
+    e = Name("p")
+    for _ in range(depth):
+        e = Unary("not", Unary("-", e))
+    return e
+
+
+def _pass_and_loop(expr, sig, columns, horizons) -> tuple:
+    """What one pass and the pair-by-pair loop give: the ticks, and the
+    failing pair with its error's type and message. A message that cites a
+    line of the generated source cites none here: the two loops differ."""
+    found = []
+    for fn in (abstraction._ticks, suite_oracle.relation_ticks):
+        ticks, failure = fn(RelationSpec("R", "RI", expr), sig, columns, horizons)
+        found.append((ticks, failure and (failure[0], type(failure[1]),
+                                          re.sub(r" \(<streamcheck>, line \d+\)$", "", str(failure[1])))))
+    return tuple(found)
+
+
+@pytest.mark.parametrize("text, horizons, q, failure", [
+    # the first tick of a pair after an empty one, the last tick of a pair
+    ("12 / q > 0", [2, 0, 3], [1, 1, 0, 1, 1], (2, "division by zero")),
+    ("12 / q > 0", [2, 0, 3], [1, 1, 1, 1, 0], (2, "division by zero")),
+    ("12 / q > 0", [2, 0, 3], [1, 0, 1, 1, 1], (0, "division by zero")),
+    ("12 / q > 0", [0, 0, 1], [0], (2, "division by zero")),
+    # a value that is not boolean before an error of its pair or of a later one
+    ("min(p, 12 / q)", [0, 2, 2], [1, 0, 1, 1], (1, "relation 'R' is not boolean at tick 1")),
+    ("min(p, 12 / q)", [0, 2, 2], [1, 1, 0, 1], (1, "relation 'R' is not boolean at tick 1")),
+    ("min(p, 12 / q)", [0, 2, 2], [0, 1, 1, 1], (1, "division by zero")),
+    ("unknown == 1", [0, 1], [1], (1, "unknown name 'unknown'")),
+    ("12 / q > 0", [0, 0], [], None),
+    (_deep(80), [0, 1], [1],
+     (0, "cannot compile the model's expressions: too many nested parentheses")),
+])
+def test_one_pass_finds_the_pair_and_tick_that_the_loop_finds(text, horizons, q, failure):
+    sig = (("q", _INT, True), ("b", BOOL, True), ("p", REAL, False))
+    columns = [q, [True] * len(q), [2] * len(q)]
+    expr = parse_expression(text) if isinstance(text, str) else text
+    ours, oracle = _pass_and_loop(expr, sig, columns, horizons)
+    assert ours == oracle
+    assert (ours[1] and (ours[1][0], ours[1][2])) == failure
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_one_pass_over_every_pair_agrees_with_the_pair_by_pair_loop(seed):
+    """Pairs of zero to three ticks, some of none, over typed and untyped
+    columns, and a relation that does not compile."""
+    rng = random.Random(seed)
+    horizons = [rng.choice([0, 1, 1, 2, 3]) for _ in range(rng.randint(0, 5))]
+    n = sum(horizons)
+    sig = (("q", _INT, rng.random() < 0.7), ("b", BOOL, rng.random() < 0.7), ("p", REAL, False))
+    columns = [[rng.choice([0, 1, 1, 2, -3]) for _ in range(n)],
+               [rng.random() < 0.7 for _ in range(n)],
+               [rng.choice([True, False, True, 1, 2.5, "x"]) for _ in range(n)]]
+    for expr in [*map(parse_expression, _ROW_RELATIONS), _deep(80)]:
+        ours, oracle = _pass_and_loop(expr, sig, columns, horizons)
+        assert ours == oracle, expr

@@ -1,8 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import suite_oracle
 import vector_oracle
 from streamcheck.components import (AutomatonSpec, Channel, SyntacticInterface,
                                     Transition)
@@ -66,6 +68,18 @@ def test_error_verdict_on_bad_input():
     out, verdict = execute_test(_spec(), bad)
     assert out is None
     assert verdict.status == ERROR
+
+
+@pytest.mark.parametrize("group, log", [
+    (ChannelHistory({"z": TimedStream.of(INT, [-1, -2])}),
+     "expected group channels ['z'] != actual channels ['y']"),
+    (_oh([-1]), "expected horizon 1 != actual horizon 2"),
+])
+def test_an_expected_group_of_other_channels_or_horizon_is_an_error(group, log):
+    tc = TestCase("t", _ih([1, 2]), ExpectedResult((group,)))
+    out, verdict = execute_test(_spec(), tc)
+    assert (verdict.status, verdict.log) == (ERROR, (log,))
+    assert (out, verdict) == suite_oracle.execute_test(_spec(), tc)
 
 
 def test_suite_report_counts_and_order():
