@@ -28,7 +28,7 @@ import bisect
 import itertools
 import math
 import warnings
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterable, Mapping, Optional, Sequence
 
 from .components import ComponentSpec
 from .errors import (CapsExceededError, EvaluationError, SimulationError, StreamcheckError,
@@ -41,6 +41,7 @@ from .streams import BOOL, REAL, DataType, bounded_int
 if TYPE_CHECKING:
     from .codegen import Signature
     from .declarations import ConcretizerSpec, GaloisSpec, RelationSpec, Universe
+    from .exprs import Expr
     from .testcases import VectorCase
 
 RI = "RI"
@@ -264,14 +265,22 @@ def _f(gal: GaloisSpec, sig: Signature, rows: Iterable[tuple]
     if not entries:
         raise EvaluationError(f"galois {gal.name!r}: no abstraction map entry is "
                               f"applicable to channels {sorted(available)}")
+    return [chan for chan, _ in entries], *_mapped(gal, entries, sig, rows)
+
+
+def _mapped(gal: GaloisSpec, entries: Sequence[tuple[str, Expr]], sig: Signature,
+            rows: Iterable[tuple]) -> tuple[list[list[Any]], StreamcheckError | None]:
+    """Each map entry's values at the rows of the signature, row by row and
+    entry by entry up to the first evaluation that raises, and its error,
+    else None."""
     from .codegen import map_rows
     fn, _ = map_rows(gal, entries, sig, gal.channel_types.values())
     cols: list[list[Any]] = [[] for _ in entries]
     try:
         fn(rows, cols)
     except StreamcheckError as e:
-        return [chan for chan, _ in entries], cols, e
-    return [chan for chan, _ in entries], cols, None
+        return cols, e
+    return cols, None
 
 
 def abstract_output(gal: GaloisSpec, c_out: ChannelHistory) -> ChannelHistory:
@@ -298,13 +307,36 @@ def g_membership(gal: GaloisSpec, abstract: ChannelHistory, concrete: ChannelHis
 
     With `member`, it does when `member` holds at every tick, read with the
     concrete channels over the abstract ones over the enumeration labels.
-    By default, when f maps it to exactly the abstract values, tick-wise.
+    By default, when f maps it to exactly the abstract values, tick-wise:
+    the map entries of abstract channels run over the concrete rows, and
+    their values are compared in order of tick, then entry, so that a
+    mismatch before an evaluation error answers False.
     """
     if abstract.horizon != concrete.horizon:
         raise TypeMismatchError("horizon mismatch in membership check")
     from .codegen import _rows, membership_rows
-    return membership_rows(gal, abstract.signature(), concrete.signature(), [_rows(abstract)],
-                           [_rows(concrete)])[0][0]
+    if gal.member is not None:
+        return membership_rows(gal, abstract.signature(), concrete.signature(),
+                               [_rows(abstract)], [_rows(concrete)])[0][0]
+    entries = _adjoint_entries(gal, concrete.streams, abstract.streams)
+    cols, error = _mapped(gal, entries, concrete.signature(), _rows(concrete))
+    expected = [abstract.streams[chan].values for chan, _ in entries]
+    for t in range(len(cols[0])):  # the first entry's values reach furthest
+        if any(t < len(col) and col[t] != values[t] for col, values in zip(cols, expected)):
+            return False
+    if error is not None:
+        raise error
+    return True
+
+
+def _adjoint_entries(gal: GaloisSpec, concrete: Iterable[str],
+                     abstract: Container[str]) -> list[tuple[str, Expr]]:
+    """The map entries that decide membership in f's adjoint: those that
+    apply to the concrete channels and map an abstract one."""
+    entries = [(chan, e) for chan, e in gal.f_entries_for(set(concrete)) if chan in abstract]
+    if not entries:
+        raise EvaluationError(f"galois {gal.name!r}: no applicable membership entries")
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +438,11 @@ def _element(sig: Signature, rows: list[tuple], types: Mapping[str, DataType]) -
 
 
 def _images(gal: GaloisSpec, sig: Signature,
-            rows: Sequence[tuple]) -> tuple[list[str], list[tuple]]:
+            rows: Sequence[tuple]) -> tuple[list[str], list[tuple], list[list[Any]]]:
     """The abstract channels that f maps concrete rows of the signature to,
-    and the image of each row, one value a channel, checked as
-    `abstract_output` checks it. The first error of a row, in order, is
-    raised: the map's, then its image's."""
+    the image of each row, one value a channel, checked as `abstract_output`
+    checks it, and f's values as it gave them, one column a channel. The
+    first error of a row, in order, is raised: the map's, then its image's."""
     chans, cols, error = _f(gal, sig, rows)
     checks = [_check(gal.channel_types, chan) for chan in chans]
     # the images of the rows mapped before any that failed
@@ -418,7 +450,7 @@ def _images(gal: GaloisSpec, sig: Signature,
               for t in range(len(cols[-1]))]
     if error is not None:
         raise error
-    return chans, images
+    return chans, images, cols
 
 
 def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
@@ -429,14 +461,19 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
     Both sides distribute over unions of T_c and of T_a, so the law holds
     exactly when it holds for every pair of singletons {x}, {a}: x is a
     member of g(a) iff f(x) = a (an image outside the universe equals no a).
-    That takes |A|*|C| comparisons, not 2^|A| subsets. The maps and `member`
-    are per-tick, so at a horizon H >= 1 the law holds exactly when it holds
-    on the one-tick histories (at H = 0, on the one empty history a side);
-    a side of more than `element_cap` raises CapsExceededError before any is
-    enumerated. The histories are decided as rows of values: f runs over
-    every concrete row in one call, and `member` or the adjoint over every
-    pair in another; only a counterexample's histories are built. It is the
-    first failing pair in the order of T_a bitmasks: smallest abstract
+    The maps and `member` are per-tick, so at a horizon H >= 1 the law
+    holds exactly when it holds on the one-tick histories (at H = 0, on the
+    one empty history a side); a side of more than `element_cap` raises
+    CapsExceededError before any is enumerated. The histories are decided
+    as rows of values: f runs over every concrete row in one call. A
+    declared `member` then runs over all |A|*|C| pairs in another. The
+    adjoint of f is decided from f's images in |A|+|C| steps: x is in g(a)
+    when the values f gives it equal a, value by value and before their
+    type's check, on the abstract channels that f maps (as `g_membership`
+    has it), so the concrete elements are grouped by those values, and
+    each abstract element's group must be the set of elements that f maps
+    to it. Only a counterexample's histories are built. It is
+    the first failing pair in the order of T_a bitmasks: smallest abstract
     index, then concrete index. stats["pairs"], when `stats` is given,
     counts the pairs decided.
     """
@@ -451,28 +488,68 @@ def verify_galois(gal: GaloisSpec, element_cap: int = DEFAULT_UNIVERSE_CAP, *,
     types = gal.channel_types
     sig_a, abstract = _side_rows(u.abstract, ticks, types)
     sig_c, concrete = _side_rows(u.concrete, ticks, types)
+    names = [chan for chan, _, _ in sig_a]
+    chans: list[str] = []
+    cols: list[list[Any]] = []
     # lifted f: image index (or None when the image escapes the universe)
     f_bit: list[Optional[int]] = [None] * len(concrete)
     if concrete:
-        chans, images = _images(gal, sig_c, [row for rows in concrete for row in rows])
-        names = [chan for chan, _, _ in sig_a]
+        chans, images, cols = _images(gal, sig_c, [row for rows in concrete for row in rows])
         if sorted(chans) == sorted(names):  # else no image is an abstract element
             index = {tuple(rows): i for i, rows in enumerate(abstract)}
             pos = [chans.index(n) for n in names]
             keys = [tuple(image[p] for p in pos) for image in images]
             f_bit = [index.get(tuple(keys[j * ticks:(j + 1) * ticks]))
                      for j in range(len(concrete))]
-    from .codegen import membership_rows
-    member = membership_rows(gal, sig_a, sig_c, abstract, concrete)
+    if gal.member is None:
+        failed = _adjoint_failure(gal, sig_c, names, abstract, chans, cols, f_bit, ticks)
+    else:
+        from .codegen import membership_rows
+        member = membership_rows(gal, sig_a, sig_c, abstract, concrete)
+        failed = next(((i, j) for i, row in enumerate(member) for j, holds in enumerate(row)
+                       if holds != (f_bit[j] == i)), None)
     if stats is not None:
         stats["pairs"] = len(abstract) * len(concrete)
-    for i, row in enumerate(member):
-        for j, holds in enumerate(row):
-            lhs = f_bit[j] == i
-            if holds != lhs:
-                return GaloisCounterexample((_element(sig_c, concrete[j], types),),
-                                            (_element(sig_a, abstract[i], types),),
-                                            lhs, holds, u.horizon)
+    if failed is None:
+        return None
+    i, j = failed
+    lhs = f_bit[j] == i
+    return GaloisCounterexample((_element(sig_c, concrete[j], types),),
+                                (_element(sig_a, abstract[i], types),), lhs, not lhs, u.horizon)
+
+
+def _adjoint_failure(gal: GaloisSpec, sig_c: Signature, names: Sequence[str],
+                     abstract: Sequence[list[tuple]], chans: Sequence[str],
+                     cols: Sequence[list[Any]], f_bit: Sequence[Optional[int]],
+                     ticks: int) -> Optional[tuple[int, int]]:
+    """The first pair (i, j) of an abstract element, of channels `names`,
+    and a concrete one, of signature `sig_c`, to whose rows (`ticks` an
+    element) f gave the columns `cols` of channels `chans`, on which
+    membership in the adjoint of f differs from f_bit[j] == i: the smallest
+    i whose member set differs from the set of j that f maps to it, then the
+    smallest j in which they differ. x_j is in g(a_i) when f's values equal
+    a_i, by `==` value by value, on the channels of `_adjoint_entries`, as
+    `g_membership` compares them."""
+    if not abstract or not f_bit:
+        return None
+    shared = [chan for chan, _ in _adjoint_entries(gal, (n for n, _, _ in sig_c), names)]
+    pos_a = [names.index(chan) for chan in shared]
+    rows = list(zip(*(cols[chans.index(chan)] for chan in shared)))
+    members: dict[tuple, list[int]] = {}  # by f's values on the shared channels
+    for j in range(len(f_bit)):
+        members.setdefault(tuple(rows[j * ticks:(j + 1) * ticks]), []).append(j)
+    mapped: dict[int, list[int]] = {}
+    for j, i in enumerate(f_bit):
+        if i is not None:
+            mapped.setdefault(i, []).append(j)
+    for i, element in enumerate(abstract):
+        key = tuple(tuple(row[p] for p in pos_a) for row in element)
+        # a dict finds a key by identity before `==`: a value unequal to
+        # itself (nan) equals nothing, so it makes a member of nothing
+        held = members.get(key, []) if all(v == v for row in key for v in row) else []
+        lhs = mapped.get(i, [])
+        if held != lhs:
+            return i, min(set(held).symmetric_difference(lhs))
     return None
 
 

@@ -19,11 +19,14 @@ its value is an operand of an operator.
 
 Relation, abstraction-map and membership expressions compile here, too.
 A relation is a map of one entry: relations and maps compile into one
-loop over the value tuples of channel histories (`map_rows`), and
-membership into one over every pair of an abstract and a concrete row
-list (`membership_rows`). Such a function is compiled once per expression
-owner and column signature (the names, types and conformance of the
-columns) and cached on the owner.
+loop over the value tuples of channel histories (`map_rows`), and a
+declared `member` predicate into one over all |A|*|C| pairs of an
+abstract and a concrete row list (`membership_rows`). The default
+membership, f's adjoint, compiles nothing of its own: it is decided from
+f's values (`abstraction.g_membership`, `abstraction.verify_galois`).
+Such a function is compiled once per expression owner, column signature
+(the names, types and conformance of the columns) and map entries, and
+cached on the owner.
 """
 
 from __future__ import annotations
@@ -302,8 +305,10 @@ class CodeGen:
         try:
             code = compile(src, "<streamcheck>", "exec")
         except (SyntaxError, RecursionError) as e:
-            # in practice: expressions nested deeper than Python's parser allows
-            raise EvaluationError(f"cannot compile the model's expressions: {e}") from None
+            # in practice: expressions nested deeper than Python's parser allows;
+            # a SyntaxError's text would cite a line of the generated source
+            detail = e.msg if isinstance(e, SyntaxError) else e
+            raise EvaluationError(f"cannot compile the model's expressions: {detail}") from None
         exec(code, self.ns)
         # drop the name so that function and namespace form no reference cycle
         fn = self.ns.pop("_generated")
@@ -386,60 +391,39 @@ def map_rows(owner: Any, entries: Sequence[tuple[str, Expr]], sig: Signature,
         body += [f"    a{j}({code.src})" for j, code in enumerate(codes)]
         return gen.function("rows, cols", body), [code.kind for code in codes]
 
-    return _cached(owner, ("map", sig), build)
+    # an owner has one entry a channel applicable to a signature, so the
+    # channels name the entries without hashing their expressions
+    return _cached(owner, ("map", sig, tuple(chan for chan, _ in entries)), build)
 
 
 def membership_rows(gal: Any, sa: Signature, sc: Signature, abstract: Sequence[list[tuple]],
                     concrete: Sequence[list[tuple]]) -> list[list[bool]]:
-    """[[g_membership(gal, a, x) for x in concrete] for a in abstract], for
-    histories of one horizon given as row lists, one row of values a tick,
-    of the signatures sa and sc; the first error in that order is raised.
-    One compiled call decides every pair."""
+    """[[g_membership(gal, a, x) for x in concrete] for a in abstract] of a
+    Galois connection that declares `member`, for histories of one horizon
+    given as row lists, one row of values a tick, of the signatures sa and
+    sc; the first error in that order is raised. One compiled call decides
+    every pair."""
     if not abstract or not concrete:
         return [[] for _ in abstract]
 
-    def labels() -> dict[str, str]:
-        return enum_labels(itertools.chain(_types(sa), _types(sc), gal.channel_types.values()))
-
-    if gal.member is not None:
-        def build() -> Callable:
-            gen = CodeGen()
-            # a concrete channel shadows an abstract one
-            member = gen.expr(gal.member, _scope(labels(), ("x", sa), ("y", sc)))
-            return _matrix(gen, len(sa), len(sc), [f"not ({member.src})"])
-
-        return _cached(gal, ("member", sa, sc), build)(abstract, concrete)
-    # the adjoint of f: each applicable map entry must give the abstract value
-    position = {n: k for k, (n, _, _) in enumerate(sa)}
-    entries = [(chan, e) for chan, e in gal.f_entries_for({n for n, _, _ in sc})
-               if chan in position]
-    if not entries:
-        raise EvaluationError(f"galois {gal.name!r}: no applicable membership entries")
-
-    def build_adjoint() -> Callable:
+    def build() -> Callable:
         gen = CodeGen()
-        scope = _scope(labels(), ("y", sc))
-        return _matrix(gen, len(sa), len(sc),
-                       [f"{_paren(gen.expr(e, scope), _ADD)} != x{position[chan]}"
-                        for chan, e in entries])
+        labels = enum_labels(itertools.chain(_types(sa), _types(sc), gal.channel_types.values()))
+        # a concrete channel shadows an abstract one
+        member = gen.expr(gal.member, _scope(labels, ("x", sa), ("y", sc)))
+        return gen.function("A, C", [
+            "M = []",
+            "for ra in A:",
+            "    R = []",
+            "    app = R.append",
+            "    for rc in C:",
+            f"        for {unpack('x', len(sa))}, {unpack('y', len(sc))} in zip(ra, rc):",
+            f"            if not ({member.src}):",
+            "                app(False)",
+            "                break",
+            "        else:",
+            "            app(True)",
+            "    M.append(R)",
+            "return M"])
 
-    return _cached(gal, ("adjoint", sa, sc), build_adjoint)(abstract, concrete)
-
-
-def _matrix(gen: CodeGen, n_a: int, n_c: int, failures: list[str]) -> Callable:
-    """fn(A, C): for each abstract row list in A and concrete one in C, True
-    unless at some tick, in order, one of the `failures` holds."""
-    checks = [line for failure in failures
-              for line in (f"if {failure}:", "    app(False)", "    break")]
-    return gen.function("A, C", [
-        "M = []",
-        "for ra in A:",
-        "    R = []",
-        "    app = R.append",
-        "    for rc in C:",
-        f"        for {unpack('x', n_a)}, {unpack('y', n_c)} in zip(ra, rc):",
-        *("            " + line for line in checks),
-        "        else:",
-        "            app(True)",
-        "    M.append(R)",
-        "return M"])
+    return _cached(gal, ("member", sa, sc), build)(abstract, concrete)

@@ -10,6 +10,7 @@ search, and then neither the grid histories nor brute force over every
 value of small input types may find a witness.
 """
 
+import math
 import random
 
 import pytest
@@ -28,45 +29,106 @@ from streamcheck.simulator import check_causality, run, same_tick_dependence
 from streamcheck.declarations import GaloisSpec, Universe
 from streamcheck.errors import SimulationError, StreamcheckError
 from streamcheck.exprs import parse_expression
-from streamcheck.streams import BOOL, bounded_int
+from streamcheck.streams import BOOL, REAL, bounded_int
 from streamcheck.histories import ChannelHistory, TimedStream
 
 
-def _galois(rng, a_values, c_values, horizon):
+def _galois(rng, a_values, c_values, horizon, member=True):
+    """A connection of a : int[0..3] to c : int[-3..3], either of them now
+    and then untyped, over value sets that may repeat a value. f may map c
+    out of the universe or out of a's type (c + k) or to booleans, which an
+    untyped a holds as 0 and 1. Now and then f also maps a channel z that
+    the abstract side lacks, or maps only z, and the abstract side has a
+    second, untyped channel b that f leaves unmapped, whose empty value set
+    leaves that side no element. With `member`, a membership predicate is
+    often declared; else g is f's adjoint."""
     k, m = rng.randint(-3, 3), rng.choice(c_values)
-    f = rng.choice([f"min(max(c + {k}, 0), 3)", f"abs(c) / {rng.randint(1, 2)}",
-                    "min(abs(c), 3)"])
-    member = rng.choice([None, f"a == {f}", f"a {rng.choice(['!=', '<=', '>='])} {f}",
-                         f"a == {f} or c == {m}", f"a == {f} and c != {m}",
-                         f"a == {rng.choice(a_values)}"])
+    plus = f"+ {k}" if k >= 0 else f"- {-k}"
+    f = rng.choice([f"min(max(c {plus}, 0), 3)", f"abs(c) / {rng.randint(1, 2)}",
+                    "min(abs(c), 3)", f"c {plus}", "c > 0"])
+    f_map = [("a", parse_expression(f))]
+    pick = rng.random()
+    if pick < 0.1:
+        f_map = [("z", parse_expression("c * 2"))]
+    elif pick < 0.25:
+        f_map.insert(rng.randint(0, 1), ("z", parse_expression("c * 2")))
+    abstract = [("a", tuple(a_values))]
+    if rng.random() < 0.25:
+        abstract.insert(rng.randint(0, 1), ("b", rng.choice([(0,), (True, False), (1, 1), ()])))
+    members = [None]
+    if member:
+        members += [f"a == ({f})", f"a {rng.choice(['!=', '<=', '>='])} ({f})",
+                    f"a == ({f}) or c == {m}", f"a == ({f}) and c != {m}",
+                    f"a == {rng.choice(a_values)}"]
+    text = rng.choice(members)
+    types = {"a": bounded_int(0, 3), "c": bounded_int(-3, 3)}
     return GaloisSpec(
-        "G", (("a", parse_expression(f)),),
-        None if member is None else parse_expression(member),
-        Universe((("a", tuple(a_values)),), (("c", tuple(c_values)),), horizon),
-        channel_types={"a": bounded_int(0, 3), "c": bounded_int(-3, 3)})
+        "G", tuple(f_map), None if text is None else parse_expression(text),
+        Universe(tuple(abstract), (("c", tuple(c_values)),), horizon),
+        channel_types={n: t for n, t in types.items() if rng.random() < 0.75})
+
+
+def _agrees_with_the_subset_loop(gal):
+    """The error of the subset loop over the one-tick histories; else its
+    verdict over the histories of the declared horizon (where they are few
+    enough to enumerate), and its counterexample over the one-tick ones."""
+    u = gal.universe
+    horizon = u.horizon
+    one_tick = GaloisSpec(gal.name, gal.f_map, gal.member,
+                          Universe(u.abstract, u.concrete, min(horizon, 1)),
+                          gal.abstract_component, gal.concrete_component, gal.channel_types)
+    stats = {}
+    got, error = _outcome(verify_galois, gal, element_cap=64, stats=stats)
+    expected, expected_error = _outcome(verify_galois_by_masks, one_tick)
+    assert (type(error), str(error)) == (type(expected_error), str(expected_error))
+    if error is not None:
+        return
+    sizes = [math.prod(len(values) for _, values in side) for side in (u.abstract, u.concrete)]
+    assert stats["pairs"] == (sizes[0] * sizes[1] if horizon else 1)
+    assert (got is None) == (expected is None)
+    if horizon > 1 and sizes[0] ** horizon <= 9:
+        assert (got is None) == (verify_galois_by_masks(gal) is None)
+    if got is not None:
+        assert (got.concrete_set, got.abstract_set, got.lhs, got.rhs, got.horizon) == \
+            (expected.concrete_set, expected.abstract_set, expected.lhs, expected.rhs, horizon)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
-       st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True),
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=4),
        st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
 def test_pointwise_galois_matches_the_subset_loop(a_values, c_values, horizon, seed):
     """The law is decided on one tick, with the verdict of the subset loop
-    over the histories of the declared horizon and the counterexample of
-    the subset loop over the one-tick histories."""
-    gal = _galois(random.Random(seed), a_values, c_values, horizon)
-    stats = {}
-    got = verify_galois(gal, element_cap=64, stats=stats)
-    assert stats["pairs"] == (len(a_values) * len(c_values) if horizon else 1)
-    assert (got is None) == (verify_galois_by_masks(gal) is None)
-    if got is not None:
-        u = gal.universe
-        one_tick = GaloisSpec(gal.name, gal.f_map, gal.member,
-                              Universe(u.abstract, u.concrete, min(horizon, 1)),
-                              gal.abstract_component, gal.concrete_component, gal.channel_types)
-        expected = verify_galois_by_masks(one_tick)
-        assert (got.concrete_set, got.abstract_set, got.lhs, got.rhs, got.horizon) == \
-            (expected.concrete_set, expected.abstract_set, expected.lhs, expected.rhs, horizon)
+    over the histories of the declared horizon and the counterexample and
+    error of the subset loop over the one-tick histories."""
+    _agrees_with_the_subset_loop(_galois(random.Random(seed), a_values, c_values, horizon))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_an_adjoint_is_decided_from_the_images_as_the_subset_loop_decides_it(
+        a_values, c_values, horizon, seed):
+    """With no `member`, membership is read off f's images; repeated
+    abstract values, images outside the universe, a channel f leaves
+    unmapped and a map entry outside the abstract side all make the law
+    fail, as the subset loop finds."""
+    _agrees_with_the_subset_loop(
+        _galois(random.Random(seed), a_values, c_values, horizon, member=False))
+
+
+def test_an_adjoint_compares_the_values_f_gives_as_g_membership_does():
+    """f's int image 2^53 + 1 of a `real` channel is checked to 2.0^53, the
+    abstract element, but g compares the value f gave, which differs: the
+    law fails at that pair, as g_membership and the subset loop have it."""
+    gal = GaloisSpec("G", (("a", parse_expression("c")),), None,
+                     Universe((("a", (2.0 ** 53,)),), (("c", (2 ** 53 + 1,)),), 1),
+                     channel_types={"a": REAL, "c": bounded_int(0, 2 ** 60)})
+    got = verify_galois(gal)
+    assert got is not None and (got.lhs, got.rhs) == (True, False)
+    assert not abstraction.g_membership(gal, got.abstract_set[0], got.concrete_set[0])
+    _agrees_with_the_subset_loop(gal)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -377,8 +439,9 @@ _SPREAD = Universe((("a", tuple(range(15))),), (("c", tuple(range(-3, 57))),), 1
 @pytest.mark.parametrize("typed", [True, False])
 @pytest.mark.parametrize("member", [None, "a == (c + 3) / 4"])
 def test_verify_galois_compiles_one_function_a_side(monkeypatch, typed, member):
-    """One map function over every concrete row and one membership function
-    over every pair, typed or not; none on a second call."""
+    """One map function over every concrete row and, for a declared
+    `member`, one membership function over every pair, typed or not; the
+    adjoint is decided from the map's images alone. None on a second call."""
     types = {"a": bounded_int(0, 14), "c": bounded_int(-3, 56)} if typed else {}
     gal = GaloisSpec("Spread", (("a", parse_expression("(c + 3) / 4")),),
                      None if member is None else parse_expression(member), _SPREAD,
@@ -386,6 +449,7 @@ def test_verify_galois_compiles_one_function_a_side(monkeypatch, typed, member):
     compiled, mapped = _compiles(monkeypatch), []
     monkeypatch.setattr(abstraction, "abstract_output", lambda *args: mapped.append(args))
     stats = {}
+    expected = ["rows, cols"] if member is None else ["rows, cols", "A, C"]
     assert verify_galois(gal, 60, stats=stats) is None
-    assert (compiled, mapped, stats["pairs"]) == (["rows, cols", "A, C"], [], 900)
-    assert verify_galois(gal, 60) is None and len(compiled) == 2
+    assert (compiled, mapped, stats["pairs"]) == (expected, [], 900)
+    assert verify_galois(gal, 60) is None and compiled == expected

@@ -11,6 +11,7 @@ that may never be evaluated. Results are compared by `repr`, which tells
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,12 +97,14 @@ def test_relation_matches_dict_environment(seed, horizon):
         assert _outcome(eval_relation, rel, a, c) == _outcome(oracle.eval_relation, rel, a, c)
 
 
-def _galois(gen, a_names, c_names, types, universe=None):
+def _galois(gen, a_names, c_names, types, universe=None, adjoint=True):
+    """A Galois connection whose map entries read the concrete channels;
+    with `adjoint`, it often declares no `member`."""
     r = gen.rng
     f_map = tuple((r.choice(a_names) if a_names and r.random() < 0.9 else "a9",
                    _expression(gen, {n: types[n] for n in c_names}, r.choice(["bool", "int", "num"])))
                   for _ in range(r.randint(1, 3)))
-    member = None if r.random() < 0.4 else _expression(gen, types)
+    member = None if adjoint and r.random() < 0.4 else _expression(gen, types)
     channel_types = {n: t for n, t in types.items() if r.random() < 0.8}
     if r.random() < 0.3:
         channel_types["e9"] = enumeration("L1", "L3")
@@ -123,12 +126,12 @@ def test_abstraction_map_and_membership_match_dict_environment(seed, horizon):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
 def test_membership_matrix_matches_pairwise_membership(seed, horizon):
-    """`membership_rows` decides all pairs of row lists in one call, with one
-    signature a side, in which a column conforms only when it conforms in
-    every history of that side."""
+    """`membership_rows` decides all pairs of row lists of a declared
+    `member` in one call, with one signature a side, in which a column
+    conforms only when it conforms in every history of that side."""
     gen = DocGen(random.Random(seed))
     a_names, c_names, types = _split(gen)
-    gal = _galois(gen, a_names, c_names, types)
+    gal = _galois(gen, a_names, c_names, types, adjoint=False)
     r = gen.rng
     abstract = [_history(gen, a_names, horizon, types) for _ in range(r.randint(0, 3))]
     concrete = [_history(gen, c_names, horizon, types) for _ in range(r.randint(0, 4))]
@@ -274,3 +277,67 @@ def test_an_image_outside_its_type_fails_before_a_later_row_of_the_map():
                                ((0, 1), (EvaluationError, "division by zero"))):
         assert _outcome(verify_galois, gal(c_values)) == expected
         assert _outcome(oracle.verify_galois, gal(c_values)) == expected
+
+
+@pytest.mark.parametrize("f_map, a, b, c, holds", [
+    # a mismatch at tick 1 comes before the division by zero at tick 2
+    ((("a", "6 / c"),), (1, 3), None, (2, 0), False),
+    # the division by zero at tick 1 comes before the mismatch at tick 2
+    ((("a", "6 / c"),), (6, 1), None, (0, 2), EvaluationError),
+    # within a tick, entries go in map order: a's mismatch, then b's error
+    ((("a", "c"), ("b", "6 / c")), (5,), (1,), (0,), False),
+    ((("b", "6 / c"), ("a", "c")), (5,), (1,), (0,), EvaluationError),
+    # the entry of a channel the abstract side lacks is not run
+    ((("a", "c"), ("z", "6 / c")), (0, 1), None, (0, 1), True),
+])
+def test_an_adjoint_answers_false_at_a_mismatch_before_an_evaluation_error(f_map, a, b, c, holds):
+    gal = GaloisSpec("G", tuple((chan, parse_expression(e)) for chan, e in f_map))
+    streams = {"a": TimedStream(bounded_int(0, 6), a)}
+    if b is not None:
+        streams["b"] = TimedStream(bounded_int(0, 6), b)
+    abstract = ChannelHistory(streams)
+    concrete = ChannelHistory({"c": TimedStream(bounded_int(0, 6), c)})
+    got = _outcome(g_membership, gal, abstract, concrete)
+    assert got == _outcome(oracle.g_membership, gal, abstract, concrete)
+    if isinstance(holds, bool):
+        assert got == repr(holds)
+    else:
+        assert got[0] is holds
+
+
+def test_an_adjoint_runs_its_own_entries_after_the_whole_map_ran():
+    """The map and the membership entries of one signature are compiled
+    apart: a map of a and z over c, then the adjoint of a alone."""
+    gal = GaloisSpec("G", (("z", parse_expression("c * 2")), ("a", parse_expression("c + 1"))))
+    concrete = ChannelHistory({"c": TimedStream(bounded_int(0, 6), (1, 2))})
+    assert abstract_output(gal, concrete).streams["z"].values == (2, 4)
+    abstract = ChannelHistory({"a": TimedStream(bounded_int(0, 6), (2, 3))})
+    assert g_membership(gal, abstract, concrete) is True
+    assert abstract_output(gal, concrete).streams["a"].values == (2, 3)
+
+
+def test_a_value_unequal_to_itself_is_a_member_of_nothing():
+    """As with `!=` value by value: an image nan is no abstract nan, even
+    when the universe holds the very same object on both sides, where f's
+    image still finds its abstract element."""
+    nan = float("nan")
+    gal = GaloisSpec("G", (("a", Name("c")),), None, Universe((("a", (nan, 0.0)),),
+                                                              (("c", (nan, 0.0)),), 1),
+                     channel_types={"a": REAL, "c": REAL})
+    got = verify_galois(gal)
+    assert (got.lhs, got.rhs) == (True, False)
+    assert repr(got) == repr(oracle.verify_galois(gal))
+
+
+def test_an_adjoint_with_an_empty_side_decides_no_pair():
+    """A side with an empty value set has no element, so no pair is decided
+    and a map that names no abstract channel is no error there."""
+    f_map = (("z", parse_expression("c")),)
+    for abstract, concrete in (((("a", ()),), (("c", (0, 1)),)), ((("a", (0,)),), (("c", ()),))):
+        gal = GaloisSpec("G", f_map, None, Universe(abstract, concrete, 1))
+        stats = {}
+        assert verify_galois(gal, stats=stats) is None and stats["pairs"] == 0
+        assert oracle.verify_galois(gal) is None
+    universe = Universe((("a", (0,)),), (("c", (0, 1)),), 1)
+    assert _outcome(verify_galois, GaloisSpec("G", f_map, None, universe)) == \
+        (EvaluationError, "galois 'G': no applicable membership entries")

@@ -12,7 +12,6 @@ import contextlib
 import io
 import os
 import random
-import re
 from unittest import mock
 
 import pytest
@@ -774,13 +773,11 @@ def _deep(depth: int):
 
 def _pass_and_loop(expr, sig, columns, horizons) -> tuple:
     """What one pass and the pair-by-pair loop give: the ticks, and the
-    failing pair with its error's type and message. A message that cites a
-    line of the generated source cites none here: the two loops differ."""
+    failing pair with its error's type and message."""
     found = []
     for fn in (abstraction._ticks, suite_oracle.relation_ticks):
         ticks, failure = fn(RelationSpec("R", "RI", expr), sig, columns, horizons)
-        found.append((ticks, failure and (failure[0], type(failure[1]),
-                                          re.sub(r" \(<streamcheck>, line \d+\)$", "", str(failure[1])))))
+        found.append((ticks, failure and (failure[0], type(failure[1]), str(failure[1]))))
     return tuple(found)
 
 
